@@ -1,10 +1,18 @@
 """Named check suites over configurable momentum grids.
 
-Every check evaluates one identity family and returns a CheckResult with a
-stable id, a descriptive anchor, the worst residual found and the tolerance
-it was held to.  Checks whose outcome is a convention-sensitive measurement
-rather than a pass/fail claim carry status 'reported'; they never fail and
-their numbers ride in `values`.
+The 35 checks live in one registry.  Each entry is a function of the
+SuiteConfig, registered with the `_check` decorator under a stable id
+("<suite>/<name>", the suite being the id's prefix), a descriptive anchor
+and a tolerance rule: a function of `cfg.tolerance`, or None for a
+'reported' check.  The function returns an Evaluation: the residuals it
+measured, the `values` the report carries, and named structural predicates
+(a group table, an eigenspace dimension, a margin).
+
+One runner, `_run`, turns every Evaluation into a CheckResult.  The worst
+residual is taken with np.max, so a NaN residual propagates and fails the
+check.  A false predicate fails the check whatever the tolerance, and its
+displayed residual is at least 1.0.  A reported check judges nothing: it
+never fails and its numbers ride in `values`.
 
 The default grid is 3 momentum magnitudes x 6 directions, all in the
 meridian plane (azimuth 0 or pi).  That plane is where the spin-1
@@ -17,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +60,20 @@ class SuiteConfig:
 
     def __post_init__(self):
         masses = tuple(float(m) for m in self.masses)
-        if not masses or any(m <= 0 for m in masses):
-            raise ValueError("masses must be positive")
+        if not masses or not all(math.isfinite(m) and m > 0 for m in masses):
+            raise ValueError("masses must be finite and positive")
         if self.n_magnitudes < 1 or self.n_directions < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.tolerance < 0:
+        # the largest magnitude, 2 ** ((n - 1) / 2), must be a finite float
+        if (self.n_magnitudes - 1) / 2 >= sys.float_info.max_exp:
+            raise ValueError("grid has too many magnitudes: the largest overflows a float")
+        # `not >= 0` also rejects NaN
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
+        if not all(math.isfinite(t) for t in (self.theta1, self.theta2, self.thetac)):
+            raise ValueError("phases must be finite")
+        if self.norm is not None and not (math.isfinite(self.norm) and self.norm != 0):
+            raise ValueError("norm must be finite and nonzero")
         suites = tuple(self.suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
@@ -137,30 +155,80 @@ def _jsonable(x):
     return str(x)
 
 
-def _result(check_id, anchor, resid, tol, values=None) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        anchor=anchor,
-        status="pass" if resid <= tol else "fail",
-        max_residual=float(resid),
-        tol=float(tol),
-        values=values or {},
-    )
+# ---------------------------------------------------------------------------
+# the registry and its runner
 
 
-def _reported(check_id, anchor, headline, values) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        anchor=anchor,
-        status="reported",
-        max_residual=float(headline),
-        tol=None,
-        values=values,
-    )
+@dataclass(frozen=True)
+class Evaluation:
+    """What one check measured.
+
+    residuals: every number the check judges against its tolerance (for a
+    reported check, the numbers behind its headline); values: what the
+    report carries alongside them; predicates: named structural statements,
+    any false one fails the check whatever the tolerance.
+    """
+
+    residuals: list
+    values: dict = field(default_factory=dict)
+    predicates: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Check:
+    check_id: str
+    anchor: str
+    tol: Callable[[SuiteConfig], float] | None  # None: reported
+    evaluate: Callable[[SuiteConfig], Evaluation]
+
+
+# tolerance rules
+def _given(cfg: SuiteConfig) -> float:
+    return cfg.tolerance
+
+
+def _at_least(floor: float):
+    return lambda cfg: max(cfg.tolerance, floor)
 
 
 def _tight(cfg: SuiteConfig) -> float:
     return min(cfg.tolerance, 1e-15)
+
+
+def _fixed(tol: float):
+    return lambda cfg: tol
+
+
+_REGISTRY: list[_Check] = []
+
+
+def _check(check_id: str, anchor: str, tol=_given):
+    """Register a check; tol is its tolerance rule, None for a reported check."""
+
+    def register(evaluate):
+        _REGISTRY.append(_Check(check_id, anchor, tol, evaluate))
+        return evaluate
+
+    return register
+
+
+def _worst(residuals, floor: float = 0.0) -> float:
+    """Largest residual, at least `floor`; unlike max(), np.max keeps NaN."""
+    return float(np.max(np.asarray(residuals, dtype=float), initial=floor))
+
+
+def _least(ratios) -> float:
+    """Smallest ratio (inf when there is none); NaN propagates."""
+    return float(np.min(np.asarray(ratios, dtype=float), initial=math.inf))
+
+
+def _run(check: _Check, cfg: SuiteConfig) -> CheckResult:
+    ev = check.evaluate(cfg)
+    holds = all(ev.predicates.values())
+    worst = _worst(ev.residuals, 0.0 if holds else 1.0)
+    tol = None if check.tol is None else float(check.tol(cfg))
+    status = "reported" if tol is None else "pass" if holds and worst <= tol else "fail"
+    return CheckResult(check.check_id, check.anchor, status, worst, tol, ev.values)
 
 
 def _prop_residual(v, img) -> float:
@@ -171,29 +239,34 @@ def _prop_residual(v, img) -> float:
     return float(np.linalg.norm(img - c * v))
 
 
+def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
+    """cfg phases with thetac forced to the real-eigenvalue convention."""
+    return PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
+
+
 # ---------------------------------------------------------------------------
 # linalg suite
 
 
-def _check_antilinear_algebra(cfg: SuiteConfig):
+@_check(
+    "linalg/antilinear-algebra", "antilinear application, composition and squares", _at_least(1e-14)
+)
+def _antilinear_algebra(cfg: SuiteConfig):
     c = halfspin.charge_conjugation_op(cfg.convention)
-    resid = linalg.max_abs(c.squared().matrix - np.eye(4))
     j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]), conjugates=True)
-    resid = max(resid, linalg.max_abs(j.squared().matrix + np.eye(2)))
+    res = [
+        linalg.max_abs(c.squared().matrix - np.eye(4)),
+        linalg.max_abs(j.squared().matrix + np.eye(2)),
+    ]
     rng = np.random.default_rng(7)
     for _ in range(16):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a = rng.standard_normal() + 1j * rng.standard_normal()
         # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
-        resid = max(
-            resid, linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w)))
-        )
-    return _result(
-        "linalg/antilinear-algebra",
-        "antilinear application, composition and squares",
-        resid,
-        max(cfg.tolerance, 1e-14),
+        res.append(linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
+    return Evaluation(
+        res,
         {
             "conjugation_square_sign": c.square_sign(),
             "rotation_square_sign": j.square_sign(),
@@ -201,99 +274,83 @@ def _check_antilinear_algebra(cfg: SuiteConfig):
     )
 
 
-def _check_kron(cfg: SuiteConfig):
+@_check("linalg/kron-mixed-product", "tensor product compatibility", _at_least(1e-13))
+def _kron(cfg: SuiteConfig):
     rng = np.random.default_rng(11)
-    worst = 0.0
+    res = []
     for _ in range(8):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        worst = max(
-            worst, linalg.max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w))
-        )
-    return _result(
-        "linalg/kron-mixed-product",
-        "tensor product compatibility",
-        worst,
-        max(cfg.tolerance, 1e-13),
-    )
+        res.append(linalg.max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
+    return Evaluation(res)
 
 
 # ---------------------------------------------------------------------------
 # halfspin suite
 
 
-def _check_helicity_spinors(cfg: SuiteConfig):
-    worst = 0.0
+@_check("halfspin/helicity-spinors", "helicity two-spinor convention")
+def _helicity_spinors(cfg: SuiteConfig):
+    res = []
     for th, ph in cfg.directions():
         n = FourMomentum(1.0, 1.0, th, ph).nhat
         sn = np.tensordot(n, halfspin.SIGMA, axes=(0, 0))
         for h in (UP, DN):
             chi = halfspin.helicity_eigenspinor(th, ph, h)
-            worst = max(worst, float(np.linalg.norm(sn @ chi - h * chi)))
-            worst = max(worst, abs(float(np.linalg.norm(chi)) - 1.0))
+            res.append(float(np.linalg.norm(sn @ chi - h * chi)))
+            res.append(abs(float(np.linalg.norm(chi)) - 1.0))
     rt = 1 / math.sqrt(2)
-    worst = max(
-        worst,
-        linalg.max_abs(
-            halfspin.helicity_eigenspinor(math.pi / 2, 0.0, UP) - np.array([rt, rt])
-        ),
-        linalg.max_abs(
-            halfspin.helicity_eigenspinor(math.pi / 2, 0.0, DN) - np.array([-rt, rt])
-        ),
+    res.append(
+        linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, UP) - np.array([rt, rt]))
     )
-    return _result(
-        "halfspin/helicity-spinors",
-        "helicity two-spinor convention",
-        worst,
-        cfg.tolerance,
+    res.append(
+        linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, DN) - np.array([-rt, rt]))
     )
+    return Evaluation(res)
 
 
-def _check_conjugation_eigenvalues(cfg: SuiteConfig):
+@_check("halfspin/conjugation-eigenvalues", "self/anti-self conjugate eigenvalues")
+def _conjugation_eigenvalues(cfg: SuiteConfig):
     momenta = cfg.momenta()
     # the square is +1 for every conjugation phase; the +-1 eigenvalue
     # statement is pinned to the real-eigenvalue convention thetac = 0
-    square = 0.0
+    squares = []
     for thetac in (0.0, 0.9, math.pi / 2, cfg.thetac):
         op = halfspin.charge_conjugation_op(
             PhaseConvention(cfg.theta1, cfg.theta2, thetac, cfg.norm)
         )
-        square = max(square, linalg.max_abs(op.squared().matrix - np.eye(4)))
-    conv = PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
+        squares.append(linalg.max_abs(op.squared().matrix - np.eye(4)))
+    conv = _pinned_conv(cfg)
     c = halfspin.charge_conjugation_op(conv)
-    worst = 0.0
+    res = list(squares)
     for p in momenta:
         b = halfspin.build_spinor_basis(p, conv)
         for _, psi, sign in b.charge_family():
-            worst = max(worst, float(np.linalg.norm(c(psi) - sign * psi)))
-    return _result(
-        "halfspin/conjugation-eigenvalues",
-        "self/anti-self conjugate eigenvalues",
-        max(worst, square),
-        cfg.tolerance,
-        {"momenta": len(momenta), "family_size": 8, "square_residual": square},
+            res.append(float(np.linalg.norm(c(psi) - sign * psi)))
+    return Evaluation(
+        res,
+        {"momenta": len(momenta), "family_size": 8, "square_residual": _worst(squares)},
     )
 
 
-def _check_eigenstructure_split(cfg: SuiteConfig):
+@_check("halfspin/eigenstructure-split", "u/v helicity eigenspinors vs non-eigen conjugate family")
+def _eigenstructure_split(cfg: SuiteConfig):
     conv = cfg.convention
-    eigen = 0.0
-    lam_ratio_min = math.inf
-    parity_ratio_min = math.inf
+    eigen = []
+    lam_ratios = []
+    parity_ratios = []
     for p in cfg.momenta():
         ops = halfspin.discrete_ops(p.nhat)
         b = halfspin.build_spinor_basis(p, conv)
         for h in (UP, DN):
             for uv in (b.dirac_u(h), b.dirac_v(h)):
-                eigen = max(
-                    eigen, float(np.linalg.norm(ops.helicity @ uv - 0.5 * h * uv))
-                )
+                eigen.append(float(np.linalg.norm(ops.helicity @ uv - 0.5 * h * uv)))
             for fam in (b.lam_s, b.lam_a, b.rho_s, b.rho_a):
                 psi = fam[h]
                 _, res = linalg.eigen_residual(ops.helicity, psi)
-                lam_ratio_min = min(lam_ratio_min, res / float(np.linalg.norm(psi)))
+                lam_ratios.append(res / float(np.linalg.norm(psi)))
         if abs(p.nhat[2]) < 0.99:  # parity proportionality can hold on-axis
             br = halfspin.build_spinor_basis(p.reflected(), conv)
             for h in (UP, DN):
@@ -302,62 +359,54 @@ def _check_eigenstructure_split(cfg: SuiteConfig):
                 # the full action with the momentum argument reflected
                 _, fixed = linalg.eigen_residual(ops.parity, psi)
                 img = ops.parity @ br.lam_s[h]
-                parity_ratio_min = min(
-                    parity_ratio_min,
-                    fixed / float(np.linalg.norm(psi)),
-                    _prop_residual(psi, img) / float(np.linalg.norm(img)),
-                )
-    # fail if the eigen part exceeds tol or either non-eigen margin collapses
-    resid = eigen
-    if lam_ratio_min <= 0.1 or parity_ratio_min <= 0.1:
-        resid = max(resid, 1.0)
-    return _result(
-        "halfspin/eigenstructure-split",
-        "u/v helicity eigenspinors vs non-eigen conjugate family",
-        resid,
-        cfg.tolerance,
+                parity_ratios.append(fixed / float(np.linalg.norm(psi)))
+                parity_ratios.append(_prop_residual(psi, img) / float(np.linalg.norm(img)))
+    lam_min = _least(lam_ratios)
+    parity_min = _least(parity_ratios)
+    # the eigen part is judged against tol; a collapsed non-eigen margin fails
+    return Evaluation(
+        eigen,
         {
-            "helicity_noneigen_min_ratio": lam_ratio_min,
-            "parity_noneigen_min_ratio": parity_ratio_min,
+            "helicity_noneigen_min_ratio": lam_min,
+            "parity_noneigen_min_ratio": parity_min,
         },
+        {"helicity margin > 0.1": lam_min > 0.1, "parity margin > 0.1": parity_min > 0.1},
     )
 
 
-def _check_chiral_helicity(cfg: SuiteConfig):
-    conv = cfg.convention
-    vals = {}
-    worst = 0.0
+@_check(
+    "halfspin/chiral-helicity-halves", "chiral-helicity eigenvalues on the conjugate family", None
+)
+def _chiral_helicity(cfg: SuiteConfig):
     p = cfg.momenta()[0]
     ops = halfspin.discrete_ops(p.nhat)
-    b = halfspin.build_spinor_basis(p, conv)
+    b = halfspin.build_spinor_basis(p, cfg.convention)
+    eigenvalues = {}
+    ratios = []
     for name, fam in (("lam_s", b.lam_s), ("lam_a", b.lam_a), ("rho_s", b.rho_s), ("rho_a", b.rho_a)):
         for h, tag in ((UP, "up"), (DN, "dn")):
             c, res = linalg.eigen_residual(ops.chiral_helicity, fam[h])
-            vals[f"{name}_{tag}"] = complex(np.round(c, 12))
-            worst = max(worst, res / float(np.linalg.norm(fam[h])))
-    return _reported(
-        "halfspin/chiral-helicity-halves",
-        "chiral-helicity eigenvalues on the conjugate family",
-        worst,
-        {"eigenvalues": vals, "note": "normalization of the half-unit is a convention"},
+            eigenvalues[f"{name}_{tag}"] = complex(np.round(c, 12))
+            ratios.append(res / float(np.linalg.norm(fam[h])))
+    return Evaluation(
+        ratios,
+        {"eigenvalues": eigenvalues, "note": "normalization of the half-unit is a convention"},
     )
 
 
-def _check_dynamical_residuals(cfg: SuiteConfig):
+@_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
+def _dynamical_residuals(cfg: SuiteConfig):
     conv = cfg.convention
-    worst = 0.0
-    for p in cfg.momenta():
-        r = halfspin.dynamical_residuals(p, conv)
-        worst = max(worst, *r.values())
-    p0 = cfg.momenta()[0]
+    momenta = cfg.momenta()
+    res = []
+    for p in momenta:
+        res.extend(halfspin.dynamical_residuals(p, conv).values())
+    p0 = momenta[0]
     flipped = halfspin.dynamical_residuals(p0, conv, flip_third_sign=True)["r3"]
     b = halfspin.build_spinor_basis(p0, conv)
     expected = 2 * p0.mass * float(np.linalg.norm(b.rho_s[UP]))
-    return _result(
-        "halfspin/dynamical-residuals",
-        "first-order momentum-space relations",
-        worst,
-        cfg.tolerance,
+    return Evaluation(
+        res,
         {
             "frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)",
             "flipped_sign_selftest": flipped,
@@ -366,30 +415,20 @@ def _check_dynamical_residuals(cfg: SuiteConfig):
     )
 
 
-def _check_dirac_connection(cfg: SuiteConfig):
+@_check("halfspin/dirac-connection", "Dirac-to-conjugate-basis connection matrix")
+def _dirac_connection(cfg: SuiteConfig):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
     conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    raw = 0.0
-    aligned = 0.0
-    drift = 0.0
-    phases0 = None
-    for p in cfg.momenta():
-        rep = halfspin.connection_check(p, conv)
-        raw = max(raw, rep.raw_residual)
-        aligned = max(aligned, rep.aligned_residual)
-        if phases0 is None:
-            phases0 = rep.phases
-        drift = max(drift, linalg.max_abs(rep.phases - phases0))
-    return _result(
-        "halfspin/dirac-connection",
-        "Dirac-to-conjugate-basis connection matrix",
-        max(aligned, drift),
-        cfg.tolerance,
+    reps = [halfspin.connection_check(p, conv) for p in cfg.momenta()]
+    phases0 = reps[0].phases
+    drift = [linalg.max_abs(rep.phases - phases0) for rep in reps]
+    return Evaluation(
+        [rep.aligned_residual for rep in reps] + drift,
         {
-            "raw_residual": raw,
+            "raw_residual": _worst([rep.raw_residual for rep in reps]),
             "phase_diagonal": [complex(np.round(c, 12)) for c in phases0],
-            "phase_drift_across_grid": drift,
+            "phase_drift_across_grid": _worst(drift),
             "pinned_rest_phases": "theta1 = theta2 = 0",
         },
     )
@@ -407,29 +446,35 @@ _GRAM_PAIRS = [
 ]
 
 
-def _check_biorthonormality_structure(cfg: SuiteConfig):
-    worst = 0.0
-    cross_track = {}
-    p = cfg.momenta()[min(4, len(cfg.momenta()) - 1)]
+@_check(
+    "halfspin/biorthonormality-structure",
+    "conjugate-family Gram layout and magnitudes",
+    _at_least(4e-12),
+)
+def _biorthonormality_structure(cfg: SuiteConfig):
+    momenta = cfg.momenta()
+    p = momenta[min(4, len(momenta) - 1)]
     n2 = cfg.convention.rest_scale(p.mass) ** 2
+    res = []
+    cross_track = {}
     for t1, t2 in _GRAM_PAIRS:
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
         g = halfspin.biorthonormality_gram(p, conv)
         mag = 2 * n2 * abs(math.cos(t1 + t2))
-        worst = max(worst, linalg.max_abs(np.diag(g)))
-        worst = max(worst, abs(abs(g[0, 1]) - mag), abs(abs(g[1, 0]) - mag))
-        worst = max(worst, linalg.max_abs(g[0, 1] + g[1, 0]))
-        worst = max(worst, linalg.max_abs(g[2, 3] + g[0, 1]))
         # the two families decouple exactly when the phase sum is 0 or pi;
         # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
-        cross = max(linalg.max_abs(g[:2, 2:]), linalg.max_abs(g[2:, :2]))
-        worst = max(worst, abs(cross - 2 * n2 * abs(math.sin(t1 + t2))))
+        cross = linalg.max_abs([g[:2, 2:], g[2:, :2]])
+        res += [
+            linalg.max_abs(np.diag(g)),
+            abs(abs(g[0, 1]) - mag),
+            abs(abs(g[1, 0]) - mag),
+            linalg.max_abs(g[0, 1] + g[1, 0]),
+            linalg.max_abs(g[2, 3] + g[0, 1]),
+            abs(cross - 2 * n2 * abs(math.sin(t1 + t2))),
+        ]
         cross_track[f"cross_{t1:.2f}_{t2:.2f}"] = cross
-    return _result(
-        "halfspin/biorthonormality-structure",
-        "conjugate-family Gram layout and magnitudes",
-        worst,
-        max(cfg.tolerance, 4e-12),
+    return Evaluation(
+        res,
         {
             "phase_pairs": len(_GRAM_PAIRS),
             "zero_at_quarter_turn": True,
@@ -438,10 +483,11 @@ def _check_biorthonormality_structure(cfg: SuiteConfig):
     )
 
 
-def _check_biorthonormality_sign(cfg: SuiteConfig):
+@_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
+def _biorthonormality_sign(cfg: SuiteConfig):
     p = cfg.momenta()[0]
     vals = {}
-    headline = 0.0
+    gaps = []
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     for t1, t2 in ((0.0, 0.0), (0.3, 0.4)):
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
@@ -450,25 +496,21 @@ def _check_biorthonormality_sign(cfg: SuiteConfig):
         displayed = 2j * n2 * math.cos(t1 + t2)
         vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(measured, 12))
         vals[f"displayed_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(displayed, 12))
-        headline = max(headline, abs(measured - displayed))
+        gaps.append(abs(measured - displayed))
     vals["note"] = (
         "the realized (up,dn) product carries the opposite sign to the "
         "displayed one; the (dn,up) product carries the displayed sign; "
         "flipping the down spinor's sign restores it but breaks the exact "
         "connection alignment"
     )
-    return _reported(
-        "halfspin/biorthonormality-sign",
-        "signed value of the (up, dn) cross product",
-        headline,
-        vals,
-    )
+    return Evaluation(gaps, vals)
 
 
-def _check_gauge_orbit(cfg: SuiteConfig):
-    conv = PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
+@_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
+def _gauge_orbit(cfg: SuiteConfig):
+    conv = _pinned_conv(cfg)
     c = halfspin.charge_conjugation_op(conv)
-    worst = 0.0
+    res = []
     momenta = cfg.momenta()[:6]
     for p in momenta:
         b = halfspin.build_spinor_basis(p, conv)
@@ -477,178 +519,153 @@ def _check_gauge_orbit(cfg: SuiteConfig):
             for name, psi, sign in b.charge_family():
                 m = gl if name.startswith("lam") else gr
                 img = m @ psi
-                worst = max(worst, float(np.linalg.norm(c(img) - sign * img)))
-    return _result(
-        "halfspin/gauge-orbit",
-        "conjugation status along the gauge orbit",
-        worst,
-        cfg.tolerance,
-        {"alphas": 5, "momenta": len(momenta)},
-    )
+                res.append(float(np.linalg.norm(c(img) - sign * img)))
+    return Evaluation(res, {"alphas": 5, "momenta": len(momenta)})
 
 
-def _check_exchange_quadruple(cfg: SuiteConfig):
+@_check(
+    "halfspin/exchange-quadruple", "exchange-map aliases, quaternion closure, conjugation status"
+)
+def _exchange_quadruple(cfg: SuiteConfig):
     # the displayed aliases hold at unit rest phases
     conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    worst = 0.0
-    for p in cfg.momenta():
-        worst = max(worst, *halfspin.xi_alias_residuals(p, conv).values())
+    momenta = cfg.momenta()
+    res = []
+    for p in momenta:
+        res.extend(halfspin.xi_alias_residuals(p, conv).values())
         # exact factorization V_k = W_k . diag(Xi, Xi)
         z2 = np.zeros((2, 2))
         xi = halfspin.xi_matrix(p.phi)
         g = np.block([[xi, z2], [z2, xi]])
         for v, w in zip(halfspin.xi_quadruple(p.phi), halfspin.xi_w_parts()):
-            worst = max(worst, linalg.max_abs(v - w @ g))
+            res.append(linalg.max_abs(v - w @ g))
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
-    ok_squares = squares == [(1, 0), (-1, 0), (-1, 0), (-1, 0)]
-    # central -1: the squares of the three non-identity maps coincide
-    central = all(sq == (-1, 0) for sq in squares[1:])
-    if not (ok_squares and central):
-        worst = max(worst, 1.0)
     # every exchange image is again an eigenvector with a definite sign
     c = halfspin.charge_conjugation_op(conv)
     sign_map = {}
-    for p in cfg.momenta()[:4]:
+    for p in momenta[:4]:
         b = halfspin.build_spinor_basis(p, conv)
         for k, v in enumerate(halfspin.xi_quadruple(p.phi)):
             for name, psi, sign in b.charge_family():
                 if not name.startswith("lam"):
                     continue
                 img = v @ psi
-                res = {
-                    s: float(np.linalg.norm(c(img) - s * img)) for s in (+1, -1)
-                }
-                new_sign = min(res, key=res.get)
-                worst = max(worst, res[new_sign])
+                gap = {s: float(np.linalg.norm(c(img) - s * img)) for s in (+1, -1)}
+                new_sign = min(gap, key=gap.get)
+                res.append(gap[new_sign])
                 sign_map[f"V{k + 1}_{name}"] = f"{sign:+d} -> {new_sign:+d}"
-    return _result(
-        "halfspin/exchange-quadruple",
-        "exchange-map aliases, quaternion closure, conjugation status",
-        worst,
-        cfg.tolerance,
+    return Evaluation(
+        res,
         {
             "w_squares": [f"{s:+d}*W{k}" for s, k in squares],
             "closure_order": 8,
             "status_map": sign_map,
         },
+        # the three non-identity maps square to the same central -1
+        {"squares +1, -1, -1, -1": squares == [(1, 0), (-1, 0), (-1, 0), (-1, 0)]},
     )
 
 
-def _check_massless_limit(cfg: SuiteConfig):
+_MASSLESS_RATIO = 1e-4
+
+
+@_check(
+    "halfspin/massless-limit", "single-helicity survival at vanishing mass", _fixed(_MASSLESS_RATIO)
+)
+def _massless_limit(cfg: SuiteConfig):
     # the vanishing statement assumes the sqrt(m) normalization
     conv = PhaseConvention(cfg.theta1, cfg.theta2, cfg.thetac, None)
     rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], pmag=1.0, conv=conv)
     ratios = [r["ratio"] for r in rows]
-    resid = 0.0
-    if not all(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)):
-        resid = 1.0
-    if ratios[-1] > 1e-4:
-        resid = max(resid, ratios[-1])
-    if abs(rows[-1]["lam_s_dn_norm"] - 2.0) > 0.01:
-        resid = max(resid, abs(rows[-1]["lam_s_dn_norm"] - 2.0))
-    return _result(
-        "halfspin/massless-limit",
-        "single-helicity survival at vanishing mass",
-        resid,
-        1e-4,
-        {"rows": [{k: v for k, v in r.items()} for r in rows]},
+    # judged by predicates alone; the tolerance shown is the ratio bound
+    return Evaluation(
+        [],
+        {"rows": rows},
+        {
+            "ratio falls with the mass": all(
+                ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)
+            ),
+            "ratio at the smallest mass within the bound": ratios[-1] <= _MASSLESS_RATIO,
+            "down member norm stays 2": abs(rows[-1]["lam_s_dn_norm"] - 2.0) <= 0.01,
+        },
     )
 
 
-def _check_second_order(cfg: SuiteConfig):
+@_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
+def _second_order(cfg: SuiteConfig):
     sig, til = halfspin.fgm_tensors()
-    worst = 0.0
+    res = []
     for i in range(3):
-        worst = max(worst, linalg.max_abs(sig[(0, i + 1)] - 1j * halfspin.SIGMA[i]))
-        worst = max(worst, linalg.max_abs(til[(0, i + 1)] + 1j * halfspin.SIGMA[i]))
-    worst = max(worst, linalg.max_abs(sig[(1, 2)] - halfspin.SIGMA[2]))
-    worst = max(worst, linalg.max_abs(til[(1, 2)] - halfspin.SIGMA[2]))
-    for p in cfg.momenta():
+        res.append(linalg.max_abs(sig[(0, i + 1)] - 1j * halfspin.SIGMA[i]))
+        res.append(linalg.max_abs(til[(0, i + 1)] + 1j * halfspin.SIGMA[i]))
+    res.append(linalg.max_abs(sig[(1, 2)] - halfspin.SIGMA[2]))
+    res.append(linalg.max_abs(til[(1, 2)] - halfspin.SIGMA[2]))
+    momenta = cfg.momenta()
+    for p in momenta:
         r = halfspin.fgm_residuals(p, conv=cfg.convention)
-        worst = max(worst, r["right"], r["left"])
+        res += [r["right"], r["left"]]
     f = np.zeros((4, 4))
     f[0, 1], f[1, 0] = 1.0, -1.0
     sample = halfspin.fgm_residuals(
-        cfg.momenta()[0], g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0], conv=cfg.convention
+        momenta[0], g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0], conv=cfg.convention
     )
-    return _result(
-        "halfspin/second-order-tensors",
-        "antisymmetric tensor pair and free-field residuals",
-        worst,
-        cfg.tolerance,
-        {"coupled_sample": sample},
-    )
+    return Evaluation(res, {"coupled_sample": sample})
 
 
 # ---------------------------------------------------------------------------
 # spin1 suite
 
 
-def _check_wigner_theta(cfg: SuiteConfig):
+@_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
+def _wigner_theta(cfg: SuiteConfig):
     t = spin1.wigner_theta()
-    worst = linalg.max_abs(t @ t - np.eye(3))
+    res = [linalg.max_abs(t @ t - np.eye(3))]
     for j in spin1.JVEC:
-        worst = max(worst, linalg.max_abs(t @ j @ t + np.conjugate(j)))
+        res.append(linalg.max_abs(t @ j @ t + np.conjugate(j)))
     for th, ph in cfg.directions():
         n = FourMomentum(1.0, 1.0, th, ph).nhat
         jn = n[0] * spin1.J1 + n[1] * spin1.J2 + n[2] * spin1.J3
         for h in spin1.HELICITIES:
             xi = spin1.helicity_eigenvector(th, ph, h)
-            worst = max(worst, float(np.linalg.norm(jn @ xi - h * xi)))
-    return _result(
-        "spin1/wigner-theta",
-        "spin-1 Wigner matrix and helicity triad",
-        worst,
-        cfg.tolerance,
-    )
+            res.append(float(np.linalg.norm(jn @ xi - h * xi)))
+    return Evaluation(res)
 
 
-def _check_on_shell(cfg: SuiteConfig):
-    worst = 0.0
-    for p in cfg.momenta():
-        for h in spin1.HELICITIES:
-            worst = max(worst, spin1.on_shell_residual(p, h))
-    return _result(
-        "spin1/on-shell-contraction",
-        "covariant family squares the mass on six-spinors",
-        worst,
-        cfg.tolerance,
-        {"momenta": len(cfg.momenta()), "helicities": 3},
-    )
+@_check("spin1/on-shell-contraction", "covariant family squares the mass on six-spinors")
+def _on_shell(cfg: SuiteConfig):
+    momenta = cfg.momenta()
+    res = [spin1.on_shell_residual(p, h) for p in momenta for h in spin1.HELICITIES]
+    return Evaluation(res, {"momenta": len(momenta), "helicities": 3})
 
 
-def _check_majorana_unitarity(cfg: SuiteConfig):
+@_check("spin1/majorana-unitarity", "real-frame unitary and its displayed conjugate", _tight)
+def _majorana_unitarity(cfg: SuiteConfig):
     u = spin1.majorana_unitary()
-    worst = linalg.max_abs(u @ linalg.dagger(u) - np.eye(6))
-    worst = max(worst, linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)))
-    worst = max(worst, linalg.max_abs(spin1.displayed_unitary_dagger() - linalg.dagger(u)))
-    return _result(
-        "spin1/majorana-unitarity",
-        "real-frame unitary and its displayed conjugate",
-        worst,
-        _tight(cfg),
+    return Evaluation(
+        [
+            linalg.max_abs(u @ linalg.dagger(u) - np.eye(6)),
+            linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)),
+            linalg.max_abs(spin1.displayed_unitary_dagger() - linalg.dagger(u)),
+        ]
     )
 
 
-def _check_majorana_family(cfg: SuiteConfig):
+@_check("spin1/majorana-real-family", "real forms of the covariant family")
+def _majorana_family(cfg: SuiteConfig):
     rep = spin1.majorana_family_report(cfg.tolerance)
-    worst = max(rep["family_residual"], rep["family_imag_part"], rep["five_residual"])
-    return _result(
-        "spin1/majorana-real-family",
-        "real forms of the covariant family",
-        worst,
-        cfg.tolerance,
-        rep,
+    return Evaluation(
+        [rep["family_residual"], rep["family_imag_part"], rep["five_residual"]], rep
     )
 
 
-def _check_plain_unitary(cfg: SuiteConfig):
+@_check(
+    "spin1/plain-unitary-diagnostic", "what the displayed unitary alone does to the family", None
+)
+def _plain_unitary(cfg: SuiteConfig):
     d = spin1.plain_unitary_diagnostic()
-    return _reported(
-        "spin1/plain-unitary-diagnostic",
-        "what the displayed unitary alone does to the family",
-        max(d["g00_lands_on_displayed_five"], d["five_lands_on_displayed_g00"]),
+    return Evaluation(
+        [d["g00_lands_on_displayed_five"], d["five_lands_on_displayed_g00"]],
         dict(
             d,
             note=(
@@ -660,43 +677,32 @@ def _check_plain_unitary(cfg: SuiteConfig):
     )
 
 
-def _check_chirality_flip(cfg: SuiteConfig):
-    worst = 0.0
+@_check("spin1/chirality-flip", "real-frame v equals the chirality matrix times u", _tight)
+def _chirality_flip(cfg: SuiteConfig):
     momenta = cfg.momenta() + [FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)]
-    for p in momenta:
-        for h in spin1.HELICITIES:
-            worst = max(worst, spin1.chirality_flip_residual(p, h))
-    return _result(
-        "spin1/chirality-flip",
-        "real-frame v equals the chirality matrix times u",
-        worst,
-        _tight(cfg),
-        {"includes_offplane_direction": True},
+    res = [spin1.chirality_flip_residual(p, h) for p in momenta for h in spin1.HELICITIES]
+    return Evaluation(res, {"includes_offplane_direction": True})
+
+
+@_check("spin1/transverse-reality", "real/imaginary-part identities on the meridian grid")
+def _transverse_reality(cfg: SuiteConfig):
+    judged = (
+        "u_re_match",
+        "u_im_flip",
+        "long_u_re_vanishes",
+        "long_u_pure_imag",
+        "long_v_pure_real",
+        "split_exact",
     )
-
-
-def _check_transverse_reality(cfg: SuiteConfig):
-    worst = 0.0
+    res = []
     for p in cfg.momenta():
         rep = spin1.transverse_reality_report(p)
-        worst = max(
-            worst,
-            rep["u_re_match"],
-            rep["u_im_flip"],
-            rep["long_u_re_vanishes"],
-            rep["long_u_pure_imag"],
-            rep["long_v_pure_real"],
-            rep["split_exact"],
-        )
-    return _result(
-        "spin1/transverse-reality",
-        "real/imaginary-part identities on the meridian grid",
-        worst,
-        cfg.tolerance,
-    )
+        res += [rep[k] for k in judged]
+    return Evaluation(res)
 
 
-def _check_transverse_offplane(cfg: SuiteConfig):
+@_check("spin1/transverse-reality-offplane", "the same identities off the meridian plane", None)
+def _transverse_offplane(cfg: SuiteConfig):
     p = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
     rep = spin1.transverse_reality_report(p)
     rep["note"] = (
@@ -704,73 +710,56 @@ def _check_transverse_offplane(cfg: SuiteConfig):
         "identities acquire finite residuals; the algebraic split u = "
         "u_re + i u_im itself stays exact"
     )
-    return _reported(
-        "spin1/transverse-reality-offplane",
-        "the same identities off the meridian plane",
-        rep["u_re_match"],
-        rep,
-    )
+    return Evaluation([rep["u_re_match"]], rep)
 
 
-def _check_selfconjugacy(cfg: SuiteConfig):
+@_check("spin1/selfconjugacy-dichotomy", "square signs decide existence of self-conjugate spinors")
+def _selfconjugacy(cfg: SuiteConfig):
     rep = spin1.selfconjugacy_analysis()
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
-    resid = rep["eigenvector_residual"]
-    ok = (
-        rep["square_sign_plain"] == -1
-        and rep["square_sign_twisted"] == +1
-        and half_sign == +1
-        and rep["plus_dim"] == 6
-        and rep["minus_dim"] == 6
-        and abs(rep["nonexistence_margin"] - math.sqrt(2)) < 1e-9
-    )
-    if not ok:
-        resid = max(resid, 1.0)
-    return _result(
-        "spin1/selfconjugacy-dichotomy",
-        "square signs decide existence of self-conjugate spinors",
-        resid,
-        cfg.tolerance,
+    return Evaluation(
+        [rep["eigenvector_residual"]],
         dict(rep, half_spin_square_sign=half_sign),
+        {
+            "plain spin-1 square -1": rep["square_sign_plain"] == -1,
+            "twisted spin-1 square +1": rep["square_sign_twisted"] == +1,
+            "spin-1/2 square +1": half_sign == +1,
+            "eigenspaces split 6 + 6": rep["plus_dim"] == 6 and rep["minus_dim"] == 6,
+            "nonexistence margin sqrt(2)": abs(rep["nonexistence_margin"] - math.sqrt(2)) < 1e-9,
+        },
     )
 
 
-def _check_reality_classes(cfg: SuiteConfig):
+@_check("spin1/reality-classes", "conjugation eigenvectors become pure real or pure imaginary")
+def _reality_classes(cfg: SuiteConfig):
     conv = cfg.convention
     vh = spin1.half_majorana_frame()
     c_half = halfspin.charge_conjugation_op(PhaseConvention()).matrix
-    worst = linalg.max_abs(vh @ c_half @ vh.T - np.eye(4))
     w = spin1.chiral_to_majorana()
     m_tw = spin1.gamma5_twisted_conjugation().matrix
-    worst = max(worst, linalg.max_abs(w @ m_tw @ w.T - np.eye(6)))
+    res = [
+        linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
+        linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
+    ]
     classes = {}
+    as_expected = []
     for p in cfg.momenta()[:6]:
         b = halfspin.build_spinor_basis(p, conv)
         half_vecs = {name: psi for name, psi, _ in b.charge_family()}
-        cls = spin1.reality_classes(half_vecs, vh)
-        for name, (kind, minority) in cls.items():
-            want = "real" if "_s_" in name else "imaginary"
-            if kind != want:
-                worst = max(worst, 1.0)
-            worst = max(worst, minority)
+        for name, (kind, minority) in spin1.reality_classes(half_vecs, vh).items():
+            as_expected.append(kind == ("real" if "_s_" in name else "imaginary"))
+            res.append(minority)
             classes[f"half_{name}"] = kind
         one_vecs = {}
         for h in spin1.HELICITIES:
             one_vecs[f"one_plus_{h}"] = spin1.lambda_like(p, h, +1)
             one_vecs[f"one_minus_{h}"] = spin1.lambda_like(p, h, -1)
-        cls1 = spin1.reality_classes(one_vecs, w)
-        for name, (kind, minority) in cls1.items():
-            want = "real" if "plus" in name else "imaginary"
-            if kind != want:
-                worst = max(worst, 1.0)
-            worst = max(worst, minority)
+        for name, (kind, minority) in spin1.reality_classes(one_vecs, w).items():
+            as_expected.append(kind == ("real" if "plus" in name else "imaginary"))
+            res.append(minority)
             classes[name] = kind
-    return _result(
-        "spin1/reality-classes",
-        "conjugation eigenvectors become pure real or pure imaginary",
-        worst,
-        cfg.tolerance,
-        {"classes": classes},
+    return Evaluation(
+        res, {"classes": classes}, {"every class as expected": all(as_expected)}
     )
 
 
@@ -799,8 +788,12 @@ _FLIP_TABLE = {
 }
 
 
-def _check_state_tables(cfg: SuiteConfig):
-    worst = 0.0
+@_check(
+    "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _tight
+)
+def _state_tables(cfg: SuiteConfig):
+    res = []
+    targets_match = []
     labels = fock.both_branch_labels(1) + fock.both_branch_labels(0)
     cases = (
         (fock.space_inversion(), _INV_TABLE, True),
@@ -812,95 +805,81 @@ def _check_state_tables(cfg: SuiteConfig):
             h2, b2, phase = table[(l.helicity, l.branch)]
             want = fock.ModeLabel(-l.ptag if negate else l.ptag, h2, b2)
             got, ph = op.rule(l)
-            if got != want:
-                worst = max(worst, 1.0)
-            worst = max(worst, abs(ph - phase))
+            targets_match.append(got == want)
+            res.append(abs(ph - phase))
         m = op.matrix_on(fock.both_branch_labels(1))
-        worst = max(worst, linalg.max_abs(linalg.dagger(m) @ m - np.eye(8)))
-    return _result(
-        "fock/state-tables",
-        "displayed single-particle action tables, unit phases, unitarity",
-        worst,
-        _tight(cfg),
+        res.append(linalg.max_abs(linalg.dagger(m) @ m - np.eye(8)))
+    return Evaluation(
+        res,
         {"labels_checked": len(labels) * 3},
+        {"targets match the tables": all(targets_match)},
     )
 
 
-def _check_squares_commutation(cfg: SuiteConfig):
+@_check(
+    "fock/squares-and-commutation", "operator squares, commutator, anticommutator, chains", _tight
+)
+def _squares_commutation(cfg: SuiteConfig):
     labels = fock.both_branch_labels(1)
     inv = fock.space_inversion()
     chg = fock.charge_conjugation_v1()
     flip = fock.charge_conjugation_v2()
     squares = fock.squares_report((inv, chg, flip), labels)
-    worst = max(
-        abs(squares["inversion"] - 1.0),
-        abs(squares["charge"] + 1.0),
-        abs(squares["charge_flip"] + 1.0),
-    )
     comm = fock.commutator_report(chg, inv, labels)
     anti = fock.commutator_report(flip, inv, labels)
-    worst = max(worst, comm["commutator"], anti["anticommutator"])
     # chains on |p,up>^+
     start = fock.FockVector.basis(fock.ModeLabel(1, "up", +1))
     end_comm = fock.FockVector({fock.ModeLabel(-1, "dn", -1): 1j})
-    worst = max(worst, chg.apply(inv.apply(start)).sub(end_comm).norm())
-    worst = max(worst, inv.apply(chg.apply(start)).sub(end_comm).norm())
     tgt = fock.ModeLabel(-1, "up", -1)
-    worst = max(
-        worst,
-        flip.apply(inv.apply(start)).sub(fock.FockVector({tgt: -1j})).norm(),
-        inv.apply(flip.apply(start)).sub(fock.FockVector({tgt: +1j})).norm(),
-    )
-    return _result(
-        "fock/squares-and-commutation",
-        "operator squares, commutator, anticommutator, chains",
-        worst,
-        _tight(cfg),
+    return Evaluation(
+        [
+            abs(squares["inversion"] - 1.0),
+            abs(squares["charge"] + 1.0),
+            abs(squares["charge_flip"] + 1.0),
+            comm["commutator"],
+            anti["anticommutator"],
+            chg.apply(inv.apply(start)).sub(end_comm).norm(),
+            inv.apply(chg.apply(start)).sub(end_comm).norm(),
+            flip.apply(inv.apply(start)).sub(fock.FockVector({tgt: -1j})).norm(),
+            inv.apply(flip.apply(start)).sub(fock.FockVector({tgt: +1j})).norm(),
+        ],
         {"squares": squares, "commutator": comm, "anticommutator": anti},
     )
 
 
-def _check_eigencombinations(cfg: SuiteConfig):
-    worst = 0.0
+@_check("fock/eigencombinations", "parity and charge eigen-combinations", _tight)
+def _eigencombinations(cfg: SuiteConfig):
     rest = fock.parity_eigencombos(0)
     moving = fock.parity_eigencombos(1)
-    for d in (rest, moving):
-        worst = max(worst, d["plus"]["residual"], d["minus"]["residual"])
+    res = [d[sign]["residual"] for d in (rest, moving) for sign in ("plus", "minus")]
     charges = fock.charge_eigencombos(1)
-    for k, d in charges.items():
-        worst = max(worst, d["residual"])
-    ok_vals = all(
-        charges[f"{h}_{t}"]["eigenvalue"] == (-1j if t == "plus" else 1j)
-        for h in ("up", "dn")
-        for t in ("plus", "minus")
-    )
-    if not ok_vals:
-        worst = max(worst, 1.0)
-    return _result(
-        "fock/eigencombinations",
-        "parity and charge eigen-combinations",
-        worst,
-        _tight(cfg),
+    res += [d["residual"] for d in charges.values()]
+    return Evaluation(
+        res,
         {
             "parity_rest": rest,
             "charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()},
         },
+        {
+            "charge eigenvalues -+i": all(
+                charges[f"{h}_{t}"]["eigenvalue"] == (-1j if t == "plus" else 1j)
+                for h in ("up", "dn")
+                for t in ("plus", "minus")
+            )
+        },
     )
 
 
-def _check_joint_certificate(cfg: SuiteConfig):
+@_check(
+    "fock/joint-eigen-certificate", "no joint inversion/branch-swap eigenvector in a single branch"
+)
+def _joint_certificate(cfg: SuiteConfig):
     cert = fock.simultaneous_eigen_certificate(1, grid=100)
-    resid = 0.0 if cert["min_singular_value"] >= 1.0 else 1.0
-    return _result(
-        "fock/joint-eigen-certificate",
-        "no joint inversion/branch-swap eigenvector in a single branch",
-        resid,
-        cfg.tolerance,
-        cert,
-    )
+    return Evaluation([], cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
 
 
-def _check_joint_existence(cfg: SuiteConfig):
+@_check("fock/joint-eigen-existence", "joint eigenvectors on the both-branch sector", None)
+def _joint_existence(cfg: SuiteConfig):
     both = fock.both_branch_joint_eigenvector()
     anti = fock.anticommuting_pair_margin(1, grid=40)
     vals = dict(both)
@@ -910,128 +889,98 @@ def _check_joint_existence(cfg: SuiteConfig):
         "an eigenvector (constructed here); for the anticommuting pair the "
         "margin stays above 1/sqrt(2) on the full sector"
     )
-    return _reported(
-        "fock/joint-eigen-existence",
-        "joint eigenvectors on the both-branch sector",
-        max(both["inversion_residual"], both["charge_residual"]),
-        vals,
-    )
+    return Evaluation([both["inversion_residual"], both["charge_residual"]], vals)
 
 
-def _check_operator_state(cfg: SuiteConfig):
+@_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _tight)
+def _operator_state(cfg: SuiteConfig):
     rep = fock.operator_state_consistency(1)
-    return _result(
-        "fock/operator-state-consistency",
-        "ladder-rule route reproduces the state tables",
-        rep["max_residual"],
-        _tight(cfg),
-        rep,
-    )
+    return Evaluation([rep["max_residual"]], rep)
 
 
 # ---------------------------------------------------------------------------
 # fieldops suite
 
 
-def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
-    """cfg phases with thetac forced to the real-eigenvalue convention."""
-    return PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
-
-
-def _check_mode_structure(cfg: SuiteConfig):
+@_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
+def _mode_structure(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
     p = cfg.momenta()[0]
     nu = fieldops.majorana_mode(p, conv)
     b = halfspin.build_spinor_basis(p, conv)
-    worst = 0.0 if len(nu.terms) == 4 else 1.0
+    res = []
     for h, tag in ((UP, "up"), (DN, "dn")):
         ann = fock.LadderSymbol("a", tag, False, 1)
         cre = fock.LadderSymbol("a", tag, True, 1)
-        worst = max(worst, linalg.max_abs(nu.coefficient(ann, +1) - b.lam_s[h]))
-        worst = max(worst, linalg.max_abs(nu.coefficient(cre, -1) - b.lam_a[h]))
+        res.append(linalg.max_abs(nu.coefficient(ann, +1) - b.lam_s[h]))
+        res.append(linalg.max_abs(nu.coefficient(cre, -1) - b.lam_a[h]))
     twice = fieldops.charge_conjugate_expansion(
         fieldops.charge_conjugate_expansion(nu, conv), conv
     )
-    worst = max(worst, twice.residual(nu))
+    res.append(twice.residual(nu))
     distinct = fieldops.majorana_mode(p, conv, distinct_antiparticle=True)
-    kinds = sorted({t.symbol.kind for t in distinct.terms})
-    if kinds != ["a", "b"]:
-        worst = max(worst, 1.0)
-    return _result(
-        "fieldops/mode-structure",
-        "fixed-momentum expansion layout and conjugation involution",
-        worst,
-        cfg.tolerance,
+    return Evaluation(
+        res,
         {"terms": len(nu.terms), "distinct_labels_available": True},
+        {
+            "four terms": len(nu.terms) == 4,
+            "distinct creator labels": sorted({t.symbol.kind for t in distinct.terms})
+            == ["a", "b"],
+        },
     )
 
 
-def _check_ziino_split(cfg: SuiteConfig):
+@_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
+def _ziino_split(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
-    worst = 0.0
-    for p in cfg.momenta():
-        worst = max(worst, fieldops.ziino_split_residual(p, conv))
+    momenta = cfg.momenta()
+    res = []
+    for p in momenta:
+        res.append(fieldops.ziino_split_residual(p, conv))
         even, odd = fieldops.ziino_barut_split(p, conv)
-        back = even.add(odd)
-        worst = max(worst, back.residual(fieldops.majorana_mode(p, conv)))
-    return _result(
-        "fieldops/ziino-split",
-        "even/odd halves match the displayed coefficients",
-        worst,
-        cfg.tolerance,
-        {"momenta": len(cfg.momenta())},
-    )
+        res.append(even.add(odd).residual(fieldops.majorana_mode(p, conv)))
+    return Evaluation(res, {"momenta": len(momenta)})
 
 
-def _check_conjugation_parity(cfg: SuiteConfig):
+@_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
+def _conjugation_parity(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
-    worst = 0.0
+    res = []
     for p in cfg.momenta()[:8]:
         r = fieldops.conjugation_parity_residuals(p, conv)
-        worst = max(worst, r["even"], r["odd"])
-    return _result(
-        "fieldops/conjugation-parity",
-        "the halves are conjugation eigen-expansions",
-        worst,
-        cfg.tolerance,
-    )
+        res += [r["even"], r["odd"]]
+    return Evaluation(res)
 
 
-def _check_dirac_embedding(cfg: SuiteConfig):
+@_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
+def _dirac_embedding(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
-    worst = 0.0
-    default_sv = None
-    for p in cfg.momenta():
-        rep = fieldops.dirac_from_majorana(p, conv)
-        worst = max(worst, rep["partner_residual"], rep["eigenspace_residual"])
-        if default_sv is None:
-            default_sv = rep["positive_singular_values"]
+    momenta = cfg.momenta()
+    reps = [fieldops.dirac_from_majorana(p, conv) for p in momenta]
+    res = [r[k] for r in reps for k in ("partner_residual", "eigenspace_residual")]
     generic = fieldops.dirac_from_majorana(
-        cfg.momenta()[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm)
+        momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm)
     )
-    if generic["positive_singular_values"][1] <= 1e-6:
-        worst = max(worst, 1.0)
-    return _result(
-        "fieldops/dirac-embedding",
-        "projector images land in the mass eigenspaces",
-        worst,
-        cfg.tolerance,
+    return Evaluation(
+        res,
         {
             "generic_phase_singular_values": generic["positive_singular_values"],
-            "default_phase_singular_values": default_sv,
+            "default_phase_singular_values": reps[0]["positive_singular_values"],
             "note": (
                 "at phase sum 0 or pi the two positive images are collinear; "
                 "the rank-2 statement needs generic phases"
             ),
         },
+        {"rank 2 at generic phases": generic["positive_singular_values"][1] > 1e-6},
     )
 
 
-def _check_quaternion_orbit(cfg: SuiteConfig):
+@_check("fieldops/quaternion-orbit", "unit-quaternion phase orbit preserves conjugation status")
+def _quaternion_orbit(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
     qi, qj, qk = fieldops.quaternion_units()
     eye = np.eye(4)
-    worst = max(
+    res = [
         linalg.max_abs(qi @ qi + eye),
         linalg.max_abs(qj @ qj + eye),
         linalg.max_abs(qk @ qk + eye),
@@ -1039,7 +988,7 @@ def _check_quaternion_orbit(cfg: SuiteConfig):
         linalg.max_abs(qi @ qj + qj @ qi),
         linalg.max_abs(qi @ qk + qk @ qi),
         linalg.max_abs(qj @ qk + qk @ qj),
-    )
+    ]
     rng = np.random.default_rng(23)
     qs = [
         fieldops.QuaternionPhase(1.0, (0, 0, 0)),
@@ -1052,77 +1001,23 @@ def _check_quaternion_orbit(cfg: SuiteConfig):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         qs.append(fieldops.QuaternionPhase(v[0], tuple(v[1:])))
+    momenta = cfg.momenta()[:4]
     for q in qs:
-        for p in cfg.momenta()[:4]:
-            worst = max(worst, fieldops.orbit_preserves_conjugation(q, p, conv))
+        for p in momenta:
+            res.append(fieldops.orbit_preserves_conjugation(q, p, conv))
     for a in qs[:5]:
         for b in qs[5:]:
-            worst = max(worst, fieldops.orbit_group_law(a, b))
-    return _result(
-        "fieldops/quaternion-orbit",
-        "unit-quaternion phase orbit preserves conjugation status",
-        worst,
-        cfg.tolerance,
-        {"units_square": -1, "orbit_points": len(qs)},
-    )
+            res.append(fieldops.orbit_group_law(a, b))
+    return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
 
 
 # ---------------------------------------------------------------------------
-# runner and rendering
-
-_BUILDERS = {
-    "linalg": [_check_antilinear_algebra, _check_kron],
-    "halfspin": [
-        _check_helicity_spinors,
-        _check_conjugation_eigenvalues,
-        _check_eigenstructure_split,
-        _check_chiral_helicity,
-        _check_dynamical_residuals,
-        _check_dirac_connection,
-        _check_biorthonormality_structure,
-        _check_biorthonormality_sign,
-        _check_gauge_orbit,
-        _check_exchange_quadruple,
-        _check_massless_limit,
-        _check_second_order,
-    ],
-    "spin1": [
-        _check_wigner_theta,
-        _check_on_shell,
-        _check_majorana_unitarity,
-        _check_majorana_family,
-        _check_plain_unitary,
-        _check_chirality_flip,
-        _check_transverse_reality,
-        _check_transverse_offplane,
-        _check_selfconjugacy,
-        _check_reality_classes,
-    ],
-    "fock": [
-        _check_state_tables,
-        _check_squares_commutation,
-        _check_eigencombinations,
-        _check_joint_certificate,
-        _check_joint_existence,
-        _check_operator_state,
-    ],
-    "fieldops": [
-        _check_mode_structure,
-        _check_ziino_split,
-        _check_conjugation_parity,
-        _check_dirac_embedding,
-        _check_quaternion_orbit,
-    ],
-}
+# running and rendering
 
 
 def run_checks(cfg: SuiteConfig):
-    out = []
-    for suite in KNOWN_SUITES:
-        if suite in cfg.suites:
-            for builder in _BUILDERS[suite]:
-                out.append(builder(cfg))
-    return sorted(out, key=lambda r: r.check_id)
+    chosen = [c for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
+    return [_run(c, cfg) for c in sorted(chosen, key=lambda c: c.check_id)]
 
 
 def _fmt_value(v) -> str:

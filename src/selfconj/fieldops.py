@@ -93,28 +93,19 @@ class ModeExpansion:
         return ModeExpansion(list(self._terms) + list(other._terms))
 
     def residual(self, other: "ModeExpansion") -> float:
-        worst = 0.0
-        for t in self._terms:
-            worst = max(
-                worst,
-                max_abs(t.coefficient - other.coefficient(t.symbol, t.frequency)),
-            )
-        for t in other._terms:
-            worst = max(
-                worst,
-                max_abs(t.coefficient - self.coefficient(t.symbol, t.frequency)),
-            )
-        return worst
+        gaps = [t.coefficient - other.coefficient(t.symbol, t.frequency) for t in self._terms]
+        gaps += [t.coefficient - self.coefficient(t.symbol, t.frequency) for t in other._terms]
+        return max_abs(gaps)
 
 
 def majorana_mode(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    ptag: int = 1,
     distinct_antiparticle: bool = False,
 ) -> ModeExpansion:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
-    positive frequency, lambda^A the creators at negative frequency.
+    positive frequency, lambda^A the creators at negative frequency; every
+    ladder symbol carries momentum tag 1.
 
     distinct_antiparticle keeps 'b' labels on the creator terms (the
     Dirac-ready bookkeeping); the default identifies them with 'a'.
@@ -123,8 +114,8 @@ def majorana_mode(
     kind = "b" if distinct_antiparticle else "a"
     terms = []
     for h in (UP, DN):
-        terms.append(Term(b.lam_s[h], LadderSymbol("a", _HTAG[h], False, ptag), +1))
-        terms.append(Term(b.lam_a[h], LadderSymbol(kind, _HTAG[h], True, ptag), -1))
+        terms.append(Term(b.lam_s[h], LadderSymbol("a", _HTAG[h], False, 1), +1))
+        terms.append(Term(b.lam_a[h], LadderSymbol(kind, _HTAG[h], True, 1), -1))
     return ModeExpansion(terms)
 
 
@@ -150,10 +141,9 @@ def charge_conjugate_expansion(
 def ziino_barut_split(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    ptag: int = 1,
 ) -> tuple[ModeExpansion, ModeExpansion]:
     """(even, odd) halves of the mode under the field-level conjugation."""
-    nu = majorana_mode(p, conv, ptag)
+    nu = majorana_mode(p, conv)
     cnu = charge_conjugate_expansion(nu, conv)
     even = nu.add(cnu).scale(0.5)
     odd = nu.add(cnu.scale(-1.0)).scale(0.5)
@@ -179,30 +169,30 @@ def displayed_ziino_coefficients(
 
 
 def ziino_split_residual(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention(), ptag: int = 1
+    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
 ) -> float:
     """Entrywise distance of the computed halves from the displayed
     coefficients, maximized over helicity and term."""
-    even, odd = ziino_barut_split(p, conv, ptag)
+    even, odd = ziino_barut_split(p, conv)
     want = displayed_ziino_coefficients(p, conv)
-    worst = 0.0
+    gaps = []
     for h in (UP, DN):
         tag = _HTAG[h]
-        ann = LadderSymbol("a", tag, False, ptag)
-        cre = LadderSymbol("a", tag, True, ptag)
-        worst = max(worst, max_abs(even.coefficient(ann, +1) - want[("even", tag, "ann")]))
-        worst = max(worst, max_abs(even.coefficient(cre, -1) - want[("even", tag, "cre")]))
-        worst = max(worst, max_abs(odd.coefficient(ann, +1) - want[("odd", tag, "ann")]))
-        worst = max(worst, max_abs(odd.coefficient(cre, -1) - want[("odd", tag, "cre")]))
-    return worst
+        ann = LadderSymbol("a", tag, False, 1)
+        cre = LadderSymbol("a", tag, True, 1)
+        gaps.append(even.coefficient(ann, +1) - want[("even", tag, "ann")])
+        gaps.append(even.coefficient(cre, -1) - want[("even", tag, "cre")])
+        gaps.append(odd.coefficient(ann, +1) - want[("odd", tag, "ann")])
+        gaps.append(odd.coefficient(cre, -1) - want[("odd", tag, "cre")])
+    return max_abs(gaps)
 
 
 def conjugation_parity_residuals(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention(), ptag: int = 1
+    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
 ) -> dict:
     """The halves are conjugation eigen-expansions: C even = +even,
     C odd = -odd."""
-    even, odd = ziino_barut_split(p, conv, ptag)
+    even, odd = ziino_barut_split(p, conv)
     return {
         "even": charge_conjugate_expansion(even, conv).residual(even),
         "odd": charge_conjugate_expansion(odd, conv).residual(odd.scale(-1.0)),
@@ -228,21 +218,21 @@ def dirac_from_majorana(
     sl, m = slash(p), p.mass
     plus = ID4 + sl / m
     minus = ID4 - sl / m
-    partner = 0.0
-    eigen = 0.0
+    partner = []
+    eigen = []
     pos = []
     for h in (UP, DN):
         ip = plus @ b.lam_s[h]
         im = minus @ b.lam_a[h]
         pos.append(ip)
-        partner = max(partner, float(np.linalg.norm(ip - (b.lam_s[h] + b.rho_a[h]))))
-        partner = max(partner, float(np.linalg.norm(im - (b.lam_a[h] - b.rho_s[h]))))
-        eigen = max(eigen, float(np.linalg.norm(sl @ ip - m * ip)))
-        eigen = max(eigen, float(np.linalg.norm(sl @ im + m * im)))
+        partner.append(np.linalg.norm(ip - (b.lam_s[h] + b.rho_a[h])))
+        partner.append(np.linalg.norm(im - (b.lam_a[h] - b.rho_s[h])))
+        eigen.append(np.linalg.norm(sl @ ip - m * ip))
+        eigen.append(np.linalg.norm(sl @ im + m * im))
     sv = np.linalg.svd(np.array(pos), compute_uv=False)
     return {
-        "partner_residual": partner,
-        "eigenspace_residual": eigen,
+        "partner_residual": max_abs(partner),
+        "eigenspace_residual": max_abs(eigen),
         "positive_singular_values": [float(s) for s in sv],
         "phase_sum": (conv.theta1 + conv.theta2) % (2 * math.pi),
     }
@@ -302,11 +292,11 @@ def orbit_preserves_conjugation(
     m = orbit_matrix(q)
     c = charge_conjugation_op(conv)
     b = build_spinor_basis(p, conv)
-    worst = 0.0
+    gaps = []
     for _, psi, sign in b.charge_family():
         img = m @ psi
-        worst = max(worst, float(np.linalg.norm(c(img) - sign * img)))
-    return worst
+        gaps.append(np.linalg.norm(c(img) - sign * img))
+    return max_abs(gaps)
 
 
 def orbit_group_law(q1: QuaternionPhase, q2: QuaternionPhase) -> float:

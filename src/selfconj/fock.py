@@ -289,7 +289,7 @@ def operator_state_consistency(ptag: int = 1) -> dict:
     right-hand side, read with an annihilation symbol, would kill the
     vacuum instead of reproducing the state action.
     """
-    worst = 0.0
+    gaps = []
     for name, mk in _STATE_OPS.items():
         op = mk()
         rule = operator_rule(name)
@@ -307,9 +307,9 @@ def operator_state_consistency(ptag: int = 1) -> dict:
                     }
                 )
                 direct = op.apply(FockVector.basis(ModeLabel(ptag, h, branch)))
-                worst = max(worst, via_ops.sub(direct).norm())
+                gaps.append(via_ops.sub(direct).norm())
     return {
-        "max_residual": worst,
+        "max_residual": float(np.max(gaps)),
         "annihilation_form_note": (
             "the spin-down antiparticle inversion rule is used in creation "
             "form; the annihilation form maps the state to zero"
@@ -394,7 +394,7 @@ def simultaneous_eigen_certificate(ptag: int = 1, grid: int = 100) -> dict:
     return {"min_singular_value": best, "grid": grid * grid}
 
 
-def both_branch_joint_eigenvector(tol: float = 1e-12) -> dict:
+def both_branch_joint_eigenvector() -> dict:
     """On the rest sector with both branches the two unitaries commute and
     a joint eigenvector exists explicitly; its residuals are returned so
     the single-branch nonexistence is not mistaken for a global statement."""

@@ -17,9 +17,8 @@ Conventions, fixed once and used everywhere:
     gamma^0 = [[0, 1], [1, 0]] blocks, gamma^i = [[0, -sigma^i],
     [sigma^i, 0]], gamma^5 = diag(1, 1, -1, -1).
 * rest-frame two-spinors are N e^{i theta_h} chi_h(p) with N = sqrt(m) by
-  default (helicity basis).  A sigma_z rest basis is available for
-  convention experiments; the small-mass vanishing statements hold only in
-  the helicity basis and massless_scan refuses anything else.
+  default, always in the helicity basis of the momentum direction; the
+  small-mass vanishing statements of massless_scan rely on that basis.
 * bispinor families (eta = helicity label):
     lambda^S = (+i Theta conj(phi_L), phi_L),
     lambda^A = (-i Theta conj(phi_L), phi_L),
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import AntilinearOp, cmat, max_abs, unit_phase_align
+from .linalg import TOL, AntilinearOp, cmat, max_abs, unit_phase_align
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -84,9 +83,10 @@ class FourMomentum:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.mass < 0:
+        # `not >= 0` also rejects NaN
+        if not self.mass >= 0:
             raise ValueError("mass must be >= 0")
-        if self.pmag < 0:
+        if not self.pmag >= 0:
             raise ValueError("|p| must be >= 0")
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError("polar angle must lie in [0, pi]")
@@ -153,15 +153,6 @@ def helicity_eigenspinor(theta: float, phi: float, h: int) -> np.ndarray:
     return np.array([-s * em, c * ep])
 
 
-def direction_angles(nhat) -> tuple[float, float]:
-    nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape != (3,) or abs(np.linalg.norm(nhat) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit 3-vector")
-    theta = math.acos(min(max(nhat[2], -1.0), 1.0))
-    phi = math.atan2(nhat[1], nhat[0]) % (2 * math.pi)
-    return theta, phi
-
-
 def boost_ops(p: FourMomentum) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Weyl boosts (right, left) for m > 0.
 
@@ -177,13 +168,8 @@ def boost_ops(p: FourMomentum) -> tuple[np.ndarray, np.ndarray]:
     return lam_r, lam_l
 
 
-def _rest_pair(p: FourMomentum, conv: PhaseConvention, rest_basis: str):
-    if rest_basis == "helicity":
-        chi = {h: helicity_eigenspinor(p.theta, p.phi, h) for h in (UP, DN)}
-    elif rest_basis == "sigma_z":
-        chi = {UP: np.array([1.0 + 0j, 0.0]), DN: np.array([0.0, 1.0 + 0j])}
-    else:
-        raise ValueError(f"unknown rest basis {rest_basis!r}")
+def _rest_pair(p: FourMomentum, conv: PhaseConvention):
+    chi = {h: helicity_eigenspinor(p.theta, p.phi, h) for h in (UP, DN)}
     n = conv.rest_scale(p.mass)
     return {h: n * conv.rest_phase(h) * chi[h] for h in (UP, DN)}
 
@@ -233,10 +219,9 @@ class SpinorBasis:
 def build_spinor_basis(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
 ) -> SpinorBasis:
     lam_r, lam_l = boost_ops(p)
-    rest = _rest_pair(p, conv, rest_basis)
+    rest = _rest_pair(p, conv)
     phi_l = {h: lam_l @ rest[h] for h in (UP, DN)}
     phi_r = {h: lam_r @ rest[h] for h in (UP, DN)}
 
@@ -299,7 +284,6 @@ def slash(p: FourMomentum) -> np.ndarray:
 def dynamical_residuals(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
     flip_third_sign: bool = False,
 ) -> dict:
     """Max-over-helicity residuals of the four first-order relations.
@@ -308,7 +292,7 @@ def dynamical_residuals(
     that residual is 2m-sized and serves as the suite's self-test that the
     checks can fail.
     """
-    b = build_spinor_basis(p, conv, rest_basis)
+    b = build_spinor_basis(p, conv)
     sl, m = slash(p), p.mass
     s3 = +1.0 if flip_third_sign else -1.0
     pairs = {
@@ -318,7 +302,7 @@ def dynamical_residuals(
         "r4": [(b.rho_s[h], b.lam_a[h], -1.0) for h in (UP, DN)],
     }
     return {
-        k: max(float(np.linalg.norm(sl @ x + s * m * y)) for x, y, s in v)
+        k: max_abs([np.linalg.norm(sl @ x + s * m * y) for x, y, s in v])
         for k, v in pairs.items()
     }
 
@@ -348,18 +332,19 @@ class ConnectionReport:
 def connection_check(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
 ) -> ConnectionReport:
-    b = build_spinor_basis(p, conv, rest_basis)
+    b = build_spinor_basis(p, conv)
     got = CONNECTION @ b.uv_stack()
     want = b.lambda_stack()
     raw = max_abs(got - want)
-    phases, aligned = [], 0.0
+    phases, aligned = [], []
     for i in range(4):
         c, r = unit_phase_align(want[i], got[i])
         phases.append(c)
-        aligned = max(aligned, r)
-    return ConnectionReport(raw_residual=raw, aligned_residual=aligned, phases=np.array(phases))
+        aligned.append(r)
+    return ConnectionReport(
+        raw_residual=raw, aligned_residual=max_abs(aligned), phases=np.array(phases)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +388,13 @@ def xi_quadruple(phi_p: float) -> list[np.ndarray]:
 def xi_alias_residuals(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
 ) -> dict:
     """How far each exchange image sits from its advertised alias.
 
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
     """
-    b = build_spinor_basis(p, conv, rest_basis)
+    b = build_spinor_basis(p, conv)
     v1, v2, v3, v4 = xi_quadruple(p.phi)
     out = {}
     for h, tag in ((UP, "up"), (DN, "dn")):
@@ -422,7 +406,7 @@ def xi_alias_residuals(
     return out
 
 
-def w_group_table(tol: float = 1e-12):
+def w_group_table():
     """Closure table of {+-W_k}: table[(j, k)] = (sign, index) with
     W_j W_k = sign * W_index.  Raises if a product escapes the set."""
     ws = xi_w_parts()
@@ -433,7 +417,7 @@ def w_group_table(tol: float = 1e-12):
             hit = None
             for l, wl in enumerate(ws):
                 for sign in (+1, -1):
-                    if max_abs(prod - sign * wl) <= tol:
+                    if max_abs(prod - sign * wl) <= TOL:
                         hit = (sign, l)
             if hit is None:
                 raise ValueError(f"product W_{j} W_{k} escapes the set")
@@ -452,7 +436,6 @@ def adjoint(psi: np.ndarray) -> np.ndarray:
 def biorthonormality_gram(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
 ) -> np.ndarray:
     """G[i, j] = bar(lambda_i) lambda_j over the lambda stack.
 
@@ -462,7 +445,7 @@ def biorthonormality_gram(
     realizes is G[0,1] = -2i N^2 cos(theta1+theta2) = -G[1,0] and the
     opposite pattern in the anti block.
     """
-    stack = build_spinor_basis(p, conv, rest_basis).lambda_stack()
+    stack = build_spinor_basis(p, conv).lambda_stack()
     return np.array([[adjoint(a) @ b for b in stack] for a in stack])
 
 
@@ -476,23 +459,19 @@ def massless_scan(
     theta: float = 0.0,
     phi: float = 0.0,
     conv: PhaseConvention = PhaseConvention(),
-    rest_basis: str = "helicity",
 ) -> list[dict]:
     """Norm ratios ||lambda^S_up|| / ||lambda^S_dn|| as m -> 0.
 
     With N = sqrt(m) the down member stays finite while the up member dies
-    like m / (2 |p|); the rows report both.  Only the helicity rest basis
-    makes that statement (a sigma_z basis mixes the helicities and nothing
-    vanishes), so any other basis is an error.
+    like m / (2 |p|); the rows report both.  The statement needs the
+    helicity rest basis, which build_spinor_basis always uses.
     """
-    if rest_basis != "helicity":
-        raise ValueError("massless scan is only meaningful in the helicity rest basis")
     masses = list(masses)
     if not masses or any(m <= 0 for m in masses):
         raise ValueError("masses must be positive")
     rows = []
     for m in masses:
-        b = build_spinor_basis(FourMomentum(m, pmag, theta, phi), conv, rest_basis)
+        b = build_spinor_basis(FourMomentum(m, pmag, theta, phi), conv)
         up = float(np.linalg.norm(b.lam_s[UP]))
         dn = float(np.linalg.norm(b.lam_s[DN]))
         rows.append({"mass": m, "ratio": up / dn, "lam_s_dn_norm": dn})

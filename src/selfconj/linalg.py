@@ -115,14 +115,14 @@ class AntilinearOp:
         # always linear; for conjugating ops this is matrix @ conj(matrix)
         return self.compose(self)
 
-    def square_sign(self, tol: float = TOL) -> int:
+    def square_sign(self) -> int:
         """+1 or -1 when op^2 = (+-1) * identity, else ValueError."""
         sq = self.squared()
         if sq.conjugates:
             raise ValueError("square of a linear op is linear; got conjugating")
         eye = np.eye(self.dim)
         for sign in (+1, -1):
-            ok, _ = approx_eq(sq.matrix, sign * eye, tol)
+            ok, _ = approx_eq(sq.matrix, sign * eye)
             if ok:
                 return sign
         raise ValueError("square is not +-identity")
@@ -140,12 +140,6 @@ def realify(op: AntilinearOp) -> np.ndarray:
     if op.conjugates:
         return np.block([[x, y], [y, -x]])
     return np.block([[x, -y], [y, x]])
-
-
-def real_to_complex(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0] // 2
-    return w[:n] + 1j * w[n:]
 
 
 def involution_eigenvectors(t: np.ndarray, sign: int, tol: float = 1e-9):

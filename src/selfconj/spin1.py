@@ -85,12 +85,6 @@ def weinberg_u(p: FourMomentum, h: int) -> np.ndarray:
     return np.concatenate([br @ xi, bl @ xi])
 
 
-def weinberg_v(p: FourMomentum, h: int) -> np.ndarray:
-    """gamma^5 u: the relative sign between the chiral halves flips."""
-    u = weinberg_u(p, h)
-    return np.concatenate([u[:3], -u[3:]])
-
-
 # ---------------------------------------------------------------------------
 # the covariant family
 
@@ -130,14 +124,21 @@ def on_shell_residual(p: FourMomentum, h: int) -> float:
 # the real (Majorana) frame
 
 
+def _frame_blocks(t: np.ndarray) -> np.ndarray:
+    """[[a, b], [c, d]] with a = (1-i) + (1+i) t, b = -(1-i) + (1+i) t,
+    c = (1+i) + (1-i) t, d = -(1+i) + (1-i) t; unnormalized, so that each
+    frame applies its own scale."""
+    one = np.eye(t.shape[0], dtype=complex)
+    a = (1 - 1j) * one + (1 + 1j) * t
+    b = -(1 - 1j) * one + (1 + 1j) * t
+    c = (1 + 1j) * one + (1 - 1j) * t
+    d = -(1 + 1j) * one + (1 - 1j) * t
+    return np.block([[a, b], [c, d]])
+
+
 def majorana_unitary() -> np.ndarray:
     """The displayed 6x6 block unitary built from Theta3."""
-    t = THETA3
-    a = (1 - 1j) * ID3 + (1 + 1j) * t
-    b = -(1 - 1j) * ID3 + (1 + 1j) * t
-    c = (1 + 1j) * ID3 + (1 - 1j) * t
-    d = -(1 + 1j) * ID3 + (1 - 1j) * t
-    return np.block([[a, b], [c, d]]) / (2 * _RT2)
+    return _frame_blocks(THETA3) / (2 * _RT2)
 
 
 def displayed_unitary_dagger() -> np.ndarray:
@@ -203,13 +204,9 @@ def majorana_family_report(tol: float = 1e-12) -> dict:
     images (the chirality image is imaginary by design and excluded)."""
     gam = bmw_chiral_gammas()
     want = displayed_mr_forms()
-    resid = 0.0
-    imag = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            img = to_majorana_rep(gam[(mu, nu)])
-            resid = max(resid, max_abs(img - want[(mu, nu)]))
-            imag = max(imag, max_abs(np.imag(img)))
+    imgs = {key: to_majorana_rep(g) for key, g in gam.items()}
+    resid = max_abs([img - want[key] for key, img in imgs.items()])
+    imag = max_abs([np.imag(img) for img in imgs.values()])
     five = to_majorana_rep(gamma5_chiral())
     resid5 = max_abs(five - want["five"])
     u = majorana_unitary()
@@ -239,14 +236,8 @@ def plain_unitary_diagnostic() -> dict:
     return {
         "g00_lands_on_displayed_five": max_abs(img(gam[(0, 0)]) - want["five"]),
         "five_lands_on_displayed_g00": max_abs(img(gamma5_chiral()) - want[(0, 0)]),
-        "g0i_sign_flip": max(
-            max_abs(img(gam[(0, i)]) + want[(0, i)]) for i in (1, 2, 3)
-        ),
-        "worst_imag_part": max(
-            max_abs(np.imag(img(gam[(mu, nu)])))
-            for mu in range(4)
-            for nu in range(4)
-        ),
+        "g0i_sign_flip": max_abs([img(gam[(0, i)]) + want[(0, i)] for i in (1, 2, 3)]),
+        "worst_imag_part": max_abs([np.imag(img(g)) for g in gam.values()]),
     }
 
 
@@ -307,9 +298,7 @@ def transverse_reality_report(p: FourMomentum) -> dict:
         "long_u_im_norm": float(np.linalg.norm(lg.u_im)),
         "long_u_pure_imag": max_abs(np.real(lg.u)),
         "long_v_pure_real": max_abs(np.imag(lg.v)),
-        "split_exact": max(
-            max_abs(s.u - (s.u_re + 1j * s.u_im)) for s in (up, dn, lg)
-        ),
+        "split_exact": max_abs([s.u - (s.u_re + 1j * s.u_im) for s in (up, dn, lg)]),
     }
 
 
@@ -363,18 +352,18 @@ def selfconjugacy_analysis() -> dict:
     t = realify(tw)
     plus = involution_eigenvectors(t, +1)
     minus = involution_eigenvectors(t, -1)
-    worst = 0.0
+    gaps = []
     for cols, sign in ((plus, +1), (minus, -1)):
         for k in range(cols.shape[1]):
             v = cols[:6, k] + 1j * cols[6:, k]
-            worst = max(worst, float(np.linalg.norm(tw(v) - sign * v)))
+            gaps.append(np.linalg.norm(tw(v) - sign * v))
     return {
         "square_sign_plain": c.square_sign(),
         "square_sign_twisted": tw.square_sign(),
         "nonexistence_margin": min(margins),
         "plus_dim": plus.shape[1],
         "minus_dim": minus.shape[1],
-        "eigenvector_residual": worst,
+        "eigenvector_residual": max_abs(gaps),
     }
 
 
@@ -386,13 +375,7 @@ def half_majorana_frame() -> np.ndarray:
     """4x4 analogue of the real frame, same block pattern with the 2x2
     Theta and a global exp(-i pi/4); satisfies V C V^T = 1 for the spin-1/2
     conjugation matrix, turning S^c into plain complex conjugation."""
-    t = THETA_HALF
-    i2 = np.eye(2, dtype=complex)
-    a = (1 - 1j) * i2 + (1 + 1j) * t
-    b = -(1 - 1j) * i2 + (1 + 1j) * t
-    c = (1 + 1j) * i2 + (1 - 1j) * t
-    d = -(1 + 1j) * i2 + (1 - 1j) * t
-    return np.exp(-0.25j * math.pi) * np.block([[a, b], [c, d]]) / (2 * _RT2)
+    return np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2)
 
 
 def reality_classes(vectors: dict, frame: np.ndarray) -> dict:

@@ -1,10 +1,11 @@
 """The check registry: coverage, determinism, config validation."""
 
 import json
+import math
 
 import pytest
 
-from selfconj import checks
+from selfconj import checks, spin1
 
 REPORTED_IDS = {
     "fock/joint-eigen-existence",
@@ -69,6 +70,89 @@ def test_config_validation():
         checks.SuiteConfig(n_magnitudes=0)
     with pytest.raises(ValueError):
         checks.SuiteConfig(n_directions=0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"masses": (nan,)},
+        {"masses": (1.0, inf)},
+        {"theta1": nan},
+        {"theta2": inf},
+        {"thetac": -inf},
+        {"norm": 0.0},
+        {"norm": nan},
+        {"norm": inf},
+        {"tolerance": nan},
+        # the largest magnitude 2 ** ((n - 1) / 2) overflows from n = 2049
+        {"n_magnitudes": 2049},
+    ):
+        with pytest.raises(ValueError):
+            checks.SuiteConfig(**bad)
+    assert max(checks.SuiteConfig(n_magnitudes=2048).magnitudes()) == 2.0**1023.5
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    real = spin1.on_shell_residual
+    calls = []
+
+    def one_nan(p, h):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else real(p, h)
+
+    monkeypatch.setattr(spin1, "on_shell_residual", one_nan)
+    res = checks.run_checks(checks.SuiteConfig(suites=("spin1",)))
+    on_shell = next(r for r in res if r.check_id == "spin1/on-shell-contraction")
+    assert on_shell.status == "fail"
+    assert math.isnan(on_shell.max_residual)
+
+
+# frozen tol per check id at tolerance 0, 1e-12 and 1e-3; None marks the
+# reported checks, which judge nothing
+_TOLS = {
+    "fieldops/conjugation-parity": (0.0, 1e-12, 1e-3),
+    "fieldops/dirac-embedding": (0.0, 1e-12, 1e-3),
+    "fieldops/mode-structure": (0.0, 1e-12, 1e-3),
+    "fieldops/quaternion-orbit": (0.0, 1e-12, 1e-3),
+    "fieldops/ziino-split": (0.0, 1e-12, 1e-3),
+    "fock/eigencombinations": (0.0, 1e-15, 1e-15),
+    "fock/joint-eigen-certificate": (0.0, 1e-12, 1e-3),
+    "fock/joint-eigen-existence": (None, None, None),
+    "fock/operator-state-consistency": (0.0, 1e-15, 1e-15),
+    "fock/squares-and-commutation": (0.0, 1e-15, 1e-15),
+    "fock/state-tables": (0.0, 1e-15, 1e-15),
+    "halfspin/biorthonormality-sign": (None, None, None),
+    "halfspin/biorthonormality-structure": (4e-12, 4e-12, 1e-3),
+    "halfspin/chiral-helicity-halves": (None, None, None),
+    "halfspin/conjugation-eigenvalues": (0.0, 1e-12, 1e-3),
+    "halfspin/dirac-connection": (0.0, 1e-12, 1e-3),
+    "halfspin/dynamical-residuals": (0.0, 1e-12, 1e-3),
+    "halfspin/eigenstructure-split": (0.0, 1e-12, 1e-3),
+    "halfspin/exchange-quadruple": (0.0, 1e-12, 1e-3),
+    "halfspin/gauge-orbit": (0.0, 1e-12, 1e-3),
+    "halfspin/helicity-spinors": (0.0, 1e-12, 1e-3),
+    "halfspin/massless-limit": (1e-4, 1e-4, 1e-4),
+    "halfspin/second-order-tensors": (0.0, 1e-12, 1e-3),
+    "linalg/antilinear-algebra": (1e-14, 1e-12, 1e-3),
+    "linalg/kron-mixed-product": (1e-13, 1e-12, 1e-3),
+    "spin1/chirality-flip": (0.0, 1e-15, 1e-15),
+    "spin1/majorana-real-family": (0.0, 1e-12, 1e-3),
+    "spin1/majorana-unitarity": (0.0, 1e-15, 1e-15),
+    "spin1/on-shell-contraction": (0.0, 1e-12, 1e-3),
+    "spin1/plain-unitary-diagnostic": (None, None, None),
+    "spin1/reality-classes": (0.0, 1e-12, 1e-3),
+    "spin1/selfconjugacy-dichotomy": (0.0, 1e-12, 1e-3),
+    "spin1/transverse-reality": (0.0, 1e-12, 1e-3),
+    "spin1/transverse-reality-offplane": (None, None, None),
+    "spin1/wigner-theta": (0.0, 1e-12, 1e-3),
+}
+
+
+def test_tolerance_rules_are_frozen():
+    reported = {}
+    for k, tolerance in enumerate((0.0, 1e-12, 1e-3)):
+        # tolerance rules do not depend on the grid, so the smallest one will do
+        cfg = checks.SuiteConfig(n_magnitudes=1, n_directions=1, tolerance=tolerance)
+        for r in checks.run_checks(cfg):
+            reported.setdefault(r.check_id, [None, None, None])[k] = r.tol
+    assert {i: tuple(t) for i, t in reported.items()} == _TOLS
 
 
 def test_momentum_grid_size():

@@ -34,6 +34,33 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "tabulate", "--mass", "0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--mass", "nan", "--suite", "halfspin"],
+        ["run", "--mass", "nan"],
+        ["run", "--norm", "0"],
+        ["run", "--grid", "2200x1"],
+    ],
+)
+def test_nonfinite_and_out_of_domain_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("selfconj: ")
+    assert "Traceback" not in err
+
+
+def test_structural_predicate_fails_whatever_the_tolerance(capsys):
+    # the parity margin of the conjugate family collapses at theta1 = pi/4
+    # on this grid; the check must fail even when --tol forgives everything
+    argv = ["run", "--suite", "halfspin", "--grid", "1x2", "--theta1", "0.7853981633974483"]
+    for tol in ("1e-12", "1", "10"):
+        code, out, _ = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 1
+        assert "FAIL      halfspin/eigenstructure-split" in out
+
+
 def test_json_suite_filter(capsys):
     code, out, _ = run_cli(capsys, "run", "--suite", "fock", "--format", "json")
     assert code == 0

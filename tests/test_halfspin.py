@@ -30,6 +30,10 @@ def test_momentum_validation():
     with pytest.raises(ValueError):
         FourMomentum(1.0, -0.5)
     with pytest.raises(ValueError):
+        FourMomentum(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        FourMomentum(1.0, math.nan)
+    with pytest.raises(ValueError):
         FourMomentum(1.0, 1.0, theta=4.0)
     # rest momentum forgets the direction
     p = FourMomentum(1.0, 0.0, theta=2.0, phi=1.0)
@@ -76,11 +80,6 @@ def test_rest_rows_default_convention():
     assert np.allclose(b.lam_a[UP], [0, -1j, 1, 0], atol=1e-14)
     assert np.allclose(b.rho_s[UP], [1, 0, 0, -1j], atol=1e-14)
     assert np.allclose(b.rho_a[UP], [1, 0, 0, 1j], atol=1e-14)
-
-
-def test_rest_basis_validation():
-    with pytest.raises(ValueError):
-        halfspin.build_spinor_basis(P_Z, rest_basis="diag")
 
 
 def test_conjugation_eigenvalues_across_grid():
@@ -249,8 +248,6 @@ def test_massless_scan_closed_form():
 
 def test_massless_scan_rejects_bad_input():
     with pytest.raises(ValueError):
-        halfspin.massless_scan([1e-2], pmag=1.0, rest_basis="sigma_z")
-    with pytest.raises(ValueError):
         halfspin.massless_scan([], pmag=1.0)
     with pytest.raises(ValueError):
         halfspin.massless_scan([0.0], pmag=1.0)
@@ -286,5 +283,3 @@ def test_fgm_residuals_coupled_and_errors():
 def test_discrete_ops_validation():
     with pytest.raises(ValueError):
         halfspin.discrete_ops([0.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        halfspin.direction_angles([1.0, 1.0, 1.0])

@@ -77,11 +77,11 @@ def test_realify_roundtrip_and_action():
     op = linalg.AntilinearOp(m, conjugates=True)
     r = linalg.realify(op)
     w = np.concatenate([np.real(v), np.imag(v)])
-    back = linalg.real_to_complex(r @ w)
-    assert np.allclose(back, op(v))
+    back = r @ w
+    assert np.allclose(back[:3] + 1j * back[3:], op(v))
     lin = linalg.AntilinearOp(m, conjugates=False)
-    rl = linalg.realify(lin)
-    assert np.allclose(linalg.real_to_complex(rl @ w), lin(v))
+    back = linalg.realify(lin) @ w
+    assert np.allclose(back[:3] + 1j * back[3:], lin(v))
 
 
 def test_involution_eigenvectors_split_and_determinism():
