@@ -39,6 +39,6 @@ print("chiral helicity on lambda^S_up:    eigenvalue "
       f"{np.vdot(lam, eta @ lam).real / np.vdot(lam, lam).real:+.3f}")
 
 print("\nmassless tail of the up member (N = sqrt(m)):")
-for row in halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], pmag=1.0):
+for row in halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8]):
     print(f"  m={row['mass']:.0e}  |up|/|dn|={row['ratio']:.3e}  "
           f"|dn|={row['lam_s_dn_norm']:.6f}")

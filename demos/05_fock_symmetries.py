@@ -13,11 +13,11 @@ from selfconj import fock
 from selfconj.fock import FockVector, ModeLabel
 
 labels = fock.both_branch_labels(1)
-inv = fock.space_inversion()
-ch = fock.charge_conjugation_v1()
-chf = fock.charge_conjugation_v2()
+inv = fock.INVERSION
+ch = fock.CHARGE
+chf = fock.CHARGE_FLIP
 
-print("squares:", fock.squares_report([inv, ch, chf], labels))
+print("squares:", fock.squares_report([inv, ch, chf]))
 print("inversion vs branch swap:", fock.commutator_report(inv, ch, labels))
 print("inversion vs flipping swap:", fock.commutator_report(inv, chf, labels))
 
@@ -30,10 +30,10 @@ print("   ", chf.compose(inv).apply(start))
 print("   ", inv.compose(chf).apply(start))
 
 print("\ncharge eigencombinations |p,h>^+ -+ i|p,h>^-:")
-for k, v in fock.charge_eigencombos(1).items():
+for k, v in fock.charge_eigencombos().items():
     print(f"  {k}: eigenvalue {v['eigenvalue']}, residual {v['residual']:.1e}")
 
-cert = fock.simultaneous_eigen_certificate(1)
+cert = fock.simultaneous_eigen_certificate()
 print(f"\nsingle-branch joint-eigenvector certificate over {cert['grid']} "
       f"phase pairs: min singular value {cert['min_singular_value']:.6f} "
       "(sqrt 2: none exists)")

@@ -57,6 +57,7 @@ class SuiteConfig:
     thetac: float = 0.0
     norm: float | None = None
     suites: tuple = KNOWN_SUITES
+    convention: PhaseConvention = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = tuple(float(m) for m in self.masses)
@@ -70,20 +71,15 @@ class SuiteConfig:
         # `not >= 0` also rejects NaN
         if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
-        if not all(math.isfinite(t) for t in (self.theta1, self.theta2, self.thetac)):
-            raise ValueError("phases must be finite")
-        if self.norm is not None and not (math.isfinite(self.norm) and self.norm != 0):
-            raise ValueError("norm must be finite and nonzero")
+        convention = PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
         suites = tuple(self.suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "suites", suites)
-
-    @property
-    def convention(self) -> PhaseConvention:
-        return PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
+        object.__setattr__(self, "convention", convention)
+        self.momenta()  # every grid momentum must lie in the kinematic domain
 
     def directions(self):
         out = list(_MERIDIAN[: self.n_directions])
@@ -576,7 +572,7 @@ _MASSLESS_RATIO = 1e-4
 def _massless_limit(cfg: SuiteConfig):
     # the vanishing statement assumes the sqrt(m) normalization
     conv = PhaseConvention(cfg.theta1, cfg.theta2, cfg.thetac, None)
-    rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], pmag=1.0, conv=conv)
+    rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], conv)
     ratios = [r["ratio"] for r in rows]
     # judged by predicates alone; the tolerance shown is the ratio bound
     return Evaluation(
@@ -796,9 +792,9 @@ def _state_tables(cfg: SuiteConfig):
     targets_match = []
     labels = fock.both_branch_labels(1) + fock.both_branch_labels(0)
     cases = (
-        (fock.space_inversion(), _INV_TABLE, True),
-        (fock.charge_conjugation_v1(), _CHG_TABLE, False),
-        (fock.charge_conjugation_v2(), _FLIP_TABLE, False),
+        (fock.INVERSION, _INV_TABLE, True),
+        (fock.CHARGE, _CHG_TABLE, False),
+        (fock.CHARGE_FLIP, _FLIP_TABLE, False),
     )
     for op, table, negate in cases:
         for l in labels:
@@ -821,10 +817,8 @@ def _state_tables(cfg: SuiteConfig):
 )
 def _squares_commutation(cfg: SuiteConfig):
     labels = fock.both_branch_labels(1)
-    inv = fock.space_inversion()
-    chg = fock.charge_conjugation_v1()
-    flip = fock.charge_conjugation_v2()
-    squares = fock.squares_report((inv, chg, flip), labels)
+    inv, chg, flip = fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP
+    squares = fock.squares_report((inv, chg, flip))
     comm = fock.commutator_report(chg, inv, labels)
     anti = fock.commutator_report(flip, inv, labels)
     # chains on |p,up>^+
@@ -852,7 +846,7 @@ def _eigencombinations(cfg: SuiteConfig):
     rest = fock.parity_eigencombos(0)
     moving = fock.parity_eigencombos(1)
     res = [d[sign]["residual"] for d in (rest, moving) for sign in ("plus", "minus")]
-    charges = fock.charge_eigencombos(1)
+    charges = fock.charge_eigencombos()
     res += [d["residual"] for d in charges.values()]
     return Evaluation(
         res,
@@ -874,14 +868,14 @@ def _eigencombinations(cfg: SuiteConfig):
     "fock/joint-eigen-certificate", "no joint inversion/branch-swap eigenvector in a single branch"
 )
 def _joint_certificate(cfg: SuiteConfig):
-    cert = fock.simultaneous_eigen_certificate(1, grid=100)
+    cert = fock.simultaneous_eigen_certificate()
     return Evaluation([], cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
 
 
 @_check("fock/joint-eigen-existence", "joint eigenvectors on the both-branch sector", None)
 def _joint_existence(cfg: SuiteConfig):
     both = fock.both_branch_joint_eigenvector()
-    anti = fock.anticommuting_pair_margin(1, grid=40)
+    anti = fock.anticommuting_pair_margin()
     vals = dict(both)
     vals["anticommuting_pair_margin"] = anti["min_singular_value"]
     vals["note"] = (
@@ -894,7 +888,7 @@ def _joint_existence(cfg: SuiteConfig):
 
 @_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _tight)
 def _operator_state(cfg: SuiteConfig):
-    rep = fock.operator_state_consistency(1)
+    rep = fock.operator_state_consistency()
     return Evaluation([rep["max_residual"]], rep)
 
 

@@ -78,7 +78,8 @@ def _parse_momentum(text: str, mass: float) -> FourMomentum:
     if len(parts) != 3:
         raise ValueError('momentum must be "px,py,pz"')
     pvec = np.array(parts)
-    pmag = float(np.linalg.norm(pvec))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which FourMomentum refuses
+        pmag = float(np.linalg.norm(pvec))
     if pmag == 0.0:
         return FourMomentum(mass, 0.0)
     theta = math.acos(min(max(pvec[2] / pmag, -1.0), 1.0))

@@ -5,9 +5,14 @@ branch); the momentum tag is an opaque integer whose negation is the
 reflected momentum (tag 0 is its own reflection, the rest sector).  Branch
 +1 is the particle tower, -1 the antiparticle tower.
 
-Three unitaries act by permuting labels with unit phases: space inversion,
-and two inequivalent charge-type conjugations (helicity preserving and
-helicity flipping).  The same physics also appears as ladder-operator
+Three unitaries act by permuting labels with unit phases: space inversion
+(INVERSION), and two inequivalent charge-type conjugations, helicity
+preserving (CHARGE) and helicity flipping (CHARGE_FLIP).  Each is one
+constant SymmetryOp: a 4x4 unit-phase permutation of the (branch, helicity)
+pairs plus a flag saying whether the momentum tag is negated.  Composition
+is the matrix product with the flags xored, so squares and commutators are
+matrix identities; matrix_on gives the 8x8 signed permutation on a moving
+both-branch sector.  The same physics also appears as ladder-operator
 rules; operator_state_consistency ties the two presentations together.
 """
 
@@ -32,10 +37,6 @@ class ModeLabel:
             raise ValueError("helicity must be 'up' or 'dn'")
         if self.branch not in (+1, -1):
             raise ValueError("branch must be +1 or -1")
-
-
-def _flip(h: str) -> str:
-    return "dn" if h == "up" else "up"
 
 
 class FockVector:
@@ -102,19 +103,45 @@ class FockVector:
         return f"FockVector({{{terms}}})"
 
 
-@dataclass(frozen=True)
+# rows and columns of a SymmetryOp matrix: the (branch, helicity) pairs
+_PAIRS = [(b, h) for b in (+1, -1) for h in HEL]
+_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
+
+
+@dataclass(frozen=True, eq=False)
 class SymmetryOp:
-    """Unitary acting on labels: label -> (label', unit phase)."""
+    """Unitary acting on labels as one fixed matrix plus a reflection flag.
+
+    `matrix` is a 4x4 unit-phase permutation of the (branch, helicity)
+    pairs ordered as _PAIRS: column j holds the image of pair j and its
+    phase.  `reflects` says whether the momentum tag is negated.
+    """
 
     name: str
-    rule: Callable[[ModeLabel], tuple[ModeLabel, complex]]
+    matrix: np.ndarray
+    reflects: bool
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        # four nonzeros and unitary: one unit phase in each row and column
+        if m.shape != (4, 4) or np.count_nonzero(m) != 4:
+            raise ValueError(f"{self.name}: not a permutation of the (branch, helicity) pairs")
+        if np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) > 1e-12:
+            raise ValueError(f"{self.name}: not a unit-phase permutation")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def rule(self, label: ModeLabel) -> tuple[ModeLabel, complex]:
+        j = _INDEX[(label.branch, label.helicity)]
+        i = int(np.flatnonzero(self.matrix[:, j])[0])
+        branch, helicity = _PAIRS[i]
+        ptag = -label.ptag if self.reflects else label.ptag
+        return ModeLabel(ptag, helicity, branch), complex(self.matrix[i, j])
 
     def apply(self, vec: FockVector) -> FockVector:
         out: dict = {}
         for label, amp in vec.items():
             tgt, phase = self.rule(label)
-            if abs(abs(phase) - 1.0) > 1e-12:
-                raise ValueError(f"{self.name}: non-unit phase on {label}")
             out[tgt] = out.get(tgt, 0.0) + phase * amp
         return FockVector(out)
 
@@ -131,45 +158,24 @@ class SymmetryOp:
         return m
 
     def compose(self, other: "SymmetryOp") -> "SymmetryOp":
-        def rule(label):
-            mid, ph1 = other.rule(label)
-            end, ph2 = self.rule(mid)
-            return end, ph1 * ph2
-
-        return SymmetryOp(f"{self.name}.{other.name}", rule)
-
-
-def space_inversion() -> SymmetryOp:
-    """p -> -p, helicity flips, branch kept; phases +i on up, -i on dn."""
-
-    def rule(l: ModeLabel):
-        return (
-            ModeLabel(-l.ptag, _flip(l.helicity), l.branch),
-            1j if l.helicity == "up" else -1j,
+        """self after other."""
+        return SymmetryOp(
+            f"{self.name}.{other.name}", self.matrix @ other.matrix, self.reflects != other.reflects
         )
 
-    return SymmetryOp("inversion", rule)
 
-
-def charge_conjugation_v1() -> SymmetryOp:
-    """Branch swap keeping helicity: +1 out of particles, -1 back."""
-
-    def rule(l: ModeLabel):
-        return ModeLabel(l.ptag, l.helicity, -l.branch), (1.0 if l.branch == +1 else -1.0)
-
-    return SymmetryOp("charge", rule)
-
-
-def charge_conjugation_v2() -> SymmetryOp:
-    """Branch swap with helicity flip: -1 out of particles, +1 back."""
-
-    def rule(l: ModeLabel):
-        return (
-            ModeLabel(l.ptag, _flip(l.helicity), -l.branch),
-            -1.0 if l.branch == +1 else 1.0,
-        )
-
-    return SymmetryOp("charge_flip", rule)
+# p -> -p, helicity flips, branch kept; phases +i on up, -i on dn
+INVERSION = SymmetryOp(
+    "inversion", [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]], reflects=True
+)
+# branch swap keeping helicity: +1 out of particles, -1 back
+CHARGE = SymmetryOp(
+    "charge", [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], reflects=False
+)
+# branch swap with helicity flip: -1 out of particles, +1 back
+CHARGE_FLIP = SymmetryOp(
+    "charge_flip", [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], reflects=False
+)
 
 
 def both_branch_labels(ptag: int):
@@ -183,20 +189,16 @@ def single_branch_labels(ptag: int):
     return [ModeLabel(t, h, +1) for t in (ptag, -ptag) for h in HEL]
 
 
-def squares_report(ops, labels) -> dict:
-    """Phase of op^2 on each label; errors unless op^2 is that scalar."""
+def squares_report(ops) -> dict:
+    """The scalar c of op^2 = c * identity for each op; errors unless op^2
+    is that scalar (a square never reflects, so its matrix decides)."""
     out = {}
     for op in ops:
-        sq = op.compose(op)
-        phases = set()
-        for l in labels:
-            tgt, ph = sq.rule(l)
-            if tgt != l:
-                raise ValueError(f"{op.name}^2 moves {l}")
-            phases.add(complex(np.round(ph, 12)))
-        if len(phases) != 1:
-            raise ValueError(f"{op.name}^2 is not a scalar: {phases}")
-        out[op.name] = phases.pop()
+        sq = op.compose(op).matrix
+        c = complex(np.round(sq[0, 0], 12))
+        if np.max(np.abs(sq - c * np.eye(4))) > 1e-12:
+            raise ValueError(f"{op.name}^2 is not a scalar: {sq}")
+        out[op.name] = c
     return out
 
 
@@ -274,14 +276,7 @@ def operator_rule(name: str) -> Callable[[LadderSymbol], tuple[LadderSymbol, com
     return rule
 
 
-_STATE_OPS = {
-    "inversion": space_inversion,
-    "charge": charge_conjugation_v1,
-    "charge_flip": charge_conjugation_v2,
-}
-
-
-def operator_state_consistency(ptag: int = 1) -> dict:
+def operator_state_consistency() -> dict:
     """U |mode> computed through U c^dag U^{-1} |0> vs the label action.
 
     The vacuum is invariant with phase +1, so the two routes must agree
@@ -290,23 +285,17 @@ def operator_state_consistency(ptag: int = 1) -> dict:
     vacuum instead of reproducing the state action.
     """
     gaps = []
-    for name, mk in _STATE_OPS.items():
-        op = mk()
-        rule = operator_rule(name)
+    for op in (INVERSION, CHARGE, CHARGE_FLIP):
+        rule = operator_rule(op.name)
         for h in HEL:
             for branch, kind in ((+1, "a"), (-1, "b")):
-                sym = LadderSymbol(kind, h, True, ptag)
+                sym = LadderSymbol(kind, h, True, 1)
                 new, phase = rule(sym)
                 if not new.dagger:
                     raise AssertionError("creation rule lost its dagger")
-                via_ops = FockVector(
-                    {
-                        ModeLabel(
-                            new.ptag, new.helicity, +1 if new.kind == "a" else -1
-                        ): phase
-                    }
-                )
-                direct = op.apply(FockVector.basis(ModeLabel(ptag, h, branch)))
+                created = ModeLabel(new.ptag, new.helicity, +1 if new.kind == "a" else -1)
+                via_ops = FockVector({created: phase})
+                direct = op.apply(FockVector.basis(ModeLabel(1, h, branch)))
                 gaps.append(via_ops.sub(direct).norm())
     return {
         "max_residual": float(np.max(gaps)),
@@ -327,71 +316,64 @@ def parity_eigencombos(ptag: int) -> dict:
     At ptag 0 these are honest +-1 eigenvectors; at moving tags the same
     combinations come back reflected with the same signs.
     """
-    inv = space_inversion()
     out = {}
     for sign, tag in ((+1, "plus"), (-1, "minus")):
-        vec = FockVector(
-            {
-                ModeLabel(ptag, "up", +1): 1.0,
-                ModeLabel(ptag, "dn", +1): sign * 1j,
-            }
-        )
+        vec = FockVector({ModeLabel(ptag, "up", +1): 1.0, ModeLabel(ptag, "dn", +1): sign * 1j})
         reflected = FockVector(
-            {
-                ModeLabel(-ptag, "up", +1): 1.0,
-                ModeLabel(-ptag, "dn", +1): sign * 1j,
-            }
+            {ModeLabel(-ptag, "up", +1): 1.0, ModeLabel(-ptag, "dn", +1): sign * 1j}
         )
         out[tag] = {
             "eigenvalue": sign,
-            "residual": inv.apply(vec).sub(reflected.scale(sign)).norm(),
+            "residual": INVERSION.apply(vec).sub(reflected.scale(sign)).norm(),
         }
     return out
 
 
-def charge_eigencombos(ptag: int) -> dict:
+def charge_eigencombos() -> dict:
     """|p,h>^+ +- i |p,h>^- are eigenvectors of the branch swap with
     eigenvalues -+i."""
-    ch = charge_conjugation_v1()
     out = {}
     for h in HEL:
         for sign, tag in ((+1, "plus"), (-1, "minus")):
-            vec = FockVector(
-                {
-                    ModeLabel(ptag, h, +1): 1.0,
-                    ModeLabel(ptag, h, -1): sign * 1j,
-                }
-            )
+            vec = FockVector({ModeLabel(1, h, +1): 1.0, ModeLabel(1, h, -1): sign * 1j})
             lam = -sign * 1j
             out[f"{h}_{tag}"] = {
                 "eigenvalue": lam,
-                "residual": ch.apply(vec).sub(vec.scale(lam)).norm(),
+                "residual": CHARGE.apply(vec).sub(vec.scale(lam)).norm(),
             }
     return out
 
 
-def simultaneous_eigen_certificate(ptag: int = 1, grid: int = 100) -> dict:
-    """Margin against a joint inversion/branch-swap eigenvector in the
-    single-branch sector.
+def _joint_margin(a: SymmetryOp, b: SymmetryOp, labels, columns, grid: int) -> dict:
+    """Smallest singular value of [(A - la) S; (B - lb) S] over a grid x grid
+    lattice of unit phases (la, lb), S selecting the `columns` of `labels`.
 
-    For v in span{|+-p, h>^+}: the branch swap sends every term out of the
-    sector with unit amplitude, so the stacked conditions
-    [inversion - ls; swap off-branch block; -lc] have smallest singular
-    value sqrt(1 + |lc|^2) = sqrt(2) for every pair of unit eigenvalue
-    phases; scanned on a grid x grid phase lattice.
+    It bounds min ||(A - la)v||^2 + ||(B - lb)v||^2 over unit v in the span
+    of the columns: a joint eigenvector there would make it 0.  One batched
+    SVD per la keeps the stack at grid x 2n x k.
     """
-    labels = single_branch_labels(ptag)
-    inv4 = space_inversion().matrix_on(labels)
-    eye = np.eye(len(labels))
+    sel = np.eye(len(labels))[:, [labels.index(c) for c in columns]]
+    a_sel, b_sel = a.matrix_on(labels) @ sel, b.matrix_on(labels) @ sel
     phases = np.exp(2j * np.pi * np.arange(grid) / grid)
+    lower = b_sel - phases[:, None, None] * sel
     best = np.inf
-    for ls in phases:
-        top = inv4 - ls * eye
-        for lc in phases:
-            stack = np.vstack([top, eye, -lc * eye])
-            s = np.linalg.svd(stack, compute_uv=False)[-1]
-            best = min(best, float(s))
+    for la in phases:
+        top = np.broadcast_to(a_sel - la * sel, lower.shape)
+        s = np.linalg.svd(np.concatenate([top, lower], axis=1), compute_uv=False)
+        best = min(best, float(np.min(s[:, -1])))
     return {"min_singular_value": best, "grid": grid * grid}
+
+
+def simultaneous_eigen_certificate() -> dict:
+    """Margin against a joint inversion/branch-swap eigenvector in the
+    single-branch sector span{|+-p, h>^+}.
+
+    The branch swap sends every term out of the sector with unit
+    amplitude, so ||(swap - lc)v||^2 = 1 + |lc|^2 and the margin is
+    sqrt(2) for every pair of unit eigenvalue phases; scanned on a
+    100 x 100 phase lattice.
+    """
+    return _joint_margin(INVERSION, CHARGE, both_branch_labels(1), single_branch_labels(1), 100)
 
 
 def both_branch_joint_eigenvector() -> dict:
@@ -406,32 +388,19 @@ def both_branch_joint_eigenvector() -> dict:
             ModeLabel(0, "dn", -1): 1.0,
         }
     )
-    inv = space_inversion()
-    ch = charge_conjugation_v1()
     return {
-        "inversion_residual": inv.apply(v).sub(v).norm(),
-        "charge_residual": ch.apply(v).sub(v.scale(1j)).norm(),
+        "inversion_residual": INVERSION.apply(v).sub(v).norm(),
+        "charge_residual": CHARGE.apply(v).sub(v.scale(1j)).norm(),
         "charge_eigenvalue": 1j,
     }
 
 
-def anticommuting_pair_margin(ptag: int = 1, grid: int = 40) -> dict:
+def anticommuting_pair_margin() -> dict:
     """Joint-eigenvector margin for the anticommuting pair (helicity
     flipping swap, inversion) on the full both-branch sector.
 
     Anticommutation forces ||(A - la)v|| + ||(B - lb)v|| >= 1 for unit
     vectors, so the stacked smallest singular value stays above
-    1/sqrt(2) ~ 0.707 whatever the phases."""
-    labels = both_branch_labels(ptag)
-    a = charge_conjugation_v2().matrix_on(labels)
-    b = space_inversion().matrix_on(labels)
-    eye = np.eye(len(labels))
-    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-    best = np.inf
-    for la in phases:
-        top = a - la * eye
-        for lb in phases:
-            stack = np.vstack([top, b - lb * eye])
-            s = np.linalg.svd(stack, compute_uv=False)[-1]
-            best = min(best, float(s))
-    return {"min_singular_value": best, "grid": grid * grid}
+    1/sqrt(2) ~ 0.707 whatever the phases; scanned on a 40 x 40 lattice."""
+    labels = both_branch_labels(1)
+    return _joint_margin(CHARGE_FLIP, INVERSION, labels, labels, 40)

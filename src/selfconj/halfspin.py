@@ -88,6 +88,15 @@ class FourMomentum:
             raise ValueError("mass must be >= 0")
         if not self.pmag >= 0:
             raise ValueError("|p| must be >= 0")
+        if self.mass > 0:
+            # past |p| = 2**52 m, E + m - |p| rounds to 0 on the axis and a
+            # family member vanishes; the boosts divide by sqrt(2 m (E + m))
+            den = 2 * self.mass * (math.hypot(self.mass, self.pmag) + self.mass)
+            if not (self.pmag <= 2.0**52 * self.mass and 0 < den < math.inf):
+                raise ValueError(
+                    "momentum outside the kinematic domain: need |p| <= 2**52 m "
+                    "and 2 m (E + m) finite and nonzero"
+                )
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError("polar angle must lie in [0, pi]")
         theta = min(max(self.theta, 0.0), math.pi)
@@ -129,6 +138,12 @@ class PhaseConvention:
     theta2: float = 0.0
     thetac: float = 0.0
     norm: float | None = None
+
+    def __post_init__(self):
+        if not all(math.isfinite(t) for t in (self.theta1, self.theta2, self.thetac)):
+            raise ValueError("phases must be finite")
+        if self.norm is not None and not (math.isfinite(self.norm) and self.norm != 0):
+            raise ValueError("norm must be finite and nonzero")
 
     def rest_scale(self, mass: float) -> float:
         return math.sqrt(mass) if self.norm is None else self.norm
@@ -453,14 +468,9 @@ def biorthonormality_gram(
 # massless behavior
 
 
-def massless_scan(
-    masses,
-    pmag: float,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    conv: PhaseConvention = PhaseConvention(),
-) -> list[dict]:
-    """Norm ratios ||lambda^S_up|| / ||lambda^S_dn|| as m -> 0.
+def massless_scan(masses, conv: PhaseConvention = PhaseConvention()) -> list[dict]:
+    """Norm ratios ||lambda^S_up|| / ||lambda^S_dn|| as m -> 0 at |p| = 1
+    along +z.
 
     With N = sqrt(m) the down member stays finite while the up member dies
     like m / (2 |p|); the rows report both.  The statement needs the
@@ -471,7 +481,7 @@ def massless_scan(
         raise ValueError("masses must be positive")
     rows = []
     for m in masses:
-        b = build_spinor_basis(FourMomentum(m, pmag, theta, phi), conv)
+        b = build_spinor_basis(FourMomentum(m, 1.0), conv)
         up = float(np.linalg.norm(b.lam_s[UP]))
         dn = float(np.linalg.norm(b.lam_s[DN]))
         rows.append({"mass": m, "ratio": up / dn, "lam_s_dn_norm": dn})

@@ -31,20 +31,18 @@ def max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def approx_eq(a, b, tol: float = TOL):
-    """Entrywise comparison of two arrays.
+def approx_eq(a, b):
+    """Entrywise comparison of two arrays to within TOL.
 
-    Returns (equal, max_abs_residual).  Shapes must match exactly and the
-    tolerance must be nonnegative; both are errors, not False results.
+    Returns (equal, max_abs_residual).  Shapes must match exactly; a
+    mismatch is an error, not a False result.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
     resid = max_abs(a - b)
-    return resid <= tol, resid
+    return resid <= TOL, resid
 
 
 def unit_phase_align(target: np.ndarray, got: np.ndarray):
@@ -142,7 +140,7 @@ def realify(op: AntilinearOp) -> np.ndarray:
     return np.block([[x, -y], [y, x]])
 
 
-def involution_eigenvectors(t: np.ndarray, sign: int, tol: float = 1e-9):
+def involution_eigenvectors(t: np.ndarray, sign: int):
     """Orthonormal basis of the (+-1)-eigenspace of a real involution t.
 
     Deterministic: the eigenspace is the column space of the projector
@@ -151,7 +149,7 @@ def involution_eigenvectors(t: np.ndarray, sign: int, tol: float = 1e-9):
     """
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
-    if max_abs(t @ t - np.eye(n)) > tol:
+    if max_abs(t @ t - np.eye(n)) > 1e-9:
         raise ValueError("matrix is not an involution")
     proj = 0.5 * (np.eye(n) + sign * t)
     u, s, _ = np.linalg.svd(proj)

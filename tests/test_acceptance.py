@@ -149,7 +149,7 @@ def test_criterion_05_gram_displayed_sign():
 
 
 def test_criterion_06_massless_limit():
-    rows = halfspin.massless_scan([10.0 ** (-k) for k in range(2, 9)], pmag=1.0)
+    rows = halfspin.massless_scan([10.0 ** (-k) for k in range(2, 9)])
     ratios = [r["ratio"] for r in rows]
     monotone = all(a > b for a, b in zip(ratios, ratios[1:]))
     record(
@@ -253,18 +253,18 @@ def test_criterion_10_antilinear_dichotomy():
 
 def test_criterion_11_fock_algebra():
     labels = fock.both_branch_labels(1)
-    inv = fock.space_inversion()
-    comm = fock.commutator_report(inv, fock.charge_conjugation_v1(), labels)
-    anti = fock.commutator_report(inv, fock.charge_conjugation_v2(), labels)
-    combos = fock.charge_eigencombos(1)
+    inv = fock.INVERSION
+    comm = fock.commutator_report(inv, fock.CHARGE, labels)
+    anti = fock.commutator_report(inv, fock.CHARGE_FLIP, labels)
+    combos = fock.charge_eigencombos()
     eig_ok = all(
         combos[f"{h}_{tag}"]["eigenvalue"] == (-1j if tag == "plus" else 1j)
         and combos[f"{h}_{tag}"]["residual"] == 0.0
         for h in ("up", "dn")
         for tag in ("plus", "minus")
     )
-    cert = fock.simultaneous_eigen_certificate(1, grid=60)
-    ops = fock.operator_state_consistency(1)
+    cert = fock.simultaneous_eigen_certificate()
+    ops = fock.operator_state_consistency()
     ok = (
         comm["commutator"] == 0.0
         and anti["anticommutator"] == 0.0

@@ -83,10 +83,14 @@ def test_config_validation():
         {"tolerance": nan},
         # the largest magnitude 2 ** ((n - 1) / 2) overflows from n = 2049
         {"n_magnitudes": 2049},
+        # and passes the kinematic bound |p| <= 2**52 m from n = 106
+        {"n_magnitudes": 106},
+        {"masses": (1e-20,)},
+        {"masses": (1e200,)},
     ):
         with pytest.raises(ValueError):
             checks.SuiteConfig(**bad)
-    assert max(checks.SuiteConfig(n_magnitudes=2048).magnitudes()) == 2.0**1023.5
+    assert max(checks.SuiteConfig(n_magnitudes=105).magnitudes()) == 2.0**52
 
 
 def test_nan_residual_fails_the_check(monkeypatch):

@@ -41,8 +41,21 @@ def test_usage_errors_exit_2(capsys):
         ["run", "--mass", "nan"],
         ["run", "--norm", "0"],
         ["run", "--grid", "2200x1"],
+        # unvalidated phases and norms on the tabulate path
+        ["tabulate", "--theta1", "nan"],
+        ["tabulate", "--norm", "inf"],
+        ["tabulate", "--norm", "0"],
+        # momenta past |p| = 2**52 m, or a boost denominator that is not a
+        # finite nonzero float
+        ["run", "--grid", "110x1"],
+        ["run", "--grid", "106x1"],
+        ["run", "--mass", "1e-20"],
+        ["run", "--mass", "1e200"],
+        ["tabulate", "--momentum", "1e300,0,0"],
+        ["tabulate", "--mass", "1e300"],
     ],
 )
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_nonfinite_and_out_of_domain_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

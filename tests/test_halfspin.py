@@ -236,7 +236,7 @@ def test_w_group_table_is_quaternionic():
 
 
 def test_massless_scan_closed_form():
-    rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], pmag=1.0)
+    rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8])
     for row in rows:
         m = row["mass"]
         e = math.hypot(m, 1.0)
@@ -248,9 +248,9 @@ def test_massless_scan_closed_form():
 
 def test_massless_scan_rejects_bad_input():
     with pytest.raises(ValueError):
-        halfspin.massless_scan([], pmag=1.0)
+        halfspin.massless_scan([])
     with pytest.raises(ValueError):
-        halfspin.massless_scan([0.0], pmag=1.0)
+        halfspin.massless_scan([0.0])
 
 
 def test_fgm_tensor_forms():
