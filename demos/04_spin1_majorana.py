@@ -19,7 +19,7 @@ print("family report:", {k: (f"{v:.2e}" if isinstance(v, float) else v)
                          for k, v in rep.items()})
 
 print("\nreal-frame chirality matrix (imaginary by design):")
-print(spin1.displayed_mr_forms()["five"])
+print(spin1.MR_FORMS["five"])
 
 p = FourMomentum(1.0, 1.0, np.pi / 3, 0.0)
 up = spin1.mr_spinor(p, +1)

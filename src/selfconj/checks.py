@@ -533,7 +533,7 @@ def _exchange_quadruple(cfg: SuiteConfig):
         z2 = np.zeros((2, 2))
         xi = halfspin.xi_matrix(p.phi)
         g = np.block([[xi, z2], [z2, xi]])
-        for v, w in zip(halfspin.xi_quadruple(p.phi), halfspin.xi_w_parts()):
+        for v, w in zip(halfspin.xi_quadruple(p.phi), halfspin.W_PARTS):
             res.append(linalg.max_abs(v - w @ g))
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
@@ -590,7 +590,7 @@ def _massless_limit(cfg: SuiteConfig):
 
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
 def _second_order(cfg: SuiteConfig):
-    sig, til = halfspin.fgm_tensors()
+    sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
     res = []
     for i in range(3):
         res.append(linalg.max_abs(sig[(0, i + 1)] - 1j * halfspin.SIGMA[i]))
@@ -614,8 +614,8 @@ def _second_order(cfg: SuiteConfig):
 
 
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
-def _wigner_theta(cfg: SuiteConfig):
-    t = spin1.wigner_theta()
+def _theta3(cfg: SuiteConfig):
+    t = spin1.THETA3
     res = [linalg.max_abs(t @ t - np.eye(3))]
     for j in spin1.JVEC:
         res.append(linalg.max_abs(t @ j @ t + np.conjugate(j)))
@@ -637,12 +637,12 @@ def _on_shell(cfg: SuiteConfig):
 
 @_check("spin1/majorana-unitarity", "real-frame unitary and its displayed conjugate", _tight)
 def _majorana_unitarity(cfg: SuiteConfig):
-    u = spin1.majorana_unitary()
+    u = spin1.MAJORANA_U
     return Evaluation(
         [
             linalg.max_abs(u @ linalg.dagger(u) - np.eye(6)),
             linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)),
-            linalg.max_abs(spin1.displayed_unitary_dagger() - linalg.dagger(u)),
+            linalg.max_abs(spin1.DISPLAYED_U_DAGGER - linalg.dagger(u)),
         ]
     )
 
@@ -729,10 +729,10 @@ def _selfconjugacy(cfg: SuiteConfig):
 @_check("spin1/reality-classes", "conjugation eigenvectors become pure real or pure imaginary")
 def _reality_classes(cfg: SuiteConfig):
     conv = cfg.convention
-    vh = spin1.half_majorana_frame()
+    vh = spin1.HALF_MAJORANA_FRAME
     c_half = halfspin.charge_conjugation_op(PhaseConvention()).matrix
-    w = spin1.chiral_to_majorana()
-    m_tw = spin1.gamma5_twisted_conjugation().matrix
+    w = spin1.CHIRAL_TO_MAJORANA
+    m_tw = spin1.TWISTED_CONJUGATION.matrix
     res = [
         linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
         linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
@@ -972,7 +972,7 @@ def _dirac_embedding(cfg: SuiteConfig):
 @_check("fieldops/quaternion-orbit", "unit-quaternion phase orbit preserves conjugation status")
 def _quaternion_orbit(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
-    qi, qj, qk = fieldops.quaternion_units()
+    qi, qj, qk = fieldops.QUATERNION_UNITS
     eye = np.eye(4)
     res = [
         linalg.max_abs(qi @ qi + eye),

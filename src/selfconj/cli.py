@@ -150,12 +150,19 @@ def _tabulate(args) -> str:
     return _rows_to_table(head, rows)
 
 
-def _emit(text: str, out: str | None):
+def _emit(text: str, out: str | None, code: int) -> int:
+    """Write the report and return `code`; an unwritable --out is a usage
+    error (exit 2)."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"selfconj: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main(argv=None) -> int:
@@ -186,13 +193,12 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "tabulate":
-        _emit(report, args.out)
-        return 0
+        return _emit(report, args.out, 0)
 
     results = checks.run_checks(cfg)
     render = checks.render_json if args.format == "json" else checks.render_text
-    _emit(render(cfg, results), args.out)
-    return 1 if any(r.status == "fail" for r in results) else 0
+    failed = any(r.status == "fail" for r in results)
+    return _emit(render(cfg, results), args.out, 1 if failed else 0)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .halfspin import (
     charge_conjugation_op,
     slash,
 )
-from .linalg import max_abs
+from .linalg import frozen, max_abs
 
 _HTAG = {UP: "up", DN: "dn"}
 
@@ -253,7 +253,9 @@ class QuaternionPhase:
         c = tuple(float(x) for x in self.c)
         if len(c) != 3:
             raise ValueError("c must have three components")
-        if abs(self.c0**2 + sum(x * x for x in c) - 1.0) > 1e-9:
+        if not all(math.isfinite(x) for x in (self.c0, *c)):
+            raise ValueError("quaternion phase must be finite")
+        if not abs(self.c0**2 + sum(x * x for x in c) - 1.0) <= 1e-9:
             raise ValueError("quaternion phase must have unit norm")
         object.__setattr__(self, "c", c)
 
@@ -265,17 +267,13 @@ class QuaternionPhase:
         return QuaternionPhase(c0, tuple(cv))
 
 
-def quaternion_units() -> list[np.ndarray]:
-    """Matrix units (i, j, k) realizing the exchange-map algebra:
-    i gamma^5, i gamma^0 and their product; all square to -1 and
-    anticommute pairwise."""
-    qi = 1j * GAMMA5
-    qj = 1j * GAMMA0
-    return [qi, qj, qi @ qj]
+# Matrix units (i, j, k) realizing the exchange-map algebra: i gamma^5,
+# i gamma^0 and their product; all square to -1 and anticommute pairwise.
+QUATERNION_UNITS = frozen((1j * GAMMA5, 1j * GAMMA0, (1j * GAMMA5) @ (1j * GAMMA0)))
 
 
 def orbit_matrix(q: QuaternionPhase) -> np.ndarray:
-    qi, qj, qk = quaternion_units()
+    qi, qj, qk = QUATERNION_UNITS
     return q.c0 * ID4 + q.c[0] * qi + q.c[1] * qj + q.c[2] * qk
 
 

@@ -126,7 +126,9 @@ class SymmetryOp:
         # four nonzeros and unitary: one unit phase in each row and column
         if m.shape != (4, 4) or np.count_nonzero(m) != 4:
             raise ValueError(f"{self.name}: not a permutation of the (branch, helicity) pairs")
-        if np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) > 1e-12:
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{self.name}: phases must be finite")
+        if not np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) <= 1e-12:
             raise ValueError(f"{self.name}: not a unit-phase permutation")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

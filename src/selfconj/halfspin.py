@@ -38,28 +38,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, AntilinearOp, cmat, max_abs, unit_phase_align
+from .linalg import TOL, AntilinearOp, cmat, frozen, max_abs, unit_phase_align
 
-ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
+ID2 = frozen(np.eye(2, dtype=complex))
+ID4 = frozen(np.eye(4, dtype=complex))
 
-SIGMA = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
+SIGMA = frozen(cmat([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
 
-THETA = cmat([[0, -1], [1, 0]])  # -i sigma_2, real
+THETA = frozen(cmat([[0, -1], [1, 0]]))  # -i sigma_2, real
 
-GAMMA0 = np.block([[np.zeros((2, 2)), ID2], [ID2, np.zeros((2, 2))]]).astype(complex)
-GAMMAS = [
+GAMMA0 = frozen(np.block([[np.zeros((2, 2)), ID2], [ID2, np.zeros((2, 2))]]).astype(complex))
+GAMMAS = frozen(tuple(
     np.block([[np.zeros((2, 2)), -SIGMA[i]], [SIGMA[i], np.zeros((2, 2))]])
     for i in range(3)
-]
-GAMMA5 = np.block([[ID2, np.zeros((2, 2))], [np.zeros((2, 2)), -ID2]]).astype(complex)
+))
+GAMMA5 = frozen(np.block([[ID2, np.zeros((2, 2))], [np.zeros((2, 2)), -ID2]]).astype(complex))
 
 UP, DN = +1, -1
 
@@ -258,14 +251,18 @@ def build_spinor_basis(
     )
 
 
+_CONJUGATION_BLOCK = frozen(
+    np.block([[np.zeros((2, 2)), 1j * THETA], [-1j * THETA, np.zeros((2, 2))]])
+)
+
+
 def charge_conjugation_op(conv: PhaseConvention = PhaseConvention()) -> AntilinearOp:
     """S^c = e^{i thetac} [[0, i Theta], [-i Theta, 0]] K.
 
     Its square is +identity for every thetac; the lambda^S/rho^S members sit
     at eigenvalue +1 and lambda^A/rho^A at -1.
     """
-    m = np.block([[np.zeros((2, 2)), 1j * THETA], [-1j * THETA, np.zeros((2, 2))]])
-    return AntilinearOp(np.exp(1j * conv.thetac) * m, conjugates=True)
+    return AntilinearOp(np.exp(1j * conv.thetac) * _CONJUGATION_BLOCK, conjugates=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +278,13 @@ class DiscreteOps:
 
 def discrete_ops(nhat) -> DiscreteOps:
     nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape != (3,) or abs(np.linalg.norm(nhat) - 1.0) > 1e-9:
+    if nhat.shape != (3,) or not np.all(np.isfinite(nhat)):
+        raise ValueError("direction must be a finite 3-vector")
+    if not abs(np.linalg.norm(nhat) - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit 3-vector")
     sn = np.tensordot(nhat, SIGMA, axes=(0, 0))
     h = 0.5 * np.block([[sn, np.zeros((2, 2))], [np.zeros((2, 2)), sn]])
-    return DiscreteOps(helicity=h, chiral_helicity=-GAMMA5 @ h, parity=GAMMA0.copy())
+    return DiscreteOps(helicity=h, chiral_helicity=-GAMMA5 @ h, parity=GAMMA0)
 
 
 def slash(p: FourMomentum) -> np.ndarray:
@@ -327,14 +326,12 @@ def dynamical_residuals(
 
 # maps the stack (u_up, u_dn, v_up, v_dn) to (lambda^S_up, lambda^S_dn,
 # lambda^A_up, lambda^A_dn); momentum independent
-CONNECTION = 0.5 * cmat(
-    [
-        [1, 1j, -1, 1j],
-        [-1j, 1, -1j, -1],
-        [1, -1j, -1, -1j],
-        [1j, 1, 1j, -1],
-    ]
-)
+CONNECTION = frozen(0.5 * cmat([
+    [1, 1j, -1, 1j],
+    [-1j, 1, -1j, -1],
+    [1, -1j, -1, -1j],
+    [1j, 1, 1j, -1],
+]))
 
 
 @dataclass(frozen=True)
@@ -381,23 +378,20 @@ def xi_matrix(phi_p: float) -> np.ndarray:
     return cmat([[np.exp(1j * phi_p), 0], [0, np.exp(-1j * phi_p)]])
 
 
-def xi_w_parts() -> list[np.ndarray]:
-    """Momentum-independent parts of the four exchange maps.
-
-    Each map factors exactly as W_k . diag(Xi, Xi); the W's are
-    [1, i gamma^5, i gamma^0, gamma^5 gamma^0] and generate, with signs, the
-    order-8 group with central element -1 (squares +1, -1, -1, -1).
-    Composition statements about the quadruple are statements about the W
-    parts; the common Xi factor commutes with all four.
-    """
-    return [ID4.copy(), 1j * GAMMA5, 1j * GAMMA0, GAMMA5 @ GAMMA0]
+# Momentum-independent parts of the four exchange maps.  Each map factors
+# exactly as W_k . diag(Xi, Xi); the W's are [1, i gamma^5, i gamma^0,
+# gamma^5 gamma^0] and generate, with signs, the order-8 group with central
+# element -1 (squares +1, -1, -1, -1).  Composition statements about the
+# quadruple are statements about the W parts; the common Xi factor commutes
+# with all four.
+W_PARTS = frozen((ID4, 1j * GAMMA5, 1j * GAMMA0, GAMMA5 @ GAMMA0))
 
 
 def xi_quadruple(phi_p: float) -> list[np.ndarray]:
     z2 = np.zeros((2, 2))
     xi = xi_matrix(phi_p)
     g = np.block([[xi, z2], [z2, xi]])
-    return [w @ g for w in xi_w_parts()]
+    return [w @ g for w in W_PARTS]
 
 
 def xi_alias_residuals(
@@ -424,7 +418,7 @@ def xi_alias_residuals(
 def w_group_table():
     """Closure table of {+-W_k}: table[(j, k)] = (sign, index) with
     W_j W_k = sign * W_index.  Raises if a product escapes the set."""
-    ws = xi_w_parts()
+    ws = W_PARTS
     table = {}
     for j, wj in enumerate(ws):
         for k, wk in enumerate(ws):
@@ -495,14 +489,10 @@ _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS[_i, _j, _k] = 1.0
     _EPS[_j, _i, _k] = -1.0
+frozen(_EPS)
 
 
-def fgm_tensors():
-    """The two antisymmetric sigma^{mu nu} families as {(mu, nu): 2x2}.
-
-    sigma^{0i} = +i sigma^i on the right-handed side, tilde uses -i; the
-    space-space entries coincide: sigma^{ij} = eps_{ijk} sigma^k.
-    """
+def _sigma_tensors():
     sig, til = {}, {}
     for mu in range(4):
         sig[(mu, mu)] = np.zeros((2, 2), dtype=complex)
@@ -516,8 +506,14 @@ def fgm_tensors():
         for j in range(3):
             s = np.tensordot(_EPS[i, j], SIGMA, axes=(0, 0))
             sig[(i + 1, j + 1)] = s
-            til[(i + 1, j + 1)] = s.copy()
+            til[(i + 1, j + 1)] = s
     return sig, til
+
+
+# The two antisymmetric sigma^{mu nu} families as {(mu, nu): 2x2}.
+# sigma^{0i} = +i sigma^i on the right-handed side, tilde uses -i; the
+# space-space entries coincide: sigma^{ij} = eps_{ijk} sigma^k.
+FGM_SIGMA, FGM_TILDE = frozen(_sigma_tensors())
 
 
 def fgm_residuals(
@@ -536,11 +532,15 @@ def fgm_residuals(
     if fmunu is None:
         fmunu = np.zeros((4, 4))
     fmunu = np.asarray(fmunu, dtype=float)
-    if fmunu.shape != (4, 4) or max_abs(fmunu + fmunu.T) > 1e-12:
-        raise ValueError("field tensor must be 4x4 antisymmetric")
+    if fmunu.shape != (4, 4) or not np.all(np.isfinite(fmunu)):
+        raise ValueError("field tensor must be a finite 4x4 array")
+    if not max_abs(fmunu + fmunu.T) <= 1e-12:
+        raise ValueError("field tensor must be antisymmetric")
     x4 = np.zeros(4) if x is None else np.asarray(x, dtype=float)
-    if x4.shape != (4,):
-        raise ValueError("x must be a 4-vector")
+    if x4.shape != (4,) or not np.all(np.isfinite(x4)):
+        raise ValueError("x must be a finite 4-vector")
+    if not math.isfinite(g):
+        raise ValueError("coupling must be finite")
 
     a = -0.5 * fmunu @ x4
     p4 = np.concatenate([[p.energy], p.pvec])
@@ -549,9 +549,8 @@ def fgm_residuals(
     # metric (+,-,-,-) scalar; components are numbers so ordering drops out
     scal = pip[0] * pim[0] - np.dot(pip[1:], pim[1:])
 
-    sig, til = fgm_tensors()
-    fsig = sum(sig[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
-    ftil = sum(til[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
+    fsig = sum(FGM_SIGMA[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
+    ftil = sum(FGM_TILDE[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
 
     b = build_spinor_basis(p, conv)
     m2 = p.mass**2

@@ -11,6 +11,7 @@ be carried explicitly through compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +21,19 @@ TOL = 1e-12
 def cmat(rows) -> np.ndarray:
     """Complex matrix (or vector) from nested lists."""
     return np.array(rows, dtype=complex)
+
+
+def frozen(value):
+    """Read-only in place, so modules can share it: arrays lose their write
+    flag, tuples freeze member by member, a dict becomes a read-only mapping."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value
+    if isinstance(value, tuple):
+        return tuple(frozen(v) for v in value)
+    if isinstance(value, dict):
+        return MappingProxyType({k: frozen(v) for k, v in value.items()})
+    raise TypeError(f"cannot freeze a {type(value).__name__}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -149,7 +163,9 @@ def involution_eigenvectors(t: np.ndarray, sign: int):
     """
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
-    if max_abs(t @ t - np.eye(n)) > 1e-9:
+    if not np.all(np.isfinite(t)):
+        raise ValueError("matrix must be finite")
+    if not max_abs(t @ t - np.eye(n)) <= 1e-9:
         raise ValueError("matrix is not an involution")
     proj = 0.5 * (np.eye(n) + sign * t)
     u, s, _ = np.linalg.svd(proj)

@@ -18,29 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AntilinearOp, cmat, dagger, involution_eigenvectors, max_abs, realify
+from .linalg import AntilinearOp, cmat, dagger, frozen, involution_eigenvectors, max_abs, realify
 from .halfspin import THETA as THETA_HALF
 from .halfspin import FourMomentum
 
-ID3 = np.eye(3, dtype=complex)
-ID6 = np.eye(6, dtype=complex)
-Z3 = np.zeros((3, 3), dtype=complex)
+ID3, ID6, Z3 = frozen(
+    (np.eye(3, dtype=complex), np.eye(6, dtype=complex), np.zeros((3, 3), dtype=complex))
+)
 
 _RT2 = math.sqrt(2.0)
-J1 = cmat([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / _RT2
-J2 = cmat([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _RT2
-J3 = cmat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
-JVEC = [J1, J2, J3]
+J1 = frozen(cmat([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / _RT2)
+J2 = frozen(cmat([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _RT2)
+J3 = frozen(cmat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]))
+JVEC = (J1, J2, J3)
 
 HELICITIES = (+1, 0, -1)
 
-
-def wigner_theta() -> np.ndarray:
-    """The spin-1 analogue of Theta: theta J theta^{-1} = -conj(J)."""
-    return cmat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-
-
-THETA3 = wigner_theta()
+# the spin-1 analogue of Theta: Theta3 J Theta3^{-1} = -conj(J)
+THETA3 = frozen(cmat([[0, 0, 1], [0, -1, 0], [1, 0, 0]]))
 
 
 def _jdot(nhat) -> np.ndarray:
@@ -88,34 +83,37 @@ def weinberg_u(p: FourMomentum, h: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the covariant family
 
+# K_ij = {J_i, J_j} - delta_ij, the space-space blocks of both family forms
+_K = frozen(
+    {
+        (i, j): JVEC[i] @ JVEC[j] + JVEC[j] @ JVEC[i] - (1.0 if i == j else 0.0) * ID3
+        for i in range(3)
+        for j in range(3)
+    }
+)
 
-def bmw_chiral_gammas() -> dict:
-    """Symmetric family {(mu, nu): 6x6} in the chiral basis.
 
-    Pinned by gamma_{mu nu} p^mu p^nu u(p, h) = m^2 u(p, h); the space-space
-    blocks carry the anticommutator minus the Kronecker delta.
-    """
+def _chiral_gammas() -> dict:
     out = {(0, 0): np.block([[Z3, ID3], [ID3, Z3]])}
     for i in range(3):
         g = np.block([[Z3, JVEC[i]], [-JVEC[i], Z3]])
         out[(0, i + 1)] = g
         out[(i + 1, 0)] = g
-    for i in range(3):
-        for j in range(3):
-            k = JVEC[i] @ JVEC[j] + JVEC[j] @ JVEC[i] - (1.0 if i == j else 0.0) * ID3
-            out[(i + 1, j + 1)] = np.block([[Z3, k], [k, Z3]])
+    for (i, j), k in _K.items():
+        out[(i + 1, j + 1)] = np.block([[Z3, k], [k, Z3]])
     return out
 
 
-def gamma5_chiral() -> np.ndarray:
-    return np.block([[ID3, Z3], [Z3, -ID3]])
+# Symmetric family {(mu, nu): 6x6} in the chiral basis, pinned by
+# gamma_{mu nu} p^mu p^nu u(p, h) = m^2 u(p, h).
+CHIRAL_GAMMAS = frozen(_chiral_gammas())
+GAMMA5_CHIRAL = frozen(np.block([[ID3, Z3], [Z3, -ID3]]))
 
 
 def on_shell_residual(p: FourMomentum, h: int) -> float:
     """|| (gamma_{mu nu} p^mu p^nu - m^2) u(p, h) ||."""
-    gam = bmw_chiral_gammas()
     p4 = np.concatenate([[p.energy], p.pvec])
-    op = sum(gam[(mu, nu)] * p4[mu] * p4[nu] for mu in range(4) for nu in range(4))
+    op = sum(CHIRAL_GAMMAS[(mu, nu)] * p4[mu] * p4[nu] for mu in range(4) for nu in range(4))
     u = weinberg_u(p, h)
     return float(np.linalg.norm(op @ u - p.mass**2 * u))
 
@@ -136,47 +134,39 @@ def _frame_blocks(t: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [c, d]])
 
 
-def majorana_unitary() -> np.ndarray:
-    """The displayed 6x6 block unitary built from Theta3."""
-    return _frame_blocks(THETA3) / (2 * _RT2)
+# the displayed 6x6 block unitary built from Theta3
+MAJORANA_U = frozen(_frame_blocks(THETA3) / (2 * _RT2))
 
+# the companion displayed form, written out; equals MAJORANA_U.conj().T
+DISPLAYED_U_DAGGER = frozen(
+    np.block(
+        [
+            [(1 + 1j) * ID3 + (1 - 1j) * THETA3, (1 - 1j) * ID3 + (1 + 1j) * THETA3],
+            [-(1 + 1j) * ID3 + (1 - 1j) * THETA3, -(1 - 1j) * ID3 + (1 + 1j) * THETA3],
+        ]
+    )
+    / (2 * _RT2)
+)
 
-def displayed_unitary_dagger() -> np.ndarray:
-    """The companion displayed form; equals majorana_unitary().conj().T."""
-    t = THETA3
-    a = (1 + 1j) * ID3 + (1 - 1j) * t
-    b = (1 - 1j) * ID3 + (1 + 1j) * t
-    c = -(1 + 1j) * ID3 + (1 - 1j) * t
-    d = -(1 - 1j) * ID3 + (1 + 1j) * t
-    return np.block([[a, b], [c, d]]) / (2 * _RT2)
+# (1/sqrt2) [[1, 1], [1, -1]]: rotates the chiral split to the
+# parity-adapted one.  Real, symmetric, its own inverse.
+PARITY_MIXER = frozen(np.block([[ID3, ID3], [ID3, -ID3]]) / _RT2)
 
-
-def parity_mixer() -> np.ndarray:
-    """(1/sqrt2) [[1, 1], [1, -1]]: rotates the chiral split to the
-    parity-adapted one.  Real, symmetric, its own inverse."""
-    return np.block([[ID3, ID3], [ID3, -ID3]]) / _RT2
-
-
-def chiral_to_majorana() -> np.ndarray:
-    """Frame W = U . S mapping the chiral family to the real one.
-
-    The displayed U alone lands the family in a swapped/sign-flipped layout
-    (see plain_unitary_diagnostic); composing with the parity mixer S
-    reproduces every displayed real-frame matrix exactly, and W M W^T = 1
-    for the gamma5-twisted conjugation matrix M, which is what makes the
-    reality statements below frame-exact.
-    """
-    return majorana_unitary() @ parity_mixer()
+# Frame W = U . S mapping the chiral family to the real one.  The displayed
+# U alone lands the family in a swapped/sign-flipped layout (see
+# plain_unitary_diagnostic); composing with the parity mixer S reproduces
+# every displayed real-frame matrix exactly, and W M W^T = 1 for the
+# gamma5-twisted conjugation matrix M, which is what makes the reality
+# statements below frame-exact.
+CHIRAL_TO_MAJORANA = frozen(MAJORANA_U @ PARITY_MIXER)
 
 
 def to_majorana_rep(mat: np.ndarray) -> np.ndarray:
-    w = chiral_to_majorana()
+    w = CHIRAL_TO_MAJORANA
     return w @ np.asarray(mat, dtype=complex) @ dagger(w)
 
 
-def displayed_mr_forms() -> dict:
-    """The displayed real-frame family, keyed like bmw_chiral_gammas,
-    plus key 'five' for the (imaginary) chirality matrix."""
+def _mr_forms() -> dict:
     t = THETA3
     out = {
         (0, 0): np.block([[Z3, t], [t, Z3]]),
@@ -186,30 +176,29 @@ def displayed_mr_forms() -> dict:
     }
     for i in range(3):
         out[(i + 1, 0)] = out[(0, i + 1)]
-    for i in range(3):
-        for j in range(3):
-            k = JVEC[i] @ JVEC[j] + JVEC[j] @ JVEC[i] - (1.0 if i == j else 0.0) * ID3
-            dif = 1j * (np.conjugate(k) - k)
-            tot = np.conjugate(k) + k
-            out[(i + 1, j + 1)] = 0.5 * np.block(
-                [[dif @ t, tot @ t], [tot @ t, -dif @ t]]
-            )
+    for (i, j), k in _K.items():
+        dif = 1j * (np.conjugate(k) - k)
+        tot = np.conjugate(k) + k
+        out[(i + 1, j + 1)] = 0.5 * np.block([[dif @ t, tot @ t], [tot @ t, -dif @ t]])
     out["five"] = np.block([[Z3, 1j * ID3], [-1j * ID3, Z3]])
     return out
+
+
+# The displayed real-frame family, written out and keyed like
+# CHIRAL_GAMMAS, plus key 'five' for the (imaginary) chirality matrix.
+MR_FORMS = frozen(_mr_forms())
 
 
 def majorana_family_report(tol: float = 1e-12) -> dict:
     """Transforms the chiral family with W and compares to the displayed
     forms; also reports the worst imaginary part over the ten (mu, nu)
     images (the chirality image is imaginary by design and excluded)."""
-    gam = bmw_chiral_gammas()
-    want = displayed_mr_forms()
-    imgs = {key: to_majorana_rep(g) for key, g in gam.items()}
-    resid = max_abs([img - want[key] for key, img in imgs.items()])
+    imgs = {key: to_majorana_rep(g) for key, g in CHIRAL_GAMMAS.items()}
+    resid = max_abs([img - MR_FORMS[key] for key, img in imgs.items()])
     imag = max_abs([np.imag(img) for img in imgs.values()])
-    five = to_majorana_rep(gamma5_chiral())
-    resid5 = max_abs(five - want["five"])
-    u = majorana_unitary()
+    five = to_majorana_rep(GAMMA5_CHIRAL)
+    resid5 = max_abs(five - MR_FORMS["five"])
+    u = MAJORANA_U
     return {
         "unitarity": max_abs(u @ dagger(u) - ID6),
         "family_residual": resid,
@@ -224,18 +213,18 @@ def plain_unitary_diagnostic() -> dict:
 
     The time-time and chirality images land on each other's displayed
     targets and the time-space images pick up a sign; reported so the
-    convention choice behind chiral_to_majorana is visible, not buried.
+    convention choice behind CHIRAL_TO_MAJORANA is visible, not buried.
     """
-    u = majorana_unitary()
-    gam = bmw_chiral_gammas()
-    want = displayed_mr_forms()
+    u = MAJORANA_U
+    gam = CHIRAL_GAMMAS
+    want = MR_FORMS
 
     def img(m):
         return u @ m @ dagger(u)
 
     return {
         "g00_lands_on_displayed_five": max_abs(img(gam[(0, 0)]) - want["five"]),
-        "five_lands_on_displayed_g00": max_abs(img(gamma5_chiral()) - want[(0, 0)]),
+        "five_lands_on_displayed_g00": max_abs(img(GAMMA5_CHIRAL) - want[(0, 0)]),
         "g0i_sign_flip": max_abs([img(gam[(0, i)]) + want[(0, i)] for i in (1, 2, 3)]),
         "worst_imag_part": max_abs([np.imag(img(g)) for g in gam.values()]),
     }
@@ -305,7 +294,7 @@ def transverse_reality_report(p: FourMomentum) -> dict:
 def chirality_flip_residual(p: FourMomentum, h: int) -> float:
     """|| v - gamma5_MR u || (holds for every momentum and phase)."""
     s = mr_spinor(p, h)
-    g5 = displayed_mr_forms()["five"]
+    g5 = MR_FORMS["five"]
     return float(np.linalg.norm(s.v - g5 @ s.u))
 
 
@@ -313,15 +302,12 @@ def chirality_flip_residual(p: FourMomentum, h: int) -> float:
 # conjugation structure
 
 
-def spin1_charge_conjugation() -> AntilinearOp:
-    """[[0, Theta3], [-Theta3, 0]] K; squares to -1, so no spin-1 spinor is
-    self conjugate under it."""
-    return AntilinearOp(np.block([[Z3, THETA3], [-THETA3, Z3]]), conjugates=True)
+# [[0, Theta3], [-Theta3, 0]] K; squares to -1, so no spin-1 spinor is
+# self conjugate under it
+CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])), conjugates=True)
 
-
-def gamma5_twisted_conjugation() -> AntilinearOp:
-    """gamma^5 . S^c; squares to +1 and has honest eigenspinors."""
-    return AntilinearOp(gamma5_chiral() @ spin1_charge_conjugation().matrix, conjugates=True)
+# gamma^5 . S^c; squares to +1 and has honest eigenspinors
+TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix), conjugates=True)
 
 
 def lambda_like(p: FourMomentum, h: int, sign: int) -> np.ndarray:
@@ -342,8 +328,8 @@ def selfconjugacy_analysis() -> dict:
     eigenvector exists.  The twisted conjugation squares to +1 and its
     realification is an involution whose two eigenspaces split 6 + 6.
     """
-    c = spin1_charge_conjugation()
-    tw = gamma5_twisted_conjugation()
+    c = CONJUGATION
+    tw = TWISTED_CONJUGATION
     r = realify(c)
     margins = [
         float(np.min(np.linalg.svd(r - s * np.eye(12), compute_uv=False)))
@@ -371,11 +357,10 @@ def selfconjugacy_analysis() -> dict:
 # reality of the spinors themselves
 
 
-def half_majorana_frame() -> np.ndarray:
-    """4x4 analogue of the real frame, same block pattern with the 2x2
-    Theta and a global exp(-i pi/4); satisfies V C V^T = 1 for the spin-1/2
-    conjugation matrix, turning S^c into plain complex conjugation."""
-    return np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2)
+# 4x4 analogue of the real frame, same block pattern with the 2x2 Theta and
+# a global exp(-i pi/4); satisfies V C V^T = 1 for the spin-1/2 conjugation
+# matrix, turning S^c into plain complex conjugation
+HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2))
 
 
 def reality_classes(vectors: dict, frame: np.ndarray) -> dict:

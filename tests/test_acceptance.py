@@ -191,7 +191,7 @@ def test_criterion_07_gauge_xi_group():
 
 def test_criterion_08_majorana_representation():
     rep = spin1.majorana_family_report()
-    g00 = spin1.to_majorana_rep(spin1.bmw_chiral_gammas()[(0, 0)])
+    g00 = spin1.to_majorana_rep(spin1.CHIRAL_GAMMAS[(0, 0)])
     t = spin1.THETA3
     g00_res = linalg.max_abs(g00 - np.block([[spin1.Z3, t], [t, spin1.Z3]]))
     ok = (
@@ -210,7 +210,7 @@ def test_criterion_08_majorana_representation():
 
 
 def test_criterion_09_real_frame_spinor_identities():
-    g5 = spin1.displayed_mr_forms()["five"]
+    g5 = spin1.MR_FORMS["five"]
     worst20 = 0.0
     worst_id = 0.0
     min_vlng = math.inf

@@ -53,6 +53,9 @@ def test_usage_errors_exit_2(capsys):
         ["run", "--mass", "1e200"],
         ["tabulate", "--momentum", "1e300,0,0"],
         ["tabulate", "--mass", "1e300"],
+        # a report path that cannot be written
+        ["run", "--out", "."],
+        ["tabulate", "--out", "."],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line

@@ -139,6 +139,9 @@ def test_quaternion_phase_algebra():
         QuaternionPhase(1.0, (1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         QuaternionPhase(1.0, (0.0, 0.0))
+    for c0, c in ((np.nan, (0, 0, 0)), (1.0, (np.nan, 0, 0))):
+        with pytest.raises(ValueError):
+            QuaternionPhase(c0, c)
     qi = QuaternionPhase(0.0, (1.0, 0.0, 0.0))
     qj = QuaternionPhase(0.0, (0.0, 1.0, 0.0))
     qk = qi.multiply(qj)
@@ -147,7 +150,7 @@ def test_quaternion_phase_algebra():
 
 
 def test_matrix_units_realize_the_algebra():
-    qi, qj, qk = fieldops.quaternion_units()
+    qi, qj, qk = fieldops.QUATERNION_UNITS
     for q in (qi, qj, qk):
         assert np.allclose(q @ q, -np.eye(4))
     assert np.allclose(qi @ qj, qk)

@@ -194,3 +194,5 @@ def test_nonunit_phase_rejected():
     two_in_a_column[1, 0] = 1.0
     with pytest.raises(ValueError):
         fock.SymmetryOp("bad", two_in_a_column, reflects=False)
+    with pytest.raises(ValueError):
+        fock.SymmetryOp("bad", np.diag([np.nan, 1.0, 1.0, 1.0]), reflects=False)

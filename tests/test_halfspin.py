@@ -254,7 +254,7 @@ def test_massless_scan_rejects_bad_input():
 
 
 def test_fgm_tensor_forms():
-    sig, til = halfspin.fgm_tensors()
+    sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
     for i in range(3):
         assert np.array_equal(sig[(0, i + 1)], 1j * halfspin.SIGMA[i])
         assert np.array_equal(til[(0, i + 1)], -1j * halfspin.SIGMA[i])
@@ -278,8 +278,19 @@ def test_fgm_residuals_coupled_and_errors():
         halfspin.fgm_residuals(P_Z, fmunu=np.ones((4, 4)))
     with pytest.raises(ValueError):
         halfspin.fgm_residuals(P_Z, fmunu=f, x=[1.0, 0.0])
+    # NaN compares false against any bound, so each input is checked finite
+    f_nan = f.copy()
+    f_nan[2, 3] = f_nan[3, 2] = np.nan
+    with pytest.raises(ValueError):
+        halfspin.fgm_residuals(P_Z, fmunu=f_nan)
+    with pytest.raises(ValueError):
+        halfspin.fgm_residuals(P_Z, fmunu=f, x=[np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        halfspin.fgm_residuals(P_Z, g=np.nan, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
 
 
 def test_discrete_ops_validation():
     with pytest.raises(ValueError):
         halfspin.discrete_ops([0.0, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        halfspin.discrete_ops([np.nan, 0.0, 1.0])

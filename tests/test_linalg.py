@@ -1,9 +1,11 @@
 """Antilinear-operator plumbing and the small numeric helpers."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
-from selfconj import linalg
+from selfconj import fieldops, halfspin, linalg, spin1
 
 
 def test_approx_eq_basics():
@@ -91,3 +93,49 @@ def test_involution_eigenvectors_split_and_determinism():
     assert np.allclose(t @ minus, -minus)
     again = linalg.involution_eigenvectors(t, +1)
     assert np.array_equal(plus, again)
+    # a non-finite matrix is refused before any SVD runs
+    with pytest.raises(ValueError, match="finite"):
+        linalg.involution_eigenvectors(np.diag([np.nan, 1.0, -1.0, -1.0]), +1)
+
+
+def _held_arrays(value):
+    """Arrays a module-level value holds, through tuples, read-only
+    mappings and operators; a list or a dict of arrays would let a caller
+    swap a member, so it is refused outright."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, linalg.AntilinearOp):
+        yield value.matrix
+    elif isinstance(value, (list, dict)):
+        members = value.values() if isinstance(value, dict) else value
+        assert not any(isinstance(v, np.ndarray) for v in members), "a mutable family"
+    elif isinstance(value, (tuple, Mapping)):
+        for v in value.values() if isinstance(value, Mapping) else value:
+            yield from _held_arrays(v)
+
+
+def test_shared_matrices_are_read_only():
+    with pytest.raises(ValueError):
+        spin1.CHIRAL_GAMMAS[(0, 0)][0, 0] = 1
+    with pytest.raises(ValueError):
+        halfspin.GAMMA0 *= 2
+    with pytest.raises(ValueError):
+        fieldops.QUATERNION_UNITS[0][0, 0] = 0
+    with pytest.raises(TypeError):
+        spin1.MR_FORMS["five"] = np.eye(6)
+    assert np.array_equal(halfspin.GAMMA0[0], [0, 0, 1, 0])
+    for module in (linalg, halfspin, spin1, fieldops):
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            for a in _held_arrays(value):
+                assert not a.flags.writeable, f"{module.__name__}.{name}"
+
+
+def test_frozen_keeps_values_and_refuses_other_types():
+    a = np.arange(3.0)
+    fam = linalg.frozen({"a": a, "pair": (np.eye(2), np.zeros(2))})
+    assert fam["a"] is a and not a.flags.writeable
+    assert not fam["pair"][1].flags.writeable
+    with pytest.raises(TypeError):
+        linalg.frozen([np.eye(2)])

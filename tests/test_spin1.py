@@ -57,7 +57,7 @@ def test_boosts_invert_each_other():
 
 
 def test_covariant_family_layout():
-    gam = spin1.bmw_chiral_gammas()
+    gam = spin1.CHIRAL_GAMMAS
     z3, i3 = spin1.Z3, np.eye(3)
     assert np.array_equal(gam[(0, 0)], np.block([[z3, i3], [i3, z3]]))
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 1)):
@@ -76,10 +76,10 @@ def test_on_shell_contraction():
 
 
 def test_unitary_and_displayed_dagger():
-    u = spin1.majorana_unitary()
+    u = spin1.MAJORANA_U
     assert np.allclose(u @ np.conjugate(u.T), np.eye(6), atol=1e-15)
     assert np.allclose(
-        spin1.displayed_unitary_dagger(), np.conjugate(u.T), atol=1e-15
+        spin1.DISPLAYED_U_DAGGER, np.conjugate(u.T), atol=1e-15
     )
 
 
@@ -90,7 +90,7 @@ def test_family_lands_on_displayed_forms():
     assert rep["family_residual"] < 1e-14
     assert rep["family_imag_part"] < 1e-14
     assert rep["five_residual"] < 1e-15
-    five = spin1.displayed_mr_forms()["five"]
+    five = spin1.MR_FORMS["five"]
     assert np.array_equal(
         five, np.block([[spin1.Z3, 1j * np.eye(3)], [-1j * np.eye(3), spin1.Z3]])
     )
@@ -118,12 +118,12 @@ def test_mr_spinor_rest_oracle():
 
 
 def test_mr_spinor_is_frame_image():
-    w = spin1.chiral_to_majorana()
+    w = spin1.CHIRAL_TO_MAJORANA
     for p in GRID:
         for h in spin1.HELICITIES:
             s = spin1.mr_spinor(p, h)
             assert np.linalg.norm(s.u - w @ spin1.weinberg_u(p, h)) < 1e-13
-            v = spin1.gamma5_chiral() @ spin1.weinberg_u(p, h)
+            v = spin1.GAMMA5_CHIRAL @ spin1.weinberg_u(p, h)
             assert np.linalg.norm(s.v - w @ v) < 1e-13
 
 
@@ -152,12 +152,12 @@ def test_chirality_flip_everywhere():
 
 
 def test_conjugation_squares():
-    assert spin1.spin1_charge_conjugation().square_sign() == -1
-    assert spin1.gamma5_twisted_conjugation().square_sign() == +1
+    assert spin1.CONJUGATION.square_sign() == -1
+    assert spin1.TWISTED_CONJUGATION.square_sign() == +1
 
 
 def test_lambda_like_eigenvectors():
-    tw = spin1.gamma5_twisted_conjugation()
+    tw = spin1.TWISTED_CONJUGATION
     for p in GRID:
         for h in spin1.HELICITIES:
             for sign in (+1, -1):
@@ -177,10 +177,10 @@ def test_selfconjugacy_dichotomy():
 
 
 def test_frames_trivialize_the_conjugations():
-    w = spin1.chiral_to_majorana()
-    m_tw = spin1.gamma5_twisted_conjugation().matrix
+    w = spin1.CHIRAL_TO_MAJORANA
+    m_tw = spin1.TWISTED_CONJUGATION.matrix
     assert np.allclose(w @ m_tw @ w.T, np.eye(6), atol=1e-14)
-    v = spin1.half_majorana_frame()
+    v = spin1.HALF_MAJORANA_FRAME
     c_half = halfspin.charge_conjugation_op().matrix
     assert np.allclose(v @ c_half @ v.T, np.eye(4), atol=1e-14)
     assert np.allclose(v @ np.conjugate(v.T), np.eye(4), atol=1e-14)
@@ -188,7 +188,7 @@ def test_frames_trivialize_the_conjugations():
 
 def test_reality_classes_both_spins():
     p = FourMomentum(1.0, 1.5, 1.1, 0.7)
-    v = spin1.half_majorana_frame()
+    v = spin1.HALF_MAJORANA_FRAME
     b = halfspin.build_spinor_basis(p)
     classes = spin1.reality_classes(
         {name: vec for name, vec, _ in b.charge_family()}, v
@@ -196,7 +196,7 @@ def test_reality_classes_both_spins():
     for name, (cls, minority) in classes.items():
         assert cls == ("real" if "_s_" in name else "imaginary"), name
         assert minority < 1e-12
-    w = spin1.chiral_to_majorana()
+    w = spin1.CHIRAL_TO_MAJORANA
     classes1 = spin1.reality_classes(
         {
             f"{sign:+d}_{h}": spin1.lambda_like(p, h, sign)
