@@ -21,23 +21,24 @@ grid = [
 
 print("dynamical residuals (max over helicity):")
 for p in grid:
-    r = halfspin.dynamical_residuals(p)
+    r = halfspin.dynamical_residuals(halfspin.build_spinor_basis(p))
     print(f"  |p|={p.pmag:3.1f} theta={p.theta:4.2f}: " +
           "  ".join(f"{k}={v:.2e}" for k, v in r.items()))
 
 p = grid[3]
-flip = halfspin.dynamical_residuals(p, flip_third_sign=True)["r3"]
+b = halfspin.build_spinor_basis(p)
+flip = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
 print(f"\nself-test, wrong third sign at |p|={p.pmag}: residual {flip:.6f} "
       "(the checks can fail)")
 
 print("\nconnection matrix (maps the u/v stack to the lambda stack):")
 print(halfspin.CONNECTION)
-rep = halfspin.connection_check(p)
+rep = halfspin.connection_check(b)
 print(f"raw residual {rep.raw_residual:.2e}, phases {rep.phases}")
 
 print("\nGram matrix at rest (m=1), default phases:")
-print(halfspin.biorthonormality_gram(FourMomentum(1.0, 0.0)))
+print(halfspin.biorthonormality_gram(halfspin.build_spinor_basis(FourMomentum(1.0, 0.0))))
 print("\nsame, theta1+theta2 = pi/2 (the in-family products vanish and the "
       "S-to-A block turns on):")
-print(halfspin.biorthonormality_gram(
-    FourMomentum(1.0, 0.0), PhaseConvention(np.pi / 4, np.pi / 4)))
+print(halfspin.biorthonormality_gram(halfspin.build_spinor_basis(
+    FourMomentum(1.0, 0.0), PhaseConvention(np.pi / 4, np.pi / 4))))

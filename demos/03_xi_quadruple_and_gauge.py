@@ -26,7 +26,7 @@ for alpha in (0.3, 1.2):
     print(f"  alpha={alpha}: worst residual {worst:.2e}")
 
 print("\nexchange-map aliases at default phases:")
-for k, v in halfspin.xi_alias_residuals(p).items():
+for k, v in halfspin.xi_alias_residuals(b).items():
     print(f"  {k}: {v:.2e}")
 
 print("\nclosure table of the momentum-independent parts "

@@ -392,15 +392,11 @@ def _chiral_helicity(cfg: SuiteConfig):
 
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
 def _dynamical_residuals(cfg: SuiteConfig):
-    conv = cfg.convention
-    momenta = cfg.momenta()
-    res = []
-    for p in momenta:
-        res.extend(halfspin.dynamical_residuals(p, conv).values())
-    p0 = momenta[0]
-    flipped = halfspin.dynamical_residuals(p0, conv, flip_third_sign=True)["r3"]
-    b = halfspin.build_spinor_basis(p0, conv)
-    expected = 2 * p0.mass * float(np.linalg.norm(b.rho_s[UP]))
+    bases = [halfspin.build_spinor_basis(p, cfg.convention) for p in cfg.momenta()]
+    res = [r for b in bases for r in halfspin.dynamical_residuals(b).values()]
+    b = bases[0]
+    flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
+    expected = 2 * b.momentum.mass * float(np.linalg.norm(b.rho_s[UP]))
     return Evaluation(
         res,
         {
@@ -416,7 +412,9 @@ def _dirac_connection(cfg: SuiteConfig):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
     conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    reps = [halfspin.connection_check(p, conv) for p in cfg.momenta()]
+    reps = [
+        halfspin.connection_check(halfspin.build_spinor_basis(p, conv)) for p in cfg.momenta()
+    ]
     phases0 = reps[0].phases
     drift = [linalg.max_abs(rep.phases - phases0) for rep in reps]
     return Evaluation(
@@ -455,7 +453,7 @@ def _biorthonormality_structure(cfg: SuiteConfig):
     cross_track = {}
     for t1, t2 in _GRAM_PAIRS:
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(p, conv)
+        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))
         mag = 2 * n2 * abs(math.cos(t1 + t2))
         # the two families decouple exactly when the phase sum is 0 or pi;
         # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
@@ -487,7 +485,7 @@ def _biorthonormality_sign(cfg: SuiteConfig):
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     for t1, t2 in ((0.0, 0.0), (0.3, 0.4)):
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(p, conv)
+        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))
         measured = g[0, 1]
         displayed = 2j * n2 * math.cos(t1 + t2)
         vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(measured, 12))
@@ -525,10 +523,11 @@ def _gauge_orbit(cfg: SuiteConfig):
 def _exchange_quadruple(cfg: SuiteConfig):
     # the displayed aliases hold at unit rest phases
     conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    momenta = cfg.momenta()
+    bases = [halfspin.build_spinor_basis(p, conv) for p in cfg.momenta()]
     res = []
-    for p in momenta:
-        res.extend(halfspin.xi_alias_residuals(p, conv).values())
+    for b in bases:
+        p = b.momentum
+        res.extend(halfspin.xi_alias_residuals(b).values())
         # exact factorization V_k = W_k . diag(Xi, Xi)
         z2 = np.zeros((2, 2))
         xi = halfspin.xi_matrix(p.phi)
@@ -540,9 +539,8 @@ def _exchange_quadruple(cfg: SuiteConfig):
     # every exchange image is again an eigenvector with a definite sign
     c = halfspin.charge_conjugation_op(conv)
     sign_map = {}
-    for p in momenta[:4]:
-        b = halfspin.build_spinor_basis(p, conv)
-        for k, v in enumerate(halfspin.xi_quadruple(p.phi)):
+    for b in bases[:4]:
+        for k, v in enumerate(halfspin.xi_quadruple(b.momentum.phi)):
             for name, psi, sign in b.charge_family():
                 if not name.startswith("lam"):
                     continue
@@ -597,15 +595,13 @@ def _second_order(cfg: SuiteConfig):
         res.append(linalg.max_abs(til[(0, i + 1)] + 1j * halfspin.SIGMA[i]))
     res.append(linalg.max_abs(sig[(1, 2)] - halfspin.SIGMA[2]))
     res.append(linalg.max_abs(til[(1, 2)] - halfspin.SIGMA[2]))
-    momenta = cfg.momenta()
-    for p in momenta:
-        r = halfspin.fgm_residuals(p, conv=cfg.convention)
+    bases = [halfspin.build_spinor_basis(p, cfg.convention) for p in cfg.momenta()]
+    for b in bases:
+        r = halfspin.fgm_residuals(b)
         res += [r["right"], r["left"]]
     f = np.zeros((4, 4))
     f[0, 1], f[1, 0] = 1.0, -1.0
-    sample = halfspin.fgm_residuals(
-        momenta[0], g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0], conv=cfg.convention
-    )
+    sample = halfspin.fgm_residuals(bases[0], g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
     return Evaluation(res, {"coupled_sample": sample})
 
 
@@ -667,7 +663,7 @@ def _plain_unitary(cfg: SuiteConfig):
             note=(
                 "the bare unitary swaps the time-time and chirality targets "
                 "and flips the time-space sign; composing with the parity "
-                "mixer (see chiral_to_majorana) restores every displayed form"
+                "mixer (see CHIRAL_TO_MAJORANA) restores every displayed form"
             ),
         ),
     )
@@ -899,9 +895,8 @@ def _operator_state(cfg: SuiteConfig):
 @_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
 def _mode_structure(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
-    p = cfg.momenta()[0]
-    nu = fieldops.majorana_mode(p, conv)
-    b = halfspin.build_spinor_basis(p, conv)
+    b = halfspin.build_spinor_basis(cfg.momenta()[0], conv)
+    nu = fieldops.majorana_mode(b)
     res = []
     for h, tag in ((UP, "up"), (DN, "dn")):
         ann = fock.LadderSymbol("a", tag, False, 1)
@@ -912,7 +907,7 @@ def _mode_structure(cfg: SuiteConfig):
         fieldops.charge_conjugate_expansion(nu, conv), conv
     )
     res.append(twice.residual(nu))
-    distinct = fieldops.majorana_mode(p, conv, distinct_antiparticle=True)
+    distinct = fieldops.majorana_mode(b, distinct_antiparticle=True)
     return Evaluation(
         res,
         {"terms": len(nu.terms), "distinct_labels_available": True},
@@ -930,9 +925,10 @@ def _ziino_split(cfg: SuiteConfig):
     momenta = cfg.momenta()
     res = []
     for p in momenta:
-        res.append(fieldops.ziino_split_residual(p, conv))
-        even, odd = fieldops.ziino_barut_split(p, conv)
-        res.append(even.add(odd).residual(fieldops.majorana_mode(p, conv)))
+        b = halfspin.build_spinor_basis(p, conv)
+        res.append(fieldops.ziino_split_residual(b))
+        even, odd = fieldops.ziino_barut_split(b)
+        res.append(even.add(odd).residual(fieldops.majorana_mode(b)))
     return Evaluation(res, {"momenta": len(momenta)})
 
 
@@ -941,7 +937,7 @@ def _conjugation_parity(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
     res = []
     for p in cfg.momenta()[:8]:
-        r = fieldops.conjugation_parity_residuals(p, conv)
+        r = fieldops.conjugation_parity_residuals(halfspin.build_spinor_basis(p, conv))
         res += [r["even"], r["odd"]]
     return Evaluation(res)
 
@@ -950,10 +946,10 @@ def _conjugation_parity(cfg: SuiteConfig):
 def _dirac_embedding(cfg: SuiteConfig):
     conv = _pinned_conv(cfg)
     momenta = cfg.momenta()
-    reps = [fieldops.dirac_from_majorana(p, conv) for p in momenta]
+    reps = [fieldops.dirac_from_majorana(halfspin.build_spinor_basis(p, conv)) for p in momenta]
     res = [r[k] for r in reps for k in ("partner_residual", "eigenspace_residual")]
     generic = fieldops.dirac_from_majorana(
-        momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm)
+        halfspin.build_spinor_basis(momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
     )
     return Evaluation(
         res,
@@ -995,10 +991,10 @@ def _quaternion_orbit(cfg: SuiteConfig):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         qs.append(fieldops.QuaternionPhase(v[0], tuple(v[1:])))
-    momenta = cfg.momenta()[:4]
+    bases = [halfspin.build_spinor_basis(p, conv) for p in cfg.momenta()[:4]]
     for q in qs:
-        for p in momenta:
-            res.append(fieldops.orbit_preserves_conjugation(q, p, conv))
+        for b in bases:
+            res.append(fieldops.orbit_preserves_conjugation(q, b))
     for a in qs[:5]:
         for b in qs[5:]:
             res.append(fieldops.orbit_group_law(a, b))

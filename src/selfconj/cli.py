@@ -11,6 +11,7 @@ environment, so identical invocations give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -150,19 +151,9 @@ def _tabulate(args) -> str:
     return _rows_to_table(head, rows)
 
 
-def _emit(text: str, out: str | None, code: int) -> int:
-    """Write the report and return `code`; an unwritable --out is a usage
-    error (exit 2)."""
-    if out is None:
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"selfconj: cannot write the report: {exc}", file=sys.stderr)
-        return 2
-    return code
+def _cannot_write(exc: OSError) -> int:
+    print(f"selfconj: cannot write the report: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -192,13 +183,28 @@ def main(argv=None) -> int:
         print(f"selfconj: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "tabulate":
-        return _emit(report, args.out, 0)
-
-    results = checks.run_checks(cfg)
-    render = checks.render_json if args.format == "json" else checks.render_text
-    failed = any(r.status == "fail" for r in results)
-    return _emit(render(cfg, results), args.out, 1 if failed else 0)
+    with contextlib.ExitStack() as stack:
+        # an unwritable --out is a usage error found before any check runs;
+        # opening only after validation leaves the file alone on other errors
+        try:
+            fh = None if args.out is None else stack.enter_context(open(args.out, "w"))
+        except OSError as exc:
+            return _cannot_write(exc)
+        code = 0
+        if args.command == "run":
+            results = checks.run_checks(cfg)
+            render = checks.render_json if args.format == "json" else checks.render_text
+            report = render(cfg, results)
+            code = 1 if any(r.status == "fail" for r in results) else 0
+        if fh is None:
+            sys.stdout.write(report)
+            return code
+        try:
+            fh.write(report)
+            fh.flush()
+        except OSError as exc:
+            return _cannot_write(exc)
+    return code
 
 
 if __name__ == "__main__":

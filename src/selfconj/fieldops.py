@@ -29,6 +29,7 @@ from .halfspin import (
     UP,
     FourMomentum,
     PhaseConvention,
+    SpinorBasis,
     build_spinor_basis,
     charge_conjugation_op,
     slash,
@@ -98,11 +99,7 @@ class ModeExpansion:
         return max_abs(gaps)
 
 
-def majorana_mode(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-    distinct_antiparticle: bool = False,
-) -> ModeExpansion:
+def majorana_mode(b: SpinorBasis, distinct_antiparticle: bool = False) -> ModeExpansion:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
     positive frequency, lambda^A the creators at negative frequency; every
     ladder symbol carries momentum tag 1.
@@ -110,7 +107,6 @@ def majorana_mode(
     distinct_antiparticle keeps 'b' labels on the creator terms (the
     Dirac-ready bookkeeping); the default identifies them with 'a'.
     """
-    b = build_spinor_basis(p, conv)
     kind = "b" if distinct_antiparticle else "a"
     terms = []
     for h in (UP, DN):
@@ -138,13 +134,10 @@ def charge_conjugate_expansion(
     return ModeExpansion(out)
 
 
-def ziino_barut_split(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> tuple[ModeExpansion, ModeExpansion]:
+def ziino_barut_split(b: SpinorBasis) -> tuple[ModeExpansion, ModeExpansion]:
     """(even, odd) halves of the mode under the field-level conjugation."""
-    nu = majorana_mode(p, conv)
-    cnu = charge_conjugate_expansion(nu, conv)
+    nu = majorana_mode(b)
+    cnu = charge_conjugate_expansion(nu, b.convention)
     even = nu.add(cnu).scale(0.5)
     odd = nu.add(cnu.scale(-1.0)).scale(0.5)
     return even, odd
@@ -155,7 +148,8 @@ def displayed_ziino_coefficients(
 ) -> dict:
     """The split coefficients in closed form: the even half puts
     (i Theta conj(phi_L); 0) on the annihilators and (0; phi_L) on the
-    creators; the odd half swaps the pattern with a sign."""
+    creators; the odd half swaps the pattern with a sign.  It builds its own
+    family from (p, conv), so it stays independent of any basis under test."""
     b = build_spinor_basis(p, conv)
     out = {}
     for h in (UP, DN):
@@ -168,13 +162,11 @@ def displayed_ziino_coefficients(
     return out
 
 
-def ziino_split_residual(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
-) -> float:
+def ziino_split_residual(b: SpinorBasis) -> float:
     """Entrywise distance of the computed halves from the displayed
     coefficients, maximized over helicity and term."""
-    even, odd = ziino_barut_split(p, conv)
-    want = displayed_ziino_coefficients(p, conv)
+    even, odd = ziino_barut_split(b)
+    want = displayed_ziino_coefficients(b.momentum, b.convention)
     gaps = []
     for h in (UP, DN):
         tag = _HTAG[h]
@@ -187,15 +179,13 @@ def ziino_split_residual(
     return max_abs(gaps)
 
 
-def conjugation_parity_residuals(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
-) -> dict:
+def conjugation_parity_residuals(b: SpinorBasis) -> dict:
     """The halves are conjugation eigen-expansions: C even = +even,
     C odd = -odd."""
-    even, odd = ziino_barut_split(p, conv)
+    even, odd = ziino_barut_split(b)
     return {
-        "even": charge_conjugate_expansion(even, conv).residual(even),
-        "odd": charge_conjugate_expansion(odd, conv).residual(odd.scale(-1.0)),
+        "even": charge_conjugate_expansion(even, b.convention).residual(even),
+        "odd": charge_conjugate_expansion(odd, b.convention).residual(odd.scale(-1.0)),
     }
 
 
@@ -203,9 +193,7 @@ def conjugation_parity_residuals(
 # Dirac embedding
 
 
-def dirac_from_majorana(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
-) -> dict:
+def dirac_from_majorana(b: SpinorBasis) -> dict:
     """(1 +- slash/m) images of the mode coefficients.
 
     The positive-frequency images are lambda^S + rho^A (the +m eigenspace),
@@ -214,7 +202,7 @@ def dirac_from_majorana(
     theta1 + theta2 in {0, pi} they are exactly collinear, so the rank-2
     statement needs generic phases; the report carries the singular values.
     """
-    b = build_spinor_basis(p, conv)
+    p, conv = b.momentum, b.convention
     sl, m = slash(p), p.mass
     plus = ID4 + sl / m
     minus = ID4 - sl / m
@@ -277,19 +265,14 @@ def orbit_matrix(q: QuaternionPhase) -> np.ndarray:
     return q.c0 * ID4 + q.c[0] * qi + q.c[1] * qj + q.c[2] * qk
 
 
-def orbit_preserves_conjugation(
-    q: QuaternionPhase,
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> float:
+def orbit_preserves_conjugation(q: QuaternionPhase, b: SpinorBasis) -> float:
     """Worst |S^c(M psi) - s (M psi)| over the eight family members.
 
     The units intertwine with the conjugation (real coefficients), so the
     +-1 status survives the whole orbit exactly.
     """
     m = orbit_matrix(q)
-    c = charge_conjugation_op(conv)
-    b = build_spinor_basis(p, conv)
+    c = charge_conjugation_op(b.convention)
     gaps = []
     for _, psi, sign in b.charge_family():
         img = m @ psi

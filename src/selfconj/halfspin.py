@@ -34,6 +34,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,8 +136,9 @@ class PhaseConvention:
     def __post_init__(self):
         if not all(math.isfinite(t) for t in (self.theta1, self.theta2, self.thetac)):
             raise ValueError("phases must be finite")
-        if self.norm is not None and not (math.isfinite(self.norm) and self.norm != 0):
-            raise ValueError("norm must be finite and nonzero")
+        # N**2 scales every bilinear; it must be a finite normal float
+        if self.norm is not None and not sys.float_info.min <= self.norm * self.norm < math.inf:
+            raise ValueError("norm must have a square that is a finite normal float")
 
     def rest_scale(self, mass: float) -> float:
         return math.sqrt(mass) if self.norm is None else self.norm
@@ -295,18 +297,14 @@ def slash(p: FourMomentum) -> np.ndarray:
     return out
 
 
-def dynamical_residuals(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-    flip_third_sign: bool = False,
-) -> dict:
+def dynamical_residuals(b: SpinorBasis, flip_third_sign: bool = False) -> dict:
     """Max-over-helicity residuals of the four first-order relations.
 
     flip_third_sign deliberately tests slash(p) lambda^A + m rho^S instead;
     that residual is 2m-sized and serves as the suite's self-test that the
     checks can fail.
     """
-    b = build_spinor_basis(p, conv)
+    p = b.momentum
     sl, m = slash(p), p.mass
     s3 = +1.0 if flip_third_sign else -1.0
     pairs = {
@@ -341,11 +339,7 @@ class ConnectionReport:
     phases: np.ndarray  # per-row unit phases that minimize the residual
 
 
-def connection_check(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> ConnectionReport:
-    b = build_spinor_basis(p, conv)
+def connection_check(b: SpinorBasis) -> ConnectionReport:
     got = CONNECTION @ b.uv_stack()
     want = b.lambda_stack()
     raw = max_abs(got - want)
@@ -394,17 +388,13 @@ def xi_quadruple(phi_p: float) -> list[np.ndarray]:
     return [w @ g for w in W_PARTS]
 
 
-def xi_alias_residuals(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> dict:
+def xi_alias_residuals(b: SpinorBasis) -> dict:
     """How far each exchange image sits from its advertised alias.
 
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
     """
-    b = build_spinor_basis(p, conv)
-    v1, v2, v3, v4 = xi_quadruple(p.phi)
+    v1, v2, v3, v4 = xi_quadruple(b.momentum.phi)
     out = {}
     for h, tag in ((UP, "up"), (DN, "dn")):
         ls, la = b.lam_s[h], b.lam_a[h]
@@ -442,10 +432,7 @@ def adjoint(psi: np.ndarray) -> np.ndarray:
     return np.conjugate(psi) @ GAMMA0
 
 
-def biorthonormality_gram(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> np.ndarray:
+def biorthonormality_gram(b: SpinorBasis) -> np.ndarray:
     """G[i, j] = bar(lambda_i) lambda_j over the lambda stack.
 
     Off diagonal within each family, zero across families; the diagonal
@@ -454,8 +441,8 @@ def biorthonormality_gram(
     realizes is G[0,1] = -2i N^2 cos(theta1+theta2) = -G[1,0] and the
     opposite pattern in the anti block.
     """
-    stack = build_spinor_basis(p, conv).lambda_stack()
-    return np.array([[adjoint(a) @ b for b in stack] for a in stack])
+    stack = b.lambda_stack()
+    return np.array([[adjoint(x) @ y for y in stack] for x in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +503,7 @@ def _sigma_tensors():
 FGM_SIGMA, FGM_TILDE = frozen(_sigma_tensors())
 
 
-def fgm_residuals(
-    p: FourMomentum,
-    g: float = 0.0,
-    fmunu=None,
-    x=None,
-    conv: PhaseConvention = PhaseConvention(),
-) -> dict:
+def fgm_residuals(b: SpinorBasis, g: float = 0.0, fmunu=None, x=None) -> dict:
     """Second-order operator residuals on the boosted phi_R/phi_L pair.
 
     pi^{+-}_mu = p_mu +- g A_mu with A_mu = -(1/2) F_{mu nu} x^nu (linear
@@ -542,6 +523,7 @@ def fgm_residuals(
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
 
+    p = b.momentum
     a = -0.5 * fmunu @ x4
     p4 = np.concatenate([[p.energy], p.pvec])
     pip = p4 + g * a
@@ -552,7 +534,6 @@ def fgm_residuals(
     fsig = sum(FGM_SIGMA[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
     ftil = sum(FGM_TILDE[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
 
-    b = build_spinor_basis(p, conv)
     m2 = p.mass**2
     op_r = scal * ID2 - m2 * ID2 - 0.5 * g * fsig
     op_l = scal * ID2 - m2 * ID2 - 0.5 * g * ftil

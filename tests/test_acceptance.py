@@ -68,11 +68,12 @@ def test_criterion_02_non_eigenspinor_claims():
 def test_criterion_03_dynamical_equations():
     worst = 0.0
     for p in GRID:
-        worst = max(worst, max(halfspin.dynamical_residuals(p).values()))
+        b = halfspin.build_spinor_basis(p)
+        worst = max(worst, max(halfspin.dynamical_residuals(b).values()))
     # self-test: a deliberately flipped sign must miss at the 2m scale
     p = GRID[4]
     b = halfspin.build_spinor_basis(p)
-    miss = halfspin.dynamical_residuals(p, flip_third_sign=True)["r3"]
+    miss = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
     assert miss > p.mass
     assert miss == pytest.approx(
         2 * p.mass * max(np.linalg.norm(b.rho_s[h]) for h in (UP, DN)), rel=1e-12
@@ -83,7 +84,7 @@ def test_criterion_03_dynamical_equations():
 def test_criterion_04_connection_matrix(default_run):
     worst = 0.0
     for p in GRID:
-        rep = halfspin.connection_check(p)
+        rep = halfspin.connection_check(halfspin.build_spinor_basis(p))
         worst = max(worst, rep.aligned_residual)
         assert np.allclose(rep.phases, np.ones(4), atol=TOL)
     by_id = {r.check_id: r for r in default_run}
@@ -111,7 +112,9 @@ def test_criterion_05_gram_structure():
     p = FourMomentum(1.0, 1.0, 1.1, 0.0)
     worst = 0.0
     for t1, t2 in _PHASE_PAIRS:
-        g = halfspin.biorthonormality_gram(p, PhaseConvention(t1, t2))
+        g = halfspin.biorthonormality_gram(
+            halfspin.build_spinor_basis(p, PhaseConvention(t1, t2))
+        )
         want_mag = 2.0 * abs(math.cos(t1 + t2))  # N^2 = m = 1
         worst = max(worst, abs(abs(g[0, 1]) - want_mag))
         worst = max(worst, abs(g[1, 0] + g[0, 1]))
@@ -134,7 +137,7 @@ def test_criterion_05_gram_displayed_sign():
     worst = 0.0
     for t1, t2 in _PHASE_PAIRS:
         g = halfspin.biorthonormality_gram(
-            FourMomentum(1.0, 1.0, 1.1, 0.0), PhaseConvention(t1, t2)
+            halfspin.build_spinor_basis(FourMomentum(1.0, 1.0, 1.1, 0.0), PhaseConvention(t1, t2))
         )
         worst = max(worst, abs(g[0, 1] - 2j * math.cos(t1 + t2)))
     note(
@@ -285,12 +288,13 @@ def test_criterion_11_fock_algebra():
 def test_criterion_12_field_operator_relations():
     worst_split = worst_dirac = worst_parity = 0.0
     for p in GRID:
-        worst_split = max(worst_split, fieldops.ziino_split_residual(p))
-        rep = fieldops.dirac_from_majorana(p)
+        b = halfspin.build_spinor_basis(p)
+        worst_split = max(worst_split, fieldops.ziino_split_residual(b))
+        rep = fieldops.dirac_from_majorana(b)
         worst_dirac = max(
             worst_dirac, rep["partner_residual"], rep["eigenspace_residual"]
         )
-        par = fieldops.conjugation_parity_residuals(p)
+        par = fieldops.conjugation_parity_residuals(b)
         worst_parity = max(worst_parity, par["even"], par["odd"])
     ok = worst_split <= TOL and worst_dirac <= TOL and worst_parity <= TOL
     record(

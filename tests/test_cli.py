@@ -1,10 +1,16 @@
 """Exit codes, output formats, and byte determinism of the front end."""
 
+import contextlib
+import io
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from selfconj import cli
+from selfconj import checks, cli
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +62,10 @@ def test_usage_errors_exit_2(capsys):
         # a report path that cannot be written
         ["run", "--out", "."],
         ["tabulate", "--out", "."],
+        # a norm whose square overflows or is not a normal float
+        ["run", "--norm", "1e160"],
+        ["run", "--norm", "1e-170"],
+        ["tabulate", "--norm", "1e-170"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -65,6 +75,53 @@ def test_nonfinite_and_out_of_domain_input_exits_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("selfconj: ")
     assert "Traceback" not in err
+
+
+def test_unwritable_out_is_refused_before_any_check_runs(monkeypatch, capsys):
+    def no_run(cfg):
+        pytest.fail("a check ran before the report path was checked")
+
+    monkeypatch.setattr(checks, "run_checks", no_run)
+    code, out, err = run_cli(capsys, "run", "--out", ".")
+    assert code == 2
+    assert out == "" and err.startswith("selfconj: cannot write the report")
+
+
+def test_usage_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("kept")
+    assert run_cli(capsys, "run", "--mass", "nan", "--out", str(target))[0] == 2
+    assert run_cli(capsys, "tabulate", "--norm", "0", "--out", str(target))[0] == 2
+    assert target.read_text() == "kept"
+
+
+_TINY = math.sqrt(sys.float_info.min)  # the smallest norm with a normal square
+_HUGE = math.sqrt(sys.float_info.max)
+
+
+@settings(database=None, deadline=None)
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(5e-324)
+@example(1e308)
+@example(-1e308)
+@example(_TINY)
+@example(math.nextafter(_TINY, 0.0))
+@example(_HUGE)
+@example(math.nextafter(_HUGE, math.inf))
+def test_tabulate_norm_domain_is_a_normal_finite_square(x):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tabulate", f"--norm={x!r}"])
+    if sys.float_info.min <= x * x < math.inf:
+        assert code == 0 and out.getvalue() and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("selfconj: ")
 
 
 def test_structural_predicate_fails_whatever_the_tolerance(capsys):

@@ -50,11 +50,11 @@ def test_expansion_merges_and_prunes():
 def test_mode_structure():
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
     b = build_spinor_basis(p)
-    nu = fieldops.majorana_mode(p)
+    nu = fieldops.majorana_mode(b)
     assert len(nu.terms) == 4
     assert np.allclose(nu.coefficient(sym("a", "up", False), +1), b.lam_s[UP])
     assert np.allclose(nu.coefficient(sym("a", "dn", True), -1), b.lam_a[DN])
-    dirac_ready = fieldops.majorana_mode(p, distinct_antiparticle=True)
+    dirac_ready = fieldops.majorana_mode(b, distinct_antiparticle=True)
     kinds = {t.symbol.kind for t in dirac_ready.terms}
     assert kinds == {"a", "b"}
     assert np.allclose(
@@ -64,7 +64,7 @@ def test_mode_structure():
 
 def test_conjugation_is_an_involution():
     for p in GRID[1:]:
-        nu = fieldops.majorana_mode(p)
+        nu = fieldops.majorana_mode(build_spinor_basis(p))
         cnu = fieldops.charge_conjugate_expansion(nu)
         for t in cnu.terms:
             assert t.symbol.dagger in (True, False)
@@ -92,44 +92,45 @@ def test_ziino_rest_oracles():
     disp = fieldops.displayed_ziino_coefficients(FourMomentum(1.0, 0.0))
     for key, vec in want.items():
         assert np.allclose(disp[key], vec, atol=1e-14), key
-    even, odd = fieldops.ziino_barut_split(FourMomentum(1.0, 0.0))
+    even, odd = fieldops.ziino_barut_split(build_spinor_basis(FourMomentum(1.0, 0.0)))
     assert np.allclose(even.coefficient(sym("a", "up", False), +1), [0, 1j, 0, 0])
     assert np.allclose(odd.coefficient(sym("a", "up", True), -1), [0, -1j, 0, 0])
 
 
 def test_split_matches_displayed_everywhere():
     for p in GRID:
-        assert fieldops.ziino_split_residual(p) < 1e-14
-        even, odd = fieldops.ziino_barut_split(p)
-        assert even.add(odd).residual(fieldops.majorana_mode(p)) < 1e-15
+        b = build_spinor_basis(p)
+        assert fieldops.ziino_split_residual(b) < 1e-14
+        even, odd = fieldops.ziino_barut_split(b)
+        assert even.add(odd).residual(fieldops.majorana_mode(b)) < 1e-15
 
 
 def test_split_halves_are_conjugation_eigenmodes():
     for p in GRID:
-        r = fieldops.conjugation_parity_residuals(p)
+        r = fieldops.conjugation_parity_residuals(build_spinor_basis(p))
         assert r["even"] < 1e-14
         assert r["odd"] < 1e-14
 
 
 def test_dirac_embedding_partner_identities():
     for p in GRID[1:]:
-        rep = fieldops.dirac_from_majorana(p)
+        rep = fieldops.dirac_from_majorana(build_spinor_basis(p))
         assert rep["partner_residual"] < 1e-12
         assert rep["eigenspace_residual"] < 1e-12
 
 
 def test_dirac_embedding_rank_depends_on_phases():
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
-    rep = fieldops.dirac_from_majorana(p)
+    b = build_spinor_basis(p)
+    rep = fieldops.dirac_from_majorana(b)
     # default phases: the two positive-frequency images are collinear
     assert rep["positive_singular_values"][1] < 1e-12
     assert rep["phase_sum"] == 0.0
-    b = build_spinor_basis(p)
     from selfconj.halfspin import ID4, slash
 
     plus = ID4 + slash(p) / p.mass
     assert np.allclose(plus @ b.lam_s[DN], -1j * (plus @ b.lam_s[UP]), atol=1e-12)
-    generic = fieldops.dirac_from_majorana(p, PhaseConvention(0.3, 0.4))
+    generic = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
     assert generic["positive_singular_values"][1] > 0.5
     assert generic["phase_sum"] == pytest.approx(0.7)
 
@@ -173,9 +174,10 @@ def test_orbit_preserves_conjugation_status():
         v = rng.normal(size=4)
         v = v / np.linalg.norm(v)
         qs.append(QuaternionPhase(v[0], tuple(v[1:])))
+    bases = [build_spinor_basis(p) for p in (GRID[1], GRID[2])]
     for q in qs:
-        for p in (GRID[1], GRID[2]):
-            assert fieldops.orbit_preserves_conjugation(q, p) < 1e-12
+        for b in bases:
+            assert fieldops.orbit_preserves_conjugation(q, b) < 1e-12
 
 
 def test_orbit_group_law():

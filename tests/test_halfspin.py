@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from selfconj import halfspin, linalg
+from selfconj import fieldops, halfspin, linalg
 from selfconj.halfspin import DN, UP, FourMomentum, PhaseConvention
 
 A_PLUS = 1.5537739740300374
@@ -111,7 +111,7 @@ def test_dirac_v_is_chirality_image():
 
 def test_dynamical_residuals_zero_and_selftest():
     for p in GRID:
-        r = halfspin.dynamical_residuals(p)
+        r = halfspin.dynamical_residuals(halfspin.build_spinor_basis(p))
         assert max(r.values()) < 1e-12
     # deliberately flipped third sign must miss by exactly 2 m ||rho^S||
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
@@ -119,15 +119,38 @@ def test_dynamical_residuals_zero_and_selftest():
     expect = 2 * p.mass * max(
         np.linalg.norm(b.rho_s[UP]), np.linalg.norm(b.rho_s[DN])
     )
-    flipped = halfspin.dynamical_residuals(p, flip_third_sign=True)["r3"]
+    flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
     assert flipped == pytest.approx(expect, rel=1e-12)
 
 
+def test_family_functions_read_the_basis_they_are_given(monkeypatch):
+    b = halfspin.build_spinor_basis(FourMomentum(1.0, 1.0, 1.1, 0.4), PhaseConvention(0.3, 0.4))
+
+    def rebuild(*args):
+        raise AssertionError("a family function rebuilt its family")
+
+    monkeypatch.setattr(halfspin, "build_spinor_basis", rebuild)
+    monkeypatch.setattr(fieldops, "build_spinor_basis", rebuild)
+    halfspin.dynamical_residuals(b, flip_third_sign=True)
+    halfspin.connection_check(b)
+    halfspin.xi_alias_residuals(b)
+    halfspin.biorthonormality_gram(b)
+    halfspin.fgm_residuals(b)
+    fieldops.majorana_mode(b, distinct_antiparticle=True)
+    fieldops.ziino_barut_split(b)
+    fieldops.conjugation_parity_residuals(b)
+    fieldops.dirac_from_majorana(b)
+    fieldops.orbit_preserves_conjugation(fieldops.QuaternionPhase(0.0, (1.0, 0.0, 0.0)), b)
+    # the displayed oracle builds its own family from the physical inputs
+    with pytest.raises(AssertionError, match="rebuilt"):
+        fieldops.ziino_split_residual(b)
+
+
 def test_connection_exact_at_default_convention():
-    rest = halfspin.connection_check(FourMomentum(1.0, 0.0))
+    rest = halfspin.connection_check(halfspin.build_spinor_basis(FourMomentum(1.0, 0.0)))
     assert rest.raw_residual < 1e-15
     for p in GRID:
-        rep = halfspin.connection_check(p)
+        rep = halfspin.connection_check(halfspin.build_spinor_basis(p))
         assert rep.raw_residual < 1e-12
         assert rep.aligned_residual < 1e-12
         assert np.allclose(rep.phases, np.ones(4), atol=1e-12)
@@ -154,17 +177,19 @@ def test_gram_matrix_rest_oracle_and_invariance():
             [0, 0, -2j, 0],
         ]
     )
-    g0 = halfspin.biorthonormality_gram(FourMomentum(1.0, 0.0))
+    g0 = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(FourMomentum(1.0, 0.0)))
     assert np.allclose(g0, want, atol=1e-14)
     for p in GRID[::3]:
-        g = halfspin.biorthonormality_gram(p)
+        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p))
         assert np.allclose(g, want * p.mass, atol=1e-12)
 
 
 def test_gram_phase_dependence():
     p = FourMomentum(1.0, 1.0)
     for t1, t2 in ((0.3, 0.4), (1.0, 0.57), (0.0, math.pi / 2)):
-        g = halfspin.biorthonormality_gram(p, PhaseConvention(t1, t2))
+        g = halfspin.biorthonormality_gram(
+            halfspin.build_spinor_basis(p, PhaseConvention(t1, t2))
+        )
         assert g[0, 1] == pytest.approx(-2j * math.cos(t1 + t2), abs=1e-12)
         assert g[1, 0] == pytest.approx(+2j * math.cos(t1 + t2), abs=1e-12)
         assert g[2, 3] == pytest.approx(+2j * math.cos(t1 + t2), abs=1e-12)
@@ -220,7 +245,7 @@ def test_xi_conjugates_the_boosts():
 
 def test_xi_alias_residuals_default_convention():
     for p in GRID:
-        out = halfspin.xi_alias_residuals(p)
+        out = halfspin.xi_alias_residuals(halfspin.build_spinor_basis(p))
         assert max(out.values()) < 1e-12
 
 
@@ -265,28 +290,29 @@ def test_fgm_tensor_forms():
 
 def test_fgm_residuals_free_field():
     for p in GRID:
-        r = halfspin.fgm_residuals(p)
+        r = halfspin.fgm_residuals(halfspin.build_spinor_basis(p))
         assert r["right"] < 1e-12 and r["left"] < 1e-12
 
 
 def test_fgm_residuals_coupled_and_errors():
+    b = halfspin.build_spinor_basis(P_Z)
     f = np.zeros((4, 4))
     f[0, 1], f[1, 0] = 1.0, -1.0
-    out = halfspin.fgm_residuals(P_Z, g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
+    out = halfspin.fgm_residuals(b, g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
     assert out["right"] >= 0.0 and out["left"] >= 0.0
     with pytest.raises(ValueError):
-        halfspin.fgm_residuals(P_Z, fmunu=np.ones((4, 4)))
+        halfspin.fgm_residuals(b, fmunu=np.ones((4, 4)))
     with pytest.raises(ValueError):
-        halfspin.fgm_residuals(P_Z, fmunu=f, x=[1.0, 0.0])
+        halfspin.fgm_residuals(b, fmunu=f, x=[1.0, 0.0])
     # NaN compares false against any bound, so each input is checked finite
     f_nan = f.copy()
     f_nan[2, 3] = f_nan[3, 2] = np.nan
     with pytest.raises(ValueError):
-        halfspin.fgm_residuals(P_Z, fmunu=f_nan)
+        halfspin.fgm_residuals(b, fmunu=f_nan)
     with pytest.raises(ValueError):
-        halfspin.fgm_residuals(P_Z, fmunu=f, x=[np.nan, 0.0, 0.0, 0.0])
+        halfspin.fgm_residuals(b, fmunu=f, x=[np.nan, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        halfspin.fgm_residuals(P_Z, g=np.nan, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
+        halfspin.fgm_residuals(b, g=np.nan, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
 
 
 def test_discrete_ops_validation():
