@@ -34,8 +34,9 @@ for k, v in fock.charge_eigencombos().items():
     print(f"  {k}: eigenvalue {v['eigenvalue']}, residual {v['residual']:.1e}")
 
 cert = fock.simultaneous_eigen_certificate()
-print(f"\nsingle-branch joint-eigenvector certificate over {cert['grid']} "
-      f"phase pairs: min singular value {cert['min_singular_value']:.6f} "
+la, lb = cert["at"]
+print(f"\nsingle-branch joint-eigenvector certificate, smallest at the eigenvalue "
+      f"pair ({la:g}, {lb:g}): min singular value {cert['min_singular_value']:.6f} "
       "(sqrt 2: none exists)")
 
 both = fock.both_branch_joint_eigenvector()

@@ -156,10 +156,38 @@ def _cannot_write(exc: OSError) -> int:
     return 2
 
 
+def _is_number_list(text: str) -> bool:
+    """True for one float, or several joined by commas as in --momentum."""
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """`--opt -1e-3` -> `--opt=-1e-3`, and `--momentum -1,0,0` likewise.
+
+    argparse reads only -N and -N.N as negative numbers, so a value such as
+    -1e-3 or -1,0,0 after a space would be taken for an unknown option.
+    `--help` takes no value and `--` ends the options, so neither is joined.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev not in ("--", "--help")
+        if takes_value and tok.startswith("-") and _is_number_list(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

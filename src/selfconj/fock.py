@@ -133,12 +133,17 @@ class SymmetryOp:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def rule(self, label: ModeLabel) -> tuple[ModeLabel, complex]:
+    def _image(self, label: ModeLabel) -> tuple[tuple[int, str, int], complex]:
+        """The (ptag, helicity, branch) fields of the image label, and its phase."""
         j = _INDEX[(label.branch, label.helicity)]
         i = int(np.flatnonzero(self.matrix[:, j])[0])
         branch, helicity = _PAIRS[i]
         ptag = -label.ptag if self.reflects else label.ptag
-        return ModeLabel(ptag, helicity, branch), complex(self.matrix[i, j])
+        return (ptag, helicity, branch), complex(self.matrix[i, j])
+
+    def rule(self, label: ModeLabel) -> tuple[ModeLabel, complex]:
+        fields, phase = self._image(label)
+        return ModeLabel(*fields), phase
 
     def apply(self, vec: FockVector) -> FockVector:
         out: dict = {}
@@ -150,13 +155,13 @@ class SymmetryOp:
     def matrix_on(self, labels) -> np.ndarray:
         """Matrix in the given ordered basis; errors if the image leaks out."""
         labels = list(labels)
-        index = {l: i for i, l in enumerate(labels)}
+        index = {(l.ptag, l.helicity, l.branch): i for i, l in enumerate(labels)}
         m = np.zeros((len(labels), len(labels)), dtype=complex)
         for j, l in enumerate(labels):
-            tgt, phase = self.rule(l)
-            if tgt not in index:
+            fields, phase = self._image(l)
+            if fields not in index:
                 raise KeyError(f"{self.name} maps {l} outside the basis")
-            m[index[tgt], j] = phase
+            m[index[fields], j] = phase
         return m
 
     def compose(self, other: "SymmetryOp") -> "SymmetryOp":
@@ -196,7 +201,7 @@ def squares_report(ops) -> dict:
     is that scalar (a square never reflects, so its matrix decides)."""
     out = {}
     for op in ops:
-        sq = op.compose(op).matrix
+        sq = op.matrix @ op.matrix
         c = complex(np.round(sq[0, 0], 12))
         if np.max(np.abs(sq - c * np.eye(4))) > 1e-12:
             raise ValueError(f"{op.name}^2 is not a scalar: {sq}")
@@ -346,24 +351,30 @@ def charge_eigencombos() -> dict:
     return out
 
 
-def _joint_margin(a: SymmetryOp, b: SymmetryOp, labels, columns, grid: int) -> dict:
-    """Smallest singular value of [(A - la) S; (B - lb) S] over a grid x grid
-    lattice of unit phases (la, lb), S selecting the `columns` of `labels`.
+def _joint_margin(a: SymmetryOp, b: SymmetryOp, labels, columns) -> dict:
+    """Smallest singular value of [(A - la) S; (B - lb) S] over all unit
+    phases (la, lb), S selecting the `columns` of `labels`, and the pair
+    `at` where it is reached.
 
     It bounds min ||(A - la)v||^2 + ||(B - lb)v||^2 over unit v in the span
-    of the columns: a joint eigenvector there would make it 0.  One batched
-    SVD per la keeps the stack at grid x 2n x k.
+    of the columns: a joint eigenvector there would make it 0.  A and B are
+    unitary with scalar squares c_A and c_B, so its square is the smallest
+    eigenvalue of S^H (4 - conj(la) A - la A^H - conj(lb) B - lb B^H) S.  For
+    the two pairs certified here that is a closed form whose minimum over
+    the torus lies at the eigenvalue pairs (+-sqrt(c_A), +-sqrt(c_B))
+    (proved in tests/test_fock.py), so one batched SVD at those four pairs
+    gives it.  `at` is the first minimizing pair, principal roots first.
     """
     sel = np.eye(len(labels))[:, [labels.index(c) for c in columns]]
     a_sel, b_sel = a.matrix_on(labels) @ sel, b.matrix_on(labels) @ sel
-    phases = np.exp(2j * np.pi * np.arange(grid) / grid)
-    lower = b_sel - phases[:, None, None] * sel
-    best = np.inf
-    for la in phases:
-        top = np.broadcast_to(a_sel - la * sel, lower.shape)
-        s = np.linalg.svd(np.concatenate([top, lower], axis=1), compute_uv=False)
-        best = min(best, float(np.min(s[:, -1])))
-    return {"min_singular_value": best, "grid": grid * grid}
+    squares = squares_report([a, b])
+    ra, rb = (complex(np.sqrt(squares[op.name])) for op in (a, b))
+    pairs = [(la, lb) for la in (ra, -ra) for lb in (rb, -rb)]
+    la, lb = np.array(pairs).T[..., None, None]  # each of shape (4, 1, 1)
+    stack = np.concatenate([a_sel - la * sel, b_sel - lb * sel], axis=1)
+    s = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    k = int(np.argmin(s))
+    return {"min_singular_value": float(s[k]), "at": pairs[k]}
 
 
 def simultaneous_eigen_certificate() -> dict:
@@ -371,11 +382,11 @@ def simultaneous_eigen_certificate() -> dict:
     single-branch sector span{|+-p, h>^+}.
 
     The branch swap sends every term out of the sector with unit
-    amplitude, so ||(swap - lc)v||^2 = 1 + |lc|^2 and the margin is
-    sqrt(2) for every pair of unit eigenvalue phases; scanned on a
-    100 x 100 phase lattice.
-    """
-    return _joint_margin(INVERSION, CHARGE, both_branch_labels(1), single_branch_labels(1), 100)
+    amplitude, so ||(swap - lc)v||^2 = 1 + |lc|^2 = 2, and inversion keeps
+    the sector: at the inversion phase exp(ix) the squared margin is
+    4 - 2|cos x|, whose minimum 2 is reached at the inversion eigenvalues
+    +-1, whatever lc is."""
+    return _joint_margin(INVERSION, CHARGE, both_branch_labels(1), single_branch_labels(1))
 
 
 def both_branch_joint_eigenvector() -> dict:
@@ -401,8 +412,10 @@ def anticommuting_pair_margin() -> dict:
     """Joint-eigenvector margin for the anticommuting pair (helicity
     flipping swap, inversion) on the full both-branch sector.
 
-    Anticommutation forces ||(A - la)v|| + ||(B - lb)v|| >= 1 for unit
-    vectors, so the stacked smallest singular value stays above
-    1/sqrt(2) ~ 0.707 whatever the phases; scanned on a 40 x 40 lattice."""
+    The Hermitian parts of the two terms anticommute and square to
+    4 sin^2 x and 4 cos^2 y at (la, lb) = (exp(ix), exp(iy)), so the squared
+    margin is 4 - 2 sqrt(sin^2 x + cos^2 y).  Its minimum, 4 - 2 sqrt(2),
+    is reached only at the eigenvalue pairs la = +-i, lb = +-1; the margin
+    there is sqrt(4 - 2 sqrt(2)) ~ 1.082."""
     labels = both_branch_labels(1)
-    return _joint_margin(CHARGE_FLIP, INVERSION, labels, labels, 40)
+    return _joint_margin(CHARGE_FLIP, INVERSION, labels, labels)

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -66,6 +69,8 @@ def test_usage_errors_exit_2(capsys):
         ["run", "--norm", "1e160"],
         ["run", "--norm", "1e-170"],
         ["tabulate", "--norm", "1e-170"],
+        # a negative value in exponent notation after a space reaches validation
+        ["run", "--mass", "-1e0"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -122,6 +127,56 @@ def test_tabulate_norm_domain_is_a_normal_finite_square(x):
         assert code == 2 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("selfconj: ")
+
+
+def cli_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.sampled_from(["--theta1", "--theta2", "--mass", "--norm"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example("--theta1", -1e-3)
+@example("--norm", -1e10)
+@example("--mass", -1e300)
+def test_numeric_option_takes_a_spaced_value_in_any_notation(option, x):
+    spaced = cli_bytes(["tabulate", option, repr(x)])
+    assert spaced == cli_bytes(["tabulate", f"{option}={x!r}"])
+    assert "usage:" not in spaced[2]
+
+
+@settings(database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+@example([-1.0, 0.0, 0.0])
+@example([-1e-3, 2.0, -3e5])
+def test_momentum_takes_a_spaced_value_with_a_leading_minus(p):
+    text = ",".join(map(repr, p))
+    spaced = cli_bytes(["tabulate", "--momentum", text])
+    assert spaced == cli_bytes(["tabulate", f"--momentum={text}"])
+    assert "usage:" not in spaced[2]
+
+
+def test_default_run_loads_neither_sympy_nor_mpmath():
+    # the proofs of the Fock certificates need sympy; the run itself must not
+    # pay its import time and memory
+    probe = (
+        "import sys\n"
+        "from selfconj import cli\n"
+        "cli.main(['run'])\n"
+        "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules), file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0
+    assert done.stderr == "[]\n"
 
 
 def test_structural_predicate_fails_whatever_the_tolerance(capsys):

@@ -30,4 +30,4 @@ def test_fock_demo_reads_the_constant_symmetries(capsys):
     assert out.splitlines()[0] == (
         "squares: {'inversion': (1+0j), 'charge': (-1+0j), 'charge_flip': (-1+0j)}"
     )
-    assert "over 10000 phase pairs: min singular value 1.414214" in out
+    assert "eigenvalue pair (1+0j, 0+1j): min singular value 1.414214" in out

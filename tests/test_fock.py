@@ -6,9 +6,11 @@ independent transcriptions.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from selfconj import fock
 from selfconj.fock import FockVector, LadderSymbol, ModeLabel
@@ -138,15 +140,132 @@ def test_charge_eigencombos():
         assert out[f"{h}_minus"]["residual"] < 1e-14
 
 
+def within_4_ulp(value, want):
+    return abs(value - want) <= 4 * math.ulp(want)
+
+
 def test_single_branch_nonexistence_certificate():
     cert = fock.simultaneous_eigen_certificate()
-    assert cert["grid"] == 10000
-    assert cert["min_singular_value"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert within_4_ulp(cert["min_singular_value"], math.sqrt(2.0))
+    # inversion squares to +1, the branch swap to -1
+    la, lb = cert["at"]
+    assert la in (1, -1) and lb in (1j, -1j)
 
 
 def test_anticommuting_pair_margin():
     out = fock.anticommuting_pair_margin()
-    assert out["min_singular_value"] >= 1 / math.sqrt(2.0) - 1e-9
+    assert within_4_ulp(out["min_singular_value"], math.sqrt(4 - 2 * math.sqrt(2.0)))
+    # the flipping swap squares to -1, inversion to +1
+    la, lb = out["at"]
+    assert la in (1j, -1j) and lb in (1, -1)
+
+
+# ---------------------------------------------------------------------------
+# proof that the certificates' minimum over all unit phases lies at the
+# eigenvalue pairs, where _joint_margin evaluates it
+#
+# M(x, y) = S^H [(A - e^{ix})^H (A - e^{ix}) + (B - e^{iy})^H (B - e^{iy})] S
+# is Hermitian; the smallest singular value of the stacked certificate
+# matrix at (e^{ix}, e^{iy}) is the square root of its smallest eigenvalue.
+# If N = M - 4 has trace 0 and N^2 = f(x, y), the eigenvalues of N are
+# +-sqrt(f) in equal numbers, so lambda_min(M) = 4 - sqrt(f).  Writing
+# f_max - f as 4 * (sum of squares) shows f <= f_max, with equality exactly
+# where every square vanishes.
+
+X, Y = sp.symbols("x y", real=True)
+TORUS = sp.Interval.Ropen(0, 2 * sp.pi)
+
+# name: (certificate, its operands, f, f_max, the square roots of
+# (f_max - f) / 4 per phase, None for a phase that drops out of M)
+PROOFS = {
+    # the branch swap leaves the sector: lambda_min = 4 - 2|cos x|
+    "single-branch": (
+        fock.simultaneous_eigen_certificate,
+        (fock.INVERSION, fock.CHARGE, fock.both_branch_labels(1), fock.single_branch_labels(1)),
+        4 * sp.cos(X) ** 2,
+        4,
+        (sp.sin(X), None),
+    ),
+    # the Hermitian parts anticommute: lambda_min = 4 - 2 sqrt(sin^2 x + cos^2 y)
+    "anticommuting": (
+        fock.anticommuting_pair_margin,
+        (fock.CHARGE_FLIP, fock.INVERSION, fock.both_branch_labels(1), fock.both_branch_labels(1)),
+        4 * (sp.sin(X) ** 2 + sp.cos(Y) ** 2),
+        8,
+        (sp.cos(X), sp.sin(Y)),
+    ),
+}
+
+
+def exact(z: complex):
+    return sp.nsimplify(z.real) + sp.I * sp.nsimplify(z.imag)
+
+
+def operands(a, b, labels, columns):
+    sel = np.eye(len(labels))[:, [labels.index(c) for c in columns]]
+    return a.matrix_on(labels), b.matrix_on(labels), sel
+
+
+def symbolic_m(a, b, labels, columns):
+    ma, mb, sel = (
+        sp.Matrix(*m.shape, lambda i, j: exact(m[i, j])) for m in operands(a, b, labels, columns)
+    )
+    n = ma.shape[0]
+    top = (ma - sp.exp(sp.I * X) * sp.eye(n)) * sel
+    bottom = (mb - sp.exp(sp.I * Y) * sp.eye(n)) * sel
+    return (top.H * top + bottom.H * bottom).applyfunc(sp.expand)
+
+
+def is_zero(m):
+    # expanded in exponentials, a sum that cancels term by term is exactly 0
+    return m.applyfunc(lambda e: sp.expand(e.rewrite(sp.exp))) == sp.zeros(*m.shape)
+
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_certificate_closed_form_is_the_torus_minimum(name):
+    certificate, (a, b, labels, columns), f, f_max, roots = PROOFS[name]
+    m = symbolic_m(a, b, labels, columns)
+    n = m - 4 * sp.eye(m.shape[0])
+    # lambda_min(M) = 4 - sqrt(f)
+    assert is_zero(m - m.H)
+    assert is_zero(sp.Matrix([n.trace()]))
+    assert is_zero(n * n - f * sp.eye(m.shape[0]))
+    # f <= f_max, with equality exactly where every root vanishes
+    assert is_zero(sp.Matrix([f_max - f - 4 * sum(r**2 for r in roots if r is not None)]))
+    cert = certificate()
+    assert within_4_ulp(cert["min_singular_value"], float(sp.sqrt(4 - sp.sqrt(f_max))))
+    for phase, root, op, at in zip((X, Y), roots, (a, b), cert["at"]):
+        if root is None:
+            # every value of this phase minimizes, the eigenvalues among them
+            assert is_zero(m.diff(phase))
+            continue
+        minimizers = {sp.exp(sp.I * t) for t in sp.solveset(root, phase, TORUS)}
+        c = exact(fock.squares_report([op])[op.name])
+        assert minimizers == {sp.sqrt(c), -sp.sqrt(c)}
+        assert at in {complex(z) for z in minimizers}
+
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_certificate_closed_form_against_eigvalsh_off_lattice(name):
+    certificate, ops, f, _, _ = PROOFS[name]
+    ma, mb, sel = operands(*ops)
+    x, y = np.random.default_rng(20260).uniform(0, 2 * np.pi, (2, 50))
+    top = (ma - np.exp(1j * x)[:, None, None] * np.eye(len(ma))) @ sel
+    bottom = (mb - np.exp(1j * y)[:, None, None] * np.eye(len(mb))) @ sel
+    gram = np.einsum("nji,njk->nik", np.conjugate(top), top)
+    gram += np.einsum("nji,njk->nik", np.conjugate(bottom), bottom)
+    lowest = np.linalg.eigvalsh(gram)[:, 0]
+    # the numeric spectrum catches a slip in the symbolic proof
+    closed = 4 - np.sqrt(sp.lambdify((X, Y), f, "numpy")(x, y))
+    assert np.max(np.abs(lowest - closed)) < 1e-12
+    assert np.min(np.sqrt(np.maximum(lowest, 0.0))) >= certificate()["min_singular_value"] - 1e-12
+
+
+def test_certificates_take_at_most_ten_svds():
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        fock.simultaneous_eigen_certificate()
+        fock.anticommuting_pair_margin()
+    assert svd.call_count <= 10
 
 
 def test_both_branch_joint_eigenvector():
