@@ -27,7 +27,7 @@ for alpha in (0.3, 1.2):
 
 print("\nexchange-map aliases at default phases:")
 for k, v in halfspin.xi_alias_residuals(b).items():
-    print(f"  {k}: {v:.2e}")
+    print(f"  {k}: {v[0]:.2e}")
 
 print("\nclosure table of the momentum-independent parts "
       "(entry (j,k) -> sign, index):")

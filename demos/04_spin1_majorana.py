@@ -22,14 +22,13 @@ print("\nreal-frame chirality matrix (imaginary by design):")
 print(spin1.MR_FORMS["five"])
 
 p = FourMomentum(1.0, 1.0, np.pi / 3, 0.0)
-up = spin1.mr_spinor(p, +1)
-dn = spin1.mr_spinor(p, -1)
-lg = spin1.mr_spinor(p, 0)
+s = spin1.mr_spinor(p)
+up, lg, dn = 0, 1, 2  # helicities +1, 0, -1 along axis -2
 print(f"\nat theta={p.theta:.3f} on the meridian plane:")
-print(f"  |Re u(+1) - Re u(-1)| = {np.linalg.norm(up.u_re - dn.u_re):.2e}")
-print(f"  |Re v(+1) + Re v(-1)| = {np.linalg.norm(up.v_re + dn.v_re):.2e}")
-print(f"  |Re u(0)|             = {np.linalg.norm(lg.u_re):.2e}")
-print(f"  |Re v(0)|             = {np.linalg.norm(lg.v_re):.3f}  (stays finite)")
+print(f"  |Re u(+1) - Re u(-1)| = {np.linalg.norm(s.u_re[up] - s.u_re[dn]):.2e}")
+print(f"  |Re v(+1) + Re v(-1)| = {np.linalg.norm(s.v_re[up] + s.v_re[dn]):.2e}")
+print(f"  |Re u(0)|             = {np.linalg.norm(s.u_re[lg]):.2e}")
+print(f"  |Re v(0)|             = {np.linalg.norm(s.v_re[lg]):.3f}  (stays finite)")
 
 off = spin1.transverse_reality_report(FourMomentum(1.0, 1.0, np.pi / 3, np.pi / 5))
 print(f"  off the plane the first identity breaks: {off['u_re_match']:.3f}")

@@ -1,12 +1,13 @@
 """Named check suites over configurable momentum grids.
 
 The 35 checks live in one registry.  Each entry is a function of the
-SuiteConfig, registered with the `_check` decorator under a stable id
-("<suite>/<name>", the suite being the id's prefix), a descriptive anchor
-and a tolerance rule: a function of `cfg.tolerance`, or None for a
-'reported' check.  The function returns an Evaluation: the residuals it
-measured, the `values` the report carries, and named structural predicates
-(a group table, an eigenspace dimension, a margin).
+SuiteConfig and of `grid`, which returns the run's SpinorGrid for a phase
+convention (built on first use, once per convention).  It is registered
+with the `_check` decorator under a stable id ("<suite>/<name>"), a
+descriptive anchor and a tolerance rule: a function of `cfg.tolerance`, or
+None for a 'reported' check.  It returns an Evaluation: the residuals it
+measured (arrays with one row per momentum, or numbers), the `values` the
+report carries, and named structural predicates.
 
 One runner, `_run`, turns every Evaluation into a CheckResult.  The worst
 residual is taken with np.max, so a NaN residual propagates and fails the
@@ -23,16 +24,19 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import fieldops, fock, halfspin, linalg, spin1
-from .halfspin import DN, UP, FourMomentum, PhaseConvention
+from .halfspin import DN, FAMILY, FAMILY_SIGNS, LAM_S, LAMBDAS, RHO_S, UP
+from .halfspin import FourMomentum, PhaseConvention
+from .linalg import apply, norm
 
 KNOWN_SUITES = ("linalg", "halfspin", "spin1", "fock", "fieldops")
 
@@ -68,9 +72,10 @@ class SuiteConfig:
         # the largest magnitude, 2 ** ((n - 1) / 2), must be a finite float
         if (self.n_magnitudes - 1) / 2 >= sys.float_info.max_exp:
             raise ValueError("grid has too many magnitudes: the largest overflows a float")
-        # `not >= 0` also rejects NaN
-        if not self.tolerance >= 0:
-            raise ValueError("tolerance must be >= 0")
+        # `not >= 0` also rejects NaN; an infinite tolerance would pass any
+        # finite residual
+        if not (self.tolerance >= 0 and math.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be finite and >= 0")
         convention = PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
         suites = tuple(self.suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
@@ -102,17 +107,7 @@ class SuiteConfig:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "masses": list(self.masses),
-            "n_magnitudes": self.n_magnitudes,
-            "n_directions": self.n_directions,
-            "tolerance": self.tolerance,
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "thetac": self.thetac,
-            "norm": self.norm,
-            "suites": list(self.suites),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 @dataclass(frozen=True)
@@ -125,27 +120,24 @@ class CheckResult:
     values: dict
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "values": _jsonable(self.values),
-        }
+        return dict(vars(self), values=_jsonable(self.values))
 
 
 def _jsonable(x):
+    """Plain JSON data; a non-finite float becomes the string "NaN",
+    "Infinity" or "-Infinity", so the output parses as strict JSON."""
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, complex):
-        return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
+    if isinstance(x, np.generic):
+        return _jsonable(x.item())
+    if isinstance(x, complex):
+        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     return str(x)
@@ -175,7 +167,7 @@ class _Check:
     check_id: str
     anchor: str
     tol: Callable[[SuiteConfig], float] | None  # None: reported
-    evaluate: Callable[[SuiteConfig], Evaluation]
+    evaluate: Callable  # (cfg, grid) -> Evaluation; grid(conv) is the run's SpinorGrid
 
 
 # tolerance rules
@@ -208,18 +200,23 @@ def _check(check_id: str, anchor: str, tol=_given):
     return register
 
 
+def _flat(values) -> np.ndarray:
+    """Numbers and arrays of them, as one flat float array."""
+    return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values] or [[]])
+
+
 def _worst(residuals, floor: float = 0.0) -> float:
     """Largest residual, at least `floor`; unlike max(), np.max keeps NaN."""
-    return float(np.max(np.asarray(residuals, dtype=float), initial=floor))
+    return float(np.max(_flat(residuals), initial=floor))
 
 
 def _least(ratios) -> float:
     """Smallest ratio (inf when there is none); NaN propagates."""
-    return float(np.min(np.asarray(ratios, dtype=float), initial=math.inf))
+    return float(np.min(_flat(ratios), initial=math.inf))
 
 
-def _run(check: _Check, cfg: SuiteConfig) -> CheckResult:
-    ev = check.evaluate(cfg)
+def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
+    ev = check.evaluate(cfg, grid)
     holds = all(ev.predicates.values())
     worst = _worst(ev.residuals, 0.0 if holds else 1.0)
     tol = None if check.tol is None else float(check.tol(cfg))
@@ -227,17 +224,25 @@ def _run(check: _Check, cfg: SuiteConfig) -> CheckResult:
     return CheckResult(check.check_id, check.anchor, status, worst, tol, ev.values)
 
 
-def _prop_residual(v, img) -> float:
-    """Least-squares proportionality gap: min_c ||img - c v||."""
-    v = np.asarray(v, dtype=complex)
-    img = np.asarray(img, dtype=complex)
-    c = np.vdot(v, img) / np.vdot(v, v)
-    return float(np.linalg.norm(img - c * v))
+def _prop_residual(v, img):
+    """Least-squares proportionality gap min_c ||img - c v||, per row."""
+    c = np.vecdot(v, img) / np.vecdot(v, v)  # vecdot conjugates v
+    return norm(img - c[..., None] * v)
 
 
 def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
     """cfg phases with thetac forced to the real-eigenvalue convention."""
     return PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
+
+
+def _unit_conv(cfg: SuiteConfig) -> PhaseConvention:
+    """Unit rest phases, thetac = 0: where the displayed fixed forms hold."""
+    return PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
+
+
+def _conjugation_gaps(c, psi):
+    """||S^c psi - s psi|| per family member, s its expected eigenvalue."""
+    return norm(c(psi) - FAMILY_SIGNS[:, None] * psi)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
 @_check(
     "linalg/antilinear-algebra", "antilinear application, composition and squares", _at_least(1e-14)
 )
-def _antilinear_algebra(cfg: SuiteConfig):
+def _antilinear_algebra(cfg: SuiteConfig, grid):
     c = halfspin.charge_conjugation_op(cfg.convention)
     j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]), conjugates=True)
     res = [
@@ -271,7 +276,7 @@ def _antilinear_algebra(cfg: SuiteConfig):
 
 
 @_check("linalg/kron-mixed-product", "tensor product compatibility", _at_least(1e-13))
-def _kron(cfg: SuiteConfig):
+def _kron(cfg: SuiteConfig, grid):
     rng = np.random.default_rng(11)
     res = []
     for _ in range(8):
@@ -288,7 +293,7 @@ def _kron(cfg: SuiteConfig):
 
 
 @_check("halfspin/helicity-spinors", "helicity two-spinor convention")
-def _helicity_spinors(cfg: SuiteConfig):
+def _helicity_spinors(cfg: SuiteConfig, grid):
     res = []
     for th, ph in cfg.directions():
         n = FourMomentum(1.0, 1.0, th, ph).nhat
@@ -298,18 +303,13 @@ def _helicity_spinors(cfg: SuiteConfig):
             res.append(float(np.linalg.norm(sn @ chi - h * chi)))
             res.append(abs(float(np.linalg.norm(chi)) - 1.0))
     rt = 1 / math.sqrt(2)
-    res.append(
-        linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, UP) - np.array([rt, rt]))
-    )
-    res.append(
-        linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, DN) - np.array([-rt, rt]))
-    )
+    for h, want in ((UP, [rt, rt]), (DN, [-rt, rt])):
+        res.append(linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, h) - want))
     return Evaluation(res)
 
 
 @_check("halfspin/conjugation-eigenvalues", "self/anti-self conjugate eigenvalues")
-def _conjugation_eigenvalues(cfg: SuiteConfig):
-    momenta = cfg.momenta()
+def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     # the square is +1 for every conjugation phase; the +-1 eigenvalue
     # statement is pinned to the real-eigenvalue convention thetac = 0
     squares = []
@@ -318,50 +318,34 @@ def _conjugation_eigenvalues(cfg: SuiteConfig):
             PhaseConvention(cfg.theta1, cfg.theta2, thetac, cfg.norm)
         )
         squares.append(linalg.max_abs(op.squared().matrix - np.eye(4)))
-    conv = _pinned_conv(cfg)
-    c = halfspin.charge_conjugation_op(conv)
-    res = list(squares)
-    for p in momenta:
-        b = halfspin.build_spinor_basis(p, conv)
-        for _, psi, sign in b.charge_family():
-            res.append(float(np.linalg.norm(c(psi) - sign * psi)))
+    g = grid(_pinned_conv(cfg))
+    c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
-        res,
-        {"momenta": len(momenta), "family_size": 8, "square_residual": _worst(squares)},
+        squares + [_conjugation_gaps(c, g.family)],
+        {"momenta": len(g.momenta), "family_size": 8, "square_residual": _worst(squares)},
     )
 
 
 @_check("halfspin/eigenstructure-split", "u/v helicity eigenspinors vs non-eigen conjugate family")
-def _eigenstructure_split(cfg: SuiteConfig):
-    conv = cfg.convention
-    eigen = []
-    lam_ratios = []
-    parity_ratios = []
-    for p in cfg.momenta():
-        ops = halfspin.discrete_ops(p.nhat)
-        b = halfspin.build_spinor_basis(p, conv)
-        for h in (UP, DN):
-            for uv in (b.dirac_u(h), b.dirac_v(h)):
-                eigen.append(float(np.linalg.norm(ops.helicity @ uv - 0.5 * h * uv)))
-            for fam in (b.lam_s, b.lam_a, b.rho_s, b.rho_a):
-                psi = fam[h]
-                _, res = linalg.eigen_residual(ops.helicity, psi)
-                lam_ratios.append(res / float(np.linalg.norm(psi)))
-        if abs(p.nhat[2]) < 0.99:  # parity proportionality can hold on-axis
-            br = halfspin.build_spinor_basis(p.reflected(), conv)
-            for h in (UP, DN):
-                psi = b.lam_s[h]
-                # both readings: gamma^0 as a matrix at fixed argument, and
-                # the full action with the momentum argument reflected
-                _, fixed = linalg.eigen_residual(ops.parity, psi)
-                img = ops.parity @ br.lam_s[h]
-                parity_ratios.append(fixed / float(np.linalg.norm(psi)))
-                parity_ratios.append(_prop_residual(psi, img) / float(np.linalg.norm(img)))
-    lam_min = _least(lam_ratios)
-    parity_min = _least(parity_ratios)
+def _eigenstructure_split(cfg: SuiteConfig, grid):
+    g = grid(cfg.convention)
+    helicity = halfspin.discrete_ops(g.nhat).helicity
+    uv = g.uv_stack()
+    half_h = np.array([0.5 * UP, 0.5 * DN, 0.5 * UP, 0.5 * DN])
+    eigen = norm(apply(helicity, uv) - half_h[:, None] * uv)
+    _, res = linalg.eigen_residual(helicity, g.family)
+    lam_min = _least([res / norm(g.family)])
+    # parity proportionality can hold on-axis; both readings: gamma^0 as a
+    # matrix at fixed argument, and the full action with the momentum
+    # argument reflected
+    off = np.abs(g.nhat[:, 2]) < 0.99
+    lam = g.family[off][:, LAM_S]
+    _, fixed = linalg.eigen_residual(halfspin.GAMMA0, lam)
+    img = apply(halfspin.GAMMA0, g.reflected.family[off][:, LAM_S])
+    parity_min = _least([fixed / norm(lam), _prop_residual(lam, img) / norm(img)])
     # the eigen part is judged against tol; a collapsed non-eigen margin fails
     return Evaluation(
-        eigen,
+        [eigen],
         {
             "helicity_noneigen_min_ratio": lam_min,
             "parity_noneigen_min_ratio": parity_min,
@@ -373,56 +357,46 @@ def _eigenstructure_split(cfg: SuiteConfig):
 @_check(
     "halfspin/chiral-helicity-halves", "chiral-helicity eigenvalues on the conjugate family", None
 )
-def _chiral_helicity(cfg: SuiteConfig):
-    p = cfg.momenta()[0]
-    ops = halfspin.discrete_ops(p.nhat)
-    b = halfspin.build_spinor_basis(p, cfg.convention)
-    eigenvalues = {}
-    ratios = []
-    for name, fam in (("lam_s", b.lam_s), ("lam_a", b.lam_a), ("rho_s", b.rho_s), ("rho_a", b.rho_a)):
-        for h, tag in ((UP, "up"), (DN, "dn")):
-            c, res = linalg.eigen_residual(ops.chiral_helicity, fam[h])
-            eigenvalues[f"{name}_{tag}"] = complex(np.round(c, 12))
-            ratios.append(res / float(np.linalg.norm(fam[h])))
+def _chiral_helicity(cfg: SuiteConfig, grid):
+    g = grid(cfg.convention)
+    ops = halfspin.discrete_ops(g.nhat[0])
+    c, res = linalg.eigen_residual(ops.chiral_helicity, g.family[0])
     return Evaluation(
-        ratios,
-        {"eigenvalues": eigenvalues, "note": "normalization of the half-unit is a convention"},
+        [res / norm(g.family[0])],
+        {
+            "eigenvalues": {name: complex(np.round(ci, 12)) for name, ci in zip(FAMILY, c)},
+            "note": "normalization of the half-unit is a convention",
+        },
     )
 
 
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
-def _dynamical_residuals(cfg: SuiteConfig):
-    bases = [halfspin.build_spinor_basis(p, cfg.convention) for p in cfg.momenta()]
-    res = [r for b in bases for r in halfspin.dynamical_residuals(b).values()]
-    b = bases[0]
-    flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
-    expected = 2 * b.momentum.mass * float(np.linalg.norm(b.rho_s[UP]))
+def _dynamical_residuals(cfg: SuiteConfig, grid):
+    g = grid(cfg.convention)
+    flipped = halfspin.dynamical_residuals(g.head(1), flip_third_sign=True)["r3"][0]
+    expected = 2 * g.mass[0] * float(norm(g.family[0, RHO_S.start]))
     return Evaluation(
-        res,
+        list(halfspin.dynamical_residuals(g).values()),
         {
             "frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)",
-            "flipped_sign_selftest": flipped,
-            "flipped_sign_expected": expected,
+            "flipped_sign_selftest": float(flipped),
+            "flipped_sign_expected": float(expected),
         },
     )
 
 
 @_check("halfspin/dirac-connection", "Dirac-to-conjugate-basis connection matrix")
-def _dirac_connection(cfg: SuiteConfig):
+def _dirac_connection(cfg: SuiteConfig, grid):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
-    conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    reps = [
-        halfspin.connection_check(halfspin.build_spinor_basis(p, conv)) for p in cfg.momenta()
-    ]
-    phases0 = reps[0].phases
-    drift = [linalg.max_abs(rep.phases - phases0) for rep in reps]
+    rep = halfspin.connection_check(grid(_unit_conv(cfg)))
+    drift = linalg.max_abs(rep.phases - rep.phases[0], axis=-1)
     return Evaluation(
-        [rep.aligned_residual for rep in reps] + drift,
+        [rep.aligned_residual, drift],
         {
-            "raw_residual": _worst([rep.raw_residual for rep in reps]),
-            "phase_diagonal": [complex(np.round(c, 12)) for c in phases0],
-            "phase_drift_across_grid": _worst(drift),
+            "raw_residual": _worst([rep.raw_residual]),
+            "phase_diagonal": [complex(np.round(c, 12)) for c in rep.phases[0]],
+            "phase_drift_across_grid": _worst([drift]),
             "pinned_rest_phases": "theta1 = theta2 = 0",
         },
     )
@@ -445,15 +419,15 @@ _GRAM_PAIRS = [
     "conjugate-family Gram layout and magnitudes",
     _at_least(4e-12),
 )
-def _biorthonormality_structure(cfg: SuiteConfig):
-    momenta = cfg.momenta()
+def _biorthonormality_structure(cfg: SuiteConfig, grid):
+    momenta = grid(cfg.convention).momenta
     p = momenta[min(4, len(momenta) - 1)]
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     res = []
     cross_track = {}
     for t1, t2 in _GRAM_PAIRS:
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))
+        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))[0]
         mag = 2 * n2 * abs(math.cos(t1 + t2))
         # the two families decouple exactly when the phase sum is 0 or pi;
         # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
@@ -478,14 +452,14 @@ def _biorthonormality_structure(cfg: SuiteConfig):
 
 
 @_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
-def _biorthonormality_sign(cfg: SuiteConfig):
-    p = cfg.momenta()[0]
+def _biorthonormality_sign(cfg: SuiteConfig, grid):
+    p = grid(cfg.convention).momenta[0]
     vals = {}
     gaps = []
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     for t1, t2 in ((0.0, 0.0), (0.3, 0.4)):
         conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))
+        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))[0]
         measured = g[0, 1]
         displayed = 2j * n2 * math.cos(t1 + t2)
         vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(measured, 12))
@@ -501,54 +475,44 @@ def _biorthonormality_sign(cfg: SuiteConfig):
 
 
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
-def _gauge_orbit(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    c = halfspin.charge_conjugation_op(conv)
+def _gauge_orbit(cfg: SuiteConfig, grid):
+    g = grid(_pinned_conv(cfg)).head(6)
+    c = halfspin.charge_conjugation_op(g.convention)
+    lam = np.array([name.startswith("lam") for name in FAMILY])[:, None]
     res = []
-    momenta = cfg.momenta()[:6]
-    for p in momenta:
-        b = halfspin.build_spinor_basis(p, conv)
-        for alpha in (0.0, 0.4, 1.1, math.pi / 2, 2.7):
-            gl, gr = halfspin.gauge_lambda(alpha), halfspin.gauge_rho(alpha)
-            for name, psi, sign in b.charge_family():
-                m = gl if name.startswith("lam") else gr
-                img = m @ psi
-                res.append(float(np.linalg.norm(c(img) - sign * img)))
-    return Evaluation(res, {"alphas": 5, "momenta": len(momenta)})
+    for alpha in (0.0, 0.4, 1.1, math.pi / 2, 2.7):
+        gl, gr = halfspin.gauge_lambda(alpha), halfspin.gauge_rho(alpha)
+        img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
+        res.append(_conjugation_gaps(c, img))
+    return Evaluation(res, {"alphas": 5, "momenta": len(g.momenta)})
 
 
 @_check(
     "halfspin/exchange-quadruple", "exchange-map aliases, quaternion closure, conjugation status"
 )
-def _exchange_quadruple(cfg: SuiteConfig):
+def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
-    conv = PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-    bases = [halfspin.build_spinor_basis(p, conv) for p in cfg.momenta()]
-    res = []
-    for b in bases:
-        p = b.momentum
-        res.extend(halfspin.xi_alias_residuals(b).values())
-        # exact factorization V_k = W_k . diag(Xi, Xi)
-        z2 = np.zeros((2, 2))
-        xi = halfspin.xi_matrix(p.phi)
-        g = np.block([[xi, z2], [z2, xi]])
-        for v, w in zip(halfspin.xi_quadruple(p.phi), halfspin.W_PARTS):
-            res.append(linalg.max_abs(v - w @ g))
+    g = grid(_unit_conv(cfg))
+    res = list(halfspin.xi_alias_residuals(g).values())
+    # exact factorization V_k = W_k . diag(Xi, Xi)
+    xi = halfspin.xi_factor(g.phi)
+    for v, w in zip(halfspin.xi_quadruple(g.phi), halfspin.W_PARTS):
+        res.append(linalg.max_abs(v - w @ xi, axis=(-2, -1)))
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
-    # every exchange image is again an eigenvector with a definite sign
-    c = halfspin.charge_conjugation_op(conv)
+    # every exchange image is again an eigenvector with a definite sign;
+    # the map records the signs at the last of the first four momenta
+    g4 = g.head(4)
+    c = halfspin.charge_conjugation_op(g4.convention)
+    lam = g4.family[:, LAMBDAS]
     sign_map = {}
-    for b in bases[:4]:
-        for k, v in enumerate(halfspin.xi_quadruple(b.momentum.phi)):
-            for name, psi, sign in b.charge_family():
-                if not name.startswith("lam"):
-                    continue
-                img = v @ psi
-                gap = {s: float(np.linalg.norm(c(img) - s * img)) for s in (+1, -1)}
-                new_sign = min(gap, key=gap.get)
-                res.append(gap[new_sign])
-                sign_map[f"V{k + 1}_{name}"] = f"{sign:+d} -> {new_sign:+d}"
+    for k, v in enumerate(halfspin.xi_quadruple(g4.phi)):
+        img = apply(v, lam)
+        plus, minus = norm(c(img) - img), norm(c(img) + img)
+        res.append(np.where(minus < plus, minus, plus))
+        for j, i in enumerate(LAMBDAS):
+            new_sign = -1 if minus[-1, j] < plus[-1, j] else +1
+            sign_map[f"V{k + 1}_{FAMILY[i]}"] = f"{int(FAMILY_SIGNS[i]):+d} -> {new_sign:+d}"
     return Evaluation(
         res,
         {
@@ -567,7 +531,7 @@ _MASSLESS_RATIO = 1e-4
 @_check(
     "halfspin/massless-limit", "single-helicity survival at vanishing mass", _fixed(_MASSLESS_RATIO)
 )
-def _massless_limit(cfg: SuiteConfig):
+def _massless_limit(cfg: SuiteConfig, grid):
     # the vanishing statement assumes the sqrt(m) normalization
     conv = PhaseConvention(cfg.theta1, cfg.theta2, cfg.thetac, None)
     rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], conv)
@@ -587,7 +551,7 @@ def _massless_limit(cfg: SuiteConfig):
 
 
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
-def _second_order(cfg: SuiteConfig):
+def _second_order(cfg: SuiteConfig, grid):
     sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
     res = []
     for i in range(3):
@@ -595,14 +559,12 @@ def _second_order(cfg: SuiteConfig):
         res.append(linalg.max_abs(til[(0, i + 1)] + 1j * halfspin.SIGMA[i]))
     res.append(linalg.max_abs(sig[(1, 2)] - halfspin.SIGMA[2]))
     res.append(linalg.max_abs(til[(1, 2)] - halfspin.SIGMA[2]))
-    bases = [halfspin.build_spinor_basis(p, cfg.convention) for p in cfg.momenta()]
-    for b in bases:
-        r = halfspin.fgm_residuals(b)
-        res += [r["right"], r["left"]]
+    g = grid(cfg.convention)
+    res += halfspin.fgm_residuals(g).values()
     f = np.zeros((4, 4))
     f[0, 1], f[1, 0] = 1.0, -1.0
-    sample = halfspin.fgm_residuals(bases[0], g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
-    return Evaluation(res, {"coupled_sample": sample})
+    sample = halfspin.fgm_residuals(g.head(1), g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
+    return Evaluation(res, {"coupled_sample": {k: float(v[0]) for k, v in sample.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +572,7 @@ def _second_order(cfg: SuiteConfig):
 
 
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
-def _theta3(cfg: SuiteConfig):
+def _theta3(cfg: SuiteConfig, grid):
     t = spin1.THETA3
     res = [linalg.max_abs(t @ t - np.eye(3))]
     for j in spin1.JVEC:
@@ -625,14 +587,13 @@ def _theta3(cfg: SuiteConfig):
 
 
 @_check("spin1/on-shell-contraction", "covariant family squares the mass on six-spinors")
-def _on_shell(cfg: SuiteConfig):
-    momenta = cfg.momenta()
-    res = [spin1.on_shell_residual(p, h) for p in momenta for h in spin1.HELICITIES]
-    return Evaluation(res, {"momenta": len(momenta), "helicities": 3})
+def _on_shell(cfg: SuiteConfig, grid):
+    g = grid(cfg.convention)
+    return Evaluation([spin1.on_shell_residual(g)], {"momenta": len(g.momenta), "helicities": 3})
 
 
 @_check("spin1/majorana-unitarity", "real-frame unitary and its displayed conjugate", _tight)
-def _majorana_unitarity(cfg: SuiteConfig):
+def _majorana_unitarity(cfg: SuiteConfig, grid):
     u = spin1.MAJORANA_U
     return Evaluation(
         [
@@ -644,7 +605,7 @@ def _majorana_unitarity(cfg: SuiteConfig):
 
 
 @_check("spin1/majorana-real-family", "real forms of the covariant family")
-def _majorana_family(cfg: SuiteConfig):
+def _majorana_family(cfg: SuiteConfig, grid):
     rep = spin1.majorana_family_report(cfg.tolerance)
     return Evaluation(
         [rep["family_residual"], rep["family_imag_part"], rep["five_residual"]], rep
@@ -654,7 +615,7 @@ def _majorana_family(cfg: SuiteConfig):
 @_check(
     "spin1/plain-unitary-diagnostic", "what the displayed unitary alone does to the family", None
 )
-def _plain_unitary(cfg: SuiteConfig):
+def _plain_unitary(cfg: SuiteConfig, grid):
     d = spin1.plain_unitary_diagnostic()
     return Evaluation(
         [d["g00_lands_on_displayed_five"], d["five_lands_on_displayed_g00"]],
@@ -670,33 +631,22 @@ def _plain_unitary(cfg: SuiteConfig):
 
 
 @_check("spin1/chirality-flip", "real-frame v equals the chirality matrix times u", _tight)
-def _chirality_flip(cfg: SuiteConfig):
-    momenta = cfg.momenta() + [FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)]
-    res = [spin1.chirality_flip_residual(p, h) for p in momenta for h in spin1.HELICITIES]
+def _chirality_flip(cfg: SuiteConfig, grid):
+    offplane = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
+    res = [spin1.chirality_flip_residual(p) for p in (grid(cfg.convention), offplane)]
     return Evaluation(res, {"includes_offplane_direction": True})
 
 
 @_check("spin1/transverse-reality", "real/imaginary-part identities on the meridian grid")
-def _transverse_reality(cfg: SuiteConfig):
-    judged = (
-        "u_re_match",
-        "u_im_flip",
-        "long_u_re_vanishes",
-        "long_u_pure_imag",
-        "long_v_pure_real",
-        "split_exact",
-    )
-    res = []
-    for p in cfg.momenta():
-        rep = spin1.transverse_reality_report(p)
-        res += [rep[k] for k in judged]
-    return Evaluation(res)
+def _transverse_reality(cfg: SuiteConfig, grid):
+    rep = spin1.transverse_reality_report(grid(cfg.convention))
+    return Evaluation([v for k, v in rep.items() if k != "long_u_im_norm"])
 
 
 @_check("spin1/transverse-reality-offplane", "the same identities off the meridian plane", None)
-def _transverse_offplane(cfg: SuiteConfig):
+def _transverse_offplane(cfg: SuiteConfig, grid):
     p = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
-    rep = spin1.transverse_reality_report(p)
+    rep = {k: float(v) for k, v in spin1.transverse_reality_report(p).items()}
     rep["note"] = (
         "off the meridian plane the split parts stop being real and the "
         "identities acquire finite residuals; the algebraic split u = "
@@ -706,7 +656,7 @@ def _transverse_offplane(cfg: SuiteConfig):
 
 
 @_check("spin1/selfconjugacy-dichotomy", "square signs decide existence of self-conjugate spinors")
-def _selfconjugacy(cfg: SuiteConfig):
+def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
@@ -723,8 +673,7 @@ def _selfconjugacy(cfg: SuiteConfig):
 
 
 @_check("spin1/reality-classes", "conjugation eigenvectors become pure real or pure imaginary")
-def _reality_classes(cfg: SuiteConfig):
-    conv = cfg.convention
+def _reality_classes(cfg: SuiteConfig, grid):
     vh = spin1.HALF_MAJORANA_FRAME
     c_half = halfspin.charge_conjugation_op(PhaseConvention()).matrix
     w = spin1.CHIRAL_TO_MAJORANA
@@ -733,23 +682,23 @@ def _reality_classes(cfg: SuiteConfig):
         linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
         linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
     ]
+    # classes are judged on the first six momenta and shown for the last
+    g = grid(cfg.convention).head(6)
+    half = {f"half_{name}": g.family[:, i] for i, name in enumerate(FAMILY)}
+    one = {
+        f"one_{tag}_{h}": vecs[:, j]
+        for sign, tag in ((+1, "plus"), (-1, "minus"))
+        for vecs in [spin1.lambda_like(g, sign)]
+        for j, h in enumerate(spin1.HELICITIES)
+    }
     classes = {}
     as_expected = []
-    for p in cfg.momenta()[:6]:
-        b = halfspin.build_spinor_basis(p, conv)
-        half_vecs = {name: psi for name, psi, _ in b.charge_family()}
-        for name, (kind, minority) in spin1.reality_classes(half_vecs, vh).items():
-            as_expected.append(kind == ("real" if "_s_" in name else "imaginary"))
+    for vectors, frame in ((half, vh), (one, w)):
+        for name, (kind, minority) in spin1.reality_classes(vectors, frame).items():
+            real = "_s_" in name or "plus" in name
+            as_expected.append(np.all(kind == ("real" if real else "imaginary")))
             res.append(minority)
-            classes[f"half_{name}"] = kind
-        one_vecs = {}
-        for h in spin1.HELICITIES:
-            one_vecs[f"one_plus_{h}"] = spin1.lambda_like(p, h, +1)
-            one_vecs[f"one_minus_{h}"] = spin1.lambda_like(p, h, -1)
-        for name, (kind, minority) in spin1.reality_classes(one_vecs, w).items():
-            as_expected.append(kind == ("real" if "plus" in name else "imaginary"))
-            res.append(minority)
-            classes[name] = kind
+            classes[name] = str(kind[-1])
     return Evaluation(
         res, {"classes": classes}, {"every class as expected": all(as_expected)}
     )
@@ -783,7 +732,7 @@ _FLIP_TABLE = {
 @_check(
     "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _tight
 )
-def _state_tables(cfg: SuiteConfig):
+def _state_tables(cfg: SuiteConfig, grid):
     res = []
     targets_match = []
     labels = fock.both_branch_labels(1) + fock.both_branch_labels(0)
@@ -811,7 +760,7 @@ def _state_tables(cfg: SuiteConfig):
 @_check(
     "fock/squares-and-commutation", "operator squares, commutator, anticommutator, chains", _tight
 )
-def _squares_commutation(cfg: SuiteConfig):
+def _squares_commutation(cfg: SuiteConfig, grid):
     labels = fock.both_branch_labels(1)
     inv, chg, flip = fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP
     squares = fock.squares_report((inv, chg, flip))
@@ -838,7 +787,7 @@ def _squares_commutation(cfg: SuiteConfig):
 
 
 @_check("fock/eigencombinations", "parity and charge eigen-combinations", _tight)
-def _eigencombinations(cfg: SuiteConfig):
+def _eigencombinations(cfg: SuiteConfig, grid):
     rest = fock.parity_eigencombos(0)
     moving = fock.parity_eigencombos(1)
     res = [d[sign]["residual"] for d in (rest, moving) for sign in ("plus", "minus")]
@@ -863,13 +812,13 @@ def _eigencombinations(cfg: SuiteConfig):
 @_check(
     "fock/joint-eigen-certificate", "no joint inversion/branch-swap eigenvector in a single branch"
 )
-def _joint_certificate(cfg: SuiteConfig):
+def _joint_certificate(cfg: SuiteConfig, grid):
     cert = fock.simultaneous_eigen_certificate()
     return Evaluation([], cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
 
 
 @_check("fock/joint-eigen-existence", "joint eigenvectors on the both-branch sector", None)
-def _joint_existence(cfg: SuiteConfig):
+def _joint_existence(cfg: SuiteConfig, grid):
     both = fock.both_branch_joint_eigenvector()
     anti = fock.anticommuting_pair_margin()
     vals = dict(both)
@@ -877,13 +826,13 @@ def _joint_existence(cfg: SuiteConfig):
     vals["note"] = (
         "with both branches admitted the two commuting unitaries do share "
         "an eigenvector (constructed here); for the anticommuting pair the "
-        "margin stays above 1/sqrt(2) on the full sector"
+        "margin is exactly sqrt(4 - 2 sqrt(2)) on the full sector"
     )
     return Evaluation([both["inversion_residual"], both["charge_residual"]], vals)
 
 
 @_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _tight)
-def _operator_state(cfg: SuiteConfig):
+def _operator_state(cfg: SuiteConfig, grid):
     rep = fock.operator_state_consistency()
     return Evaluation([rep["max_residual"]], rep)
 
@@ -893,21 +842,20 @@ def _operator_state(cfg: SuiteConfig):
 
 
 @_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
-def _mode_structure(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    b = halfspin.build_spinor_basis(cfg.momenta()[0], conv)
-    nu = fieldops.majorana_mode(b)
+def _mode_structure(cfg: SuiteConfig, grid):
+    g = grid(_pinned_conv(cfg))
+    nu = fieldops.majorana_mode(g)
     res = []
-    for h, tag in ((UP, "up"), (DN, "dn")):
+    for i, tag in enumerate(("up", "dn")):
         ann = fock.LadderSymbol("a", tag, False, 1)
         cre = fock.LadderSymbol("a", tag, True, 1)
-        res.append(linalg.max_abs(nu.coefficient(ann, +1) - b.lam_s[h]))
-        res.append(linalg.max_abs(nu.coefficient(cre, -1) - b.lam_a[h]))
+        res.append(linalg.max_abs(nu.coefficient(ann, +1) - g.family[:, LAM_S][:, i]))
+        res.append(linalg.max_abs(nu.coefficient(cre, -1) - g.family[:, halfspin.LAM_A][:, i]))
     twice = fieldops.charge_conjugate_expansion(
-        fieldops.charge_conjugate_expansion(nu, conv), conv
+        fieldops.charge_conjugate_expansion(nu, g.convention), g.convention
     )
     res.append(twice.residual(nu))
-    distinct = fieldops.majorana_mode(b, distinct_antiparticle=True)
+    distinct = fieldops.majorana_mode(g, distinct_antiparticle=True)
     return Evaluation(
         res,
         {"terms": len(nu.terms), "distinct_labels_available": True},
@@ -920,65 +868,60 @@ def _mode_structure(cfg: SuiteConfig):
 
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
-def _ziino_split(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    momenta = cfg.momenta()
-    res = []
-    for p in momenta:
-        b = halfspin.build_spinor_basis(p, conv)
-        res.append(fieldops.ziino_split_residual(b))
-        even, odd = fieldops.ziino_barut_split(b)
-        res.append(even.add(odd).residual(fieldops.majorana_mode(b)))
-    return Evaluation(res, {"momenta": len(momenta)})
+def _ziino_split(cfg: SuiteConfig, grid):
+    g = grid(_pinned_conv(cfg))
+    even, odd = fieldops.ziino_barut_split(g)
+    # the independent oracle rebuilds the first and last rows from (p, conv)
+    shown = fieldops.displayed_split(g)
+    oracle = []
+    for i in sorted({0, len(g.momenta) - 1}):
+        want = fieldops.displayed_ziino_coefficients(g.momenta[i], g.convention)
+        oracle.append(linalg.max_abs([shown[k][i] - v for k, v in want.items()]))
+    return Evaluation(
+        [
+            fieldops.ziino_split_residual(g),
+            even.add(odd).residual(fieldops.majorana_mode(g)),
+            oracle,
+        ],
+        {"momenta": len(g.momenta)},
+    )
 
 
 @_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
-def _conjugation_parity(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    res = []
-    for p in cfg.momenta()[:8]:
-        r = fieldops.conjugation_parity_residuals(halfspin.build_spinor_basis(p, conv))
-        res += [r["even"], r["odd"]]
-    return Evaluation(res)
+def _conjugation_parity(cfg: SuiteConfig, grid):
+    r = fieldops.conjugation_parity_residuals(grid(_pinned_conv(cfg)).head(8))
+    return Evaluation([r["even"], r["odd"]])
 
 
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
-def _dirac_embedding(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    momenta = cfg.momenta()
-    reps = [fieldops.dirac_from_majorana(halfspin.build_spinor_basis(p, conv)) for p in momenta]
-    res = [r[k] for r in reps for k in ("partner_residual", "eigenspace_residual")]
+def _dirac_embedding(cfg: SuiteConfig, grid):
+    g = grid(_pinned_conv(cfg))
+    rep = fieldops.dirac_from_majorana(g)
     generic = fieldops.dirac_from_majorana(
-        halfspin.build_spinor_basis(momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
+        halfspin.build_spinor_basis(g.momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
     )
+    generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(
-        res,
+        [rep["partner_residual"], rep["eigenspace_residual"]],
         {
-            "generic_phase_singular_values": generic["positive_singular_values"],
-            "default_phase_singular_values": reps[0]["positive_singular_values"],
+            "generic_phase_singular_values": generic_sv,
+            "default_phase_singular_values": [
+                float(s) for s in rep["positive_singular_values"][0]
+            ],
             "note": (
                 "at phase sum 0 or pi the two positive images are collinear; "
                 "the rank-2 statement needs generic phases"
             ),
         },
-        {"rank 2 at generic phases": generic["positive_singular_values"][1] > 1e-6},
+        {"rank 2 at generic phases": generic_sv[1] > 1e-6},
     )
 
 
 @_check("fieldops/quaternion-orbit", "unit-quaternion phase orbit preserves conjugation status")
-def _quaternion_orbit(cfg: SuiteConfig):
-    conv = _pinned_conv(cfg)
-    qi, qj, qk = fieldops.QUATERNION_UNITS
-    eye = np.eye(4)
-    res = [
-        linalg.max_abs(qi @ qi + eye),
-        linalg.max_abs(qj @ qj + eye),
-        linalg.max_abs(qk @ qk + eye),
-        linalg.max_abs(qi @ qj - qk),
-        linalg.max_abs(qi @ qj + qj @ qi),
-        linalg.max_abs(qi @ qk + qk @ qi),
-        linalg.max_abs(qj @ qk + qk @ qj),
-    ]
+def _quaternion_orbit(cfg: SuiteConfig, grid):
+    qi, qj, qk = units = fieldops.QUATERNION_UNITS
+    res = [linalg.max_abs(u @ u + np.eye(4)) for u in units] + [linalg.max_abs(qi @ qj - qk)]
+    res += [linalg.max_abs(a @ b + b @ a) for a, b in ((qi, qj), (qi, qk), (qj, qk))]
     rng = np.random.default_rng(23)
     qs = [
         fieldops.QuaternionPhase(1.0, (0, 0, 0)),
@@ -991,13 +934,9 @@ def _quaternion_orbit(cfg: SuiteConfig):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         qs.append(fieldops.QuaternionPhase(v[0], tuple(v[1:])))
-    bases = [halfspin.build_spinor_basis(p, conv) for p in cfg.momenta()[:4]]
-    for q in qs:
-        for b in bases:
-            res.append(fieldops.orbit_preserves_conjugation(q, b))
-    for a in qs[:5]:
-        for b in qs[5:]:
-            res.append(fieldops.orbit_group_law(a, b))
+    g = grid(_pinned_conv(cfg)).head(4)
+    res += [fieldops.orbit_preserves_conjugation(q, g) for q in qs]
+    res += [fieldops.orbit_group_law(a, b) for a in qs[:5] for b in qs[5:]]
     return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
 
 
@@ -1006,8 +945,14 @@ def _quaternion_orbit(cfg: SuiteConfig):
 
 
 def run_checks(cfg: SuiteConfig):
+    momenta = cfg.momenta()
+
+    @functools.cache
+    def grid(conv: PhaseConvention) -> halfspin.SpinorGrid:
+        return halfspin.build_spinor_grid(momenta, conv)
+
     chosen = [c for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
-    return [_run(c, cfg) for c in sorted(chosen, key=lambda c: c.check_id)]
+    return [_run(c, cfg, grid) for c in sorted(chosen, key=lambda c: c.check_id)]
 
 
 def _fmt_value(v) -> str:
@@ -1033,23 +978,17 @@ def render_text(cfg: SuiteConfig, results) -> str:
         if r.status == "reported":
             for k in sorted(r.values):
                 lines.append(f"          . {k} = {_fmt_value(r.values[k])}")
-    npass = sum(1 for r in results if r.status == "pass")
-    nfail = sum(1 for r in results if r.status == "fail")
-    nrep = sum(1 for r in results if r.status == "reported")
-    lines.append("")
-    lines.append(f"{len(results)} checks: {npass} pass, {nfail} fail, {nrep} reported")
+    summary = "{total} checks: {pass} pass, {fail} fail, {reported} reported"
+    lines += ["", summary.format(**_summary(results))]
     return "\n".join(lines) + "\n"
 
 
+def _summary(results) -> dict:
+    counts = {s: sum(r.status == s for r in results) for s in ("pass", "fail", "reported")}
+    return dict(counts, total=len(results))
+
+
 def render_json(cfg: SuiteConfig, results) -> str:
-    doc = {
-        "config": cfg.to_dict(),
-        "checks": [r.to_dict() for r in results],
-        "summary": {
-            "total": len(results),
-            "pass": sum(1 for r in results if r.status == "pass"),
-            "fail": sum(1 for r in results if r.status == "fail"),
-            "reported": sum(1 for r in results if r.status == "reported"),
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rows = [r.to_dict() for r in results]
+    doc = {"config": cfg.to_dict(), "checks": rows, "summary": _summary(results)}
+    return json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import checks, halfspin, spin1
-from .halfspin import DN, UP, FourMomentum, PhaseConvention
+from .halfspin import FourMomentum, PhaseConvention
 
 _H3 = {+1: "up", 0: "lng", -1: "dn"}
 
@@ -114,40 +114,21 @@ def _tabulate(args) -> str:
         f"{args.what} at mass={args.mass:.12g} momentum=({args.momentum}) "
         f"theta1={args.theta1:.12g} theta2={args.theta2:.12g}"
     )
-    if args.what in ("lambda", "rho", "dirac"):
-        b = halfspin.build_spinor_basis(p, conv)
-        if args.what == "lambda":
-            rows = [
-                ("lam_s_up", b.lam_s[UP]),
-                ("lam_s_dn", b.lam_s[DN]),
-                ("lam_a_up", b.lam_a[UP]),
-                ("lam_a_dn", b.lam_a[DN]),
-            ]
-        elif args.what == "rho":
-            rows = [
-                ("rho_s_up", b.rho_s[UP]),
-                ("rho_s_dn", b.rho_s[DN]),
-                ("rho_a_up", b.rho_a[UP]),
-                ("rho_a_dn", b.rho_a[DN]),
-            ]
-        else:
-            rows = [
-                ("u_up", b.dirac_u(UP)),
-                ("u_dn", b.dirac_u(DN)),
-                ("v_up", b.dirac_v(UP)),
-                ("v_dn", b.dirac_v(DN)),
-            ]
+    if args.what == "dirac":
+        uv = halfspin.build_spinor_basis(p, conv).uv_stack()[0]
+        rows = list(zip(("u_up", "u_dn", "v_up", "v_dn"), uv))
+    elif args.what in ("lambda", "rho"):
+        family = halfspin.build_spinor_basis(p, conv).family[0]
+        # lambda (or rho) members in FAMILY order: s_up, s_dn, a_up, a_dn
+        rows = [(n, v) for n, v in zip(halfspin.FAMILY, family) if n[:3] == args.what[:3]]
     else:
-        rows = []
-        for h in spin1.HELICITIES:
-            s = spin1.mr_spinor(p, h)
-            tag = _H3[h]
-            rows.append((f"u_{tag}", s.u))
-            rows.append((f"v_{tag}", s.v))
-            rows.append((f"u_re_{tag}", s.u_re.astype(complex)))
-            rows.append((f"u_im_{tag}", s.u_im.astype(complex)))
-            rows.append((f"v_re_{tag}", s.v_re.astype(complex)))
-            rows.append((f"v_im_{tag}", s.v_im.astype(complex)))
+        s = spin1.mr_spinor(p)
+        parts = ("u", "v", "u_re", "u_im", "v_re", "v_im")
+        rows = [
+            (f"{part}_{_H3[h]}", getattr(s, part)[k].astype(complex))
+            for k, h in enumerate(spin1.HELICITIES)
+            for part in parts
+        ]
     return _rows_to_table(head, rows)
 
 

@@ -3,7 +3,9 @@
 A ModeExpansion is a finite list of (bispinor coefficient, ladder symbol,
 frequency tag) triples at a fixed momentum; frequency +1 tags the
 exp(-i p.x) factor, -1 the exp(+i p.x) one.  The 1/(2 E_p) measure is a
-common positive factor at fixed mode and is dropped.
+common positive factor at fixed mode and is dropped.  Built from a
+SpinorGrid, every coefficient is (N, 4), one row per grid momentum, so one
+expansion carries the fixed-momentum modes of the whole grid.
 
 The field-level conjugation acts on an expansion exactly the way the
 spinor-level operator acts on coefficients: matrix times conjugate, dagger
@@ -21,22 +23,26 @@ import numpy as np
 
 from .fock import LadderSymbol
 from .halfspin import (
-    DN,
+    FAMILY_SIGNS,
     GAMMA0,
     GAMMA5,
     ID4,
+    LAM_A,
+    LAM_S,
+    RHO_A,
+    RHO_S,
     THETA,
-    UP,
     FourMomentum,
     PhaseConvention,
-    SpinorBasis,
+    SpinorGrid,
     build_spinor_basis,
     charge_conjugation_op,
     slash,
 )
-from .linalg import frozen, max_abs
+from .linalg import apply, frozen, max_abs, norm, rowscale
 
-_HTAG = {UP: "up", DN: "dn"}
+_HTAGS = ("up", "dn")
+_FREQ = {"ann": +1, "cre": -1}  # frequency tag of the annihilator/creator terms
 
 
 @dataclass(frozen=True)
@@ -93,13 +99,14 @@ class ModeExpansion:
     def add(self, other: "ModeExpansion") -> "ModeExpansion":
         return ModeExpansion(list(self._terms) + list(other._terms))
 
-    def residual(self, other: "ModeExpansion") -> float:
+    def residual(self, other: "ModeExpansion"):
+        """Largest entrywise coefficient gap, per row."""
         gaps = [t.coefficient - other.coefficient(t.symbol, t.frequency) for t in self._terms]
         gaps += [t.coefficient - self.coefficient(t.symbol, t.frequency) for t in other._terms]
-        return max_abs(gaps)
+        return np.max([max_abs(g, axis=-1) for g in gaps], axis=0) if gaps else 0.0
 
 
-def majorana_mode(b: SpinorBasis, distinct_antiparticle: bool = False) -> ModeExpansion:
+def majorana_mode(g: SpinorGrid, distinct_antiparticle: bool = False) -> ModeExpansion:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
     positive frequency, lambda^A the creators at negative frequency; every
     ladder symbol carries momentum tag 1.
@@ -108,10 +115,11 @@ def majorana_mode(b: SpinorBasis, distinct_antiparticle: bool = False) -> ModeEx
     Dirac-ready bookkeeping); the default identifies them with 'a'.
     """
     kind = "b" if distinct_antiparticle else "a"
+    lam_s, lam_a = g.family[:, LAM_S], g.family[:, LAM_A]
     terms = []
-    for h in (UP, DN):
-        terms.append(Term(b.lam_s[h], LadderSymbol("a", _HTAG[h], False, 1), +1))
-        terms.append(Term(b.lam_a[h], LadderSymbol(kind, _HTAG[h], True, 1), -1))
+    for i, tag in enumerate(_HTAGS):
+        terms.append(Term(lam_s[:, i], LadderSymbol("a", tag, False, 1), +1))
+        terms.append(Term(lam_a[:, i], LadderSymbol(kind, tag, True, 1), -1))
     return ModeExpansion(terms)
 
 
@@ -134,58 +142,60 @@ def charge_conjugate_expansion(
     return ModeExpansion(out)
 
 
-def ziino_barut_split(b: SpinorBasis) -> tuple[ModeExpansion, ModeExpansion]:
+def ziino_barut_split(g: SpinorGrid) -> tuple[ModeExpansion, ModeExpansion]:
     """(even, odd) halves of the mode under the field-level conjugation."""
-    nu = majorana_mode(b)
-    cnu = charge_conjugate_expansion(nu, b.convention)
+    nu = majorana_mode(g)
+    cnu = charge_conjugate_expansion(nu, g.convention)
     even = nu.add(cnu).scale(0.5)
     odd = nu.add(cnu.scale(-1.0)).scale(0.5)
     return even, odd
 
 
-def displayed_ziino_coefficients(
-    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
-) -> dict:
-    """The split coefficients in closed form: the even half puts
-    (i Theta conj(phi_L); 0) on the annihilators and (0; phi_L) on the
-    creators; the odd half swaps the pattern with a sign.  It builds its own
-    family from (p, conv), so it stays independent of any basis under test."""
-    b = build_spinor_basis(p, conv)
+def displayed_split(g: SpinorGrid) -> dict:
+    """The split coefficients in closed form on the grid's own phi_L, (N, 4)
+    each: the even half puts (i Theta conj(phi_L); 0) on the annihilators
+    and (0; phi_L) on the creators; the odd half swaps the pattern with a
+    sign."""
+    top = apply(1j * THETA, np.conjugate(g.left))
+    z = np.zeros_like(top)
     out = {}
-    for h in (UP, DN):
-        top = 1j * THETA @ np.conjugate(b.phi_l[h])
-        z = np.zeros(2, dtype=complex)
-        out[("even", _HTAG[h], "ann")] = np.concatenate([top, z])
-        out[("even", _HTAG[h], "cre")] = np.concatenate([z, b.phi_l[h]])
-        out[("odd", _HTAG[h], "ann")] = np.concatenate([z, b.phi_l[h]])
-        out[("odd", _HTAG[h], "cre")] = np.concatenate([-top, z])
+    for i, tag in enumerate(_HTAGS):
+        t, l, o = top[:, i], g.left[:, i], z[:, i]
+        out[("even", tag, "ann")] = np.concatenate([t, o], axis=-1)
+        out[("even", tag, "cre")] = np.concatenate([o, l], axis=-1)
+        out[("odd", tag, "ann")] = np.concatenate([o, l], axis=-1)
+        out[("odd", tag, "cre")] = np.concatenate([-t, o], axis=-1)
     return out
 
 
-def ziino_split_residual(b: SpinorBasis) -> float:
-    """Entrywise distance of the computed halves from the displayed
-    coefficients, maximized over helicity and term."""
-    even, odd = ziino_barut_split(b)
-    want = displayed_ziino_coefficients(b.momentum, b.convention)
-    gaps = []
-    for h in (UP, DN):
-        tag = _HTAG[h]
-        ann = LadderSymbol("a", tag, False, 1)
-        cre = LadderSymbol("a", tag, True, 1)
-        gaps.append(even.coefficient(ann, +1) - want[("even", tag, "ann")])
-        gaps.append(even.coefficient(cre, -1) - want[("even", tag, "cre")])
-        gaps.append(odd.coefficient(ann, +1) - want[("odd", tag, "ann")])
-        gaps.append(odd.coefficient(cre, -1) - want[("odd", tag, "cre")])
-    return max_abs(gaps)
+def displayed_ziino_coefficients(
+    p: FourMomentum, conv: PhaseConvention = PhaseConvention()
+) -> dict:
+    """displayed_split at one momentum, keyed the same way.  It builds its
+    own family from (p, conv), so it stays independent of any grid under
+    test: compared with a grid row, it catches a row that is not the
+    family of its momentum."""
+    return {k: v[0] for k, v in displayed_split(build_spinor_basis(p, conv)).items()}
 
 
-def conjugation_parity_residuals(b: SpinorBasis) -> dict:
+def ziino_split_residual(g: SpinorGrid):
+    """Per row: entrywise distance of the computed halves from the
+    displayed coefficients, maximized over helicity and term."""
+    halves = dict(zip(("even", "odd"), ziino_barut_split(g)))
+    gaps = [
+        halves[half].coefficient(LadderSymbol("a", tag, kind == "cre", 1), _FREQ[kind]) - want
+        for (half, tag, kind), want in displayed_split(g).items()
+    ]
+    return np.max([max_abs(x, axis=-1) for x in gaps], axis=0)
+
+
+def conjugation_parity_residuals(g: SpinorGrid) -> dict:
     """The halves are conjugation eigen-expansions: C even = +even,
-    C odd = -odd."""
-    even, odd = ziino_barut_split(b)
+    C odd = -odd; per row."""
+    even, odd = ziino_barut_split(g)
     return {
-        "even": charge_conjugate_expansion(even, b.convention).residual(even),
-        "odd": charge_conjugate_expansion(odd, b.convention).residual(odd.scale(-1.0)),
+        "even": charge_conjugate_expansion(even, g.convention).residual(even),
+        "odd": charge_conjugate_expansion(odd, g.convention).residual(odd.scale(-1.0)),
     }
 
 
@@ -193,35 +203,30 @@ def conjugation_parity_residuals(b: SpinorBasis) -> dict:
 # Dirac embedding
 
 
-def dirac_from_majorana(b: SpinorBasis) -> dict:
-    """(1 +- slash/m) images of the mode coefficients.
+def dirac_from_majorana(g: SpinorGrid) -> dict:
+    """(1 +- slash/m) images of the mode coefficients, per row.
 
     The positive-frequency images are lambda^S + rho^A (the +m eigenspace),
     the negative-frequency ones lambda^A - rho^S (-m).  Whether the two
     positive images are independent depends on the phase convention: at
     theta1 + theta2 in {0, pi} they are exactly collinear, so the rank-2
-    statement needs generic phases; the report carries the singular values.
+    statement needs generic phases; the report carries the singular values,
+    (N, 2).
     """
-    p, conv = b.momentum, b.convention
-    sl, m = slash(p), p.mass
-    plus = ID4 + sl / m
-    minus = ID4 - sl / m
-    partner = []
-    eigen = []
-    pos = []
-    for h in (UP, DN):
-        ip = plus @ b.lam_s[h]
-        im = minus @ b.lam_a[h]
-        pos.append(ip)
-        partner.append(np.linalg.norm(ip - (b.lam_s[h] + b.rho_a[h])))
-        partner.append(np.linalg.norm(im - (b.lam_a[h] - b.rho_s[h])))
-        eigen.append(np.linalg.norm(sl @ ip - m * ip))
-        eigen.append(np.linalg.norm(sl @ im + m * im))
-    sv = np.linalg.svd(np.array(pos), compute_uv=False)
+    sl, m = slash(g), rowscale(g.mass)
+    f = g.family
+    ip = apply(ID4 + sl / m, f[:, LAM_S])
+    im = apply(ID4 - sl / m, f[:, LAM_A])
+
+    def worst(*gaps):
+        return np.max([norm(x) for x in gaps], axis=(0, 2))
+
+    conv = g.convention
+    partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
     return {
-        "partner_residual": max_abs(partner),
-        "eigenspace_residual": max_abs(eigen),
-        "positive_singular_values": [float(s) for s in sv],
+        "partner_residual": worst(*partner),
+        "eigenspace_residual": worst(apply(sl, ip) - m * ip, apply(sl, im) + m * im),
+        "positive_singular_values": np.linalg.svd(ip, compute_uv=False),
         "phase_sum": (conv.theta1 + conv.theta2) % (2 * math.pi),
     }
 
@@ -265,19 +270,15 @@ def orbit_matrix(q: QuaternionPhase) -> np.ndarray:
     return q.c0 * ID4 + q.c[0] * qi + q.c[1] * qj + q.c[2] * qk
 
 
-def orbit_preserves_conjugation(q: QuaternionPhase, b: SpinorBasis) -> float:
-    """Worst |S^c(M psi) - s (M psi)| over the eight family members.
+def orbit_preserves_conjugation(q: QuaternionPhase, g: SpinorGrid):
+    """Per row: worst |S^c(M psi) - s (M psi)| over the eight family members.
 
     The units intertwine with the conjugation (real coefficients), so the
     +-1 status survives the whole orbit exactly.
     """
-    m = orbit_matrix(q)
-    c = charge_conjugation_op(b.convention)
-    gaps = []
-    for _, psi, sign in b.charge_family():
-        img = m @ psi
-        gaps.append(np.linalg.norm(c(img) - sign * img))
-    return max_abs(gaps)
+    img = apply(orbit_matrix(q), g.family)
+    c = charge_conjugation_op(g.convention)
+    return np.max(norm(c(img) - FAMILY_SIGNS[:, None] * img), axis=-1)
 
 
 def orbit_group_law(q1: QuaternionPhase, q2: QuaternionPhase) -> float:

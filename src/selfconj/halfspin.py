@@ -36,10 +36,23 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import TOL, AntilinearOp, cmat, frozen, max_abs, unit_phase_align
+from .linalg import (
+    TOL,
+    AntilinearOp,
+    apply,
+    cmat,
+    diagonal,
+    frozen,
+    max_abs,
+    norm,
+    rowscale,
+    unit_phase_align,
+)
 
 ID2 = frozen(np.eye(2, dtype=complex))
 ID4 = frozen(np.eye(4, dtype=complex))
@@ -149,108 +162,180 @@ class PhaseConvention:
 
 # ---------------------------------------------------------------------------
 # two-spinors and boosts
+#
+# Kinematic functions read `mass`, `pmag`, `theta`, `phi`, `energy`, `nhat`
+# and `pvec` from their argument: scalars on a FourMomentum, arrays with one
+# row per momentum on a SpinorGrid.  Their results carry the same leading
+# row axis.
 
 
-def helicity_eigenspinor(theta: float, phi: float, h: int) -> np.ndarray:
+def helicity_eigenspinor(theta, phi, h: int) -> np.ndarray:
     """chi_h for the direction (theta, phi); sigma.n chi_h = h chi_h."""
     if h not in (UP, DN):
         raise ValueError("helicity must be +1 or -1")
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    em = np.exp(-0.5j * phi)
-    ep = np.exp(+0.5j * phi)
+    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
+    em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
     if h == UP:
-        return np.array([c * em, s * ep])
-    return np.array([-s * em, c * ep])
+        return np.stack([c * em, s * ep], axis=-1)
+    return np.stack([-s * em, c * ep], axis=-1)
 
 
-def boost_ops(p: FourMomentum) -> tuple[np.ndarray, np.ndarray]:
+def boost_ops(p) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Weyl boosts (right, left) for m > 0.
 
     lam_r = (E + m + sigma.p) / sqrt(2 m (E + m)), lam_l with -sigma.p.
     """
-    if p.mass <= 0:
+    if not np.all(np.asarray(p.mass) > 0):
         raise ValueError("finite boosts need m > 0")
     e, m = p.energy, p.mass
-    sp = np.tensordot(p.pvec, SIGMA, axes=(0, 0))
-    den = math.sqrt(2 * m * (e + m))
-    lam_r = ((e + m) * ID2 + sp) / den
-    lam_l = ((e + m) * ID2 - sp) / den
+    sp = np.tensordot(p.pvec, SIGMA, axes=(-1, 0))
+    den = rowscale(np.sqrt(2 * m * (e + m)))
+    lam_r = (rowscale(e + m) * ID2 + sp) / den
+    lam_l = (rowscale(e + m) * ID2 - sp) / den
     return lam_r, lam_l
 
 
-def _rest_pair(p: FourMomentum, conv: PhaseConvention):
-    chi = {h: helicity_eigenspinor(p.theta, p.phi, h) for h in (UP, DN)}
-    n = conv.rest_scale(p.mass)
-    return {h: n * conv.rest_phase(h) * chi[h] for h in (UP, DN)}
-
-
 # ---------------------------------------------------------------------------
-# the bispinor family
+# the bispinor family over a momentum grid
+
+# Member order along the family axis of SpinorGrid.family, with the S^c
+# eigenvalue of each member; LAM_S etc. pick a member's (up, dn) pair.
+FAMILY = tuple(f"{m}_{h}" for m in ("lam_s", "rho_s", "lam_a", "rho_a") for h in ("up", "dn"))
+FAMILY_SIGNS = frozen(np.array([+1.0, +1.0, +1.0, +1.0, -1.0, -1.0, -1.0, -1.0]))
+LAM_S, RHO_S, LAM_A, RHO_A = (slice(k, k + 2) for k in (0, 2, 4, 6))
+# rows (lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn) of the family
+LAMBDAS = (0, 1, 4, 5)
 
 
-@dataclass(frozen=True)
-class SpinorBasis:
-    """All sixteen momentum-space objects for one (p, convention) pair."""
+@dataclass(frozen=True, eq=False)
+class SpinorGrid:
+    """The spin-1/2 family at N momenta for one convention, row axis first.
 
-    momentum: FourMomentum
+    Kinematics are (N,) arrays (nhat is (N, 3)); `left`/`right` are the
+    boosted two-spinors phi_L/phi_R as (N, 2, 2), helicity (up, dn) on
+    axis 1; `family` is (N, 8, 4) in FAMILY order.  The spin-1 six-spinors
+    and the grid at the reflected momenta are built on first use.
+    """
+
+    momenta: tuple
     convention: PhaseConvention
-    phi_l: dict = field(repr=False)  # left two-spinors by helicity
-    phi_r: dict = field(repr=False)
-    lam_s: dict = field(repr=False)
-    lam_a: dict = field(repr=False)
-    rho_s: dict = field(repr=False)
-    rho_a: dict = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    pmag: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    energy: np.ndarray = field(repr=False)
+    nhat: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    family: np.ndarray = field(repr=False)
 
-    def dirac_u(self, h: int) -> np.ndarray:
-        return np.concatenate([self.phi_r[h], self.phi_l[h]])
+    @property
+    def pvec(self) -> np.ndarray:
+        return self.pmag[:, None] * self.nhat
 
-    def dirac_v(self, h: int) -> np.ndarray:
-        return GAMMA5 @ self.dirac_u(h)
-
-    def lambda_stack(self) -> np.ndarray:
-        """Rows: lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn."""
-        return np.array([self.lam_s[UP], self.lam_s[DN], self.lam_a[UP], self.lam_a[DN]])
+    def head(self, n: int) -> "SpinorGrid":
+        """The grid of the first n rows."""
+        arrays = (self.mass, self.pmag, self.theta, self.phi, self.energy, self.nhat)
+        parts = (self.left, self.right, self.family)
+        return type(self)(self.momenta[:n], self.convention, *(a[:n] for a in arrays + parts))
 
     def uv_stack(self) -> np.ndarray:
-        """Rows: u_up, u_dn, v_up, v_dn."""
-        return np.array([self.dirac_u(UP), self.dirac_u(DN), self.dirac_v(UP), self.dirac_v(DN)])
+        """(N, 4, 4), rows u_up, u_dn, v_up, v_dn."""
+        u = np.concatenate([self.right, self.left], axis=-1)
+        return np.concatenate([u, apply(GAMMA5, u)], axis=1)
+
+    def lambda_stack(self) -> np.ndarray:
+        """(N, 4, 4), rows lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn."""
+        return self.family[:, LAMBDAS]
+
+    @cached_property
+    def six(self) -> np.ndarray:
+        """(N, 3, 6) chiral spin-1 six-spinors, helicities +1, 0, -1."""
+        from .spin1 import weinberg_u  # spin1 builds on this module
+
+        return weinberg_u(self)
+
+    @cached_property
+    def reflected(self) -> "SpinorGrid":
+        """The same construction at -p, row for row (space inversion)."""
+        return type(self).build([p.reflected() for p in self.momenta], self.convention)
+
+    @classmethod
+    def build(cls, momenta, conv: PhaseConvention = PhaseConvention()):
+        momenta = tuple(momenta)
+        mass, pmag, theta, phi, energy = (
+            np.array([getattr(p, k) for p in momenta], dtype=float)
+            for k in ("mass", "pmag", "theta", "phi", "energy")
+        )
+        st = np.sin(theta)
+        nhat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
+        lam_r, lam_l = boost_ops(kinematics)
+        scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
+        # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity
+        rest = np.stack(
+            [
+                scale[:, None] * conv.rest_phase(h) * helicity_eigenspinor(theta, phi, h)
+                for h in (UP, DN)
+            ],
+            axis=1,
+        )
+        left = apply(lam_l, rest)
+        right = apply(lam_r, rest)
+        # +-i Theta conj(phi)
+        lp, lm, rp, rm = (
+            apply(s * THETA, np.conjugate(x)) for x in (left, right) for s in (1j, -1j)
+        )
+        family = np.concatenate(
+            [
+                np.concatenate([lp, left], axis=-1),  # lambda^S
+                np.concatenate([right, rm], axis=-1),  # rho^S
+                np.concatenate([lm, left], axis=-1),  # lambda^A
+                np.concatenate([right, rp], axis=-1),  # rho^A
+            ],
+            axis=1,
+        )
+        return cls(momenta, conv, mass, pmag, theta, phi, energy, nhat, left, right, family)
+
+
+def _by_helicity(rows) -> property:
+    return property(lambda self: dict(zip((UP, DN), rows(self)[0])))
+
+
+class SpinorBasis(SpinorGrid):
+    """The one-row SpinorGrid of a single momentum, with its members also
+    keyed by helicity as 4-vectors (two-spinors for phi_l/phi_r)."""
+
+    momentum = property(lambda self: self.momenta[0])
+    phi_l = _by_helicity(lambda self: self.left)
+    phi_r = _by_helicity(lambda self: self.right)
+    lam_s = _by_helicity(lambda self: self.family[:, LAM_S])
+    lam_a = _by_helicity(lambda self: self.family[:, LAM_A])
+    rho_s = _by_helicity(lambda self: self.family[:, RHO_S])
+    rho_a = _by_helicity(lambda self: self.family[:, RHO_A])
+
+    def dirac_u(self, h: int) -> np.ndarray:
+        return self.uv_stack()[0, (UP, DN).index(h)]
+
+    def dirac_v(self, h: int) -> np.ndarray:
+        return self.uv_stack()[0, 2 + (UP, DN).index(h)]
 
     def charge_family(self):
-        """(name, spinor, expected S^c eigenvalue) for all eight members."""
-        out = []
-        for h, tag in ((UP, "up"), (DN, "dn")):
-            out.append((f"lam_s_{tag}", self.lam_s[h], +1))
-            out.append((f"rho_s_{tag}", self.rho_s[h], +1))
-            out.append((f"lam_a_{tag}", self.lam_a[h], -1))
-            out.append((f"rho_a_{tag}", self.rho_a[h], -1))
-        return out
+        """(name, spinor, expected S^c eigenvalue) for all eight members,
+        up members first."""
+        order = (0, 2, 4, 6, 1, 3, 5, 7)
+        return [(FAMILY[k], self.family[0, k], int(FAMILY_SIGNS[k])) for k in order]
+
+
+def build_spinor_grid(momenta, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
+    return SpinorGrid.build(momenta, conv)
 
 
 def build_spinor_basis(
     p: FourMomentum,
     conv: PhaseConvention = PhaseConvention(),
 ) -> SpinorBasis:
-    lam_r, lam_l = boost_ops(p)
-    rest = _rest_pair(p, conv)
-    phi_l = {h: lam_l @ rest[h] for h in (UP, DN)}
-    phi_r = {h: lam_r @ rest[h] for h in (UP, DN)}
-
-    def lam(h, sign):
-        return np.concatenate([sign * 1j * THETA @ np.conjugate(phi_l[h]), phi_l[h]])
-
-    def rho(h, sign):
-        return np.concatenate([phi_r[h], -sign * 1j * THETA @ np.conjugate(phi_r[h])])
-
-    return SpinorBasis(
-        momentum=p,
-        convention=conv,
-        phi_l=phi_l,
-        phi_r=phi_r,
-        lam_s={h: lam(h, +1) for h in (UP, DN)},
-        lam_a={h: lam(h, -1) for h in (UP, DN)},
-        rho_s={h: rho(h, +1) for h in (UP, DN)},
-        rho_a={h: rho(h, -1) for h in (UP, DN)},
-    )
+    return SpinorBasis.build([p], conv)
 
 
 _CONJUGATION_BLOCK = frozen(
@@ -279,44 +364,42 @@ class DiscreteOps:
 
 
 def discrete_ops(nhat) -> DiscreteOps:
+    """The operators for one direction (3,) or for rows of them (N, 3)."""
     nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape != (3,) or not np.all(np.isfinite(nhat)):
+    if nhat.shape[-1:] != (3,) or not np.all(np.isfinite(nhat)):
         raise ValueError("direction must be a finite 3-vector")
-    if not abs(np.linalg.norm(nhat) - 1.0) <= 1e-9:
+    if not np.all(abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= 1e-9):
         raise ValueError("direction must be a unit 3-vector")
-    sn = np.tensordot(nhat, SIGMA, axes=(0, 0))
-    h = 0.5 * np.block([[sn, np.zeros((2, 2))], [np.zeros((2, 2)), sn]])
+    sn = 0.5 * np.tensordot(nhat, SIGMA, axes=(-1, 0))
+    h = np.zeros(sn.shape[:-2] + (4, 4), dtype=complex)
+    h[..., :2, :2] = h[..., 2:, 2:] = sn
     return DiscreteOps(helicity=h, chiral_helicity=-GAMMA5 @ h, parity=GAMMA0)
 
 
-def slash(p: FourMomentum) -> np.ndarray:
+def slash(p) -> np.ndarray:
     """gamma^mu p_mu with metric (+,-,-,-)."""
-    out = p.energy * GAMMA0
+    out = rowscale(p.energy) * GAMMA0
     for i in range(3):
-        out = out - p.pvec[i] * GAMMAS[i]
+        out = out - rowscale(p.pvec[..., i]) * GAMMAS[i]
     return out
 
 
-def dynamical_residuals(b: SpinorBasis, flip_third_sign: bool = False) -> dict:
-    """Max-over-helicity residuals of the four first-order relations.
+def dynamical_residuals(g: SpinorGrid, flip_third_sign: bool = False) -> dict:
+    """Per-row max-over-helicity residuals of the four first-order relations.
 
     flip_third_sign deliberately tests slash(p) lambda^A + m rho^S instead;
     that residual is 2m-sized and serves as the suite's self-test that the
     checks can fail.
     """
-    p = b.momentum
-    sl, m = slash(p), p.mass
+    sl, m, f = slash(g), rowscale(g.mass), g.family
     s3 = +1.0 if flip_third_sign else -1.0
-    pairs = {
-        "r1": [(b.lam_s[h], b.rho_a[h], -1.0) for h in (UP, DN)],
-        "r2": [(b.rho_a[h], b.lam_s[h], -1.0) for h in (UP, DN)],
-        "r3": [(b.lam_a[h], b.rho_s[h], s3) for h in (UP, DN)],
-        "r4": [(b.rho_s[h], b.lam_a[h], -1.0) for h in (UP, DN)],
-    }
-    return {
-        k: max_abs([np.linalg.norm(sl @ x + s * m * y) for x, y, s in v])
-        for k, v in pairs.items()
-    }
+    pairs = (
+        ("r1", LAM_S, RHO_A, -1.0),
+        ("r2", RHO_A, LAM_S, -1.0),
+        ("r3", LAM_A, RHO_S, s3),
+        ("r4", RHO_S, LAM_A, -1.0),
+    )
+    return {k: np.max(norm(apply(sl, f[:, x]) + s * m * f[:, y]), axis=-1) for k, x, y, s in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +422,15 @@ class ConnectionReport:
     phases: np.ndarray  # per-row unit phases that minimize the residual
 
 
-def connection_check(b: SpinorBasis) -> ConnectionReport:
-    got = CONNECTION @ b.uv_stack()
-    want = b.lambda_stack()
-    raw = max_abs(got - want)
-    phases, aligned = [], []
-    for i in range(4):
-        c, r = unit_phase_align(want[i], got[i])
-        phases.append(c)
-        aligned.append(r)
+def connection_check(g: SpinorGrid) -> ConnectionReport:
+    """Per row: raw and phase-aligned residuals (N,), phases (N, 4)."""
+    got = CONNECTION @ g.uv_stack()
+    want = g.lambda_stack()
+    phases, aligned = unit_phase_align(want, got)
     return ConnectionReport(
-        raw_residual=raw, aligned_residual=max_abs(aligned), phases=np.array(phases)
+        raw_residual=max_abs(got - want, axis=(-2, -1)),
+        aligned_residual=np.max(aligned, axis=-1),
+        phases=phases,
     )
 
 
@@ -366,10 +447,10 @@ def gauge_rho(alpha: float) -> np.ndarray:
     return math.cos(alpha) * ID4 + 1j * math.sin(alpha) * GAMMA5
 
 
-def xi_matrix(phi_p: float) -> np.ndarray:
+def xi_matrix(phi_p) -> np.ndarray:
     """diag(e^{+i phi_p}, e^{-i phi_p}); conjugates the Weyl boosts:
     Xi lam Xi^{-1} = conj(lam) for momenta with azimuth phi_p."""
-    return cmat([[np.exp(1j * phi_p), 0], [0, np.exp(-1j * phi_p)]])
+    return diagonal(np.exp(1j * np.asarray(phi_p)), np.exp(-1j * np.asarray(phi_p)))
 
 
 # Momentum-independent parts of the four exchange maps.  Each map factors
@@ -381,28 +462,35 @@ def xi_matrix(phi_p: float) -> np.ndarray:
 W_PARTS = frozen((ID4, 1j * GAMMA5, 1j * GAMMA0, GAMMA5 @ GAMMA0))
 
 
-def xi_quadruple(phi_p: float) -> list[np.ndarray]:
-    z2 = np.zeros((2, 2))
-    xi = xi_matrix(phi_p)
-    g = np.block([[xi, z2], [z2, xi]])
+def xi_factor(phi_p) -> np.ndarray:
+    """diag(Xi, Xi), the momentum-dependent factor of every exchange map."""
+    e, f = np.exp(1j * np.asarray(phi_p)), np.exp(-1j * np.asarray(phi_p))
+    return diagonal(e, f, e, f)
+
+
+def xi_quadruple(phi_p) -> list[np.ndarray]:
+    g = xi_factor(phi_p)
     return [w @ g for w in W_PARTS]
 
 
-def xi_alias_residuals(b: SpinorBasis) -> dict:
-    """How far each exchange image sits from its advertised alias.
+def xi_alias_residuals(g: SpinorGrid) -> dict:
+    """How far each exchange image sits from its advertised alias, per row
+    and helicity: {alias<k>_<tag>: (N,)}.
 
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
     """
-    v1, v2, v3, v4 = xi_quadruple(b.momentum.phi)
-    out = {}
-    for h, tag in ((UP, "up"), (DN, "dn")):
-        ls, la = b.lam_s[h], b.lam_a[h]
-        out[f"alias1_{tag}"] = float(np.linalg.norm(v1 @ ls - np.conjugate(la)))
-        out[f"alias2_{tag}"] = float(np.linalg.norm(v2 @ ls + 1j * np.conjugate(ls)))
-        out[f"alias3_{tag}"] = float(np.linalg.norm(v3 @ ls - 1j * GAMMA0 @ np.conjugate(la)))
-        out[f"alias4_{tag}"] = float(np.linalg.norm(v4 @ ls - GAMMA0 @ np.conjugate(ls)))
-    return out
+    v1, v2, v3, v4 = xi_quadruple(g.phi)
+    ls, la = g.family[:, LAM_S], g.family[:, LAM_A]
+    cls, cla = np.conjugate(ls), np.conjugate(la)
+    gaps = {
+        "alias1": apply(v1, ls) - cla,
+        "alias2": apply(v2, ls) + 1j * cls,
+        "alias3": apply(v3, ls) - apply(1j * GAMMA0, cla),
+        "alias4": apply(v4, ls) - apply(GAMMA0, cls),
+    }
+    norms = {k: norm(v) for k, v in gaps.items()}
+    return {f"{k}_{tag}": n[:, i] for i, tag in enumerate(("up", "dn")) for k, n in norms.items()}
 
 
 def w_group_table():
@@ -432,8 +520,8 @@ def adjoint(psi: np.ndarray) -> np.ndarray:
     return np.conjugate(psi) @ GAMMA0
 
 
-def biorthonormality_gram(b: SpinorBasis) -> np.ndarray:
-    """G[i, j] = bar(lambda_i) lambda_j over the lambda stack.
+def biorthonormality_gram(g: SpinorGrid) -> np.ndarray:
+    """G[n, i, j] = bar(lambda_i) lambda_j over row n's lambda stack.
 
     Off diagonal within each family, zero across families; the diagonal
     vanishes identically.  The magnitude of the nonzero entries is
@@ -441,8 +529,8 @@ def biorthonormality_gram(b: SpinorBasis) -> np.ndarray:
     realizes is G[0,1] = -2i N^2 cos(theta1+theta2) = -G[1,0] and the
     opposite pattern in the anti block.
     """
-    stack = b.lambda_stack()
-    return np.array([[adjoint(x) @ y for y in stack] for x in stack])
+    stack = g.lambda_stack()
+    return adjoint(stack) @ np.swapaxes(stack, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +591,9 @@ def _sigma_tensors():
 FGM_SIGMA, FGM_TILDE = frozen(_sigma_tensors())
 
 
-def fgm_residuals(b: SpinorBasis, g: float = 0.0, fmunu=None, x=None) -> dict:
-    """Second-order operator residuals on the boosted phi_R/phi_L pair.
+def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
+    """Per-row second-order operator residuals on the boosted phi_R/phi_L
+    pair of the up member.
 
     pi^{+-}_mu = p_mu +- g A_mu with A_mu = -(1/2) F_{mu nu} x^nu (linear
     gauge for constant F; x defaults to the origin, where A vanishes and
@@ -523,21 +612,20 @@ def fgm_residuals(b: SpinorBasis, g: float = 0.0, fmunu=None, x=None) -> dict:
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
 
-    p = b.momentum
     a = -0.5 * fmunu @ x4
-    p4 = np.concatenate([[p.energy], p.pvec])
+    p4 = np.concatenate([b.energy[:, None], b.pvec], axis=-1)
     pip = p4 + g * a
     pim = p4 - g * a
     # metric (+,-,-,-) scalar; components are numbers so ordering drops out
-    scal = pip[0] * pim[0] - np.dot(pip[1:], pim[1:])
+    scal = pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:])
 
     fsig = sum(FGM_SIGMA[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
     ftil = sum(FGM_TILDE[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
 
-    m2 = p.mass**2
-    op_r = scal * ID2 - m2 * ID2 - 0.5 * g * fsig
-    op_l = scal * ID2 - m2 * ID2 - 0.5 * g * ftil
+    m2 = rowscale(b.mass**2)
+    op_r = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * fsig
+    op_l = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * ftil
     return {
-        "right": float(np.linalg.norm(op_r @ b.phi_r[UP])),
-        "left": float(np.linalg.norm(op_l @ b.phi_l[UP])),
+        "right": norm(apply(op_r, b.right[:, :1]))[:, 0],
+        "left": norm(apply(op_l, b.left[:, :1]))[:, 0],
     }

@@ -1,6 +1,8 @@
 """Small dense complex linear algebra shared by every module.
 
-Vectors and matrices are plain numpy arrays with dtype complex128; nothing
+Vectors and matrices are plain numpy arrays with dtype complex128; the
+vector helpers work on the last axis and keep any leading (row) axes, so
+one call covers a whole momentum grid.  Nothing
 here wraps numpy beyond one structure, AntilinearOp, which represents maps
 of the form v -> M v or v -> M conj(v).  Charge conjugation is antilinear,
 and the sign of the *square* of an antilinear operator is what decides
@@ -40,9 +42,46 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
 
-def max_abs(a) -> float:
+def max_abs(a, axis=None):
+    """Largest |entry|: a float over all of a, or an array over `axis`.
+    NaN propagates."""
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    if axis is None:
+        return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return np.max(np.abs(a), axis=axis)
+
+
+def rowscale(x) -> np.ndarray:
+    """x, a number or one per row, shaped to multiply (rows of) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def diagonal(*entries) -> np.ndarray:
+    """Diagonal matrices from equal-shaped entries, one per leading row."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)[..., None] * np.eye(len(entries))
+
+
+# The vector helpers below use numpy's matvec/vecdot, which do the same
+# arithmetic on each row as `m @ v`, `np.vdot` and `np.linalg.norm` do on
+# one vector, so a grid row equals its one-momentum result bit for bit.
+
+
+def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v over the last axis of v; m is one matrix or one per leading
+    row of v, so (N, n, n) against (N, k, n) gives (N, k, n)."""
+    m = np.asarray(m)
+    if m.ndim > 2:
+        m = m.reshape(m.shape[:-2] + (1,) * (np.ndim(v) - m.ndim + 1) + m.shape[-2:])
+    return np.matvec(m, v)
+
+
+def norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+    x = np.ascontiguousarray(x)
+    return np.sqrt(np.vecdot(x, x))
 
 
 def approx_eq(a, b):
@@ -60,31 +99,34 @@ def approx_eq(a, b):
 
 
 def unit_phase_align(target: np.ndarray, got: np.ndarray):
-    """Best unit phase c minimizing ||got - c*target||, with the residual.
+    """Best unit phase c minimizing ||got - c*target||, with the residual
+    max |got - c*target|, both over the last axis.
 
     Used for 'equal up to an overall phase' claims.  Falls back to c = 1
     when the overlap vanishes (then no phase helps).
     """
     target = np.asarray(target, dtype=complex)
     got = np.asarray(got, dtype=complex)
-    ov = np.vdot(target, got)
-    c = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0j
-    return c, max_abs(got - c * target)
+    ov = np.vecdot(target, got)
+    size = np.abs(ov)
+    c = np.where(size > 0, ov / np.where(size > 0, size, 1.0), 1.0 + 0j)
+    return c, max_abs(got - c[..., None] * target, axis=-1)
 
 
 def eigen_residual(matrix: np.ndarray, v: np.ndarray):
-    """Least-squares eigenvalue fit c = <v, Mv>/<v, v> and ||Mv - c v||.
+    """Least-squares eigenvalue fit c = <v, Mv>/<v, v> and ||Mv - c v||,
+    over the last axis of v; matrix is one matrix or one per leading row.
 
     The residual is 0 exactly when v is an eigenvector; for the
     non-eigenspinor claims the point is that it stays O(||v||).
     """
     v = np.asarray(v, dtype=complex)
-    mv = np.asarray(matrix, dtype=complex) @ v
-    n2 = np.vdot(v, v)
-    if abs(n2) == 0:
+    mv = apply(np.asarray(matrix, dtype=complex), v)
+    n2 = np.vecdot(v, v)
+    if np.any(np.abs(n2) == 0):
         raise ValueError("zero vector")
-    c = np.vdot(v, mv) / n2
-    return c, float(np.linalg.norm(mv - c * v))
+    c = np.vecdot(v, mv) / n2
+    return c, norm(mv - c[..., None] * v)
 
 
 @dataclass(frozen=True)
@@ -112,10 +154,11 @@ class AntilinearOp:
         return self.matrix.shape[0]
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        """The op on the last axis of v."""
         v = np.asarray(v, dtype=complex)
-        if v.shape[0] != self.dim:
+        if v.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: op {self.dim}, vector {v.shape}")
-        return self.matrix @ (np.conjugate(v) if self.conjugates else v)
+        return apply(self.matrix, np.conjugate(v) if self.conjugates else v)
 
     def compose(self, other: "AntilinearOp") -> "AntilinearOp":
         if self.dim != other.dim:

@@ -8,7 +8,9 @@ both live here because they are statements about that frame.
 
 Helicity labels are +1, 0, -1; component order everywhere is m = +1, 0, -1.
 All rotations and boosts use the closed polynomial forms ((J.n)^3 = J.n), so
-nothing here needs a matrix exponential.
+nothing here needs a matrix exponential.  Kinematic arguments are a
+FourMomentum or a SpinorGrid; on a grid every result gains a leading row
+axis, and the six-spinors come from the grid, built once.
 """
 
 from __future__ import annotations
@@ -18,9 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AntilinearOp, cmat, dagger, frozen, involution_eigenvectors, max_abs, realify
+from .linalg import (
+    AntilinearOp,
+    apply,
+    cmat,
+    dagger,
+    diagonal,
+    frozen,
+    involution_eigenvectors,
+    max_abs,
+    norm,
+    realify,
+    rowscale,
+)
 from .halfspin import THETA as THETA_HALF
-from .halfspin import FourMomentum
+from .halfspin import SpinorGrid
 
 ID3, ID6, Z3 = frozen(
     (np.eye(3, dtype=complex), np.eye(6, dtype=complex), np.zeros((3, 3), dtype=complex))
@@ -40,32 +54,31 @@ THETA3 = frozen(cmat([[0, 0, 1], [0, -1, 0], [1, 0, 0]]))
 
 def _jdot(nhat) -> np.ndarray:
     nhat = np.asarray(nhat, dtype=float)
-    return nhat[0] * J1 + nhat[1] * J2 + nhat[2] * J3
+    return rowscale(nhat[..., 0]) * J1 + rowscale(nhat[..., 1]) * J2 + rowscale(nhat[..., 2]) * J3
 
 
-def spin1_rotation(theta: float, phi: float) -> np.ndarray:
-    """R = Rz(phi) Ry(theta), closed form (J_y^3 = J_y)."""
-    rz = np.diag([np.exp(-1j * phi), 1.0, np.exp(1j * phi)])
-    ry = ID3 - 1j * math.sin(theta) * J2 + (math.cos(theta) - 1.0) * (J2 @ J2)
+def spin1_rotation(theta, phi) -> np.ndarray:
+    """R = Rz(phi) Ry(theta), closed form (J_y^3 = J_y).  Its columns are
+    the helicity eigenvectors xi_h in HELICITIES order."""
+    phi = np.asarray(phi)
+    rz = diagonal(np.exp(-1j * phi), np.ones(phi.shape), np.exp(1j * phi))
+    ry = ID3 - rowscale(1j * np.sin(theta)) * J2 + rowscale(np.cos(theta) - 1.0) * (J2 @ J2)
     return rz @ ry
 
 
-def helicity_eigenvector(theta: float, phi: float, h: int) -> np.ndarray:
+def helicity_eigenvector(theta, phi, h: int) -> np.ndarray:
     """xi_h with (J.n) xi_h = h xi_h for the direction (theta, phi)."""
     if h not in HELICITIES:
         raise ValueError("spin-1 helicity must be +1, 0 or -1")
-    basis = {+1: 0, 0: 1, -1: 2}
-    e = np.zeros(3, dtype=complex)
-    e[basis[h]] = 1.0
-    return spin1_rotation(theta, phi) @ e
+    return spin1_rotation(theta, phi)[..., HELICITIES.index(h)]
 
 
-def spin1_boosts(p: FourMomentum) -> tuple[np.ndarray, np.ndarray]:
+def spin1_boosts(p) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) boosts exp(+-J.n w), cosh w = E/m, sinh w = |p|/m."""
-    if p.mass <= 0:
+    if not np.all(np.asarray(p.mass) > 0):
         raise ValueError("finite boosts need m > 0")
-    ch = p.energy / p.mass
-    sh = p.pmag / p.mass
+    ch = rowscale(p.energy / p.mass)
+    sh = rowscale(p.pmag / p.mass)
     jn = _jdot(p.nhat)
     jn2 = jn @ jn
     br = ID3 + sh * jn + (ch - 1.0) * jn2
@@ -73,11 +86,16 @@ def spin1_boosts(p: FourMomentum) -> tuple[np.ndarray, np.ndarray]:
     return br, bl
 
 
-def weinberg_u(p: FourMomentum, h: int) -> np.ndarray:
-    """Chiral-basis six-spinor (phi_R, phi_L), phi_X = boost_X xi_h."""
+def weinberg_u(p) -> np.ndarray:
+    """Chiral-basis six-spinors (phi_R, phi_L), phi_X = boost_X xi_h, for
+    the helicities +1, 0, -1 on axis -2: (3, 6), or (N, 3, 6) on a grid."""
     br, bl = spin1_boosts(p)
-    xi = helicity_eigenvector(p.theta, p.phi, h)
-    return np.concatenate([br @ xi, bl @ xi])
+    xi = np.swapaxes(spin1_rotation(p.theta, p.phi), -1, -2)
+    return np.concatenate([apply(br, xi), apply(bl, xi)], axis=-1)
+
+
+def _six(p) -> np.ndarray:
+    return p.six if isinstance(p, SpinorGrid) else weinberg_u(p)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +128,16 @@ CHIRAL_GAMMAS = frozen(_chiral_gammas())
 GAMMA5_CHIRAL = frozen(np.block([[ID3, Z3], [Z3, -ID3]]))
 
 
-def on_shell_residual(p: FourMomentum, h: int) -> float:
-    """|| (gamma_{mu nu} p^mu p^nu - m^2) u(p, h) ||."""
-    p4 = np.concatenate([[p.energy], p.pvec])
-    op = sum(CHIRAL_GAMMAS[(mu, nu)] * p4[mu] * p4[nu] for mu in range(4) for nu in range(4))
-    u = weinberg_u(p, h)
-    return float(np.linalg.norm(op @ u - p.mass**2 * u))
+def on_shell_residual(p) -> np.ndarray:
+    """|| (gamma_{mu nu} p^mu p^nu - m^2) u(p, h) || for h = +1, 0, -1."""
+    p4 = np.concatenate([np.asarray(p.energy)[..., None], p.pvec], axis=-1)
+    op = sum(
+        CHIRAL_GAMMAS[(mu, nu)] * rowscale(p4[..., mu]) * rowscale(p4[..., nu])
+        for mu in range(4)
+        for nu in range(4)
+    )
+    u = _six(p)
+    return norm(apply(op, u) - rowscale(p.mass**2) * u)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +274,15 @@ class MRSpinor:
     v_im: np.ndarray
 
 
-def mr_spinor(p: FourMomentum, h: int) -> MRSpinor:
-    br, bl = spin1_boosts(p)
-    xi = helicity_eigenvector(p.theta, p.phi, h)
-    fr, fl = br @ xi, bl @ xi
-    tfr = THETA3 @ fr
-    u_re = 0.5 * np.concatenate([fl + tfr, fl + tfr])
-    u_im = 0.5 * np.concatenate([-fl + tfr, fl - tfr])
-    v_re = 0.5 * np.concatenate([-fl + tfr, -fl + tfr])
-    v_im = 0.5 * np.concatenate([fl + tfr, -fl - tfr])
+def mr_spinor(p) -> MRSpinor:
+    """The real-frame spinors for h = +1, 0, -1 on axis -2."""
+    six = _six(p)
+    fr, fl = six[..., :3], six[..., 3:]
+    tfr = apply(THETA3, fr)
+    u_re = 0.5 * np.concatenate([fl + tfr, fl + tfr], axis=-1)
+    u_im = 0.5 * np.concatenate([-fl + tfr, fl - tfr], axis=-1)
+    v_re = 0.5 * np.concatenate([-fl + tfr, -fl + tfr], axis=-1)
+    v_im = 0.5 * np.concatenate([fl + tfr, -fl - tfr], axis=-1)
     return MRSpinor(
         u=u_re + 1j * u_im,
         v=v_re + 1j * v_im,
@@ -271,31 +293,30 @@ def mr_spinor(p: FourMomentum, h: int) -> MRSpinor:
     )
 
 
-def transverse_reality_report(p: FourMomentum) -> dict:
+def transverse_reality_report(p) -> dict:
     """The real/imaginary-part identities tying the transverse spinors.
 
     Zero on the meridian plane; off-plane the same quantities are finite
-    and the report carries them unjudged.
+    and the report carries them unjudged.  Each entry has p's row shape.
     """
-    up = mr_spinor(p, +1)
-    dn = mr_spinor(p, -1)
-    lg = mr_spinor(p, 0)
+    s = mr_spinor(p)
+    up, lg, dn = (0, 1, 2)
     return {
-        "u_re_match": float(np.linalg.norm(up.u_re - dn.u_re)),
-        "u_im_flip": float(np.linalg.norm(up.u_im + dn.u_im)),
-        "long_u_re_vanishes": float(np.linalg.norm(lg.u_re)),
-        "long_u_im_norm": float(np.linalg.norm(lg.u_im)),
-        "long_u_pure_imag": max_abs(np.real(lg.u)),
-        "long_v_pure_real": max_abs(np.imag(lg.v)),
-        "split_exact": max_abs([s.u - (s.u_re + 1j * s.u_im) for s in (up, dn, lg)]),
+        "u_re_match": norm(s.u_re[..., up, :] - s.u_re[..., dn, :]),
+        "u_im_flip": norm(s.u_im[..., up, :] + s.u_im[..., dn, :]),
+        "long_u_re_vanishes": norm(s.u_re[..., lg, :]),
+        "long_u_im_norm": norm(s.u_im[..., lg, :]),
+        "long_u_pure_imag": max_abs(np.real(s.u[..., lg, :]), axis=-1),
+        "long_v_pure_real": max_abs(np.imag(s.v[..., lg, :]), axis=-1),
+        "split_exact": max_abs(s.u - (s.u_re + 1j * s.u_im), axis=(-2, -1)),
     }
 
 
-def chirality_flip_residual(p: FourMomentum, h: int) -> float:
-    """|| v - gamma5_MR u || (holds for every momentum and phase)."""
-    s = mr_spinor(p, h)
-    g5 = MR_FORMS["five"]
-    return float(np.linalg.norm(s.v - g5 @ s.u))
+def chirality_flip_residual(p) -> np.ndarray:
+    """|| v - gamma5_MR u || for h = +1, 0, -1 (holds for every momentum
+    and phase)."""
+    s = mr_spinor(p)
+    return norm(s.v - apply(MR_FORMS["five"], s.u))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +331,14 @@ CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])), conj
 TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix), conjugates=True)
 
 
-def lambda_like(p: FourMomentum, h: int, sign: int) -> np.ndarray:
+def lambda_like(p, sign: int) -> np.ndarray:
     """Spin-1 analogue of the lambda construction: (sign Theta3 conj(phi_L),
-    phi_L).  Eigenvector of the twisted conjugation with eigenvalue sign."""
+    phi_L) for h = +1, 0, -1 on axis -2.  Eigenvectors of the twisted
+    conjugation with eigenvalue sign."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _, bl = spin1_boosts(p)
-    fl = bl @ helicity_eigenvector(p.theta, p.phi, h)
-    return np.concatenate([sign * THETA3 @ np.conjugate(fl), fl])
+    fl = _six(p)[..., 3:]
+    return np.concatenate([apply(sign * THETA3, np.conjugate(fl)), fl], axis=-1)
 
 
 def selfconjugacy_analysis() -> dict:
@@ -364,12 +385,12 @@ HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF
 
 
 def reality_classes(vectors: dict, frame: np.ndarray) -> dict:
-    """Transform each named vector and classify as 'real' or 'imaginary'
-    by whichever part dominates, with the minority-part magnitude."""
+    """Transform each named vector (or rows of them, on the last axis) and
+    classify as 'real' or 'imaginary' by whichever part dominates, with the
+    minority-part magnitude; both have the rows' shape."""
     out = {}
     for name, v in vectors.items():
-        w = frame @ np.asarray(v, dtype=complex)
-        re, im = max_abs(np.real(w)), max_abs(np.imag(w))
-        cls = "real" if re >= im else "imaginary"
-        out[name] = (cls, min(re, im))
+        w = apply(frame, np.asarray(v, dtype=complex))
+        re, im = max_abs(np.real(w), axis=-1), max_abs(np.imag(w), axis=-1)
+        out[name] = (np.where(re >= im, "real", "imaginary"), np.minimum(re, im))
     return out

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import note, record
 from selfconj import checks, cli, fieldops, fock, halfspin, linalg, spin1
+from selfconj.fock import LadderSymbol
 from selfconj.halfspin import DN, UP, FourMomentum, PhaseConvention
 
 CFG = checks.SuiteConfig()
@@ -66,14 +67,12 @@ def test_criterion_02_non_eigenspinor_claims():
 
 
 def test_criterion_03_dynamical_equations():
-    worst = 0.0
-    for p in GRID:
-        b = halfspin.build_spinor_basis(p)
-        worst = max(worst, max(halfspin.dynamical_residuals(b).values()))
+    grid = halfspin.build_spinor_grid(GRID)
+    worst = max(float(np.max(r)) for r in halfspin.dynamical_residuals(grid).values())
     # self-test: a deliberately flipped sign must miss at the 2m scale
     p = GRID[4]
     b = halfspin.build_spinor_basis(p)
-    miss = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
+    miss = float(halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0])
     assert miss > p.mass
     assert miss == pytest.approx(
         2 * p.mass * max(np.linalg.norm(b.rho_s[h]) for h in (UP, DN)), rel=1e-12
@@ -82,11 +81,9 @@ def test_criterion_03_dynamical_equations():
 
 
 def test_criterion_04_connection_matrix(default_run):
-    worst = 0.0
-    for p in GRID:
-        rep = halfspin.connection_check(halfspin.build_spinor_basis(p))
-        worst = max(worst, rep.aligned_residual)
-        assert np.allclose(rep.phases, np.ones(4), atol=TOL)
+    rep = halfspin.connection_check(halfspin.build_spinor_grid(GRID))
+    worst = float(np.max(rep.aligned_residual))
+    assert np.allclose(rep.phases, np.ones((len(GRID), 4)), atol=TOL)
     by_id = {r.check_id: r for r in default_run}
     emitted = by_id["halfspin/dirac-connection"].values.get("phase_diagonal")
     record(
@@ -112,7 +109,7 @@ def test_criterion_05_gram_structure():
     p = FourMomentum(1.0, 1.0, 1.1, 0.0)
     worst = 0.0
     for t1, t2 in _PHASE_PAIRS:
-        g = halfspin.biorthonormality_gram(
+        (g,) = halfspin.biorthonormality_gram(
             halfspin.build_spinor_basis(p, PhaseConvention(t1, t2))
         )
         want_mag = 2.0 * abs(math.cos(t1 + t2))  # N^2 = m = 1
@@ -136,7 +133,7 @@ def test_criterion_05_gram_structure():
 def test_criterion_05_gram_displayed_sign():
     worst = 0.0
     for t1, t2 in _PHASE_PAIRS:
-        g = halfspin.biorthonormality_gram(
+        (g,) = halfspin.biorthonormality_gram(
             halfspin.build_spinor_basis(FourMomentum(1.0, 1.0, 1.1, 0.0), PhaseConvention(t1, t2))
         )
         worst = max(worst, abs(g[0, 1] - 2j * math.cos(t1 + t2)))
@@ -217,15 +214,15 @@ def test_criterion_09_real_frame_spinor_identities():
     worst20 = 0.0
     worst_id = 0.0
     min_vlng = math.inf
+    up, lg, dn = 0, 1, 2  # helicity axis order +1, 0, -1
     for p in GRID:
-        for h in spin1.HELICITIES:
-            s = spin1.mr_spinor(p, h)
-            worst20 = max(worst20, float(np.linalg.norm(s.v - g5 @ s.u)))
-        up, lg, dn = (spin1.mr_spinor(p, h) for h in (1, 0, -1))
-        worst_id = max(worst_id, float(np.linalg.norm(up.u_re - dn.u_re)))
-        worst_id = max(worst_id, float(np.linalg.norm(up.v_re + dn.v_re)))
-        worst_id = max(worst_id, float(np.linalg.norm(lg.u_re)))
-        min_vlng = min(min_vlng, float(np.linalg.norm(lg.v_re)))
+        s = spin1.mr_spinor(p)
+        for k in (up, lg, dn):
+            worst20 = max(worst20, float(np.linalg.norm(s.v[k] - g5 @ s.u[k])))
+        worst_id = max(worst_id, float(np.linalg.norm(s.u_re[up] - s.u_re[dn])))
+        worst_id = max(worst_id, float(np.linalg.norm(s.v_re[up] + s.v_re[dn])))
+        worst_id = max(worst_id, float(np.linalg.norm(s.u_re[lg])))
+        min_vlng = min(min_vlng, float(np.linalg.norm(s.v_re[lg])))
     record(
         9,
         worst20 <= 1e-15 and worst_id <= TOL and min_vlng > 0.1,
@@ -286,16 +283,19 @@ def test_criterion_11_fock_algebra():
 
 
 def test_criterion_12_field_operator_relations():
-    worst_split = worst_dirac = worst_parity = 0.0
-    for p in GRID:
-        b = halfspin.build_spinor_basis(p)
-        worst_split = max(worst_split, fieldops.ziino_split_residual(b))
-        rep = fieldops.dirac_from_majorana(b)
-        worst_dirac = max(
-            worst_dirac, rep["partner_residual"], rep["eigenspace_residual"]
-        )
-        par = fieldops.conjugation_parity_residuals(b)
-        worst_parity = max(worst_parity, par["even"], par["odd"])
+    grid = halfspin.build_spinor_grid(GRID)
+    # each grid row against the displayed coefficients rebuilt from its momentum
+    halves = dict(zip(("even", "odd"), fieldops.ziino_barut_split(grid)))
+    worst_split = 0.0
+    for i, p in enumerate(GRID):
+        for (half, tag, kind), want in fieldops.displayed_ziino_coefficients(p).items():
+            sym = LadderSymbol("a", tag, kind == "cre", 1)
+            got = halves[half].coefficient(sym, -1 if kind == "cre" else +1)[i]
+            worst_split = max(worst_split, linalg.max_abs(got - want))
+    rep = fieldops.dirac_from_majorana(grid)
+    worst_dirac = float(max(np.max(rep["partner_residual"]), np.max(rep["eigenspace_residual"])))
+    par = fieldops.conjugation_parity_residuals(grid)
+    worst_parity = float(max(np.max(par["even"]), np.max(par["odd"])))
     ok = worst_split <= TOL and worst_dirac <= TOL and worst_parity <= TOL
     record(
         12,

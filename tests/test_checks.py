@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from selfconj import checks, spin1
@@ -97,9 +98,11 @@ def test_nan_residual_fails_the_check(monkeypatch):
     real = spin1.on_shell_residual
     calls = []
 
-    def one_nan(p, h):
+    def one_nan(p):
         calls.append(None)
-        return math.nan if len(calls) == 2 else real(p, h)
+        res = real(p)
+        res[..., 1] = math.nan  # one helicity at every momentum
+        return res
 
     monkeypatch.setattr(spin1, "on_shell_residual", one_nan)
     res = checks.run_checks(checks.SuiteConfig(suites=("spin1",)))
@@ -176,3 +179,34 @@ def test_text_rendering_summary_line():
     text = checks.render_text(cfg, checks.run_checks(cfg))
     assert "35 checks: 30 pass, 0 fail, 5 reported" in text
     assert "halfspin/dirac-connection" in text
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_tolerance_is_refused():
+    # an infinite tolerance would pass every finite residual
+    for tolerance in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            checks.SuiteConfig(tolerance=tolerance)
+
+
+def test_nonfinite_numbers_render_as_strict_json():
+    cfg = checks.SuiteConfig(suites=("linalg",))
+    values = {"big": math.inf, "small": -math.inf, "z": complex(math.nan, 1.0)}
+    row = checks.CheckResult("linalg/x", "anchor", "fail", math.nan, 1e-12, values)
+    (doc,) = _strict_json(checks.render_json(cfg, [row]))["checks"]
+    assert doc["max_residual"] == "NaN"
+    assert doc["values"] == {"big": "Infinity", "small": "-Infinity", "z": {"re": "NaN", "im": 1.0}}
+
+
+def test_overflowing_norm_report_is_strict_json():
+    cfg = checks.SuiteConfig(norm=1.3e154)
+    with np.errstate(all="ignore"):  # the overflow itself is a known finding
+        text = checks.render_json(cfg, checks.run_checks(cfg))
+    _strict_json(text)
+    assert '"NaN"' in text and '"Infinity"' in text

@@ -71,6 +71,8 @@ def test_usage_errors_exit_2(capsys):
         ["tabulate", "--norm", "1e-170"],
         # a negative value in exponent notation after a space reaches validation
         ["run", "--mass", "-1e0"],
+        # an infinite tolerance would pass every finite residual
+        ["run", "--tol", "inf", "--format", "json"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line

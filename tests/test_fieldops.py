@@ -124,14 +124,14 @@ def test_dirac_embedding_rank_depends_on_phases():
     b = build_spinor_basis(p)
     rep = fieldops.dirac_from_majorana(b)
     # default phases: the two positive-frequency images are collinear
-    assert rep["positive_singular_values"][1] < 1e-12
+    assert rep["positive_singular_values"][0, 1] < 1e-12
     assert rep["phase_sum"] == 0.0
     from selfconj.halfspin import ID4, slash
 
     plus = ID4 + slash(p) / p.mass
     assert np.allclose(plus @ b.lam_s[DN], -1j * (plus @ b.lam_s[UP]), atol=1e-12)
     generic = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
-    assert generic["positive_singular_values"][1] > 0.5
+    assert generic["positive_singular_values"][0, 1] > 0.5
     assert generic["phase_sum"] == pytest.approx(0.7)
 
 

@@ -71,8 +71,7 @@ def test_covariant_family_layout():
 
 def test_on_shell_contraction():
     for p in GRID:
-        for h in spin1.HELICITIES:
-            assert spin1.on_shell_residual(p, h) < 1e-12
+        assert np.all(spin1.on_shell_residual(p) < 1e-12)
 
 
 def test_unitary_and_displayed_dagger():
@@ -108,7 +107,8 @@ def test_bare_unitary_diagnostic():
 
 
 def test_mr_spinor_rest_oracle():
-    s = spin1.mr_spinor(FourMomentum(1.0, 0.0), +1)
+    s = spin1.mr_spinor(FourMomentum(1.0, 0.0))
+    s = spin1.MRSpinor(s.u[0], s.v[0], s.u_re[0], s.u_im[0], s.v_re[0], s.v_im[0])  # h = +1
     want_u = 0.5 * np.array([1 - 1j, 0, 1 + 1j, 1 + 1j, 0, 1 - 1j])
     want_v = 0.5 * np.array([-1 + 1j, 0, 1 + 1j, -1 - 1j, 0, 1 - 1j])
     assert np.allclose(s.u, want_u, atol=1e-15)
@@ -120,11 +120,11 @@ def test_mr_spinor_rest_oracle():
 def test_mr_spinor_is_frame_image():
     w = spin1.CHIRAL_TO_MAJORANA
     for p in GRID:
-        for h in spin1.HELICITIES:
-            s = spin1.mr_spinor(p, h)
-            assert np.linalg.norm(s.u - w @ spin1.weinberg_u(p, h)) < 1e-13
-            v = spin1.GAMMA5_CHIRAL @ spin1.weinberg_u(p, h)
-            assert np.linalg.norm(s.v - w @ v) < 1e-13
+        s = spin1.mr_spinor(p)
+        for k, u in enumerate(spin1.weinberg_u(p)):
+            assert np.linalg.norm(s.u[k] - w @ u) < 1e-13
+            v = spin1.GAMMA5_CHIRAL @ u
+            assert np.linalg.norm(s.v[k] - w @ v) < 1e-13
 
 
 def test_transverse_reality_on_meridian():
@@ -147,8 +147,7 @@ def test_transverse_reality_fails_off_meridian():
 
 def test_chirality_flip_everywhere():
     for p in GRID:
-        for h in spin1.HELICITIES:
-            assert spin1.chirality_flip_residual(p, h) < 1e-13
+        assert np.all(spin1.chirality_flip_residual(p) < 1e-13)
 
 
 def test_conjugation_squares():
@@ -159,12 +158,11 @@ def test_conjugation_squares():
 def test_lambda_like_eigenvectors():
     tw = spin1.TWISTED_CONJUGATION
     for p in GRID:
-        for h in spin1.HELICITIES:
-            for sign in (+1, -1):
-                lam = spin1.lambda_like(p, h, sign)
+        for sign in (+1, -1):
+            for lam in spin1.lambda_like(p, sign):
                 assert np.linalg.norm(tw(lam) - sign * lam) < 1e-12
     with pytest.raises(ValueError):
-        spin1.lambda_like(GRID[0], +1, 2)
+        spin1.lambda_like(GRID[0], 2)
 
 
 def test_selfconjugacy_dichotomy():
@@ -199,9 +197,9 @@ def test_reality_classes_both_spins():
     w = spin1.CHIRAL_TO_MAJORANA
     classes1 = spin1.reality_classes(
         {
-            f"{sign:+d}_{h}": spin1.lambda_like(p, h, sign)
+            f"{sign:+d}_{h}": spin1.lambda_like(p, sign)[k]
             for sign in (+1, -1)
-            for h in spin1.HELICITIES
+            for k, h in enumerate(spin1.HELICITIES)
         },
         w,
     )
