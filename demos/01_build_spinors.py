@@ -7,7 +7,7 @@ lambda spinors carry chiral helicity rather than helicity.
 import numpy as np
 
 from selfconj import halfspin
-from selfconj.halfspin import DN, UP, FourMomentum
+from selfconj.halfspin import FAMILY, FAMILY_SIGNS, FourMomentum
 
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
@@ -15,20 +15,21 @@ p = FourMomentum(mass=1.0, pmag=1.0, theta=np.pi / 3, phi=0.0)
 print(f"momentum: m={p.mass}, |p|={p.pmag}, E={p.energy:.6f}, "
       f"direction=({p.theta:.4f}, {p.phi:.4f})")
 
+# the one-row grid: family[0] holds the eight members in FAMILY order
 b = halfspin.build_spinor_basis(p)
 print("\nthe family (rows):")
-for name, psi, sign in b.charge_family():
+for name, psi, sign in zip(FAMILY, b.family[0], FAMILY_SIGNS):
     print(f"  {name}  (S^c eigenvalue {'%+d' % sign}):  {psi}")
 
 c = halfspin.charge_conjugation_op()
 worst = max(
-    np.linalg.norm(c(psi) - sign * psi) for _, psi, sign in b.charge_family()
+    np.linalg.norm(c(psi) - sign * psi) for psi, sign in zip(b.family[0], FAMILY_SIGNS)
 )
 print(f"\nworst conjugation-eigenvalue residual: {worst:.2e}")
 
 ops = halfspin.discrete_ops(p.nhat)
-lam = b.lam_s[UP]
-u = b.dirac_u(UP)
+lam = b.family[0, FAMILY.index("lam_s_up")]
+u = b.uv_stack()[0, 0]  # rows u_up, u_dn, v_up, v_dn
 print("\nhelicity operator on dirac u_up:   eigenvalue "
       f"{np.vdot(u, ops.helicity @ u).real / np.vdot(u, u).real:+.3f}")
 print("helicity operator on lambda^S_up:  least-squares residual "

@@ -21,7 +21,8 @@ for alpha in (0.3, 1.2):
     g = halfspin.gauge_lambda(alpha)
     worst = max(
         np.linalg.norm(c(g @ psi) - s * (g @ psi))
-        for name, psi, s in b.charge_family() if name.startswith("lam")
+        for name, psi, s in zip(halfspin.FAMILY, b.family[0], halfspin.FAMILY_SIGNS)
+        if name.startswith("lam")
     )
     print(f"  alpha={alpha}: worst residual {worst:.2e}")
 

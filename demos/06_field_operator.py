@@ -17,12 +17,13 @@ np.set_printoptions(precision=6, suppress=True, linewidth=120)
 
 p = FourMomentum(1.0, 1.0, 1.1, 0.0)
 b = halfspin.build_spinor_basis(p)
+# the expansion is one (N, 2, 2, 4) array: row, slot (annihilator at
+# frequency +1, creator at -1), helicity (up, dn), component
 nu = fieldops.majorana_mode(b)
-print("mode terms (symbol, frequency, coefficient):")
-for t in nu.terms:
-    s = t.symbol
-    print(f"  {s.kind}_{s.helicity}{'^dag' if s.dagger else '    '}  "
-          f"freq {t.frequency:+d}  {t.coefficient[0]}")
+print("mode coefficients (operator, frequency, coefficient):")
+for slot, (dag, freq) in enumerate((("    ", +1), ("^dag", -1))):
+    for h, tag in enumerate(("up", "dn")):
+        print(f"  a_{tag}{dag}  freq {freq:+d}  {nu[0, slot, h]}")
 
 print(f"\nsplit vs displayed coefficients: {fieldops.ziino_split_residual(b)[0]:.2e}")
 par = fieldops.conjugation_parity_residuals(b)

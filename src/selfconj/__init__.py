@@ -6,7 +6,6 @@ from .halfspin import (
     UP,
     FourMomentum,
     PhaseConvention,
-    SpinorBasis,
     build_spinor_basis,
     charge_conjugation_op,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "DN",
     "FourMomentum",
     "PhaseConvention",
-    "SpinorBasis",
     "SuiteConfig",
     "UP",
     "build_spinor_basis",

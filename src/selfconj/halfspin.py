@@ -298,44 +298,13 @@ class SpinorGrid:
         return cls(momenta, conv, mass, pmag, theta, phi, energy, nhat, left, right, family)
 
 
-def _by_helicity(rows) -> property:
-    return property(lambda self: dict(zip((UP, DN), rows(self)[0])))
-
-
-class SpinorBasis(SpinorGrid):
-    """The one-row SpinorGrid of a single momentum, with its members also
-    keyed by helicity as 4-vectors (two-spinors for phi_l/phi_r)."""
-
-    momentum = property(lambda self: self.momenta[0])
-    phi_l = _by_helicity(lambda self: self.left)
-    phi_r = _by_helicity(lambda self: self.right)
-    lam_s = _by_helicity(lambda self: self.family[:, LAM_S])
-    lam_a = _by_helicity(lambda self: self.family[:, LAM_A])
-    rho_s = _by_helicity(lambda self: self.family[:, RHO_S])
-    rho_a = _by_helicity(lambda self: self.family[:, RHO_A])
-
-    def dirac_u(self, h: int) -> np.ndarray:
-        return self.uv_stack()[0, (UP, DN).index(h)]
-
-    def dirac_v(self, h: int) -> np.ndarray:
-        return self.uv_stack()[0, 2 + (UP, DN).index(h)]
-
-    def charge_family(self):
-        """(name, spinor, expected S^c eigenvalue) for all eight members,
-        up members first."""
-        order = (0, 2, 4, 6, 1, 3, 5, 7)
-        return [(FAMILY[k], self.family[0, k], int(FAMILY_SIGNS[k])) for k in order]
-
-
 def build_spinor_grid(momenta, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
     return SpinorGrid.build(momenta, conv)
 
 
-def build_spinor_basis(
-    p: FourMomentum,
-    conv: PhaseConvention = PhaseConvention(),
-) -> SpinorBasis:
-    return SpinorBasis.build([p], conv)
+def build_spinor_basis(p: FourMomentum, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
+    """The one-row grid of a single momentum."""
+    return SpinorGrid.build([p], conv)
 
 
 _CONJUGATION_BLOCK = frozen(
@@ -550,9 +519,8 @@ def massless_scan(masses, conv: PhaseConvention = PhaseConvention()) -> list[dic
         raise ValueError("masses must be positive")
     rows = []
     for m in masses:
-        b = build_spinor_basis(FourMomentum(m, 1.0), conv)
-        up = float(np.linalg.norm(b.lam_s[UP]))
-        dn = float(np.linalg.norm(b.lam_s[DN]))
+        up, dn = build_spinor_basis(FourMomentum(m, 1.0), conv).family[0, LAM_S]
+        up, dn = float(np.linalg.norm(up)), float(np.linalg.norm(dn))
         rows.append({"mass": m, "ratio": up / dn, "lam_s_dn_norm": dn})
     return rows
 

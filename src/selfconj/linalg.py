@@ -118,15 +118,20 @@ def eigen_residual(matrix: np.ndarray, v: np.ndarray):
     over the last axis of v; matrix is one matrix or one per leading row.
 
     The residual is 0 exactly when v is an eigenvector; for the
-    non-eigenspinor claims the point is that it stays O(||v||).
+    non-eigenspinor claims the point is that it stays O(||v||).  Each v is
+    fitted at the scale 2**-e of its largest entry and the residual scaled
+    back: a power of two changes no bit, and <v, v> can neither underflow
+    nor overflow.
     """
     v = np.asarray(v, dtype=complex)
-    mv = apply(np.asarray(matrix, dtype=complex), v)
-    n2 = np.vecdot(v, v)
-    if np.any(np.abs(n2) == 0):
+    big = max_abs(v, axis=-1)
+    if np.any(big == 0):
         raise ValueError("zero vector")
-    c = np.vecdot(v, mv) / n2
-    return c, norm(mv - c[..., None] * v)
+    e = np.frexp(big)[1]
+    v = np.ldexp(v.real, -e[..., None]) + 1j * np.ldexp(v.imag, -e[..., None])
+    mv = apply(np.asarray(matrix, dtype=complex), v)
+    c = np.vecdot(v, mv) / np.vecdot(v, v)
+    return c, np.ldexp(norm(mv - c[..., None] * v), e)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ import pytest
 
 from conftest import note, record
 from selfconj import checks, cli, fieldops, fock, halfspin, linalg, spin1
-from selfconj.fock import LadderSymbol
-from selfconj.halfspin import DN, UP, FourMomentum, PhaseConvention
+from selfconj.halfspin import FAMILY_SIGNS, LAMBDAS, RHO_S, FourMomentum, PhaseConvention
 
 CFG = checks.SuiteConfig()
 GRID = CFG.momenta()
@@ -33,7 +32,7 @@ def test_criterion_01_conjugation_eigenstructure():
     c = halfspin.charge_conjugation_op()
     worst = 0.0
     for p in GRID:
-        for name, psi, sign in halfspin.build_spinor_basis(p).charge_family():
+        for psi, sign in zip(halfspin.build_spinor_basis(p).family[0], FAMILY_SIGNS):
             worst = max(worst, float(np.linalg.norm(c(psi) - sign * psi)))
     record(
         1,
@@ -48,16 +47,14 @@ def test_criterion_02_non_eigenspinor_claims():
     for p in GRID:
         ops = halfspin.discrete_ops(p.nhat)
         b = halfspin.build_spinor_basis(p)
-        for h in (UP, DN):
-            for psi in (b.dirac_u(h), b.dirac_v(h)):
-                _, r = linalg.eigen_residual(ops.helicity, psi)
-                worst_uv = max(worst_uv, r)
-            for fam in (b.lam_s, b.lam_a):
-                lam = fam[h]
-                n = float(np.linalg.norm(lam))
-                for op in (ops.helicity, ops.parity):
-                    _, r = linalg.eigen_residual(op, lam)
-                    margin = min(margin, r / n)
+        for psi in b.uv_stack()[0]:
+            _, r = linalg.eigen_residual(ops.helicity, psi)
+            worst_uv = max(worst_uv, r)
+        for lam in b.family[0, LAMBDAS]:
+            n = float(np.linalg.norm(lam))
+            for op in (ops.helicity, ops.parity):
+                _, r = linalg.eigen_residual(op, lam)
+                margin = min(margin, r / n)
     record(
         2,
         worst_uv <= TOL and margin > 0.1,
@@ -75,7 +72,7 @@ def test_criterion_03_dynamical_equations():
     miss = float(halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0])
     assert miss > p.mass
     assert miss == pytest.approx(
-        2 * p.mass * max(np.linalg.norm(b.rho_s[h]) for h in (UP, DN)), rel=1e-12
+        2 * p.mass * max(np.linalg.norm(rho) for rho in b.family[0, RHO_S]), rel=1e-12
     )
     record(3, worst <= TOL, f"four relations x {len(GRID)} momenta, worst {worst:.2e}")
 
@@ -167,7 +164,7 @@ def test_criterion_07_gauge_xi_group():
         maps = [halfspin.gauge_lambda(a) for a in (0.3, 1.7, 2.9)]
         maps += [halfspin.gauge_rho(a) for a in (0.3, 1.7, 2.9)]
         maps += halfspin.xi_quadruple(p.phi)
-        for _, psi, _ in b.charge_family():
+        for psi in b.family[0]:
             for m in maps:
                 img = m @ psi
                 r = min(float(np.linalg.norm(c(img) - s * img)) for s in (+1, -1))
@@ -285,13 +282,11 @@ def test_criterion_11_fock_algebra():
 def test_criterion_12_field_operator_relations():
     grid = halfspin.build_spinor_grid(GRID)
     # each grid row against the displayed coefficients rebuilt from its momentum
-    halves = dict(zip(("even", "odd"), fieldops.ziino_barut_split(grid)))
+    halves = np.stack(fieldops.ziino_barut_split(grid), axis=1)
     worst_split = 0.0
     for i, p in enumerate(GRID):
-        for (half, tag, kind), want in fieldops.displayed_ziino_coefficients(p).items():
-            sym = LadderSymbol("a", tag, kind == "cre", 1)
-            got = halves[half].coefficient(sym, -1 if kind == "cre" else +1)[i]
-            worst_split = max(worst_split, linalg.max_abs(got - want))
+        want = np.stack(fieldops.displayed_ziino_coefficients(p))
+        worst_split = max(worst_split, linalg.max_abs(halves[i] - want))
     rep = fieldops.dirac_from_majorana(grid)
     worst_dirac = float(max(np.max(rep["partner_residual"]), np.max(rep["eigenspace_residual"])))
     par = fieldops.conjugation_parity_residuals(grid)

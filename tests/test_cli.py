@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,15 @@ def test_momentum_takes_a_spaced_value_with_a_leading_minus(p):
     assert "usage:" not in spaced[2]
 
 
+def python(*args):
+    """A fresh interpreter that imports this checkout's selfconj."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_default_run_loads_neither_sympy_nor_mpmath():
     # the proofs of the Fock certificates need sympy; the run itself must not
     # pay its import time and memory
@@ -172,13 +182,37 @@ def test_default_run_loads_neither_sympy_nor_mpmath():
         "cli.main(['run'])\n"
         "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules), file=sys.stderr)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = python("-c", probe)
     assert done.returncode == 0
     assert done.stderr == "[]\n"
+
+
+def test_smallest_accepted_norm_gives_a_full_report():
+    # at |p| = 2**52 the members are about 1e-162 in size and their <v, v>
+    # underflows to 0; the eigen fits must not take them for zero vectors
+    done = python("-m", "selfconj.cli", "run", "--norm", "1.5e-154", "--grid", "105x6")
+    assert done.returncode in (0, 1)
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("conjugate-spinor identity checks\n")
+    assert re.search(r"\n35 checks: \d+ pass, \d+ fail, \d+ reported\n$", done.stdout)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+# Text reports frozen byte for byte.  A change that moves a printed number
+# on purpose updates the file and names the move in CHANGES.md.
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run.txt", ["run"]),
+        ("run_theta1_0.3_theta2_0.4.txt", ["run", "--theta1", "0.3", "--theta2", "0.4"]),
+    ],
+)
+def test_text_report_matches_the_frozen_bytes(capsys, name, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 def test_structural_predicate_fails_whatever_the_tolerance(capsys):

@@ -1,19 +1,30 @@
 """Mode expansions, the even/odd split, the Dirac embedding, phase orbits.
 
-Rest-frame split oracles at m = 1 (phi_L up = (1, 0)):
+An expansion is (N, 2, 2, 4): row, slot (annihilator at frequency +1,
+creator at -1), helicity (up, dn), component.  Rest-frame split oracles at
+m = 1 (phi_L up = (1, 0)):
 even/up/ann = (0, i, 0, 0), even/up/cre = (0, 0, 1, 0),
 odd/up/ann = (0, 0, 1, 0), odd/up/cre = (0, -i, 0, 0).
 """
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from selfconj import fieldops
-from selfconj.fieldops import ModeExpansion, QuaternionPhase, Term
-from selfconj.fock import LadderSymbol
-from selfconj.halfspin import DN, UP, FourMomentum, PhaseConvention, build_spinor_basis
+from selfconj import checks, fieldops
+from selfconj.fieldops import QuaternionPhase
+from selfconj.halfspin import (
+    FAMILY,
+    LAM_A,
+    LAM_S,
+    FourMomentum,
+    PhaseConvention,
+    build_spinor_basis,
+    build_spinor_grid,
+)
 
 GRID = [
     FourMomentum(1.0, 0.0),
@@ -21,63 +32,31 @@ GRID = [
     FourMomentum(0.5, 2.0, 1.1, 2.3),
     FourMomentum(2.0, 0.7, 2.8, 5.0),
 ]
+ANN, CRE = 0, 1  # slots
+HUP, HDN = 0, 1  # helicity positions
 
 
-def sym(kind, h, dag, ptag=1):
-    return LadderSymbol(kind, h, dag, ptag)
-
-
-def test_term_validation():
-    with pytest.raises(ValueError):
-        Term(np.zeros(4), sym("a", "up", False), 0)
-
-
-def test_expansion_merges_and_prunes():
-    a = Term(np.array([1.0, 0, 0, 0]), sym("a", "up", False), +1)
-    b = Term(np.array([-1.0, 0, 0, 0]), sym("a", "up", False), +1)
-    c = Term(np.array([0, 2.0, 0, 0]), sym("a", "dn", False), +1)
-    x = ModeExpansion([a, b, c])
-    assert len(x.terms) == 1  # cancelled pair dropped
-    assert np.array_equal(x.coefficient(sym("a", "dn", False), +1), c.coefficient)
-    assert np.array_equal(
-        x.coefficient(sym("a", "up", True), -1), np.zeros(4)
-    )
-    y = x.scale(0.5).add(x.scale(0.5))
-    assert y.residual(x) == 0.0
-    assert x.residual(ModeExpansion([])) == 2.0
+def member(b, name):
+    return b.family[0, FAMILY.index(name)]
 
 
 def test_mode_structure():
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
     b = build_spinor_basis(p)
     nu = fieldops.majorana_mode(b)
-    assert len(nu.terms) == 4
-    assert np.allclose(nu.coefficient(sym("a", "up", False), +1), b.lam_s[UP])
-    assert np.allclose(nu.coefficient(sym("a", "dn", True), -1), b.lam_a[DN])
-    dirac_ready = fieldops.majorana_mode(b, distinct_antiparticle=True)
-    kinds = {t.symbol.kind for t in dirac_ready.terms}
-    assert kinds == {"a", "b"}
-    assert np.allclose(
-        dirac_ready.coefficient(sym("b", "dn", True), -1), b.lam_a[DN]
-    )
+    assert nu.shape == (1, 2, 2, 4)
+    assert np.allclose(nu[0, ANN, HUP], member(b, "lam_s_up"))
+    assert np.allclose(nu[0, CRE, HDN], member(b, "lam_a_dn"))
 
 
 def test_conjugation_is_an_involution():
     for p in GRID[1:]:
         nu = fieldops.majorana_mode(build_spinor_basis(p))
         cnu = fieldops.charge_conjugate_expansion(nu)
-        for t in cnu.terms:
-            assert t.symbol.dagger in (True, False)
-        assert fieldops.charge_conjugate_expansion(cnu).residual(nu) < 1e-15
-        # daggers toggle and frequencies flip term by term
-        assert {(t.symbol.dagger, t.frequency) for t in nu.terms} == {
-            (False, +1),
-            (True, -1),
-        }
-        assert {(t.symbol.dagger, t.frequency) for t in cnu.terms} == {
-            (True, -1),
-            (False, +1),
-        }
+        assert fieldops.residual(fieldops.charge_conjugate_expansion(cnu), nu) < 1e-15
+        # annihilators and creators trade slots: C(lambda^A) = -lambda^A
+        # lands on the annihilators, C(lambda^S) = +lambda^S on the creators
+        assert fieldops.residual(cnu, nu[:, ::-1] * np.array([-1, 1])[:, None, None]) < 1e-15
 
 
 def test_ziino_rest_oracles():
@@ -89,12 +68,14 @@ def test_ziino_rest_oracles():
         ("even", "dn", "ann"): [-1j, 0, 0, 0],
         ("even", "dn", "cre"): [0, 0, 0, 1],
     }
-    disp = fieldops.displayed_ziino_coefficients(FourMomentum(1.0, 0.0))
-    for key, vec in want.items():
-        assert np.allclose(disp[key], vec, atol=1e-14), key
+    rest = fieldops.displayed_ziino_coefficients(FourMomentum(1.0, 0.0))
+    disp = dict(zip(("even", "odd"), rest))
+    for (half, tag, kind), vec in want.items():
+        got = disp[half][("ann", "cre").index(kind), ("up", "dn").index(tag)]
+        assert np.allclose(got, vec, atol=1e-14), (half, tag, kind)
     even, odd = fieldops.ziino_barut_split(build_spinor_basis(FourMomentum(1.0, 0.0)))
-    assert np.allclose(even.coefficient(sym("a", "up", False), +1), [0, 1j, 0, 0])
-    assert np.allclose(odd.coefficient(sym("a", "up", True), -1), [0, -1j, 0, 0])
+    assert np.allclose(even[0, ANN, HUP], [0, 1j, 0, 0])
+    assert np.allclose(odd[0, CRE, HUP], [0, -1j, 0, 0])
 
 
 def test_split_matches_displayed_everywhere():
@@ -102,7 +83,7 @@ def test_split_matches_displayed_everywhere():
         b = build_spinor_basis(p)
         assert fieldops.ziino_split_residual(b) < 1e-14
         even, odd = fieldops.ziino_barut_split(b)
-        assert even.add(odd).residual(fieldops.majorana_mode(b)) < 1e-15
+        assert fieldops.residual(even + odd, fieldops.majorana_mode(b)) < 1e-15
 
 
 def test_split_halves_are_conjugation_eigenmodes():
@@ -110,6 +91,52 @@ def test_split_halves_are_conjugation_eigenmodes():
         r = fieldops.conjugation_parity_residuals(build_spinor_basis(p))
         assert r["even"] < 1e-14
         assert r["odd"] < 1e-14
+
+
+def _with_nan_entry(g, row):
+    family = g.family.copy()
+    family[row, FAMILY.index("lam_s_up"), 1] = math.nan
+    return dataclasses.replace(g, family=family)
+
+
+def test_a_nan_family_entry_stays_in_its_row():
+    g = _with_nan_entry(build_spinor_grid(GRID), 2)
+    par = fieldops.conjugation_parity_residuals(g)
+    even, odd = fieldops.ziino_barut_split(g)
+    for r in (
+        par["even"],
+        par["odd"],
+        fieldops.ziino_split_residual(g),
+        fieldops.residual(even + odd, fieldops.majorana_mode(g)),
+    ):
+        assert np.array_equal(np.isnan(r), np.arange(len(GRID)) == 2)
+
+
+def _registered(check_id, grid=None):
+    """One registered check through the runner, on the run's grids or on
+    `grid(conv)`."""
+    cfg = checks.SuiteConfig()
+    check = next(c for c in checks._REGISTRY if c.check_id == check_id)
+    return checks._run(check, cfg, grid or functools.partial(build_spinor_grid, cfg.momenta()))
+
+
+def test_a_nan_family_entry_fails_the_parity_check():
+    def grid(conv):
+        return _with_nan_entry(build_spinor_grid(checks.SuiteConfig().momenta(), conv), 2)
+
+    parity = _registered("fieldops/conjugation-parity", grid)
+    assert parity.status == "fail"
+    assert math.isnan(parity.max_residual)
+
+
+def test_mode_structure_check_fails_on_a_swapped_layout(monkeypatch):
+    assert _registered("fieldops/mode-structure").status == "pass"
+
+    def swapped(g):
+        return np.stack([g.family[:, LAM_A], g.family[:, LAM_S]], axis=1)
+
+    monkeypatch.setattr(fieldops, "majorana_mode", swapped)
+    assert _registered("fieldops/mode-structure").status == "fail"
 
 
 def test_dirac_embedding_partner_identities():
@@ -129,7 +156,8 @@ def test_dirac_embedding_rank_depends_on_phases():
     from selfconj.halfspin import ID4, slash
 
     plus = ID4 + slash(p) / p.mass
-    assert np.allclose(plus @ b.lam_s[DN], -1j * (plus @ b.lam_s[UP]), atol=1e-12)
+    lam_up, lam_dn = member(b, "lam_s_up"), member(b, "lam_s_dn")
+    assert np.allclose(plus @ lam_dn, -1j * (plus @ lam_up), atol=1e-12)
     generic = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
     assert generic["positive_singular_values"][0, 1] > 0.5
     assert generic["phase_sum"] == pytest.approx(0.7)

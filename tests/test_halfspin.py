@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from selfconj import fieldops, halfspin, linalg
-from selfconj.halfspin import DN, UP, FourMomentum, PhaseConvention
+from selfconj.halfspin import (
+    DN,
+    FAMILY,
+    FAMILY_SIGNS,
+    LAM_S,
+    RHO_S,
+    UP,
+    FourMomentum,
+    PhaseConvention,
+)
 
 A_PLUS = 1.5537739740300374
 A_MINUS = 0.6435942529055826
@@ -22,6 +31,16 @@ GRID = [
     for mag in (0.5, 2.0)
     for th, ph in ((0.0, 0.0), (math.pi / 2, 0.0), (1.1, 2.3), (2.7, 4.0))
 ]
+
+
+def member(b, name):
+    """A family member of a one-row grid by its FAMILY name."""
+    return b.family[0, FAMILY.index(name)]
+
+
+def charge_family(b):
+    """(name, spinor, expected S^c eigenvalue) of a one-row grid."""
+    return zip(FAMILY, b.family[0], FAMILY_SIGNS)
 
 
 def test_momentum_validation():
@@ -70,16 +89,16 @@ def test_boost_factors_at_unit_momentum():
 def test_lambda_up_at_unit_momentum():
     b = halfspin.build_spinor_basis(P_Z)
     want = np.array([0.0, 1j * A_MINUS, A_MINUS, 0.0])
-    assert np.allclose(b.lam_s[UP], want, atol=1e-14)
+    assert np.allclose(member(b, "lam_s_up"), want, atol=1e-14)
 
 
 def test_rest_rows_default_convention():
     b = halfspin.build_spinor_basis(FourMomentum(1.0, 0.0))
-    assert np.allclose(b.lam_s[UP], [0, 1j, 1, 0], atol=1e-14)
-    assert np.allclose(b.lam_s[DN], [-1j, 0, 0, 1], atol=1e-14)
-    assert np.allclose(b.lam_a[UP], [0, -1j, 1, 0], atol=1e-14)
-    assert np.allclose(b.rho_s[UP], [1, 0, 0, -1j], atol=1e-14)
-    assert np.allclose(b.rho_a[UP], [1, 0, 0, 1j], atol=1e-14)
+    assert np.allclose(member(b, "lam_s_up"), [0, 1j, 1, 0], atol=1e-14)
+    assert np.allclose(member(b, "lam_s_dn"), [-1j, 0, 0, 1], atol=1e-14)
+    assert np.allclose(member(b, "lam_a_up"), [0, -1j, 1, 0], atol=1e-14)
+    assert np.allclose(member(b, "rho_s_up"), [1, 0, 0, -1j], atol=1e-14)
+    assert np.allclose(member(b, "rho_a_up"), [1, 0, 0, 1j], atol=1e-14)
 
 
 def test_conjugation_eigenvalues_across_grid():
@@ -87,7 +106,7 @@ def test_conjugation_eigenvalues_across_grid():
     assert c.square_sign() == +1
     for p in GRID:
         b = halfspin.build_spinor_basis(p)
-        for name, psi, sign in b.charge_family():
+        for name, psi, sign in charge_family(b):
             assert np.linalg.norm(c(psi) - sign * psi) < 1e-12, name
 
 
@@ -100,13 +119,13 @@ def test_conjugation_square_free_of_global_phase():
 def test_rest_phase_convention_scales():
     conv = PhaseConvention(theta1=0.3, theta2=0.0, norm=2.0)
     b = halfspin.build_spinor_basis(FourMomentum(1.0, 0.0), conv)
-    assert np.allclose(b.phi_l[UP], 2.0 * np.exp(0.3j) * np.array([1, 0]))
+    assert np.allclose(b.left[0, 0], 2.0 * np.exp(0.3j) * np.array([1, 0]))
 
 
 def test_dirac_v_is_chirality_image():
-    b = halfspin.build_spinor_basis(P_Z)
-    for h in (UP, DN):
-        assert np.allclose(b.dirac_v(h), halfspin.GAMMA5 @ b.dirac_u(h))
+    u_up, u_dn, v_up, v_dn = halfspin.build_spinor_basis(P_Z).uv_stack()[0]
+    for u, v in ((u_up, v_up), (u_dn, v_dn)):
+        assert np.allclose(v, halfspin.GAMMA5 @ u)
 
 
 def test_dynamical_residuals_zero_and_selftest():
@@ -116,9 +135,7 @@ def test_dynamical_residuals_zero_and_selftest():
     # deliberately flipped third sign must miss by exactly 2 m ||rho^S||
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
     b = halfspin.build_spinor_basis(p)
-    expect = 2 * p.mass * max(
-        np.linalg.norm(b.rho_s[UP]), np.linalg.norm(b.rho_s[DN])
-    )
+    expect = 2 * p.mass * max(np.linalg.norm(rho) for rho in b.family[0, RHO_S])
     flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
     assert flipped == pytest.approx(expect, rel=1e-12)
 
@@ -136,7 +153,7 @@ def test_family_functions_read_the_basis_they_are_given(monkeypatch):
     halfspin.xi_alias_residuals(b)
     halfspin.biorthonormality_gram(b)
     halfspin.fgm_residuals(b)
-    fieldops.majorana_mode(b, distinct_antiparticle=True)
+    fieldops.majorana_mode(b)
     fieldops.ziino_barut_split(b)
     fieldops.conjugation_parity_residuals(b)
     fieldops.dirac_from_majorana(b)
@@ -144,7 +161,7 @@ def test_family_functions_read_the_basis_they_are_given(monkeypatch):
     fieldops.ziino_split_residual(b)
     # the displayed oracle builds its own family from the physical inputs
     with pytest.raises(AssertionError, match="rebuilt"):
-        fieldops.displayed_ziino_coefficients(b.momentum, b.convention)
+        fieldops.displayed_ziino_coefficients(b.momenta[0], b.convention)
 
 
 def test_connection_exact_at_default_convention():
@@ -203,10 +220,8 @@ def test_helicity_eigen_and_noneigen_split():
             continue
         ops = halfspin.discrete_ops(p.nhat)
         b = halfspin.build_spinor_basis(p)
-        for h in (UP, DN):
-            u = b.dirac_u(h)
+        for h, u, lam in zip((UP, DN), b.uv_stack()[0], b.family[0, LAM_S]):
             assert np.linalg.norm(ops.helicity @ u - 0.5 * h * u) < 1e-12
-            lam = b.lam_s[h]
             _, resid = linalg.eigen_residual(ops.helicity, lam)
             # exact split: equal weight on both helicity halves
             assert resid == pytest.approx(0.5 * np.linalg.norm(lam), rel=1e-12)
@@ -216,12 +231,10 @@ def test_chiral_helicity_eigenvalues():
     p = FourMomentum(1.0, 1.0, 1.1, 2.3)
     ops = halfspin.discrete_ops(p.nhat)
     b = halfspin.build_spinor_basis(p)
-    for h in (UP, DN):
-        for fam, sgn in ((b.lam_s, +1), (b.lam_a, +1), (b.rho_s, -1), (b.rho_a, -1)):
-            psi = fam[h]
-            assert np.linalg.norm(
-                ops.chiral_helicity @ psi - sgn * 0.5 * h * psi
-            ) < 1e-12
+    for name, psi in zip(FAMILY, b.family[0]):
+        sgn = +1 if name.startswith("lam") else -1
+        h = UP if name.endswith("up") else DN
+        assert np.linalg.norm(ops.chiral_helicity @ psi - sgn * 0.5 * h * psi) < 1e-12
 
 
 def test_gauge_transforms_preserve_status():
@@ -229,7 +242,7 @@ def test_gauge_transforms_preserve_status():
     b = halfspin.build_spinor_basis(FourMomentum(1.0, 2.0, 0.7, 0.0))
     for alpha in (0.3, 1.7):
         gl, gr = halfspin.gauge_lambda(alpha), halfspin.gauge_rho(alpha)
-        for name, psi, sign in b.charge_family():
+        for name, psi, sign in charge_family(b):
             img = (gl if name.startswith("lam") else gr) @ psi
             assert np.linalg.norm(c(img) - sign * img) < 1e-12
 

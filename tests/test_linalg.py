@@ -39,6 +39,20 @@ def test_eigen_residual_is_least_squares():
         assert np.linalg.norm(m @ v - (c + dc) * v) >= resid
 
 
+def test_eigen_residual_is_scale_free():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    c, resid = linalg.eigen_residual(m, v)
+    # scaled by a power of two, down to where <v, v> underflows and up to
+    # where it overflows, the fit moves by exactly that power
+    for k in (-540, -1000, 520):
+        ck, rk = linalg.eigen_residual(m, np.ldexp(1.0, k) * v)
+        assert np.array_equal(ck, c) and np.array_equal(rk, np.ldexp(resid, k))
+    with pytest.raises(ValueError, match="zero vector"):
+        linalg.eigen_residual(m, np.zeros((2, 4)))
+
+
 def test_antilinear_application_and_square():
     theta = linalg.cmat([[0, -1], [1, 0]])
     j = linalg.AntilinearOp(theta, conjugates=True)

@@ -188,9 +188,7 @@ def test_reality_classes_both_spins():
     p = FourMomentum(1.0, 1.5, 1.1, 0.7)
     v = spin1.HALF_MAJORANA_FRAME
     b = halfspin.build_spinor_basis(p)
-    classes = spin1.reality_classes(
-        {name: vec for name, vec, _ in b.charge_family()}, v
-    )
+    classes = spin1.reality_classes(dict(zip(halfspin.FAMILY, b.family[0])), v)
     for name, (cls, minority) in classes.items():
         assert cls == ("real" if "_s_" in name else "imaginary"), name
         assert minority < 1e-12
