@@ -10,7 +10,6 @@ the Dirac eigenspaces.
 import numpy as np
 
 from selfconj import fieldops, halfspin
-from selfconj.fieldops import QuaternionPhase
 from selfconj.halfspin import FourMomentum, PhaseConvention
 
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
@@ -40,9 +39,9 @@ print(f"same at generic phases: "
       f"{gen['positive_singular_values'][0]}  (rank 2)")
 
 print("\nquaternionic phase orbit:")
-qi = QuaternionPhase(0.0, (1.0, 0.0, 0.0))
-qj = QuaternionPhase(0.0, (0.0, 1.0, 0.0))
-print(f"  i*j = {qi.multiply(qj)}")
+# a quaternion phase is a row (c0, c1, c2, c3); an orbit is a (K, 4) array
+one, qi, qj, qk = fieldops.unit_quaternions(np.eye(4))
+print(f"  i*j = {fieldops.quaternion_product(qi, qj)}")
 print(f"  group law on matrices: {fieldops.orbit_group_law(qi, qj):.1e}")
-print(f"  conjugation status preserved along the orbit: "
-      f"{fieldops.orbit_preserves_conjugation(qi, b)[0]:.1e}")
+print(f"  conjugation status preserved along the orbit 1, i, j, k: "
+      f"{fieldops.orbit_preserves_conjugation(np.eye(4), b)[:, 0]}")

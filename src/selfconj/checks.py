@@ -6,8 +6,11 @@ convention (built on first use, once per convention).  It is registered
 with the `_check` decorator under a stable id ("<suite>/<name>"), a
 descriptive anchor and a tolerance rule: a function of `cfg.tolerance`, or
 None for a 'reported' check.  It returns an Evaluation: the residuals it
-measured (arrays with one row per momentum, or numbers), the `values` the
-report carries, and named structural predicates.
+measured (arrays with one row per momentum, phase pair, sample or group
+element, or numbers), the `values` the report carries, and named
+structural predicates.  A check that scans fixed sets evaluates them as
+one array expression: the rest-phase pairs of a Gram scan or the masses
+of the massless scan are the rows of one SpinorGrid build.
 
 One runner, `_run`, turns every Evaluation into a CheckResult.  The worst
 residual is taken with np.max, so a NaN residual propagates and fails the
@@ -76,6 +79,8 @@ class SuiteConfig:
         # finite residual
         if not (self.tolerance >= 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be finite and >= 0")
+        if np.ndim(self.theta1) or np.ndim(self.theta2):
+            raise ValueError("theta1 and theta2 must be numbers, not one per row")
         convention = PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
         suites = tuple(self.suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
@@ -259,13 +264,13 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
         linalg.max_abs(c.squared().matrix - np.eye(4)),
         linalg.max_abs(j.squared().matrix + np.eye(2)),
     ]
-    rng = np.random.default_rng(7)
-    for _ in range(16):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a = rng.standard_normal() + 1j * rng.standard_normal()
-        # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
-        res.append(linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
+    # 16 samples in one draw: per row v, w (re then im) and a, in the order
+    # of drawing them one at a time
+    s = np.random.default_rng(7).standard_normal((16, 18))
+    v, w = s[:, 0:4] + 1j * s[:, 4:8], s[:, 8:12] + 1j * s[:, 12:16]
+    a = (s[:, 16] + 1j * s[:, 17])[:, None]
+    # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
+    res.append(linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w)), axis=-1))
     return Evaluation(
         res,
         {
@@ -277,15 +282,18 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
 
 @_check("linalg/kron-mixed-product", "tensor product compatibility", _at_least(1e-13))
 def _kron(cfg: SuiteConfig, grid):
-    rng = np.random.default_rng(11)
-    res = []
-    for _ in range(8):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        res.append(linalg.max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
-    return Evaluation(res)
+    # 8 samples in one draw: per row a, b, v, w (re then im each), in the
+    # order of drawing them one at a time
+    s = np.random.default_rng(11).standard_normal((8, 36))
+    a = (s[:, 0:4] + 1j * s[:, 4:8]).reshape(8, 2, 2)
+    b = (s[:, 8:17] + 1j * s[:, 17:26]).reshape(8, 3, 3)
+    v, w = s[:, 26:28] + 1j * s[:, 28:30], s[:, 30:33] + 1j * s[:, 33:36]
+    av, bw = apply(a, v), apply(b, w)
+    # np.kron per row: every entry is one product x_ij y_kl
+    kab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(8, 6, 6)
+    kvw = (v[:, :, None] * w[:, None, :]).reshape(8, 6)
+    kavbw = (av[:, :, None] * bw[:, None, :]).reshape(8, 6)
+    return Evaluation([linalg.max_abs(apply(kab, kvw) - kavbw, axis=-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +302,12 @@ def _kron(cfg: SuiteConfig, grid):
 
 @_check("halfspin/helicity-spinors", "helicity two-spinor convention")
 def _helicity_spinors(cfg: SuiteConfig, grid):
-    res = []
-    for th, ph in cfg.directions():
-        n = FourMomentum(1.0, 1.0, th, ph).nhat
-        sn = np.tensordot(n, halfspin.SIGMA, axes=(0, 0))
-        for h in (UP, DN):
-            chi = halfspin.helicity_eigenspinor(th, ph, h)
-            res.append(float(np.linalg.norm(sn @ chi - h * chi)))
-            res.append(abs(float(np.linalg.norm(chi)) - 1.0))
+    # every direction at once: the grid's first rows are the directions
+    d = grid(cfg.convention).head(cfg.n_directions)
+    sn = np.tensordot(d.nhat, halfspin.SIGMA, axes=(-1, 0))
+    chi = np.stack([halfspin.helicity_eigenspinor(d.theta, d.phi, h) for h in (UP, DN)], axis=1)
+    eigen = norm(apply(sn, chi) - np.array([UP, DN])[:, None] * chi)
+    res = [eigen, np.abs(norm(chi) - 1.0)]
     rt = 1 / math.sqrt(2)
     for h, want in ((UP, [rt, rt]), (DN, [-rt, rt])):
         res.append(linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, h) - want))
@@ -312,16 +318,13 @@ def _helicity_spinors(cfg: SuiteConfig, grid):
 def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     # the square is +1 for every conjugation phase; the +-1 eigenvalue
     # statement is pinned to the real-eigenvalue convention thetac = 0
-    squares = []
-    for thetac in (0.0, 0.9, math.pi / 2, cfg.thetac):
-        op = halfspin.charge_conjugation_op(
-            PhaseConvention(cfg.theta1, cfg.theta2, thetac, cfg.norm)
-        )
-        squares.append(linalg.max_abs(op.squared().matrix - np.eye(4)))
+    phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
+    m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
+    squares = linalg.max_abs(m @ np.conjugate(m) - np.eye(4), axis=(-2, -1))
     g = grid(_pinned_conv(cfg))
     c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
-        squares + [_conjugation_gaps(c, g.family)],
+        [squares, _conjugation_gaps(c, g.family)],
         {"momenta": len(g.momenta), "family_size": 8, "square_residual": _worst(squares)},
     )
 
@@ -364,7 +367,7 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
     return Evaluation(
         [res / norm(g.family[0])],
         {
-            "eigenvalues": {name: complex(np.round(ci, 12)) for name, ci in zip(FAMILY, c)},
+            "eigenvalues": dict(zip(FAMILY, np.round(c, 12).tolist())),
             "note": "normalization of the half-unit is a convention",
         },
     )
@@ -395,7 +398,7 @@ def _dirac_connection(cfg: SuiteConfig, grid):
         [rep.aligned_residual, drift],
         {
             "raw_residual": _worst([rep.raw_residual]),
-            "phase_diagonal": [complex(np.round(c, 12)) for c in rep.phases[0]],
+            "phase_diagonal": np.round(rep.phases[0], 12).tolist(),
             "phase_drift_across_grid": _worst([drift]),
             "pinned_rest_phases": "theta1 = theta2 = 0",
         },
@@ -414,6 +417,18 @@ _GRAM_PAIRS = [
 ]
 
 
+def _gram_scan(cfg: SuiteConfig, p: FourMomentum, pairs):
+    """The Gram matrices at p, (K, 4, 4) for K rest-phase pairs: one build."""
+    t1, t2 = zip(*pairs)
+    conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
+    return halfspin.biorthonormality_gram(halfspin.build_spinor_grid([p] * len(pairs), conv))
+
+
+def _modulus(z):
+    """|z| as abs() of one complex number (np.abs of an array may differ)."""
+    return np.hypot(z.real, z.imag)
+
+
 @_check(
     "halfspin/biorthonormality-structure",
     "conjugate-family Gram layout and magnitudes",
@@ -423,30 +438,28 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
     momenta = grid(cfg.convention).momenta
     p = momenta[min(4, len(momenta) - 1)]
     n2 = cfg.convention.rest_scale(p.mass) ** 2
-    res = []
-    cross_track = {}
-    for t1, t2 in _GRAM_PAIRS:
-        conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))[0]
-        mag = 2 * n2 * abs(math.cos(t1 + t2))
-        # the two families decouple exactly when the phase sum is 0 or pi;
-        # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
-        cross = linalg.max_abs([g[:2, 2:], g[2:, :2]])
-        res += [
-            linalg.max_abs(np.diag(g)),
-            abs(abs(g[0, 1]) - mag),
-            abs(abs(g[1, 0]) - mag),
-            linalg.max_abs(g[0, 1] + g[1, 0]),
-            linalg.max_abs(g[2, 3] + g[0, 1]),
-            abs(cross - 2 * n2 * abs(math.sin(t1 + t2))),
-        ]
-        cross_track[f"cross_{t1:.2f}_{t2:.2f}"] = cross
+    g = _gram_scan(cfg, p, _GRAM_PAIRS)
+    tsum = np.sum(_GRAM_PAIRS, axis=1)
+    mag = 2 * n2 * np.abs(np.cos(tsum))
+    # the two families decouple exactly when the phase sum is 0 or pi;
+    # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
+    cross = linalg.max_abs(np.concatenate([g[:, :2, 2:], g[:, 2:, :2]], axis=1), axis=(1, 2))
+    res = [
+        linalg.max_abs(np.diagonal(g, axis1=-2, axis2=-1), axis=-1),
+        np.abs(_modulus(g[:, 0, 1]) - mag),
+        np.abs(_modulus(g[:, 1, 0]) - mag),
+        np.abs(g[:, 0, 1] + g[:, 1, 0]),
+        np.abs(g[:, 2, 3] + g[:, 0, 1]),
+        np.abs(cross - 2 * n2 * np.abs(np.sin(tsum))),
+    ]
     return Evaluation(
         res,
         {
             "phase_pairs": len(_GRAM_PAIRS),
             "zero_at_quarter_turn": True,
-            "cross_family_magnitudes": cross_track,
+            "cross_family_magnitudes": {
+                f"cross_{t1:.2f}_{t2:.2f}": x for (t1, t2), x in zip(_GRAM_PAIRS, cross.tolist())
+            },
         },
     )
 
@@ -454,24 +467,21 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
 @_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
 def _biorthonormality_sign(cfg: SuiteConfig, grid):
     p = grid(cfg.convention).momenta[0]
-    vals = {}
-    gaps = []
     n2 = cfg.convention.rest_scale(p.mass) ** 2
-    for t1, t2 in ((0.0, 0.0), (0.3, 0.4)):
-        conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-        g = halfspin.biorthonormality_gram(halfspin.build_spinor_basis(p, conv))[0]
-        measured = g[0, 1]
-        displayed = 2j * n2 * math.cos(t1 + t2)
-        vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(measured, 12))
-        vals[f"displayed_up_dn_{t1:.1f}_{t2:.1f}"] = complex(np.round(displayed, 12))
-        gaps.append(abs(measured - displayed))
+    pairs = ((0.0, 0.0), (0.3, 0.4))
+    measured = _gram_scan(cfg, p, pairs)[:, 0, 1]
+    displayed = 2j * n2 * np.cos(np.sum(pairs, axis=1))
+    vals = {}
+    for (t1, t2), m, d in zip(pairs, np.round(measured, 12), np.round(displayed, 12)):
+        vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(m)
+        vals[f"displayed_up_dn_{t1:.1f}_{t2:.1f}"] = complex(d)
     vals["note"] = (
         "the realized (up,dn) product carries the opposite sign to the "
         "displayed one; the (dn,up) product carries the displayed sign; "
         "flipping the down spinor's sign restores it but breaks the exact "
         "connection alignment"
     )
-    return Evaluation(gaps, vals)
+    return Evaluation([_modulus(measured - displayed)], vals)
 
 
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
@@ -479,12 +489,11 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg)).head(6)
     c = halfspin.charge_conjugation_op(g.convention)
     lam = np.array([name.startswith("lam") for name in FAMILY])[:, None]
-    res = []
-    for alpha in (0.0, 0.4, 1.1, math.pi / 2, 2.7):
-        gl, gr = halfspin.gauge_lambda(alpha), halfspin.gauge_rho(alpha)
-        img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
-        res.append(_conjugation_gaps(c, img))
-    return Evaluation(res, {"alphas": 5, "momenta": len(g.momenta)})
+    # (alpha, row, member, component)
+    alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
+    gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
+    img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
+    return Evaluation([_conjugation_gaps(c, img)], {"alphas": 5, "momenta": len(g.momenta)})
 
 
 @_check(
@@ -496,23 +505,24 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     res = list(halfspin.xi_alias_residuals(g).values())
     # the common factor diag(Xi, Xi) commutes with every W_k, so the group
     # table of the W parts is the table of the maps
-    xi = halfspin.xi_factor(g.phi)
-    res += [linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1)) for w in halfspin.W_PARTS]
+    xi, w = halfspin.xi_factor(g.phi), halfspin.W_PARTS[:, None]
+    res.append(linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1)))
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
     # every exchange image is again an eigenvector with a definite sign;
     # the map records the signs at the last of the first four momenta
     g4 = g.head(4)
     c = halfspin.charge_conjugation_op(g4.convention)
-    lam = g4.family[:, LAMBDAS]
-    sign_map = {}
-    for k, v in enumerate(halfspin.xi_quadruple(g4.phi)):
-        img = apply(v, lam)
-        plus, minus = norm(c(img) - img), norm(c(img) + img)
-        res.append(np.where(minus < plus, minus, plus))
-        for j, i in enumerate(LAMBDAS):
-            new_sign = -1 if minus[-1, j] < plus[-1, j] else +1
-            sign_map[f"V{k + 1}_{FAMILY[i]}"] = f"{int(FAMILY_SIGNS[i]):+d} -> {new_sign:+d}"
+    # (map, row, member, component)
+    img = apply(halfspin.xi_quadruple(g4.phi)[:, :, None], g4.family[:, LAMBDAS])
+    plus, minus = norm(c(img) - img), norm(c(img) + img)
+    res.append(np.where(minus < plus, minus, plus))
+    flips = (minus < plus)[:, -1].tolist()
+    sign_map = {
+        f"V{k + 1}_{FAMILY[i]}": f"{int(FAMILY_SIGNS[i]):+d} -> {-1 if flips[k][j] else +1:+d}"
+        for k in range(4)
+        for j, i in enumerate(LAMBDAS)
+    }
     return Evaluation(
         res,
         {
@@ -553,12 +563,12 @@ def _massless_limit(cfg: SuiteConfig, grid):
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
 def _second_order(cfg: SuiteConfig, grid):
     sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
-    res = []
-    for i in range(3):
-        res.append(linalg.max_abs(sig[(0, i + 1)] - 1j * halfspin.SIGMA[i]))
-        res.append(linalg.max_abs(til[(0, i + 1)] + 1j * halfspin.SIGMA[i]))
-    res.append(linalg.max_abs(sig[(1, 2)] - halfspin.SIGMA[2]))
-    res.append(linalg.max_abs(til[(1, 2)] - halfspin.SIGMA[2]))
+    res = [
+        linalg.max_abs(sig[0, 1:] - 1j * halfspin.SIGMA, axis=(-2, -1)),
+        linalg.max_abs(til[0, 1:] + 1j * halfspin.SIGMA, axis=(-2, -1)),
+        linalg.max_abs(sig[1, 2] - halfspin.SIGMA[2]),
+        linalg.max_abs(til[1, 2] - halfspin.SIGMA[2]),
+    ]
     g = grid(cfg.convention)
     res += halfspin.fgm_residuals(g).values()
     f = np.zeros((4, 4))
@@ -573,16 +583,14 @@ def _second_order(cfg: SuiteConfig, grid):
 
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
 def _theta3(cfg: SuiteConfig, grid):
-    t = spin1.THETA3
-    res = [linalg.max_abs(t @ t - np.eye(3))]
-    for j in spin1.JVEC:
-        res.append(linalg.max_abs(t @ j @ t + np.conjugate(j)))
-    for th, ph in cfg.directions():
-        n = FourMomentum(1.0, 1.0, th, ph).nhat
-        jn = n[0] * spin1.J1 + n[1] * spin1.J2 + n[2] * spin1.J3
-        for h in spin1.HELICITIES:
-            xi = spin1.helicity_eigenvector(th, ph, h)
-            res.append(float(np.linalg.norm(jn @ xi - h * xi)))
+    t, j = spin1.THETA3, np.stack(spin1.JVEC)
+    res = [linalg.max_abs(t @ t - np.eye(3)), linalg.max_abs(t @ j @ t + np.conjugate(j))]
+    # every direction at once: the grid's first rows are the directions;
+    # xi rows are the helicity eigenvectors, in HELICITIES order
+    d = grid(cfg.convention).head(cfg.n_directions)
+    xi = np.swapaxes(spin1.spin1_rotation(d.theta, d.phi), -1, -2)
+    h = np.array(spin1.HELICITIES)[:, None]
+    res.append(norm(apply(spin1.jdot(d.nhat), xi) - h * xi))
     return Evaluation(res)
 
 
@@ -905,24 +913,20 @@ def _dirac_embedding(cfg: SuiteConfig, grid):
 
 @_check("fieldops/quaternion-orbit", "unit-quaternion phase orbit preserves conjugation status")
 def _quaternion_orbit(cfg: SuiteConfig, grid):
-    qi, qj, qk = units = fieldops.QUATERNION_UNITS
-    res = [linalg.max_abs(u @ u + np.eye(4)) for u in units] + [linalg.max_abs(qi @ qj - qk)]
-    res += [linalg.max_abs(a @ b + b @ a) for a, b in ((qi, qj), (qi, qk), (qj, qk))]
-    rng = np.random.default_rng(23)
-    qs = [
-        fieldops.QuaternionPhase(1.0, (0, 0, 0)),
-        fieldops.QuaternionPhase(0.0, (1, 0, 0)),
-        fieldops.QuaternionPhase(0.0, (0, 1, 0)),
-        fieldops.QuaternionPhase(0.0, (0, 0, 1)),
-        fieldops.QuaternionPhase(0.5, (0.5, 0.5, 0.5)),
+    u = fieldops.QUATERNION_UNITS
+    # the pairs (i, j), (i, k), (j, k)
+    a, b = u[[0, 0, 1]], u[[1, 2, 2]]
+    res = [
+        linalg.max_abs(u @ u + np.eye(4), axis=(-2, -1)),
+        linalg.max_abs(u[0] @ u[1] - u[2]),
+        linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
     ]
-    for _ in range(4):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        qs.append(fieldops.QuaternionPhase(v[0], tuple(v[1:])))
+    # 1, i, j, k, (1 + i + j + k) / 2 and four seeded random phases
+    v = np.random.default_rng(23).standard_normal((4, 4))
+    qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), [[0.5] * 4], v / norm(v)[:, None]]))
     g = grid(_pinned_conv(cfg)).head(4)
-    res += [fieldops.orbit_preserves_conjugation(q, g) for q in qs]
-    res += [fieldops.orbit_group_law(a, b) for a in qs[:5] for b in qs[5:]]
+    res.append(fieldops.orbit_preserves_conjugation(qs, g))
+    res.append(fieldops.orbit_group_law(qs[:5, None], qs[None, 5:]))
     return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
 
 

@@ -18,7 +18,6 @@ one array expression, so a NaN coefficient stays in its row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     positive images are independent depends on the phase convention: at
     theta1 + theta2 in {0, pi} they are exactly collinear, so the rank-2
     statement needs generic phases; the report carries the singular values,
-    (N, 2).
+    (N, 2), NaN on a row that is not finite.
     """
     sl, m = slash(g), rowscale(g.mass)
     f = g.family
@@ -133,63 +132,70 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
 
     conv = g.convention
     partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
+    # the SVD cannot take a non-finite row; such a row keeps NaN values
+    finite = np.all(np.isfinite(ip), axis=(-2, -1))
+    values = np.full(ip.shape[:-1], np.nan)
+    values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
     return {
         "partner_residual": worst(*partner),
         "eigenspace_residual": worst(apply(sl, ip) - m * ip, apply(sl, im) + m * im),
-        "positive_singular_values": np.linalg.svd(ip, compute_uv=False),
+        "positive_singular_values": values,
         "phase_sum": (conv.theta1 + conv.theta2) % (2 * math.pi),
     }
 
 
 # ---------------------------------------------------------------------------
 # quaternionic phase orbit
+#
+# A quaternion phase is a row (c0, c1, c2, c3) of a float array; an orbit is
+# one (K, 4) array.  Every function broadcasts over the leading axes.
 
 
-@dataclass(frozen=True)
-class QuaternionPhase:
-    """Unit quaternion (c0, c); the constraint is enforced on construction."""
+def unit_quaternions(q) -> np.ndarray:
+    """q as a float array of quaternion rows; raises unless every row is
+    finite with unit norm (to 1e-9)."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValueError("a quaternion phase has four components")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("quaternion phase must be finite")
+    if not np.all(abs(q[..., 0] ** 2 + np.sum(q[..., 1:] ** 2, axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("quaternion phase must have unit norm")
+    return q
 
-    c0: float
-    c: tuple
 
-    def __post_init__(self):
-        c = tuple(float(x) for x in self.c)
-        if len(c) != 3:
-            raise ValueError("c must have three components")
-        if not all(math.isfinite(x) for x in (self.c0, *c)):
-            raise ValueError("quaternion phase must be finite")
-        if not abs(self.c0**2 + sum(x * x for x in c) - 1.0) <= 1e-9:
-            raise ValueError("quaternion phase must have unit norm")
-        object.__setattr__(self, "c", c)
-
-    def multiply(self, other: "QuaternionPhase") -> "QuaternionPhase":
-        a0, a = self.c0, np.array(self.c)
-        b0, b = other.c0, np.array(other.c)
-        c0 = a0 * b0 - float(np.dot(a, b))
-        cv = a0 * b + b0 * a + np.cross(a, b)
-        return QuaternionPhase(c0, tuple(cv))
+def quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hamilton product a b, validated like its factors."""
+    a0, av, b0, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
+    c0 = a0 * b0 - np.vecdot(av, bv)[..., None]
+    return unit_quaternions(np.concatenate([c0, a0 * bv + b0 * av + np.cross(av, bv)], axis=-1))
 
 
 # Matrix units (i, j, k) realizing the exchange-map algebra: i gamma^5,
 # i gamma^0 and their product; all square to -1 and anticommute pairwise.
-QUATERNION_UNITS = frozen((1j * GAMMA5, 1j * GAMMA0, (1j * GAMMA5) @ (1j * GAMMA0)))
+QUATERNION_UNITS = frozen(np.stack([1j * GAMMA5, 1j * GAMMA0, (1j * GAMMA5) @ (1j * GAMMA0)]))
 
 
-def orbit_matrix(q: QuaternionPhase) -> np.ndarray:
+def orbit_matrix(q: np.ndarray) -> np.ndarray:
+    """c0 + c1 i + c2 j + c3 k on the matrix units, (..., 4, 4)."""
     qi, qj, qk = QUATERNION_UNITS
-    return q.c0 * ID4 + q.c[0] * qi + q.c[1] * qj + q.c[2] * qk
+    c0, c1, c2, c3 = (rowscale(q[..., k]) for k in range(4))
+    return c0 * ID4 + c1 * qi + c2 * qj + c3 * qk
 
 
-def orbit_preserves_conjugation(q: QuaternionPhase, g: SpinorGrid):
-    """Per row: worst |S^c(M psi) - s (M psi)| over the eight family members.
+def orbit_preserves_conjugation(q: np.ndarray, g: SpinorGrid) -> np.ndarray:
+    """Per quaternion and row, (..., N): worst |S^c(M psi) - s (M psi)| over
+    the eight family members.
 
     The units intertwine with the conjugation (real coefficients), so the
     +-1 status survives the whole orbit exactly.
     """
-    img = apply(orbit_matrix(q), g.family)
+    img = apply(orbit_matrix(q)[..., None, None, :, :], g.family)
     c = charge_conjugation_op(g.convention)
     return np.max(norm(c(img) - FAMILY_SIGNS[:, None] * img), axis=-1)
 
 
-def orbit_group_law(q1: QuaternionPhase, q2: QuaternionPhase) -> float:
-    return max_abs(orbit_matrix(q1) @ orbit_matrix(q2) - orbit_matrix(q1.multiply(q2)))
+def orbit_group_law(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |M(a) M(b) - M(a b)| per pair of quaternion rows."""
+    law = orbit_matrix(a) @ orbit_matrix(b) - orbit_matrix(quaternion_product(a, b))
+    return max_abs(law, axis=(-2, -1))

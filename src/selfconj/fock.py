@@ -114,7 +114,8 @@ class SymmetryOp:
 
     `matrix` is a 4x4 unit-phase permutation of the (branch, helicity)
     pairs ordered as _PAIRS: column j holds the image of pair j and its
-    phase.  `reflects` says whether the momentum tag is negated.
+    phase.  `reflects` says whether the momentum tag is negated.  The
+    (image pair, phase) of each column is read off once, at construction.
     """
 
     name: str
@@ -132,14 +133,15 @@ class SymmetryOp:
             raise ValueError(f"{self.name}: not a unit-phase permutation")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        rows = np.argmax(m != 0, axis=0).tolist()
+        images = tuple((_PAIRS[i], complex(m[i, j])) for j, i in enumerate(rows))
+        object.__setattr__(self, "_images", images)
 
     def _image(self, label: ModeLabel) -> tuple[tuple[int, str, int], complex]:
         """The (ptag, helicity, branch) fields of the image label, and its phase."""
-        j = _INDEX[(label.branch, label.helicity)]
-        i = int(np.flatnonzero(self.matrix[:, j])[0])
-        branch, helicity = _PAIRS[i]
+        (branch, helicity), phase = self._images[_INDEX[(label.branch, label.helicity)]]
         ptag = -label.ptag if self.reflects else label.ptag
-        return (ptag, helicity, branch), complex(self.matrix[i, j])
+        return (ptag, helicity, branch), phase
 
     def rule(self, label: ModeLabel) -> tuple[ModeLabel, complex]:
         fields, phase = self._image(label)

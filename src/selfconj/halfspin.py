@@ -138,7 +138,8 @@ class PhaseConvention:
     theta1/theta2 multiply the up/down rest spinors as e^{i theta_h}; thetac
     is the global charge-conjugation phase; norm is the rest normalization N
     (None means sqrt(m), the mass-dimension-1/2 choice that keeps the
-    massless limit finite).
+    massless limit finite).  For a phase scan theta1 and theta2 are equal-
+    length tuples, one phase per grid row.
     """
 
     theta1: float = 0.0
@@ -147,7 +148,8 @@ class PhaseConvention:
     norm: float | None = None
 
     def __post_init__(self):
-        if not all(math.isfinite(t) for t in (self.theta1, self.theta2, self.thetac)):
+        rest = np.asarray((self.theta1, self.theta2), dtype=float)
+        if not (np.all(np.isfinite(rest)) and math.isfinite(self.thetac)):
             raise ValueError("phases must be finite")
         # N**2 scales every bilinear; it must be a finite normal float
         if self.norm is not None and not sys.float_info.min <= self.norm * self.norm < math.inf:
@@ -156,8 +158,9 @@ class PhaseConvention:
     def rest_scale(self, mass: float) -> float:
         return math.sqrt(mass) if self.norm is None else self.norm
 
-    def rest_phase(self, h: int) -> complex:
-        return np.exp(1j * (self.theta1 if h == UP else self.theta2))
+    def rest_phase(self, h: int) -> np.ndarray:
+        """e^{i theta_h}: 0-d, or one per row in a phase scan."""
+        return np.exp(1j * np.asarray(self.theta1 if h == UP else self.theta2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +172,18 @@ class PhaseConvention:
 # row axis.
 
 
+def _helicity_pair(theta, phi) -> np.ndarray:
+    """(chi_up, chi_dn) on axis -2."""
+    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
+    em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
+    return np.stack([c * em, s * ep, -s * em, c * ep], axis=-1).reshape(c.shape + (2, 2))
+
+
 def helicity_eigenspinor(theta, phi, h: int) -> np.ndarray:
     """chi_h for the direction (theta, phi); sigma.n chi_h = h chi_h."""
     if h not in (UP, DN):
         raise ValueError("helicity must be +1 or -1")
-    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
-    em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
-    if h == UP:
-        return np.stack([c * em, s * ep], axis=-1)
-    return np.stack([-s * em, c * ep], axis=-1)
+    return _helicity_pair(theta, phi)[..., 0 if h == UP else 1, :]
 
 
 def boost_ops(p) -> tuple[np.ndarray, np.ndarray]:
@@ -263,23 +269,17 @@ class SpinorGrid:
     @classmethod
     def build(cls, momenta, conv: PhaseConvention = PhaseConvention()):
         momenta = tuple(momenta)
-        mass, pmag, theta, phi, energy = (
-            np.array([getattr(p, k) for p in momenta], dtype=float)
-            for k in ("mass", "pmag", "theta", "phi", "energy")
-        )
+        rows = [(p.mass, p.pmag, p.theta, p.phi, p.energy) for p in momenta]
+        mass, pmag, theta, phi, energy = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
         st = np.sin(theta)
         nhat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
         kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
         lam_r, lam_l = boost_ops(kinematics)
         scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
-        # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity
-        rest = np.stack(
-            [
-                scale[:, None] * conv.rest_phase(h) * helicity_eigenspinor(theta, phi, h)
-                for h in (UP, DN)
-            ],
-            axis=1,
-        )
+        # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
+        # phase is one number, or one per row in a phase scan
+        phases = np.stack([conv.rest_phase(UP), conv.rest_phase(DN)], axis=-1)
+        rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
         left = apply(lam_l, rest)
         right = apply(lam_r, rest)
         # +-i Theta conj(phi)
@@ -407,13 +407,14 @@ def connection_check(g: SpinorGrid) -> ConnectionReport:
 # gauge transforms and the exchange quadruple
 
 
-def gauge_lambda(alpha: float) -> np.ndarray:
-    """cos(a) - i sin(a) gamma^5; acts on the lambda family."""
-    return math.cos(alpha) * ID4 - 1j * math.sin(alpha) * GAMMA5
+def gauge_lambda(alpha) -> np.ndarray:
+    """cos(a) - i sin(a) gamma^5; acts on the lambda family.  alpha is a
+    number or an array, with one matrix per entry."""
+    return rowscale(np.cos(alpha)) * ID4 - rowscale(1j * np.sin(alpha)) * GAMMA5
 
 
-def gauge_rho(alpha: float) -> np.ndarray:
-    return math.cos(alpha) * ID4 + 1j * math.sin(alpha) * GAMMA5
+def gauge_rho(alpha) -> np.ndarray:
+    return rowscale(np.cos(alpha)) * ID4 + rowscale(1j * np.sin(alpha)) * GAMMA5
 
 
 def xi_matrix(phi_p) -> np.ndarray:
@@ -427,8 +428,8 @@ def xi_matrix(phi_p) -> np.ndarray:
 # gamma^5 gamma^0] and generate, with signs, the order-8 group with central
 # element -1 (squares +1, -1, -1, -1).  Composition statements about the
 # quadruple are statements about the W parts; the common Xi factor commutes
-# with all four.
-W_PARTS = frozen((ID4, 1j * GAMMA5, 1j * GAMMA0, GAMMA5 @ GAMMA0))
+# with all four.  One (4, 4, 4) array, W_k on axis 0.
+W_PARTS = frozen(np.stack([ID4, 1j * GAMMA5, 1j * GAMMA0, GAMMA5 @ GAMMA0]))
 
 
 def xi_factor(phi_p) -> np.ndarray:
@@ -437,9 +438,10 @@ def xi_factor(phi_p) -> np.ndarray:
     return diagonal(e, f, e, f)
 
 
-def xi_quadruple(phi_p) -> list[np.ndarray]:
+def xi_quadruple(phi_p) -> np.ndarray:
+    """The maps W_k diag(Xi, Xi) on axis 0: (4, 4, 4), or (4, N, 4, 4)."""
     g = xi_factor(phi_p)
-    return [w @ g for w in W_PARTS]
+    return W_PARTS.reshape((4,) + (1,) * (g.ndim - 2) + (4, 4)) @ g
 
 
 def xi_alias_residuals(g: SpinorGrid) -> dict:
@@ -466,19 +468,16 @@ def w_group_table():
     """Closure table of {+-W_k}: table[(j, k)] = (sign, index) with
     W_j W_k = sign * W_index.  Raises if a product escapes the set."""
     ws = W_PARTS
-    table = {}
-    for j, wj in enumerate(ws):
-        for k, wk in enumerate(ws):
-            prod = wj @ wk
-            hit = None
-            for l, wl in enumerate(ws):
-                for sign in (+1, -1):
-                    if max_abs(prod - sign * wl) <= TOL:
-                        hit = (sign, l)
-            if hit is None:
-                raise ValueError(f"product W_{j} W_{k} escapes the set")
-            table[(j, k)] = hit
-    return table
+    prods = ws[:, None] @ ws  # (j, k)
+    signs = np.array([+1, -1])
+    # hit[j, k, l, s]: W_j W_k = signs[s] W_l
+    gaps = prods[:, :, None, None] - signs[:, None, None] * ws[:, None]
+    hit = max_abs(gaps, axis=(-2, -1)) <= TOL
+    escaped = np.argwhere(~hit.any(axis=(-2, -1)))
+    if len(escaped):
+        j, k = escaped[0]
+        raise ValueError(f"product W_{j} W_{k} escapes the set")
+    return {(j, k): (int(signs[s]), l) for j, k, l, s in np.argwhere(hit).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +516,12 @@ def massless_scan(masses, conv: PhaseConvention = PhaseConvention()) -> list[dic
     masses = list(masses)
     if not masses or any(m <= 0 for m in masses):
         raise ValueError("masses must be positive")
-    rows = []
-    for m in masses:
-        up, dn = build_spinor_basis(FourMomentum(m, 1.0), conv).family[0, LAM_S]
-        up, dn = float(np.linalg.norm(up)), float(np.linalg.norm(dn))
-        rows.append({"mass": m, "ratio": up / dn, "lam_s_dn_norm": dn})
-    return rows
+    g = SpinorGrid.build([FourMomentum(m, 1.0) for m in masses], conv)
+    up, dn = norm(g.family[:, LAM_S]).T
+    return [
+        {"mass": m, "ratio": r, "lam_s_dn_norm": d}
+        for m, r, d in zip(masses, (up / dn).tolist(), dn.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -536,26 +535,18 @@ frozen(_EPS)
 
 
 def _sigma_tensors():
-    sig, til = {}, {}
-    for mu in range(4):
-        sig[(mu, mu)] = np.zeros((2, 2), dtype=complex)
-        til[(mu, mu)] = np.zeros((2, 2), dtype=complex)
-    for i in range(3):
-        sig[(0, i + 1)] = 1j * SIGMA[i]
-        sig[(i + 1, 0)] = -1j * SIGMA[i]
-        til[(0, i + 1)] = -1j * SIGMA[i]
-        til[(i + 1, 0)] = 1j * SIGMA[i]
-    for i in range(3):
-        for j in range(3):
-            s = np.tensordot(_EPS[i, j], SIGMA, axes=(0, 0))
-            sig[(i + 1, j + 1)] = s
-            til[(i + 1, j + 1)] = s
+    sig = np.zeros((4, 4, 2, 2), dtype=complex)
+    sig[0, 1:], sig[1:, 0] = 1j * SIGMA, -1j * SIGMA
+    sig[1:, 1:] = np.tensordot(_EPS, SIGMA, axes=(-1, 0))
+    til = sig.copy()
+    til[0, 1:], til[1:, 0] = sig[1:, 0], sig[0, 1:]
     return sig, til
 
 
-# The two antisymmetric sigma^{mu nu} families as {(mu, nu): 2x2}.
-# sigma^{0i} = +i sigma^i on the right-handed side, tilde uses -i; the
-# space-space entries coincide: sigma^{ij} = eps_{ijk} sigma^k.
+# The two antisymmetric sigma^{mu nu} families as (4, 4, 2, 2) arrays,
+# sigma^{mu nu} = FGM_SIGMA[mu, nu].  sigma^{0i} = +i sigma^i on the
+# right-handed side, tilde uses -i; the space-space entries coincide:
+# sigma^{ij} = eps_{ijk} sigma^k.
 FGM_SIGMA, FGM_TILDE = frozen(_sigma_tensors())
 
 
@@ -587,8 +578,8 @@ def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
     # metric (+,-,-,-) scalar; components are numbers so ordering drops out
     scal = pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:])
 
-    fsig = sum(FGM_SIGMA[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
-    ftil = sum(FGM_TILDE[(mu, nu)] * fmunu[mu, nu] for mu in range(4) for nu in range(4))
+    # F_{mu nu} sigma^{mu nu}, summed over (mu, nu) in order
+    fsig, ftil = (np.sum(s * fmunu[:, :, None, None], axis=(0, 1)) for s in (FGM_SIGMA, FGM_TILDE))
 
     m2 = rowscale(b.mass**2)
     op_r = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * fsig

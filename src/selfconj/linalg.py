@@ -180,12 +180,11 @@ class AntilinearOp:
         sq = self.squared()
         if sq.conjugates:
             raise ValueError("square of a linear op is linear; got conjugating")
-        eye = np.eye(self.dim)
-        for sign in (+1, -1):
-            ok, _ = approx_eq(sq.matrix, sign * eye)
-            if ok:
-                return sign
-        raise ValueError("square is not +-identity")
+        signs = np.array([+1, -1])
+        ok = max_abs(sq.matrix - signs[:, None, None] * np.eye(self.dim), axis=(-2, -1)) <= TOL
+        if not ok.any():
+            raise ValueError("square is not +-identity")
+        return int(signs[np.argmax(ok)])
 
 
 def realify(op: AntilinearOp) -> np.ndarray:
@@ -217,5 +216,4 @@ def involution_eigenvectors(t: np.ndarray, sign: int):
         raise ValueError("matrix is not an involution")
     proj = 0.5 * (np.eye(n) + sign * t)
     u, s, _ = np.linalg.svd(proj)
-    cols = [u[:, i] for i in range(n) if s[i] > 0.5]
-    return np.array(cols).T if cols else np.zeros((n, 0))
+    return u[:, s > 0.5]

@@ -52,7 +52,8 @@ HELICITIES = (+1, 0, -1)
 THETA3 = frozen(cmat([[0, 0, 1], [0, -1, 0], [1, 0, 0]]))
 
 
-def _jdot(nhat) -> np.ndarray:
+def jdot(nhat) -> np.ndarray:
+    """J.n, one matrix per direction row."""
     nhat = np.asarray(nhat, dtype=float)
     return rowscale(nhat[..., 0]) * J1 + rowscale(nhat[..., 1]) * J2 + rowscale(nhat[..., 2]) * J3
 
@@ -79,7 +80,7 @@ def spin1_boosts(p) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("finite boosts need m > 0")
     ch = rowscale(p.energy / p.mass)
     sh = rowscale(p.pmag / p.mass)
-    jn = _jdot(p.nhat)
+    jn = jdot(p.nhat)
     jn2 = jn @ jn
     br = ID3 + sh * jn + (ch - 1.0) * jn2
     bl = ID3 - sh * jn + (ch - 1.0) * jn2
@@ -215,9 +216,9 @@ def majorana_family_report(tol: float = 1e-12) -> dict:
     """Transforms the chiral family with W and compares to the displayed
     forms; also reports the worst imaginary part over the ten (mu, nu)
     images (the chirality image is imaginary by design and excluded)."""
-    imgs = {key: to_majorana_rep(g) for key, g in CHIRAL_GAMMAS.items()}
-    resid = max_abs([img - MR_FORMS[key] for key, img in imgs.items()])
-    imag = max_abs([np.imag(img) for img in imgs.values()])
+    imgs = to_majorana_rep(np.stack(list(CHIRAL_GAMMAS.values())))
+    resid = max_abs(imgs - np.stack([MR_FORMS[key] for key in CHIRAL_GAMMAS]))
+    imag = max_abs(np.imag(imgs))
     five = to_majorana_rep(GAMMA5_CHIRAL)
     resid5 = max_abs(five - MR_FORMS["five"])
     u = MAJORANA_U
@@ -238,17 +239,16 @@ def plain_unitary_diagnostic() -> dict:
     convention choice behind CHIRAL_TO_MAJORANA is visible, not buried.
     """
     u = MAJORANA_U
-    gam = CHIRAL_GAMMAS
     want = MR_FORMS
-
-    def img(m):
-        return u @ m @ dagger(u)
-
+    # the family in CHIRAL_GAMMAS order, then GAMMA5_CHIRAL
+    keys = list(CHIRAL_GAMMAS)
+    img = u @ np.stack([*CHIRAL_GAMMAS.values(), GAMMA5_CHIRAL]) @ dagger(u)
+    g0i = img[[keys.index((0, i)) for i in (1, 2, 3)]]
     return {
-        "g00_lands_on_displayed_five": max_abs(img(gam[(0, 0)]) - want["five"]),
-        "five_lands_on_displayed_g00": max_abs(img(GAMMA5_CHIRAL) - want[(0, 0)]),
-        "g0i_sign_flip": max_abs([img(gam[(0, i)]) + want[(0, i)] for i in (1, 2, 3)]),
-        "worst_imag_part": max_abs([np.imag(img(g)) for g in gam.values()]),
+        "g00_lands_on_displayed_five": max_abs(img[keys.index((0, 0))] - want["five"]),
+        "five_lands_on_displayed_g00": max_abs(img[-1] - want[(0, 0)]),
+        "g0i_sign_flip": max_abs(g0i + np.stack([want[(0, i)] for i in (1, 2, 3)])),
+        "worst_imag_part": max_abs(np.imag(img[:-1])),
     }
 
 
@@ -351,26 +351,22 @@ def selfconjugacy_analysis() -> dict:
     """
     c = CONJUGATION
     tw = TWISTED_CONJUGATION
-    r = realify(c)
-    margins = [
-        float(np.min(np.linalg.svd(r - s * np.eye(12), compute_uv=False)))
-        for s in (+1, -1)
-    ]
+    shifted = realify(c) - np.array([+1.0, -1.0])[:, None, None] * np.eye(12)
+    margin = np.min(np.linalg.svd(shifted, compute_uv=False))
     t = realify(tw)
     plus = involution_eigenvectors(t, +1)
     minus = involution_eigenvectors(t, -1)
-    gaps = []
-    for cols, sign in ((plus, +1), (minus, -1)):
-        for k in range(cols.shape[1]):
-            v = cols[:6, k] + 1j * cols[6:, k]
-            gaps.append(np.linalg.norm(tw(v) - sign * v))
+    # one eigenvector per row, (Re; Im) stacked back into C^6
+    cols = np.concatenate([plus, minus], axis=1).T
+    v = cols[:, :6] + 1j * cols[:, 6:]
+    signs = np.repeat([+1.0, -1.0], [plus.shape[1], minus.shape[1]])
     return {
         "square_sign_plain": c.square_sign(),
         "square_sign_twisted": tw.square_sign(),
-        "nonexistence_margin": min(margins),
+        "nonexistence_margin": float(margin),
         "plus_dim": plus.shape[1],
         "minus_dim": minus.shape[1],
-        "eigenvector_residual": max_abs(gaps),
+        "eigenvector_residual": max_abs(norm(tw(v) - signs[:, None] * v)),
     }
 
 
@@ -385,12 +381,10 @@ HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF
 
 
 def reality_classes(vectors: dict, frame: np.ndarray) -> dict:
-    """Transform each named vector (or rows of them, on the last axis) and
-    classify as 'real' or 'imaginary' by whichever part dominates, with the
-    minority-part magnitude; both have the rows' shape."""
-    out = {}
-    for name, v in vectors.items():
-        w = apply(frame, np.asarray(v, dtype=complex))
-        re, im = max_abs(np.real(w), axis=-1), max_abs(np.imag(w), axis=-1)
-        out[name] = (np.where(re >= im, "real", "imaginary"), np.minimum(re, im))
-    return out
+    """Transform each named vector (or rows of them, on the last axis; all
+    of one shape) and classify as 'real' or 'imaginary' by whichever part
+    dominates, with the minority-part magnitude; both have the rows' shape."""
+    w = apply(frame, np.asarray(list(vectors.values()), dtype=complex))
+    re, im = max_abs(np.real(w), axis=-1), max_abs(np.imag(w), axis=-1)
+    kinds, minority = np.where(re >= im, "real", "imaginary"), np.minimum(re, im)
+    return {name: (kinds[i], minority[i]) for i, name in enumerate(vectors)}

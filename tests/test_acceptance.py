@@ -163,7 +163,7 @@ def test_criterion_07_gauge_xi_group():
         b = halfspin.build_spinor_basis(p)
         maps = [halfspin.gauge_lambda(a) for a in (0.3, 1.7, 2.9)]
         maps += [halfspin.gauge_rho(a) for a in (0.3, 1.7, 2.9)]
-        maps += halfspin.xi_quadruple(p.phi)
+        maps += list(halfspin.xi_quadruple(p.phi))  # the maps on axis 0
         for psi in b.family[0]:
             for m in maps:
                 img = m @ psi

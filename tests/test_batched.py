@@ -1,0 +1,244 @@
+"""Batched fixed-size evaluations against the loops they replace.
+
+Each oracle below is the per-item loop that the batched code replaced,
+kept here as the reference: the group table, the quaternion orbit and its
+group law, the massless scan, the rest-phase scan of the Gram matrix, the
+field-tensor sum of the second-order residuals, the direction residuals
+and the seeded samples.  A batched row must equal its
+loop result bit for bit (np.array_equal), so batching cannot move a
+printed number.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selfconj import checks, fieldops, halfspin, linalg, spin1
+from selfconj.halfspin import LAM_S, FourMomentum, PhaseConvention, build_spinor_basis
+from selfconj.linalg import TOL, max_abs, norm
+
+SETTINGS = settings(database=None, deadline=None, max_examples=40)
+phases = st.floats(-1e3, 1e3)
+unit_quaternion = (
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+momenta = st.builds(
+    FourMomentum,
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1e3),
+    st.floats(0.0, math.pi),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _grid(cfg):
+    return functools.partial(halfspin.build_spinor_grid, cfg.momenta())
+
+
+# ---------------------------------------------------------------------------
+# the exchange group
+
+
+def _w_group_table_loop(ws):
+    table = {}
+    for j, wj in enumerate(ws):
+        for k, wk in enumerate(ws):
+            prod = wj @ wk
+            hit = None
+            for l, wl in enumerate(ws):
+                for sign in (+1, -1):
+                    if max_abs(prod - sign * wl) <= TOL:
+                        hit = (sign, l)
+            if hit is None:
+                raise ValueError(f"product W_{j} W_{k} escapes the set")
+            table[(j, k)] = hit
+    return table
+
+
+@SETTINGS
+@given(st.permutations(range(4)), st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
+def test_w_group_table_equals_the_loop(order, signs):
+    # any relabeling of the group's elements, signs included, still closes
+    parts = np.array(signs)[:, None, None] * halfspin.W_PARTS[list(order)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfspin, "W_PARTS", parts)
+        assert halfspin.w_group_table() == _w_group_table_loop(parts)
+
+
+def test_w_group_table_raises_when_a_product_escapes(monkeypatch):
+    parts = halfspin.W_PARTS.copy()
+    parts[3] = parts[3] * np.exp(0.1j)
+    with pytest.raises(ValueError, match="escapes"):
+        _w_group_table_loop(parts)
+    monkeypatch.setattr(halfspin, "W_PARTS", parts)
+    with pytest.raises(ValueError, match="W_1 W_2 escapes"):
+        halfspin.w_group_table()
+
+
+# ---------------------------------------------------------------------------
+# the quaternion orbit
+
+
+def _orbit_matrix_loop(q):
+    qi, qj, qk = fieldops.QUATERNION_UNITS
+    c0, c = float(q[0]), tuple(float(x) for x in q[1:])
+    return c0 * halfspin.ID4 + c[0] * qi + c[1] * qj + c[2] * qk
+
+
+def _product_loop(a, b):
+    a0, av, b0, bv = float(a[0]), np.array(a[1:]), float(b[0]), np.array(b[1:])
+    c0 = a0 * b0 - float(np.dot(av, bv))
+    return np.array([c0, *(a0 * bv + b0 * av + np.cross(av, bv))])
+
+
+@SETTINGS
+@given(
+    st.lists(unit_quaternion, min_size=1, max_size=5),
+    st.lists(unit_quaternion, min_size=1, max_size=4),
+)
+def test_orbit_and_group_law_equal_the_loop(left, right):
+    qa, qb = fieldops.unit_quaternions(left), fieldops.unit_quaternions(right)
+    assert np.array_equal(fieldops.orbit_matrix(qa), [_orbit_matrix_loop(q) for q in left])
+
+    def law(a, b):
+        m = _orbit_matrix_loop
+        return max_abs(m(a) @ m(b) - m(_product_loop(a, b)))
+
+    want = [[law(a, b) for b in right] for a in left]
+    assert np.array_equal(fieldops.orbit_group_law(qa[:, None], qb[None, :]), want)
+    g = halfspin.build_spinor_grid([FourMomentum(1.0, 1.0, 1.1, 0.4), FourMomentum(0.5, 2.0)])
+    c = halfspin.charge_conjugation_op(g.convention)
+    status = []
+    for q in left:
+        img = linalg.apply(_orbit_matrix_loop(q), g.family)
+        status.append(np.max(norm(c(img) - halfspin.FAMILY_SIGNS[:, None] * img), axis=-1))
+    assert np.array_equal(fieldops.orbit_preserves_conjugation(qa, g), status)
+
+
+# ---------------------------------------------------------------------------
+# phase scans
+
+
+def _massless_scan_loop(masses, conv):
+    rows = []
+    for m in masses:
+        up, dn = build_spinor_basis(FourMomentum(m, 1.0), conv).family[0, LAM_S]
+        up, dn = float(np.linalg.norm(up)), float(np.linalg.norm(dn))
+        rows.append({"mass": m, "ratio": up / dn, "lam_s_dn_norm": dn})
+    return rows
+
+
+@SETTINGS
+@given(st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=6), phases, phases)
+def test_massless_scan_equals_the_loop(masses, theta1, theta2):
+    conv = PhaseConvention(theta1, theta2)
+    assert halfspin.massless_scan(masses, conv) == _massless_scan_loop(masses, conv)
+
+
+@SETTINGS
+@given(
+    momenta,
+    st.lists(st.tuples(phases, phases), min_size=1, max_size=8),
+    phases,
+    st.none() | st.floats(1e-3, 1e3),
+)
+def test_phase_scan_grams_equal_one_row_grams(p, pairs, thetac, rest_norm):
+    t1, t2 = zip(*pairs)
+    conv = PhaseConvention(t1, t2, thetac, rest_norm)
+    scan = halfspin.biorthonormality_gram(halfspin.build_spinor_grid([p] * len(pairs), conv))
+    one_row = [
+        halfspin.biorthonormality_gram(
+            build_spinor_basis(p, PhaseConvention(a, b, thetac, rest_norm))
+        )[0]
+        for a, b in pairs
+    ]
+    assert np.array_equal(scan, one_row)
+
+
+def test_a_phase_scan_needs_finite_phases():
+    with pytest.raises(ValueError):
+        PhaseConvention((0.1, math.nan), (0.0, 0.0))
+    # a run takes one rest phase each, never one per grid row
+    with pytest.raises(ValueError, match="numbers"):
+        checks.SuiteConfig(theta1=(0.1,) * 18, theta2=(0.0,) * 18)
+
+
+@SETTINGS
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    st.floats(-3.0, 3.0),
+)
+def test_second_order_residuals_equal_the_loop(upper, x, coupling):
+    f = np.zeros((4, 4))
+    f[np.triu_indices(4, 1)] = upper
+    f = f - f.T
+    g = halfspin.build_spinor_grid([FourMomentum(1.0, 1.0, 1.1, 0.4), FourMomentum(0.5, 2.0)])
+    got = halfspin.fgm_residuals(g, coupling, f, x)
+    sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
+    fsig = sum(sig[(mu, nu)] * f[mu, nu] for mu in range(4) for nu in range(4))
+    ftil = sum(til[(mu, nu)] * f[mu, nu] for mu in range(4) for nu in range(4))
+    p4 = np.concatenate([g.energy[:, None], g.pvec], axis=-1)
+    a = -0.5 * f @ np.asarray(x)
+    pip, pim = p4 + coupling * a, p4 - coupling * a
+    scal = linalg.rowscale(pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:]))
+    m2 = linalg.rowscale(g.mass**2)
+    for fs, side, key in ((fsig, g.right, "right"), (ftil, g.left, "left")):
+        op = scal * halfspin.ID2 - m2 * halfspin.ID2 - 0.5 * coupling * fs
+        assert np.array_equal(got[key], norm(linalg.apply(op, side[:, :1]))[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# directions and seeded samples
+
+
+@SETTINGS
+@given(st.integers(1, 30))
+def test_direction_residuals_equal_the_loops(n_directions):
+    cfg = checks.SuiteConfig(n_magnitudes=1, n_directions=n_directions)
+    helicity = checks._helicity_spinors(cfg, _grid(cfg)).residuals
+    wigner = checks._theta3(cfg, _grid(cfg)).residuals
+    eigen, unit, triad = [], [], []
+    for th, ph in cfg.directions():
+        n = FourMomentum(1.0, 1.0, th, ph).nhat
+        sn = np.tensordot(n, halfspin.SIGMA, axes=(0, 0))
+        for h in (+1, -1):
+            chi = halfspin.helicity_eigenspinor(th, ph, h)
+            eigen.append(float(np.linalg.norm(sn @ chi - h * chi)))
+            unit.append(abs(float(np.linalg.norm(chi)) - 1.0))
+        jn = n[0] * spin1.J1 + n[1] * spin1.J2 + n[2] * spin1.J3
+        for h in spin1.HELICITIES:
+            xi = spin1.helicity_eigenvector(th, ph, h)
+            triad.append(float(np.linalg.norm(jn @ xi - h * xi)))
+    assert np.array_equal(np.ravel(helicity[0]), eigen)
+    assert np.array_equal(np.ravel(helicity[1]), unit)
+    assert np.array_equal(np.ravel(wigner[2]), triad)
+
+
+def test_seeded_samples_equal_the_loops():
+    cfg = checks.SuiteConfig()
+    c = halfspin.charge_conjugation_op(cfg.convention)
+    rng = np.random.default_rng(7)
+    antilinear = []
+    for _ in range(16):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a = rng.standard_normal() + 1j * rng.standard_normal()
+        antilinear.append(max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
+    assert np.array_equal(checks._antilinear_algebra(cfg, None).residuals[2], antilinear)
+    rng = np.random.default_rng(11)
+    kron = []
+    for _ in range(8):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        kron.append(max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
+    assert np.array_equal(checks._kron(cfg, None).residuals[0], kron)

@@ -14,8 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from selfconj import checks, fieldops
-from selfconj.fieldops import QuaternionPhase
+from selfconj import checks, fieldops, halfspin
 from selfconj.halfspin import (
     FAMILY,
     LAM_A,
@@ -120,13 +119,27 @@ def _registered(check_id, grid=None):
     return checks._run(check, cfg, grid or functools.partial(build_spinor_grid, cfg.momenta()))
 
 
-def test_a_nan_family_entry_fails_the_parity_check():
-    def grid(conv):
-        return _with_nan_entry(build_spinor_grid(checks.SuiteConfig().momenta(), conv), 2)
+def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
+    # every fieldops check reads the run's grid; with one NaN row each one
+    # fails with a NaN maximum, and none raises
+    def grid(momenta, conv):
+        return _with_nan_entry(build_spinor_grid(momenta, conv), 2)
 
-    parity = _registered("fieldops/conjugation-parity", grid)
-    assert parity.status == "fail"
-    assert math.isnan(parity.max_residual)
+    monkeypatch.setattr(halfspin, "build_spinor_grid", grid)
+    results = checks.run_checks(checks.SuiteConfig(suites=("fieldops",)))
+    assert len(results) == 5
+    for r in results:
+        assert r.status == "fail", r.check_id
+        assert math.isnan(r.max_residual), r.check_id
+
+
+def test_dirac_singular_values_are_nan_on_a_nan_row():
+    g = build_spinor_grid(GRID, PhaseConvention(0.3, 0.4))
+    values = fieldops.dirac_from_majorana(_with_nan_entry(g, 2))["positive_singular_values"]
+    want = fieldops.dirac_from_majorana(g)["positive_singular_values"]
+    assert np.all(np.isnan(values[2]))
+    # the finite rows keep their values bit for bit
+    assert np.array_equal(np.delete(values, 2, axis=0), np.delete(want, 2, axis=0))
 
 
 def test_mode_structure_check_fails_on_a_swapped_layout(monkeypatch):
@@ -165,17 +178,18 @@ def test_dirac_embedding_rank_depends_on_phases():
 
 def test_quaternion_phase_algebra():
     with pytest.raises(ValueError):
-        QuaternionPhase(1.0, (1.0, 0.0, 0.0))
+        fieldops.unit_quaternions([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        QuaternionPhase(1.0, (0.0, 0.0))
-    for c0, c in ((np.nan, (0, 0, 0)), (1.0, (np.nan, 0, 0))):
+        fieldops.unit_quaternions([1.0, 0.0, 0.0])
+    for q in ([np.nan, 0, 0, 0], [1.0, np.nan, 0, 0], [[1, 0, 0, 0], [np.inf, 0, 0, 0]]):
         with pytest.raises(ValueError):
-            QuaternionPhase(c0, c)
-    qi = QuaternionPhase(0.0, (1.0, 0.0, 0.0))
-    qj = QuaternionPhase(0.0, (0.0, 1.0, 0.0))
-    qk = qi.multiply(qj)
-    assert qk == QuaternionPhase(0.0, (0.0, 0.0, 1.0))
-    assert qi.multiply(qi) == QuaternionPhase(-1.0, (0.0, 0.0, 0.0))
+            fieldops.unit_quaternions(q)
+    one, qi, qj, qk = fieldops.unit_quaternions(np.eye(4))
+    assert np.array_equal(fieldops.quaternion_product(qi, qj), qk)
+    assert np.array_equal(fieldops.quaternion_product(qi, qi), -one)
+    # a product that leaves the unit sphere is refused like an input
+    with pytest.raises(ValueError):
+        fieldops.quaternion_product(qi, 2 * qj)
 
 
 def test_matrix_units_realize_the_algebra():
@@ -185,34 +199,25 @@ def test_matrix_units_realize_the_algebra():
     assert np.allclose(qi @ qj, qk)
     assert np.allclose(qi @ qj + qj @ qi, np.zeros((4, 4)))
     assert np.allclose(qj @ qk + qk @ qj, np.zeros((4, 4)))
-    assert np.array_equal(
-        fieldops.orbit_matrix(QuaternionPhase(1.0, (0, 0, 0))), np.eye(4)
-    )
+    assert np.array_equal(fieldops.orbit_matrix(np.array([1.0, 0, 0, 0])), np.eye(4))
 
 
 def test_orbit_preserves_conjugation_status():
     rng = np.random.default_rng(7)
-    qs = [
-        QuaternionPhase(1.0, (0, 0, 0)),
-        QuaternionPhase(0.0, (1.0, 0, 0)),
-        QuaternionPhase(0.0, (0, 1.0, 0)),
-        QuaternionPhase(0.0, (0, 0, 1.0)),
-    ]
-    for _ in range(4):
-        v = rng.normal(size=4)
-        v = v / np.linalg.norm(v)
-        qs.append(QuaternionPhase(v[0], tuple(v[1:])))
-    bases = [build_spinor_basis(p) for p in (GRID[1], GRID[2])]
-    for q in qs:
-        for b in bases:
-            assert fieldops.orbit_preserves_conjugation(q, b) < 1e-12
+    v = rng.normal(size=(4, 4))
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+    qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), v]))
+    for p in (GRID[1], GRID[2]):
+        status = fieldops.orbit_preserves_conjugation(qs, build_spinor_basis(p))
+        assert status.shape == (8, 1)
+        assert np.all(status < 1e-12)
 
 
 def test_orbit_group_law():
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        q1 = QuaternionPhase(a[0], tuple(a[1:]))
-        q2 = QuaternionPhase(b[0], tuple(b[1:]))
-        assert fieldops.orbit_group_law(q1, q2) < 1e-14
+    # five (a, b) pairs in the order of drawing them one at a time
+    ab = rng.normal(size=(5, 2, 4))
+    a, b = ab[:, 0], ab[:, 1]
+    q1 = fieldops.unit_quaternions(a / np.linalg.norm(a, axis=1)[:, None])
+    q2 = fieldops.unit_quaternions(b / np.linalg.norm(b, axis=1)[:, None])
+    assert np.all(fieldops.orbit_group_law(q1, q2) < 1e-14)

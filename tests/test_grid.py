@@ -2,8 +2,9 @@
 
 A grid of N rows must equal N one-row grids: a row that read another row
 (a wrong axis, a broadcast across rows) would show up as a mismatch.  And a
-run must build each grid once, whatever the number of momenta, so that
-per-momentum construction cannot come back unnoticed.
+run must build each grid once, whatever the number of momenta, and build
+each phase scan as one grid, so that per-momentum or per-phase
+construction cannot come back unnoticed.
 """
 
 import numpy as np
@@ -90,3 +91,8 @@ def test_a_run_builds_each_grid_once(monkeypatch):
         totals.append(len(builds))
     # no build per momentum: a larger grid costs no more builds
     assert totals[0] == totals[1]
+    # the work guard: the run's grid and its reflection, one build per
+    # phase scan (the two Gram scans and the massless scan), the generic
+    # phases of the Dirac embedding and the two rows of the Ziino oracle;
+    # one build per phase pair, mass or oracle row was 19
+    assert totals[0] <= 8
