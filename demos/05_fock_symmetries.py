@@ -7,27 +7,35 @@ shows no joint eigenvector exists; on the rest sector with both branches
 an explicit one does.
 """
 
-import numpy as np
-
 from selfconj import fock
-from selfconj.fock import FockVector, ModeLabel
+from selfconj.fock import FockVector
 
-labels = fock.both_branch_labels(1)
+
+def show(state):
+    """A moving state as its nonzero amplitudes on the SECTOR modes."""
+    terms = [
+        f"({a:g}) |{'-' if t < 0 else ''}p,{h}>^{'+' if b > 0 else '-'}"
+        for a, (t, h, b) in zip(state.amps, fock.SECTOR)
+        if a
+    ]
+    return " + ".join(terms)
+
+
 inv = fock.INVERSION
 ch = fock.CHARGE
 chf = fock.CHARGE_FLIP
 
 print("squares:", fock.squares_report([inv, ch, chf]))
-print("inversion vs branch swap:", fock.commutator_report(inv, ch, labels))
-print("inversion vs flipping swap:", fock.commutator_report(inv, chf, labels))
+print("inversion vs branch swap:", fock.commutator_report(inv, ch))
+print("inversion vs flipping swap:", fock.commutator_report(inv, chf))
 
-start = FockVector.basis(ModeLabel(1, "up", +1))
+start = FockVector.basis(1, "up", +1)
 print("\nchains on |p,up>^+:")
-print("  swap after inversion: ", ch.compose(inv).apply(start))
-print("  inversion after swap: ", inv.compose(ch).apply(start))
+print("  swap after inversion: ", show(ch.compose(inv).apply(start)))
+print("  inversion after swap: ", show(inv.compose(ch).apply(start)))
 print("  flipping swap chains pick up opposite phases:")
-print("   ", chf.compose(inv).apply(start))
-print("   ", inv.compose(chf).apply(start))
+print("   ", show(chf.compose(inv).apply(start)))
+print("   ", show(inv.compose(chf).apply(start)))
 
 print("\ncharge eigencombinations |p,h>^+ -+ i|p,h>^-:")
 for k, v in fock.charge_eigencombos().items():

@@ -715,8 +715,9 @@ def _reality_classes(cfg: SuiteConfig, grid):
 # ---------------------------------------------------------------------------
 # fock suite
 
-# displayed action tables, frozen: (ptag, helicity, branch) ->
-# ((ptag', helicity', branch'), phase)
+# displayed action tables, frozen: (helicity, branch) -> (helicity',
+# branch', phase); each case's `negate` flag in _state_tables says whether
+# the momentum tag is negated
 _INV_TABLE = {
     ("up", +1): ("dn", +1, 1j),
     ("dn", +1): ("up", +1, -1j),
@@ -737,31 +738,38 @@ _FLIP_TABLE = {
 }
 
 
+def _table_matrix(table: dict, negate: bool, modes) -> np.ndarray:
+    """The matrix a frozen table displays on the (ptag, helicity, branch)
+    `modes`, written entry by entry: column j holds the image of mode j."""
+    index = {mode: i for i, mode in enumerate(modes)}
+    m = np.zeros((len(modes), len(modes)), dtype=complex)
+    for (ptag, h, b), j in index.items():
+        h2, b2, phase = table[(h, b)]
+        m[index[(-ptag if negate else ptag, h2, b2)], j] = phase
+    return m
+
+
 @_check(
     "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _tight
 )
 def _state_tables(cfg: SuiteConfig, grid):
     res = []
-    targets_match = []
-    labels = fock.both_branch_labels(1) + fock.both_branch_labels(0)
+    patterns = []
     cases = (
         (fock.INVERSION, _INV_TABLE, True),
         (fock.CHARGE, _CHG_TABLE, False),
         (fock.CHARGE_FLIP, _FLIP_TABLE, False),
     )
     for op, table, negate in cases:
-        for l in labels:
-            h2, b2, phase = table[(l.helicity, l.branch)]
-            want = fock.ModeLabel(-l.ptag if negate else l.ptag, h2, b2)
-            got, ph = op.rule(l)
-            targets_match.append(got == want)
-            res.append(abs(ph - phase))
-        m = op.matrix_on(fock.both_branch_labels(1))
-        res.append(linalg.max_abs(linalg.dagger(m) @ m - np.eye(8)))
+        for got, modes in ((op.moving, fock.SECTOR), (op.matrix, fock.REST)):
+            want = _table_matrix(table, negate, modes)
+            res.append(linalg.max_abs(got - want))
+            patterns.append(np.array_equal(got != 0, want != 0))
+        res.append(linalg.max_abs(linalg.dagger(op.moving) @ op.moving - np.eye(8)))
     return Evaluation(
         res,
-        {"labels_checked": len(labels) * 3},
-        {"targets match the tables": all(targets_match)},
+        {"labels_checked": len(cases) * (len(fock.SECTOR) + len(fock.REST))},
+        {"nonzero patterns match the tables": all(patterns)},
     )
 
 
@@ -769,15 +777,20 @@ def _state_tables(cfg: SuiteConfig, grid):
     "fock/squares-and-commutation", "operator squares, commutator, anticommutator, chains", _tight
 )
 def _squares_commutation(cfg: SuiteConfig, grid):
-    labels = fock.both_branch_labels(1)
     inv, chg, flip = fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP
     squares = fock.squares_report((inv, chg, flip))
-    comm = fock.commutator_report(chg, inv, labels)
-    anti = fock.commutator_report(flip, inv, labels)
+    comm = fock.commutator_report(chg, inv)
+    anti = fock.commutator_report(flip, inv)
     # chains on |p,up>^+
-    start = fock.FockVector.basis(fock.ModeLabel(1, "up", +1))
-    end_comm = fock.FockVector({fock.ModeLabel(-1, "dn", -1): 1j})
-    tgt = fock.ModeLabel(-1, "up", -1)
+    start = fock.FockVector.basis(1, "up", +1)
+    end_comm = 1j * fock.FockVector.basis(-1, "dn", -1).amps
+    tgt = fock.FockVector.basis(-1, "up", -1).amps
+    chains = [
+        (chg.apply(inv.apply(start)), end_comm),
+        (inv.apply(chg.apply(start)), end_comm),
+        (flip.apply(inv.apply(start)), -1j * tgt),
+        (inv.apply(flip.apply(start)), +1j * tgt),
+    ]
     return Evaluation(
         [
             abs(squares["inversion"] - 1.0),
@@ -785,10 +798,7 @@ def _squares_commutation(cfg: SuiteConfig, grid):
             abs(squares["charge_flip"] + 1.0),
             comm["commutator"],
             anti["anticommutator"],
-            chg.apply(inv.apply(start)).sub(end_comm).norm(),
-            inv.apply(chg.apply(start)).sub(end_comm).norm(),
-            flip.apply(inv.apply(start)).sub(fock.FockVector({tgt: -1j})).norm(),
-            inv.apply(flip.apply(start)).sub(fock.FockVector({tgt: +1j})).norm(),
+            norm(np.array([got.amps - want for got, want in chains])),
         ],
         {"squares": squares, "commutator": comm, "anticommutator": anti},
     )

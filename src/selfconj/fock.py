@@ -1,126 +1,75 @@
 """Single-particle Fock sector and the discrete symmetries acting on it.
 
-States are finite complex combinations of labels (momentum tag, helicity,
-branch); the momentum tag is an opaque integer whose negation is the
-reflected momentum (tag 0 is its own reflection, the rest sector).  Branch
-+1 is the particle tower, -1 the antiparticle tower.
+The sector is one fixed basis.  A mode is (momentum tag, helicity, branch):
+tag +1 is the momentum p, -1 the reflected momentum -p and 0 the rest
+sector; branch +1 is the particle tower, -1 the antiparticle tower.
+SECTOR orders the eight moving modes by branch, then tag (+p, -p), then
+helicity; REST orders the four rest modes, the (branch, helicity) pairs
+at tag 0.  A state is a FockVector: one read-only array of amplitudes on
+REST (4 entries) or on SECTOR (8 entries).
 
-Three unitaries act by permuting labels with unit phases: space inversion
-(INVERSION), and two inequivalent charge-type conjugations, helicity
+Three unitaries act by permuting modes with unit phases: space inversion
+(INVERSION) and two inequivalent charge-type conjugations, helicity
 preserving (CHARGE) and helicity flipping (CHARGE_FLIP).  Each is one
 constant SymmetryOp: a 4x4 unit-phase permutation of the (branch, helicity)
-pairs plus a flag saying whether the momentum tag is negated.  Composition
+pairs, its matrix on REST, and a flag for negating the momentum tag; its
+8x8 matrix on SECTOR, `moving`, is built once from the two.  Composition
 is the matrix product with the flags xored, so squares and commutators are
-matrix identities; matrix_on gives the 8x8 signed permutation on a moving
-both-branch sector.  The same physics also appears as ladder-operator
-rules; operator_state_consistency ties the two presentations together.
+matrix identities.  The ladder-operator rules of _OPERATOR_RULES present
+the same physics; operator_state_consistency ties the two together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 HEL = ("up", "dn")
 
-
-@dataclass(frozen=True, order=True)
-class ModeLabel:
-    ptag: int
-    helicity: str
-    branch: int
-
-    def __post_init__(self):
-        if self.helicity not in HEL:
-            raise ValueError("helicity must be 'up' or 'dn'")
-        if self.branch not in (+1, -1):
-            raise ValueError("branch must be +1 or -1")
+# the fixed bases, as (ptag, helicity, branch) modes
+SECTOR = tuple((t, h, b) for b in (+1, -1) for t in (+1, -1) for h in HEL)
+REST = tuple((0, h, b) for b in (+1, -1) for h in HEL)
 
 
 class FockVector:
-    """Immutable finite combination of mode labels.
+    """One state: its read-only amplitudes on REST (4) or on SECTOR (8)."""
 
-    Zero amplitudes are pruned on construction so equality and support are
-    well defined.
-    """
+    __slots__ = ("amps",)
 
-    __slots__ = ("_amps",)
-
-    def __init__(self, amps: dict | None = None):
-        clean = {}
-        for label, amp in (amps or {}).items():
-            if not isinstance(label, ModeLabel):
-                raise TypeError("keys must be ModeLabel")
-            a = complex(amp)
-            if a != 0:
-                clean[label] = a
-        self._amps = clean
+    def __init__(self, amps):
+        amps = np.array(amps, dtype=complex)
+        if amps.shape not in ((len(REST),), (len(SECTOR),)):
+            raise ValueError("a state has 4 amplitudes at rest or 8 when moving")
+        amps.flags.writeable = False
+        self.amps = amps
 
     @classmethod
-    def basis(cls, label: ModeLabel) -> "FockVector":
-        return cls({label: 1.0})
-
-    def items(self):
-        return sorted(self._amps.items())
-
-    def amplitude(self, label: ModeLabel) -> complex:
-        return self._amps.get(label, 0.0)
-
-    @property
-    def support(self):
-        return frozenset(self._amps)
-
-    def scale(self, c: complex) -> "FockVector":
-        return FockVector({l: c * a for l, a in self._amps.items()})
-
-    def add(self, other: "FockVector") -> "FockVector":
-        out = dict(self._amps)
-        for l, a in other._amps.items():
-            out[l] = out.get(l, 0.0) + a
-        return FockVector(out)
-
-    def sub(self, other: "FockVector") -> "FockVector":
-        return self.add(other.scale(-1.0))
-
-    def inner(self, other: "FockVector") -> complex:
-        return sum(
-            np.conjugate(a) * other._amps.get(l, 0.0) for l, a in self._amps.items()
-        )
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self._amps.values())))
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self._amps == other._amps
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __repr__(self):
-        terms = ", ".join(f"{l}: {a}" for l, a in self.items())
-        return f"FockVector({{{terms}}})"
-
-
-# rows and columns of a SymmetryOp matrix: the (branch, helicity) pairs
-_PAIRS = [(b, h) for b in (+1, -1) for h in HEL]
-_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
+    def basis(cls, ptag: int, helicity: str, branch: int) -> "FockVector":
+        if helicity not in HEL:
+            raise ValueError("helicity must be 'up' or 'dn'")
+        if branch not in (+1, -1):
+            raise ValueError("branch must be +1 or -1")
+        if ptag not in (-1, 0, +1):
+            raise ValueError("ptag must be +1 (p), -1 (-p) or 0 (rest)")
+        modes = REST if ptag == 0 else SECTOR
+        return cls(np.eye(len(modes))[modes.index((ptag, helicity, branch))])
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryOp:
-    """Unitary acting on labels as one fixed matrix plus a reflection flag.
+    """Unitary acting on modes as one fixed matrix plus a reflection flag.
 
     `matrix` is a 4x4 unit-phase permutation of the (branch, helicity)
-    pairs ordered as _PAIRS: column j holds the image of pair j and its
-    phase.  `reflects` says whether the momentum tag is negated.  The
-    (image pair, phase) of each column is read off once, at construction.
+    pairs ordered as REST: column j holds the image of pair j and its
+    phase.  `reflects` says whether the momentum tag is negated.  `moving`
+    is the 8x8 matrix on SECTOR, built once: `matrix` times the tag map.
     """
 
     name: str
     matrix: np.ndarray
     reflects: bool
+    moving: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -131,40 +80,15 @@ class SymmetryOp:
             raise ValueError(f"{self.name}: phases must be finite")
         if not np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) <= 1e-12:
             raise ValueError(f"{self.name}: not a unit-phase permutation")
-        m.flags.writeable = False
+        # the tag map on (+p, -p): swap or identity
+        tags = np.eye(2)[::-1] if self.reflects else np.eye(2)
+        moving = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(8, 8)
+        m.flags.writeable = moving.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        rows = np.argmax(m != 0, axis=0).tolist()
-        images = tuple((_PAIRS[i], complex(m[i, j])) for j, i in enumerate(rows))
-        object.__setattr__(self, "_images", images)
-
-    def _image(self, label: ModeLabel) -> tuple[tuple[int, str, int], complex]:
-        """The (ptag, helicity, branch) fields of the image label, and its phase."""
-        (branch, helicity), phase = self._images[_INDEX[(label.branch, label.helicity)]]
-        ptag = -label.ptag if self.reflects else label.ptag
-        return (ptag, helicity, branch), phase
-
-    def rule(self, label: ModeLabel) -> tuple[ModeLabel, complex]:
-        fields, phase = self._image(label)
-        return ModeLabel(*fields), phase
+        object.__setattr__(self, "moving", moving)
 
     def apply(self, vec: FockVector) -> FockVector:
-        out: dict = {}
-        for label, amp in vec.items():
-            tgt, phase = self.rule(label)
-            out[tgt] = out.get(tgt, 0.0) + phase * amp
-        return FockVector(out)
-
-    def matrix_on(self, labels) -> np.ndarray:
-        """Matrix in the given ordered basis; errors if the image leaks out."""
-        labels = list(labels)
-        index = {(l.ptag, l.helicity, l.branch): i for i, l in enumerate(labels)}
-        m = np.zeros((len(labels), len(labels)), dtype=complex)
-        for j, l in enumerate(labels):
-            fields, phase = self._image(l)
-            if fields not in index:
-                raise KeyError(f"{self.name} maps {l} outside the basis")
-            m[index[fields], j] = phase
-        return m
+        return FockVector((self.matrix if len(vec.amps) == len(REST) else self.moving) @ vec.amps)
 
     def compose(self, other: "SymmetryOp") -> "SymmetryOp":
         """self after other."""
@@ -187,17 +111,6 @@ CHARGE_FLIP = SymmetryOp(
 )
 
 
-def both_branch_labels(ptag: int):
-    tags = (ptag,) if ptag == 0 else (ptag, -ptag)
-    return [ModeLabel(t, h, b) for b in (+1, -1) for t in tags for h in HEL]
-
-
-def single_branch_labels(ptag: int):
-    if ptag == 0:
-        raise ValueError("the single-branch certificate needs a moving momentum")
-    return [ModeLabel(t, h, +1) for t in (ptag, -ptag) for h in HEL]
-
-
 def squares_report(ops) -> dict:
     """The scalar c of op^2 = c * identity for each op; errors unless op^2
     is that scalar (a square never reflects, so its matrix decides)."""
@@ -211,8 +124,8 @@ def squares_report(ops) -> dict:
     return out
 
 
-def commutator_report(a: SymmetryOp, b: SymmetryOp, labels) -> dict:
-    ma, mb = a.matrix_on(labels), b.matrix_on(labels)
+def commutator_report(a: SymmetryOp, b: SymmetryOp) -> dict:
+    ma, mb = a.moving, b.moving
     return {
         "commutator": float(np.max(np.abs(ma @ mb - mb @ ma))),
         "anticommutator": float(np.max(np.abs(ma @ mb + mb @ ma))),
@@ -222,20 +135,8 @@ def commutator_report(a: SymmetryOp, b: SymmetryOp, labels) -> dict:
 # ---------------------------------------------------------------------------
 # ladder-operator presentation
 
-
-@dataclass(frozen=True)
-class LadderSymbol:
-    kind: str  # 'a' particle, 'b' antiparticle
-    helicity: str
-    dagger: bool
-    ptag: int
-
-    def __post_init__(self):
-        if self.kind not in ("a", "b"):
-            raise ValueError("kind must be 'a' or 'b'")
-        if self.helicity not in HEL:
-            raise ValueError("helicity must be 'up' or 'dn'")
-
+# the branch of each ladder kind: 'a' particle, 'b' antiparticle
+_BRANCH = {"a": +1, "b": -1}
 
 # (kind, helicity, dagger) -> (kind', helicity', dagger', negate ptag, phase)
 _OPERATOR_RULES = {
@@ -274,38 +175,39 @@ _OPERATOR_RULES = {
 }
 
 
-def operator_rule(name: str) -> Callable[[LadderSymbol], tuple[LadderSymbol, complex]]:
-    """U X U^{-1} for ladder symbols, as (new symbol, phase)."""
-    table = _OPERATOR_RULES[name]
-
-    def rule(sym: LadderSymbol):
-        k, h, d, neg, phase = table[(sym.kind, sym.helicity, sym.dagger)]
-        return LadderSymbol(k, h, d, -sym.ptag if neg else sym.ptag), phase
-
-    return rule
+def _rule_image(row, dagger: bool) -> np.ndarray:
+    """The amplitudes on SECTOR a rule row gives the mode it names at tag
+    +1: its phase on the image mode."""
+    kind, helicity, new_dagger, negate, phase = row
+    if new_dagger != dagger:
+        raise AssertionError("a ladder rule changed the dagger")
+    amps = np.zeros(len(SECTOR), dtype=complex)
+    amps[SECTOR.index((-1 if negate else +1, helicity, _BRANCH[kind]))] = phase
+    return amps
 
 
 def operator_state_consistency() -> dict:
-    """U |mode> computed through U c^dag U^{-1} |0> vs the label action.
+    """U |mode> computed through U c^dag U^{-1} |0> vs the state action,
+    and each annihilation rule vs the adjoint of its creation rule.
 
-    The vacuum is invariant with phase +1, so the two routes must agree
-    term by term.  Also reports the one displayed inversion rule whose
-    right-hand side, read with an annihilation symbol, would kill the
-    vacuum instead of reproducing the state action.
+    The vacuum is invariant with phase +1, so a creation row must agree
+    with the state action term by term.  U c U^{-1} is the adjoint of
+    U c^dag U^{-1}: an annihilation row has the kind, helicity and tag
+    negation of its creation row and the conjugate phase.  Also reports the
+    one displayed inversion rule whose right-hand side, read with an
+    annihilation symbol, would kill the vacuum instead.
     """
-    gaps = []
+    created, annihilated, direct = [], [], []
     for op in (INVERSION, CHARGE, CHARGE_FLIP):
-        rule = operator_rule(op.name)
+        rows = _OPERATOR_RULES[op.name]
         for h in HEL:
-            for branch, kind in ((+1, "a"), (-1, "b")):
-                sym = LadderSymbol(kind, h, True, 1)
-                new, phase = rule(sym)
-                if not new.dagger:
-                    raise AssertionError("creation rule lost its dagger")
-                created = ModeLabel(new.ptag, new.helicity, +1 if new.kind == "a" else -1)
-                via_ops = FockVector({created: phase})
-                direct = op.apply(FockVector.basis(ModeLabel(1, h, branch)))
-                gaps.append(via_ops.sub(direct).norm())
+            for kind, branch in _BRANCH.items():
+                created.append(_rule_image(rows[(kind, h, True)], True))
+                annihilated.append(_rule_image(rows[(kind, h, False)], False))
+                # the state action on |p, h>: its column of `moving`
+                direct.append(op.moving[:, SECTOR.index((1, h, branch))])
+    created = np.array(created)
+    gaps = np.linalg.norm([created - direct, annihilated - np.conjugate(created)], axis=-1)
     return {
         "max_residual": float(np.max(gaps)),
         "annihilation_form_note": (
@@ -325,16 +227,13 @@ def parity_eigencombos(ptag: int) -> dict:
     At ptag 0 these are honest +-1 eigenvectors; at moving tags the same
     combinations come back reflected with the same signs.
     """
+    up, dn = (FockVector.basis(ptag, h, +1).amps for h in HEL)
+    up_r, dn_r = (FockVector.basis(-ptag, h, +1).amps for h in HEL)
     out = {}
     for sign, tag in ((+1, "plus"), (-1, "minus")):
-        vec = FockVector({ModeLabel(ptag, "up", +1): 1.0, ModeLabel(ptag, "dn", +1): sign * 1j})
-        reflected = FockVector(
-            {ModeLabel(-ptag, "up", +1): 1.0, ModeLabel(-ptag, "dn", +1): sign * 1j}
-        )
-        out[tag] = {
-            "eigenvalue": sign,
-            "residual": INVERSION.apply(vec).sub(reflected.scale(sign)).norm(),
-        }
+        vec = FockVector(up + sign * 1j * dn)
+        gap = INVERSION.apply(vec).amps - sign * (up_r + sign * 1j * dn_r)
+        out[tag] = {"eigenvalue": sign, "residual": float(np.linalg.norm(gap))}
     return out
 
 
@@ -343,19 +242,20 @@ def charge_eigencombos() -> dict:
     eigenvalues -+i."""
     out = {}
     for h in HEL:
+        particle, antiparticle = (FockVector.basis(1, h, b).amps for b in (+1, -1))
         for sign, tag in ((+1, "plus"), (-1, "minus")):
-            vec = FockVector({ModeLabel(1, h, +1): 1.0, ModeLabel(1, h, -1): sign * 1j})
+            vec = FockVector(particle + sign * 1j * antiparticle)
             lam = -sign * 1j
             out[f"{h}_{tag}"] = {
                 "eigenvalue": lam,
-                "residual": CHARGE.apply(vec).sub(vec.scale(lam)).norm(),
+                "residual": float(np.linalg.norm(CHARGE.apply(vec).amps - lam * vec.amps)),
             }
     return out
 
 
-def _joint_margin(a: SymmetryOp, b: SymmetryOp, labels, columns) -> dict:
+def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     """Smallest singular value of [(A - la) S; (B - lb) S] over all unit
-    phases (la, lb), S selecting the `columns` of `labels`, and the pair
+    phases (la, lb), S selecting the `columns` of SECTOR, and the pair
     `at` where it is reached.
 
     It bounds min ||(A - la)v||^2 + ||(B - lb)v||^2 over unit v in the span
@@ -367,8 +267,8 @@ def _joint_margin(a: SymmetryOp, b: SymmetryOp, labels, columns) -> dict:
     (proved in tests/test_fock.py), so one batched SVD at those four pairs
     gives it.  `at` is the first minimizing pair, principal roots first.
     """
-    sel = np.eye(len(labels))[:, [labels.index(c) for c in columns]]
-    a_sel, b_sel = a.matrix_on(labels) @ sel, b.matrix_on(labels) @ sel
+    sel = np.eye(len(SECTOR))[:, columns]
+    a_sel, b_sel = a.moving @ sel, b.moving @ sel
     squares = squares_report([a, b])
     ra, rb = (complex(np.sqrt(squares[op.name])) for op in (a, b))
     pairs = [(la, lb) for la in (ra, -ra) for lb in (rb, -rb)]
@@ -388,24 +288,18 @@ def simultaneous_eigen_certificate() -> dict:
     the sector: at the inversion phase exp(ix) the squared margin is
     4 - 2|cos x|, whose minimum 2 is reached at the inversion eigenvalues
     +-1, whatever lc is."""
-    return _joint_margin(INVERSION, CHARGE, both_branch_labels(1), single_branch_labels(1))
+    particles = [i for i, (_, _, branch) in enumerate(SECTOR) if branch == +1]
+    return _joint_margin(INVERSION, CHARGE, particles)
 
 
 def both_branch_joint_eigenvector() -> dict:
     """On the rest sector with both branches the two unitaries commute and
     a joint eigenvector exists explicitly; its residuals are returned so
     the single-branch nonexistence is not mistaken for a global statement."""
-    v = FockVector(
-        {
-            ModeLabel(0, "up", +1): 1.0,
-            ModeLabel(0, "dn", +1): 1j,
-            ModeLabel(0, "up", -1): -1j,
-            ModeLabel(0, "dn", -1): 1.0,
-        }
-    )
+    v = FockVector([1.0, 1j, -1j, 1.0])  # on REST: up+, dn+, up-, dn-
     return {
-        "inversion_residual": INVERSION.apply(v).sub(v).norm(),
-        "charge_residual": CHARGE.apply(v).sub(v.scale(1j)).norm(),
+        "inversion_residual": float(np.linalg.norm(INVERSION.apply(v).amps - v.amps)),
+        "charge_residual": float(np.linalg.norm(CHARGE.apply(v).amps - 1j * v.amps)),
         "charge_eigenvalue": 1j,
     }
 
@@ -419,5 +313,4 @@ def anticommuting_pair_margin() -> dict:
     margin is 4 - 2 sqrt(sin^2 x + cos^2 y).  Its minimum, 4 - 2 sqrt(2),
     is reached only at the eigenvalue pairs la = +-i, lb = +-1; the margin
     there is sqrt(4 - 2 sqrt(2)) ~ 1.082."""
-    labels = both_branch_labels(1)
-    return _joint_margin(CHARGE_FLIP, INVERSION, labels, labels)
+    return _joint_margin(CHARGE_FLIP, INVERSION, list(range(len(SECTOR))))

@@ -84,20 +84,6 @@ def norm(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def approx_eq(a, b):
-    """Entrywise comparison of two arrays to within TOL.
-
-    Returns (equal, max_abs_residual).  Shapes must match exactly; a
-    mismatch is an error, not a False result.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    resid = max_abs(a - b)
-    return resid <= TOL, resid
-
-
 def unit_phase_align(target: np.ndarray, got: np.ndarray):
     """Best unit phase c minimizing ||got - c*target||, with the residual
     max |got - c*target|, both over the last axis.

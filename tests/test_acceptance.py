@@ -249,10 +249,9 @@ def test_criterion_10_antilinear_dichotomy():
 
 
 def test_criterion_11_fock_algebra():
-    labels = fock.both_branch_labels(1)
     inv = fock.INVERSION
-    comm = fock.commutator_report(inv, fock.CHARGE, labels)
-    anti = fock.commutator_report(inv, fock.CHARGE_FLIP, labels)
+    comm = fock.commutator_report(inv, fock.CHARGE)
+    anti = fock.commutator_report(inv, fock.CHARGE_FLIP)
     combos = fock.charge_eigencombos()
     eig_ok = all(
         combos[f"{h}_{tag}"]["eigenvalue"] == (-1j if tag == "plus" else 1j)

@@ -200,13 +200,14 @@ def test_smallest_accepted_norm_gives_a_full_report():
 DATA = Path(__file__).resolve().parent / "data"
 
 
-# Text reports frozen byte for byte.  A change that moves a printed number
+# Reports frozen byte for byte.  A change that moves a printed number
 # on purpose updates the file and names the move in CHANGES.md.
 @pytest.mark.parametrize(
     "name, argv",
     [
         ("run.txt", ["run"]),
         ("run_theta1_0.3_theta2_0.4.txt", ["run", "--theta1", "0.3", "--theta2", "0.4"]),
+        ("run_suite_fock.json", ["run", "--suite", "fock", "--format", "json"]),
     ],
 )
 def test_text_report_matches_the_frozen_bytes(capsys, name, argv):

@@ -12,112 +12,122 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from selfconj import fock
-from selfconj.fock import FockVector, LadderSymbol, ModeLabel
+from selfconj import checks, fock
+from selfconj.fock import FockVector
 
 
-def lab(p, h, b):
-    return ModeLabel(p, h, b)
+def ket(p, h, b):
+    return FockVector.basis(p, h, b).amps
 
 
 def test_mode_label_validation_and_order():
     with pytest.raises(ValueError):
-        ModeLabel(1, "left", +1)
+        FockVector.basis(1, "left", +1)
     with pytest.raises(ValueError):
-        ModeLabel(1, "up", 0)
-    assert sorted([lab(1, "up", +1), lab(-1, "dn", -1)])[0].ptag == -1
+        FockVector.basis(1, "up", 0)
+    with pytest.raises(ValueError):
+        FockVector.basis(2, "up", +1)  # the sector holds one momentum pair
+    # branch, then tag, then helicity
+    assert fock.SECTOR[:3] == ((1, "up", +1), (1, "dn", +1), (-1, "up", +1))
+    assert fock.SECTOR[4] == (1, "up", -1)
+    assert fock.REST == ((0, "up", +1), (0, "dn", +1), (0, "up", -1), (0, "dn", -1))
 
 
 def test_fock_vector_algebra():
-    v = FockVector({lab(1, "up", +1): 2.0, lab(1, "dn", +1): 0.0})
-    assert v.support == {lab(1, "up", +1)}  # zero amplitudes pruned
-    w = FockVector.basis(lab(1, "dn", +1))
-    s = v.add(w.scale(3j))
-    assert s.amplitude(lab(1, "dn", +1)) == 3j
-    assert s.sub(v) == w.scale(3j)
-    assert s.norm() == pytest.approx(math.sqrt(4 + 9))
-    assert v.scale(1j).inner(w.scale(2.0)) == 0
-    assert w.scale(1j).inner(w.scale(2.0)) == pytest.approx(-2j)
-    assert hash(FockVector({lab(1, "up", +1): 2.0})) == hash(v)
-    with pytest.raises(TypeError):
-        FockVector({"not a label": 1.0})
+    v = FockVector.basis(-1, "dn", -1)
+    assert v.amps.tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert FockVector.basis(0, "up", -1).amps.tolist() == [0, 0, 1, 0]
+    with pytest.raises(ValueError):
+        v.amps[0] = 1.0  # read-only
+    with pytest.raises(ValueError):
+        FockVector(np.zeros(5))
+    # a symmetry acts linearly on the amplitudes
+    w = FockVector(2.0 * ket(1, "up", +1) + 3j * v.amps)
+    got = fock.CHARGE.apply(w).amps
+    want = 2.0 * fock.CHARGE.apply(FockVector.basis(1, "up", +1)).amps
+    want += 3j * fock.CHARGE.apply(v).amps
+    assert np.array_equal(got, want)
 
 
 def test_label_sets():
-    assert len(fock.both_branch_labels(1)) == 8
-    assert len(fock.both_branch_labels(0)) == 4
-    assert len(fock.single_branch_labels(2)) == 4
-    with pytest.raises(ValueError):
-        fock.single_branch_labels(0)
+    assert len(fock.SECTOR) == len(set(fock.SECTOR)) == 8
+    assert len(fock.REST) == len(set(fock.REST)) == 4
+    assert {t for t, _, _ in fock.SECTOR} == {1, -1}
 
 
 def test_inversion_action_by_hand():
     inv = fock.INVERSION
     # independently derived: p flips, helicity flips, +i on up and -i on dn
     table = {
-        lab(1, "up", +1): (lab(-1, "dn", +1), +1j),
-        lab(1, "dn", +1): (lab(-1, "up", +1), -1j),
-        lab(-2, "up", -1): (lab(2, "dn", -1), +1j),
-        lab(0, "dn", -1): (lab(0, "up", -1), -1j),
+        (1, "up", +1): ((-1, "dn", +1), +1j),
+        (1, "dn", +1): ((-1, "up", +1), -1j),
+        (-1, "up", -1): ((1, "dn", -1), +1j),
+        (0, "dn", -1): ((0, "up", -1), -1j),
     }
     for src, (tgt, phase) in table.items():
-        got = inv.apply(FockVector.basis(src))
-        assert got == FockVector({tgt: phase}), src
+        got = inv.apply(FockVector.basis(*src))
+        assert np.array_equal(got.amps, phase * ket(*tgt)), src
 
 
 def test_charge_actions_by_hand():
     ch = fock.CHARGE
     table = {
-        lab(1, "up", +1): (lab(1, "up", -1), +1.0),
-        lab(1, "dn", -1): (lab(1, "dn", +1), -1.0),
+        (1, "up", +1): ((1, "up", -1), +1.0),
+        (1, "dn", -1): ((1, "dn", +1), -1.0),
     }
     for src, (tgt, phase) in table.items():
-        assert ch.apply(FockVector.basis(src)) == FockVector({tgt: phase}), src
+        assert np.array_equal(ch.apply(FockVector.basis(*src)).amps, phase * ket(*tgt)), src
     chf = fock.CHARGE_FLIP
     table = {
-        lab(1, "up", +1): (lab(1, "dn", -1), -1.0),
-        lab(1, "dn", -1): (lab(1, "up", +1), +1.0),
+        (1, "up", +1): ((1, "dn", -1), -1.0),
+        (1, "dn", -1): ((1, "up", +1), +1.0),
     }
     for src, (tgt, phase) in table.items():
-        assert chf.apply(FockVector.basis(src)) == FockVector({tgt: phase}), src
+        assert np.array_equal(chf.apply(FockVector.basis(*src)).amps, phase * ket(*tgt)), src
 
 
 def test_squares_and_unitarity():
-    labels = fock.both_branch_labels(1)
     ops = [fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP]
     sq = fock.squares_report(ops)
     assert sq["inversion"] == pytest.approx(+1)
     assert sq["charge"] == pytest.approx(-1)
     assert sq["charge_flip"] == pytest.approx(-1)
     for op in ops:
-        m = op.matrix_on(labels)
+        m = op.moving
         assert np.allclose(m @ np.conjugate(m.T), np.eye(8), atol=1e-14)
+        assert not m.flags.writeable and not op.matrix.flags.writeable
 
 
 def test_commutation_structure():
-    labels = fock.both_branch_labels(1)
     inv = fock.INVERSION
-    rep = fock.commutator_report(inv, fock.CHARGE, labels)
+    rep = fock.commutator_report(inv, fock.CHARGE)
     assert rep["commutator"] < 1e-14
-    rep = fock.commutator_report(inv, fock.CHARGE_FLIP, labels)
+    rep = fock.commutator_report(inv, fock.CHARGE_FLIP)
     assert rep["anticommutator"] < 1e-14
 
 
 def test_composition_chains():
-    start = FockVector.basis(lab(1, "up", +1))
+    start = FockVector.basis(1, "up", +1)
     inv = fock.INVERSION
     ch = fock.CHARGE
     chf = fock.CHARGE_FLIP
-    want_commuting = FockVector({lab(-1, "dn", -1): +1j})
-    assert ch.compose(inv).apply(start) == want_commuting
-    assert inv.compose(ch).apply(start) == want_commuting
-    assert chf.compose(inv).apply(start) == FockVector({lab(-1, "up", -1): -1j})
-    assert inv.compose(chf).apply(start) == FockVector({lab(-1, "up", -1): +1j})
+    want_commuting = +1j * ket(-1, "dn", -1)
+    assert np.array_equal(ch.compose(inv).apply(start).amps, want_commuting)
+    assert np.array_equal(inv.compose(ch).apply(start).amps, want_commuting)
+    assert np.array_equal(chf.compose(inv).apply(start).amps, -1j * ket(-1, "up", -1))
+    assert np.array_equal(inv.compose(chf).apply(start).amps, +1j * ket(-1, "up", -1))
+
+
+# the single-branch sector span{|+-p, h>^+}: columns of SECTOR
+PARTICLES = [i for i, (_, _, b) in enumerate(fock.SECTOR) if b == +1]
+ANTIPARTICLES = [i for i, (_, _, b) in enumerate(fock.SECTOR) if b == -1]
 
 
 def test_matrix_leak_detection():
-    with pytest.raises(KeyError):
-        fock.CHARGE.matrix_on(fock.single_branch_labels(1))
+    # the branch swap sends every particle column into the antiparticle rows
+    m = fock.CHARGE.moving
+    assert np.count_nonzero(m[np.ix_(PARTICLES, PARTICLES)]) == 0
+    assert np.count_nonzero(m[np.ix_(ANTIPARTICLES, PARTICLES)]) == 4
 
 
 def test_parity_eigencombos():
@@ -126,7 +136,7 @@ def test_parity_eigencombos():
     assert rest["minus"]["eigenvalue"] == -1
     assert rest["plus"]["residual"] < 1e-14
     assert rest["minus"]["residual"] < 1e-14
-    moving = fock.parity_eigencombos(3)
+    moving = fock.parity_eigencombos(-1)
     assert moving["plus"]["residual"] < 1e-14
     assert moving["minus"]["residual"] < 1e-14
 
@@ -181,7 +191,7 @@ PROOFS = {
     # the branch swap leaves the sector: lambda_min = 4 - 2|cos x|
     "single-branch": (
         fock.simultaneous_eigen_certificate,
-        (fock.INVERSION, fock.CHARGE, fock.both_branch_labels(1), fock.single_branch_labels(1)),
+        (fock.INVERSION, fock.CHARGE, PARTICLES),
         4 * sp.cos(X) ** 2,
         4,
         (sp.sin(X), None),
@@ -189,7 +199,7 @@ PROOFS = {
     # the Hermitian parts anticommute: lambda_min = 4 - 2 sqrt(sin^2 x + cos^2 y)
     "anticommuting": (
         fock.anticommuting_pair_margin,
-        (fock.CHARGE_FLIP, fock.INVERSION, fock.both_branch_labels(1), fock.both_branch_labels(1)),
+        (fock.CHARGE_FLIP, fock.INVERSION, list(range(8))),
         4 * (sp.sin(X) ** 2 + sp.cos(Y) ** 2),
         8,
         (sp.cos(X), sp.sin(Y)),
@@ -201,14 +211,13 @@ def exact(z: complex):
     return sp.nsimplify(z.real) + sp.I * sp.nsimplify(z.imag)
 
 
-def operands(a, b, labels, columns):
-    sel = np.eye(len(labels))[:, [labels.index(c) for c in columns]]
-    return a.matrix_on(labels), b.matrix_on(labels), sel
+def operands(a, b, columns):
+    return a.moving, b.moving, np.eye(8)[:, columns]
 
 
-def symbolic_m(a, b, labels, columns):
+def symbolic_m(a, b, columns):
     ma, mb, sel = (
-        sp.Matrix(*m.shape, lambda i, j: exact(m[i, j])) for m in operands(a, b, labels, columns)
+        sp.Matrix(*m.shape, lambda i, j: exact(m[i, j])) for m in operands(a, b, columns)
     )
     n = ma.shape[0]
     top = (ma - sp.exp(sp.I * X) * sp.eye(n)) * sel
@@ -223,8 +232,8 @@ def is_zero(m):
 
 @pytest.mark.parametrize("name", PROOFS)
 def test_certificate_closed_form_is_the_torus_minimum(name):
-    certificate, (a, b, labels, columns), f, f_max, roots = PROOFS[name]
-    m = symbolic_m(a, b, labels, columns)
+    certificate, (a, b, columns), f, f_max, roots = PROOFS[name]
+    m = symbolic_m(a, b, columns)
     n = m - 4 * sp.eye(m.shape[0])
     # lambda_min(M) = 4 - sqrt(f)
     assert is_zero(m - m.H)
@@ -274,36 +283,44 @@ def test_both_branch_joint_eigenvector():
     assert rep["charge_residual"] < 1e-14
     assert rep["charge_eigenvalue"] == 1j
     # the vector itself, reconstructed here from scratch
-    v = FockVector(
-        {
-            lab(0, "up", +1): 1.0,
-            lab(0, "dn", +1): 1j,
-            lab(0, "up", -1): -1j,
-            lab(0, "dn", -1): 1.0,
-        }
-    )
-    assert fock.INVERSION.apply(v) == v
-    assert fock.CHARGE.apply(v) == v.scale(1j)
-
-
-def test_ladder_symbol_rules():
-    with pytest.raises(ValueError):
-        LadderSymbol("c", "up", False, 1)
-    rule = fock.operator_rule("inversion")
-    new, phase = rule(LadderSymbol("b", "dn", True, 2))
-    assert new == LadderSymbol("b", "up", True, -2)
-    assert phase == -1j
-    new, phase = rule(LadderSymbol("a", "up", False, 1))
-    assert new == LadderSymbol("a", "dn", False, -1)
-    assert phase == -1j
-    with pytest.raises(KeyError):
-        fock.operator_rule("rotation")
+    v = ket(0, "up", +1) + 1j * ket(0, "dn", +1) - 1j * ket(0, "up", -1) + ket(0, "dn", -1)
+    assert np.array_equal(fock.INVERSION.apply(FockVector(v)).amps, v)
+    assert np.array_equal(fock.CHARGE.apply(FockVector(v)).amps, 1j * v)
 
 
 def test_operator_route_matches_state_route():
     rep = fock.operator_state_consistency()
     assert rep["max_residual"] == 0.0
     assert "annihilation" in rep["annihilation_form_note"]
+
+
+def fock_status(check_id):
+    results = checks.run_checks(checks.SuiteConfig(suites=("fock",)))
+    return {r.check_id: r for r in results}[check_id].status
+
+
+@pytest.mark.parametrize(
+    "name, key, row",
+    [
+        # the creation phase is -1j, so the adjoint phase is +1j, not -1j
+        ("inversion", ("b", "dn", False), ("b", "up", False, True, -1j)),
+        # the creation row keeps the helicity, this one flips it
+        ("charge", ("a", "up", False), ("b", "dn", False, False, 1.0)),
+    ],
+    ids=["phase", "helicity"],
+)
+def test_annihilation_rows_are_the_adjoints_of_the_creation_rows(monkeypatch, name, key, row):
+    assert fock_status("fock/operator-state-consistency") == "pass"
+    monkeypatch.setitem(fock._OPERATOR_RULES[name], key, row)
+    assert fock.operator_state_consistency()["max_residual"] > 0
+    assert fock_status("fock/operator-state-consistency") == "fail"
+
+
+def test_a_rule_that_changes_the_dagger_is_refused(monkeypatch):
+    row = ("b", "up", True, False, 1.0)  # an annihilation rule that creates
+    monkeypatch.setitem(fock._OPERATOR_RULES["charge"], ("a", "up", False), row)
+    with pytest.raises(AssertionError, match="dagger"):
+        fock.operator_state_consistency()
 
 
 def test_nonunit_phase_rejected():

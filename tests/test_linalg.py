@@ -8,19 +8,6 @@ import pytest
 from selfconj import fieldops, halfspin, linalg, spin1
 
 
-def test_approx_eq_basics():
-    a = np.array([1.0, 2.0])
-    ok, resid = linalg.approx_eq(a, a + 1e-14)
-    assert ok and resid < 1e-13
-    ok, resid = linalg.approx_eq(a, a + 1.0)
-    assert not ok and resid == pytest.approx(1.0)
-
-
-def test_approx_eq_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        linalg.approx_eq(np.zeros(2), np.zeros(3))
-
-
 def test_unit_phase_align_recovers_phase():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
