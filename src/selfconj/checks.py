@@ -30,9 +30,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,43 +54,54 @@ _MERIDIAN = [
 ]
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    masses: tuple = (1.0,)
-    n_magnitudes: int = 3
-    n_directions: int = 6
-    tolerance: float = 1e-12
-    theta1: float = 0.0
-    theta2: float = 0.0
-    thetac: float = 0.0
-    norm: float | None = None
-    suites: tuple = KNOWN_SUITES
-    convention: PhaseConvention = field(init=False, repr=False, compare=False)
+_CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 thetac norm suites"
 
-    def __post_init__(self):
-        masses = tuple(float(m) for m in self.masses)
+
+class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
+    # immutable; the instance dict holds only the cached `convention`
+    def __new__(
+        cls,
+        masses: tuple = (1.0,),
+        n_magnitudes: int = 3,
+        n_directions: int = 6,
+        tolerance: float = 1e-12,
+        theta1: float = 0.0,
+        theta2: float = 0.0,
+        thetac: float = 0.0,
+        norm: float | None = None,
+        suites: tuple = KNOWN_SUITES,
+    ):
+        masses = tuple(float(m) for m in masses)
         if not masses or not all(math.isfinite(m) and m > 0 for m in masses):
             raise ValueError("masses must be finite and positive")
-        if self.n_magnitudes < 1 or self.n_directions < 1:
+        if n_magnitudes < 1 or n_directions < 1:
             raise ValueError("grid must be at least 1x1")
         # the largest magnitude, 2 ** ((n - 1) / 2), must be a finite float
-        if (self.n_magnitudes - 1) / 2 >= sys.float_info.max_exp:
+        if (n_magnitudes - 1) / 2 >= sys.float_info.max_exp:
             raise ValueError("grid has too many magnitudes: the largest overflows a float")
         # `not >= 0` also rejects NaN; an infinite tolerance would pass any
         # finite residual
-        if not (self.tolerance >= 0 and math.isfinite(self.tolerance)):
+        if not (tolerance >= 0 and math.isfinite(tolerance)):
             raise ValueError("tolerance must be finite and >= 0")
-        if np.ndim(self.theta1) or np.ndim(self.theta2):
+        if np.ndim(theta1) or np.ndim(theta2):
             raise ValueError("theta1 and theta2 must be numbers, not one per row")
-        convention = PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
-        suites = tuple(self.suites)
+        PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
+        suites = tuple(suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "convention", convention)
-        self.momenta()  # every grid momentum must lie in the kinematic domain
+        cfg = super().__new__(
+            cls, masses, n_magnitudes, n_directions, tolerance, theta1, theta2, thetac, norm, suites
+        )
+        cfg.momenta()  # every grid momentum must lie in the kinematic domain
+        return cfg
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a SuiteConfig is immutable")
+
+    @functools.cached_property
+    def convention(self) -> PhaseConvention:
+        return PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
 
     def directions(self):
         out = list(_MERIDIAN[: self.n_directions])
@@ -112,11 +124,10 @@ class SuiteConfig:
         ]
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     anchor: str
     status: str  # pass | fail | reported
@@ -125,7 +136,8 @@ class CheckResult:
     values: dict
 
     def to_dict(self) -> dict:
-        return dict(vars(self), values=_jsonable(self.values))
+        """The fields as plain JSON data (see _jsonable)."""
+        return _jsonable(self._asdict())
 
 
 def _jsonable(x):
@@ -152,23 +164,22 @@ def _jsonable(x):
 # the registry and its runner
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """What one check measured.
 
     residuals: every number the check judges against its tolerance (for a
     reported check, the numbers behind its headline); values: what the
     report carries alongside them; predicates: named structural statements,
-    any false one fails the check whatever the tolerance.
+    any false one fails the check whatever the tolerance.  The empty
+    defaults are shared, so the runner copies `values` into the result.
     """
 
     residuals: list
-    values: dict = field(default_factory=dict)
-    predicates: dict = field(default_factory=dict)
+    values: dict = {}
+    predicates: dict = {}
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     check_id: str
     anchor: str
     tol: Callable[[SuiteConfig], float] | None  # None: reported
@@ -226,7 +237,15 @@ def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     worst = _worst(ev.residuals, 0.0 if holds else 1.0)
     tol = None if check.tol is None else float(check.tol(cfg))
     status = "reported" if tol is None else "pass" if holds and worst <= tol else "fail"
-    return CheckResult(check.check_id, check.anchor, status, worst, tol, ev.values)
+    return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
+
+
+def _samples(seed: int, rows: int, cols: int) -> np.ndarray:
+    """Seeded numbers in [-1, 1), row by row: the standard library's
+    random.Random(seed).random() stream, which Python keeps the same across
+    versions, mapped exactly by x -> 2 x - 1."""
+    draw = random.Random(seed).random
+    return np.array([2 * draw() - 1 for _ in range(rows * cols)]).reshape(rows, cols)
 
 
 def _prop_residual(v, img):
@@ -266,7 +285,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
     ]
     # 16 samples in one draw: per row v, w (re then im) and a, in the order
     # of drawing them one at a time
-    s = np.random.default_rng(7).standard_normal((16, 18))
+    s = _samples(7, 16, 18)
     v, w = s[:, 0:4] + 1j * s[:, 4:8], s[:, 8:12] + 1j * s[:, 12:16]
     a = (s[:, 16] + 1j * s[:, 17])[:, None]
     # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
@@ -284,7 +303,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
 def _kron(cfg: SuiteConfig, grid):
     # 8 samples in one draw: per row a, b, v, w (re then im each), in the
     # order of drawing them one at a time
-    s = np.random.default_rng(11).standard_normal((8, 36))
+    s = _samples(11, 8, 36)
     a = (s[:, 0:4] + 1j * s[:, 4:8]).reshape(8, 2, 2)
     b = (s[:, 8:17] + 1j * s[:, 17:26]).reshape(8, 3, 3)
     v, w = s[:, 26:28] + 1j * s[:, 28:30], s[:, 30:33] + 1j * s[:, 33:36]
@@ -932,7 +951,7 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
         linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
     ]
     # 1, i, j, k, (1 + i + j + k) / 2 and four seeded random phases
-    v = np.random.default_rng(23).standard_normal((4, 4))
+    v = _samples(23, 4, 4)
     qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), [[0.5] * 4], v / norm(v)[:, None]]))
     g = grid(_pinned_conv(cfg)).head(4)
     res.append(fieldops.orbit_preserves_conjugation(qs, g))
@@ -990,5 +1009,5 @@ def _summary(results) -> dict:
 
 def render_json(cfg: SuiteConfig, results) -> str:
     rows = [r.to_dict() for r in results]
-    doc = {"config": cfg.to_dict(), "checks": rows, "summary": _summary(results)}
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    doc = {"config": _jsonable(cfg.to_dict()), "checks": rows, "summary": _summary(results)}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

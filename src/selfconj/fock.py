@@ -21,8 +21,6 @@ the same physics; operator_state_consistency ties the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 HEL = ("up", "dn")
@@ -56,7 +54,6 @@ class FockVector:
         return cls(np.eye(len(modes))[modes.index((ptag, helicity, branch))])
 
 
-@dataclass(frozen=True, eq=False)
 class SymmetryOp:
     """Unitary acting on modes as one fixed matrix plus a reflection flag.
 
@@ -66,26 +63,26 @@ class SymmetryOp:
     is the 8x8 matrix on SECTOR, built once: `matrix` times the tag map.
     """
 
-    name: str
-    matrix: np.ndarray
-    reflects: bool
-    moving: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("name", "matrix", "reflects", "moving")
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, name: str, matrix, reflects: bool):
+        m = np.array(matrix, dtype=complex)
         # four nonzeros and unitary: one unit phase in each row and column
         if m.shape != (4, 4) or np.count_nonzero(m) != 4:
-            raise ValueError(f"{self.name}: not a permutation of the (branch, helicity) pairs")
+            raise ValueError(f"{name}: not a permutation of the (branch, helicity) pairs")
         if not np.all(np.isfinite(m)):
-            raise ValueError(f"{self.name}: phases must be finite")
+            raise ValueError(f"{name}: phases must be finite")
         if not np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) <= 1e-12:
-            raise ValueError(f"{self.name}: not a unit-phase permutation")
+            raise ValueError(f"{name}: not a unit-phase permutation")
         # the tag map on (+p, -p): swap or identity
-        tags = np.eye(2)[::-1] if self.reflects else np.eye(2)
+        tags = np.eye(2)[::-1] if reflects else np.eye(2)
         moving = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(8, 8)
         m.flags.writeable = moving.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "moving", moving)
+        for attr, value in zip(self.__slots__, (name, m, reflects, moving)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a SymmetryOp is immutable")
 
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector((self.matrix if len(vec.amps) == len(REST) else self.moving) @ vec.amps)

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ UP, DN = +1, -1
 # kinematics
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
     """On-shell momentum given as (mass, |p|, polar, azimuth).
 
     The energy is always the positive root sqrt(m^2 + |p|^2).  A vanishing
@@ -84,34 +84,30 @@ class FourMomentum:
     rest-frame limit is unambiguous.
     """
 
-    mass: float
-    pmag: float
-    theta: float = 0.0
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mass: float, pmag: float, theta: float = 0.0, phi: float = 0.0):
         # `not >= 0` also rejects NaN
-        if not self.mass >= 0:
+        if not mass >= 0:
             raise ValueError("mass must be >= 0")
-        if not self.pmag >= 0:
+        if not pmag >= 0:
             raise ValueError("|p| must be >= 0")
-        if self.mass > 0:
+        if mass > 0:
             # past |p| = 2**52 m, E + m - |p| rounds to 0 on the axis and a
             # family member vanishes; the boosts divide by sqrt(2 m (E + m))
-            den = 2 * self.mass * (math.hypot(self.mass, self.pmag) + self.mass)
-            if not (self.pmag <= 2.0**52 * self.mass and 0 < den < math.inf):
+            den = 2 * mass * (math.hypot(mass, pmag) + mass)
+            if not (pmag <= 2.0**52 * mass and 0 < den < math.inf):
                 raise ValueError(
                     "momentum outside the kinematic domain: need |p| <= 2**52 m "
                     "and 2 m (E + m) finite and nonzero"
                 )
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
+        if not -1e-12 <= theta <= math.pi + 1e-12:
             raise ValueError("polar angle must lie in [0, pi]")
-        theta = min(max(self.theta, 0.0), math.pi)
-        phi = self.phi % (2 * math.pi)
-        if self.pmag == 0.0:
+        theta = min(max(theta, 0.0), math.pi)
+        phi = phi % (2 * math.pi)
+        if pmag == 0.0:
             theta, phi = 0.0, 0.0
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        return super().__new__(cls, mass, pmag, theta, phi)
 
     @property
     def energy(self) -> float:
@@ -131,8 +127,7 @@ class FourMomentum:
         return FourMomentum(self.mass, self.pmag, math.pi - self.theta, self.phi + math.pi)
 
 
-@dataclass(frozen=True)
-class PhaseConvention:
+class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")):
     """Free phases of the construction.
 
     theta1/theta2 multiply the up/down rest spinors as e^{i theta_h}; thetac
@@ -142,18 +137,16 @@ class PhaseConvention:
     length tuples, one phase per grid row.
     """
 
-    theta1: float = 0.0
-    theta2: float = 0.0
-    thetac: float = 0.0
-    norm: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        rest = np.asarray((self.theta1, self.theta2), dtype=float)
-        if not (np.all(np.isfinite(rest)) and math.isfinite(self.thetac)):
+    def __new__(cls, theta1=0.0, theta2=0.0, thetac: float = 0.0, norm: float | None = None):
+        rest = np.asarray((theta1, theta2), dtype=float)
+        if not (np.all(np.isfinite(rest)) and math.isfinite(thetac)):
             raise ValueError("phases must be finite")
         # N**2 scales every bilinear; it must be a finite normal float
-        if self.norm is not None and not sys.float_info.min <= self.norm * self.norm < math.inf:
+        if norm is not None and not sys.float_info.min <= norm * norm < math.inf:
             raise ValueError("norm must have a square that is a finite normal float")
+        return super().__new__(cls, theta1, theta2, thetac, norm)
 
     def rest_scale(self, mass: float) -> float:
         return math.sqrt(mass) if self.norm is None else self.norm
@@ -213,8 +206,9 @@ LAM_S, RHO_S, LAM_A, RHO_A = (slice(k, k + 2) for k in (0, 2, 4, 6))
 LAMBDAS = (0, 1, 4, 5)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinorGrid:
+class SpinorGrid(
+    namedtuple("SpinorGrid", "momenta convention mass pmag theta phi energy nhat left right family")
+):
     """The spin-1/2 family at N momenta for one convention, row axis first.
 
     Kinematics are (N,) arrays (nhat is (N, 3)); `left`/`right` are the
@@ -223,17 +217,12 @@ class SpinorGrid:
     and the grid at the reflected momenta are built on first use.
     """
 
-    momenta: tuple
-    convention: PhaseConvention
-    mass: np.ndarray = field(repr=False)
-    pmag: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    energy: np.ndarray = field(repr=False)
-    nhat: np.ndarray = field(repr=False)
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
-    family: np.ndarray = field(repr=False)
+    # equal only to itself; the instance dict holds only the cached parts
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __repr__ = object.__repr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a SpinorGrid is immutable")
 
     @property
     def pvec(self) -> np.ndarray:
@@ -241,9 +230,7 @@ class SpinorGrid:
 
     def head(self, n: int) -> "SpinorGrid":
         """The grid of the first n rows."""
-        arrays = (self.mass, self.pmag, self.theta, self.phi, self.energy, self.nhat)
-        parts = (self.left, self.right, self.family)
-        return type(self)(self.momenta[:n], self.convention, *(a[:n] for a in arrays + parts))
+        return self._make((self.momenta[:n], self.convention, *(a[:n] for a in self[2:])))
 
     def uv_stack(self) -> np.ndarray:
         """(N, 4, 4), rows u_up, u_dn, v_up, v_dn."""
@@ -325,8 +312,7 @@ def charge_conjugation_op(conv: PhaseConvention = PhaseConvention()) -> Antiline
 # discrete operators
 
 
-@dataclass(frozen=True)
-class DiscreteOps:
+class DiscreteOps(NamedTuple):
     helicity: np.ndarray
     chiral_helicity: np.ndarray
     parity: np.ndarray  # gamma^0; momentum argument flips separately
@@ -384,8 +370,7 @@ CONNECTION = frozen(0.5 * cmat([
 ]))
 
 
-@dataclass(frozen=True)
-class ConnectionReport:
+class ConnectionReport(NamedTuple):
     raw_residual: float
     aligned_residual: float
     phases: np.ndarray  # per-row unit phases that minimize the residual

@@ -12,7 +12,7 @@ be carried explicitly through compositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 import numpy as np
@@ -120,8 +120,7 @@ def eigen_residual(matrix: np.ndarray, v: np.ndarray):
     return c, np.ldexp(norm(mv - c[..., None] * v), e)
 
 
-@dataclass(frozen=True)
-class AntilinearOp:
+class AntilinearOp(namedtuple("AntilinearOp", "matrix conjugates")):
     """Operator v -> matrix @ v, or v -> matrix @ conj(v) when conjugates.
 
     compose(a, b) means "a after b"; the matrix of the composite picks up a
@@ -131,14 +130,13 @@ class AntilinearOp:
     (+1 or -1 times the identity) appears throughout.
     """
 
-    matrix: np.ndarray
-    conjugates: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __new__(cls, matrix: np.ndarray, conjugates: bool = True):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m, conjugates)
 
     @property
     def dim(self) -> int:

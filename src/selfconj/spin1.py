@@ -16,7 +16,7 @@ axis, and the six-spinors come from the grid, built once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,8 +256,7 @@ def plain_unitary_diagnostic() -> dict:
 # real-frame six-spinors
 
 
-@dataclass(frozen=True)
-class MRSpinor:
+class MRSpinor(NamedTuple):
     """u, v in the real frame together with their displayed split parts.
 
     u = u_re + i u_im and v = v_re + i v_im hold as algebraic identities for

@@ -11,6 +11,7 @@ printed number.
 
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -222,23 +223,34 @@ def test_direction_residuals_equal_the_loops(n_directions):
     assert np.array_equal(np.ravel(wigner[2]), triad)
 
 
+def _stream(seed):
+    """The samples' source drawn one value at a time: random.Random(seed)
+    mapped to [-1, 1); draw(*shape) takes the next values, row-major."""
+    rng = random.Random(seed)
+
+    def draw(*shape):
+        return np.array([2 * rng.random() - 1 for _ in range(math.prod(shape))]).reshape(shape)
+
+    return draw
+
+
 def test_seeded_samples_equal_the_loops():
     cfg = checks.SuiteConfig()
     c = halfspin.charge_conjugation_op(cfg.convention)
-    rng = np.random.default_rng(7)
+    draw = _stream(7)
     antilinear = []
     for _ in range(16):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a = rng.standard_normal() + 1j * rng.standard_normal()
+        v = draw(4) + 1j * draw(4)
+        w = draw(4) + 1j * draw(4)
+        a = draw() + 1j * draw()
         antilinear.append(max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
     assert np.array_equal(checks._antilinear_algebra(cfg, None).residuals[2], antilinear)
-    rng = np.random.default_rng(11)
+    draw = _stream(11)
     kron = []
     for _ in range(8):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        a = draw(2, 2) + 1j * draw(2, 2)
+        b = draw(3, 3) + 1j * draw(3, 3)
+        v = draw(2) + 1j * draw(2)
+        w = draw(3) + 1j * draw(3)
         kron.append(max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
     assert np.array_equal(checks._kron(cfg, None).residuals[0], kron)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from selfconj import checks, spin1
+from selfconj import checks, fock, halfspin, spin1
+from selfconj.halfspin import FourMomentum, PhaseConvention
 
 REPORTED_IDS = {
     "fock/joint-eigen-existence",
@@ -92,6 +93,40 @@ def test_config_validation():
         with pytest.raises(ValueError):
             checks.SuiteConfig(**bad)
     assert max(checks.SuiteConfig(n_magnitudes=105).magnitudes()) == 2.0**52
+
+
+def test_records_are_immutable_and_keep_their_equality():
+    p = FourMomentum(1.0, 2.0, 0.5, 7.0)
+    conv = PhaseConvention(0.3, 0.4)
+    cfg = checks.SuiteConfig(masses=[2])
+    g = halfspin.build_spinor_basis(p, conv)
+    result = checks.run_checks(checks.SuiteConfig(suites=("linalg",)))[0]
+    # validation still normalizes what it is given
+    assert p.phi == 7.0 - 2 * math.pi and cfg.masses == (2.0,)
+    # value types compare and hash by value: the grid cache is keyed on them
+    for record, same in (
+        (p, FourMomentum(1.0, 2.0, 0.5, 7.0)),
+        (conv, PhaseConvention(0.3, 0.4, 0.0, None)),
+        (cfg, checks.SuiteConfig(masses=(2.0,))),
+    ):
+        assert record == same and len({record, same}) == 1
+    assert cfg.convention == PhaseConvention()
+    # a grid and a Fock symmetry are equal only to themselves
+    assert g == g and g != halfspin.build_spinor_basis(p, conv)
+    assert fock.CHARGE != fock.SymmetryOp("charge", fock.CHARGE.matrix, reflects=False)
+    for record, name in (
+        (p, "theta"),
+        (conv, "norm"),
+        (cfg, "tolerance"),
+        (cfg, "convention"),
+        (result, "status"),
+        (g, "family"),
+        (g, "six"),
+        (fock.CHARGE, "moving"),
+        (halfspin.charge_conjugation_op(), "matrix"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_nan_residual_fails_the_check(monkeypatch):

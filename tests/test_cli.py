@@ -1,10 +1,13 @@
 """Exit codes, output formats, and byte determinism of the front end."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import selfconj
 from selfconj import checks, cli
 
 
@@ -185,6 +189,31 @@ def test_default_run_loads_neither_sympy_nor_mpmath():
     done = python("-c", probe)
     assert done.returncode == 0
     assert done.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["-m", "selfconj.cli", "run"], ["-c", "import selfconj"]])
+def test_cold_start_never_imports_numpy_random(argv):
+    # the seeded samples come from the standard library; numpy.random would
+    # add its import, its teardown and about 5 MB to every cold run.
+    # -X importtime names each module the process imports, on stderr
+    done = python("-X", "importtime", *argv)
+    assert done.returncode == 0
+    names = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "selfconj" in names
+    assert [n for n in names if n == "numpy.random" or n.startswith("numpy.random.")] == []
+
+
+def test_no_package_class_is_a_dataclass():
+    # a dataclass generates and compiles its methods when its module is
+    # imported, about 1 ms per class on a cold start
+    classes = [
+        obj
+        for info in pkgutil.iter_modules(selfconj.__path__, "selfconj.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if inspect.isclass(obj) and obj.__module__ == info.name
+    ]
+    assert len(classes) >= 12
+    assert [c for c in classes if hasattr(c, "__dataclass_fields__")] == []
 
 
 def test_smallest_accepted_norm_gives_a_full_report():

@@ -7,7 +7,6 @@ even/up/ann = (0, i, 0, 0), even/up/cre = (0, 0, 1, 0),
 odd/up/ann = (0, 0, 1, 0), odd/up/cre = (0, -i, 0, 0).
 """
 
-import dataclasses
 import functools
 import math
 
@@ -95,7 +94,7 @@ def test_split_halves_are_conjugation_eigenmodes():
 def _with_nan_entry(g, row):
     family = g.family.copy()
     family[row, FAMILY.index("lam_s_up"), 1] = math.nan
-    return dataclasses.replace(g, family=family)
+    return g._replace(family=family)
 
 
 def test_a_nan_family_entry_stays_in_its_row():
