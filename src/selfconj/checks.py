@@ -4,15 +4,17 @@ The 35 checks live in one registry.  Each entry is a function of the
 SuiteConfig and of `grid`, which returns the run's SpinorGrid for a phase
 convention (built on first use, once per convention).  It is registered
 with the `_check` decorator under a stable id ("<suite>/<name>"), a
-descriptive anchor and a tolerance rule: a function of `cfg.tolerance`, or
-None for a 'reported' check.  It returns an Evaluation: the residuals it
-measured (arrays with one row per momentum, phase pair, sample or group
-element, or numbers), the `values` the report carries, and named
-structural predicates.  A check that scans fixed sets evaluates them as
-one array expression: the rest-phase pairs of a Gram scan or the masses
-of the massless scan are the rows of one SpinorGrid build.
+descriptive anchor and a tolerance rule: a (floor, cap) pair that clamps
+`cfg.tolerance`, or None for a 'reported' check.  It returns an
+Evaluation: the residuals it measured, by name (arrays with one row per
+momentum, phase pair, sample or group element, or numbers), the `values`
+the report carries, and named structural predicates.  A check that scans
+fixed sets evaluates them as one array expression: the rest-phase pairs
+of a Gram scan or the masses of the massless scan are the rows of one
+SpinorGrid build.
 
-One runner, `_run`, turns every Evaluation into a CheckResult.  The worst
+One runner, `_run`, turns every Evaluation into a CheckResult; it is the
+only code that reduces residuals or applies a tolerance.  The worst
 residual is taken with np.max, so a NaN residual propagates and fails the
 check.  A false predicate fails the check whatever the tolerance, and its
 displayed residual is at least 1.0.  A reported check judges nothing: it
@@ -96,6 +98,9 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         cfg.momenta()  # every grid momentum must lie in the kinematic domain
         return cfg
 
+    # through the validating constructor, so that _replace validates too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a SuiteConfig is immutable")
 
@@ -168,13 +173,14 @@ class Evaluation(NamedTuple):
     """What one check measured.
 
     residuals: every number the check judges against its tolerance (for a
-    reported check, the numbers behind its headline); values: what the
-    report carries alongside them; predicates: named structural statements,
-    any false one fails the check whatever the tolerance.  The empty
-    defaults are shared, so the runner copies `values` into the result.
+    reported check, the numbers behind its headline), by snake_case name:
+    a real array of any shape, or a number; values: what the report
+    carries alongside them; predicates: named structural statements, any
+    false one fails the check whatever the tolerance.  The empty defaults
+    are shared, so the runner copies `values` into the result.
     """
 
-    residuals: list
+    residuals: dict
     values: dict = {}
     predicates: dict = {}
 
@@ -182,32 +188,18 @@ class Evaluation(NamedTuple):
 class _Check(NamedTuple):
     check_id: str
     anchor: str
-    tol: Callable[[SuiteConfig], float] | None  # None: reported
+    tol: tuple[float, float] | None  # (floor, cap) on cfg.tolerance; None: reported
     evaluate: Callable  # (cfg, grid) -> Evaluation; grid(conv) is the run's SpinorGrid
-
-
-# tolerance rules
-def _given(cfg: SuiteConfig) -> float:
-    return cfg.tolerance
-
-
-def _at_least(floor: float):
-    return lambda cfg: max(cfg.tolerance, floor)
-
-
-def _tight(cfg: SuiteConfig) -> float:
-    return min(cfg.tolerance, 1e-15)
-
-
-def _fixed(tol: float):
-    return lambda cfg: tol
 
 
 _REGISTRY: list[_Check] = []
 
+_TIGHT = (0.0, 1e-15)  # exact algebra on fixed matrices: never looser than 1e-15
 
-def _check(check_id: str, anchor: str, tol=_given):
-    """Register a check; tol is its tolerance rule, None for a reported check."""
+
+def _check(check_id: str, anchor: str, tol=(0.0, math.inf)):
+    """Register a check judged at min(max(cfg.tolerance, floor), cap) for
+    tol = (floor, cap); tol None marks a reported check."""
 
     def register(evaluate):
         _REGISTRY.append(_Check(check_id, anchor, tol, evaluate))
@@ -216,26 +208,17 @@ def _check(check_id: str, anchor: str, tol=_given):
     return register
 
 
-def _flat(values) -> np.ndarray:
-    """Numbers and arrays of them, as one flat float array."""
-    return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in values] or [[]])
-
-
-def _worst(residuals, floor: float = 0.0) -> float:
-    """Largest residual, at least `floor`; unlike max(), np.max keeps NaN."""
-    return float(np.max(_flat(residuals), initial=floor))
-
-
-def _least(ratios) -> float:
-    """Smallest ratio (inf when there is none); NaN propagates."""
-    return float(np.min(_flat(ratios), initial=math.inf))
-
-
 def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     ev = check.evaluate(cfg, grid)
     holds = all(ev.predicates.values())
-    worst = _worst(ev.residuals, 0.0 if holds else 1.0)
-    tol = None if check.tol is None else float(check.tol(cfg))
+    # dtype=float: a complex residual warns instead of losing its imaginary
+    # part silently; unlike max(), np.max keeps NaN
+    flat = [np.ravel(np.asarray(r, dtype=float)) for r in ev.residuals.values()]
+    worst = float(np.max(np.concatenate(flat or [[]]), initial=0.0 if holds else 1.0))
+    tol = None
+    if check.tol is not None:
+        floor, cap = check.tol
+        tol = float(min(max(cfg.tolerance, floor), cap))
     status = "reported" if tol is None else "pass" if holds and worst <= tol else "fail"
     return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
 
@@ -274,22 +257,24 @@ def _conjugation_gaps(c, psi):
 
 
 @_check(
-    "linalg/antilinear-algebra", "antilinear application, composition and squares", _at_least(1e-14)
+    "linalg/antilinear-algebra",
+    "antilinear application, composition and squares",
+    (1e-14, math.inf),
 )
 def _antilinear_algebra(cfg: SuiteConfig, grid):
     c = halfspin.charge_conjugation_op(cfg.convention)
     j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]), conjugates=True)
-    res = [
-        linalg.max_abs(c.squared().matrix - np.eye(4)),
-        linalg.max_abs(j.squared().matrix + np.eye(2)),
-    ]
+    res = {
+        "conjugation_square": linalg.max_abs(c.squared().matrix - np.eye(4)),
+        "rotation_square": linalg.max_abs(j.squared().matrix + np.eye(2)),
+    }
     # 16 samples in one draw: per row v, w (re then im) and a, in the order
     # of drawing them one at a time
     s = _samples(7, 16, 18)
     v, w = s[:, 0:4] + 1j * s[:, 4:8], s[:, 8:12] + 1j * s[:, 12:16]
     a = (s[:, 16] + 1j * s[:, 17])[:, None]
     # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
-    res.append(linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w)), axis=-1))
+    res["antilinearity"] = linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w)), axis=-1)
     return Evaluation(
         res,
         {
@@ -299,7 +284,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
     )
 
 
-@_check("linalg/kron-mixed-product", "tensor product compatibility", _at_least(1e-13))
+@_check("linalg/kron-mixed-product", "tensor product compatibility", (1e-13, math.inf))
 def _kron(cfg: SuiteConfig, grid):
     # 8 samples in one draw: per row a, b, v, w (re then im each), in the
     # order of drawing them one at a time
@@ -312,7 +297,7 @@ def _kron(cfg: SuiteConfig, grid):
     kab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(8, 6, 6)
     kvw = (v[:, :, None] * w[:, None, :]).reshape(8, 6)
     kavbw = (av[:, :, None] * bw[:, None, :]).reshape(8, 6)
-    return Evaluation([linalg.max_abs(apply(kab, kvw) - kavbw, axis=-1)])
+    return Evaluation({"mixed_product": linalg.max_abs(apply(kab, kvw) - kavbw, axis=-1)})
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +311,11 @@ def _helicity_spinors(cfg: SuiteConfig, grid):
     sn = np.tensordot(d.nhat, halfspin.SIGMA, axes=(-1, 0))
     chi = np.stack([halfspin.helicity_eigenspinor(d.theta, d.phi, h) for h in (UP, DN)], axis=1)
     eigen = norm(apply(sn, chi) - np.array([UP, DN])[:, None] * chi)
-    res = [eigen, np.abs(norm(chi) - 1.0)]
+    res = {"eigen": eigen, "unit_norm": np.abs(norm(chi) - 1.0)}
     rt = 1 / math.sqrt(2)
-    for h, want in ((UP, [rt, rt]), (DN, [-rt, rt])):
-        res.append(linalg.max_abs(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, h) - want))
+    for tag, h, want in (("up", UP, [rt, rt]), ("dn", DN, [-rt, rt])):
+        along_x = halfspin.helicity_eigenspinor(math.pi / 2, 0.0, h)
+        res[f"along_x_{tag}"] = linalg.max_abs(along_x - want)
     return Evaluation(res)
 
 
@@ -343,8 +329,8 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg))
     c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
-        [squares, _conjugation_gaps(c, g.family)],
-        {"momenta": len(g.momenta), "family_size": 8, "square_residual": _worst(squares)},
+        {"squares": squares, "eigen": _conjugation_gaps(c, g.family)},
+        {"momenta": len(g.momenta), "family_size": 8, "square_residual": float(np.max(squares))},
     )
 
 
@@ -356,7 +342,7 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     half_h = np.array([0.5 * UP, 0.5 * DN, 0.5 * UP, 0.5 * DN])
     eigen = norm(apply(helicity, uv) - half_h[:, None] * uv)
     _, res = linalg.eigen_residual(helicity, g.family)
-    lam_min = _least([res / norm(g.family)])
+    lam_min = float(np.min(res / norm(g.family)))
     # parity proportionality can hold on-axis; both readings: gamma^0 as a
     # matrix at fixed argument, and the full action with the momentum
     # argument reflected
@@ -364,10 +350,12 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     lam = g.family[off][:, LAM_S]
     _, fixed = linalg.eigen_residual(halfspin.GAMMA0, lam)
     img = apply(halfspin.GAMMA0, g.reflected.family[off][:, LAM_S])
-    parity_min = _least([fixed / norm(lam), _prop_residual(lam, img) / norm(img)])
+    # inf when no row is off axis
+    ratios = [fixed / norm(lam), _prop_residual(lam, img) / norm(img)]
+    parity_min = float(np.min(ratios, initial=math.inf))
     # the eigen part is judged against tol; a collapsed non-eigen margin fails
     return Evaluation(
-        [eigen],
+        {"uv_eigen": eigen},
         {
             "helicity_noneigen_min_ratio": lam_min,
             "parity_noneigen_min_ratio": parity_min,
@@ -384,7 +372,7 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
     ops = halfspin.discrete_ops(g.nhat[0])
     c, res = linalg.eigen_residual(ops.chiral_helicity, g.family[0])
     return Evaluation(
-        [res / norm(g.family[0])],
+        {"eigen_fit": res / norm(g.family[0])},
         {
             "eigenvalues": dict(zip(FAMILY, np.round(c, 12).tolist())),
             "note": "normalization of the half-unit is a convention",
@@ -398,7 +386,7 @@ def _dynamical_residuals(cfg: SuiteConfig, grid):
     flipped = halfspin.dynamical_residuals(g.head(1), flip_third_sign=True)["r3"][0]
     expected = 2 * g.mass[0] * float(norm(g.family[0, RHO_S.start]))
     return Evaluation(
-        list(halfspin.dynamical_residuals(g).values()),
+        halfspin.dynamical_residuals(g),
         {
             "frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)",
             "flipped_sign_selftest": float(flipped),
@@ -414,11 +402,11 @@ def _dirac_connection(cfg: SuiteConfig, grid):
     rep = halfspin.connection_check(grid(_unit_conv(cfg)))
     drift = linalg.max_abs(rep.phases - rep.phases[0], axis=-1)
     return Evaluation(
-        [rep.aligned_residual, drift],
+        {"aligned": rep.aligned_residual, "phase_drift": drift},
         {
-            "raw_residual": _worst([rep.raw_residual]),
+            "raw_residual": float(np.max(rep.raw_residual)),
             "phase_diagonal": np.round(rep.phases[0], 12).tolist(),
-            "phase_drift_across_grid": _worst([drift]),
+            "phase_drift_across_grid": float(np.max(drift)),
             "pinned_rest_phases": "theta1 = theta2 = 0",
         },
     )
@@ -451,7 +439,7 @@ def _modulus(z):
 @_check(
     "halfspin/biorthonormality-structure",
     "conjugate-family Gram layout and magnitudes",
-    _at_least(4e-12),
+    (4e-12, math.inf),
 )
 def _biorthonormality_structure(cfg: SuiteConfig, grid):
     momenta = grid(cfg.convention).momenta
@@ -463,14 +451,14 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
     # the two families decouple exactly when the phase sum is 0 or pi;
     # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
     cross = linalg.max_abs(np.concatenate([g[:, :2, 2:], g[:, 2:, :2]], axis=1), axis=(1, 2))
-    res = [
-        linalg.max_abs(np.diagonal(g, axis1=-2, axis2=-1), axis=-1),
-        np.abs(_modulus(g[:, 0, 1]) - mag),
-        np.abs(_modulus(g[:, 1, 0]) - mag),
-        np.abs(g[:, 0, 1] + g[:, 1, 0]),
-        np.abs(g[:, 2, 3] + g[:, 0, 1]),
-        np.abs(cross - 2 * n2 * np.abs(np.sin(tsum))),
-    ]
+    res = {
+        "diagonal": linalg.max_abs(np.diagonal(g, axis1=-2, axis2=-1), axis=-1),
+        "up_dn_magnitude": np.abs(_modulus(g[:, 0, 1]) - mag),
+        "dn_up_magnitude": np.abs(_modulus(g[:, 1, 0]) - mag),
+        "antisymmetry": np.abs(g[:, 0, 1] + g[:, 1, 0]),
+        "rho_mirrors_lambda": np.abs(g[:, 2, 3] + g[:, 0, 1]),
+        "cross_magnitude": np.abs(cross - 2 * n2 * np.abs(np.sin(tsum))),
+    }
     return Evaluation(
         res,
         {
@@ -500,7 +488,7 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
         "flipping the down spinor's sign restores it but breaks the exact "
         "connection alignment"
     )
-    return Evaluation([_modulus(measured - displayed)], vals)
+    return Evaluation({"displayed_gap": _modulus(measured - displayed)}, vals)
 
 
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
@@ -512,7 +500,9 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
     alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
     img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
-    return Evaluation([_conjugation_gaps(c, img)], {"alphas": 5, "momenta": len(g.momenta)})
+    return Evaluation(
+        {"conjugation": _conjugation_gaps(c, img)}, {"alphas": 5, "momenta": len(g.momenta)}
+    )
 
 
 @_check(
@@ -521,11 +511,10 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
 def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
     g = grid(_unit_conv(cfg))
-    res = list(halfspin.xi_alias_residuals(g).values())
     # the common factor diag(Xi, Xi) commutes with every W_k, so the group
     # table of the W parts is the table of the maps
     xi, w = halfspin.xi_factor(g.phi), halfspin.W_PARTS[:, None]
-    res.append(linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1)))
+    commutes = linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1))
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
     # every exchange image is again an eigenvector with a definite sign;
@@ -535,7 +524,7 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     # (map, row, member, component)
     img = apply(halfspin.xi_quadruple(g4.phi)[:, :, None], g4.family[:, LAMBDAS])
     plus, minus = norm(c(img) - img), norm(c(img) + img)
-    res.append(np.where(minus < plus, minus, plus))
+    sign_gap = np.where(minus < plus, minus, plus)
     flips = (minus < plus)[:, -1].tolist()
     sign_map = {
         f"V{k + 1}_{FAMILY[i]}": f"{int(FAMILY_SIGNS[i]):+d} -> {-1 if flips[k][j] else +1:+d}"
@@ -543,7 +532,8 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
         for j, i in enumerate(LAMBDAS)
     }
     return Evaluation(
-        res,
+        # dict(**...) refuses a repeated name
+        dict(**halfspin.xi_alias_residuals(g), xi_commutes=commutes, image_sign=sign_gap),
         {
             "w_squares": [f"{s:+d}*W{k}" for s, k in squares],
             "closure_order": 8,
@@ -558,7 +548,9 @@ _MASSLESS_RATIO = 1e-4
 
 
 @_check(
-    "halfspin/massless-limit", "single-helicity survival at vanishing mass", _fixed(_MASSLESS_RATIO)
+    "halfspin/massless-limit",
+    "single-helicity survival at vanishing mass",
+    (_MASSLESS_RATIO, _MASSLESS_RATIO),
 )
 def _massless_limit(cfg: SuiteConfig, grid):
     # the vanishing statement assumes the sqrt(m) normalization
@@ -567,7 +559,7 @@ def _massless_limit(cfg: SuiteConfig, grid):
     ratios = [r["ratio"] for r in rows]
     # judged by predicates alone; the tolerance shown is the ratio bound
     return Evaluation(
-        [],
+        {},
         {"rows": rows},
         {
             "ratio falls with the mass": all(
@@ -582,14 +574,14 @@ def _massless_limit(cfg: SuiteConfig, grid):
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
 def _second_order(cfg: SuiteConfig, grid):
     sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
-    res = [
-        linalg.max_abs(sig[0, 1:] - 1j * halfspin.SIGMA, axis=(-2, -1)),
-        linalg.max_abs(til[0, 1:] + 1j * halfspin.SIGMA, axis=(-2, -1)),
-        linalg.max_abs(sig[1, 2] - halfspin.SIGMA[2]),
-        linalg.max_abs(til[1, 2] - halfspin.SIGMA[2]),
-    ]
     g = grid(cfg.convention)
-    res += halfspin.fgm_residuals(g).values()
+    res = dict(
+        sigma_0i=linalg.max_abs(sig[0, 1:] - 1j * halfspin.SIGMA, axis=(-2, -1)),
+        tilde_0i=linalg.max_abs(til[0, 1:] + 1j * halfspin.SIGMA, axis=(-2, -1)),
+        sigma_12=linalg.max_abs(sig[1, 2] - halfspin.SIGMA[2]),
+        tilde_12=linalg.max_abs(til[1, 2] - halfspin.SIGMA[2]),
+        **halfspin.fgm_residuals(g),
+    )
     f = np.zeros((4, 4))
     f[0, 1], f[1, 0] = 1.0, -1.0
     sample = halfspin.fgm_residuals(g.head(1), g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
@@ -603,40 +595,43 @@ def _second_order(cfg: SuiteConfig, grid):
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
 def _theta3(cfg: SuiteConfig, grid):
     t, j = spin1.THETA3, np.stack(spin1.JVEC)
-    res = [linalg.max_abs(t @ t - np.eye(3)), linalg.max_abs(t @ j @ t + np.conjugate(j))]
+    res = {
+        "involution": linalg.max_abs(t @ t - np.eye(3)),
+        "conjugates_j": linalg.max_abs(t @ j @ t + np.conjugate(j)),
+    }
     # every direction at once: the grid's first rows are the directions;
     # xi rows are the helicity eigenvectors, in HELICITIES order
     d = grid(cfg.convention).head(cfg.n_directions)
     xi = np.swapaxes(spin1.spin1_rotation(d.theta, d.phi), -1, -2)
     h = np.array(spin1.HELICITIES)[:, None]
-    res.append(norm(apply(spin1.jdot(d.nhat), xi) - h * xi))
+    res["triad"] = norm(apply(spin1.jdot(d.nhat), xi) - h * xi)
     return Evaluation(res)
 
 
 @_check("spin1/on-shell-contraction", "covariant family squares the mass on six-spinors")
 def _on_shell(cfg: SuiteConfig, grid):
     g = grid(cfg.convention)
-    return Evaluation([spin1.on_shell_residual(g)], {"momenta": len(g.momenta), "helicities": 3})
+    return Evaluation(
+        {"on_shell": spin1.on_shell_residual(g)}, {"momenta": len(g.momenta), "helicities": 3}
+    )
 
 
-@_check("spin1/majorana-unitarity", "real-frame unitary and its displayed conjugate", _tight)
+@_check("spin1/majorana-unitarity", "real-frame unitary and its displayed conjugate", _TIGHT)
 def _majorana_unitarity(cfg: SuiteConfig, grid):
     u = spin1.MAJORANA_U
     return Evaluation(
-        [
-            linalg.max_abs(u @ linalg.dagger(u) - np.eye(6)),
-            linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)),
-            linalg.max_abs(spin1.DISPLAYED_U_DAGGER - linalg.dagger(u)),
-        ]
+        {
+            "u_udagger": linalg.max_abs(u @ linalg.dagger(u) - np.eye(6)),
+            "udagger_u": linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)),
+            "displayed_dagger": linalg.max_abs(spin1.DISPLAYED_U_DAGGER - linalg.dagger(u)),
+        }
     )
 
 
 @_check("spin1/majorana-real-family", "real forms of the covariant family")
 def _majorana_family(cfg: SuiteConfig, grid):
-    rep = spin1.majorana_family_report(cfg.tolerance)
-    return Evaluation(
-        [rep["family_residual"], rep["family_imag_part"], rep["five_residual"]], rep
-    )
+    rep = spin1.majorana_family_report()
+    return Evaluation({k: v for k, v in rep.items() if k != "unitarity"}, rep)
 
 
 @_check(
@@ -645,7 +640,7 @@ def _majorana_family(cfg: SuiteConfig, grid):
 def _plain_unitary(cfg: SuiteConfig, grid):
     d = spin1.plain_unitary_diagnostic()
     return Evaluation(
-        [d["g00_lands_on_displayed_five"], d["five_lands_on_displayed_g00"]],
+        {k: d[k] for k in ("g00_lands_on_displayed_five", "five_lands_on_displayed_g00")},
         dict(
             d,
             note=(
@@ -657,17 +652,18 @@ def _plain_unitary(cfg: SuiteConfig, grid):
     )
 
 
-@_check("spin1/chirality-flip", "real-frame v equals the chirality matrix times u", _tight)
+@_check("spin1/chirality-flip", "real-frame v equals the chirality matrix times u", _TIGHT)
 def _chirality_flip(cfg: SuiteConfig, grid):
     offplane = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
-    res = [spin1.chirality_flip_residual(p) for p in (grid(cfg.convention), offplane)]
+    flip = spin1.chirality_flip_residual
+    res = {"grid": flip(grid(cfg.convention)), "offplane": flip(offplane)}
     return Evaluation(res, {"includes_offplane_direction": True})
 
 
 @_check("spin1/transverse-reality", "real/imaginary-part identities on the meridian grid")
 def _transverse_reality(cfg: SuiteConfig, grid):
     rep = spin1.transverse_reality_report(grid(cfg.convention))
-    return Evaluation([v for k, v in rep.items() if k != "long_u_im_norm"])
+    return Evaluation({k: v for k, v in rep.items() if k != "long_u_im_norm"})
 
 
 @_check("spin1/transverse-reality-offplane", "the same identities off the meridian plane", None)
@@ -679,7 +675,7 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
         "identities acquire finite residuals; the algebraic split u = "
         "u_re + i u_im itself stays exact"
     )
-    return Evaluation([rep["u_re_match"]], rep)
+    return Evaluation({"u_re_match": rep["u_re_match"]}, rep)
 
 
 @_check("spin1/selfconjugacy-dichotomy", "square signs decide existence of self-conjugate spinors")
@@ -687,7 +683,7 @@ def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
-        [rep["eigenvector_residual"]],
+        {"eigenvector_residual": rep["eigenvector_residual"]},
         dict(rep, half_spin_square_sign=half_sign),
         {
             "plain spin-1 square -1": rep["square_sign_plain"] == -1,
@@ -705,10 +701,10 @@ def _reality_classes(cfg: SuiteConfig, grid):
     c_half = halfspin.charge_conjugation_op(PhaseConvention()).matrix
     w = spin1.CHIRAL_TO_MAJORANA
     m_tw = spin1.TWISTED_CONJUGATION.matrix
-    res = [
-        linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
-        linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
-    ]
+    res = {
+        "half_frame": linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
+        "one_frame": linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
+    }
     # classes are judged on the first six momenta and shown for the last
     g = grid(cfg.convention).head(6)
     half = {f"half_{name}": g.family[:, i] for i, name in enumerate(FAMILY)}
@@ -720,15 +716,15 @@ def _reality_classes(cfg: SuiteConfig, grid):
     }
     classes = {}
     as_expected = []
-    for vectors, frame in ((half, vh), (one, w)):
-        for name, (kind, minority) in spin1.reality_classes(vectors, frame).items():
+    for spin, vectors, frame in (("half", half, vh), ("one", one, w)):
+        found = spin1.reality_classes(vectors, frame)
+        for name, (kind, _) in found.items():
             real = "_s_" in name or "plus" in name
             as_expected.append(np.all(kind == ("real" if real else "imaginary")))
-            res.append(minority)
             classes[name] = str(kind[-1])
-    return Evaluation(
-        res, {"classes": classes}, {"every class as expected": all(as_expected)}
-    )
+        # (vector, row): the magnitude of the part each class says is absent
+        res[f"{spin}_minority"] = np.stack([minority for _, minority in found.values()])
+    return Evaluation(res, {"classes": classes}, {"every class as expected": all(as_expected)})
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +765,10 @@ def _table_matrix(table: dict, negate: bool, modes) -> np.ndarray:
 
 
 @_check(
-    "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _tight
+    "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _TIGHT
 )
 def _state_tables(cfg: SuiteConfig, grid):
-    res = []
+    res = {}
     patterns = []
     cases = (
         (fock.INVERSION, _INV_TABLE, True),
@@ -780,11 +776,12 @@ def _state_tables(cfg: SuiteConfig, grid):
         (fock.CHARGE_FLIP, _FLIP_TABLE, False),
     )
     for op, table, negate in cases:
-        for got, modes in ((op.moving, fock.SECTOR), (op.matrix, fock.REST)):
+        for at, got, modes in (("moving", op.moving, fock.SECTOR), ("rest", op.matrix, fock.REST)):
             want = _table_matrix(table, negate, modes)
-            res.append(linalg.max_abs(got - want))
+            res[f"{op.name}_{at}"] = linalg.max_abs(got - want)
             patterns.append(np.array_equal(got != 0, want != 0))
-        res.append(linalg.max_abs(linalg.dagger(op.moving) @ op.moving - np.eye(8)))
+        unitary = linalg.dagger(op.moving) @ op.moving
+        res[f"{op.name}_unitary"] = linalg.max_abs(unitary - np.eye(8))
     return Evaluation(
         res,
         {"labels_checked": len(cases) * (len(fock.SECTOR) + len(fock.REST))},
@@ -793,7 +790,7 @@ def _state_tables(cfg: SuiteConfig, grid):
 
 
 @_check(
-    "fock/squares-and-commutation", "operator squares, commutator, anticommutator, chains", _tight
+    "fock/squares-and-commutation", "operator squares, commutator, anticommutator, chains", _TIGHT
 )
 def _squares_commutation(cfg: SuiteConfig, grid):
     inv, chg, flip = fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP
@@ -811,29 +808,28 @@ def _squares_commutation(cfg: SuiteConfig, grid):
         (inv.apply(flip.apply(start)), +1j * tgt),
     ]
     return Evaluation(
-        [
-            abs(squares["inversion"] - 1.0),
-            abs(squares["charge"] + 1.0),
-            abs(squares["charge_flip"] + 1.0),
-            comm["commutator"],
-            anti["anticommutator"],
-            norm(np.array([got.amps - want for got, want in chains])),
-        ],
+        {
+            "inversion_square": abs(squares["inversion"] - 1.0),
+            "charge_square": abs(squares["charge"] + 1.0),
+            "charge_flip_square": abs(squares["charge_flip"] + 1.0),
+            "commutator": comm["commutator"],
+            "anticommutator": anti["anticommutator"],
+            "chains": norm(np.array([got.amps - want for got, want in chains])),
+        },
         {"squares": squares, "commutator": comm, "anticommutator": anti},
     )
 
 
-@_check("fock/eigencombinations", "parity and charge eigen-combinations", _tight)
+@_check("fock/eigencombinations", "parity and charge eigen-combinations", _TIGHT)
 def _eigencombinations(cfg: SuiteConfig, grid):
-    rest = fock.parity_eigencombos(0)
-    moving = fock.parity_eigencombos(1)
-    res = [d[sign]["residual"] for d in (rest, moving) for sign in ("plus", "minus")]
+    parity = {"rest": fock.parity_eigencombos(0), "moving": fock.parity_eigencombos(1)}
     charges = fock.charge_eigencombos()
-    res += [d["residual"] for d in charges.values()]
+    res = {f"parity_{at}_{s}": d[s]["residual"] for at, d in parity.items() for s in d}
+    res |= {f"charge_{k}": d["residual"] for k, d in charges.items()}
     return Evaluation(
         res,
         {
-            "parity_rest": rest,
+            "parity_rest": parity["rest"],
             "charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()},
         },
         {
@@ -851,7 +847,7 @@ def _eigencombinations(cfg: SuiteConfig, grid):
 )
 def _joint_certificate(cfg: SuiteConfig, grid):
     cert = fock.simultaneous_eigen_certificate()
-    return Evaluation([], cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
+    return Evaluation({}, cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
 
 
 @_check("fock/joint-eigen-existence", "joint eigenvectors on the both-branch sector", None)
@@ -865,13 +861,13 @@ def _joint_existence(cfg: SuiteConfig, grid):
         "an eigenvector (constructed here); for the anticommuting pair the "
         "margin is exactly sqrt(4 - 2 sqrt(2)) on the full sector"
     )
-    return Evaluation([both["inversion_residual"], both["charge_residual"]], vals)
+    return Evaluation({k: both[k] for k in ("inversion_residual", "charge_residual")}, vals)
 
 
-@_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _tight)
+@_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _TIGHT)
 def _operator_state(cfg: SuiteConfig, grid):
     rep = fock.operator_state_consistency()
-    return Evaluation([rep["max_residual"]], rep)
+    return Evaluation({"max_residual": rep["max_residual"]}, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +883,7 @@ def _mode_structure(cfg: SuiteConfig, grid):
     # its S^c sign: C(nu) is nu with the slots swapped and signs (-1, +1)
     layout = fieldops.residual(cnu, nu[:, ::-1] * np.array([-1.0, 1.0])[:, None, None])
     twice = fieldops.residual(fieldops.charge_conjugate_expansion(cnu, g.convention), nu)
-    return Evaluation([layout, twice], {"terms": nu.shape[1] * nu.shape[2]})
+    return Evaluation({"layout": layout, "involution": twice}, {"terms": nu.shape[1] * nu.shape[2]})
 
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
@@ -901,19 +897,18 @@ def _ziino_split(cfg: SuiteConfig, grid):
         want = fieldops.displayed_ziino_coefficients(g.momenta[i], g.convention)
         oracle.append(linalg.max_abs(shown[i] - np.stack(want)))
     return Evaluation(
-        [
-            fieldops.ziino_split_residual(g),
-            fieldops.residual(even + odd, fieldops.majorana_mode(g)),
-            oracle,
-        ],
+        {
+            "split": fieldops.ziino_split_residual(g),
+            "halves_sum": fieldops.residual(even + odd, fieldops.majorana_mode(g)),
+            "displayed_oracle": oracle,
+        },
         {"momenta": len(g.momenta)},
     )
 
 
 @_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
 def _conjugation_parity(cfg: SuiteConfig, grid):
-    r = fieldops.conjugation_parity_residuals(grid(_pinned_conv(cfg)).head(8))
-    return Evaluation([r["even"], r["odd"]])
+    return Evaluation(fieldops.conjugation_parity_residuals(grid(_pinned_conv(cfg)).head(8)))
 
 
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
@@ -925,7 +920,7 @@ def _dirac_embedding(cfg: SuiteConfig, grid):
     )
     generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(
-        [rep["partner_residual"], rep["eigenspace_residual"]],
+        {k: rep[k] for k in ("partner_residual", "eigenspace_residual")},
         {
             "generic_phase_singular_values": generic_sv,
             "default_phase_singular_values": [
@@ -945,17 +940,17 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
     u = fieldops.QUATERNION_UNITS
     # the pairs (i, j), (i, k), (j, k)
     a, b = u[[0, 0, 1]], u[[1, 2, 2]]
-    res = [
-        linalg.max_abs(u @ u + np.eye(4), axis=(-2, -1)),
-        linalg.max_abs(u[0] @ u[1] - u[2]),
-        linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
-    ]
+    res = {
+        "units_square": linalg.max_abs(u @ u + np.eye(4), axis=(-2, -1)),
+        "ij_is_k": linalg.max_abs(u[0] @ u[1] - u[2]),
+        "anticommute": linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
+    }
     # 1, i, j, k, (1 + i + j + k) / 2 and four seeded random phases
     v = _samples(23, 4, 4)
     qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), [[0.5] * 4], v / norm(v)[:, None]]))
     g = grid(_pinned_conv(cfg)).head(4)
-    res.append(fieldops.orbit_preserves_conjugation(qs, g))
-    res.append(fieldops.orbit_group_law(qs[:5, None], qs[None, 5:]))
+    res["orbit_conjugation"] = fieldops.orbit_preserves_conjugation(qs, g)
+    res["orbit_group_law"] = fieldops.orbit_group_law(qs[:5, None], qs[None, 5:])
     return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
 
 

@@ -109,6 +109,9 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
             theta, phi = 0.0, 0.0
         return super().__new__(cls, mass, pmag, theta, phi)
 
+    # through the validating constructor, so that _replace validates too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def energy(self) -> float:
         return math.hypot(self.mass, self.pmag)
@@ -147,6 +150,9 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
         if norm is not None and not sys.float_info.min <= norm * norm < math.inf:
             raise ValueError("norm must have a square that is a finite normal float")
         return super().__new__(cls, theta1, theta2, thetac, norm)
+
+    # through the validating constructor, so that _replace validates too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def rest_scale(self, mass: float) -> float:
         return math.sqrt(mass) if self.norm is None else self.norm

@@ -138,6 +138,9 @@ class AntilinearOp(namedtuple("AntilinearOp", "matrix conjugates")):
             raise ValueError("operator matrix must be square")
         return super().__new__(cls, m, conjugates)
 
+    # through the validating constructor, so that _replace validates too
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -212,7 +212,7 @@ def _mr_forms() -> dict:
 MR_FORMS = frozen(_mr_forms())
 
 
-def majorana_family_report(tol: float = 1e-12) -> dict:
+def majorana_family_report() -> dict:
     """Transforms the chiral family with W and compares to the displayed
     forms; also reports the worst imaginary part over the ten (mu, nu)
     images (the chirality image is imaginary by design and excluded)."""
@@ -227,7 +227,6 @@ def majorana_family_report(tol: float = 1e-12) -> dict:
         "family_residual": resid,
         "family_imag_part": imag,
         "five_residual": resid5,
-        "ok": resid <= tol and imag <= tol and resid5 <= tol,
     }
 
 

@@ -218,9 +218,9 @@ def test_direction_residuals_equal_the_loops(n_directions):
         for h in spin1.HELICITIES:
             xi = spin1.helicity_eigenvector(th, ph, h)
             triad.append(float(np.linalg.norm(jn @ xi - h * xi)))
-    assert np.array_equal(np.ravel(helicity[0]), eigen)
-    assert np.array_equal(np.ravel(helicity[1]), unit)
-    assert np.array_equal(np.ravel(wigner[2]), triad)
+    assert np.array_equal(np.ravel(helicity["eigen"]), eigen)
+    assert np.array_equal(np.ravel(helicity["unit_norm"]), unit)
+    assert np.array_equal(np.ravel(wigner["triad"]), triad)
 
 
 def _stream(seed):
@@ -244,7 +244,8 @@ def test_seeded_samples_equal_the_loops():
         w = draw(4) + 1j * draw(4)
         a = draw() + 1j * draw()
         antilinear.append(max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
-    assert np.array_equal(checks._antilinear_algebra(cfg, None).residuals[2], antilinear)
+    got = checks._antilinear_algebra(cfg, None).residuals["antilinearity"]
+    assert np.array_equal(got, antilinear)
     draw = _stream(11)
     kron = []
     for _ in range(8):
@@ -253,4 +254,4 @@ def test_seeded_samples_equal_the_loops():
         v = draw(2) + 1j * draw(2)
         w = draw(3) + 1j * draw(3)
         kron.append(max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
-    assert np.array_equal(checks._kron(cfg, None).residuals[0], kron)
+    assert np.array_equal(checks._kron(cfg, None).residuals["mixed_product"], kron)

@@ -1,12 +1,17 @@
 """The check registry: coverage, determinism, config validation."""
 
+import functools
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfconj import checks, fock, halfspin, spin1
+from selfconj import checks, fock, halfspin, linalg, spin1
 from selfconj.halfspin import FourMomentum, PhaseConvention
 
 REPORTED_IDS = {
@@ -195,6 +200,148 @@ def test_tolerance_rules_are_frozen():
         for r in checks.run_checks(cfg):
             reported.setdefault(r.check_id, [None, None, None])[k] = r.tol
     assert {i: tuple(t) for i, t in reported.items()} == _TOLS
+
+
+# frozen number of judged residual entries per check id at the default
+# config, taken when the residuals were one flat list; a residual that drops
+# out of a check's mapping changes its count
+_ENTRIES = {
+    "fieldops/conjugation-parity": 16,
+    "fieldops/dirac-embedding": 36,
+    "fieldops/mode-structure": 36,
+    "fieldops/quaternion-orbit": 63,
+    "fieldops/ziino-split": 38,
+    "fock/eigencombinations": 8,
+    "fock/joint-eigen-certificate": 0,
+    "fock/joint-eigen-existence": 2,
+    "fock/operator-state-consistency": 1,
+    "fock/squares-and-commutation": 9,
+    "fock/state-tables": 9,
+    "halfspin/biorthonormality-sign": 2,
+    "halfspin/biorthonormality-structure": 48,
+    "halfspin/chiral-helicity-halves": 8,
+    "halfspin/conjugation-eigenvalues": 148,
+    "halfspin/dirac-connection": 36,
+    "halfspin/dynamical-residuals": 72,
+    "halfspin/eigenstructure-split": 72,
+    "halfspin/exchange-quadruple": 280,
+    "halfspin/gauge-orbit": 240,
+    "halfspin/helicity-spinors": 26,
+    "halfspin/massless-limit": 0,
+    "halfspin/second-order-tensors": 44,
+    "linalg/antilinear-algebra": 18,
+    "linalg/kron-mixed-product": 8,
+    "spin1/chirality-flip": 57,
+    "spin1/majorana-real-family": 3,
+    "spin1/majorana-unitarity": 3,
+    "spin1/on-shell-contraction": 54,
+    "spin1/plain-unitary-diagnostic": 2,
+    "spin1/reality-classes": 86,
+    "spin1/selfconjugacy-dichotomy": 1,
+    "spin1/transverse-reality": 108,
+    "spin1/transverse-reality-offplane": 1,
+    "spin1/wigner-theta": 20,
+}
+
+
+def _evaluations(cfg):
+    """Each registered check's Evaluation at cfg, by id, on a grid of its own."""
+    momenta = cfg.momenta()
+    grid = functools.cache(lambda conv: halfspin.build_spinor_grid(momenta, conv))
+    chosen = [c for c in checks._REGISTRY if c.check_id.split("/")[0] in cfg.suites]
+    return {c.check_id: c.evaluate(cfg, grid) for c in chosen}
+
+
+def test_judged_entry_counts_are_frozen():
+    counts = {}
+    for check_id, ev in _evaluations(checks.SuiteConfig()).items():
+        assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
+        counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
+    assert counts == _ENTRIES
+    assert sum(counts.values()) == 1555
+
+
+def _oracle_worst(residuals: list, holds: bool) -> float:
+    """The reduction of the unnamed residual list: every entry in one flat
+    float array, the largest of them and of 0 (of 1 under a false predicate)."""
+    flat = np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in residuals] or [[]])
+    return float(np.max(flat, initial=0.0 if holds else 1.0))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_configs = st.builds(
+    checks.SuiteConfig,
+    masses=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=2),
+    n_magnitudes=st.integers(1, 4),
+    n_directions=st.integers(1, 8),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+    thetac=st.floats(-10.0, 10.0),
+    norm=st.none() | st.floats(0.25, 4.0),
+    suites=st.lists(st.sampled_from(checks.KNOWN_SUITES), min_size=1, max_size=5, unique=True),
+)
+
+
+@settings(database=None, deadline=None, max_examples=12)
+@given(_configs)
+def test_max_residual_is_the_flat_reduction(cfg):
+    evaluations = _evaluations(cfg)
+    results = checks.run_checks(cfg)
+    assert [r.check_id for r in results] == sorted(evaluations)
+    for r in results:
+        ev = evaluations[r.check_id]
+        want = _oracle_worst(list(ev.residuals.values()), all(ev.predicates.values()))
+        assert _bits(r.max_residual) == _bits(want), r.check_id
+
+
+def _planted(residuals, holds=True):
+    ev = checks.Evaluation(residuals, predicates={"planted": holds})
+    check = checks._Check("linalg/planted", "planted", (0.0, math.inf), lambda cfg, grid: ev)
+    return checks._run(check, checks.SuiteConfig(), None)
+
+
+@pytest.mark.parametrize(
+    "residuals, holds, status",
+    [
+        ({"rows": np.array([1e-16, math.nan, 2e-16]), "number": 0.5}, True, "fail"),
+        ({}, True, "pass"),
+        ({}, False, "fail"),
+        ({"zero_d": np.array(2e-13)}, True, "pass"),
+        ({"number": 3e-13}, True, "pass"),
+        ({"zero_d": np.array(2e-13), "number": 3e-12, "rows": np.zeros((2, 3))}, True, "fail"),
+    ],
+)
+def test_planted_residuals_reduce_like_the_flat_list(residuals, holds, status):
+    r = _planted(residuals, holds)
+    assert _bits(r.max_residual) == _bits(_oracle_worst(list(residuals.values()), holds))
+    assert r.status == status and r.tol == 1e-12
+
+
+def test_a_complex_residual_warns():
+    with pytest.warns(np.exceptions.ComplexWarning):
+        _planted({"complex": np.array([1e-16 + 1e-16j])})
+
+
+def test_replace_and_make_validate():
+    bad = (
+        lambda: FourMomentum(1.0, 1.0)._replace(mass=-1.0),
+        lambda: PhaseConvention()._replace(norm=0.0),
+        lambda: linalg.AntilinearOp(np.eye(2))._replace(matrix=np.ones(3)),
+        lambda: checks.SuiteConfig()._replace(tolerance=math.nan),
+        lambda: FourMomentum._make([1.0, 1.0, 4.0, 0.0]),
+        lambda: checks.SuiteConfig._make(checks.SuiteConfig()._replace(n_magnitudes=0)),
+    )
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    # a vanishing |p| forgets the direction, as in the constructor
+    assert FourMomentum(1, 1, 0.5, 0.1)._replace(pmag=0.0) == FourMomentum(1, 0.0)
+    p = FourMomentum(1.0, 2.0, 0.5, 7.0)
+    assert FourMomentum._make(p) == p and type(FourMomentum._make(p)) is FourMomentum
+    assert checks.SuiteConfig()._replace(tolerance=1e-3).convention == PhaseConvention()
 
 
 def test_momentum_grid_size():

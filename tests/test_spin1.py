@@ -84,7 +84,8 @@ def test_unitary_and_displayed_dagger():
 
 def test_family_lands_on_displayed_forms():
     rep = spin1.majorana_family_report()
-    assert rep["ok"]
+    for key in ("family_residual", "family_imag_part", "five_residual"):
+        assert rep[key] <= 1e-12
     assert rep["unitarity"] < 1e-15
     assert rep["family_residual"] < 1e-14
     assert rep["family_imag_part"] < 1e-14
