@@ -60,7 +60,8 @@ _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 theta
 
 
 class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
-    # immutable; the instance dict holds only the cached `convention`
+    # immutable; the instance dict holds only the validated grid momenta and
+    # the cached `convention`
     def __new__(
         cls,
         masses: tuple = (1.0,),
@@ -95,7 +96,13 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         cfg = super().__new__(
             cls, masses, n_magnitudes, n_directions, tolerance, theta1, theta2, thetac, norm, suites
         )
-        cfg.momenta()  # every grid momentum must lie in the kinematic domain
+        # built once, and every grid momentum must lie in the kinematic domain
+        cfg.__dict__["_momenta"] = tuple(
+            FourMomentum(m, mag, th, ph)
+            for m in masses
+            for mag in cfg.magnitudes()
+            for th, ph in cfg.directions()
+        )
         return cfg
 
     # through the validating constructor, so that _replace validates too
@@ -121,12 +128,7 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         return [2.0 ** (k - (n - 1) / 2) for k in range(n)]
 
     def momenta(self):
-        return [
-            FourMomentum(m, mag, th, ph)
-            for m in self.masses
-            for mag in self.magnitudes()
-            for th, ph in self.directions()
-        ]
+        return list(self._momenta)
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -681,9 +683,10 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
 @_check("spin1/selfconjugacy-dichotomy", "square signs decide existence of self-conjugate spinors")
 def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
+    gaps = rep.pop("eigenvector_gaps")
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
-        {"eigenvector_residual": rep["eigenvector_residual"]},
+        {"eigenvector_gaps": gaps},
         dict(rep, half_spin_square_sign=half_sign),
         {
             "plain spin-1 square -1": rep["square_sign_plain"] == -1,
@@ -867,7 +870,7 @@ def _joint_existence(cfg: SuiteConfig, grid):
 @_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _TIGHT)
 def _operator_state(cfg: SuiteConfig, grid):
     rep = fock.operator_state_consistency()
-    return Evaluation({"max_residual": rep["max_residual"]}, rep)
+    return Evaluation({"gaps": rep["gaps"]}, {"max_residual": rep["max_residual"]})
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import sys
 
@@ -216,5 +217,19 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry: `main()`, then a frozen collector.
+
+    Interpreter finalization would otherwise collect every object numpy
+    and the package leave, memory the OS takes back at exit anyway.
+    gc.freeze() moves them where the collector never looks, and unlike
+    os._exit it still runs atexit handlers and flushes the streams.
+    `main()` itself leaves the collector alone, as it runs in-process too.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

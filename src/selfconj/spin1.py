@@ -346,6 +346,8 @@ def selfconjugacy_analysis() -> dict:
     with spectrum on +-i, so min ||(R -+ 1) w|| / ||w|| = sqrt(2) and no
     eigenvector exists.  The twisted conjugation squares to +1 and its
     realification is an involution whose two eigenspaces split 6 + 6.
+    `eigenvector_gaps` holds ||C_tw v - s v|| for each of the 12
+    eigenvectors v, s = +-1 its eigenvalue.
     """
     c = CONJUGATION
     tw = TWISTED_CONJUGATION
@@ -358,13 +360,15 @@ def selfconjugacy_analysis() -> dict:
     cols = np.concatenate([plus, minus], axis=1).T
     v = cols[:, :6] + 1j * cols[:, 6:]
     signs = np.repeat([+1.0, -1.0], [plus.shape[1], minus.shape[1]])
+    gaps = norm(tw(v) - signs[:, None] * v)
     return {
         "square_sign_plain": c.square_sign(),
         "square_sign_twisted": tw.square_sign(),
         "nonexistence_margin": float(margin),
         "plus_dim": plus.shape[1],
         "minus_dim": minus.shape[1],
-        "eigenvector_residual": max_abs(norm(tw(v) - signs[:, None] * v)),
+        "eigenvector_residual": max_abs(gaps),
+        "eigenvector_gaps": gaps,
     }
 
 

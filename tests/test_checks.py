@@ -203,8 +203,7 @@ def test_tolerance_rules_are_frozen():
 
 
 # frozen number of judged residual entries per check id at the default
-# config, taken when the residuals were one flat list; a residual that drops
-# out of a check's mapping changes its count
+# config; a residual that drops out of a check's mapping changes its count
 _ENTRIES = {
     "fieldops/conjugation-parity": 16,
     "fieldops/dirac-embedding": 36,
@@ -214,7 +213,7 @@ _ENTRIES = {
     "fock/eigencombinations": 8,
     "fock/joint-eigen-certificate": 0,
     "fock/joint-eigen-existence": 2,
-    "fock/operator-state-consistency": 1,
+    "fock/operator-state-consistency": 24,
     "fock/squares-and-commutation": 9,
     "fock/state-tables": 9,
     "halfspin/biorthonormality-sign": 2,
@@ -237,7 +236,7 @@ _ENTRIES = {
     "spin1/on-shell-contraction": 54,
     "spin1/plain-unitary-diagnostic": 2,
     "spin1/reality-classes": 86,
-    "spin1/selfconjugacy-dichotomy": 1,
+    "spin1/selfconjugacy-dichotomy": 12,
     "spin1/transverse-reality": 108,
     "spin1/transverse-reality-offplane": 1,
     "spin1/wigner-theta": 20,
@@ -258,7 +257,7 @@ def test_judged_entry_counts_are_frozen():
         assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
-    assert sum(counts.values()) == 1555
+    assert sum(counts.values()) == 1589
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:
@@ -349,6 +348,24 @@ def test_momentum_grid_size():
     assert len(cfg.momenta()) == 18  # 1 mass x 3 magnitudes x 6 directions
     cfg2 = checks.SuiteConfig(masses=(1.0, 2.0), n_magnitudes=2, n_directions=8)
     assert len(cfg2.momenta()) == 32
+
+
+def test_a_run_builds_each_grid_momentum_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return FourMomentum(*args)
+
+    monkeypatch.setattr(checks, "FourMomentum", counted)
+    cfg = checks.SuiteConfig(masses=(1.0, 2.0), n_magnitudes=2, n_directions=3)
+    checks.run_checks(cfg)
+    grid = [tuple(p) for p in cfg.momenta()]
+    assert len(grid) == 12
+    assert sorted(a for a in built if a in grid) == sorted(grid)
+    # momenta() hands out a fresh list of the same momenta
+    assert cfg.momenta() is not cfg.momenta()
+    assert cfg.momenta() == cfg.momenta()
 
 
 def test_results_are_json_serializable():

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and byte determinism of the front end."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -224,6 +225,63 @@ def test_smallest_accepted_norm_gives_a_full_report():
     assert "Traceback" not in done.stderr
     assert done.stdout.startswith("conjugate-spinor identity checks\n")
     assert re.search(r"\n35 checks: \d+ pass, \d+ fail, \d+ reported\n$", done.stdout)
+
+
+def test_the_entry_freezes_the_collector_and_main_does_not():
+    # interpreter finalization skips frozen objects, so a cold run exits
+    # without collecting what numpy and the package leave; main() also runs
+    # in-process (tests, demos), where the collector must keep working
+    probe = (
+        "import gc, sys\n"
+        "from selfconj import cli\n"
+        "sys.argv = ['selfconj', 'run', '--suite', 'linalg']\n"
+        "code = cli.main(['run', '--suite', 'linalg'])\n"
+        "print(code, gc.get_freeze_count(), file=sys.stderr)\n"
+        "code = cli.entry()\n"
+        "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    done = python("-c", probe)
+    assert done.returncode == 0
+    assert done.stderr == "0 0\n0 True\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--suite", "fock"], 0),
+        (["run", "--tol", "0", "--suite", "halfspin"], 1),
+        (["run", "--grid", "3x"], 2),
+    ],
+)
+def test_exit_codes_and_bytes_through_python_m(capsys, tmp_path, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
+    done = python("-m", "selfconj.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+    # the --out file is still written and closed at exit
+    target = tmp_path / "report.txt"
+    done = python("-m", "selfconj.cli", *argv, "--out", str(target))
+    assert done.returncode == code
+    if code != 2:
+        assert target.read_text() == run_cli(capsys, *argv)[1]
+
+
+def test_the_console_script_is_the_function_python_m_calls():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    source = Path(cli.__file__)
+    tree = ast.parse(source.read_text())
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    called = [
+        node.func.id
+        for node in ast.walk(block)
+        if isinstance(node, ast.Call) and node.func.id != "SystemExit"
+    ]
+    pyproject = tomllib.loads((source.parents[2] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"selfconj": f"selfconj.cli:{called[0]}"}
+    assert called == ["entry"]
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -291,7 +291,9 @@ def test_both_branch_joint_eigenvector():
 def test_operator_route_matches_state_route():
     rep = fock.operator_state_consistency()
     assert rep["max_residual"] == 0.0
-    assert "annihilation" in rep["annihilation_form_note"]
+    # (creation, annihilation) x the 12 rows of the three operators
+    assert rep["gaps"].shape == (2, 12)
+    assert not np.any(rep["gaps"])
 
 
 def fock_status(check_id):

@@ -173,6 +173,9 @@ def test_selfconjugacy_dichotomy():
     assert rep["nonexistence_margin"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert rep["plus_dim"] == 6 and rep["minus_dim"] == 6
     assert rep["eigenvector_residual"] < 1e-12
+    # one gap per eigenvector, reduced to the residual above
+    assert rep["eigenvector_gaps"].shape == (12,)
+    assert rep["eigenvector_residual"] == np.max(rep["eigenvector_gaps"])
 
 
 def test_frames_trivialize_the_conjugations():
