@@ -15,8 +15,7 @@ from selfconj.halfspin import FourMomentum
 np.set_printoptions(precision=6, suppress=True, linewidth=140)
 
 rep = spin1.majorana_family_report()
-print("family report:", {k: (f"{v:.2e}" if isinstance(v, float) else v)
-                         for k, v in rep.items()})
+print("family report:", {k: f"{v:.2e}" for k, v in rep.items() if isinstance(v, float)})
 
 print("\nreal-frame chirality matrix (imaginary by design):")
 print(spin1.MR_FORMS["five"])

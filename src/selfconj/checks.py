@@ -15,7 +15,7 @@ SpinorGrid build.
 
 One runner, `_run`, turns every Evaluation into a CheckResult; it is the
 only code that reduces residuals or applies a tolerance.  The worst
-residual is taken with np.max, so a NaN residual propagates and fails the
+residual is numpy's maximum, so a NaN residual propagates and fails the
 check.  A false predicate fails the check whatever the tolerance, and its
 displayed residual is at least 1.0.  A reported check judges nothing: it
 never fails and its numbers ride in `values`.
@@ -214,9 +214,9 @@ def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     ev = check.evaluate(cfg, grid)
     holds = all(ev.predicates.values())
     # dtype=float: a complex residual warns instead of losing its imaginary
-    # part silently; unlike max(), np.max keeps NaN
-    flat = [np.ravel(np.asarray(r, dtype=float)) for r in ev.residuals.values()]
-    worst = float(np.max(np.concatenate(flat or [[]]), initial=0.0 if holds else 1.0))
+    # part silently; unlike the builtin max(), the array's max keeps NaN
+    flat = [np.asarray(r, dtype=float).ravel() for r in ev.residuals.values()]
+    worst = float(np.concatenate(flat or [[]]).max(initial=0.0 if holds else 1.0))
     tol = None
     if check.tol is not None:
         floor, cap = check.tol
@@ -267,8 +267,8 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
     c = halfspin.charge_conjugation_op(cfg.convention)
     j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]), conjugates=True)
     res = {
-        "conjugation_square": linalg.max_abs(c.squared().matrix - np.eye(4)),
-        "rotation_square": linalg.max_abs(j.squared().matrix + np.eye(2)),
+        "conjugation_square": linalg.max_abs(c.squared().matrix - halfspin.ID4),
+        "rotation_square": linalg.max_abs(j.squared().matrix + halfspin.ID2),
     }
     # 16 samples in one draw: per row v, w (re then im) and a, in the order
     # of drawing them one at a time
@@ -310,8 +310,10 @@ def _kron(cfg: SuiteConfig, grid):
 def _helicity_spinors(cfg: SuiteConfig, grid):
     # every direction at once: the grid's first rows are the directions
     d = grid(cfg.convention).head(cfg.n_directions)
-    sn = np.tensordot(d.nhat, halfspin.SIGMA, axes=(-1, 0))
-    chi = np.stack([halfspin.helicity_eigenspinor(d.theta, d.phi, h) for h in (UP, DN)], axis=1)
+    sn = (d.nhat @ halfspin.SIGMA.reshape(3, 4)).reshape(-1, 2, 2)
+    chi = np.concatenate(
+        [halfspin.helicity_eigenspinor(d.theta, d.phi, h)[:, None] for h in (UP, DN)], axis=1
+    )
     eigen = norm(apply(sn, chi) - np.array([UP, DN])[:, None] * chi)
     res = {"eigen": eigen, "unit_norm": np.abs(norm(chi) - 1.0)}
     rt = 1 / math.sqrt(2)
@@ -327,12 +329,12 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     # statement is pinned to the real-eigenvalue convention thetac = 0
     phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
-    squares = linalg.max_abs(m @ np.conjugate(m) - np.eye(4), axis=(-2, -1))
+    squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
     g = grid(_pinned_conv(cfg))
     c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
         {"squares": squares, "eigen": _conjugation_gaps(c, g.family)},
-        {"momenta": len(g.momenta), "family_size": 8, "square_residual": float(np.max(squares))},
+        {"momenta": len(g.momenta), "family_size": 8, "square_residual": float(squares.max())},
     )
 
 
@@ -344,7 +346,7 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     half_h = np.array([0.5 * UP, 0.5 * DN, 0.5 * UP, 0.5 * DN])
     eigen = norm(apply(helicity, uv) - half_h[:, None] * uv)
     _, res = linalg.eigen_residual(helicity, g.family)
-    lam_min = float(np.min(res / norm(g.family)))
+    lam_min = float((res / norm(g.family)).min())
     # parity proportionality can hold on-axis; both readings: gamma^0 as a
     # matrix at fixed argument, and the full action with the momentum
     # argument reflected
@@ -354,7 +356,7 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     img = apply(halfspin.GAMMA0, g.reflected.family[off][:, LAM_S])
     # inf when no row is off axis
     ratios = [fixed / norm(lam), _prop_residual(lam, img) / norm(img)]
-    parity_min = float(np.min(ratios, initial=math.inf))
+    parity_min = float(np.array(ratios).min(initial=math.inf))
     # the eigen part is judged against tol; a collapsed non-eigen margin fails
     return Evaluation(
         {"uv_eigen": eigen},
@@ -376,7 +378,7 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
     return Evaluation(
         {"eigen_fit": res / norm(g.family[0])},
         {
-            "eigenvalues": dict(zip(FAMILY, np.round(c, 12).tolist())),
+            "eigenvalues": dict(zip(FAMILY, c.round(12).tolist())),
             "note": "normalization of the half-unit is a convention",
         },
     )
@@ -406,9 +408,9 @@ def _dirac_connection(cfg: SuiteConfig, grid):
     return Evaluation(
         {"aligned": rep.aligned_residual, "phase_drift": drift},
         {
-            "raw_residual": float(np.max(rep.raw_residual)),
-            "phase_diagonal": np.round(rep.phases[0], 12).tolist(),
-            "phase_drift_across_grid": float(np.max(drift)),
+            "raw_residual": float(rep.raw_residual.max()),
+            "phase_diagonal": rep.phases[0].round(12).tolist(),
+            "phase_drift_across_grid": float(drift.max()),
             "pinned_rest_phases": "theta1 = theta2 = 0",
         },
     )
@@ -448,13 +450,13 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
     p = momenta[min(4, len(momenta) - 1)]
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     g = _gram_scan(cfg, p, _GRAM_PAIRS)
-    tsum = np.sum(_GRAM_PAIRS, axis=1)
+    tsum = np.array(_GRAM_PAIRS).sum(axis=1)
     mag = 2 * n2 * np.abs(np.cos(tsum))
     # the two families decouple exactly when the phase sum is 0 or pi;
     # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
     cross = linalg.max_abs(np.concatenate([g[:, :2, 2:], g[:, 2:, :2]], axis=1), axis=(1, 2))
     res = {
-        "diagonal": linalg.max_abs(np.diagonal(g, axis1=-2, axis2=-1), axis=-1),
+        "diagonal": linalg.max_abs(g.diagonal(axis1=-2, axis2=-1), axis=-1),
         "up_dn_magnitude": np.abs(_modulus(g[:, 0, 1]) - mag),
         "dn_up_magnitude": np.abs(_modulus(g[:, 1, 0]) - mag),
         "antisymmetry": np.abs(g[:, 0, 1] + g[:, 1, 0]),
@@ -479,9 +481,9 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     pairs = ((0.0, 0.0), (0.3, 0.4))
     measured = _gram_scan(cfg, p, pairs)[:, 0, 1]
-    displayed = 2j * n2 * np.cos(np.sum(pairs, axis=1))
+    displayed = 2j * n2 * np.cos(np.array(pairs).sum(axis=1))
     vals = {}
-    for (t1, t2), m, d in zip(pairs, np.round(measured, 12), np.round(displayed, 12)):
+    for (t1, t2), m, d in zip(pairs, measured.round(12), displayed.round(12)):
         vals[f"measured_up_dn_{t1:.1f}_{t2:.1f}"] = complex(m)
         vals[f"displayed_up_dn_{t1:.1f}_{t2:.1f}"] = complex(d)
     vals["note"] = (
@@ -596,15 +598,15 @@ def _second_order(cfg: SuiteConfig, grid):
 
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
 def _theta3(cfg: SuiteConfig, grid):
-    t, j = spin1.THETA3, np.stack(spin1.JVEC)
+    t, j = spin1.THETA3, np.array(spin1.JVEC)
     res = {
-        "involution": linalg.max_abs(t @ t - np.eye(3)),
+        "involution": linalg.max_abs(t @ t - spin1.ID3),
         "conjugates_j": linalg.max_abs(t @ j @ t + np.conjugate(j)),
     }
     # every direction at once: the grid's first rows are the directions;
     # xi rows are the helicity eigenvectors, in HELICITIES order
     d = grid(cfg.convention).head(cfg.n_directions)
-    xi = np.swapaxes(spin1.spin1_rotation(d.theta, d.phi), -1, -2)
+    xi = spin1.spin1_rotation(d.theta, d.phi).swapaxes(-1, -2)
     h = np.array(spin1.HELICITIES)[:, None]
     res["triad"] = norm(apply(spin1.jdot(d.nhat), xi) - h * xi)
     return Evaluation(res)
@@ -623,8 +625,8 @@ def _majorana_unitarity(cfg: SuiteConfig, grid):
     u = spin1.MAJORANA_U
     return Evaluation(
         {
-            "u_udagger": linalg.max_abs(u @ linalg.dagger(u) - np.eye(6)),
-            "udagger_u": linalg.max_abs(linalg.dagger(u) @ u - np.eye(6)),
+            "u_udagger": linalg.max_abs(u @ linalg.dagger(u) - spin1.ID6),
+            "udagger_u": linalg.max_abs(linalg.dagger(u) @ u - spin1.ID6),
             "displayed_dagger": linalg.max_abs(spin1.DISPLAYED_U_DAGGER - linalg.dagger(u)),
         }
     )
@@ -633,7 +635,9 @@ def _majorana_unitarity(cfg: SuiteConfig, grid):
 @_check("spin1/majorana-real-family", "real forms of the covariant family")
 def _majorana_family(cfg: SuiteConfig, grid):
     rep = spin1.majorana_family_report()
-    return Evaluation({k: v for k, v in rep.items() if k != "unitarity"}, rep)
+    # judged per image; the report carries the four scalars
+    res = {k: rep.pop(k) for k in ("family_gaps", "family_imag_parts")}
+    return Evaluation(dict(res, five_residual=rep["five_residual"]), rep)
 
 
 @_check(
@@ -705,8 +709,8 @@ def _reality_classes(cfg: SuiteConfig, grid):
     w = spin1.CHIRAL_TO_MAJORANA
     m_tw = spin1.TWISTED_CONJUGATION.matrix
     res = {
-        "half_frame": linalg.max_abs(vh @ c_half @ vh.T - np.eye(4)),
-        "one_frame": linalg.max_abs(w @ m_tw @ w.T - np.eye(6)),
+        "half_frame": linalg.max_abs(vh @ c_half @ vh.T - halfspin.ID4),
+        "one_frame": linalg.max_abs(w @ m_tw @ w.T - spin1.ID6),
     }
     # classes are judged on the first six momenta and shown for the last
     g = grid(cfg.convention).head(6)
@@ -723,10 +727,10 @@ def _reality_classes(cfg: SuiteConfig, grid):
         found = spin1.reality_classes(vectors, frame)
         for name, (kind, _) in found.items():
             real = "_s_" in name or "plus" in name
-            as_expected.append(np.all(kind == ("real" if real else "imaginary")))
+            as_expected.append((kind == ("real" if real else "imaginary")).all())
             classes[name] = str(kind[-1])
         # (vector, row): the magnitude of the part each class says is absent
-        res[f"{spin}_minority"] = np.stack([minority for _, minority in found.values()])
+        res[f"{spin}_minority"] = np.array([minority for _, minority in found.values()])
     return Evaluation(res, {"classes": classes}, {"every class as expected": all(as_expected)})
 
 
@@ -784,7 +788,7 @@ def _state_tables(cfg: SuiteConfig, grid):
             res[f"{op.name}_{at}"] = linalg.max_abs(got - want)
             patterns.append(np.array_equal(got != 0, want != 0))
         unitary = linalg.dagger(op.moving) @ op.moving
-        res[f"{op.name}_unitary"] = linalg.max_abs(unitary - np.eye(8))
+        res[f"{op.name}_unitary"] = linalg.max_abs(unitary - linalg.EYE[8])
     return Evaluation(
         res,
         {"labels_checked": len(cases) * (len(fock.SECTOR) + len(fock.REST))},
@@ -894,11 +898,11 @@ def _ziino_split(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg))
     even, odd = fieldops.ziino_barut_split(g)
     # the independent oracle rebuilds the first and last rows from (p, conv)
-    shown = np.stack(fieldops.displayed_split(g), axis=1)
+    shown = fieldops.displayed_split(g)
     oracle = []
     for i in sorted({0, len(g.momenta) - 1}):
         want = fieldops.displayed_ziino_coefficients(g.momenta[i], g.convention)
-        oracle.append(linalg.max_abs(shown[i] - np.stack(want)))
+        oracle.append(linalg.max_abs([half[i] - w for half, w in zip(shown, want)]))
     return Evaluation(
         {
             "split": fieldops.ziino_split_residual(g),
@@ -944,13 +948,15 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
     # the pairs (i, j), (i, k), (j, k)
     a, b = u[[0, 0, 1]], u[[1, 2, 2]]
     res = {
-        "units_square": linalg.max_abs(u @ u + np.eye(4), axis=(-2, -1)),
+        "units_square": linalg.max_abs(u @ u + halfspin.ID4, axis=(-2, -1)),
         "ij_is_k": linalg.max_abs(u[0] @ u[1] - u[2]),
         "anticommute": linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
     }
     # 1, i, j, k, (1 + i + j + k) / 2 and four seeded random phases
     v = _samples(23, 4, 4)
-    qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), [[0.5] * 4], v / norm(v)[:, None]]))
+    qs = fieldops.unit_quaternions(
+        np.concatenate([linalg.EYE[4], [[0.5] * 4], v / norm(v)[:, None]])
+    )
     g = grid(_pinned_conv(cfg)).head(4)
     res["orbit_conjugation"] = fieldops.orbit_preserves_conjugation(qs, g)
     res["orbit_group_law"] = fieldops.orbit_group_law(qs[:5, None], qs[None, 5:])

@@ -69,16 +69,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError("grid must look like 3x6")
-    return int(parts[0]), int(parts[1])
+    # the unpacking refuses a wrong number of parts, int() a part that is no integer
+    try:
+        n_mag, n_dir = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        raise ValueError("grid must look like 3x6") from None
+    return n_mag, n_dir
 
 
 def _parse_momentum(text: str, mass: float) -> FourMomentum:
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise ValueError('momentum must be "px,py,pz"')
+    if not all(math.isfinite(x) for x in parts):
+        raise ValueError("momentum components must be finite")
     pvec = np.array(parts)
     with np.errstate(over="ignore"):  # an overflow reads inf, which FourMomentum refuses
         pmag = float(np.linalg.norm(pvec))

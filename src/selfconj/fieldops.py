@@ -49,7 +49,7 @@ def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def majorana_mode(g: SpinorGrid) -> np.ndarray:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
     positive frequency, lambda^A the creators at negative frequency."""
-    return np.stack([g.family[:, LAM_S], g.family[:, LAM_A]], axis=1)
+    return np.concatenate([g.family[:, None, LAM_S], g.family[:, None, LAM_A]], axis=1)
 
 
 def charge_conjugate_expansion(
@@ -73,10 +73,11 @@ def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
     the annihilators and (0; phi_L) on the creators; the odd half swaps the
     pattern with a sign."""
     top = apply(1j * THETA, np.conjugate(g.left))
-    z = np.zeros_like(top)
-    upper, lower = np.concatenate([top, z], axis=-1), np.concatenate([z, g.left], axis=-1)
-    even = np.stack([upper, lower], axis=1)
-    odd = np.stack([lower, np.concatenate([-top, z], axis=-1)], axis=1)
+    # (half, row, slot, helicity, component), zero where nothing is written
+    even, odd = np.zeros((2, len(top), 2, 2, 4), dtype=complex)
+    even[:, 0, :, :2] = top
+    even[:, 1, :, 2:] = odd[:, 0, :, 2:] = g.left
+    odd[:, 1, :, :2] = -top
     return even, odd
 
 
@@ -128,12 +129,12 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     im = apply(ID4 - sl / m, f[:, LAM_A])
 
     def worst(*gaps):
-        return np.max([norm(x) for x in gaps], axis=(0, 2))
+        return np.array([norm(x) for x in gaps]).max(axis=(0, 2))
 
     conv = g.convention
     partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
     # the SVD cannot take a non-finite row; such a row keeps NaN values
-    finite = np.all(np.isfinite(ip), axis=(-2, -1))
+    finite = np.isfinite(ip).all(axis=(-2, -1))
     values = np.full(ip.shape[:-1], np.nan)
     values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
     return {
@@ -157,9 +158,9 @@ def unit_quaternions(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValueError("a quaternion phase has four components")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("quaternion phase must be finite")
-    if not np.all(abs(q[..., 0] ** 2 + np.sum(q[..., 1:] ** 2, axis=-1) - 1.0) <= 1e-9):
+    if not (abs(q[..., 0] ** 2 + (q[..., 1:] ** 2).sum(axis=-1) - 1.0) <= 1e-9).all():
         raise ValueError("quaternion phase must have unit norm")
     return q
 
@@ -192,7 +193,7 @@ def orbit_preserves_conjugation(q: np.ndarray, g: SpinorGrid) -> np.ndarray:
     """
     img = apply(orbit_matrix(q)[..., None, None, :, :], g.family)
     c = charge_conjugation_op(g.convention)
-    return np.max(norm(c(img) - FAMILY_SIGNS[:, None] * img), axis=-1)
+    return norm(c(img) - FAMILY_SIGNS[:, None] * img).max(axis=-1)
 
 
 def orbit_group_law(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import EYE
+
 HEL = ("up", "dn")
 
 # the fixed bases, as (ptag, helicity, branch) modes
@@ -51,7 +53,7 @@ class FockVector:
         if ptag not in (-1, 0, +1):
             raise ValueError("ptag must be +1 (p), -1 (-p) or 0 (rest)")
         modes = REST if ptag == 0 else SECTOR
-        return cls(np.eye(len(modes))[modes.index((ptag, helicity, branch))])
+        return cls(EYE[len(modes)][modes.index((ptag, helicity, branch))])
 
 
 class SymmetryOp:
@@ -114,8 +116,8 @@ def squares_report(ops) -> dict:
     out = {}
     for op in ops:
         sq = op.matrix @ op.matrix
-        c = complex(np.round(sq[0, 0], 12))
-        if np.max(np.abs(sq - c * np.eye(4))) > 1e-12:
+        c = complex(sq[0, 0].round(12))
+        if np.abs(sq - c * EYE[4]).max() > 1e-12:
             raise ValueError(f"{op.name}^2 is not a scalar: {sq}")
         out[op.name] = c
     return out
@@ -124,8 +126,8 @@ def squares_report(ops) -> dict:
 def commutator_report(a: SymmetryOp, b: SymmetryOp) -> dict:
     ma, mb = a.moving, b.moving
     return {
-        "commutator": float(np.max(np.abs(ma @ mb - mb @ ma))),
-        "anticommutator": float(np.max(np.abs(ma @ mb + mb @ ma))),
+        "commutator": float(np.abs(ma @ mb - mb @ ma).max()),
+        "anticommutator": float(np.abs(ma @ mb + mb @ ma).max()),
     }
 
 
@@ -202,7 +204,7 @@ def operator_state_consistency() -> dict:
                 direct.append(op.moving[:, SECTOR.index((1, h, branch))])
     created = np.array(created)
     gaps = np.linalg.norm([created - direct, annihilated - np.conjugate(created)], axis=-1)
-    return {"max_residual": float(np.max(gaps)), "gaps": gaps}
+    return {"max_residual": float(gaps.max()), "gaps": gaps}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     (proved in tests/test_fock.py), so one batched SVD at those four pairs
     gives it.  `at` is the first minimizing pair, principal roots first.
     """
-    sel = np.eye(len(SECTOR))[:, columns]
+    sel = EYE[len(SECTOR)][:, columns]
     a_sel, b_sel = a.moving @ sel, b.moving @ sel
     squares = squares_report([a, b])
     ra, rb = (complex(np.sqrt(squares[op.name])) for op in (a, b))

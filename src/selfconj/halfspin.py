@@ -103,6 +103,8 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
                 )
         if not -1e-12 <= theta <= math.pi + 1e-12:
             raise ValueError("polar angle must lie in [0, pi]")
+        if not math.isfinite(phi):
+            raise ValueError("azimuth must be finite")
         theta = min(max(theta, 0.0), math.pi)
         phi = phi % (2 * math.pi)
         if pmag == 0.0:
@@ -144,7 +146,7 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
 
     def __new__(cls, theta1=0.0, theta2=0.0, thetac: float = 0.0, norm: float | None = None):
         rest = np.asarray((theta1, theta2), dtype=float)
-        if not (np.all(np.isfinite(rest)) and math.isfinite(thetac)):
+        if not (np.isfinite(rest).all() and math.isfinite(thetac)):
             raise ValueError("phases must be finite")
         # N**2 scales every bilinear; it must be a finite normal float
         if norm is not None and not sys.float_info.min <= norm * norm < math.inf:
@@ -175,7 +177,8 @@ def _helicity_pair(theta, phi) -> np.ndarray:
     """(chi_up, chi_dn) on axis -2."""
     c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
     em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
-    return np.stack([c * em, s * ep, -s * em, c * ep], axis=-1).reshape(c.shape + (2, 2))
+    entries = (c * em, s * ep, -s * em, c * ep)
+    return np.concatenate([x[..., None] for x in entries], axis=-1).reshape(c.shape + (2, 2))
 
 
 def helicity_eigenspinor(theta, phi, h: int) -> np.ndarray:
@@ -190,10 +193,10 @@ def boost_ops(p) -> tuple[np.ndarray, np.ndarray]:
 
     lam_r = (E + m + sigma.p) / sqrt(2 m (E + m)), lam_l with -sigma.p.
     """
-    if not np.all(np.asarray(p.mass) > 0):
+    if not (np.asarray(p.mass) > 0).all():
         raise ValueError("finite boosts need m > 0")
-    e, m = p.energy, p.mass
-    sp = np.tensordot(p.pvec, SIGMA, axes=(-1, 0))
+    e, m, pvec = p.energy, p.mass, p.pvec
+    sp = (pvec @ SIGMA.reshape(3, 4)).reshape(pvec.shape[:-1] + (2, 2))
     den = rowscale(np.sqrt(2 * m * (e + m)))
     lam_r = (rowscale(e + m) * ID2 + sp) / den
     lam_l = (rowscale(e + m) * ID2 - sp) / den
@@ -265,13 +268,14 @@ class SpinorGrid(
         rows = [(p.mass, p.pmag, p.theta, p.phi, p.energy) for p in momenta]
         mass, pmag, theta, phi, energy = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
         st = np.sin(theta)
-        nhat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        columns = (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
+        nhat = np.concatenate([x[:, None] for x in columns], axis=1)
         kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
         lam_r, lam_l = boost_ops(kinematics)
         scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
         # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
         # phase is one number, or one per row in a phase scan
-        phases = np.stack([conv.rest_phase(UP), conv.rest_phase(DN)], axis=-1)
+        phases = np.concatenate([conv.rest_phase(h)[..., None] for h in (UP, DN)], axis=-1)
         rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
         left = apply(lam_l, rest)
         right = apply(lam_r, rest)
@@ -327,11 +331,11 @@ class DiscreteOps(NamedTuple):
 def discrete_ops(nhat) -> DiscreteOps:
     """The operators for one direction (3,) or for rows of them (N, 3)."""
     nhat = np.asarray(nhat, dtype=float)
-    if nhat.shape[-1:] != (3,) or not np.all(np.isfinite(nhat)):
+    if nhat.shape[-1:] != (3,) or not np.isfinite(nhat).all():
         raise ValueError("direction must be a finite 3-vector")
-    if not np.all(abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= 1e-9):
+    if not (abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= 1e-9).all():
         raise ValueError("direction must be a unit 3-vector")
-    sn = 0.5 * np.tensordot(nhat, SIGMA, axes=(-1, 0))
+    sn = 0.5 * (nhat @ SIGMA.reshape(3, 4)).reshape(nhat.shape[:-1] + (2, 2))
     h = np.zeros(sn.shape[:-2] + (4, 4), dtype=complex)
     h[..., :2, :2] = h[..., 2:, 2:] = sn
     return DiscreteOps(helicity=h, chiral_helicity=-GAMMA5 @ h, parity=GAMMA0)
@@ -360,7 +364,7 @@ def dynamical_residuals(g: SpinorGrid, flip_third_sign: bool = False) -> dict:
         ("r3", LAM_A, RHO_S, s3),
         ("r4", RHO_S, LAM_A, -1.0),
     )
-    return {k: np.max(norm(apply(sl, f[:, x]) + s * m * f[:, y]), axis=-1) for k, x, y, s in pairs}
+    return {k: norm(apply(sl, f[:, x]) + s * m * f[:, y]).max(axis=-1) for k, x, y, s in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def connection_check(g: SpinorGrid) -> ConnectionReport:
     phases, aligned = unit_phase_align(want, got)
     return ConnectionReport(
         raw_residual=max_abs(got - want, axis=(-2, -1)),
-        aligned_residual=np.max(aligned, axis=-1),
+        aligned_residual=aligned.max(axis=-1),
         phases=phases,
     )
 
@@ -552,12 +556,12 @@ def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
     if fmunu is None:
         fmunu = np.zeros((4, 4))
     fmunu = np.asarray(fmunu, dtype=float)
-    if fmunu.shape != (4, 4) or not np.all(np.isfinite(fmunu)):
+    if fmunu.shape != (4, 4) or not np.isfinite(fmunu).all():
         raise ValueError("field tensor must be a finite 4x4 array")
     if not max_abs(fmunu + fmunu.T) <= 1e-12:
         raise ValueError("field tensor must be antisymmetric")
     x4 = np.zeros(4) if x is None else np.asarray(x, dtype=float)
-    if x4.shape != (4,) or not np.all(np.isfinite(x4)):
+    if x4.shape != (4,) or not np.isfinite(x4).all():
         raise ValueError("x must be a finite 4-vector")
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
@@ -570,7 +574,7 @@ def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
     scal = pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:])
 
     # F_{mu nu} sigma^{mu nu}, summed over (mu, nu) in order
-    fsig, ftil = (np.sum(s * fmunu[:, :, None, None], axis=(0, 1)) for s in (FGM_SIGMA, FGM_TILDE))
+    fsig, ftil = ((s * fmunu[:, :, None, None]).sum(axis=(0, 1)) for s in (FGM_SIGMA, FGM_TILDE))
 
     m2 = rowscale(b.mass**2)
     op_r = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * fsig

@@ -1,8 +1,8 @@
 """Small dense complex linear algebra shared by every module.
 
-Vectors and matrices are plain numpy arrays with dtype complex128; the
-vector helpers work on the last axis and keep any leading (row) axes, so
-one call covers a whole momentum grid.  Nothing
+Vectors and matrices are plain numpy arrays with dtype complex128, none
+larger than 12x12; the vector helpers work on the last axis and keep any
+leading (row) axes, so one call covers a whole momentum grid.  Nothing
 here wraps numpy beyond one structure, AntilinearOp, which represents maps
 of the form v -> M v or v -> M conj(v).  Charge conjugation is antilinear,
 and the sign of the *square* of an antilinear operator is what decides
@@ -38,6 +38,10 @@ def frozen(value):
     raise TypeError(f"cannot freeze a {type(value).__name__}")
 
 
+# read-only float identities by size, EYE[n] = np.eye(n), for the per-call code
+EYE = frozen(tuple(np.eye(n) for n in range(13)))
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.asarray(m)).T
 
@@ -47,8 +51,8 @@ def max_abs(a, axis=None):
     NaN propagates."""
     a = np.asarray(a)
     if axis is None:
-        return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
-    return np.max(np.abs(a), axis=axis)
+        return 0.0 if a.size == 0 else float(np.abs(a).max())
+    return np.abs(a).max(axis=axis)
 
 
 def rowscale(x) -> np.ndarray:
@@ -58,7 +62,8 @@ def rowscale(x) -> np.ndarray:
 
 def diagonal(*entries) -> np.ndarray:
     """Diagonal matrices from equal-shaped entries, one per leading row."""
-    return np.stack(np.broadcast_arrays(*entries), axis=-1)[..., None] * np.eye(len(entries))
+    stacked = np.concatenate([np.asarray(x)[..., None] for x in entries], axis=-1)
+    return stacked[..., None] * EYE[len(entries)]
 
 
 # The vector helpers below use numpy's matvec/vecdot, which do the same
@@ -111,7 +116,7 @@ def eigen_residual(matrix: np.ndarray, v: np.ndarray):
     """
     v = np.asarray(v, dtype=complex)
     big = max_abs(v, axis=-1)
-    if np.any(big == 0):
+    if (big == 0).any():
         raise ValueError("zero vector")
     e = np.frexp(big)[1]
     v = np.ldexp(v.real, -e[..., None]) + 1j * np.ldexp(v.imag, -e[..., None])
@@ -168,10 +173,10 @@ class AntilinearOp(namedtuple("AntilinearOp", "matrix conjugates")):
         if sq.conjugates:
             raise ValueError("square of a linear op is linear; got conjugating")
         signs = np.array([+1, -1])
-        ok = max_abs(sq.matrix - signs[:, None, None] * np.eye(self.dim), axis=(-2, -1)) <= TOL
+        ok = max_abs(sq.matrix - signs[:, None, None] * EYE[self.dim], axis=(-2, -1)) <= TOL
         if not ok.any():
             raise ValueError("square is not +-identity")
-        return int(signs[np.argmax(ok)])
+        return int(signs[ok.argmax()])
 
 
 def realify(op: AntilinearOp) -> np.ndarray:
@@ -197,10 +202,10 @@ def involution_eigenvectors(t: np.ndarray, sign: int):
     """
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("matrix must be finite")
-    if not max_abs(t @ t - np.eye(n)) <= 1e-9:
+    if not max_abs(t @ t - EYE[n]) <= 1e-9:
         raise ValueError("matrix is not an involution")
-    proj = 0.5 * (np.eye(n) + sign * t)
+    proj = 0.5 * (EYE[n] + sign * t)
     u, s, _ = np.linalg.svd(proj)
     return u[:, s > 0.5]

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    EYE,
     AntilinearOp,
     apply,
     cmat,
@@ -76,7 +77,7 @@ def helicity_eigenvector(theta, phi, h: int) -> np.ndarray:
 
 def spin1_boosts(p) -> tuple[np.ndarray, np.ndarray]:
     """(right, left) boosts exp(+-J.n w), cosh w = E/m, sinh w = |p|/m."""
-    if not np.all(np.asarray(p.mass) > 0):
+    if not (np.asarray(p.mass) > 0).all():
         raise ValueError("finite boosts need m > 0")
     ch = rowscale(p.energy / p.mass)
     sh = rowscale(p.pmag / p.mass)
@@ -91,7 +92,7 @@ def weinberg_u(p) -> np.ndarray:
     """Chiral-basis six-spinors (phi_R, phi_L), phi_X = boost_X xi_h, for
     the helicities +1, 0, -1 on axis -2: (3, 6), or (N, 3, 6) on a grid."""
     br, bl = spin1_boosts(p)
-    xi = np.swapaxes(spin1_rotation(p.theta, p.phi), -1, -2)
+    xi = spin1_rotation(p.theta, p.phi).swapaxes(-1, -2)
     return np.concatenate([apply(br, xi), apply(bl, xi)], axis=-1)
 
 
@@ -214,19 +215,25 @@ MR_FORMS = frozen(_mr_forms())
 
 def majorana_family_report() -> dict:
     """Transforms the chiral family with W and compares to the displayed
-    forms; also reports the worst imaginary part over the ten (mu, nu)
-    images (the chirality image is imaginary by design and excluded)."""
-    imgs = to_majorana_rep(np.stack(list(CHIRAL_GAMMAS.values())))
-    resid = max_abs(imgs - np.stack([MR_FORMS[key] for key in CHIRAL_GAMMAS]))
-    imag = max_abs(np.imag(imgs))
+    forms; also reports the imaginary parts of the ten (mu, nu) images (the
+    chirality image is imaginary by design and excluded).  `family_gaps`
+    and `family_imag_parts` hold one worst entry per image, (10,) for the
+    keys mu <= nu in CHIRAL_GAMMAS order (the family is symmetric);
+    `family_residual` and `family_imag_part` are their maxima."""
+    keys = [key for key in CHIRAL_GAMMAS if key[0] <= key[1]]
+    imgs = to_majorana_rep(np.array([CHIRAL_GAMMAS[key] for key in keys]))
+    gaps = max_abs(imgs - np.array([MR_FORMS[key] for key in keys]), axis=(-2, -1))
+    imag = max_abs(np.imag(imgs), axis=(-2, -1))
     five = to_majorana_rep(GAMMA5_CHIRAL)
     resid5 = max_abs(five - MR_FORMS["five"])
     u = MAJORANA_U
     return {
         "unitarity": max_abs(u @ dagger(u) - ID6),
-        "family_residual": resid,
-        "family_imag_part": imag,
+        "family_residual": float(gaps.max()),
+        "family_imag_part": float(imag.max()),
         "five_residual": resid5,
+        "family_gaps": gaps,
+        "family_imag_parts": imag,
     }
 
 
@@ -241,12 +248,12 @@ def plain_unitary_diagnostic() -> dict:
     want = MR_FORMS
     # the family in CHIRAL_GAMMAS order, then GAMMA5_CHIRAL
     keys = list(CHIRAL_GAMMAS)
-    img = u @ np.stack([*CHIRAL_GAMMAS.values(), GAMMA5_CHIRAL]) @ dagger(u)
+    img = u @ np.array([*CHIRAL_GAMMAS.values(), GAMMA5_CHIRAL]) @ dagger(u)
     g0i = img[[keys.index((0, i)) for i in (1, 2, 3)]]
     return {
         "g00_lands_on_displayed_five": max_abs(img[keys.index((0, 0))] - want["five"]),
         "five_lands_on_displayed_g00": max_abs(img[-1] - want[(0, 0)]),
-        "g0i_sign_flip": max_abs(g0i + np.stack([want[(0, i)] for i in (1, 2, 3)])),
+        "g0i_sign_flip": max_abs(g0i + np.array([want[(0, i)] for i in (1, 2, 3)])),
         "worst_imag_part": max_abs(np.imag(img[:-1])),
     }
 
@@ -351,8 +358,8 @@ def selfconjugacy_analysis() -> dict:
     """
     c = CONJUGATION
     tw = TWISTED_CONJUGATION
-    shifted = realify(c) - np.array([+1.0, -1.0])[:, None, None] * np.eye(12)
-    margin = np.min(np.linalg.svd(shifted, compute_uv=False))
+    shifted = realify(c) - np.array([+1.0, -1.0])[:, None, None] * EYE[12]
+    margin = np.linalg.svd(shifted, compute_uv=False).min()
     t = realify(tw)
     plus = involution_eigenvectors(t, +1)
     minus = involution_eigenvectors(t, -1)

@@ -12,6 +12,7 @@ printed number.
 import functools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,3 +256,139 @@ def test_seeded_samples_equal_the_loops():
         w = draw(3) + 1j * draw(3)
         kron.append(max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
     assert np.array_equal(checks._kron(cfg, None).residuals["mixed_product"], kron)
+
+
+# ---------------------------------------------------------------------------
+# builders without numpy's Python-level wrappers
+#
+# The builders as they were written with np.stack, np.tensordot and
+# np.zeros_like; the rewrites use concatenate, @ and one zeroed array and
+# must give the same bits, signed zeros included.
+
+
+def _helicity_pair_stacked(theta, phi):
+    c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
+    em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
+    return np.stack([c * em, s * ep, -s * em, c * ep], axis=-1).reshape(c.shape + (2, 2))
+
+
+def _boost_ops_tensordot(p):
+    e, m = p.energy, p.mass
+    sp = np.tensordot(p.pvec, halfspin.SIGMA, axes=(-1, 0))
+    den = linalg.rowscale(np.sqrt(2 * m * (e + m)))
+    lam_r = (linalg.rowscale(e + m) * halfspin.ID2 + sp) / den
+    lam_l = (linalg.rowscale(e + m) * halfspin.ID2 - sp) / den
+    return lam_r, lam_l
+
+
+def _grid_stacked(momenta, conv):
+    """(nhat, left, right, family) of SpinorGrid.build."""
+    rows = [(p.mass, p.pmag, p.theta, p.phi, p.energy) for p in momenta]
+    mass, pmag, theta, phi, energy = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
+    st = np.sin(theta)
+    nhat = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
+    lam_r, lam_l = _boost_ops_tensordot(kinematics)
+    scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
+    phases = np.stack([conv.rest_phase(+1), conv.rest_phase(-1)], axis=-1)
+    rest = scale[:, None, None] * phases[..., None] * _helicity_pair_stacked(theta, phi)
+    left = linalg.apply(lam_l, rest)
+    right = linalg.apply(lam_r, rest)
+    lp, lm, rp, rm = (
+        linalg.apply(s * halfspin.THETA, np.conjugate(x)) for x in (left, right) for s in (1j, -1j)
+    )
+    halves = [(lp, left), (right, rm), (lm, left), (right, rp)]
+    family = np.concatenate([np.concatenate(h, axis=-1) for h in halves], axis=1)
+    return nhat, left, right, family
+
+
+def _discrete_ops_tensordot(nhat):
+    sn = 0.5 * np.tensordot(nhat, halfspin.SIGMA, axes=(-1, 0))
+    h = np.zeros(sn.shape[:-2] + (4, 4), dtype=complex)
+    h[..., :2, :2] = h[..., 2:, 2:] = sn
+    return h, -halfspin.GAMMA5 @ h
+
+
+def _majorana_mode_stacked(g):
+    return np.stack([g.family[:, LAM_S], g.family[:, halfspin.LAM_A]], axis=1)
+
+
+def _displayed_split_stacked(g):
+    top = linalg.apply(1j * halfspin.THETA, np.conjugate(g.left))
+    z = np.zeros_like(top)
+    upper, lower = np.concatenate([top, z], axis=-1), np.concatenate([z, g.left], axis=-1)
+    even = np.stack([upper, lower], axis=1)
+    odd = np.stack([lower, np.concatenate([-top, z], axis=-1)], axis=1)
+    return even, odd
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _seeded_momenta(seed, n):
+    """Masses, magnitudes and angles drawn from random.Random(seed), with
+    the poles, the rest frame and negative azimuths among them."""
+    rng = random.Random(seed)
+    return [
+        FourMomentum(
+            rng.uniform(0.25, 4.0),
+            rng.choice([0.0, 1.0, rng.uniform(0.0, 30.0)]),
+            rng.choice([0.0, math.pi, math.pi / 2, rng.uniform(0.0, math.pi)]),
+            rng.choice([0.0, math.pi, rng.uniform(-10.0, 10.0)]),
+        )
+        for _ in range(n)
+    ]
+
+
+def _scan(seed, n):
+    rng = random.Random(seed)
+    return tuple(rng.uniform(-7.0, 7.0) for _ in range(n))
+
+
+BUILDER_CASES = {
+    "one row": ([FourMomentum(1.0, 1.0, 1.1, 0.4)], PhaseConvention()),
+    "4x8, two masses": (
+        checks.SuiteConfig(masses=(0.7, 2.5), n_magnitudes=4, n_directions=8).momenta(),
+        PhaseConvention(1.1, -0.6, 0.7),
+    ),
+    "seeded, norm given": (_seeded_momenta(3, 24), PhaseConvention(0.3, 0.4, 0.0, 2.5)),
+    "seeded, per-row phase scan": (
+        _seeded_momenta(5, 8),
+        PhaseConvention(_scan(6, 8), _scan(7, 8), 0.2),
+    ),
+    "seeded, phase scan with norm": (
+        _seeded_momenta(8, 16),
+        PhaseConvention(_scan(9, 16), _scan(10, 16), -1.3, 0.6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES)
+def test_builders_keep_their_bits(case):
+    momenta, conv = BUILDER_CASES[case]
+    g = halfspin.SpinorGrid.build(momenta, conv)
+    for got, want in zip((g.nhat, g.left, g.right, g.family), _grid_stacked(momenta, conv)):
+        _assert_same_bits(got, want)
+    for got, want in zip(halfspin.boost_ops(g), _boost_ops_tensordot(g)):
+        _assert_same_bits(got, want)
+    # one momentum: pvec is (3,), no row axis
+    for got, want in zip(halfspin.boost_ops(momenta[-1]), _boost_ops_tensordot(momenta[-1])):
+        _assert_same_bits(got, want)
+    _assert_same_bits(
+        halfspin._helicity_pair(g.theta, g.phi), _helicity_pair_stacked(g.theta, g.phi)
+    )
+    p = momenta[-1]
+    pair = halfspin._helicity_pair(p.theta, p.phi)
+    _assert_same_bits(pair, _helicity_pair_stacked(p.theta, p.phi))
+    for nhat in (g.nhat, g.nhat[0]):
+        ops = halfspin.discrete_ops(nhat)
+        for got, want in zip((ops.helicity, ops.chiral_helicity), _discrete_ops_tensordot(nhat)):
+            _assert_same_bits(got, want)
+    _assert_same_bits(fieldops.majorana_mode(g), _majorana_mode_stacked(g))
+    for got, want in zip(fieldops.displayed_split(g), _displayed_split_stacked(g)):
+        _assert_same_bits(got, want)

@@ -42,10 +42,17 @@ def test_zero_tolerance_fails(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run_cli(capsys, "run", "--grid", "3x")[0] == 2
+    for grid in ("3x", "x", "3.5x6", "3x6x2"):
+        want = "selfconj: grid must look like 3x6\n"
+        assert run_cli(capsys, "run", "--grid", grid) == (2, "", want)
+    for momentum in ("a,b,c", "1,2"):
+        want = 'selfconj: momentum must be "px,py,pz"\n'
+        assert run_cli(capsys, "tabulate", "--momentum", momentum) == (2, "", want)
+    for momentum in ("nan,0,0", "0,inf,0", "0,0,-inf"):
+        want = "selfconj: momentum components must be finite\n"
+        assert run_cli(capsys, "tabulate", "--momentum", momentum) == (2, "", want)
     assert run_cli(capsys, "run", "--mass", "-1")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2
-    assert run_cli(capsys, "tabulate", "--momentum", "1,2")[0] == 2
     assert run_cli(capsys, "tabulate", "--mass", "0")[0] == 2
 
 
@@ -67,6 +74,13 @@ def test_usage_errors_exit_2(capsys):
         ["run", "--mass", "1e-20"],
         ["run", "--mass", "1e200"],
         ["tabulate", "--momentum", "1e300,0,0"],
+        # malformed or non-finite grids and momenta
+        ["run", "--grid", "3x"],
+        ["run", "--grid", "x"],
+        ["run", "--grid", "3.5x6"],
+        ["tabulate", "--momentum", "a,b,c"],
+        ["tabulate", "--momentum", "nan,0,0"],
+        ["tabulate", "--momentum", "inf,0,0"],
         ["tabulate", "--mass", "1e300"],
         # a report path that cannot be written
         ["run", "--out", "."],

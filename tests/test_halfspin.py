@@ -54,6 +54,12 @@ def test_momentum_validation():
         FourMomentum(1.0, math.nan)
     with pytest.raises(ValueError):
         FourMomentum(1.0, 1.0, theta=4.0)
+    # inf % 2 pi is NaN, so a non-finite azimuth would reach every family entry
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            FourMomentum(1.0, 1.0, 0.3, phi)
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            FourMomentum(1.0, 0.0, 0.0, phi)
     # rest momentum forgets the direction
     p = FourMomentum(1.0, 0.0, theta=2.0, phi=1.0)
     assert p.theta == 0.0 and p.phi == 0.0
