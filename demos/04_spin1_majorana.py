@@ -17,8 +17,13 @@ np.set_printoptions(precision=6, suppress=True, linewidth=140)
 rep = spin1.majorana_family_report()
 print("family report:", {k: f"{v:.2e}" for k, v in rep.items() if isinstance(v, float)})
 
+# the family is one (4, 4, 6, 6) array, so W gamma_{mu nu} W^+ is one product
+# for all sixteen (mu, nu) at once
+images = spin1.to_majorana_rep(spin1.CHIRAL_GAMMAS)
+print(f"all 16 images match the displayed forms to {np.abs(images - spin1.MR_FORMS).max():.1e}")
+
 print("\nreal-frame chirality matrix (imaginary by design):")
-print(spin1.MR_FORMS["five"])
+print(spin1.MR_FIVE)
 
 p = FourMomentum(1.0, 1.0, np.pi / 3, 0.0)
 s = spin1.mr_spinor(p)

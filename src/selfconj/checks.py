@@ -60,7 +60,7 @@ _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 theta
 
 
 class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
-    # immutable; the instance dict holds only the validated grid momenta and
+    # immutable; the instance dict holds only the grid's kinematic arrays and
     # the cached `convention`
     def __new__(
         cls,
@@ -77,6 +77,8 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         masses = tuple(float(m) for m in masses)
         if not masses or not all(math.isfinite(m) and m > 0 for m in masses):
             raise ValueError("masses must be finite and positive")
+        if not all(type(n) is int for n in (n_magnitudes, n_directions)):
+            raise ValueError("grid sizes must be integers")
         if n_magnitudes < 1 or n_directions < 1:
             raise ValueError("grid must be at least 1x1")
         # the largest magnitude, 2 ** ((n - 1) / 2), must be a finite float
@@ -96,13 +98,15 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         cfg = super().__new__(
             cls, masses, n_magnitudes, n_directions, tolerance, theta1, theta2, thetac, norm, suites
         )
-        # built once, and every grid momentum must lie in the kinematic domain
-        cfg.__dict__["_momenta"] = tuple(
-            FourMomentum(m, mag, th, ph)
-            for m in masses
-            for mag in cfg.magnitudes()
-            for th, ph in cfg.directions()
-        )
+        # the kinematic domain depends on (mass, |p|) alone: one record per
+        # pair validates it and gives E = math.hypot(m, |p|); the directions
+        # lie in [0, pi] x {0, pi}, where a record would change no bit
+        pairs = [FourMomentum(m, mag) for m in masses for mag in cfg.magnitudes()]
+        kin = np.array([(p.mass, p.pmag, p.energy) for p in pairs]).repeat(n_directions, axis=0)
+        angles = np.array([cfg.directions()]).repeat(len(pairs), axis=0).reshape(-1, 2)
+        # the (mass, |p|, theta, phi, E) arrays of the grid rows
+        rows = np.concatenate([kin[:, :2], angles, kin[:, 2:]], axis=1).T.copy()
+        cfg.__dict__["_rows"] = linalg.frozen(tuple(rows))
         return cfg
 
     # through the validating constructor, so that _replace validates too
@@ -128,7 +132,8 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         return [2.0 ** (k - (n - 1) / 2) for k in range(n)]
 
     def momenta(self):
-        return list(self._momenta)
+        """The grid rows as FourMomentum records, built on each call."""
+        return [FourMomentum(*row) for row in zip(*(a.tolist() for a in self._rows[:4]))]
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -334,7 +339,7 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
         {"squares": squares, "eigen": _conjugation_gaps(c, g.family)},
-        {"momenta": len(g.momenta), "family_size": 8, "square_residual": float(squares.max())},
+        {"momenta": len(g.mass), "family_size": 8, "square_residual": float(squares.max())},
     )
 
 
@@ -446,8 +451,8 @@ def _modulus(z):
     (4e-12, math.inf),
 )
 def _biorthonormality_structure(cfg: SuiteConfig, grid):
-    momenta = grid(cfg.convention).momenta
-    p = momenta[min(4, len(momenta) - 1)]
+    base = grid(cfg.convention)
+    p = base.momentum(min(4, len(base.mass) - 1))
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     g = _gram_scan(cfg, p, _GRAM_PAIRS)
     tsum = np.array(_GRAM_PAIRS).sum(axis=1)
@@ -477,7 +482,7 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
 
 @_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
 def _biorthonormality_sign(cfg: SuiteConfig, grid):
-    p = grid(cfg.convention).momenta[0]
+    p = grid(cfg.convention).momentum(0)
     n2 = cfg.convention.rest_scale(p.mass) ** 2
     pairs = ((0.0, 0.0), (0.3, 0.4))
     measured = _gram_scan(cfg, p, pairs)[:, 0, 1]
@@ -505,7 +510,7 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
     img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
     return Evaluation(
-        {"conjugation": _conjugation_gaps(c, img)}, {"alphas": 5, "momenta": len(g.momenta)}
+        {"conjugation": _conjugation_gaps(c, img)}, {"alphas": 5, "momenta": len(g.mass)}
     )
 
 
@@ -598,7 +603,7 @@ def _second_order(cfg: SuiteConfig, grid):
 
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
 def _theta3(cfg: SuiteConfig, grid):
-    t, j = spin1.THETA3, np.array(spin1.JVEC)
+    t, j = spin1.THETA3, spin1.JVEC
     res = {
         "involution": linalg.max_abs(t @ t - spin1.ID3),
         "conjugates_j": linalg.max_abs(t @ j @ t + np.conjugate(j)),
@@ -616,7 +621,7 @@ def _theta3(cfg: SuiteConfig, grid):
 def _on_shell(cfg: SuiteConfig, grid):
     g = grid(cfg.convention)
     return Evaluation(
-        {"on_shell": spin1.on_shell_residual(g)}, {"momenta": len(g.momenta), "helicities": 3}
+        {"on_shell": spin1.on_shell_residual(g)}, {"momenta": len(g.mass), "helicities": 3}
     )
 
 
@@ -900,8 +905,8 @@ def _ziino_split(cfg: SuiteConfig, grid):
     # the independent oracle rebuilds the first and last rows from (p, conv)
     shown = fieldops.displayed_split(g)
     oracle = []
-    for i in sorted({0, len(g.momenta) - 1}):
-        want = fieldops.displayed_ziino_coefficients(g.momenta[i], g.convention)
+    for i in sorted({0, len(g.mass) - 1}):
+        want = fieldops.displayed_ziino_coefficients(g.momentum(i), g.convention)
         oracle.append(linalg.max_abs([half[i] - w for half, w in zip(shown, want)]))
     return Evaluation(
         {
@@ -909,7 +914,7 @@ def _ziino_split(cfg: SuiteConfig, grid):
             "halves_sum": fieldops.residual(even + odd, fieldops.majorana_mode(g)),
             "displayed_oracle": oracle,
         },
-        {"momenta": len(g.momenta)},
+        {"momenta": len(g.mass)},
     )
 
 
@@ -923,7 +928,7 @@ def _dirac_embedding(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg))
     rep = fieldops.dirac_from_majorana(g)
     generic = fieldops.dirac_from_majorana(
-        halfspin.build_spinor_basis(g.momenta[0], PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
+        halfspin.build_spinor_basis(g.momentum(0), PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
     )
     generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(
@@ -968,11 +973,9 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
 
 
 def run_checks(cfg: SuiteConfig):
-    momenta = cfg.momenta()
-
     @functools.cache
     def grid(conv: PhaseConvention) -> halfspin.SpinorGrid:
-        return halfspin.build_spinor_grid(momenta, conv)
+        return halfspin.SpinorGrid.build(*cfg._rows, conv)
 
     chosen = [c for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
     return [_run(c, cfg, grid) for c in sorted(chosen, key=lambda c: c.check_id)]

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import gc
 import math
+import re
 import sys
 
 import numpy as np
@@ -69,12 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    # the unpacking refuses a wrong number of parts, int() a part that is no integer
-    try:
-        n_mag, n_dir = (int(x) for x in text.lower().split("x"))
-    except ValueError:
-        raise ValueError("grid must look like 3x6") from None
-    return n_mag, n_dir
+    # ASCII digits only: int() would also take "1_0", " 2 " and other scripts' digits
+    match = re.fullmatch("([0-9]+)x([0-9]+)", text.lower())
+    if match is None:
+        raise ValueError("grid must look like 3x6")
+    return int(match[1]), int(match[2])
 
 
 def _parse_momentum(text: str, mass: float) -> FourMomentum:

@@ -141,7 +141,8 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
         "partner_residual": worst(*partner),
         "eigenspace_residual": worst(apply(sl, ip) - m * ip, apply(sl, im) + m * im),
         "positive_singular_values": values,
-        "phase_sum": (conv.theta1 + conv.theta2) % (2 * math.pi),
+        # one number, or one per row in a phase scan
+        "phase_sum": np.add(conv.theta1, conv.theta2) % (2 * math.pi),
     }
 
 

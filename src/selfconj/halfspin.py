@@ -63,10 +63,7 @@ SIGMA = frozen(cmat([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
 THETA = frozen(cmat([[0, -1], [1, 0]]))  # -i sigma_2, real
 
 GAMMA0 = frozen(np.block([[np.zeros((2, 2)), ID2], [ID2, np.zeros((2, 2))]]).astype(complex))
-GAMMAS = frozen(tuple(
-    np.block([[np.zeros((2, 2)), -SIGMA[i]], [SIGMA[i], np.zeros((2, 2))]])
-    for i in range(3)
-))
+GAMMAS = frozen(np.block([[np.zeros((3, 2, 2)), -SIGMA], [SIGMA, np.zeros((3, 2, 2))]]))
 GAMMA5 = frozen(np.block([[ID2, np.zeros((2, 2))], [np.zeros((2, 2)), -ID2]]).astype(complex))
 
 UP, DN = +1, -1
@@ -127,10 +124,6 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
     def pvec(self) -> np.ndarray:
         return self.pmag * self.nhat
 
-    def reflected(self) -> "FourMomentum":
-        """Space inversion p -> -p."""
-        return FourMomentum(self.mass, self.pmag, math.pi - self.theta, self.phi + math.pi)
-
 
 class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")):
     """Free phases of the construction.
@@ -145,8 +138,10 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
     __slots__ = ()
 
     def __new__(cls, theta1=0.0, theta2=0.0, thetac: float = 0.0, norm: float | None = None):
-        rest = np.asarray((theta1, theta2), dtype=float)
-        if not (np.isfinite(rest).all() and math.isfinite(thetac)):
+        t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+        if t1.ndim > 1 or t1.shape != t2.shape:
+            raise ValueError("theta1 and theta2 must be numbers or phase scans of equal length")
+        if not (np.isfinite(t1).all() and np.isfinite(t2).all() and math.isfinite(thetac)):
             raise ValueError("phases must be finite")
         # N**2 scales every bilinear; it must be a finite normal float
         if norm is not None and not sys.float_info.min <= norm * norm < math.inf:
@@ -216,11 +211,12 @@ LAMBDAS = (0, 1, 4, 5)
 
 
 class SpinorGrid(
-    namedtuple("SpinorGrid", "momenta convention mass pmag theta phi energy nhat left right family")
+    namedtuple("SpinorGrid", "convention mass pmag theta phi energy nhat left right family")
 ):
     """The spin-1/2 family at N momenta for one convention, row axis first.
 
-    Kinematics are (N,) arrays (nhat is (N, 3)); `left`/`right` are the
+    Kinematics are (N,) arrays (nhat is (N, 3)); `momentum(i)` is row i as
+    a FourMomentum.  `left`/`right` are the
     boosted two-spinors phi_L/phi_R as (N, 2, 2), helicity (up, dn) on
     axis 1; `family` is (N, 8, 4) in FAMILY order.  The spin-1 six-spinors
     and the grid at the reflected momenta are built on first use.
@@ -239,7 +235,11 @@ class SpinorGrid(
 
     def head(self, n: int) -> "SpinorGrid":
         """The grid of the first n rows."""
-        return self._make((self.momenta[:n], self.convention, *(a[:n] for a in self[2:])))
+        return self._make((self.convention, *(a[:n] for a in self[1:])))
+
+    def momentum(self, i: int) -> FourMomentum:
+        """Row i as a FourMomentum record."""
+        return FourMomentum(*(float(a[i]) for a in (self.mass, self.pmag, self.theta, self.phi)))
 
     def uv_stack(self) -> np.ndarray:
         """(N, 4, 4), rows u_up, u_dn, v_up, v_dn."""
@@ -259,14 +259,17 @@ class SpinorGrid(
 
     @cached_property
     def reflected(self) -> "SpinorGrid":
-        """The same construction at -p, row for row (space inversion)."""
-        return type(self).build([p.reflected() for p in self.momenta], self.convention)
+        """The same construction at -p, row for row (space inversion): theta
+        -> pi - theta, phi -> (phi + pi) mod 2 pi, a rest row stays at (0, 0)."""
+        rest = self.pmag == 0.0
+        theta = np.where(rest, 0.0, math.pi - self.theta)
+        phi = np.where(rest, 0.0, (self.phi + math.pi) % (2 * math.pi))
+        return type(self).build(self.mass, self.pmag, theta, phi, self.energy, self.convention)
 
     @classmethod
-    def build(cls, momenta, conv: PhaseConvention = PhaseConvention()):
-        momenta = tuple(momenta)
-        rows = [(p.mass, p.pmag, p.theta, p.phi, p.energy) for p in momenta]
-        mass, pmag, theta, phi, energy = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
+    def build(cls, mass, pmag, theta, phi, energy, conv: PhaseConvention = PhaseConvention()):
+        """The grid of validated (N,) kinematic arrays, the normalized
+        angles and E = math.hypot(m, |p|) of FourMomentum rows."""
         st = np.sin(theta)
         columns = (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
         nhat = np.concatenate([x[:, None] for x in columns], axis=1)
@@ -276,6 +279,8 @@ class SpinorGrid(
         # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
         # phase is one number, or one per row in a phase scan
         phases = np.concatenate([conv.rest_phase(h)[..., None] for h in (UP, DN)], axis=-1)
+        if phases.shape[:-1] not in ((), mass.shape):
+            raise ValueError("a phase scan needs one phase pair per grid row")
         rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
         left = apply(lam_l, rest)
         right = apply(lam_r, rest)
@@ -292,16 +297,17 @@ class SpinorGrid(
             ],
             axis=1,
         )
-        return cls(momenta, conv, mass, pmag, theta, phi, energy, nhat, left, right, family)
+        return cls(conv, mass, pmag, theta, phi, energy, nhat, left, right, family)
 
 
 def build_spinor_grid(momenta, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
-    return SpinorGrid.build(momenta, conv)
+    rows = [(p.mass, p.pmag, p.theta, p.phi, p.energy) for p in momenta]
+    return SpinorGrid.build(*np.array(rows, dtype=float).reshape(-1, 5).T.copy(), conv)
 
 
 def build_spinor_basis(p: FourMomentum, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
     """The one-row grid of a single momentum."""
-    return SpinorGrid.build([p], conv)
+    return build_spinor_grid([p], conv)
 
 
 _CONJUGATION_BLOCK = frozen(
@@ -511,7 +517,7 @@ def massless_scan(masses, conv: PhaseConvention = PhaseConvention()) -> list[dic
     masses = list(masses)
     if not masses or any(m <= 0 for m in masses):
         raise ValueError("masses must be positive")
-    g = SpinorGrid.build([FourMomentum(m, 1.0) for m in masses], conv)
+    g = build_spinor_grid([FourMomentum(m, 1.0) for m in masses], conv)
     up, dn = norm(g.family[:, LAM_S]).T
     return [
         {"mass": m, "ratio": r, "lam_s_dn_norm": d}

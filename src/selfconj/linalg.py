@@ -13,7 +13,6 @@ be carried explicitly through compositions.
 from __future__ import annotations
 
 from collections import namedtuple
-from types import MappingProxyType
 
 import numpy as np
 
@@ -27,14 +26,12 @@ def cmat(rows) -> np.ndarray:
 
 def frozen(value):
     """Read-only in place, so modules can share it: arrays lose their write
-    flag, tuples freeze member by member, a dict becomes a read-only mapping."""
+    flag, tuples freeze member by member."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
         return value
     if isinstance(value, tuple):
         return tuple(frozen(v) for v in value)
-    if isinstance(value, dict):
-        return MappingProxyType({k: frozen(v) for k, v in value.items()})
     raise TypeError(f"cannot freeze a {type(value).__name__}")
 
 

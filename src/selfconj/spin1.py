@@ -42,10 +42,11 @@ ID3, ID6, Z3 = frozen(
 )
 
 _RT2 = math.sqrt(2.0)
-J1 = frozen(cmat([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / _RT2)
-J2 = frozen(cmat([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _RT2)
-J3 = frozen(cmat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]))
-JVEC = (J1, J2, J3)
+J1, J2, J3 = JVEC = frozen(np.array([
+    cmat([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / _RT2,
+    cmat([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / _RT2,
+    cmat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
+]))
 
 HELICITIES = (+1, 0, -1)
 
@@ -104,28 +105,26 @@ def _six(p) -> np.ndarray:
 # the covariant family
 
 # K_ij = {J_i, J_j} - delta_ij, the space-space blocks of both family forms
-_K = frozen(
-    {
-        (i, j): JVEC[i] @ JVEC[j] + JVEC[j] @ JVEC[i] - (1.0 if i == j else 0.0) * ID3
-        for i in range(3)
-        for j in range(3)
-    }
-)
+_K = frozen(np.array([
+    [JVEC[i] @ JVEC[j] + JVEC[j] @ JVEC[i] - (1.0 if i == j else 0.0) * ID3 for j in range(3)]
+    for i in range(3)
+]))
+
+# index of the (mu, nu) pairs with mu <= nu, in row-major order
+_UPPER = frozen(np.triu_indices(4))
 
 
-def _chiral_gammas() -> dict:
-    out = {(0, 0): np.block([[Z3, ID3], [ID3, Z3]])}
-    for i in range(3):
-        g = np.block([[Z3, JVEC[i]], [-JVEC[i], Z3]])
-        out[(0, i + 1)] = g
-        out[(i + 1, 0)] = g
-    for (i, j), k in _K.items():
-        out[(i + 1, j + 1)] = np.block([[Z3, k], [k, Z3]])
+def _chiral_gammas() -> np.ndarray:
+    z = np.zeros((3, 3, 3, 3), dtype=complex)
+    out = np.empty((4, 4, 6, 6), dtype=complex)
+    out[0, 0] = np.block([[Z3, ID3], [ID3, Z3]])
+    out[0, 1:] = out[1:, 0] = np.block([[z[0], JVEC], [-JVEC, z[0]]])
+    out[1:, 1:] = np.block([[z, _K], [_K, z]])
     return out
 
 
-# Symmetric family {(mu, nu): 6x6} in the chiral basis, pinned by
-# gamma_{mu nu} p^mu p^nu u(p, h) = m^2 u(p, h).
+# Symmetric family gamma_{mu nu} = CHIRAL_GAMMAS[mu, nu], (4, 4, 6, 6), in
+# the chiral basis, pinned by gamma_{mu nu} p^mu p^nu u(p, h) = m^2 u(p, h).
 CHIRAL_GAMMAS = frozen(_chiral_gammas())
 GAMMA5_CHIRAL = frozen(np.block([[ID3, Z3], [Z3, -ID3]]))
 
@@ -190,27 +189,24 @@ def to_majorana_rep(mat: np.ndarray) -> np.ndarray:
     return w @ np.asarray(mat, dtype=complex) @ dagger(w)
 
 
-def _mr_forms() -> dict:
+def _mr_forms() -> np.ndarray:
     t = THETA3
-    out = {
-        (0, 0): np.block([[Z3, t], [t, Z3]]),
-        (0, 1): np.block([[Z3, -J1 @ t], [-J1 @ t, Z3]]),
-        (0, 2): np.block([[1j * J2 @ t, Z3], [Z3, -1j * J2 @ t]]),
-        (0, 3): np.block([[Z3, -J3 @ t], [-J3 @ t, Z3]]),
-    }
-    for i in range(3):
-        out[(i + 1, 0)] = out[(0, i + 1)]
-    for (i, j), k in _K.items():
-        dif = 1j * (np.conjugate(k) - k)
-        tot = np.conjugate(k) + k
-        out[(i + 1, j + 1)] = 0.5 * np.block([[dif @ t, tot @ t], [tot @ t, -dif @ t]])
-    out["five"] = np.block([[Z3, 1j * ID3], [-1j * ID3, Z3]])
+    out = np.empty((4, 4, 6, 6), dtype=complex)
+    out[0, 0] = np.block([[Z3, t], [t, Z3]])
+    out[0, 1] = np.block([[Z3, -J1 @ t], [-J1 @ t, Z3]])
+    out[0, 2] = np.block([[1j * J2 @ t, Z3], [Z3, -1j * J2 @ t]])
+    out[0, 3] = np.block([[Z3, -J3 @ t], [-J3 @ t, Z3]])
+    out[1:, 0] = out[0, 1:]
+    dif = 1j * (np.conjugate(_K) - _K)
+    tot = np.conjugate(_K) + _K
+    out[1:, 1:] = 0.5 * np.block([[dif @ t, tot @ t], [tot @ t, -dif @ t]])
     return out
 
 
-# The displayed real-frame family, written out and keyed like
-# CHIRAL_GAMMAS, plus key 'five' for the (imaginary) chirality matrix.
+# The displayed real-frame family, written out and indexed like
+# CHIRAL_GAMMAS, and the (imaginary) chirality matrix.
 MR_FORMS = frozen(_mr_forms())
+MR_FIVE = frozen(np.block([[Z3, 1j * ID3], [-1j * ID3, Z3]]))
 
 
 def majorana_family_report() -> dict:
@@ -218,14 +214,13 @@ def majorana_family_report() -> dict:
     forms; also reports the imaginary parts of the ten (mu, nu) images (the
     chirality image is imaginary by design and excluded).  `family_gaps`
     and `family_imag_parts` hold one worst entry per image, (10,) for the
-    keys mu <= nu in CHIRAL_GAMMAS order (the family is symmetric);
+    pairs mu <= nu in row-major order (the family is symmetric);
     `family_residual` and `family_imag_part` are their maxima."""
-    keys = [key for key in CHIRAL_GAMMAS if key[0] <= key[1]]
-    imgs = to_majorana_rep(np.array([CHIRAL_GAMMAS[key] for key in keys]))
-    gaps = max_abs(imgs - np.array([MR_FORMS[key] for key in keys]), axis=(-2, -1))
+    imgs = to_majorana_rep(CHIRAL_GAMMAS[_UPPER])
+    gaps = max_abs(imgs - MR_FORMS[_UPPER], axis=(-2, -1))
     imag = max_abs(np.imag(imgs), axis=(-2, -1))
     five = to_majorana_rep(GAMMA5_CHIRAL)
-    resid5 = max_abs(five - MR_FORMS["five"])
+    resid5 = max_abs(five - MR_FIVE)
     u = MAJORANA_U
     return {
         "unitarity": max_abs(u @ dagger(u) - ID6),
@@ -244,17 +239,14 @@ def plain_unitary_diagnostic() -> dict:
     targets and the time-space images pick up a sign; reported so the
     convention choice behind CHIRAL_TO_MAJORANA is visible, not buried.
     """
-    u = MAJORANA_U
-    want = MR_FORMS
-    # the family in CHIRAL_GAMMAS order, then GAMMA5_CHIRAL
-    keys = list(CHIRAL_GAMMAS)
-    img = u @ np.array([*CHIRAL_GAMMAS.values(), GAMMA5_CHIRAL]) @ dagger(u)
-    g0i = img[[keys.index((0, i)) for i in (1, 2, 3)]]
+    u, ud = MAJORANA_U, dagger(MAJORANA_U)
+    img = u @ CHIRAL_GAMMAS @ ud
+    five = u @ GAMMA5_CHIRAL @ ud
     return {
-        "g00_lands_on_displayed_five": max_abs(img[keys.index((0, 0))] - want["five"]),
-        "five_lands_on_displayed_g00": max_abs(img[-1] - want[(0, 0)]),
-        "g0i_sign_flip": max_abs(g0i + np.array([want[(0, i)] for i in (1, 2, 3)])),
-        "worst_imag_part": max_abs(np.imag(img[:-1])),
+        "g00_lands_on_displayed_five": max_abs(img[0, 0] - MR_FIVE),
+        "five_lands_on_displayed_g00": max_abs(five - MR_FORMS[0, 0]),
+        "g0i_sign_flip": max_abs(img[0, 1:] + MR_FORMS[0, 1:]),
+        "worst_imag_part": max_abs(np.imag(img)),
     }
 
 
@@ -321,7 +313,7 @@ def chirality_flip_residual(p) -> np.ndarray:
     """|| v - gamma5_MR u || for h = +1, 0, -1 (holds for every momentum
     and phase)."""
     s = mr_spinor(p)
-    return norm(s.v - apply(MR_FORMS["five"], s.u))
+    return norm(s.v - apply(MR_FIVE, s.u))
 
 
 # ---------------------------------------------------------------------------

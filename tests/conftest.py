@@ -1,22 +1,12 @@
-"""Shared acceptance bookkeeping: a summary line per numbered criterion."""
+"""The acceptance summary: a line per numbered criterion (see acceptance_log)."""
 
-_ACCEPTANCE = []
-
-
-def note(num: int, ok: bool, detail: str):
-    """Log a criterion outcome without asserting (for expected failures)."""
-    _ACCEPTANCE.append((num, ok, detail))
-
-
-def record(num: int, ok: bool, detail: str):
-    note(num, ok, detail)
-    assert ok, f"criterion {num:02d}: {detail}"
+from acceptance_log import ACCEPTANCE
 
 
 def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE:
+    if not ACCEPTANCE:
         return
     terminalreporter.section("acceptance criteria")
-    for num, ok, detail in sorted(_ACCEPTANCE):
+    for num, ok, detail in sorted(ACCEPTANCE):
         status = "pass" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num:02d}: {status} - {detail}")

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import note, record
+from acceptance_log import note, record
 from selfconj import checks, cli, fieldops, fock, halfspin, linalg, spin1
 from selfconj.halfspin import FAMILY_SIGNS, LAMBDAS, RHO_S, FourMomentum, PhaseConvention
 
@@ -207,7 +207,7 @@ def test_criterion_08_majorana_representation():
 
 
 def test_criterion_09_real_frame_spinor_identities():
-    g5 = spin1.MR_FORMS["five"]
+    g5 = spin1.MR_FIVE
     worst20 = 0.0
     worst_id = 0.0
     min_vlng = math.inf

@@ -6,7 +6,10 @@ group law, the massless scan, the rest-phase scan of the Gram matrix, the
 field-tensor sum of the second-order residuals, the direction residuals
 and the seeded samples.  A batched row must equal its
 loop result bit for bit (np.array_equal), so batching cannot move a
-printed number.
+printed number.  The same holds for the forms that replaced containers:
+the grid of a run's kinematic arrays and its reflection against the grid
+of FourMomentum records, and the spin-1 (mu, nu) arrays against the dicts
+they replaced.
 """
 
 import functools
@@ -371,7 +374,7 @@ BUILDER_CASES = {
 @pytest.mark.parametrize("case", BUILDER_CASES)
 def test_builders_keep_their_bits(case):
     momenta, conv = BUILDER_CASES[case]
-    g = halfspin.SpinorGrid.build(momenta, conv)
+    g = halfspin.build_spinor_grid(momenta, conv)
     for got, want in zip((g.nhat, g.left, g.right, g.family), _grid_stacked(momenta, conv)):
         _assert_same_bits(got, want)
     for got, want in zip(halfspin.boost_ops(g), _boost_ops_tensordot(g)):
@@ -392,3 +395,157 @@ def test_builders_keep_their_bits(case):
     _assert_same_bits(fieldops.majorana_mode(g), _majorana_mode_stacked(g))
     for got, want in zip(fieldops.displayed_split(g), _displayed_split_stacked(g)):
         _assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# grids from kinematic arrays against grids from FourMomentum records
+#
+# A grid used to be built from a list of records, and its reflection from
+# the records' own p -> -p; a run now hands SpinorGrid.build the arrays of
+# its SuiteConfig, and the reflection maps the arrays.
+
+
+def _reflected_record(p):
+    """Space inversion of one record, as FourMomentum.reflected was."""
+    return FourMomentum(p.mass, p.pmag, math.pi - p.theta, p.phi + math.pi)
+
+
+GRID_FIELDS = ("mass", "pmag", "theta", "phi", "energy", "nhat", "left", "right", "family", "six")
+
+
+def _assert_same_grid(got, want):
+    for name in GRID_FIELDS:
+        _assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def _edge_momenta(seed):
+    """Seeded rows plus a rest row, the poles, an azimuth just below 2 pi
+    and a second mass."""
+    below = math.nextafter(2 * math.pi, 0.0)
+    return [
+        FourMomentum(1.0, 0.0),
+        FourMomentum(1.0, 2.0, 0.0, 0.0),
+        FourMomentum(0.3, 2.0, math.pi, 1.0),
+        FourMomentum(2.5, 0.7, 1.2, below),
+        FourMomentum(2.5, 3.0, math.pi, below),
+        *_seeded_momenta(seed, 11),
+    ]
+
+
+REFLECTION_CASES = {
+    "edges": (_edge_momenta(12), PhaseConvention()),
+    "edges, norm given": (_edge_momenta(13), PhaseConvention(0.3, 0.4, 0.7, 2.5)),
+    "edges, phase scan": (_edge_momenta(14), PhaseConvention(_scan(15, 16), _scan(16, 16), 0.2)),
+    "4x8, two masses": (
+        checks.SuiteConfig(masses=(0.7, 2.5), n_magnitudes=4, n_directions=8).momenta(),
+        PhaseConvention(1.1, -0.6, 0.0, 0.6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFLECTION_CASES)
+def test_the_reflected_grid_equals_the_grid_of_reflected_records(case):
+    momenta, conv = REFLECTION_CASES[case]
+    g = halfspin.build_spinor_grid(momenta, conv)
+    reflected = [_reflected_record(p) for p in momenta]
+    _assert_same_grid(g.reflected, halfspin.build_spinor_grid(reflected, conv))
+    assert g.reflected.mass is g.mass and g.reflected.energy is g.energy
+
+
+CONFIGS = {
+    "default": checks.SuiteConfig(),
+    "two masses, 4x8, norm": checks.SuiteConfig(
+        masses=(0.5, 2.0), n_magnitudes=4, n_directions=8, norm=2.5
+    ),
+    "seeded masses, phases": checks.SuiteConfig(
+        masses=(random.Random(4).uniform(0.25, 4.0), 3.7), n_magnitudes=3, n_directions=7,
+        theta1=0.3, theta2=0.4,
+    ),
+    "1x1": checks.SuiteConfig(n_magnitudes=1, n_directions=1),
+    "32x32": checks.SuiteConfig(n_magnitudes=32, n_directions=32),
+}
+
+
+def _config_records(cfg):
+    """The grid momenta as SuiteConfig made them, one record per row."""
+    return [
+        FourMomentum(m, mag, th, ph)
+        for m in cfg.masses
+        for mag in cfg.magnitudes()
+        for th, ph in cfg.directions()
+    ]
+
+
+@pytest.mark.parametrize("case", CONFIGS)
+def test_a_runs_grid_equals_the_grid_of_its_records(case):
+    cfg = CONFIGS[case]
+    records = _config_records(cfg)
+    for conv in (cfg.convention, PhaseConvention(0.0, 0.0, 0.0, cfg.norm)):
+        g = halfspin.SpinorGrid.build(*cfg._rows, conv)
+        _assert_same_grid(g, halfspin.build_spinor_grid(records, conv))
+        reflected = [_reflected_record(p) for p in records]
+        _assert_same_grid(g.reflected, halfspin.build_spinor_grid(reflected, conv))
+    # a row read back as a record is the record it came from
+    assert [g.momentum(i) for i in range(len(g.mass))] == cfg.momenta() == records
+
+
+# ---------------------------------------------------------------------------
+# the spin-1 (mu, nu) families against the dicts they replaced
+
+
+def _k_dict():
+    jv = spin1.JVEC
+    return {
+        (i, j): jv[i] @ jv[j] + jv[j] @ jv[i] - (1.0 if i == j else 0.0) * spin1.ID3
+        for i in range(3)
+        for j in range(3)
+    }
+
+
+def _chiral_gammas_dict():
+    z3, i3, jv = spin1.Z3, spin1.ID3, spin1.JVEC
+    out = {(0, 0): np.block([[z3, i3], [i3, z3]])}
+    for i in range(3):
+        g = np.block([[z3, jv[i]], [-jv[i], z3]])
+        out[(0, i + 1)] = g
+        out[(i + 1, 0)] = g
+    for (i, j), k in _k_dict().items():
+        out[(i + 1, j + 1)] = np.block([[z3, k], [k, z3]])
+    return out
+
+
+def _mr_forms_dict():
+    t, z3, i3 = spin1.THETA3, spin1.Z3, spin1.ID3
+    out = {
+        (0, 0): np.block([[z3, t], [t, z3]]),
+        (0, 1): np.block([[z3, -spin1.J1 @ t], [-spin1.J1 @ t, z3]]),
+        (0, 2): np.block([[1j * spin1.J2 @ t, z3], [z3, -1j * spin1.J2 @ t]]),
+        (0, 3): np.block([[z3, -spin1.J3 @ t], [-spin1.J3 @ t, z3]]),
+    }
+    for i in range(3):
+        out[(i + 1, 0)] = out[(0, i + 1)]
+    for (i, j), k in _k_dict().items():
+        dif = 1j * (np.conjugate(k) - k)
+        tot = np.conjugate(k) + k
+        out[(i + 1, j + 1)] = 0.5 * np.block([[dif @ t, tot @ t], [tot @ t, -dif @ t]])
+    out["five"] = np.block([[z3, 1j * i3], [-1j * i3, z3]])
+    return out
+
+
+def test_spin1_families_equal_the_dicts_they_replaced():
+    k = _k_dict()
+    assert len(k) == 9
+    for key, want in k.items():
+        _assert_same_bits(spin1._K[key], want)
+    gammas, forms = _chiral_gammas_dict(), _mr_forms_dict()
+    assert len(gammas) == 16 and len(forms) == 17
+    for key, want in gammas.items():
+        _assert_same_bits(spin1.CHIRAL_GAMMAS[key], want)
+        _assert_same_bits(spin1.MR_FORMS[key], forms[key])
+    _assert_same_bits(spin1.MR_FIVE, forms["five"])
+    # the ten mu <= nu images in the dicts' order
+    upper = [key for key in gammas if key[0] <= key[1]]
+    assert list(zip(*spin1._UPPER)) == upper
+    imgs = spin1.to_majorana_rep(np.array([gammas[key] for key in upper]))
+    gaps = max_abs(imgs - np.array([forms[key] for key in upper]), axis=(-2, -1))
+    _assert_same_bits(spin1.majorana_family_report()["family_gaps"], gaps)

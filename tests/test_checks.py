@@ -95,6 +95,12 @@ def test_config_validation():
         {"n_magnitudes": 106},
         {"masses": (1e-20,)},
         {"masses": (1e200,)},
+        # a grid size is a plain integer
+        {"n_magnitudes": True},
+        {"n_directions": False},
+        {"n_magnitudes": 2.5},
+        {"n_directions": 2.0},
+        {"n_magnitudes": "3"},
     ):
         with pytest.raises(ValueError):
             checks.SuiteConfig(**bad)
@@ -352,19 +358,28 @@ def test_momentum_grid_size():
 
 
 def test_a_run_builds_each_grid_momentum_once(monkeypatch):
+    # once, as the config's kinematic arrays: no FourMomentum per grid row
+    new = FourMomentum.__new__
     built = []
 
-    def counted(*args):
+    def counted(cls, *args, **kwargs):
         built.append(args)
-        return FourMomentum(*args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(checks, "FourMomentum", counted)
-    cfg = checks.SuiteConfig(masses=(1.0, 2.0), n_magnitudes=2, n_directions=3)
-    checks.run_checks(cfg)
-    grid = [tuple(p) for p in cfg.momenta()]
-    assert len(grid) == 12
-    assert sorted(a for a in built if a in grid) == sorted(grid)
-    # momenta() hands out a fresh list of the same momenta
+    monkeypatch.setattr(FourMomentum, "__new__", staticmethod(counted))
+    counts = []
+    for n_directions in (3, 8):
+        built.clear()
+        cfg = checks.SuiteConfig(masses=(1.0, 2.0), n_magnitudes=2, n_directions=n_directions)
+        # one record per (mass, |p|) pair validates the kinematic domain
+        assert len(built) <= 2 * 2
+        checks.run_checks(cfg)
+        counts.append(len(built))
+    # the run's records are a fixed number, whatever the grid
+    assert counts[0] == counts[1]
+    # momenta() builds the records on demand: a fresh list of the same momenta
+    built.clear()
+    assert len(cfg.momenta()) == len(built) == 2 * 2 * 8
     assert cfg.momenta() is not cfg.momenta()
     assert cfg.momenta() == cfg.momenta()
 

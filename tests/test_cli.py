@@ -78,6 +78,11 @@ def test_usage_errors_exit_2(capsys):
         ["run", "--grid", "3x"],
         ["run", "--grid", "x"],
         ["run", "--grid", "3.5x6"],
+        # int() takes these, a grid size does not
+        ["run", "--grid", "1_0x1"],
+        ["run", "--grid", " 2 x 1 "],
+        ["run", "--grid", "+3x6"],
+        ["run", "--grid", "\u0663x6"],
         ["tabulate", "--momentum", "a,b,c"],
         ["tabulate", "--momentum", "nan,0,0"],
         ["tabulate", "--momentum", "inf,0,0"],
@@ -102,6 +107,15 @@ def test_nonfinite_and_out_of_domain_input_exits_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("selfconj: ")
     assert "Traceback" not in err
+
+
+def test_a_grid_is_two_ascii_integers_joined_by_x(capsys):
+    for text in ("1_0x1", " 2 x 1 ", "+3x6", "\u0663x6", "3x6x1", "3x6\n"):
+        want = (2, "", "selfconj: grid must look like 3x6\n")
+        assert run_cli(capsys, "run", "--grid", text) == want
+    # an upper-case X still reads as the separator
+    code, out, _ = run_cli(capsys, "run", "--grid", "2X1", "--suite", "linalg")
+    assert code == 0 and '"n_directions": 1, "n_magnitudes": 2' in out
 
 
 def test_unwritable_out_is_refused_before_any_check_runs(monkeypatch, capsys):

@@ -121,15 +121,35 @@ def _registered(check_id, grid=None):
 def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
     # every fieldops check reads the run's grid; with one NaN row each one
     # fails with a NaN maximum, and none raises
-    def grid(momenta, conv):
-        return _with_nan_entry(build_spinor_grid(momenta, conv), 2)
+    build = halfspin.SpinorGrid.build.__func__
+    patched = []
 
-    monkeypatch.setattr(halfspin, "build_spinor_grid", grid)
+    def with_nan(cls, *rows):
+        g = build(cls, *rows)
+        if len(g.mass) < 3:  # the one-row oracles keep their rows
+            return g
+        patched.append(len(g.mass))
+        return _with_nan_entry(g, 2)
+
+    monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(with_nan))
     results = checks.run_checks(checks.SuiteConfig(suites=("fieldops",)))
+    assert 18 in patched  # the run's own grid had the NaN row
     assert len(results) == 5
     for r in results:
         assert r.status == "fail", r.check_id
         assert math.isnan(r.max_residual), r.check_id
+
+
+def test_phase_sum_is_one_number_per_row_of_a_phase_scan():
+    p = GRID[2]
+    scan = ((0.3, 0.4), (math.pi, 2.0), (-1.0, 6.0))
+    conv = PhaseConvention(*zip(*scan))
+    rep = fieldops.dirac_from_majorana(build_spinor_grid([p] * 3, conv))
+    for i, (t1, t2) in enumerate(scan):
+        one = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(t1, t2)))
+        assert rep["phase_sum"][i] == one["phase_sum"] == (t1 + t2) % (2 * math.pi)
+        values = one["positive_singular_values"][0]
+        assert np.array_equal(rep["positive_singular_values"][i], values)
 
 
 def test_dirac_singular_values_are_nan_on_a_nan_row():

@@ -75,17 +75,19 @@ def test_a_run_builds_each_grid_once(monkeypatch):
     builds = []
     build = halfspin.SpinorGrid.build.__func__
 
-    def counted(cls, momenta, conv=PhaseConvention()):
-        builds.append((tuple(momenta), conv))
-        return build(cls, momenta, conv)
+    def counted(cls, mass, pmag, theta, phi, energy, conv=PhaseConvention()):
+        builds.append((np.array([mass, pmag, theta, phi, energy]), conv))
+        return build(cls, mass, pmag, theta, phi, energy, conv)
 
     monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(counted))
     totals = []
     for n_magnitudes, n_directions in ((3, 6), (4, 8)):
         cfg = checks.SuiteConfig(n_magnitudes=n_magnitudes, n_directions=n_directions)
+        # (mass, |p|, theta, phi, E) of the run's grid rows
+        want = np.array([(*p[:4], p.energy) for p in cfg.momenta()]).T
         builds.clear()
         checks.run_checks(cfg)
-        full = [conv for momenta, conv in builds if momenta == tuple(cfg.momenta())]
+        full = [conv for rows, conv in builds if np.array_equal(rows, want)]
         # at most once per distinct convention
         assert full and len(full) == len(set(full))
         totals.append(len(builds))

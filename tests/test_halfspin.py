@@ -63,7 +63,29 @@ def test_momentum_validation():
     # rest momentum forgets the direction
     p = FourMomentum(1.0, 0.0, theta=2.0, phi=1.0)
     assert p.theta == 0.0 and p.phi == 0.0
-    assert FourMomentum(1.0, 1.0).reflected().theta == pytest.approx(math.pi)
+
+
+def test_the_reflected_grid_maps_the_angles():
+    g = halfspin.build_spinor_grid(
+        [FourMomentum(1.0, 1.0), FourMomentum(1.0, 0.0), FourMomentum(2.0, 3.0, 1.1, 6.0)]
+    )
+    r = g.reflected
+    assert r.theta.tolist() == [math.pi, 0.0, math.pi - 1.1]
+    # phi + pi wraps into [0, 2 pi); a rest row stays at (0, 0)
+    assert r.phi.tolist() == [math.pi, 0.0, (6.0 + math.pi) % (2 * math.pi)]
+    assert r.mass is g.mass and r.pmag is g.pmag and r.energy is g.energy
+    assert np.allclose(r.pvec, -g.pvec, atol=1e-15)
+
+
+def test_phase_scans_are_validated_where_they_are_made():
+    for theta1, theta2 in (((0.1, 0.2), 0.0), ((0.1, 0.2), (0.3,)), (0.0, (0.3,))):
+        with pytest.raises(ValueError, match="phase scans of equal length"):
+            PhaseConvention(theta1, theta2)
+    scan = PhaseConvention((0.1, 0.2), (0.3, 0.4))
+    for rows in ([P_Z], [P_Z] * 3):
+        with pytest.raises(ValueError, match="one phase pair per grid row"):
+            halfspin.build_spinor_grid(rows, scan)
+    assert halfspin.build_spinor_grid([P_Z] * 2, scan).family.shape == (2, 8, 4)
 
 
 def test_helicity_spinors_pinned_values():
@@ -167,7 +189,7 @@ def test_family_functions_read_the_basis_they_are_given(monkeypatch):
     fieldops.ziino_split_residual(b)
     # the displayed oracle builds its own family from the physical inputs
     with pytest.raises(AssertionError, match="rebuilt"):
-        fieldops.displayed_ziino_coefficients(b.momenta[0], b.convention)
+        fieldops.displayed_ziino_coefficients(b.momentum(0), b.convention)
 
 
 def test_connection_exact_at_default_convention():

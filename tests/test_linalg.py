@@ -1,6 +1,5 @@
 """Antilinear-operator plumbing and the small numeric helpers."""
 
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -100,9 +99,9 @@ def test_involution_eigenvectors_split_and_determinism():
 
 
 def _held_arrays(value):
-    """Arrays a module-level value holds, through tuples, read-only
-    mappings and operators; a list or a dict of arrays would let a caller
-    swap a member, so it is refused outright."""
+    """Arrays a module-level value holds, through tuples and operators; a
+    list or a dict of arrays would let a caller swap a member, so it is
+    refused outright."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, linalg.AntilinearOp):
@@ -110,8 +109,8 @@ def _held_arrays(value):
     elif isinstance(value, (list, dict)):
         members = value.values() if isinstance(value, dict) else value
         assert not any(isinstance(v, np.ndarray) for v in members), "a mutable family"
-    elif isinstance(value, (tuple, Mapping)):
-        for v in value.values() if isinstance(value, Mapping) else value:
+    elif isinstance(value, tuple):
+        for v in value:
             yield from _held_arrays(v)
 
 
@@ -122,8 +121,10 @@ def test_shared_matrices_are_read_only():
         halfspin.GAMMA0 *= 2
     with pytest.raises(ValueError):
         fieldops.QUATERNION_UNITS[0][0, 0] = 0
-    with pytest.raises(TypeError):
-        spin1.MR_FORMS["five"] = np.eye(6)
+    with pytest.raises(ValueError):
+        spin1.MR_FORMS[0, 0] = np.eye(6)
+    with pytest.raises(ValueError):
+        spin1.MR_FIVE[0, 0] = 1
     assert np.array_equal(halfspin.GAMMA0[0], [0, 0, 1, 0])
     for module in (linalg, halfspin, spin1, fieldops):
         for name, value in vars(module).items():
@@ -135,8 +136,10 @@ def test_shared_matrices_are_read_only():
 
 def test_frozen_keeps_values_and_refuses_other_types():
     a = np.arange(3.0)
-    fam = linalg.frozen({"a": a, "pair": (np.eye(2), np.zeros(2))})
-    assert fam["a"] is a and not a.flags.writeable
-    assert not fam["pair"][1].flags.writeable
-    with pytest.raises(TypeError):
-        linalg.frozen([np.eye(2)])
+    fam = linalg.frozen((a, (np.eye(2), np.zeros(2))))
+    assert fam[0] is a and not a.flags.writeable
+    assert not fam[1][1].flags.writeable
+    # a family keyed by index pairs is an array, never a mapping
+    for other in ([np.eye(2)], {"a": np.eye(2)}):
+        with pytest.raises(TypeError):
+            linalg.frozen(other)

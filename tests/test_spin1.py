@@ -90,7 +90,7 @@ def test_family_lands_on_displayed_forms():
     assert rep["family_residual"] < 1e-14
     assert rep["family_imag_part"] < 1e-14
     assert rep["five_residual"] < 1e-15
-    five = spin1.MR_FORMS["five"]
+    five = spin1.MR_FIVE
     assert np.array_equal(
         five, np.block([[spin1.Z3, 1j * np.eye(3)], [-1j * np.eye(3), spin1.Z3]])
     )
