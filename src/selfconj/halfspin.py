@@ -1,10 +1,10 @@
 """Spin-1/2 momentum-space objects and the identities they satisfy.
 
 Everything downstream (check suites, tables, the CLI) reduces to what is
-constructed here: helicity two-spinors, the left/right Weyl boosts, Dirac
-spinors u/v, the self and anti-self charge-conjugate bispinors (lambda and
-rho families), the charge-conjugation operator, and the discrete-symmetry
-matrices acting on all of them.
+constructed here: helicity two-spinors and their left/right Weyl boosts
+(a number on each helicity state), Dirac spinors u/v, the self and anti-self
+charge-conjugate bispinors (lambda and rho families), the charge-conjugation
+operator, and the discrete-symmetry matrices acting on all of them.
 
 Conventions, fixed once and used everywhere:
 
@@ -37,7 +37,6 @@ import math
 import sys
 from collections import namedtuple
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +89,9 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
         if not pmag >= 0:
             raise ValueError("|p| must be >= 0")
         if mass > 0:
-            # past |p| = 2**52 m, E + m - |p| rounds to 0 on the axis and a
-            # family member vanishes; the boosts divide by sqrt(2 m (E + m))
+            # the accepted domain; the construction no longer needs it (a
+            # boost is a number on a helicity state), and gates relative to
+            # each residual's scale are to set it instead
             den = 2 * mass * (math.hypot(mass, pmag) + mass)
             if not (pmag <= 2.0**52 * mass and 0 < den < math.inf):
                 raise ValueError(
@@ -183,19 +183,18 @@ def helicity_eigenspinor(theta, phi, h: int) -> np.ndarray:
     return _helicity_pair(theta, phi)[..., 0 if h == UP else 1, :]
 
 
-def boost_ops(p) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Weyl boosts (right, left) for m > 0.
+def _boost_eigenvalues(mass, pmag, energy) -> np.ndarray:
+    """(e^w, 1, e^-w) on a new last axis, with e^w = (E + |p|)/m.
 
-    lam_r = (E + m + sigma.p) / sqrt(2 m (E + m)), lam_l with -sigma.p.
+    A boost of rapidity w along n acts on an eigenstate of J.n with
+    eigenvalue h as the number e^{h w}; e^-w is m/(E + |p|), never
+    (E - |p|)/m, which cancels at large |p|.
     """
-    if not (np.asarray(p.mass) > 0).all():
+    mass = np.asarray(mass)
+    if not (mass > 0).all():
         raise ValueError("finite boosts need m > 0")
-    e, m, pvec = p.energy, p.mass, p.pvec
-    sp = (pvec @ SIGMA.reshape(3, 4)).reshape(pvec.shape[:-1] + (2, 2))
-    den = rowscale(np.sqrt(2 * m * (e + m)))
-    lam_r = (rowscale(e + m) * ID2 + sp) / den
-    lam_l = (rowscale(e + m) * ID2 - sp) / den
-    return lam_r, lam_l
+    s = np.asarray(energy + pmag)
+    return np.concatenate([x[..., None] for x in (s / mass, np.ones_like(s), mass / s)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +233,11 @@ class SpinorGrid(
         return self.pmag[:, None] * self.nhat
 
     def head(self, n: int) -> "SpinorGrid":
-        """The grid of the first n rows."""
-        return self._make((self.convention, *(a[:n] for a in self[1:])))
+        """The grid of the first n rows; a phase scan keeps its first n pairs."""
+        conv = self.convention
+        if np.asarray(conv.theta1).ndim:
+            conv = conv._replace(theta1=conv.theta1[:n], theta2=conv.theta2[:n])
+        return self._make((conv, *(a[:n] for a in self[1:])))
 
     def momentum(self, i: int) -> FourMomentum:
         """Row i as a FourMomentum record."""
@@ -273,8 +275,9 @@ class SpinorGrid(
         st = np.sin(theta)
         columns = (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
         nhat = np.concatenate([x[:, None] for x in columns], axis=1)
-        kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
-        lam_r, lam_l = boost_ops(kinematics)
+        # the boosts act on helicity spinors as numbers: e^{h w/2} on phi_R
+        # and e^{-h w/2} on phi_L, helicity h = +1, -1 on axis 1
+        half = np.sqrt(_boost_eigenvalues(mass, pmag, energy)[:, ::2, None])
         scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
         # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
         # phase is one number, or one per row in a phase scan
@@ -282,8 +285,8 @@ class SpinorGrid(
         if phases.shape[:-1] not in ((), mass.shape):
             raise ValueError("a phase scan needs one phase pair per grid row")
         rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
-        left = apply(lam_l, rest)
-        right = apply(lam_r, rest)
+        left = half[:, ::-1] * rest
+        right = half * rest
         # +-i Theta conj(phi)
         lp, lm, rp, rm = (
             apply(s * THETA, np.conjugate(x)) for x in (left, right) for s in (1j, -1j)
@@ -419,8 +422,9 @@ def gauge_rho(alpha) -> np.ndarray:
 
 
 def xi_matrix(phi_p) -> np.ndarray:
-    """diag(e^{+i phi_p}, e^{-i phi_p}); conjugates the Weyl boosts:
-    Xi lam Xi^{-1} = conj(lam) for momenta with azimuth phi_p."""
+    """diag(e^{+i phi_p}, e^{-i phi_p}); Xi lam Xi^{-1} = conj(lam) for the
+    Weyl boost matrices lam = (E + m +- sigma.p) / sqrt(2 m (E + m)) of
+    momenta with azimuth phi_p."""
     return diagonal(np.exp(1j * np.asarray(phi_p)), np.exp(-1j * np.asarray(phi_p)))
 
 

@@ -7,10 +7,11 @@ individual spinors and the impossibility of self-conjugate spin-1 spinors
 both live here because they are statements about that frame.
 
 Helicity labels are +1, 0, -1; component order everywhere is m = +1, 0, -1.
-All rotations and boosts use the closed polynomial forms ((J.n)^3 = J.n), so
-nothing here needs a matrix exponential.  Kinematic arguments are a
-FourMomentum or a SpinorGrid; on a grid every result gains a leading row
-axis, and the six-spinors come from the grid, built once.
+Rotations use the closed polynomial form ((J.n)^3 = J.n) and a boost acts on
+a helicity state xi_h as the number e^{+-h w}, so nothing here needs a
+matrix exponential.  Kinematic arguments are a FourMomentum or a
+SpinorGrid; on a grid every result gains a leading row axis, and the
+six-spinors come from the grid, built once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .linalg import (
     rowscale,
 )
 from .halfspin import THETA as THETA_HALF
-from .halfspin import SpinorGrid
+from .halfspin import SpinorGrid, _boost_eigenvalues
 
 ID3, ID6, Z3 = frozen(
     (np.eye(3, dtype=complex), np.eye(6, dtype=complex), np.zeros((3, 3), dtype=complex))
@@ -76,25 +77,13 @@ def helicity_eigenvector(theta, phi, h: int) -> np.ndarray:
     return spin1_rotation(theta, phi)[..., HELICITIES.index(h)]
 
 
-def spin1_boosts(p) -> tuple[np.ndarray, np.ndarray]:
-    """(right, left) boosts exp(+-J.n w), cosh w = E/m, sinh w = |p|/m."""
-    if not (np.asarray(p.mass) > 0).all():
-        raise ValueError("finite boosts need m > 0")
-    ch = rowscale(p.energy / p.mass)
-    sh = rowscale(p.pmag / p.mass)
-    jn = jdot(p.nhat)
-    jn2 = jn @ jn
-    br = ID3 + sh * jn + (ch - 1.0) * jn2
-    bl = ID3 - sh * jn + (ch - 1.0) * jn2
-    return br, bl
-
-
 def weinberg_u(p) -> np.ndarray:
-    """Chiral-basis six-spinors (phi_R, phi_L), phi_X = boost_X xi_h, for
-    the helicities +1, 0, -1 on axis -2: (3, 6), or (N, 3, 6) on a grid."""
-    br, bl = spin1_boosts(p)
+    """Chiral-basis six-spinors (phi_R, phi_L) for the helicities +1, 0, -1
+    on axis -2: (3, 6), or (N, 3, 6) on a grid.  The boosts exp(+-J.n w)
+    act on xi_h as numbers: phi_R = e^{h w} xi_h, phi_L = e^{-h w} xi_h."""
+    k = _boost_eigenvalues(p.mass, p.pmag, p.energy)[..., None]
     xi = spin1_rotation(p.theta, p.phi).swapaxes(-1, -2)
-    return np.concatenate([apply(br, xi), apply(bl, xi)], axis=-1)
+    return np.concatenate([k * xi, k[..., ::-1, :] * xi], axis=-1)
 
 
 def _six(p) -> np.ndarray:

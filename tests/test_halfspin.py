@@ -5,6 +5,7 @@ E = sqrt(2), boost factors a_pm = (E + m +- |p|) / sqrt(2 m (E + m)).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_phase_scans_are_validated_where_they_are_made():
     assert halfspin.build_spinor_grid([P_Z] * 2, scan).family.shape == (2, 8, 4)
 
 
+def test_the_head_of_a_phase_scan_keeps_its_first_pairs():
+    g = halfspin.build_spinor_grid(GRID[3:6], PhaseConvention((0.1, 0.2, 0.3), (0.0, 0.5, 1.0)))
+    want = halfspin.build_spinor_grid(GRID[3:5], PhaseConvention((0.1, 0.2), (0.0, 0.5)))
+    assert g.head(2).convention == want.convention
+    got, want = g.head(2).reflected, want.reflected
+    for a, b in zip((*got[1:], got.six), (*want[1:], want.six)):
+        assert np.array_equal(a, b)
+    plain = halfspin.build_spinor_grid(GRID[3:6], PhaseConvention(0.1, 0.0))
+    assert plain.head(2).convention is plain.convention
+
+
 def test_helicity_spinors_pinned_values():
     rt = 1 / math.sqrt(2)
     assert np.allclose(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, UP), [rt, rt])
@@ -105,13 +117,31 @@ def test_wigner_property_of_theta():
         assert np.allclose(halfspin.THETA @ np.conjugate(cm), -cp)
 
 
+def _boost_ops(p):
+    """The Weyl boost matrices (right, left) = (E + m +- sigma.p) / sqrt(2 m
+    (E + m)) of one momentum; the grid builds their action on helicity
+    spinors as numbers."""
+    e, m = p.energy, p.mass
+    sp = np.tensordot(p.pvec, halfspin.SIGMA, axes=(-1, 0))
+    den = math.sqrt(2 * m * (e + m))
+    return ((e + m) * np.eye(2) + sp) / den, ((e + m) * np.eye(2) - sp) / den
+
+
 def test_boost_factors_at_unit_momentum():
-    lam_r, lam_l = halfspin.boost_ops(P_Z)
-    chi = halfspin.helicity_eigenspinor(0.0, 0.0, UP)
-    assert np.allclose(lam_r @ chi, A_PLUS * chi, atol=1e-14)
-    assert np.allclose(lam_l @ chi, A_MINUS * chi, atol=1e-14)
-    with pytest.raises(ValueError):
-        halfspin.boost_ops(FourMomentum(0.0, 1.0))
+    b = halfspin.build_spinor_basis(P_Z)
+    chi_up, chi_dn = (halfspin.helicity_eigenspinor(0.0, 0.0, h) for h in (UP, DN))
+    assert np.allclose(b.right[0], [A_PLUS * chi_up, A_MINUS * chi_dn], atol=1e-14)
+    assert np.allclose(b.left[0], [A_MINUS * chi_up, A_PLUS * chi_dn], atol=1e-14)
+    lam_r, lam_l = _boost_ops(P_Z)
+    assert np.allclose(lam_r @ chi_up, A_PLUS * chi_up, atol=1e-14)
+    assert np.allclose(lam_l @ chi_up, A_MINUS * chi_up, atol=1e-14)
+
+
+def test_a_massless_build_is_refused_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite boosts need m > 0"):
+            halfspin.build_spinor_basis(FourMomentum(0.0, 1.0))
 
 
 def test_lambda_up_at_unit_momentum():
@@ -280,7 +310,7 @@ def test_xi_conjugates_the_boosts():
         if p.mass <= 0 or p.pmag == 0:
             continue
         xi = halfspin.xi_matrix(p.phi)
-        lam_r, lam_l = halfspin.boost_ops(p)
+        lam_r, lam_l = _boost_ops(p)
         for lam in (lam_r, lam_l):
             assert np.allclose(xi @ lam @ np.linalg.inv(xi), np.conjugate(lam))
 

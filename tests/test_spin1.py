@@ -44,16 +44,28 @@ def test_rotation_and_helicity_eigenvectors():
         spin1.helicity_eigenvector(0.0, 0.0, 2)
 
 
+def _spin1_boosts(p):
+    """The boost matrices (right, left) = exp(+-J.n w), cosh w = E/m, sinh w =
+    |p|/m, in closed form; the six-spinors use their action on xi_h as
+    numbers."""
+    jn = spin1.jdot(p.nhat)
+    sh, ch = p.pmag / p.mass, p.energy / p.mass
+    return (np.eye(3) + s * sh * jn + (ch - 1.0) * jn @ jn for s in (1, -1))
+
+
 def test_boosts_invert_each_other():
     for p in GRID:
-        br, bl = spin1.spin1_boosts(p)
+        br, bl = _spin1_boosts(p)
         assert np.allclose(br @ bl, np.eye(3), atol=1e-12)
+        xi = spin1.spin1_rotation(p.theta, p.phi)
+        assert np.allclose(spin1.weinberg_u(p), np.concatenate([br @ xi, bl @ xi]).T, atol=1e-12)
     # rapidity eigenvalue on the aligned helicity state: e^w = (E + |p|)/m
-    br, _ = spin1.spin1_boosts(FourMomentum(1.0, 1.0))
+    br, _ = _spin1_boosts(FourMomentum(1.0, 1.0))
     e1 = np.array([1.0, 0, 0])
     assert np.allclose(br @ e1, (math.sqrt(2.0) + 1.0) * e1)
-    with pytest.raises(ValueError):
-        spin1.spin1_boosts(FourMomentum(0.0, 1.0))
+    assert np.allclose(spin1.weinberg_u(FourMomentum(1.0, 1.0))[0, :3], (math.sqrt(2.0) + 1.0) * e1)
+    with pytest.raises(ValueError, match="finite boosts need m > 0"):
+        spin1.weinberg_u(FourMomentum(0.0, 1.0))
 
 
 def test_covariant_family_layout():
