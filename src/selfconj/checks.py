@@ -24,7 +24,10 @@ The default grid is 3 momentum magnitudes x 6 directions, all in the
 meridian plane (azimuth 0 or pi).  That plane is where the spin-1
 transverse-reality identities hold exactly; off-plane behavior has its own
 reported check.  Rendering is deterministic: identical configs give
-byte-identical reports.
+byte-identical reports.  The JSON report is strict JSON, written in one
+walk with json.dumps(sort_keys=True, indent=2)'s layout; _plain holds the
+one set of rules that turn arrays, numpy scalars, complex and non-finite
+numbers into JSON values.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         # finite residual
         if not (tolerance >= 0 and math.isfinite(tolerance)):
             raise ValueError("tolerance must be finite and >= 0")
-        if np.ndim(theta1) or np.ndim(theta2):
+        if np.asarray(theta1).ndim or np.asarray(theta2).ndim:
             raise ValueError("theta1 and theta2 must be numbers, not one per row")
         PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
         suites = tuple(suites)
@@ -152,24 +155,91 @@ class CheckResult(NamedTuple):
         return _jsonable(self._asdict())
 
 
-def _jsonable(x):
-    """Plain JSON data; a non-finite float becomes the string "NaN",
-    "Infinity" or "-Infinity", so the output parses as strict JSON."""
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+def _plain(x):
+    """One step of the JSON conversion of a value that is not a dict, list
+    or tuple: a numpy array becomes its nested list, a numpy scalar its
+    Python value, a complex {"re", "im"}, a non-finite float the string
+    "NaN", "Infinity" or "-Infinity" (so the output parses as strict JSON)
+    and any other object but a JSON value its str().  A JSON value comes
+    back as itself; anything else returned takes another step."""
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
+        return x.tolist()
     if isinstance(x, np.generic):
-        return _jsonable(x.item())
+        return x.item()
     if isinstance(x, complex):
-        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
+        return {"re": x.real, "im": x.imag}
     if isinstance(x, float) and not math.isfinite(x):
         return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     return str(x)
+
+
+def _jsonable(x):
+    """Plain JSON data: dict keys become str, tuples lists, and every other
+    value is converted by _plain."""
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    y = _plain(x)
+    return x if y is x else _jsonable(y)
+
+
+_QUOTE = json.encoder.encode_basestring_ascii  # json's escaper, in C
+
+
+def _write_json(x, out: list, pad: str) -> None:
+    """Append to `out` the text json.dumps(_jsonable(x), sort_keys=True,
+    indent=2) gives, in one walk of x: `pad` is the newline and indent of
+    the line x starts on.  JSON values of the exact types str, int and
+    finite float are written as json writes them; every other leaf goes
+    through _plain."""
+    t = type(x)
+    if t is float and math.isfinite(x):
+        out.append(float.__repr__(x))
+    elif t is str:
+        out.append(_QUOTE(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        items = {str(k): v for k, v in x.items()}
+        sep = "{" + inner
+        for k in sorted(items):
+            out.append(sep + _QUOTE(k) + ": ")
+            _write_json(items[k], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True or x is False:
+        out.append("true" if x else "false")
+    else:
+        y = _plain(x)
+        if y is not x:
+            _write_json(y, out, pad)
+        # a subclass of str, int or finite float, written as json writes it
+        elif isinstance(x, str):
+            out.append(_QUOTE(x))
+        elif isinstance(x, int):
+            out.append(int.__repr__(x))
+        else:
+            out.append(float.__repr__(x))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +300,14 @@ def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
 
 
+@functools.cache
 def _samples(seed: int, rows: int, cols: int) -> np.ndarray:
     """Seeded numbers in [-1, 1), row by row: the standard library's
     random.Random(seed).random() stream, which Python keeps the same across
-    versions, mapped exactly by x -> 2 x - 1."""
+    versions, mapped exactly by x -> 2 x - 1.  Drawn once per process and
+    read-only."""
     draw = random.Random(seed).random
-    return np.array([2 * draw() - 1 for _ in range(rows * cols)]).reshape(rows, cols)
+    return linalg.frozen(np.array([2 * draw() - 1 for _ in range(rows * cols)]).reshape(rows, cols))
 
 
 def _prop_residual(v, img):
@@ -791,7 +863,7 @@ def _state_tables(cfg: SuiteConfig, grid):
         for at, got, modes in (("moving", op.moving, fock.SECTOR), ("rest", op.matrix, fock.REST)):
             want = _table_matrix(table, negate, modes)
             res[f"{op.name}_{at}"] = linalg.max_abs(got - want)
-            patterns.append(np.array_equal(got != 0, want != 0))
+            patterns.append(((got != 0) == (want != 0)).all())
         unitary = linalg.dagger(op.moving) @ op.moving
         res[f"{op.name}_unitary"] = linalg.max_abs(unitary - linalg.EYE[8])
     return Evaluation(
@@ -1015,6 +1087,8 @@ def _summary(results) -> dict:
 
 
 def render_json(cfg: SuiteConfig, results) -> str:
-    rows = [r.to_dict() for r in results]
-    doc = {"config": _jsonable(cfg.to_dict()), "checks": rows, "summary": _summary(results)}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    rows = [r._asdict() for r in results]
+    out: list = []
+    _write_json({"config": cfg.to_dict(), "checks": rows, "summary": _summary(results)}, out, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -170,7 +170,9 @@ def quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Hamilton product a b, validated like its factors."""
     a0, av, b0, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
     c0 = a0 * b0 - np.vecdot(av, bv)[..., None]
-    return unit_quaternions(np.concatenate([c0, a0 * bv + b0 * av + np.cross(av, bv)], axis=-1))
+    # np.cross's arithmetic: component k is a[k+1] b[k+2] - a[k+2] b[k+1]
+    cross = av[..., [1, 2, 0]] * bv[..., [2, 0, 1]] - av[..., [2, 0, 1]] * bv[..., [1, 2, 0]]
+    return unit_quaternions(np.concatenate([c0, a0 * bv + b0 * av + cross], axis=-1))
 
 
 # Matrix units (i, j, k) realizing the exchange-map algebra: i gamma^5,

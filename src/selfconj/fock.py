@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EYE
+from .linalg import EYE, norm
 
 HEL = ("up", "dn")
 
@@ -116,7 +116,9 @@ def squares_report(ops) -> dict:
     out = {}
     for op in ops:
         sq = op.matrix @ op.matrix
-        c = complex(sq[0, 0].round(12))
+        # sq[0, 0].round(12) as numpy rounds: rint(x * 1e12) / 1e12 per part
+        z = complex(sq[0, 0])
+        c = complex(np.rint(z.real * 1e12) / 1e12, np.rint(z.imag * 1e12) / 1e12)
         if np.abs(sq - c * EYE[4]).max() > 1e-12:
             raise ValueError(f"{op.name}^2 is not a scalar: {sq}")
         out[op.name] = c
@@ -203,7 +205,7 @@ def operator_state_consistency() -> dict:
                 # the state action on |p, h>: its column of `moving`
                 direct.append(op.moving[:, SECTOR.index((1, h, branch))])
     created = np.array(created)
-    gaps = np.linalg.norm([created - direct, annihilated - np.conjugate(created)], axis=-1)
+    gaps = norm(np.array([created - direct, annihilated - np.conjugate(created)]))
     return {"max_residual": float(gaps.max()), "gaps": gaps}
 
 
@@ -223,7 +225,7 @@ def parity_eigencombos(ptag: int) -> dict:
     for sign, tag in ((+1, "plus"), (-1, "minus")):
         vec = FockVector(up + sign * 1j * dn)
         gap = INVERSION.apply(vec).amps - sign * (up_r + sign * 1j * dn_r)
-        out[tag] = {"eigenvalue": sign, "residual": float(np.linalg.norm(gap))}
+        out[tag] = {"eigenvalue": sign, "residual": float(norm(gap))}
     return out
 
 
@@ -238,7 +240,7 @@ def charge_eigencombos() -> dict:
             lam = -sign * 1j
             out[f"{h}_{tag}"] = {
                 "eigenvalue": lam,
-                "residual": float(np.linalg.norm(CHARGE.apply(vec).amps - lam * vec.amps)),
+                "residual": float(norm(CHARGE.apply(vec).amps - lam * vec.amps)),
             }
     return out
 
@@ -288,8 +290,8 @@ def both_branch_joint_eigenvector() -> dict:
     the single-branch nonexistence is not mistaken for a global statement."""
     v = FockVector([1.0, 1j, -1j, 1.0])  # on REST: up+, dn+, up-, dn-
     return {
-        "inversion_residual": float(np.linalg.norm(INVERSION.apply(v).amps - v.amps)),
-        "charge_residual": float(np.linalg.norm(CHARGE.apply(v).amps - 1j * v.amps)),
+        "inversion_residual": float(norm(INVERSION.apply(v).amps - v.amps)),
+        "charge_residual": float(norm(CHARGE.apply(v).amps - 1j * v.amps)),
         "charge_eigenvalue": 1j,
     }
 

@@ -194,7 +194,9 @@ def _boost_eigenvalues(mass, pmag, energy) -> np.ndarray:
     if not (mass > 0).all():
         raise ValueError("finite boosts need m > 0")
     s = np.asarray(energy + pmag)
-    return np.concatenate([x[..., None] for x in (s / mass, np.ones_like(s), mass / s)], axis=-1)
+    out = np.empty(s.shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = s / mass, 1.0, mass / s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +344,8 @@ def discrete_ops(nhat) -> DiscreteOps:
     nhat = np.asarray(nhat, dtype=float)
     if nhat.shape[-1:] != (3,) or not np.isfinite(nhat).all():
         raise ValueError("direction must be a finite 3-vector")
-    if not (abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= 1e-9).all():
+    # numpy's norm over an axis: the square root of the summed squares
+    if not (abs(np.sqrt((nhat * nhat).sum(axis=-1)) - 1.0) <= 1e-9).all():
         raise ValueError("direction must be a unit 3-vector")
     sn = 0.5 * (nhat @ SIGMA.reshape(3, 4)).reshape(nhat.shape[:-1] + (2, 2))
     h = np.zeros(sn.shape[:-2] + (4, 4), dtype=complex)

@@ -73,14 +73,14 @@ def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     row of v, so (N, n, n) against (N, k, n) gives (N, k, n)."""
     m = np.asarray(m)
     if m.ndim > 2:
-        m = m.reshape(m.shape[:-2] + (1,) * (np.ndim(v) - m.ndim + 1) + m.shape[-2:])
+        m = m.reshape(m.shape[:-2] + (1,) * (np.asarray(v).ndim - m.ndim + 1) + m.shape[-2:])
     return np.matvec(m, v)
 
 
 def norm(x) -> np.ndarray:
     """Euclidean norm over the last axis."""
     x = np.asarray(x)
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
     x = np.ascontiguousarray(x)
     return np.sqrt(np.vecdot(x, x))
@@ -183,11 +183,9 @@ def realify(op: AntilinearOp) -> np.ndarray:
     (Xa + Yb) + i(Ya - Xb), i.e. the block matrix [[X, Y], [Y, -X]].
     For a linear op (no conjugation) it is the usual [[X, -Y], [Y, X]].
     """
-    x = np.real(op.matrix)
-    y = np.imag(op.matrix)
-    if op.conjugates:
-        return np.block([[x, y], [y, -x]])
-    return np.block([[x, -y], [y, x]])
+    x, y = op.matrix.real, op.matrix.imag
+    top, bottom = (y, -x) if op.conjugates else (-y, x)
+    return np.concatenate([np.concatenate([x, top], axis=1), np.concatenate([y, bottom], axis=1)])
 
 
 def involution_eigenvectors(t: np.ndarray, sign: int):

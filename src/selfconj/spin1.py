@@ -65,7 +65,7 @@ def spin1_rotation(theta, phi) -> np.ndarray:
     """R = Rz(phi) Ry(theta), closed form (J_y^3 = J_y).  Its columns are
     the helicity eigenvectors xi_h in HELICITIES order."""
     phi = np.asarray(phi)
-    rz = diagonal(np.exp(-1j * phi), np.ones(phi.shape), np.exp(1j * phi))
+    rz = diagonal(np.exp(-1j * phi), np.zeros(phi.shape) + 1.0, np.exp(1j * phi))
     ry = ID3 - rowscale(1j * np.sin(theta)) * J2 + rowscale(np.cos(theta) - 1.0) * (J2 @ J2)
     return rz @ ry
 

@@ -3,14 +3,17 @@
 import functools
 import json
 import math
+import os
+import random
 import re
 import struct
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from selfconj import checks, fock, halfspin, linalg, spin1
 from selfconj.halfspin import FourMomentum, PhaseConvention
@@ -388,11 +391,12 @@ def test_a_run_builds_each_grid_momentum_once(monkeypatch):
 # method, a ufunc, concatenate, matmul); per-call code uses the entry
 # point, so a default run calls none of them from the package
 _WRAPPERS = ("max", "min", "all", "any", "ravel", "stack", "tensordot", "eye",
-             "broadcast_arrays", "sum")
+             "broadcast_arrays", "sum", "ndim", "iscomplexobj", "ones_like", "ones",
+             "array_equal", "block", "cross")
 
 
 def test_a_default_run_calls_no_python_level_numpy_wrappers(monkeypatch):
-    calls = dict.fromkeys(_WRAPPERS, 0)
+    calls = dict.fromkeys((*_WRAPPERS, "linalg.norm"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -404,13 +408,37 @@ def test_a_default_run_calls_no_python_level_numpy_wrappers(monkeypatch):
 
     for name in _WRAPPERS:
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    monkeypatch.setattr(np.linalg, "norm", counted("linalg.norm", np.linalg.norm))
     cfg = checks.SuiteConfig()
     results = checks.run_checks(cfg)
     checks.render_text(cfg, results)
     checks.render_json(cfg, results)
     # import-time constants (fock's SymmetryOp, spin1's frame blocks) may
     # use them; a run may not
-    assert calls == dict.fromkeys(_WRAPPERS, 0)
+    assert calls == dict.fromkeys((*_WRAPPERS, "linalg.norm"), 0)
+
+
+def test_seeded_samples_are_drawn_once_and_read_only(monkeypatch):
+    rng = random.Random(5)
+    want = np.array([2 * rng.random() - 1 for _ in range(12)]).reshape(3, 4)
+    first = checks._samples(5, 3, 4)
+    assert first.tobytes() == want.tobytes()
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    drawn = []
+
+    class Counted(random.Random):
+        def random(self):
+            drawn.append(1)
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", Counted)
+    assert checks._samples(5, 3, 4) is first
+    assert not drawn
+    # the patch counts draws: a shape not asked for yet draws its values
+    checks._samples(5, 1, 3)
+    assert len(drawn) == 3
 
 
 def test_results_are_json_serializable():
@@ -454,3 +482,139 @@ def test_overflowing_norm_report_is_strict_json():
         text = checks.render_json(cfg, checks.run_checks(cfg))
     _strict_json(text)
     assert '"NaN"' in text and '"Infinity"' in text
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps of the plain-data copy
+
+
+def _oracle_json(x) -> str:
+    return json.dumps(checks._jsonable(x), sort_keys=True, indent=2, allow_nan=False)
+
+
+def _written(x) -> str:
+    out = []
+    checks._write_json(x, out, "\n")
+    return "".join(out)
+
+
+def _oracle_report(cfg, results) -> str:
+    doc = {
+        "config": checks._jsonable(cfg.to_dict()),
+        "checks": [r.to_dict() for r in results],
+        "summary": checks._summary(results),
+    }
+    return _oracle_json(doc) + "\n"
+
+
+class _Int(int):
+    __repr__ = __str__ = lambda self: "an int subclass"
+
+
+class _Float(float):
+    __repr__ = __str__ = lambda self: "a float subclass"
+
+
+class _Str(str):
+    __repr__ = lambda self: "a str subclass"
+
+
+_floats = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310])
+_json_leaves = (
+    _floats
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.complex_numbers()
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.complex128, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    )
+    | _floats.map(np.float64)
+    | st.complex_numbers().map(np.complex128)
+    | st.booleans().map(np.bool_)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers().map(_Int)
+    | _floats.map(_Float)
+    | st.text().map(_Str)
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | st.integers(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(_json_trees)
+@example({1: "the int key", "1": "the str key"})
+@example([_Int(3), _Float(0.5), _Float(math.nan), _Str("\u00e9\n"), True, None])
+def test_the_writer_equals_json_dumps_of_the_plain_copy(x):
+    assert _written(x) == _oracle_json(x)
+
+
+def _with_nan_row(monkeypatch):
+    """Every grid of three rows or more gets a NaN in row 2 of its family."""
+    build = halfspin.SpinorGrid.build.__func__
+
+    def with_nan(cls, *rows):
+        g = build(cls, *rows)
+        if len(g.mass) < 3:
+            return g
+        family = g.family.copy()
+        family[2, halfspin.FAMILY.index("lam_s_up"), 1] = math.nan
+        return g._replace(family=family)
+
+    monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(with_nan))
+
+
+def test_every_suite_subset_renders_as_the_oracle(monkeypatch):
+    rng = random.Random(17)
+    suites = checks.KNOWN_SUITES
+    for k in range(1, 2 ** len(suites)):
+        cfg = checks.SuiteConfig(
+            n_magnitudes=2,
+            n_directions=3,
+            theta1=rng.uniform(0.0, 2 * math.pi),
+            theta2=rng.uniform(0.0, 2 * math.pi),
+            suites=[s for j, s in enumerate(suites) if k >> j & 1],
+        )
+        results = checks.run_checks(cfg)
+        assert checks.render_json(cfg, results) == _oracle_report(cfg, results), cfg.suites
+    _with_nan_row(monkeypatch)
+    cfg = checks.SuiteConfig()
+    with np.errstate(invalid="ignore"):
+        results = checks.run_checks(cfg)
+    assert any(math.isnan(r.max_residual) for r in results)
+    assert checks.render_json(cfg, results) == _oracle_report(cfg, results)
+
+
+def test_render_json_runs_no_json_module_code(monkeypatch):
+    cfg = checks.SuiteConfig()
+    results = checks.run_checks(cfg)
+    want = _oracle_report(cfg, results)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    files = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        got = checks.render_json(cfg, results)
+    finally:
+        sys.setprofile(None)
+    assert got == want
+    assert checks.__file__ in files
+    json_dir = os.path.dirname(json.__file__)
+    assert not [f for f in files if os.path.dirname(f) == json_dir]

@@ -328,6 +328,7 @@ DATA = Path(__file__).resolve().parent / "data"
         ("run.txt", ["run"]),
         ("run_theta1_0.3_theta2_0.4.txt", ["run", "--theta1", "0.3", "--theta2", "0.4"]),
         ("run_suite_fock.json", ["run", "--suite", "fock", "--format", "json"]),
+        ("run.json", ["run", "--format", "json"]),
     ],
 )
 def test_text_report_matches_the_frozen_bytes(capsys, name, argv):

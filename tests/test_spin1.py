@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from selfconj import halfspin, spin1
+from selfconj import checks, halfspin, linalg, spin1
 from selfconj.halfspin import FourMomentum
 
 GRID = [
@@ -220,3 +220,17 @@ def test_reality_classes_both_spins():
     for name, (cls, minority) in classes1.items():
         assert cls == ("real" if name.startswith("+") else "imaginary"), name
         assert minority < 1e-12
+
+
+def test_a_warm_process_recomputes_the_fixed_matrix_checks(monkeypatch):
+    # no check result outlives its run: a patched constant shows in the
+    # next run of the same process, and undoing the patch undoes the FAILs
+    cfg = checks.SuiteConfig(suites=("spin1",))
+    first = {r.check_id: r.status for r in checks.run_checks(cfg)}
+    assert "fail" not in first.values()
+    monkeypatch.setattr(spin1, "MR_FIVE", linalg.frozen(-spin1.MR_FIVE))
+    patched = {r.check_id: r.status for r in checks.run_checks(cfg)}
+    assert patched["spin1/majorana-real-family"] == "fail"
+    assert patched["spin1/chirality-flip"] == "fail"
+    monkeypatch.undo()
+    assert {r.check_id: r.status for r in checks.run_checks(cfg)} == first
