@@ -19,15 +19,16 @@ grid = [
     for th, ph in ((0.0, 0.0), (np.pi / 2, 0.0), (2.0, np.pi))
 ]
 
+# each relation is an (N, 2) array: momentum, helicity
 print("dynamical residuals (max over helicity), one row per momentum of the grid:")
 r = halfspin.dynamical_residuals(halfspin.build_spinor_grid(grid))
 for i, p in enumerate(grid):
     print(f"  |p|={p.pmag:3.1f} theta={p.theta:4.2f}: " +
-          "  ".join(f"{k}={v[i]:.2e}" for k, v in r.items()))
+          "  ".join(f"{k}={v[i].max():.2e}" for k, v in r.items()))
 
 p = grid[3]
 b = halfspin.build_spinor_basis(p)
-flip = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0]
+flip = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0].max()
 print(f"\nself-test, wrong third sign at |p|={p.pmag}: residual {flip:.6f} "
       "(the checks can fail)")
 

@@ -26,9 +26,9 @@ for alpha in (0.3, 1.2):
     )
     print(f"  alpha={alpha}: worst residual {worst:.2e}")
 
-print("\nexchange-map aliases at default phases:")
+print("\nexchange-map aliases at default phases, per helicity:")
 for k, v in halfspin.xi_alias_residuals(b).items():
-    print(f"  {k}: {v[0]:.2e}")
+    print(f"  {k}: up {v[0, 0]:.2e}, dn {v[0, 1]:.2e}")
 
 print("\nclosure table of the momentum-independent parts "
       "(entry (j,k) -> sign, index):")

@@ -24,14 +24,16 @@ for slot, (dag, freq) in enumerate((("    ", +1), ("^dag", -1))):
     for h, tag in enumerate(("up", "dn")):
         print(f"  a_{tag}{dag}  freq {freq:+d}  {nu[0, slot, h]}")
 
-print(f"\nsplit vs displayed coefficients: {fieldops.ziino_split_residual(b)[0]:.2e}")
+# each residual has one entry per slot and helicity (and half, for the
+# split); the demo prints the worst
+print(f"\nsplit vs displayed coefficients: {fieldops.ziino_split_residual(b)[0].max():.2e}")
 par = fieldops.conjugation_parity_residuals(b)
-print(f"halves are conjugation eigen-expansions: even {par['even'][0]:.1e}, "
-      f"odd {par['odd'][0]:.1e}")
+print(f"halves are conjugation eigen-expansions: even {par['even'][0].max():.1e}, "
+      f"odd {par['odd'][0].max():.1e}")
 
 rep = fieldops.dirac_from_majorana(b)
-print(f"\nDirac embedding: partner residual {rep['partner_residual'][0]:.1e}, "
-      f"eigenspace residual {rep['eigenspace_residual'][0]:.1e}")
+print(f"\nDirac embedding: partner residual {rep['partner_residual'][0].max():.1e}, "
+      f"eigenspace residual {rep['eigenspace_residual'][0].max():.1e}")
 print(f"positive-image singular values at default phases: "
       f"{rep['positive_singular_values'][0]}  (collinear)")
 gen = fieldops.dirac_from_majorana(halfspin.build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
@@ -43,5 +45,5 @@ print("\nquaternionic phase orbit:")
 one, qi, qj, qk = fieldops.unit_quaternions(np.eye(4))
 print(f"  i*j = {fieldops.quaternion_product(qi, qj)}")
 print(f"  group law on matrices: {fieldops.orbit_group_law(qi, qj):.1e}")
-print(f"  conjugation status preserved along the orbit 1, i, j, k: "
-      f"{fieldops.orbit_preserves_conjugation(np.eye(4), b)[:, 0]}")
+print(f"  conjugation status preserved along the orbit 1, i, j, k (worst member): "
+      f"{fieldops.orbit_preserves_conjugation(np.eye(4), b)[:, 0].max(axis=-1)}")

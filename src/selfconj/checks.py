@@ -13,9 +13,12 @@ fixed sets evaluates them as one array expression: the rest-phase pairs
 of a Gram scan or the masses of the massless scan are the rows of one
 SpinorGrid build.
 
-One runner, `_run`, turns every Evaluation into a CheckResult; it is the
-only code that reduces residuals or applies a tolerance.  The worst
-residual is numpy's maximum, so a NaN residual propagates and fails the
+A residual array keeps every family axis it was measured over (momentum,
+helicity, family member, frequency slot, even/odd half, phase); a library
+function reduces only over the components of one vector or matrix.  One
+runner, `_run`, turns every Evaluation into a CheckResult; it is the only
+code that reduces residuals across those axes or applies a tolerance.  The
+worst residual is numpy's maximum, so a NaN residual propagates and fails the
 check.  A false predicate fails the check whatever the tolerance, and its
 displayed residual is at least 1.0.  A reported check judges nothing: it
 never fails and its numbers ride in `values`.
@@ -91,7 +94,8 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         # finite residual
         if not (tolerance >= 0 and math.isfinite(tolerance)):
             raise ValueError("tolerance must be finite and >= 0")
-        if np.asarray(theta1).ndim or np.asarray(theta2).ndim:
+        # dtype=object: a ragged nesting is one row per entry, not numpy's error
+        if np.asarray(theta1, dtype=object).ndim or np.asarray(theta2, dtype=object).ndim:
             raise ValueError("theta1 and theta2 must be numbers, not one per row")
         PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
         suites = tuple(suites)
@@ -464,7 +468,7 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
 def _dynamical_residuals(cfg: SuiteConfig, grid):
     g = grid(cfg.convention)
-    flipped = halfspin.dynamical_residuals(g.head(1), flip_third_sign=True)["r3"][0]
+    flipped = halfspin.dynamical_residuals(g.head(1), flip_third_sign=True)["r3"][0].max()
     expected = 2 * g.mass[0] * float(norm(g.family[0, RHO_S.start]))
     return Evaluation(
         halfspin.dynamical_residuals(g),
@@ -481,7 +485,7 @@ def _dirac_connection(cfg: SuiteConfig, grid):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
     rep = halfspin.connection_check(grid(_unit_conv(cfg)))
-    drift = linalg.max_abs(rep.phases - rep.phases[0], axis=-1)
+    drift = np.abs(rep.phases - rep.phases[0])
     return Evaluation(
         {"aligned": rep.aligned_residual, "phase_drift": drift},
         {
@@ -533,7 +537,7 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
     # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
     cross = linalg.max_abs(np.concatenate([g[:, :2, 2:], g[:, 2:, :2]], axis=1), axis=(1, 2))
     res = {
-        "diagonal": linalg.max_abs(g.diagonal(axis1=-2, axis2=-1), axis=-1),
+        "diagonal": np.abs(g.diagonal(axis1=-2, axis2=-1)),
         "up_dn_magnitude": np.abs(_modulus(g[:, 0, 1]) - mag),
         "dn_up_magnitude": np.abs(_modulus(g[:, 1, 0]) - mag),
         "antisymmetry": np.abs(g[:, 0, 1] + g[:, 1, 0]),

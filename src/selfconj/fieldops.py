@@ -42,8 +42,9 @@ from .linalg import apply, frozen, max_abs, norm, rowscale
 
 
 def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Largest entrywise gap between two expansions, per row."""
-    return max_abs(x - y, axis=(1, 2, 3))
+    """Largest gap between two expansions' components, per row, slot and
+    helicity: (N, 2, 2)."""
+    return max_abs(x - y, axis=-1)
 
 
 def majorana_mode(g: SpinorGrid) -> np.ndarray:
@@ -93,15 +94,15 @@ def displayed_ziino_coefficients(
 
 
 def ziino_split_residual(g: SpinorGrid):
-    """Per row: entrywise distance of the computed halves from the
-    displayed coefficients, maximized over half, slot and helicity."""
-    gaps = [residual(x, y) for x, y in zip(ziino_barut_split(g), displayed_split(g))]
-    return np.maximum(*gaps)
+    """Distance of the computed halves from the displayed coefficients,
+    (N, 2, 2, 2): row, half (even, odd), slot, helicity."""
+    gaps = [residual(x, y)[:, None] for x, y in zip(ziino_barut_split(g), displayed_split(g))]
+    return np.concatenate(gaps, axis=1)
 
 
 def conjugation_parity_residuals(g: SpinorGrid) -> dict:
     """The halves are conjugation eigen-expansions: C even = +even,
-    C odd = -odd; per row."""
+    C odd = -odd; (N, 2, 2) each, as `residual`."""
     even, odd = ziino_barut_split(g)
     return {
         "even": residual(charge_conjugate_expansion(even, g.convention), even),
@@ -114,32 +115,30 @@ def conjugation_parity_residuals(g: SpinorGrid) -> dict:
 
 
 def dirac_from_majorana(g: SpinorGrid) -> dict:
-    """(1 +- slash/m) images of the mode coefficients, per row.
+    """(1 +- slash/m) images of the mode coefficients.
 
     The positive-frequency images are lambda^S + rho^A (the +m eigenspace),
     the negative-frequency ones lambda^A - rho^S (-m).  Whether the two
     positive images are independent depends on the phase convention: at
     theta1 + theta2 in {0, pi} they are exactly collinear, so the rank-2
     statement needs generic phases; the report carries the singular values,
-    (N, 2), NaN on a row that is not finite.
+    (N, 2), NaN on a row that is not finite.  The partner and eigenspace
+    residuals are (N, 2, 2): row, frequency sign (+, -), helicity.
     """
     sl, m = slash(g), rowscale(g.mass)
     f = g.family
     ip = apply(ID4 + sl / m, f[:, LAM_S])
     im = apply(ID4 - sl / m, f[:, LAM_A])
-
-    def worst(*gaps):
-        return np.array([norm(x) for x in gaps]).max(axis=(0, 2))
-
     conv = g.convention
     partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
+    eigenspace = (apply(sl, ip) - m * ip, apply(sl, im) + m * im)
     # the SVD cannot take a non-finite row; such a row keeps NaN values
     finite = np.isfinite(ip).all(axis=(-2, -1))
     values = np.full(ip.shape[:-1], np.nan)
     values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
     return {
-        "partner_residual": worst(*partner),
-        "eigenspace_residual": worst(apply(sl, ip) - m * ip, apply(sl, im) + m * im),
+        "partner_residual": np.concatenate([norm(x)[:, None] for x in partner], axis=1),
+        "eigenspace_residual": np.concatenate([norm(x)[:, None] for x in eigenspace], axis=1),
         "positive_singular_values": values,
         # one number, or one per row in a phase scan
         "phase_sum": np.add(conv.theta1, conv.theta2) % (2 * math.pi),
@@ -188,15 +187,15 @@ def orbit_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def orbit_preserves_conjugation(q: np.ndarray, g: SpinorGrid) -> np.ndarray:
-    """Per quaternion and row, (..., N): worst |S^c(M psi) - s (M psi)| over
-    the eight family members.
+    """|S^c(M psi) - s (M psi)| per quaternion, row and family member:
+    (..., N, 8).
 
     The units intertwine with the conjugation (real coefficients), so the
     +-1 status survives the whole orbit exactly.
     """
     img = apply(orbit_matrix(q)[..., None, None, :, :], g.family)
     c = charge_conjugation_op(g.convention)
-    return norm(c(img) - FAMILY_SIGNS[:, None] * img).max(axis=-1)
+    return norm(c(img) - FAMILY_SIGNS[:, None] * img)
 
 
 def orbit_group_law(a: np.ndarray, b: np.ndarray) -> np.ndarray:

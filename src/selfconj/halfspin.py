@@ -89,9 +89,9 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
         if not pmag >= 0:
             raise ValueError("|p| must be >= 0")
         if mass > 0:
-            # the accepted domain; the construction no longer needs it (a
-            # boost is a number on a helicity state), and gates relative to
-            # each residual's scale are to set it instead
+            # the accepted domain: the checks judge absolute residuals, which
+            # grow with |p|, so beyond it a default grid fails (--grid 106x1
+            # to 1020x1 fail four checks) or overflows (--grid 1024x1)
             den = 2 * mass * (math.hypot(mass, pmag) + mass)
             if not (pmag <= 2.0**52 * mass and 0 < den < math.inf):
                 raise ValueError(
@@ -362,7 +362,8 @@ def slash(p) -> np.ndarray:
 
 
 def dynamical_residuals(g: SpinorGrid, flip_third_sign: bool = False) -> dict:
-    """Per-row max-over-helicity residuals of the four first-order relations.
+    """Residuals of the four first-order relations, (N, 2) each: row,
+    helicity.
 
     flip_third_sign deliberately tests slash(p) lambda^A + m rho^S instead;
     that residual is 2m-sized and serves as the suite's self-test that the
@@ -376,7 +377,7 @@ def dynamical_residuals(g: SpinorGrid, flip_third_sign: bool = False) -> dict:
         ("r3", LAM_A, RHO_S, s3),
         ("r4", RHO_S, LAM_A, -1.0),
     )
-    return {k: norm(apply(sl, f[:, x]) + s * m * f[:, y]).max(axis=-1) for k, x, y, s in pairs}
+    return {k: norm(apply(sl, f[:, x]) + s * m * f[:, y]) for k, x, y, s in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +394,20 @@ CONNECTION = frozen(0.5 * cmat([
 
 
 class ConnectionReport(NamedTuple):
-    raw_residual: float
-    aligned_residual: float
-    phases: np.ndarray  # per-row unit phases that minimize the residual
+    raw_residual: np.ndarray  # (N,)
+    aligned_residual: np.ndarray  # (N, 4): row, member
+    phases: np.ndarray  # (N, 4): the unit phases that minimize the residual
 
 
 def connection_check(g: SpinorGrid) -> ConnectionReport:
-    """Per row: raw and phase-aligned residuals (N,), phases (N, 4)."""
+    """The raw residual per row, (N,), and the phase-aligned residual and
+    phase per row and lambda member, (N, 4)."""
     got = CONNECTION @ g.uv_stack()
     want = g.lambda_stack()
     phases, aligned = unit_phase_align(want, got)
     return ConnectionReport(
         raw_residual=max_abs(got - want, axis=(-2, -1)),
-        aligned_residual=aligned.max(axis=-1),
+        aligned_residual=aligned,
         phases=phases,
     )
 
@@ -422,13 +424,6 @@ def gauge_lambda(alpha) -> np.ndarray:
 
 def gauge_rho(alpha) -> np.ndarray:
     return rowscale(np.cos(alpha)) * ID4 + rowscale(1j * np.sin(alpha)) * GAMMA5
-
-
-def xi_matrix(phi_p) -> np.ndarray:
-    """diag(e^{+i phi_p}, e^{-i phi_p}); Xi lam Xi^{-1} = conj(lam) for the
-    Weyl boost matrices lam = (E + m +- sigma.p) / sqrt(2 m (E + m)) of
-    momenta with azimuth phi_p."""
-    return diagonal(np.exp(1j * np.asarray(phi_p)), np.exp(-1j * np.asarray(phi_p)))
 
 
 # Momentum-independent parts of the four exchange maps.  Each map factors
@@ -453,8 +448,8 @@ def xi_quadruple(phi_p) -> np.ndarray:
 
 
 def xi_alias_residuals(g: SpinorGrid) -> dict:
-    """How far each exchange image sits from its advertised alias, per row
-    and helicity: {alias<k>_<tag>: (N,)}.
+    """How far each exchange image sits from its advertised alias:
+    {alias<k>: (N, 2)}, row and helicity.
 
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
@@ -462,14 +457,12 @@ def xi_alias_residuals(g: SpinorGrid) -> dict:
     v1, v2, v3, v4 = xi_quadruple(g.phi)
     ls, la = g.family[:, LAM_S], g.family[:, LAM_A]
     cls, cla = np.conjugate(ls), np.conjugate(la)
-    gaps = {
-        "alias1": apply(v1, ls) - cla,
-        "alias2": apply(v2, ls) + 1j * cls,
-        "alias3": apply(v3, ls) - apply(1j * GAMMA0, cla),
-        "alias4": apply(v4, ls) - apply(GAMMA0, cls),
+    return {
+        "alias1": norm(apply(v1, ls) - cla),
+        "alias2": norm(apply(v2, ls) + 1j * cls),
+        "alias3": norm(apply(v3, ls) - apply(1j * GAMMA0, cla)),
+        "alias4": norm(apply(v4, ls) - apply(GAMMA0, cls)),
     }
-    norms = {k: norm(v) for k, v in gaps.items()}
-    return {f"{k}_{tag}": n[:, i] for i, tag in enumerate(("up", "dn")) for k, n in norms.items()}
 
 
 def w_group_table():

@@ -69,7 +69,7 @@ def test_criterion_03_dynamical_equations():
     # self-test: a deliberately flipped sign must miss at the 2m scale
     p = GRID[4]
     b = halfspin.build_spinor_basis(p)
-    miss = float(halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0])
+    miss = float(halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0].max())
     assert miss > p.mass
     assert miss == pytest.approx(
         2 * p.mass * max(np.linalg.norm(rho) for rho in b.family[0, RHO_S]), rel=1e-12

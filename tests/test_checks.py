@@ -110,6 +110,13 @@ def test_config_validation():
     assert max(checks.SuiteConfig(n_magnitudes=105).magnitudes()) == 2.0**52
 
 
+@pytest.mark.parametrize("field", ["theta1", "theta2"])
+@pytest.mark.parametrize("phases", [(0.1, 0.2), [1, [2, 3]], [[0.1], 0.2]])
+def test_phases_must_be_numbers_even_when_ragged(field, phases):
+    with pytest.raises(ValueError, match="^theta1 and theta2 must be numbers, not one per row$"):
+        checks.SuiteConfig(**{field: phases})
+
+
 def test_records_are_immutable_and_keep_their_equality():
     p = FourMomentum(1.0, 2.0, 0.5, 7.0)
     conv = PhaseConvention(0.3, 0.4)
@@ -213,13 +220,14 @@ def test_tolerance_rules_are_frozen():
 
 
 # frozen number of judged residual entries per check id at the default
-# config; a residual that drops out of a check's mapping changes its count
+# config; a residual that drops out of a check's mapping, or is reduced over
+# a row, helicity, member, slot, half or frequency axis, changes its count
 _ENTRIES = {
-    "fieldops/conjugation-parity": 16,
-    "fieldops/dirac-embedding": 36,
-    "fieldops/mode-structure": 36,
-    "fieldops/quaternion-orbit": 63,
-    "fieldops/ziino-split": 38,
+    "fieldops/conjugation-parity": 64,
+    "fieldops/dirac-embedding": 144,
+    "fieldops/mode-structure": 144,
+    "fieldops/quaternion-orbit": 315,
+    "fieldops/ziino-split": 218,
     "fock/eigencombinations": 8,
     "fock/joint-eigen-certificate": 0,
     "fock/joint-eigen-existence": 2,
@@ -227,11 +235,11 @@ _ENTRIES = {
     "fock/squares-and-commutation": 9,
     "fock/state-tables": 9,
     "halfspin/biorthonormality-sign": 2,
-    "halfspin/biorthonormality-structure": 48,
+    "halfspin/biorthonormality-structure": 72,
     "halfspin/chiral-helicity-halves": 8,
     "halfspin/conjugation-eigenvalues": 148,
-    "halfspin/dirac-connection": 36,
-    "halfspin/dynamical-residuals": 72,
+    "halfspin/dirac-connection": 144,
+    "halfspin/dynamical-residuals": 144,
     "halfspin/eigenstructure-split": 72,
     "halfspin/exchange-quadruple": 280,
     "halfspin/gauge-orbit": 240,
@@ -267,7 +275,7 @@ def test_judged_entry_counts_are_frozen():
         assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
-    assert sum(counts.values()) == 1607
+    assert sum(counts.values()) == 2507
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:

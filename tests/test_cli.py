@@ -329,6 +329,14 @@ DATA = Path(__file__).resolve().parent / "data"
         ("run_theta1_0.3_theta2_0.4.txt", ["run", "--theta1", "0.3", "--theta2", "0.4"]),
         ("run_suite_fock.json", ["run", "--suite", "fock", "--format", "json"]),
         ("run.json", ["run", "--format", "json"]),
+        *(
+            (
+                f"tabulate_{what}.txt",
+                ["tabulate", "--what", what, "--momentum", "0.3,-0.2,0.9", "--mass", "1.3",
+                 "--theta1", "0.4", "--theta2", "-1.1", "--norm", "0.7"],
+            )
+            for what in ("lambda", "rho", "dirac", "mr")
+        ),
     ],
 )
 def test_text_report_matches_the_frozen_bytes(capsys, name, argv):

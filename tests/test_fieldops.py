@@ -51,10 +51,13 @@ def test_conjugation_is_an_involution():
     for p in GRID[1:]:
         nu = fieldops.majorana_mode(build_spinor_basis(p))
         cnu = fieldops.charge_conjugate_expansion(nu)
-        assert fieldops.residual(fieldops.charge_conjugate_expansion(cnu), nu) < 1e-15
+        twice = fieldops.residual(fieldops.charge_conjugate_expansion(cnu), nu)
+        assert twice.shape == (1, 2, 2)  # row, slot, helicity
+        assert np.all(twice < 1e-15)
         # annihilators and creators trade slots: C(lambda^A) = -lambda^A
         # lands on the annihilators, C(lambda^S) = +lambda^S on the creators
-        assert fieldops.residual(cnu, nu[:, ::-1] * np.array([-1, 1])[:, None, None]) < 1e-15
+        layout = fieldops.residual(cnu, nu[:, ::-1] * np.array([-1, 1])[:, None, None])
+        assert np.all(layout < 1e-15)
 
 
 def test_ziino_rest_oracles():
@@ -79,16 +82,19 @@ def test_ziino_rest_oracles():
 def test_split_matches_displayed_everywhere():
     for p in GRID:
         b = build_spinor_basis(p)
-        assert fieldops.ziino_split_residual(b) < 1e-14
+        split = fieldops.ziino_split_residual(b)
+        assert split.shape == (1, 2, 2, 2)  # row, half, slot, helicity
+        assert np.all(split < 1e-14)
         even, odd = fieldops.ziino_barut_split(b)
-        assert fieldops.residual(even + odd, fieldops.majorana_mode(b)) < 1e-15
+        assert np.all(fieldops.residual(even + odd, fieldops.majorana_mode(b)) < 1e-15)
 
 
 def test_split_halves_are_conjugation_eigenmodes():
     for p in GRID:
         r = fieldops.conjugation_parity_residuals(build_spinor_basis(p))
-        assert r["even"] < 1e-14
-        assert r["odd"] < 1e-14
+        assert r["even"].shape == r["odd"].shape == (1, 2, 2)
+        assert np.all(r["even"] < 1e-14)
+        assert np.all(r["odd"] < 1e-14)
 
 
 def _with_nan_entry(g, row):
@@ -107,7 +113,8 @@ def test_a_nan_family_entry_stays_in_its_row():
         fieldops.ziino_split_residual(g),
         fieldops.residual(even + odd, fieldops.majorana_mode(g)),
     ):
-        assert np.array_equal(np.isnan(r), np.arange(len(GRID)) == 2)
+        # every NaN entry sits in row 2 and on the up helicity (last axis)
+        assert {(i[0], i[-1]) for i in np.argwhere(np.isnan(r)).tolist()} == {(2, 0)}
 
 
 def _registered(check_id, grid=None):
@@ -174,8 +181,9 @@ def test_mode_structure_check_fails_on_a_swapped_layout(monkeypatch):
 def test_dirac_embedding_partner_identities():
     for p in GRID[1:]:
         rep = fieldops.dirac_from_majorana(build_spinor_basis(p))
-        assert rep["partner_residual"] < 1e-12
-        assert rep["eigenspace_residual"] < 1e-12
+        for k in ("partner_residual", "eigenspace_residual"):
+            assert rep[k].shape == (1, 2, 2)  # row, frequency sign, helicity
+            assert np.all(rep[k] < 1e-12)
 
 
 def test_dirac_embedding_rank_depends_on_phases():
@@ -228,7 +236,7 @@ def test_orbit_preserves_conjugation_status():
     qs = fieldops.unit_quaternions(np.concatenate([np.eye(4), v]))
     for p in (GRID[1], GRID[2]):
         status = fieldops.orbit_preserves_conjugation(qs, build_spinor_basis(p))
-        assert status.shape == (8, 1)
+        assert status.shape == (8, 1, 8)  # quaternion, row, family member
         assert np.all(status < 1e-12)
 
 

@@ -189,12 +189,14 @@ def test_dirac_v_is_chirality_image():
 def test_dynamical_residuals_zero_and_selftest():
     for p in GRID:
         r = halfspin.dynamical_residuals(halfspin.build_spinor_basis(p))
-        assert max(r.values()) < 1e-12
-    # deliberately flipped third sign must miss by exactly 2 m ||rho^S||
+        assert all(v.shape == (1, 2) for v in r.values())  # row, helicity
+        assert max(v.max() for v in r.values()) < 1e-12
+    # deliberately flipped third sign must miss by exactly 2 m ||rho^S||,
+    # helicity by helicity
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
     b = halfspin.build_spinor_basis(p)
-    expect = 2 * p.mass * max(np.linalg.norm(rho) for rho in b.family[0, RHO_S])
-    flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"]
+    expect = [2 * p.mass * np.linalg.norm(rho) for rho in b.family[0, RHO_S]]
+    flipped = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0]
     assert flipped == pytest.approx(expect, rel=1e-12)
 
 
@@ -228,7 +230,8 @@ def test_connection_exact_at_default_convention():
     for p in GRID:
         rep = halfspin.connection_check(halfspin.build_spinor_basis(p))
         assert rep.raw_residual < 1e-12
-        assert rep.aligned_residual < 1e-12
+        assert rep.aligned_residual.shape == (1, 4)  # row, lambda member
+        assert np.all(rep.aligned_residual < 1e-12)
         assert np.allclose(rep.phases, np.ones(4), atol=1e-12)
 
 
@@ -309,7 +312,8 @@ def test_xi_conjugates_the_boosts():
     for p in GRID:
         if p.mass <= 0 or p.pmag == 0:
             continue
-        xi = halfspin.xi_matrix(p.phi)
+        # Xi = diag(e^{i phi}, e^{-i phi}), a diagonal block of diag(Xi, Xi)
+        xi = halfspin.xi_factor(p.phi)[:2, :2]
         lam_r, lam_l = _boost_ops(p)
         for lam in (lam_r, lam_l):
             assert np.allclose(xi @ lam @ np.linalg.inv(xi), np.conjugate(lam))
@@ -318,7 +322,9 @@ def test_xi_conjugates_the_boosts():
 def test_xi_alias_residuals_default_convention():
     for p in GRID:
         out = halfspin.xi_alias_residuals(halfspin.build_spinor_basis(p))
-        assert max(out.values()) < 1e-12
+        assert list(out) == ["alias1", "alias2", "alias3", "alias4"]
+        assert all(v.shape == (1, 2) for v in out.values())  # row, helicity
+        assert max(v.max() for v in out.values()) < 1e-12
 
 
 def test_w_group_table_is_quaternionic():
