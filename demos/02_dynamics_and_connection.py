@@ -28,8 +28,11 @@ for i, p in enumerate(grid):
 
 p = grid[3]
 b = halfspin.build_spinor_basis(p)
-flip = halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0].max()
-print(f"\nself-test, wrong third sign at |p|={p.pmag}: residual {flip:.6f} "
+# a mutant family with rho^S negated: the third relation must miss by 2m |rho^S|
+mutant = b.family.copy()
+mutant[:, halfspin.RHO_S] *= -1
+flip = halfspin.dynamical_residuals(b._replace(family=mutant))["r3"][0].max()
+print(f"\nself-test, rho^S negated at |p|={p.pmag}: residual {flip:.6f} "
       "(the checks can fail)")
 
 print("\nconnection matrix (maps the u/v stack to the lambda stack):")

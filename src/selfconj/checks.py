@@ -20,8 +20,10 @@ runner, `_run`, turns every Evaluation into a CheckResult; it is the only
 code that reduces residuals across those axes or applies a tolerance.  The
 worst residual is numpy's maximum, so a NaN residual propagates and fails the
 check.  A false predicate fails the check whatever the tolerance, and its
-displayed residual is at least 1.0.  A reported check judges nothing: it
-never fails and its numbers ride in `values`.
+displayed residual is at least 1.0.  A reported check judges nothing and
+its numbers ride in `values`.  A library refusal (a ValueError raised
+while evaluating) fails that check alone, reported or not, with residual
+1.0 and the message in `values["error"]`; any other exception propagates.
 
 The default grid is 3 momentum magnitudes x 6 directions, all in the
 meridian plane (azimuth 0 or pi).  That plane is where the spin-1
@@ -290,16 +292,21 @@ def _check(check_id: str, anchor: str, tol=(0.0, math.inf)):
 
 
 def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
-    ev = check.evaluate(cfg, grid)
+    tol = None
+    if check.tol is not None:
+        floor, cap = check.tol
+        tol = float(min(max(cfg.tolerance, floor), cap))
+    try:
+        ev = check.evaluate(cfg, grid)
+    except ValueError as exc:
+        # a library refusal (a square that is not +-1, a product outside its
+        # group) fails this check alone, as a false predicate would
+        return CheckResult(check.check_id, check.anchor, "fail", 1.0, tol, {"error": str(exc)})
     holds = all(ev.predicates.values())
     # dtype=float: a complex residual warns instead of losing its imaginary
     # part silently; unlike the builtin max(), the array's max keeps NaN
     flat = [np.asarray(r, dtype=float).ravel() for r in ev.residuals.values()]
     worst = float(np.concatenate(flat or [[]]).max(initial=0.0 if holds else 1.0))
-    tol = None
-    if check.tol is not None:
-        floor, cap = check.tol
-        tol = float(min(max(cfg.tolerance, floor), cap))
     status = "reported" if tol is None else "pass" if holds and worst <= tol else "fail"
     return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
 
@@ -335,6 +342,14 @@ def _conjugation_gaps(c, psi):
     return norm(c(psi) - FAMILY_SIGNS[:, None] * psi)
 
 
+# per family member: a lambda (else a rho), and the factor that negates
+# rho^S, the self-conjugate rho
+_IS_LAMBDA = linalg.frozen(
+    (np.arange(len(FAMILY_SIGNS))[:, None] == LAMBDAS).any(axis=1, keepdims=True)
+)
+_NEGATE_RHO_S = linalg.frozen(np.where(~_IS_LAMBDA & (FAMILY_SIGNS[:, None] > 0), -1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # linalg suite
 
@@ -346,10 +361,10 @@ def _conjugation_gaps(c, psi):
 )
 def _antilinear_algebra(cfg: SuiteConfig, grid):
     c = halfspin.charge_conjugation_op(cfg.convention)
-    j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]), conjugates=True)
+    j = linalg.AntilinearOp(linalg.cmat([[0, -1], [1, 0]]))
     res = {
-        "conjugation_square": linalg.max_abs(c.squared().matrix - halfspin.ID4),
-        "rotation_square": linalg.max_abs(j.squared().matrix + halfspin.ID2),
+        "conjugation_square": linalg.max_abs(c.squared() - halfspin.ID4),
+        "rotation_square": linalg.max_abs(j.squared() + halfspin.ID2),
     }
     # 16 samples in one draw: per row v, w (re then im) and a, in the order
     # of drawing them one at a time
@@ -468,7 +483,11 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
 def _dynamical_residuals(cfg: SuiteConfig, grid):
     g = grid(cfg.convention)
-    flipped = halfspin.dynamical_residuals(g.head(1), flip_third_sign=True)["r3"][0].max()
+    # self-test that the check can fail: with rho^S negated, r3 measures
+    # slash(p) lambda^A + m rho^S, which is 2m-sized
+    h = g.head(1)
+    mutant = h._replace(family=h.family * _NEGATE_RHO_S)
+    flipped = halfspin.dynamical_residuals(mutant)["r3"][0].max()
     expected = 2 * g.mass[0] * float(norm(g.family[0, RHO_S.start]))
     return Evaluation(
         halfspin.dynamical_residuals(g),
@@ -580,11 +599,10 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
 def _gauge_orbit(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg)).head(6)
     c = halfspin.charge_conjugation_op(g.convention)
-    lam = np.array([name.startswith("lam") for name in FAMILY])[:, None]
     # (alpha, row, member, component)
     alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
-    img = np.where(lam, apply(gl, g.family), apply(gr, g.family))
+    img = np.where(_IS_LAMBDA, apply(gl, g.family), apply(gr, g.family))
     return Evaluation(
         {"conjugation": _conjugation_gaps(c, img)}, {"alphas": 5, "momenta": len(g.mass)}
     )
@@ -756,7 +774,7 @@ def _transverse_reality(cfg: SuiteConfig, grid):
 @_check("spin1/transverse-reality-offplane", "the same identities off the meridian plane", None)
 def _transverse_offplane(cfg: SuiteConfig, grid):
     p = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
-    rep = {k: float(v) for k, v in spin1.transverse_reality_report(p).items()}
+    rep = {k: float(np.asarray(v).max()) for k, v in spin1.transverse_reality_report(p).items()}
     rep["note"] = (
         "off the meridian plane the split parts stop being real and the "
         "identities acquire finite residuals; the algebraic split u = "
@@ -793,26 +811,20 @@ def _reality_classes(cfg: SuiteConfig, grid):
         "half_frame": linalg.max_abs(vh @ c_half @ vh.T - halfspin.ID4),
         "one_frame": linalg.max_abs(w @ m_tw @ w.T - spin1.ID6),
     }
-    # classes are judged on the first six momenta and shown for the last
+    # classes are judged on the first six momenta and shown for the last;
+    # the minority is the magnitude of the part each class says is absent
     g = grid(cfg.convention).head(6)
-    half = {f"half_{name}": g.family[:, i] for i, name in enumerate(FAMILY)}
-    one = {
-        f"one_{tag}_{h}": vecs[:, j]
-        for sign, tag in ((+1, "plus"), (-1, "minus"))
-        for vecs in [spin1.lambda_like(g, sign)]
-        for j, h in enumerate(spin1.HELICITIES)
-    }
-    classes = {}
-    as_expected = []
-    for spin, vectors, frame in (("half", half, vh), ("one", one, w)):
-        found = spin1.reality_classes(vectors, frame)
-        for name, (kind, _) in found.items():
-            real = "_s_" in name or "plus" in name
-            as_expected.append((kind == ("real" if real else "imaginary")).all())
-            classes[name] = str(kind[-1])
-        # (vector, row): the magnitude of the part each class says is absent
-        res[f"{spin}_minority"] = np.array([minority for _, minority in found.values()])
-    return Evaluation(res, {"classes": classes}, {"every class as expected": all(as_expected)})
+    # (row, sign +1 then -1, helicity, component)
+    one = np.concatenate([spin1.lambda_like(g, s)[:, None] for s in (+1, -1)], axis=1)
+    half_real, res["half_minority"] = spin1.reality_classes(g.family, vh)
+    one_real, res["one_minority"] = spin1.reality_classes(one, w)
+    names = [f"half_{name}" for name in FAMILY]
+    names += [f"one_{tag}_{h}" for tag in ("plus", "minus") for h in spin1.HELICITIES]
+    kinds = np.concatenate([half_real[-1], one_real[-1].ravel()]).tolist()
+    classes = {n: "real" if k else "imaginary" for n, k in zip(names, kinds)}
+    # the self-conjugate members (S^c sign +1) and lambda-like sign +1 are real
+    expected = (half_real == (FAMILY_SIGNS > 0)).all() and (one_real == [[True], [False]]).all()
+    return Evaluation(res, {"classes": classes}, {"every class as expected": bool(expected)})
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +995,8 @@ def _ziino_split(cfg: SuiteConfig, grid):
     oracle = []
     for i in sorted({0, len(g.mass) - 1}):
         want = fieldops.displayed_ziino_coefficients(g.momentum(i), g.convention)
-        oracle.append(linalg.max_abs([half[i] - w for half, w in zip(shown, want)]))
+        # (half, slot, helicity)
+        oracle.append(linalg.max_abs([half[i] - w for half, w in zip(shown, want)], axis=-1))
     return Evaluation(
         {
             "split": fieldops.ziino_split_residual(g),

@@ -50,7 +50,7 @@ def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def majorana_mode(g: SpinorGrid) -> np.ndarray:
     """The fixed-momentum expansion: lambda^S rides the annihilators at
     positive frequency, lambda^A the creators at negative frequency."""
-    return np.concatenate([g.family[:, None, LAM_S], g.family[:, None, LAM_A]], axis=1)
+    return g.lambda_stack().reshape(-1, 2, 2, 4)
 
 
 def charge_conjugate_expansion(

@@ -151,8 +151,9 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
     # through the validating constructor, so that _replace validates too
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def rest_scale(self, mass: float) -> float:
-        return math.sqrt(mass) if self.norm is None else self.norm
+    def rest_scale(self, mass):
+        """N at a mass, or at each of an array of them."""
+        return np.sqrt(mass) if self.norm is None else np.full_like(mass, self.norm)
 
     def rest_phase(self, h: int) -> np.ndarray:
         """e^{i theta_h}: 0-d, or one per row in a phase scan."""
@@ -280,7 +281,7 @@ class SpinorGrid(
         # the boosts act on helicity spinors as numbers: e^{h w/2} on phi_R
         # and e^{-h w/2} on phi_L, helicity h = +1, -1 on axis 1
         half = np.sqrt(_boost_eigenvalues(mass, pmag, energy)[:, ::2, None])
-        scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
+        scale = conv.rest_scale(mass)
         # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
         # phase is one number, or one per row in a phase scan
         phases = np.concatenate([conv.rest_phase(h)[..., None] for h in (UP, DN)], axis=-1)
@@ -326,7 +327,7 @@ def charge_conjugation_op(conv: PhaseConvention = PhaseConvention()) -> Antiline
     Its square is +identity for every thetac; the lambda^S/rho^S members sit
     at eigenvalue +1 and lambda^A/rho^A at -1.
     """
-    return AntilinearOp(np.exp(1j * conv.thetac) * _CONJUGATION_BLOCK, conjugates=True)
+    return AntilinearOp(np.exp(1j * conv.thetac) * _CONJUGATION_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +362,12 @@ def slash(p) -> np.ndarray:
     return out
 
 
-def dynamical_residuals(g: SpinorGrid, flip_third_sign: bool = False) -> dict:
-    """Residuals of the four first-order relations, (N, 2) each: row,
-    helicity.
-
-    flip_third_sign deliberately tests slash(p) lambda^A + m rho^S instead;
-    that residual is 2m-sized and serves as the suite's self-test that the
-    checks can fail.
-    """
+def dynamical_residuals(g: SpinorGrid) -> dict:
+    """Residuals of the four first-order relations slash(p) x = +m y,
+    (N, 2) each: row, helicity."""
     sl, m, f = slash(g), rowscale(g.mass), g.family
-    s3 = +1.0 if flip_third_sign else -1.0
-    pairs = (
-        ("r1", LAM_S, RHO_A, -1.0),
-        ("r2", RHO_A, LAM_S, -1.0),
-        ("r3", LAM_A, RHO_S, s3),
-        ("r4", RHO_S, LAM_A, -1.0),
-    )
-    return {k: norm(apply(sl, f[:, x]) + s * m * f[:, y]) for k, x, y, s in pairs}
+    pairs = (("r1", LAM_S, RHO_A), ("r2", RHO_A, LAM_S), ("r3", LAM_A, RHO_S), ("r4", RHO_S, LAM_A))
+    return {k: norm(apply(sl, f[:, x]) - m * f[:, y]) for k, x, y in pairs}
 
 
 # ---------------------------------------------------------------------------

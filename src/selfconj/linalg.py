@@ -2,12 +2,11 @@
 
 Vectors and matrices are plain numpy arrays with dtype complex128, none
 larger than 12x12; the vector helpers work on the last axis and keep any
-leading (row) axes, so one call covers a whole momentum grid.  Nothing
-here wraps numpy beyond one structure, AntilinearOp, which represents maps
-of the form v -> M v or v -> M conj(v).  Charge conjugation is antilinear,
-and the sign of the *square* of an antilinear operator is what decides
-whether self-conjugate spinors exist at all, so the conjugation flag has to
-be carried explicitly through compositions.
+leading (row) axes, so one call covers a whole momentum grid.  A linear
+map is its matrix.  Nothing here wraps numpy beyond one structure,
+AntilinearOp, the map v -> M conj(v): charge conjugation is antilinear,
+and the sign of its *square*, the linear matrix M conj(M), is what decides
+whether self-conjugate spinors exist at all.
 """
 
 from __future__ import annotations
@@ -122,23 +121,21 @@ def eigen_residual(matrix: np.ndarray, v: np.ndarray):
     return c, np.ldexp(norm(mv - c[..., None] * v), e)
 
 
-class AntilinearOp(namedtuple("AntilinearOp", "matrix conjugates")):
-    """Operator v -> matrix @ v, or v -> matrix @ conj(v) when conjugates.
+class AntilinearOp(namedtuple("AntilinearOp", "matrix")):
+    """The antilinear operator v -> matrix @ conj(v).
 
-    compose(a, b) means "a after b"; the matrix of the composite picks up a
-    conjugate on b's matrix whenever a conjugates its argument, and the
-    conjugation flags xor.  Squaring an antilinear operator therefore gives
-    a plain linear matrix M @ conj(M), which is the object whose sign
-    (+1 or -1 times the identity) appears throughout.
+    Its square v -> M conj(M conj(v)) is linear with the matrix
+    M @ conj(M), which is the object whose sign (+1 or -1 times the
+    identity) appears throughout.
     """
 
     __slots__ = ()
 
-    def __new__(cls, matrix: np.ndarray, conjugates: bool = True):
+    def __new__(cls, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        return super().__new__(cls, m, conjugates)
+        return super().__new__(cls, m)
 
     # through the validating constructor, so that _replace validates too
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -152,25 +149,16 @@ class AntilinearOp(namedtuple("AntilinearOp", "matrix conjugates")):
         v = np.asarray(v, dtype=complex)
         if v.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: op {self.dim}, vector {v.shape}")
-        return apply(self.matrix, np.conjugate(v) if self.conjugates else v)
+        return apply(self.matrix, np.conjugate(v))
 
-    def compose(self, other: "AntilinearOp") -> "AntilinearOp":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        om = np.conjugate(other.matrix) if self.conjugates else other.matrix
-        return AntilinearOp(self.matrix @ om, self.conjugates ^ other.conjugates)
-
-    def squared(self) -> "AntilinearOp":
-        # always linear; for conjugating ops this is matrix @ conj(matrix)
-        return self.compose(self)
+    def squared(self) -> np.ndarray:
+        """The matrix M @ conj(M) of the (linear) square."""
+        return self.matrix @ np.conjugate(self.matrix)
 
     def square_sign(self) -> int:
         """+1 or -1 when op^2 = (+-1) * identity, else ValueError."""
-        sq = self.squared()
-        if sq.conjugates:
-            raise ValueError("square of a linear op is linear; got conjugating")
         signs = np.array([+1, -1])
-        ok = max_abs(sq.matrix - signs[:, None, None] * EYE[self.dim], axis=(-2, -1)) <= TOL
+        ok = max_abs(self.squared() - signs[:, None, None] * EYE[self.dim], axis=(-2, -1)) <= TOL
         if not ok.any():
             raise ValueError("square is not +-identity")
         return int(signs[ok.argmax()])
@@ -181,11 +169,9 @@ def realify(op: AntilinearOp) -> np.ndarray:
 
     With matrix = X + iY, the action M conj(v) on v = a + ib reads
     (Xa + Yb) + i(Ya - Xb), i.e. the block matrix [[X, Y], [Y, -X]].
-    For a linear op (no conjugation) it is the usual [[X, -Y], [Y, X]].
     """
     x, y = op.matrix.real, op.matrix.imag
-    top, bottom = (y, -x) if op.conjugates else (-y, x)
-    return np.concatenate([np.concatenate([x, top], axis=1), np.concatenate([y, bottom], axis=1)])
+    return np.concatenate([np.concatenate([x, y], axis=1), np.concatenate([y, -x], axis=1)])
 
 
 def involution_eigenvectors(t: np.ndarray, sign: int):

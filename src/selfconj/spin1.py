@@ -70,13 +70,6 @@ def spin1_rotation(theta, phi) -> np.ndarray:
     return rz @ ry
 
 
-def helicity_eigenvector(theta, phi, h: int) -> np.ndarray:
-    """xi_h with (J.n) xi_h = h xi_h for the direction (theta, phi)."""
-    if h not in HELICITIES:
-        raise ValueError("spin-1 helicity must be +1, 0 or -1")
-    return spin1_rotation(theta, phi)[..., HELICITIES.index(h)]
-
-
 def weinberg_u(p) -> np.ndarray:
     """Chiral-basis six-spinors (phi_R, phi_L) for the helicities +1, 0, -1
     on axis -2: (3, 6), or (N, 3, 6) on a grid.  The boosts exp(+-J.n w)
@@ -283,7 +276,8 @@ def transverse_reality_report(p) -> dict:
     """The real/imaginary-part identities tying the transverse spinors.
 
     Zero on the meridian plane; off-plane the same quantities are finite
-    and the report carries them unjudged.  Each entry has p's row shape.
+    and the report carries them unjudged.  Each entry has p's row shape;
+    split_exact also keeps the helicity axis, one per h = +1, 0, -1.
     """
     s = mr_spinor(p)
     up, lg, dn = (0, 1, 2)
@@ -294,7 +288,7 @@ def transverse_reality_report(p) -> dict:
         "long_u_im_norm": norm(s.u_im[..., lg, :]),
         "long_u_pure_imag": max_abs(np.real(s.u[..., lg, :]), axis=-1),
         "long_v_pure_real": max_abs(np.imag(s.v[..., lg, :]), axis=-1),
-        "split_exact": max_abs(s.u - (s.u_re + 1j * s.u_im), axis=(-2, -1)),
+        "split_exact": max_abs(s.u - (s.u_re + 1j * s.u_im), axis=-1),
     }
 
 
@@ -311,10 +305,10 @@ def chirality_flip_residual(p) -> np.ndarray:
 
 # [[0, Theta3], [-Theta3, 0]] K; squares to -1, so no spin-1 spinor is
 # self conjugate under it
-CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])), conjugates=True)
+CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])))
 
 # gamma^5 . S^c; squares to +1 and has honest eigenspinors
-TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix), conjugates=True)
+TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix))
 
 
 def lambda_like(p, sign: int) -> np.ndarray:
@@ -370,11 +364,11 @@ def selfconjugacy_analysis() -> dict:
 HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2))
 
 
-def reality_classes(vectors: dict, frame: np.ndarray) -> dict:
-    """Transform each named vector (or rows of them, on the last axis; all
-    of one shape) and classify as 'real' or 'imaginary' by whichever part
-    dominates, with the minority-part magnitude; both have the rows' shape."""
-    w = apply(frame, np.asarray(list(vectors.values()), dtype=complex))
+def reality_classes(vectors, frame: np.ndarray):
+    """Transform the vectors (on the last axis) to the frame and classify
+    each by whichever part dominates: (real, minority) over the leading
+    axes, real True where the real part is at least the imaginary one and
+    minority the magnitude of the smaller part."""
+    w = apply(frame, np.asarray(vectors, dtype=complex))
     re, im = max_abs(np.real(w), axis=-1), max_abs(np.imag(w), axis=-1)
-    kinds, minority = np.where(re >= im, "real", "imaginary"), np.minimum(re, im)
-    return {name: (kinds[i], minority[i]) for i, name in enumerate(vectors)}
+    return re >= im, np.minimum(re, im)

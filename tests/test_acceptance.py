@@ -66,10 +66,12 @@ def test_criterion_02_non_eigenspinor_claims():
 def test_criterion_03_dynamical_equations():
     grid = halfspin.build_spinor_grid(GRID)
     worst = max(float(np.max(r)) for r in halfspin.dynamical_residuals(grid).values())
-    # self-test: a deliberately flipped sign must miss at the 2m scale
+    # self-test: with rho^S negated the third relation must miss at the 2m scale
     p = GRID[4]
     b = halfspin.build_spinor_basis(p)
-    miss = float(halfspin.dynamical_residuals(b, flip_third_sign=True)["r3"][0].max())
+    family = b.family.copy()
+    family[:, RHO_S] = -family[:, RHO_S]
+    miss = float(halfspin.dynamical_residuals(b._replace(family=family))["r3"][0].max())
     assert miss > p.mass
     assert miss == pytest.approx(
         2 * p.mass * max(np.linalg.norm(rho) for rho in b.family[0, RHO_S]), rel=1e-12

@@ -219,8 +219,8 @@ def test_direction_residuals_equal_the_loops(n_directions):
             eigen.append(float(np.linalg.norm(sn @ chi - h * chi)))
             unit.append(abs(float(np.linalg.norm(chi)) - 1.0))
         jn = n[0] * spin1.J1 + n[1] * spin1.J2 + n[2] * spin1.J3
-        for h in spin1.HELICITIES:
-            xi = spin1.helicity_eigenvector(th, ph, h)
+        for k, h in enumerate(spin1.HELICITIES):
+            xi = spin1.spin1_rotation(th, ph)[:, k]
             triad.append(float(np.linalg.norm(jn @ xi - h * xi)))
     assert np.array_equal(np.ravel(helicity["eigen"]), eigen)
     assert np.array_equal(np.ravel(helicity["unit_norm"]), unit)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from selfconj import checks, fock, halfspin, linalg, spin1
+from selfconj import checks, cli, fock, halfspin, linalg, spin1
 from selfconj.halfspin import FourMomentum, PhaseConvention
 
 REPORTED_IDS = {
@@ -168,6 +168,85 @@ def test_nan_residual_fails_the_check(monkeypatch):
     assert math.isnan(on_shell.max_residual)
 
 
+def _scaled_w_parts():
+    w = halfspin.W_PARTS.copy()
+    w[3] = w[3] * 1.1
+    return linalg.frozen(w)
+
+
+def _charge_with_phase_i():
+    m = fock.CHARGE.matrix.copy()
+    m[2, 0] = 1j
+    return fock.SymmetryOp("charge", m, reflects=False)
+
+
+# a patched library constant that a library function refuses with
+# ValueError: (module, name, value, the checks that report the refusal, its
+# message, the suites whose checks may change status)
+_REFUSALS = {
+    "conjugation-block": (
+        halfspin,
+        "_CONJUGATION_BLOCK",
+        lambda: linalg.frozen(halfspin._CONJUGATION_BLOCK * 1.1),
+        {"linalg/antilinear-algebra", "spin1/selfconjugacy-dichotomy"},
+        "square is not +-identity",
+        {"linalg", "halfspin", "spin1", "fieldops"},
+    ),
+    "w-parts": (
+        halfspin,
+        "W_PARTS",
+        _scaled_w_parts,
+        {"halfspin/exchange-quadruple"},
+        "product W_1 W_2 escapes the set",
+        {"halfspin"},
+    ),
+    "fock-charge": (
+        fock,
+        "CHARGE",
+        _charge_with_phase_i,
+        {"fock/joint-eigen-certificate", "fock/squares-and-commutation"},
+        "charge^2 is not a scalar",
+        {"fock"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_REFUSALS))
+def test_a_library_refusal_fails_its_check_not_the_run(mutant, monkeypatch, capsys):
+    module, name, value, refusing, message, touched = _REFUSALS[mutant]
+    before = {r.check_id: r.status for r in checks.run_checks(checks.SuiteConfig())}
+    monkeypatch.setattr(module, name, value())
+    results = checks.run_checks(checks.SuiteConfig())
+    assert [r.check_id for r in results] == sorted(before)
+    errors = {r.check_id: r for r in results if "error" in r.values}
+    assert set(errors) == refusing
+    for r in errors.values():
+        assert r.status == "fail" and r.max_residual == 1.0
+        assert r.values["error"].startswith(message)
+    for r in results:
+        if r.check_id.split("/")[0] not in touched:
+            assert r.status == before[r.check_id], r.check_id
+    assert cli.main(["run"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "Traceback" not in out
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) >= len(refusing)
+
+
+def test_a_refusal_fails_a_reported_check_and_other_errors_propagate():
+    def refuse(cfg, grid):
+        raise ValueError("refused")
+
+    check = checks._Check("linalg/refusing", "planted", None, refuse)
+    r = checks._run(check, checks.SuiteConfig(), None)
+    assert (r.status, r.max_residual, r.tol, r.values) == ("fail", 1.0, None, {"error": "refused"})
+
+    def broken(cfg, grid):
+        raise TypeError("a bug, not a refusal")
+
+    with pytest.raises(TypeError):
+        checks._run(check._replace(evaluate=broken), checks.SuiteConfig(), None)
+
+
 # frozen tol per check id at tolerance 0, 1e-12 and 1e-3; None marks the
 # reported checks, which judge nothing
 _TOLS = {
@@ -227,7 +306,7 @@ _ENTRIES = {
     "fieldops/dirac-embedding": 144,
     "fieldops/mode-structure": 144,
     "fieldops/quaternion-orbit": 315,
-    "fieldops/ziino-split": 218,
+    "fieldops/ziino-split": 232,
     "fock/eigencombinations": 8,
     "fock/joint-eigen-certificate": 0,
     "fock/joint-eigen-existence": 2,
@@ -255,7 +334,7 @@ _ENTRIES = {
     "spin1/plain-unitary-diagnostic": 2,
     "spin1/reality-classes": 86,
     "spin1/selfconjugacy-dichotomy": 12,
-    "spin1/transverse-reality": 108,
+    "spin1/transverse-reality": 144,
     "spin1/transverse-reality-offplane": 1,
     "spin1/wigner-theta": 20,
 }
@@ -275,7 +354,7 @@ def test_judged_entry_counts_are_frozen():
         assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
-    assert sum(counts.values()) == 2507
+    assert sum(counts.values()) == 2557
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:

@@ -37,11 +37,10 @@ def test_rotation_and_helicity_eigenvectors():
         assert np.allclose(r @ np.conjugate(r.T), np.eye(3), atol=1e-14)
         nhat = FourMomentum(1.0, 1.0, th, ph).nhat
         jn = nhat[0] * spin1.J1 + nhat[1] * spin1.J2 + nhat[2] * spin1.J3
-        for h in spin1.HELICITIES:
-            xi = spin1.helicity_eigenvector(th, ph, h)
+        # column k of the rotation is xi_h for h = HELICITIES[k]
+        for k, h in enumerate(spin1.HELICITIES):
+            xi = r[:, k]
             assert np.allclose(jn @ xi, h * xi, atol=1e-13)
-    with pytest.raises(ValueError):
-        spin1.helicity_eigenvector(0.0, 0.0, 2)
 
 
 def _spin1_boosts(p):
@@ -148,14 +147,15 @@ def test_transverse_reality_on_meridian():
         assert rep["long_u_re_vanishes"] < 1e-12
         assert rep["long_u_pure_imag"] < 1e-12
         assert rep["long_v_pure_real"] < 1e-12
-        assert rep["split_exact"] < 1e-14
+        assert rep["split_exact"].shape == (3,)  # one per helicity
+        assert np.all(rep["split_exact"] < 1e-14)
         assert rep["long_u_im_norm"] > 0.5
 
 
 def test_transverse_reality_fails_off_meridian():
     rep = spin1.transverse_reality_report(GRID[4])
     assert rep["u_re_match"] > 0.1
-    assert rep["split_exact"] < 1e-14  # the split itself is an identity
+    assert np.all(rep["split_exact"] < 1e-14)  # the split itself is an identity
 
 
 def test_chirality_flip_everywhere():
@@ -204,22 +204,17 @@ def test_reality_classes_both_spins():
     p = FourMomentum(1.0, 1.5, 1.1, 0.7)
     v = spin1.HALF_MAJORANA_FRAME
     b = halfspin.build_spinor_basis(p)
-    classes = spin1.reality_classes(dict(zip(halfspin.FAMILY, b.family[0])), v)
-    for name, (cls, minority) in classes.items():
-        assert cls == ("real" if "_s_" in name else "imaginary"), name
-        assert minority < 1e-12
+    # the self members (lambda^S, rho^S) are real, the anti-self ones imaginary
+    real, minority = spin1.reality_classes(b.family, v)
+    assert real.shape == minority.shape == (1, 8)
+    assert real[0].tolist() == [True] * 4 + [False] * 4
+    assert np.all(minority < 1e-12)
     w = spin1.CHIRAL_TO_MAJORANA
-    classes1 = spin1.reality_classes(
-        {
-            f"{sign:+d}_{h}": spin1.lambda_like(p, sign)[k]
-            for sign in (+1, -1)
-            for k, h in enumerate(spin1.HELICITIES)
-        },
-        w,
-    )
-    for name, (cls, minority) in classes1.items():
-        assert cls == ("real" if name.startswith("+") else "imaginary"), name
-        assert minority < 1e-12
+    # (sign, helicity): sign +1 is real, -1 imaginary
+    vectors = np.array([spin1.lambda_like(p, sign) for sign in (+1, -1)])
+    real, minority = spin1.reality_classes(vectors, w)
+    assert real.tolist() == [[True] * 3, [False] * 3]
+    assert np.all(minority < 1e-12)
 
 
 def test_a_warm_process_recomputes_the_fixed_matrix_checks(monkeypatch):

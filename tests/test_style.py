@@ -48,3 +48,49 @@ def test_the_unused_import_rule_sees_a_stale_import():
 def test_every_import_is_used():
     unused = {path.name: _unused_imports(path.read_text()) for path in SOURCES}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def _unloaded_private_names(sources: dict) -> list[str]:
+    """Module-level private names (a def, a class or an assignment) that no
+    module of `sources` loads; a decorated def is a registration, exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list:
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names]
+    return [
+        f"{module}:{name} (line {line})"
+        for module, name, line in defined
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
+def test_the_dead_code_rule_sees_a_stale_private_name():
+    stale = (
+        "def _orphan():\n    return 1\n\n"
+        "_TABLE, _SPARE = {}, []\n\n"
+        "@register\ndef _entry():\n    pass\n\n"
+        "def public():\n    return _TABLE\n"
+    )
+    other = "import stale\n\nx = stale._helper()\n"
+    helper = "def _helper():\n    return 2\n"
+    found = _unloaded_private_names({"stale.py": stale + helper, "other.py": other})
+    assert found == ["stale.py:_orphan (line 1)", "stale.py:_SPARE (line 4)"]
+
+
+def test_every_private_name_is_loaded_somewhere_in_the_package():
+    assert not _unloaded_private_names({path.name: path.read_text() for path in SOURCES})
