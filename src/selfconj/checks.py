@@ -100,6 +100,9 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         if np.asarray(theta1, dtype=object).ndim or np.asarray(theta2, dtype=object).ndim:
             raise ValueError("theta1 and theta2 must be numbers, not one per row")
         PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
+        # -0.0 == 0.0, so equal configs must render one zero
+        zeros = (abs(x) if x == 0 else x for x in (tolerance, theta1, theta2, thetac))
+        tolerance, theta1, theta2, thetac = zeros
         suites = tuple(suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
@@ -407,16 +410,14 @@ def _helicity_spinors(cfg: SuiteConfig, grid):
     # every direction at once: the grid's first rows are the directions
     d = grid(cfg.convention).head(cfg.n_directions)
     sn = (d.nhat @ halfspin.SIGMA.reshape(3, 4)).reshape(-1, 2, 2)
-    chi = np.concatenate(
-        [halfspin.helicity_eigenspinor(d.theta, d.phi, h)[:, None] for h in (UP, DN)], axis=1
-    )
+    # chi_h = helicity_eigenspinor(theta, phi, h) for h = up, dn on axis 1
+    chi = halfspin._helicity_pair(d.theta, d.phi)
     eigen = norm(apply(sn, chi) - np.array([UP, DN])[:, None] * chi)
-    res = {"eigen": eigen, "unit_norm": np.abs(norm(chi) - 1.0)}
     rt = 1 / math.sqrt(2)
-    for tag, h, want in (("up", UP, [rt, rt]), ("dn", DN, [-rt, rt])):
-        along_x = halfspin.helicity_eigenspinor(math.pi / 2, 0.0, h)
-        res[f"along_x_{tag}"] = linalg.max_abs(along_x - want)
-    return Evaluation(res)
+    along_x = halfspin._helicity_pair(math.pi / 2, 0.0) - [[rt, rt], [-rt, rt]]
+    return Evaluation(
+        {"eigen": eigen, "unit_norm": np.abs(norm(chi) - 1.0), "along_x": np.abs(along_x).max(-1)}
+    )
 
 
 @_check("halfspin/conjugation-eigenvalues", "self/anti-self conjugate eigenvalues")
@@ -528,11 +529,14 @@ _GRAM_PAIRS = [
 ]
 
 
-def _gram_scan(cfg: SuiteConfig, p: FourMomentum, pairs):
-    """The Gram matrices at p, (K, 4, 4) for K rest-phase pairs: one build."""
+def _gram_scan(cfg: SuiteConfig, g, i: int, pairs):
+    """The Gram matrices at row i of g, (K, 4, 4) for K rest-phase pairs:
+    one build, from g's kinematic arrays."""
     t1, t2 = zip(*pairs)
+    rows = [i] * len(pairs)
+    kinematics = (a[rows] for a in (g.mass, g.pmag, g.theta, g.phi, g.energy))
     conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
-    return halfspin.biorthonormality_gram(halfspin.build_spinor_grid([p] * len(pairs), conv))
+    return halfspin.biorthonormality_gram(halfspin.SpinorGrid.build(*kinematics, conv))
 
 
 def _modulus(z):
@@ -547,9 +551,9 @@ def _modulus(z):
 )
 def _biorthonormality_structure(cfg: SuiteConfig, grid):
     base = grid(cfg.convention)
-    p = base.momentum(min(4, len(base.mass) - 1))
-    n2 = cfg.convention.rest_scale(p.mass) ** 2
-    g = _gram_scan(cfg, p, _GRAM_PAIRS)
+    i = min(4, len(base.mass) - 1)
+    n2 = cfg.convention.rest_scale(base.mass[i]) ** 2
+    g = _gram_scan(cfg, base, i, _GRAM_PAIRS)
     tsum = np.array(_GRAM_PAIRS).sum(axis=1)
     mag = 2 * n2 * np.abs(np.cos(tsum))
     # the two families decouple exactly when the phase sum is 0 or pi;
@@ -577,10 +581,10 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
 
 @_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
 def _biorthonormality_sign(cfg: SuiteConfig, grid):
-    p = grid(cfg.convention).momentum(0)
-    n2 = cfg.convention.rest_scale(p.mass) ** 2
+    g = grid(cfg.convention)
+    n2 = cfg.convention.rest_scale(g.mass[0]) ** 2
     pairs = ((0.0, 0.0), (0.3, 0.4))
-    measured = _gram_scan(cfg, p, pairs)[:, 0, 1]
+    measured = _gram_scan(cfg, g, 0, pairs)[:, 0, 1]
     displayed = 2j * n2 * np.cos(np.array(pairs).sum(axis=1))
     vals = {}
     for (t1, t2), m, d in zip(pairs, measured.round(12), displayed.round(12)):
@@ -622,10 +626,9 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     squares = [table[(k, k)] for k in range(4)]
     # every exchange image is again an eigenvector with a definite sign;
     # the map records the signs at the last of the first four momenta
-    g4 = g.head(4)
-    c = halfspin.charge_conjugation_op(g4.convention)
+    c = halfspin.charge_conjugation_op(g.convention)
     # (map, row, member, component)
-    img = apply(halfspin.xi_quadruple(g4.phi)[:, :, None], g4.family[:, LAMBDAS])
+    img = apply(g.exchange[:, :4, None], g.family[:4, LAMBDAS])
     plus, minus = norm(c(img) - img), norm(c(img) + img)
     sign_gap = np.where(minus < plus, minus, plus)
     flips = (minus < plus)[:, -1].tolist()
@@ -868,24 +871,25 @@ def _table_matrix(table: dict, negate: bool, modes) -> np.ndarray:
     "fock/state-tables", "displayed single-particle action tables, unit phases, unitarity", _TIGHT
 )
 def _state_tables(cfg: SuiteConfig, grid):
-    res = {}
-    patterns = []
-    cases = (
-        (fock.INVERSION, _INV_TABLE, True),
-        (fock.CHARGE, _CHG_TABLE, False),
-        (fock.CHARGE_FLIP, _FLIP_TABLE, False),
+    ops = (fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP)
+    tables = ((_INV_TABLE, True), (_CHG_TABLE, False), (_FLIP_TABLE, False))
+    # (op, row, column) on each basis, as the ops hold them and as the tables show them
+    moving, rest = np.array([op.moving for op in ops]), np.array([op.matrix for op in ops])
+    want_moving, want_rest = (
+        np.array([_table_matrix(table, negate, modes) for table, negate in tables])
+        for modes in (fock.SECTOR, fock.REST)
     )
-    for op, table, negate in cases:
-        for at, got, modes in (("moving", op.moving, fock.SECTOR), ("rest", op.matrix, fock.REST)):
-            want = _table_matrix(table, negate, modes)
-            res[f"{op.name}_{at}"] = linalg.max_abs(got - want)
-            patterns.append(((got != 0) == (want != 0)).all())
-        unitary = linalg.dagger(op.moving) @ op.moving
-        res[f"{op.name}_unitary"] = linalg.max_abs(unitary - linalg.EYE[8])
+    unitary = moving.conj().swapaxes(-1, -2) @ moving
+    res = {
+        "moving": linalg.max_abs(moving - want_moving, axis=(-2, -1)),
+        "rest": linalg.max_abs(rest - want_rest, axis=(-2, -1)),
+        "unitary": linalg.max_abs(unitary - linalg.EYE[8], axis=(-2, -1)),
+    }
+    patterns = ((moving != 0) == (want_moving != 0)).all() & ((rest != 0) == (want_rest != 0)).all()
     return Evaluation(
         res,
-        {"labels_checked": len(cases) * (len(fock.SECTOR) + len(fock.REST))},
-        {"nonzero patterns match the tables": all(patterns)},
+        {"labels_checked": len(ops) * (len(fock.SECTOR) + len(fock.REST))},
+        {"nonzero patterns match the tables": bool(patterns)},
     )
 
 
@@ -897,16 +901,14 @@ def _squares_commutation(cfg: SuiteConfig, grid):
     squares = fock.squares_report((inv, chg, flip))
     comm = fock.commutator_report(chg, inv)
     anti = fock.commutator_report(flip, inv)
-    # chains on |p,up>^+
-    start = fock.FockVector.basis(1, "up", +1)
+    # four chains on |p,up>^+: the first ops, then the second
+    start = fock.FockVector.basis(1, "up", +1).amps
     end_comm = 1j * fock.FockVector.basis(-1, "dn", -1).amps
     tgt = fock.FockVector.basis(-1, "up", -1).amps
-    chains = [
-        (chg.apply(inv.apply(start)), end_comm),
-        (inv.apply(chg.apply(start)), end_comm),
-        (flip.apply(inv.apply(start)), -1j * tgt),
-        (inv.apply(flip.apply(start)), +1j * tgt),
-    ]
+    orders = ((inv, chg, inv, flip), (chg, inv, flip, inv))
+    steps = np.array([[op.moving for op in ops] for ops in orders])
+    chains = np.matvec(steps[1], np.matvec(steps[0], start))
+    want = np.array([end_comm, end_comm, -1j * tgt, +1j * tgt])
     return Evaluation(
         {
             "inversion_square": abs(squares["inversion"] - 1.0),
@@ -914,7 +916,7 @@ def _squares_commutation(cfg: SuiteConfig, grid):
             "charge_flip_square": abs(squares["charge_flip"] + 1.0),
             "commutator": comm["commutator"],
             "anticommutator": anti["anticommutator"],
-            "chains": norm(np.array([got.amps - want for got, want in chains])),
+            "chains": norm(chains - want),
         },
         {"squares": squares, "commutator": comm, "anticommutator": anti},
     )
@@ -1090,9 +1092,9 @@ def render_text(cfg: SuiteConfig, results) -> str:
             f"{r.status.upper():<10}{r.check_id:<40}max={r.max_residual:<13.6e}"
             f"tol={tol:<10}{r.anchor}"
         )
-        if r.status == "reported":
-            for k in sorted(r.values):
-                lines.append(f"          . {k} = {_fmt_value(r.values[k])}")
+        # a reported check shows its values; a check a refusal failed, the reason
+        for k in sorted(r.values) if r.status == "reported" else {"error"} & r.values.keys():
+            lines.append(f"          . {k} = {_fmt_value(r.values[k])}")
     summary = "{total} checks: {pass} pass, {fail} fail, {reported} reported"
     lines += ["", summary.format(**_summary(results))]
     return "\n".join(lines) + "\n"

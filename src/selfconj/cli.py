@@ -118,9 +118,10 @@ def _rows_to_table(title: str, rows: list[tuple[str, np.ndarray]]) -> str:
 def _tabulate(args) -> str:
     p = _parse_momentum(args.momentum, args.mass)
     conv = PhaseConvention(args.theta1, args.theta2, 0.0, args.norm)
+    # x + 0.0 is x, but for -0.0, which prints as its equal twin 0.0
     head = (
         f"{args.what} at mass={args.mass:.12g} momentum=({args.momentum}) "
-        f"theta1={args.theta1:.12g} theta2={args.theta2:.12g}"
+        f"theta1={args.theta1 + 0.0:.12g} theta2={args.theta2 + 0.0:.12g}"
     )
     if args.what == "dirac":
         uv = halfspin.build_spinor_basis(p, conv).uv_stack()[0]

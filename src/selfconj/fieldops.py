@@ -26,10 +26,6 @@ from .halfspin import (
     GAMMA0,
     GAMMA5,
     ID4,
-    LAM_A,
-    LAM_S,
-    RHO_A,
-    RHO_S,
     THETA,
     FourMomentum,
     PhaseConvention,
@@ -57,15 +53,20 @@ def charge_conjugate_expansion(
     x: np.ndarray, conv: PhaseConvention = PhaseConvention()
 ) -> np.ndarray:
     """Coefficients through the antilinear conjugation, slots swapped;
-    applied twice this is the identity."""
-    return charge_conjugation_op(conv)(x[:, ::-1])
+    applied twice this is the identity.  Leading axes before the row axis,
+    such as (even, odd) halves, ride along."""
+    return charge_conjugation_op(conv)(x[..., ::-1, :, :])
+
+
+# +1 and -1 on a leading axis: of the conjugate in the (even, odd) halves, or
+# the frequency signs (+, -) of the Dirac embedding
+_SIGNS = frozen(np.array([1.0, -1.0])[:, None, None])
 
 
 def ziino_barut_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) halves of the mode under the field-level conjugation."""
-    nu = majorana_mode(g)
-    cnu = charge_conjugate_expansion(nu, g.convention)
-    return (nu + cnu) * 0.5, (nu - cnu) * 0.5
+    nu, signs = majorana_mode(g), _SIGNS[..., None, None]
+    return tuple((nu + signs * charge_conjugate_expansion(nu, g.convention)) * 0.5)
 
 
 def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -96,18 +97,16 @@ def displayed_ziino_coefficients(
 def ziino_split_residual(g: SpinorGrid):
     """Distance of the computed halves from the displayed coefficients,
     (N, 2, 2, 2): row, half (even, odd), slot, helicity."""
-    gaps = [residual(x, y)[:, None] for x, y in zip(ziino_barut_split(g), displayed_split(g))]
-    return np.concatenate(gaps, axis=1)
+    return residual(np.array(ziino_barut_split(g)), np.array(displayed_split(g))).swapaxes(0, 1)
 
 
 def conjugation_parity_residuals(g: SpinorGrid) -> dict:
     """The halves are conjugation eigen-expansions: C even = +even,
     C odd = -odd; (N, 2, 2) each, as `residual`."""
-    even, odd = ziino_barut_split(g)
-    return {
-        "even": residual(charge_conjugate_expansion(even, g.convention), even),
-        "odd": residual(charge_conjugate_expansion(odd, g.convention), -odd),
-    }
+    halves = np.array(ziino_barut_split(g))
+    signed = _SIGNS[..., None, None] * halves
+    gaps = residual(charge_conjugate_expansion(halves, g.convention), signed)
+    return dict(zip(("even", "odd"), gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +124,23 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     (N, 2), NaN on a row that is not finite.  The partner and eigenspace
     residuals are (N, 2, 2): row, frequency sign (+, -), helicity.
     """
-    sl, m = slash(g), rowscale(g.mass)
-    f = g.family
-    ip = apply(ID4 + sl / m, f[:, LAM_S])
-    im = apply(ID4 - sl / m, f[:, LAM_A])
-    conv = g.convention
-    partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
-    eigenspace = (apply(sl, ip) - m * ip, apply(sl, im) + m * im)
+    sl, members = slash(g), g.family.reshape(-1, 4, 2, 4)
+    # (row, frequency sign, ...): sign * m, and the members (lambda^S,
+    # lambda^A) with their partners (rho^A, rho^S) at (+, -)
+    m = rowscale(g.mass)[:, None] * _SIGNS
+    lam, rho = members[:, [0, 2]], members[:, [3, 1]]
+    images = apply(ID4 + sl[:, None] / m, lam)
+    partner = images - (lam + _SIGNS * rho)
+    eigenspace = apply(sl, images) - m * images
     # the SVD cannot take a non-finite row; such a row keeps NaN values
+    ip = images[:, 0]
     finite = np.isfinite(ip).all(axis=(-2, -1))
     values = np.full(ip.shape[:-1], np.nan)
     values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
+    conv = g.convention
     return {
-        "partner_residual": np.concatenate([norm(x)[:, None] for x in partner], axis=1),
-        "eigenspace_residual": np.concatenate([norm(x)[:, None] for x in eigenspace], axis=1),
+        "partner_residual": norm(partner),
+        "eigenspace_residual": norm(eigenspace),
         "positive_singular_values": values,
         # one number, or one per row in a phase scan
         "phase_sum": np.add(conv.theta1, conv.theta2) % (2 * math.pi),
@@ -177,13 +179,13 @@ def quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Matrix units (i, j, k) realizing the exchange-map algebra: i gamma^5,
 # i gamma^0 and their product; all square to -1 and anticommute pairwise.
 QUATERNION_UNITS = frozen(np.stack([1j * GAMMA5, 1j * GAMMA0, (1j * GAMMA5) @ (1j * GAMMA0)]))
+_ORBIT_BASIS = frozen(np.concatenate([ID4[None], QUATERNION_UNITS]))
 
 
 def orbit_matrix(q: np.ndarray) -> np.ndarray:
     """c0 + c1 i + c2 j + c3 k on the matrix units, (..., 4, 4)."""
-    qi, qj, qk = QUATERNION_UNITS
-    c0, c1, c2, c3 = (rowscale(q[..., k]) for k in range(4))
-    return c0 * ID4 + c1 * qi + c2 * qj + c3 * qk
+    # summed over the components in order, as c0 + c1 i + c2 j + c3 k
+    return (q[..., None, None] * _ORBIT_BASIS).sum(axis=-3)
 
 
 def orbit_preserves_conjugation(q: np.ndarray, g: SpinorGrid) -> np.ndarray:

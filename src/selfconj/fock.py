@@ -113,16 +113,16 @@ CHARGE_FLIP = SymmetryOp(
 def squares_report(ops) -> dict:
     """The scalar c of op^2 = c * identity for each op; errors unless op^2
     is that scalar (a square never reflects, so its matrix decides)."""
-    out = {}
-    for op in ops:
-        sq = op.matrix @ op.matrix
-        # sq[0, 0].round(12) as numpy rounds: rint(x * 1e12) / 1e12 per part
-        z = complex(sq[0, 0])
-        c = complex(np.rint(z.real * 1e12) / 1e12, np.rint(z.imag * 1e12) / 1e12)
-        if np.abs(sq - c * EYE[4]).max() > 1e-12:
-            raise ValueError(f"{op.name}^2 is not a scalar: {sq}")
-        out[op.name] = c
-    return out
+    ops = tuple(ops)
+    sq = np.array([op.matrix for op in ops])
+    sq = sq @ sq
+    # sq[k, 0, 0].round(12) as numpy rounds: rint(x * 1e12) / 1e12 per part
+    c = (np.rint(np.ascontiguousarray(sq[:, 0, 0]).view(float) * 1e12) / 1e12).view(complex)
+    gap = np.abs(sq - c[:, None, None] * EYE[4]).max(axis=(1, 2))
+    if (gap > 1e-12).any():
+        k = int((gap > 1e-12).argmax())
+        raise ValueError(f"{ops[k].name}^2 is not a scalar: off c * identity by {gap[k]:.3g}")
+    return dict(zip((op.name for op in ops), c.tolist()))
 
 
 def commutator_report(a: SymmetryOp, b: SymmetryOp) -> dict:
@@ -174,17 +174,6 @@ _OPERATOR_RULES = {
 }
 
 
-def _rule_image(row, dagger: bool) -> np.ndarray:
-    """The amplitudes on SECTOR a rule row gives the mode it names at tag
-    +1: its phase on the image mode."""
-    kind, helicity, new_dagger, negate, phase = row
-    if new_dagger != dagger:
-        raise AssertionError("a ladder rule changed the dagger")
-    amps = np.zeros(len(SECTOR), dtype=complex)
-    amps[SECTOR.index((-1 if negate else +1, helicity, _BRANCH[kind]))] = phase
-    return amps
-
-
 def operator_state_consistency() -> dict:
     """U |mode> computed through U c^dag U^{-1} |0> vs the state action,
     and each annihilation rule vs the adjoint of its creation rule.
@@ -195,16 +184,22 @@ def operator_state_consistency() -> dict:
     negation of its creation row and the conjugate phase.  `gaps` holds the
     norm of each row's miss, (creation, annihilation) x the 12 rows.
     """
-    created, annihilated, direct = [], [], []
-    for op in (INVERSION, CHARGE, CHARGE_FLIP):
-        rows = _OPERATOR_RULES[op.name]
-        for h in HEL:
-            for kind, branch in _BRANCH.items():
-                created.append(_rule_image(rows[(kind, h, True)], True))
-                annihilated.append(_rule_image(rows[(kind, h, False)], False))
-                # the state action on |p, h>: its column of `moving`
-                direct.append(op.moving[:, SECTOR.index((1, h, branch))])
-    created = np.array(created)
+    ops = (INVERSION, CHARGE, CHARGE_FLIP)
+    # the rule rows in (dagger, op, helicity, kind) order, and the modes
+    # they name at tag +1; a rule row gives its phase on its image mode
+    rows = [
+        _OPERATOR_RULES[op.name][(kind, h, dagger)]
+        for dagger in (True, False) for op in ops for h in HEL for kind in _BRANCH
+    ]
+    if [row[2] for row in rows] != [True] * 12 + [False] * 12:
+        raise AssertionError("a ladder rule changed the dagger")
+    images = np.zeros((2, 12, len(SECTOR)), dtype=complex)
+    at = [SECTOR.index((-1 if neg else +1, h, _BRANCH[k])) for k, h, _, neg, _ in rows]
+    images.reshape(24, -1)[np.arange(24), at] = [row[4] for row in rows]
+    created, annihilated = images
+    # the state action on |p, h>: its column of `moving`
+    columns = [SECTOR.index((1, h, branch)) for h in HEL for branch in _BRANCH.values()]
+    direct = np.array([op.moving for op in ops])[:, :, columns].swapaxes(1, 2).reshape(12, -1)
     gaps = norm(np.array([created - direct, annihilated - np.conjugate(created)]))
     return {"max_residual": float(gaps.max()), "gaps": gaps}
 
@@ -221,28 +216,28 @@ def parity_eigencombos(ptag: int) -> dict:
     """
     up, dn = (FockVector.basis(ptag, h, +1).amps for h in HEL)
     up_r, dn_r = (FockVector.basis(-ptag, h, +1).amps for h in HEL)
-    out = {}
-    for sign, tag in ((+1, "plus"), (-1, "minus")):
-        vec = FockVector(up + sign * 1j * dn)
-        gap = INVERSION.apply(vec).amps - sign * (up_r + sign * 1j * dn_r)
-        out[tag] = {"eigenvalue": sign, "residual": float(norm(gap))}
-    return out
+    # (plus, minus) on axis 0
+    sign = np.array([[+1], [-1]])
+    vec = up + sign * 1j * dn
+    op = INVERSION.matrix if len(up) == len(REST) else INVERSION.moving
+    gaps = norm(np.matvec(op, vec) - sign * (up_r + sign * 1j * dn_r)).tolist()
+    rows = zip(("plus", "minus"), (1, -1), gaps)
+    return {tag: {"eigenvalue": s, "residual": r} for tag, s, r in rows}
 
 
 def charge_eigencombos() -> dict:
     """|p,h>^+ +- i |p,h>^- are eigenvectors of the branch swap with
     eigenvalues -+i."""
-    out = {}
-    for h in HEL:
-        particle, antiparticle = (FockVector.basis(1, h, b).amps for b in (+1, -1))
-        for sign, tag in ((+1, "plus"), (-1, "minus")):
-            vec = FockVector(particle + sign * 1j * antiparticle)
-            lam = -sign * 1j
-            out[f"{h}_{tag}"] = {
-                "eigenvalue": lam,
-                "residual": float(norm(CHARGE.apply(vec).amps - lam * vec.amps)),
-            }
-    return out
+    # (helicity, plus/minus, mode)
+    particle, antiparticle = (
+        np.array([FockVector.basis(1, h, b).amps for h in HEL])[:, None] for b in (+1, -1)
+    )
+    sign = np.array([[+1], [-1]])
+    vec = particle + sign * 1j * antiparticle
+    lam = -sign * 1j
+    gaps = norm(np.matvec(CHARGE.moving, vec) - lam * vec).ravel().tolist()
+    rows = zip([f"{h}_{t}" for h in HEL for t in ("plus", "minus")], lam.ravel().tolist() * 2, gaps)
+    return {k: {"eigenvalue": e, "residual": r} for k, e, r in rows}
 
 
 def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
@@ -288,12 +283,11 @@ def both_branch_joint_eigenvector() -> dict:
     """On the rest sector with both branches the two unitaries commute and
     a joint eigenvector exists explicitly; its residuals are returned so
     the single-branch nonexistence is not mistaken for a global statement."""
-    v = FockVector([1.0, 1j, -1j, 1.0])  # on REST: up+, dn+, up-, dn-
-    return {
-        "inversion_residual": float(norm(INVERSION.apply(v).amps - v.amps)),
-        "charge_residual": float(norm(CHARGE.apply(v).amps - 1j * v.amps)),
-        "charge_eigenvalue": 1j,
-    }
+    v = FockVector([1.0, 1j, -1j, 1.0]).amps  # on REST: up+, dn+, up-, dn-
+    # (inversion, charge) with eigenvalues (1, i)
+    ops = np.array([INVERSION.matrix, CHARGE.matrix])
+    inversion, charge = norm(np.matvec(ops, v) - np.array([[1], [1j]]) * v).tolist()
+    return {"inversion_residual": inversion, "charge_residual": charge, "charge_eigenvalue": 1j}
 
 
 def anticommuting_pair_margin() -> dict:

@@ -155,10 +155,6 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
         """N at a mass, or at each of an array of them."""
         return np.sqrt(mass) if self.norm is None else np.full_like(mass, self.norm)
 
-    def rest_phase(self, h: int) -> np.ndarray:
-        """e^{i theta_h}: 0-d, or one per row in a phase scan."""
-        return np.exp(1j * np.asarray(self.theta1 if h == UP else self.theta2))
-
 
 # ---------------------------------------------------------------------------
 # two-spinors and boosts
@@ -210,6 +206,10 @@ FAMILY_SIGNS = frozen(np.array([+1.0, +1.0, +1.0, +1.0, -1.0, -1.0, -1.0, -1.0])
 LAM_S, RHO_S, LAM_A, RHO_A = (slice(k, k + 2) for k in (0, 2, 4, 6))
 # rows (lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn) of the family
 LAMBDAS = (0, 1, 4, 5)
+# +i Theta and -i Theta; and each member's (top, bottom) halves among the 6
+# blocks of SpinorGrid.build: phi_L, phi_R, +-i Theta conj(phi_L), +-i Theta conj(phi_R)
+_I_THETA = frozen(np.array([1j, -1j])[:, None, None] * THETA)
+_HALVES = frozen(np.array([[2, 0], [1, 5], [3, 0], [1, 4]]))
 
 
 class SpinorGrid(
@@ -220,8 +220,9 @@ class SpinorGrid(
     Kinematics are (N,) arrays (nhat is (N, 3)); `momentum(i)` is row i as
     a FourMomentum.  `left`/`right` are the
     boosted two-spinors phi_L/phi_R as (N, 2, 2), helicity (up, dn) on
-    axis 1; `family` is (N, 8, 4) in FAMILY order.  The spin-1 six-spinors
-    and the grid at the reflected momenta are built on first use.
+    axis 1; `family` is (N, 8, 4) in FAMILY order.  The spin-1 six-spinors,
+    the exchange maps and the grid at the reflected momenta are built on
+    first use.
     """
 
     # equal only to itself; the instance dict holds only the cached parts
@@ -263,6 +264,11 @@ class SpinorGrid(
         return weinberg_u(self)
 
     @cached_property
+    def exchange(self) -> np.ndarray:
+        """(4, N, 4, 4): xi_quadruple at each row's azimuth."""
+        return xi_quadruple(self.phi)
+
+    @cached_property
     def reflected(self) -> "SpinorGrid":
         """The same construction at -p, row for row (space inversion): theta
         -> pi - theta, phi -> (phi + pi) mod 2 pi, a rest row stays at (0, 0)."""
@@ -284,26 +290,17 @@ class SpinorGrid(
         scale = conv.rest_scale(mass)
         # rest two-spinors N e^{i theta_h} chi_h, (N, 2, 2) by helicity; a
         # phase is one number, or one per row in a phase scan
-        phases = np.concatenate([conv.rest_phase(h)[..., None] for h in (UP, DN)], axis=-1)
+        phases = np.exp(1j * np.array([conv.theta1, conv.theta2], dtype=float).T)
         if phases.shape[:-1] not in ((), mass.shape):
             raise ValueError("a phase scan needs one phase pair per grid row")
         rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
-        left = half[:, ::-1] * rest
-        right = half * rest
-        # +-i Theta conj(phi)
-        lp, lm, rp, rm = (
-            apply(s * THETA, np.conjugate(x)) for x in (left, right) for s in (1j, -1j)
-        )
-        family = np.concatenate(
-            [
-                np.concatenate([lp, left], axis=-1),  # lambda^S
-                np.concatenate([right, rm], axis=-1),  # rho^S
-                np.concatenate([lm, left], axis=-1),  # lambda^A
-                np.concatenate([right, rp], axis=-1),  # rho^A
-            ],
-            axis=1,
-        )
-        return cls(conv, mass, pmag, theta, phi, energy, nhat, left, right, family)
+        # (row, phi_L then phi_R, helicity, component), and +-i Theta conj of
+        # both: (row, phi_L then phi_R, sign, helicity, component)
+        chiral = np.concatenate([half[:, None, ::-1], half[:, None]], axis=1) * rest[:, None]
+        turned = np.matvec(_I_THETA[:, None], np.conjugate(chiral)[:, :, None])
+        blocks = np.concatenate([chiral, turned.reshape(-1, 4, 2, 2)], axis=1)
+        family = blocks[:, _HALVES].swapaxes(2, 3).reshape(-1, 8, 4)
+        return cls(conv, mass, pmag, theta, phi, energy, nhat, chiral[:, 0], chiral[:, 1], family)
 
 
 def build_spinor_grid(momenta, conv: PhaseConvention = PhaseConvention()) -> SpinorGrid:
@@ -356,18 +353,19 @@ def discrete_ops(nhat) -> DiscreteOps:
 
 def slash(p) -> np.ndarray:
     """gamma^mu p_mu with metric (+,-,-,-)."""
-    out = rowscale(p.energy) * GAMMA0
-    for i in range(3):
-        out = out - rowscale(p.pvec[..., i]) * GAMMAS[i]
-    return out
+    # at most one space term per real or imaginary entry: the sum is exact
+    return rowscale(p.energy) * GAMMA0 - (p.pvec[..., None, None] * GAMMAS).sum(axis=-3)
 
 
 def dynamical_residuals(g: SpinorGrid) -> dict:
     """Residuals of the four first-order relations slash(p) x = +m y,
     (N, 2) each: row, helicity."""
-    sl, m, f = slash(g), rowscale(g.mass), g.family
-    pairs = (("r1", LAM_S, RHO_A), ("r2", RHO_A, LAM_S), ("r3", LAM_A, RHO_S), ("r4", RHO_S, LAM_A))
-    return {k: norm(apply(sl, f[:, x]) - m * f[:, y]) for k, x, y in pairs}
+    # (row, relation, helicity, component): x and y of r1..r4, the members
+    # (lambda^S, rho^A, lambda^A, rho^S) and (rho^A, lambda^S, rho^S, lambda^A)
+    members = g.family.reshape(-1, 4, 2, 4)
+    x, y = members[:, [0, 3, 2, 1]], members[:, [3, 0, 1, 2]]
+    r = norm(apply(slash(g), x) - rowscale(g.mass)[:, None] * y)
+    return {f"r{k + 1}": r[:, k] for k in range(4)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,11 @@ def xi_quadruple(phi_p) -> np.ndarray:
     return W_PARTS.reshape((4,) + (1,) * (g.ndim - 2) + (4, 4)) @ g
 
 
+# alias k is _ALIAS_MATRICES[k] (1, -i, i gamma^0, gamma^0) times the conjugate
+# of the members lambda^A, lambda^S, lambda^A, lambda^S
+_ALIAS_MATRICES = frozen(np.array([1.0, -1j, 1j, 1.0])[:, None, None] * [ID4, ID4, GAMMA0, GAMMA0])
+
+
 def xi_alias_residuals(g: SpinorGrid) -> dict:
     """How far each exchange image sits from its advertised alias:
     {alias<k>: (N, 2)}, row and helicity.
@@ -444,15 +447,12 @@ def xi_alias_residuals(g: SpinorGrid) -> dict:
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
     """
-    v1, v2, v3, v4 = xi_quadruple(g.phi)
-    ls, la = g.family[:, LAM_S], g.family[:, LAM_A]
-    cls, cla = np.conjugate(ls), np.conjugate(la)
-    return {
-        "alias1": norm(apply(v1, ls) - cla),
-        "alias2": norm(apply(v2, ls) + 1j * cls),
-        "alias3": norm(apply(v3, ls) - apply(1j * GAMMA0, cla)),
-        "alias4": norm(apply(v4, ls) - apply(GAMMA0, cls)),
-    }
+    images = apply(g.exchange[:, :, None], g.family[:, LAM_S])
+    # (alias, row, helicity, component); each matrix has one nonzero entry
+    # per row, so it changes no nonzero bit of the conjugate it acts on
+    conjugates = np.conjugate(g.family.reshape(-1, 4, 2, 4)[:, [2, 0, 2, 0]]).swapaxes(0, 1)
+    r = norm(images - apply(_ALIAS_MATRICES, conjugates))
+    return {f"alias{k + 1}": r[k] for k in range(4)}
 
 
 def w_group_table():
@@ -538,7 +538,7 @@ def _sigma_tensors():
 # sigma^{mu nu} = FGM_SIGMA[mu, nu].  sigma^{0i} = +i sigma^i on the
 # right-handed side, tilde uses -i; the space-space entries coincide:
 # sigma^{ij} = eps_{ijk} sigma^k.
-FGM_SIGMA, FGM_TILDE = frozen(_sigma_tensors())
+FGM_SIGMA, FGM_TILDE = _FGM_PAIR = frozen(np.array(_sigma_tensors()))
 
 
 def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
@@ -569,13 +569,10 @@ def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
     # metric (+,-,-,-) scalar; components are numbers so ordering drops out
     scal = pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:])
 
-    # F_{mu nu} sigma^{mu nu}, summed over (mu, nu) in order
-    fsig, ftil = ((s * fmunu[:, :, None, None]).sum(axis=(0, 1)) for s in (FGM_SIGMA, FGM_TILDE))
+    # F_{mu nu} sigma^{mu nu} and F_{mu nu} tilde^{mu nu}, summed in order
+    fsig = (_FGM_PAIR * fmunu[:, :, None, None]).sum(axis=(1, 2))
 
-    m2 = rowscale(b.mass**2)
-    op_r = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * fsig
-    op_l = rowscale(scal) * ID2 - m2 * ID2 - 0.5 * g * ftil
-    return {
-        "right": norm(apply(op_r, b.right[:, :1]))[:, 0],
-        "left": norm(apply(op_l, b.left[:, :1]))[:, 0],
-    }
+    # (row, right then left, 2, 2) operators on the (phi_R, phi_L) up pair
+    ops = rowscale(scal)[:, None] * ID2 - rowscale(b.mass**2)[:, None] * ID2 - 0.5 * g * fsig
+    r = norm(apply(ops, np.concatenate([b.right[:, :1], b.left[:, :1]], axis=1)))
+    return {"right": r[:, 0], "left": r[:, 1]}

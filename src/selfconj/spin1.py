@@ -57,8 +57,11 @@ THETA3 = frozen(cmat([[0, 0, 1], [0, -1, 0], [1, 0, 0]]))
 
 def jdot(nhat) -> np.ndarray:
     """J.n, one matrix per direction row."""
-    nhat = np.asarray(nhat, dtype=float)
-    return rowscale(nhat[..., 0]) * J1 + rowscale(nhat[..., 1]) * J2 + rowscale(nhat[..., 2]) * J3
+    # summed over the components in order, as n_x J1 + n_y J2 + n_z J3
+    return (np.asarray(nhat, dtype=float)[..., None, None] * JVEC).sum(axis=-3)
+
+
+_J2_SQUARED = frozen(J2 @ J2)
 
 
 def spin1_rotation(theta, phi) -> np.ndarray:
@@ -66,7 +69,7 @@ def spin1_rotation(theta, phi) -> np.ndarray:
     the helicity eigenvectors xi_h in HELICITIES order."""
     phi = np.asarray(phi)
     rz = diagonal(np.exp(-1j * phi), np.zeros(phi.shape) + 1.0, np.exp(1j * phi))
-    ry = ID3 - rowscale(1j * np.sin(theta)) * J2 + rowscale(np.cos(theta) - 1.0) * (J2 @ J2)
+    ry = ID3 - rowscale(1j * np.sin(theta)) * J2 + rowscale(np.cos(theta) - 1.0) * _J2_SQUARED
     return rz @ ry
 
 
@@ -109,16 +112,18 @@ def _chiral_gammas() -> np.ndarray:
 # the chiral basis, pinned by gamma_{mu nu} p^mu p^nu u(p, h) = m^2 u(p, h).
 CHIRAL_GAMMAS = frozen(_chiral_gammas())
 GAMMA5_CHIRAL = frozen(np.block([[ID3, Z3], [Z3, -ID3]]))
+# (entry, (mu, nu)): each entry of the 6x6 family against the 16 pairs
+_GAMMAS_BY_ENTRY = frozen(np.ascontiguousarray(CHIRAL_GAMMAS.reshape(16, 36).T))
 
 
 def on_shell_residual(p) -> np.ndarray:
     """|| (gamma_{mu nu} p^mu p^nu - m^2) u(p, h) || for h = +1, 0, -1."""
     p4 = np.concatenate([np.asarray(p.energy)[..., None], p.pvec], axis=-1)
-    op = sum(
-        CHIRAL_GAMMAS[(mu, nu)] * rowscale(p4[..., mu]) * rowscale(p4[..., nu])
-        for mu in range(4)
-        for nu in range(4)
-    )
+    # one dot product per row and matrix entry over the 16 (mu, nu) terms:
+    # the products p^mu p^nu are formed first and the dot may sum in any
+    # order, so an entry can differ from the term-by-term sum by a few ulp
+    pp = (p4[..., :, None] * p4[..., None, :]).reshape(p4.shape[:-1] + (16,))
+    op = np.matvec(_GAMMAS_BY_ENTRY, pp).reshape(p4.shape[:-1] + (6, 6))
     u = _six(p)
     return norm(apply(op, u) - rowscale(p.mass**2) * u)
 
@@ -253,23 +258,22 @@ class MRSpinor(NamedTuple):
     v_im: np.ndarray
 
 
+# (s, t) by part and half: u_re = (fl + tfr, fl + tfr), u_im = (-fl + tfr,
+# fl - tfr), v_re = (-fl + tfr, -fl + tfr), v_im = (fl + tfr, -fl - tfr)
+_MR_SIGNS = frozen(
+    np.array([[[1, 1], [-1, 1], [-1, -1], [1, -1]], [[1, 1], [1, -1], [1, 1], [1, -1]]])[..., None]
+)
+
+
 def mr_spinor(p) -> MRSpinor:
     """The real-frame spinors for h = +1, 0, -1 on axis -2."""
     six = _six(p)
-    fr, fl = six[..., :3], six[..., 3:]
-    tfr = apply(THETA3, fr)
-    u_re = 0.5 * np.concatenate([fl + tfr, fl + tfr], axis=-1)
-    u_im = 0.5 * np.concatenate([-fl + tfr, fl - tfr], axis=-1)
-    v_re = 0.5 * np.concatenate([-fl + tfr, -fl + tfr], axis=-1)
-    v_im = 0.5 * np.concatenate([fl + tfr, -fl - tfr], axis=-1)
-    return MRSpinor(
-        u=u_re + 1j * u_im,
-        v=v_re + 1j * v_im,
-        u_re=u_re,
-        u_im=u_im,
-        v_re=v_re,
-        v_im=v_im,
-    )
+    fl, tfr = six[..., None, None, 3:], apply(THETA3, six[..., :3])[..., None, None, :]
+    # (..., h, part, half, component): the part u_re, u_im, v_re, v_im is
+    # 0.5 (s fl + t Theta3 fr) on each half with the signs (s, t) of _MR_SIGNS
+    parts = (0.5 * (_MR_SIGNS[0] * fl + _MR_SIGNS[1] * tfr)).reshape(six.shape[:-1] + (4, 6))
+    uv = parts[..., ::2, :] + 1j * parts[..., 1::2, :]
+    return MRSpinor(uv[..., 0, :], uv[..., 1, :], *(parts[..., k, :] for k in range(4)))
 
 
 def transverse_reality_report(p) -> dict:

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconj import checks, fieldops, halfspin, linalg, spin1
-from selfconj.halfspin import LAM_S, FourMomentum, PhaseConvention, build_spinor_basis
+from selfconj import checks, fieldops, fock, halfspin, linalg, spin1
+from selfconj.halfspin import LAM_A, LAM_S, RHO_A, RHO_S, FourMomentum, PhaseConvention
+from selfconj.halfspin import build_spinor_basis
 from selfconj.linalg import TOL, max_abs, norm
 
 SETTINGS = settings(database=None, deadline=None, max_examples=40)
@@ -297,7 +298,7 @@ def _grid_stacked(momenta, conv):
     kinematics = SimpleNamespace(mass=mass, energy=energy, pvec=pmag[:, None] * nhat)
     lam_r, lam_l = _boost_ops_tensordot(kinematics)
     scale = np.sqrt(mass) if conv.norm is None else np.full_like(mass, conv.norm)
-    phases = np.stack([conv.rest_phase(+1), conv.rest_phase(-1)], axis=-1)
+    phases = np.stack([np.exp(1j * np.asarray(t)) for t in (conv.theta1, conv.theta2)], axis=-1)
     rest = scale[:, None, None] * phases[..., None] * _helicity_pair_stacked(theta, phi)
     left = linalg.apply(lam_l, rest)
     right = linalg.apply(lam_r, rest)
@@ -553,3 +554,303 @@ def test_spin1_families_equal_the_dicts_they_replaced():
     imgs = spin1.to_majorana_rep(np.array([gammas[key] for key in upper]))
     gaps = max_abs(imgs - np.array([forms[key] for key in upper]), axis=(-2, -1))
     _assert_same_bits(spin1.majorana_family_report()["family_gaps"], gaps)
+
+
+# ---------------------------------------------------------------------------
+# fixed index sets stacked into one expression
+#
+# Each function below is the loop form that a stacked expression replaced:
+# over the relations, aliases, members, signs, halves, frequency signs or
+# operators of one fixed set.  The stacked form repeats the loop's
+# arithmetic, so it gives the same bits, with two stated exceptions:
+#
+# - where a product by a +-1 array stands for a plain copy or a unary minus,
+#   a zero can change sign; those results are compared as values (-0.0 ==
+#   0.0, NaN == NaN), and every residual derived from them, being a norm
+#   or a magnitude, keeps its bits;
+# - the on-shell contraction forms p^mu p^nu first and contracts the 16
+#   (mu, nu) terms in one dot per entry, so it regroups the sum; it is
+#   compared within the bound stated at _on_shell_bound.
+
+STACKED_CASES = {
+    **BUILDER_CASES,
+    "edges, phase scan": REFLECTION_CASES["edges, phase scan"],
+    "large |p|": (
+        [FourMomentum(1.0, 2.0**k, 0.3 * k % math.pi, 0.7 * k) for k in range(0, 52, 3)],
+        PhaseConvention(0.2, 1.3, 0.5),
+    ),
+}
+
+
+def _assert_same_values(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def _family_loop(left, right):
+    lp, lm, rp, rm = (
+        linalg.apply(s * halfspin.THETA, np.conjugate(x)) for x in (left, right) for s in (1j, -1j)
+    )
+    halves = [(lp, left), (right, rm), (lm, left), (right, rp)]
+    return np.concatenate([np.concatenate(h, axis=-1) for h in halves], axis=1)
+
+
+def _slash_loop(p):
+    out = linalg.rowscale(p.energy) * halfspin.GAMMA0
+    for i in range(3):
+        out = out - linalg.rowscale(p.pvec[..., i]) * halfspin.GAMMAS[i]
+    return out
+
+
+def _dynamical_loop(g):
+    sl, m, f = _slash_loop(g), linalg.rowscale(g.mass), g.family
+    pairs = (("r1", LAM_S, RHO_A), ("r2", RHO_A, LAM_S), ("r3", LAM_A, RHO_S), ("r4", RHO_S, LAM_A))
+    return {k: norm(linalg.apply(sl, f[:, x]) - m * f[:, y]) for k, x, y in pairs}
+
+
+def _xi_alias_loop(g):
+    v1, v2, v3, v4 = halfspin.xi_quadruple(g.phi)
+    ls, la = g.family[:, LAM_S], g.family[:, LAM_A]
+    cls, cla = np.conjugate(ls), np.conjugate(la)
+    return {
+        "alias1": norm(linalg.apply(v1, ls) - cla),
+        "alias2": norm(linalg.apply(v2, ls) + 1j * cls),
+        "alias3": norm(linalg.apply(v3, ls) - linalg.apply(1j * halfspin.GAMMA0, cla)),
+        "alias4": norm(linalg.apply(v4, ls) - linalg.apply(halfspin.GAMMA0, cls)),
+    }
+
+
+def _jdot_loop(nhat):
+    r = linalg.rowscale
+    return r(nhat[..., 0]) * spin1.J1 + r(nhat[..., 1]) * spin1.J2 + r(nhat[..., 2]) * spin1.J3
+
+
+def _on_shell_loop(p):
+    """The term-by-term residual and its error scale || T |u| ||, with T the
+    entrywise sum of |gamma_{mu nu} p^mu p^nu| over the 16 terms."""
+    p4 = np.concatenate([np.asarray(p.energy)[..., None], p.pvec], axis=-1)
+    r = linalg.rowscale
+    terms = [
+        spin1.CHIRAL_GAMMAS[(mu, nu)] * r(p4[..., mu]) * r(p4[..., nu])
+        for mu in range(4)
+        for nu in range(4)
+    ]
+    u = spin1._six(p)
+    residual = norm(linalg.apply(sum(terms), u) - r(p.mass**2) * u)
+    return residual, norm(linalg.apply(sum(np.abs(t) for t in terms), np.abs(u)))
+
+
+# |new - old| <= 32 eps ||T |u||| + 4 eps r: both sums of the 16 terms err by
+# at most about 20 u T per entry (two roundings per product, 15 or 16 per
+# sum, a few more for complex products), each application of the operator
+# by about 9 u T |u| per component, and the subtraction and the norm by a
+# few u of the residual r itself
+def _on_shell_bound(scale, residual):
+    eps = np.finfo(float).eps
+    return 32 * eps * scale + 4 * eps * residual
+
+
+def _mr_spinor_loop(p):
+    six = spin1._six(p)
+    fr, fl = six[..., :3], six[..., 3:]
+    tfr = linalg.apply(spin1.THETA3, fr)
+    u_re = 0.5 * np.concatenate([fl + tfr, fl + tfr], axis=-1)
+    u_im = 0.5 * np.concatenate([-fl + tfr, fl - tfr], axis=-1)
+    v_re = 0.5 * np.concatenate([-fl + tfr, -fl + tfr], axis=-1)
+    v_im = 0.5 * np.concatenate([fl + tfr, -fl - tfr], axis=-1)
+    return (u_re + 1j * u_im, v_re + 1j * v_im, u_re, u_im, v_re, v_im)
+
+
+def _ziino_loop(g):
+    """(even, odd), the split residual and the parity residuals."""
+    nu = fieldops.majorana_mode(g)
+    c = halfspin.charge_conjugation_op(g.convention)
+    cnu = c(nu[:, ::-1])
+    even, odd = (nu + cnu) * 0.5, (nu - cnu) * 0.5
+    split = [
+        fieldops.residual(x, y)[:, None] for x, y in zip((even, odd), fieldops.displayed_split(g))
+    ]
+    parity = {
+        "even": fieldops.residual(c(even[:, ::-1]), even),
+        "odd": fieldops.residual(c(odd[:, ::-1]), -odd),
+    }
+    return (even, odd), np.concatenate(split, axis=1), parity
+
+
+def _dirac_loop(g):
+    sl, m, f = _slash_loop(g), linalg.rowscale(g.mass), g.family
+    ip = linalg.apply(halfspin.ID4 + sl / m, f[:, LAM_S])
+    im = linalg.apply(halfspin.ID4 - sl / m, f[:, LAM_A])
+    partner = (ip - (f[:, LAM_S] + f[:, RHO_A]), im - (f[:, LAM_A] - f[:, RHO_S]))
+    eigenspace = (linalg.apply(sl, ip) - m * ip, linalg.apply(sl, im) + m * im)
+    return (
+        np.concatenate([norm(x)[:, None] for x in partner], axis=1),
+        np.concatenate([norm(x)[:, None] for x in eigenspace], axis=1),
+        ip,
+    )
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_stacked_grid_functions_equal_their_loops(case, monkeypatch):
+    momenta, conv = STACKED_CASES[case]
+    g = halfspin.build_spinor_grid(momenta, conv)
+    _assert_same_bits(g.family, _family_loop(g.left, g.right))
+    _assert_same_bits(halfspin.slash(g), _slash_loop(g))
+    _assert_same_bits(halfspin.slash(momenta[-1]), _slash_loop(momenta[-1]))
+    for got, want in (
+        (halfspin.dynamical_residuals(g), _dynamical_loop(g)),
+        (halfspin.xi_alias_residuals(g), _xi_alias_loop(g)),
+    ):
+        assert list(got) == list(want)
+        for k in want:
+            _assert_same_bits(got[k], want[k])
+    _assert_same_values(spin1.jdot(g.nhat), _jdot_loop(g.nhat))
+    for got, want in zip(spin1.mr_spinor(g), _mr_spinor_loop(g)):
+        _assert_same_values(got, want)
+    # the residuals read from the real-frame spinors keep their bits
+    reports = [spin1.transverse_reality_report(g), spin1.chirality_flip_residual(g)]
+    with monkeypatch.context() as m:
+        m.setattr(spin1, "mr_spinor", lambda p: spin1.MRSpinor(*_mr_spinor_loop(p)))
+        loops = [spin1.transverse_reality_report(g), spin1.chirality_flip_residual(g)]
+    for k in loops[0]:
+        _assert_same_bits(reports[0][k], loops[0][k])
+    _assert_same_bits(reports[1], loops[1])
+    halves, split, parity = _ziino_loop(g)
+    for got, want in zip(fieldops.ziino_barut_split(g), halves):
+        _assert_same_values(got, want)
+    _assert_same_bits(fieldops.ziino_split_residual(g), split)
+    got = fieldops.conjugation_parity_residuals(g)
+    assert list(got) == list(parity)
+    for k in parity:
+        _assert_same_bits(got[k], parity[k])
+    dirac = fieldops.dirac_from_majorana(g)
+    partner, eigenspace, ip = _dirac_loop(g)
+    _assert_same_bits(dirac["partner_residual"], partner)
+    _assert_same_bits(dirac["eigenspace_residual"], eigenspace)
+    _assert_same_bits(dirac["positive_singular_values"], np.linalg.svd(ip, compute_uv=False))
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_the_on_shell_contraction_is_within_its_bound_of_the_term_sum(case):
+    momenta, conv = STACKED_CASES[case]
+    for p in (halfspin.build_spinor_grid(momenta, conv), momenta[-1]):
+        got = spin1.on_shell_residual(p)
+        want, scale = _on_shell_loop(p)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= _on_shell_bound(scale, want)).all()
+
+
+# the fock sector's operator and mode loops
+
+
+def _squares_loop(ops):
+    out = {}
+    for op in ops:
+        sq = op.matrix @ op.matrix
+        z = complex(sq[0, 0])
+        c = complex(np.rint(z.real * 1e12) / 1e12, np.rint(z.imag * 1e12) / 1e12)
+        assert np.abs(sq - c * linalg.EYE[4]).max() <= 1e-12
+        out[op.name] = c
+    return out
+
+
+def _operator_state_loop():
+    created, annihilated, direct = [], [], []
+    for op in (fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP):
+        rows = fock._OPERATOR_RULES[op.name]
+        for h in fock.HEL:
+            for kind, branch in fock._BRANCH.items():
+                for dagger, out in ((True, created), (False, annihilated)):
+                    kind2, h2, _, negate, phase = rows[(kind, h, dagger)]
+                    amps = np.zeros(len(fock.SECTOR), dtype=complex)
+                    amps[fock.SECTOR.index((-1 if negate else 1, h2, fock._BRANCH[kind2]))] = phase
+                    out.append(amps)
+                direct.append(op.moving[:, fock.SECTOR.index((1, h, branch))])
+    created = np.array(created)
+    return norm(np.array([created - direct, annihilated - np.conjugate(created)]))
+
+
+def _parity_loop(ptag):
+    up, dn = (fock.FockVector.basis(ptag, h, +1).amps for h in fock.HEL)
+    up_r, dn_r = (fock.FockVector.basis(-ptag, h, +1).amps for h in fock.HEL)
+    out = {}
+    for sign, tag in ((+1, "plus"), (-1, "minus")):
+        vec = fock.FockVector(up + sign * 1j * dn)
+        gap = fock.INVERSION.apply(vec).amps - sign * (up_r + sign * 1j * dn_r)
+        out[tag] = {"eigenvalue": sign, "residual": float(norm(gap))}
+    return out
+
+
+def _charge_loop():
+    out = {}
+    for h in fock.HEL:
+        particle, antiparticle = (fock.FockVector.basis(1, h, b).amps for b in (+1, -1))
+        for sign, tag in ((+1, "plus"), (-1, "minus")):
+            vec = fock.FockVector(particle + sign * 1j * antiparticle)
+            lam = -sign * 1j
+            gap = fock.CHARGE.apply(vec).amps - lam * vec.amps
+            out[f"{h}_{tag}"] = {"eigenvalue": lam, "residual": float(norm(gap))}
+    return out
+
+
+def _both_branch_loop():
+    v = fock.FockVector([1.0, 1j, -1j, 1.0])
+    return {
+        "inversion_residual": float(norm(fock.INVERSION.apply(v).amps - v.amps)),
+        "charge_residual": float(norm(fock.CHARGE.apply(v).amps - 1j * v.amps)),
+        "charge_eigenvalue": 1j,
+    }
+
+
+def _state_tables_loop():
+    res = {}
+    cases = (
+        (fock.INVERSION, checks._INV_TABLE, True),
+        (fock.CHARGE, checks._CHG_TABLE, False),
+        (fock.CHARGE_FLIP, checks._FLIP_TABLE, False),
+    )
+    for op, table, negate in cases:
+        for at, got, modes in (("moving", op.moving, fock.SECTOR), ("rest", op.matrix, fock.REST)):
+            res.setdefault(at, []).append(max_abs(got - checks._table_matrix(table, negate, modes)))
+        unitary = linalg.dagger(op.moving) @ op.moving
+        res.setdefault("unitary", []).append(max_abs(unitary - linalg.EYE[8]))
+    return res
+
+
+def _chains_loop():
+    inv, chg, flip = fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP
+    start = fock.FockVector.basis(1, "up", +1)
+    end_comm = 1j * fock.FockVector.basis(-1, "dn", -1).amps
+    tgt = fock.FockVector.basis(-1, "up", -1).amps
+    chains = [
+        (chg.apply(inv.apply(start)), end_comm),
+        (inv.apply(chg.apply(start)), end_comm),
+        (flip.apply(inv.apply(start)), -1j * tgt),
+        (inv.apply(flip.apply(start)), +1j * tgt),
+    ]
+    return norm(np.array([got.amps - want for got, want in chains]))
+
+
+def _same_report(got, want):
+    """Equal nested reports whose numbers keep their bits, signed zeros
+    included (repr tells -0.0 from 0.0)."""
+    assert repr(got) == repr(want)
+
+
+def test_the_fock_sector_equals_its_loops():
+    ops = (fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP)
+    for subset in (ops, ops[:2], ops[1:], [fock.CHARGE_FLIP]):
+        _same_report(fock.squares_report(subset), _squares_loop(subset))
+    _assert_same_bits(fock.operator_state_consistency()["gaps"], _operator_state_loop())
+    for ptag in (0, 1, -1):
+        _same_report(fock.parity_eigencombos(ptag), _parity_loop(ptag))
+    _same_report(fock.charge_eigencombos(), _charge_loop())
+    _same_report(fock.both_branch_joint_eigenvector(), _both_branch_loop())
+    cfg = checks.SuiteConfig()
+    tables = checks._state_tables(cfg, None).residuals
+    want = _state_tables_loop()
+    assert list(tables) == list(want)
+    for k in want:
+        _assert_same_bits(tables[k], np.array(want[k]))
+    _assert_same_bits(checks._squares_commutation(cfg, None).residuals["chains"], _chains_loop())

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from selfconj import checks, cli, fock, halfspin, linalg, spin1
+from selfconj import checks, cli, fieldops, fock, halfspin, linalg, spin1
 from selfconj.halfspin import FourMomentum, PhaseConvention
 
 REPORTED_IDS = {
@@ -229,7 +229,23 @@ def test_a_library_refusal_fails_its_check_not_the_run(mutant, monkeypatch, caps
     assert cli.main(["run"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "Traceback" not in out
-    assert sum(line.startswith("FAIL") for line in out.splitlines()) >= len(refusing)
+    lines = out.splitlines()
+    assert sum(line.startswith("FAIL") for line in lines) >= len(refusing)
+    # the text report gives each refusal's reason as one line under its check
+    assert sum(line.startswith("          . error = ") for line in lines) == len(refusing)
+    for check_id, r in errors.items():
+        at = next(i for i, line in enumerate(lines) if line[10:].startswith(check_id + " "))
+        assert "\n" not in r.values["error"]
+        assert lines[at + 1] == "          . error = " + r.values["error"]
+
+
+@pytest.mark.parametrize("field", ["tolerance", "theta1", "theta2", "thetac"])
+def test_equal_configs_give_the_same_report_bytes(field):
+    # -0.0 == 0.0: the two configs are equal, so their reports are one text
+    a, b = (checks.SuiteConfig(n_magnitudes=1, n_directions=2, **{field: z}) for z in (-0.0, 0.0))
+    assert a == b
+    for render in (checks.render_text, checks.render_json):
+        assert render(a, checks.run_checks(a)) == render(b, checks.run_checks(b))
 
 
 def test_a_refusal_fails_a_reported_check_and_other_errors_propagate():
@@ -355,6 +371,82 @@ def test_judged_entry_counts_are_frozen():
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
     assert sum(counts.values()) == 2557
+
+
+# frozen calls a default run makes to (linalg.apply, linalg.norm,
+# SpinorGrid.build) per check id, a build counted in the check that first
+# asks for its grid or for a part the grid builds on first use; a loop over
+# a fixed index set (members, relations, signs, halves, ops) that comes
+# back raises them
+_CALLS = {
+    "fieldops/conjugation-parity": (2, 0, 1),
+    "fieldops/dirac-embedding": (4, 4, 1),
+    "fieldops/mode-structure": (2, 0, 0),
+    "fieldops/quaternion-orbit": (2, 2, 0),
+    "fieldops/ziino-split": (6, 0, 2),
+    "fock/eigencombinations": (0, 3, 0),
+    "fock/joint-eigen-certificate": (0, 0, 0),
+    "fock/joint-eigen-existence": (0, 1, 0),
+    "fock/operator-state-consistency": (0, 1, 0),
+    "fock/squares-and-commutation": (0, 1, 0),
+    "fock/state-tables": (0, 0, 0),
+    "halfspin/biorthonormality-sign": (0, 0, 1),
+    "halfspin/biorthonormality-structure": (0, 0, 1),
+    "halfspin/chiral-helicity-halves": (1, 2, 0),
+    "halfspin/conjugation-eigenvalues": (1, 1, 0),
+    "halfspin/dirac-connection": (1, 0, 0),
+    "halfspin/dynamical-residuals": (2, 3, 0),
+    "halfspin/eigenstructure-split": (5, 7, 1),
+    "halfspin/exchange-quadruple": (5, 3, 0),
+    "halfspin/gauge-orbit": (3, 1, 0),
+    "halfspin/helicity-spinors": (1, 2, 0),
+    "halfspin/massless-limit": (0, 1, 1),
+    "halfspin/second-order-tensors": (2, 2, 0),
+    "linalg/antilinear-algebra": (3, 0, 0),
+    "linalg/kron-mixed-product": (3, 0, 0),
+    "spin1/chirality-flip": (4, 2, 0),
+    "spin1/majorana-real-family": (0, 0, 0),
+    "spin1/majorana-unitarity": (0, 0, 0),
+    "spin1/on-shell-contraction": (1, 1, 0),
+    "spin1/plain-unitary-diagnostic": (0, 0, 0),
+    "spin1/reality-classes": (4, 0, 0),
+    "spin1/selfconjugacy-dichotomy": (1, 1, 0),
+    "spin1/transverse-reality": (1, 4, 0),
+    "spin1/transverse-reality-offplane": (1, 4, 0),
+    "spin1/wigner-theta": (1, 1, 0),
+}
+
+
+def test_call_counts_are_frozen(monkeypatch):
+    counts, current = {}, [None]
+
+    def counted(k, fn):
+        def wrapper(*args, **kwargs):
+            counts[current[0]][k] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for k, name in enumerate(("apply", "norm")):
+        original = getattr(linalg, name)
+        for module in (linalg, halfspin, spin1, fieldops, fock, checks):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted(k, original))
+    build = counted(2, halfspin.SpinorGrid.build.__func__)
+    monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(build))
+
+    def attributed(check):
+        def evaluate(cfg, grid):
+            current[0] = check.check_id
+            counts[check.check_id] = [0, 0, 0]
+            return check.evaluate(cfg, grid)
+
+        return check._replace(evaluate=evaluate)
+
+    monkeypatch.setattr(checks, "_REGISTRY", [attributed(c) for c in checks._REGISTRY])
+    checks.run_checks(checks.SuiteConfig())
+    assert {k: tuple(v) for k, v in counts.items()} == _CALLS
+    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [56, 47, 8]
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:

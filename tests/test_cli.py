@@ -398,6 +398,12 @@ def test_tabulate_mr_longitudinal_rows(capsys):
     assert all(tok == "0" for tok in rows["v_lng"][1::2])
 
 
+@pytest.mark.parametrize("option", ["--theta1", "--theta2"])
+def test_a_negative_zero_phase_tabulates_as_zero(capsys, option):
+    argv = ["tabulate", "--momentum", "0.3,-0.2,0.9"]
+    assert run_cli(capsys, *argv, f"{option}=-0.0") == run_cli(capsys, *argv, f"{option}=0.0")
+
+
 def test_tabulate_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "tabulate", "--what", "dirac", "--momentum", "0.3,0.2,0.9")
     _, out2, _ = run_cli(capsys, "tabulate", "--what", "dirac", "--momentum", "0.3,0.2,0.9")

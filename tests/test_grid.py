@@ -19,24 +19,39 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 norms = st.none() | st.floats(min_value=1.5e-154, max_value=1.3e154)
 
 
+# 1, i, (1 + i + j + k) / 2 and a seeded unit quaternion
+_QUATERNIONS = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0.5] * 4, [0.1, -0.7, 0.1, 0.7]])
+
+
 def _rows(g) -> dict:
     """Every per-row array the grid holds or an identity returns on it."""
     rep = halfspin.connection_check(g)
     dirac = fieldops.dirac_from_majorana(g)
+    s = spin1.mr_spinor(g)
     out = {
         "left": g.left,
         "right": g.right,
         "family": g.family,
         "six": g.six,
         "reflected": g.reflected.family,
+        "exchange": g.exchange.swapaxes(0, 1),
         "connection": rep.phases,
         "aligned": rep.aligned_residual,
+        "slash": halfspin.slash(g),
         "ziino": fieldops.ziino_split_residual(g),
         "singular_values": dirac["positive_singular_values"],
+        "partner": dirac["partner_residual"],
+        "eigenspace": dirac["eigenspace_residual"],
         "on_shell": spin1.on_shell_residual(g),
+        "mr_u": s.u,
+        "mr_v": s.v,
+        "chirality_flip": spin1.chirality_flip_residual(g),
+        "orbit": fieldops.orbit_preserves_conjugation(_QUATERNIONS, g).swapaxes(0, 1),
     }
     out.update(halfspin.dynamical_residuals(g))
     out.update(halfspin.xi_alias_residuals(g))
+    out.update({f"fgm_{k}": v for k, v in halfspin.fgm_residuals(g).items()})
+    out.update({f"parity_{k}": v for k, v in fieldops.conjugation_parity_residuals(g).items()})
     out.update(spin1.transverse_reality_report(g))
     return out
 
