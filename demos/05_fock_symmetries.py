@@ -31,11 +31,11 @@ print("inversion vs flipping swap:", fock.commutator_report(inv, chf))
 
 start = FockVector.basis(1, "up", +1)
 print("\nchains on |p,up>^+:")
-print("  swap after inversion: ", show(ch.compose(inv).apply(start)))
-print("  inversion after swap: ", show(inv.compose(ch).apply(start)))
+print("  swap after inversion: ", show(ch.apply(inv.apply(start))))
+print("  inversion after swap: ", show(inv.apply(ch.apply(start))))
 print("  flipping swap chains pick up opposite phases:")
-print("   ", show(chf.compose(inv).apply(start)))
-print("   ", show(inv.compose(chf).apply(start)))
+print("   ", show(chf.apply(inv.apply(start))))
+print("   ", show(inv.apply(chf.apply(start))))
 
 print("\ncharge eigencombinations |p,h>^+ -+ i|p,h>^-:")
 for k, v in fock.charge_eigencombos().items():

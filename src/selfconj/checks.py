@@ -314,14 +314,18 @@ def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
 
 
-@functools.cache
 def _samples(seed: int, rows: int, cols: int) -> np.ndarray:
     """Seeded numbers in [-1, 1), row by row: the standard library's
     random.Random(seed).random() stream, which Python keeps the same across
-    versions, mapped exactly by x -> 2 x - 1.  Drawn once per process and
-    read-only."""
+    versions, mapped exactly by x -> 2 x - 1; read-only."""
     draw = random.Random(seed).random
     return linalg.frozen(np.array([2 * draw() - 1 for _ in range(rows * cols)]).reshape(rows, cols))
+
+
+# the samples of the three seeded checks, drawn at import: a run draws none
+_ANTILINEAR_SAMPLES = _samples(7, 16, 18)
+_KRON_SAMPLES = _samples(11, 8, 36)
+_ORBIT_SAMPLES = _samples(23, 4, 4)
 
 
 def _prop_residual(v, img):
@@ -371,7 +375,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
     }
     # 16 samples in one draw: per row v, w (re then im) and a, in the order
     # of drawing them one at a time
-    s = _samples(7, 16, 18)
+    s = _ANTILINEAR_SAMPLES
     v, w = s[:, 0:4] + 1j * s[:, 4:8], s[:, 8:12] + 1j * s[:, 12:16]
     a = (s[:, 16] + 1j * s[:, 17])[:, None]
     # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
@@ -389,7 +393,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
 def _kron(cfg: SuiteConfig, grid):
     # 8 samples in one draw: per row a, b, v, w (re then im each), in the
     # order of drawing them one at a time
-    s = _samples(11, 8, 36)
+    s = _KRON_SAMPLES
     a = (s[:, 0:4] + 1j * s[:, 4:8]).reshape(8, 2, 2)
     b = (s[:, 8:17] + 1j * s[:, 17:26]).reshape(8, 3, 3)
     v, w = s[:, 26:28] + 1j * s[:, 28:30], s[:, 30:33] + 1j * s[:, 33:36]
@@ -410,7 +414,7 @@ def _helicity_spinors(cfg: SuiteConfig, grid):
     # every direction at once: the grid's first rows are the directions
     d = grid(cfg.convention).head(cfg.n_directions)
     sn = (d.nhat @ halfspin.SIGMA.reshape(3, 4)).reshape(-1, 2, 2)
-    # chi_h = helicity_eigenspinor(theta, phi, h) for h = up, dn on axis 1
+    # _helicity_pair: chi_h for h = up, dn on axis 1, sigma.n chi_h = h chi_h
     chi = halfspin._helicity_pair(d.theta, d.phi)
     eigen = norm(apply(sn, chi) - np.array([UP, DN])[:, None] * chi)
     rt = 1 / math.sqrt(2)
@@ -818,7 +822,7 @@ def _reality_classes(cfg: SuiteConfig, grid):
     # the minority is the magnitude of the part each class says is absent
     g = grid(cfg.convention).head(6)
     # (row, sign +1 then -1, helicity, component)
-    one = np.concatenate([spin1.lambda_like(g, s)[:, None] for s in (+1, -1)], axis=1)
+    one = spin1.lambda_like(g)
     half_real, res["half_minority"] = spin1.reality_classes(g.family, vh)
     one_real, res["one_minority"] = spin1.reality_classes(one, w)
     names = [f"half_{name}" for name in FAMILY]
@@ -1049,7 +1053,7 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
         "anticommute": linalg.max_abs(a @ b + b @ a, axis=(-2, -1)),
     }
     # 1, i, j, k, (1 + i + j + k) / 2 and four seeded random phases
-    v = _samples(23, 4, 4)
+    v = _ORBIT_SAMPLES
     qs = fieldops.unit_quaternions(
         np.concatenate([linalg.EYE[4], [[0.5] * 4], v / norm(v)[:, None]])
     )

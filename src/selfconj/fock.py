@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EYE, norm
+from .linalg import EYE, frozen, norm
 
 HEL = ("up", "dn")
 
@@ -88,12 +88,6 @@ class SymmetryOp:
 
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector((self.matrix if len(vec.amps) == len(REST) else self.moving) @ vec.amps)
-
-    def compose(self, other: "SymmetryOp") -> "SymmetryOp":
-        """self after other."""
-        return SymmetryOp(
-            f"{self.name}.{other.name}", self.matrix @ other.matrix, self.reflects != other.reflects
-        )
 
 
 # p -> -p, helicity flips, branch kept; phases +i on up, -i on dn
@@ -279,11 +273,14 @@ def simultaneous_eigen_certificate() -> dict:
     return _joint_margin(INVERSION, CHARGE, particles)
 
 
+_BOTH_BRANCH_EIGENVECTOR = frozen(np.array([1.0, 1j, -1j, 1.0]))  # on REST: up+, dn+, up-, dn-
+
+
 def both_branch_joint_eigenvector() -> dict:
     """On the rest sector with both branches the two unitaries commute and
     a joint eigenvector exists explicitly; its residuals are returned so
     the single-branch nonexistence is not mistaken for a global statement."""
-    v = FockVector([1.0, 1j, -1j, 1.0]).amps  # on REST: up+, dn+, up-, dn-
+    v = _BOTH_BRANCH_EIGENVECTOR
     # (inversion, charge) with eigenvalues (1, i)
     ops = np.array([INVERSION.matrix, CHARGE.matrix])
     inversion, charge = norm(np.matvec(ops, v) - np.array([[1], [1j]]) * v).tolist()

@@ -166,18 +166,11 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
 
 
 def _helicity_pair(theta, phi) -> np.ndarray:
-    """(chi_up, chi_dn) on axis -2."""
+    """(chi_up, chi_dn) on axis -2: sigma.n chi_h = h chi_h."""
     c, s = np.cos(np.asarray(theta) / 2), np.sin(np.asarray(theta) / 2)
     em, ep = np.exp(-0.5j * np.asarray(phi)), np.exp(+0.5j * np.asarray(phi))
     entries = (c * em, s * ep, -s * em, c * ep)
     return np.concatenate([x[..., None] for x in entries], axis=-1).reshape(c.shape + (2, 2))
-
-
-def helicity_eigenspinor(theta, phi, h: int) -> np.ndarray:
-    """chi_h for the direction (theta, phi); sigma.n chi_h = h chi_h."""
-    if h not in (UP, DN):
-        raise ValueError("helicity must be +1 or -1")
-    return _helicity_pair(theta, phi)[..., 0 if h == UP else 1, :]
 
 
 def _boost_eigenvalues(mass, pmag, energy) -> np.ndarray:

@@ -174,12 +174,13 @@ def realify(op: AntilinearOp) -> np.ndarray:
     return np.concatenate([np.concatenate([x, y], axis=1), np.concatenate([y, -x], axis=1)])
 
 
-def involution_eigenvectors(t: np.ndarray, sign: int):
-    """Orthonormal basis of the (+-1)-eigenspace of a real involution t.
+def involution_eigenvectors(t: np.ndarray):
+    """Orthonormal bases (plus, minus), one vector per column, of the +1
+    and -1 eigenspaces of a real symmetric involution t.
 
-    Deterministic: the eigenspace is the column space of the projector
-    (1 + sign*t)/2, extracted with one SVD (singular values of a projector
-    are 0 or 1).  No iterative solver, no randomness.
+    Deterministic: (1 + t)/2 is the orthogonal projector onto the +1
+    eigenspace, so its one SVD has singular values 1 (left singular vectors
+    spanning it) and 0 (spanning its complement, the -1 eigenspace).
     """
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
@@ -187,6 +188,7 @@ def involution_eigenvectors(t: np.ndarray, sign: int):
         raise ValueError("matrix must be finite")
     if not max_abs(t @ t - EYE[n]) <= 1e-9:
         raise ValueError("matrix is not an involution")
-    proj = 0.5 * (EYE[n] + sign * t)
-    u, s, _ = np.linalg.svd(proj)
-    return u[:, s > 0.5]
+    if not max_abs(t - t.T) <= 1e-9:
+        raise ValueError("involution is not symmetric")
+    u, s, _ = np.linalg.svd(0.5 * (EYE[n] + t))
+    return u[:, s > 0.5], u[:, s <= 0.5]

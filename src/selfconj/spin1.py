@@ -315,14 +315,16 @@ CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])))
 TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix))
 
 
-def lambda_like(p, sign: int) -> np.ndarray:
-    """Spin-1 analogue of the lambda construction: (sign Theta3 conj(phi_L),
-    phi_L) for h = +1, 0, -1 on axis -2.  Eigenvectors of the twisted
-    conjugation with eigenvalue sign."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    fl = _six(p)[..., 3:]
-    return np.concatenate([apply(sign * THETA3, np.conjugate(fl)), fl], axis=-1)
+_PM_THETA3 = frozen(np.array([1.0, -1.0])[:, None, None] * THETA3)  # +Theta3, -Theta3
+
+
+def lambda_like(p) -> np.ndarray:
+    """Spin-1 analogue of the lambda construction: (s Theta3 conj(phi_L),
+    phi_L) for the signs s = +1, -1 on axis -3 and h = +1, 0, -1 on axis
+    -2.  Eigenvectors of the twisted conjugation with eigenvalue s."""
+    fl = _six(p)[..., None, :, 3:]
+    turned = np.matvec(_PM_THETA3[:, None], np.conjugate(fl))
+    return np.concatenate([turned, fl.repeat(2, axis=-3)], axis=-1)
 
 
 def selfconjugacy_analysis() -> dict:
@@ -339,9 +341,7 @@ def selfconjugacy_analysis() -> dict:
     tw = TWISTED_CONJUGATION
     shifted = realify(c) - np.array([+1.0, -1.0])[:, None, None] * EYE[12]
     margin = np.linalg.svd(shifted, compute_uv=False).min()
-    t = realify(tw)
-    plus = involution_eigenvectors(t, +1)
-    minus = involution_eigenvectors(t, -1)
+    plus, minus = involution_eigenvectors(realify(tw))
     # one eigenvector per row, (Re; Im) stacked back into C^6
     cols = np.concatenate([plus, minus], axis=1).T
     v = cols[:, :6] + 1j * cols[:, 6:]

@@ -215,8 +215,7 @@ def test_direction_residuals_equal_the_loops(n_directions):
     for th, ph in cfg.directions():
         n = FourMomentum(1.0, 1.0, th, ph).nhat
         sn = np.tensordot(n, halfspin.SIGMA, axes=(0, 0))
-        for h in (+1, -1):
-            chi = halfspin.helicity_eigenspinor(th, ph, h)
+        for h, chi in zip((+1, -1), halfspin._helicity_pair(th, ph)):
             eigen.append(float(np.linalg.norm(sn @ chi - h * chi)))
             unit.append(abs(float(np.linalg.norm(chi)) - 1.0))
         jn = n[0] * spin1.J1 + n[1] * spin1.J2 + n[2] * spin1.J3

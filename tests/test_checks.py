@@ -7,6 +7,7 @@ import os
 import random
 import re
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -409,7 +410,7 @@ _CALLS = {
     "spin1/majorana-unitarity": (0, 0, 0),
     "spin1/on-shell-contraction": (1, 1, 0),
     "spin1/plain-unitary-diagnostic": (0, 0, 0),
-    "spin1/reality-classes": (4, 0, 0),
+    "spin1/reality-classes": (2, 0, 0),
     "spin1/selfconjugacy-dichotomy": (1, 1, 0),
     "spin1/transverse-reality": (1, 4, 0),
     "spin1/transverse-reality-offplane": (1, 4, 0),
@@ -446,7 +447,7 @@ def test_call_counts_are_frozen(monkeypatch):
     monkeypatch.setattr(checks, "_REGISTRY", [attributed(c) for c in checks._REGISTRY])
     checks.run_checks(checks.SuiteConfig())
     assert {k: tuple(v) for k, v in counts.items()} == _CALLS
-    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [56, 47, 8]
+    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [54, 47, 8]
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:
@@ -597,27 +598,78 @@ def test_a_default_run_calls_no_python_level_numpy_wrappers(monkeypatch):
     assert calls == dict.fromkeys((*_WRAPPERS, "linalg.norm"), 0)
 
 
-def test_seeded_samples_are_drawn_once_and_read_only(monkeypatch):
-    rng = random.Random(5)
-    want = np.array([2 * rng.random() - 1 for _ in range(12)]).reshape(3, 4)
-    first = checks._samples(5, 3, 4)
-    assert first.tobytes() == want.tobytes()
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0, 0] = 0.0
-    drawn = []
+# the seeded checks' samples, drawn at import: (constant, seed, shape)
+_SAMPLES = [
+    (checks._ANTILINEAR_SAMPLES, 7, (16, 18)),
+    (checks._KRON_SAMPLES, 11, (8, 36)),
+    (checks._ORBIT_SAMPLES, 23, (4, 4)),
+]
 
-    class Counted(random.Random):
-        def random(self):
-            drawn.append(1)
-            return super().random()
 
-    monkeypatch.setattr(random, "Random", Counted)
-    assert checks._samples(5, 3, 4) is first
-    assert not drawn
-    # the patch counts draws: a shape not asked for yet draws its values
-    checks._samples(5, 1, 3)
-    assert len(drawn) == 3
+def test_seeded_samples_are_the_standard_stream_and_read_only():
+    for got, seed, shape in _SAMPLES:
+        rng = random.Random(seed)
+        want = np.array([2 * rng.random() - 1 for _ in range(math.prod(shape))]).reshape(shape)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+# Two default runs in a fresh interpreter, after import: the random.Random
+# instances they construct and the arrays each run freezes.  A fresh
+# interpreter, so that no earlier test has run first and filled a cache.
+_FRESH_RUNS = """
+import json, random
+from selfconj import checks, fieldops, fock, halfspin, linalg, spin1
+
+made, frozen, original = [], [], linalg.frozen
+
+
+class Counted(random.Random):
+    def __init__(self, *args):
+        made.append(args)
+        super().__init__(*args)
+
+
+def counted(value):
+    frozen.append(1)
+    return original(value)
+
+
+random.Random = Counted
+for module in (linalg, halfspin, spin1, fieldops, fock, checks):
+    if vars(module).get("frozen") is original:
+        module.frozen = counted
+per_run = []
+for _ in range(2):
+    before = len(frozen)
+    checks.run_checks(checks.SuiteConfig())
+    per_run.append(len(frozen) - before)
+print(json.dumps({"randoms": len(made), "frozen": per_run}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(checks.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUNS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_a_run_after_import_constructs_no_random_generator(fresh_runs):
+    assert fresh_runs["randoms"] == 0
+
+
+def test_consecutive_runs_freeze_the_same_number_of_arrays(fresh_runs):
+    # nothing a run makes is kept for the next: the first run of a process
+    # does the same work as the second
+    first, second = fresh_runs["frozen"]
+    assert first == second
 
 
 def test_results_are_json_serializable():

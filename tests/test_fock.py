@@ -112,10 +112,10 @@ def test_composition_chains():
     ch = fock.CHARGE
     chf = fock.CHARGE_FLIP
     want_commuting = +1j * ket(-1, "dn", -1)
-    assert np.array_equal(ch.compose(inv).apply(start).amps, want_commuting)
-    assert np.array_equal(inv.compose(ch).apply(start).amps, want_commuting)
-    assert np.array_equal(chf.compose(inv).apply(start).amps, -1j * ket(-1, "up", -1))
-    assert np.array_equal(inv.compose(chf).apply(start).amps, +1j * ket(-1, "up", -1))
+    assert np.array_equal(ch.apply(inv.apply(start)).amps, want_commuting)
+    assert np.array_equal(inv.apply(ch.apply(start)).amps, want_commuting)
+    assert np.array_equal(chf.apply(inv.apply(start)).amps, -1j * ket(-1, "up", -1))
+    assert np.array_equal(inv.apply(chf.apply(start)).amps, +1j * ket(-1, "up", -1))
 
 
 # the single-branch sector span{|+-p, h>^+}: columns of SECTOR

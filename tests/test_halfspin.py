@@ -102,17 +102,14 @@ def test_the_head_of_a_phase_scan_keeps_its_first_pairs():
 
 def test_helicity_spinors_pinned_values():
     rt = 1 / math.sqrt(2)
-    assert np.allclose(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, UP), [rt, rt])
-    assert np.allclose(halfspin.helicity_eigenspinor(math.pi / 2, 0.0, DN), [-rt, rt])
-    assert np.allclose(halfspin.helicity_eigenspinor(0.0, 0.0, UP), [1, 0])
-    with pytest.raises(ValueError):
-        halfspin.helicity_eigenspinor(0.0, 0.0, 0)
+    # (chi_up, chi_dn) on axis -2
+    assert np.allclose(halfspin._helicity_pair(math.pi / 2, 0.0), [[rt, rt], [-rt, rt]])
+    assert np.allclose(halfspin._helicity_pair(0.0, 0.0)[0], [1, 0])
 
 
 def test_wigner_property_of_theta():
     for th, ph in ((0.3, 1.2), (2.0, 5.1)):
-        cp = halfspin.helicity_eigenspinor(th, ph, UP)
-        cm = halfspin.helicity_eigenspinor(th, ph, DN)
+        cp, cm = halfspin._helicity_pair(th, ph)
         assert np.allclose(halfspin.THETA @ np.conjugate(cp), cm)
         assert np.allclose(halfspin.THETA @ np.conjugate(cm), -cp)
 
@@ -129,7 +126,7 @@ def _boost_ops(p):
 
 def test_boost_factors_at_unit_momentum():
     b = halfspin.build_spinor_basis(P_Z)
-    chi_up, chi_dn = (halfspin.helicity_eigenspinor(0.0, 0.0, h) for h in (UP, DN))
+    chi_up, chi_dn = halfspin._helicity_pair(0.0, 0.0)
     assert np.allclose(b.right[0], [A_PLUS * chi_up, A_MINUS * chi_dn], atol=1e-14)
     assert np.allclose(b.left[0], [A_MINUS * chi_up, A_PLUS * chi_dn], atol=1e-14)
     lam_r, lam_l = _boost_ops(P_Z)

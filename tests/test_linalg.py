@@ -80,16 +80,47 @@ def test_realify_roundtrip_and_action():
 
 def test_involution_eigenvectors_split_and_determinism():
     t = np.diag([1.0, 1.0, -1.0, -1.0])
-    plus = linalg.involution_eigenvectors(t, +1)
-    minus = linalg.involution_eigenvectors(t, -1)
+    plus, minus = linalg.involution_eigenvectors(t)
     assert plus.shape[1] == 2 and minus.shape[1] == 2
     assert np.allclose(t @ plus, plus)
     assert np.allclose(t @ minus, -minus)
-    again = linalg.involution_eigenvectors(t, +1)
-    assert np.array_equal(plus, again)
+    again = linalg.involution_eigenvectors(t)
+    assert all(np.array_equal(a, b) for a, b in zip((plus, minus), again))
     # a non-finite matrix is refused before any SVD runs
     with pytest.raises(ValueError, match="finite"):
-        linalg.involution_eigenvectors(np.diag([np.nan, 1.0, -1.0, -1.0]), +1)
+        linalg.involution_eigenvectors(np.diag([np.nan, 1.0, -1.0, -1.0]))
+
+
+def test_a_non_symmetric_involution_is_refused():
+    # t @ t = 1, but (1 + t)/2 is an oblique projector: its singular
+    # vectors do not split t's eigenspaces
+    t = np.array([[1.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(t @ t, np.eye(2))
+    with pytest.raises(ValueError, match="involution is not symmetric"):
+        linalg.involution_eigenvectors(t)
+
+
+def _twisted_realification():
+    return linalg.realify(spin1.TWISTED_CONJUGATION)
+
+
+def test_the_two_eigenspaces_are_orthonormal_and_complete():
+    t = _twisted_realification()
+    plus, minus = linalg.involution_eigenvectors(t)
+    assert plus.shape == minus.shape == (12, 6)
+    both = np.concatenate([plus, minus], axis=1)
+    assert linalg.max_abs(both.T @ both - np.eye(12)) < 1e-14
+    assert linalg.max_abs(t @ plus - plus) < 1e-14
+    assert linalg.max_abs(t @ minus + minus) < 1e-14
+
+
+def test_plus_keeps_the_bits_of_the_one_sign_svd():
+    # the basis as one SVD per sign gave it: the column space of (1 + t)/2
+    t = _twisted_realification()
+    assert np.array_equal(t, t.T)
+    u, s, _ = np.linalg.svd(0.5 * (np.eye(12) + t))
+    plus, _ = linalg.involution_eigenvectors(t)
+    assert np.array_equal(plus, u[:, s > 0.5])
 
 
 def _held_arrays(value):

@@ -171,11 +171,25 @@ def test_conjugation_squares():
 def test_lambda_like_eigenvectors():
     tw = spin1.TWISTED_CONJUGATION
     for p in GRID:
-        for sign in (+1, -1):
-            for lam in spin1.lambda_like(p, sign):
-                assert np.linalg.norm(tw(lam) - sign * lam) < 1e-12
-    with pytest.raises(ValueError):
-        spin1.lambda_like(GRID[0], 2)
+        # (sign +1 then -1, helicity, component)
+        lam = spin1.lambda_like(p)
+        assert lam.shape == (2, 3, 6)
+        for sign, per_sign in zip((+1, -1), lam):
+            for v in per_sign:
+                assert np.linalg.norm(tw(v) - sign * v) < 1e-12
+
+
+def test_lambda_like_equals_one_sign_at_a_time():
+    # one sign per call, as (sign Theta3 conj(phi_L), phi_L): the same bits
+    g = halfspin.build_spinor_grid(GRID)
+    fl = g.six[..., 3:]
+    want = [
+        np.concatenate([linalg.apply(sign * spin1.THETA3, np.conjugate(fl)), fl], axis=-1)
+        for sign in (+1, -1)
+    ]
+    got = spin1.lambda_like(g)
+    assert got.shape == (len(GRID), 2, 3, 6)
+    assert np.array_equal(got, np.stack(want, axis=1))
 
 
 def test_selfconjugacy_dichotomy():
@@ -211,7 +225,7 @@ def test_reality_classes_both_spins():
     assert np.all(minority < 1e-12)
     w = spin1.CHIRAL_TO_MAJORANA
     # (sign, helicity): sign +1 is real, -1 imaginary
-    vectors = np.array([spin1.lambda_like(p, sign) for sign in (+1, -1)])
+    vectors = spin1.lambda_like(p)
     real, minority = spin1.reality_classes(vectors, w)
     assert real.tolist() == [[True] * 3, [False] * 3]
     assert np.all(minority < 1e-12)

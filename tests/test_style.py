@@ -94,3 +94,41 @@ def test_the_dead_code_rule_sees_a_stale_private_name():
 
 def test_every_private_name_is_loaded_somewhere_in_the_package():
     assert not _unloaded_private_names({path.name: path.read_text() for path in SOURCES})
+
+
+_CACHES = {"cache", "lru_cache"}
+
+
+def _process_caches(source: str) -> list[str]:
+    """Module-level functions decorated with functools.cache or lru_cache:
+    a cache that outlives a run, so that a process's first run does work its
+    later runs skip.  Nested defs (a per-run cache) and methods are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in _CACHES:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_the_cache_rule_sees_a_stale_process_cache():
+    stale = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@functools.cache\ndef _samples(seed):\n    return seed\n\n"
+        "@lru_cache(maxsize=None)\ndef table():\n    return {}\n\n"
+        "@cache\ndef basis():\n    return []\n\n"
+        "def run(cfg):\n    @functools.cache\n    def grid(conv):\n        return conv\n"
+        "    return grid(cfg)\n\n"
+        "class Config:\n    @functools.cached_property\n    def convention(self):\n"
+        "        return 0\n"
+    )
+    assert _process_caches(stale) == ["_samples (line 5)", "table (line 9)", "basis (line 13)"]
+
+
+def test_no_module_level_function_caches_across_runs():
+    caches = {path.name: _process_caches(path.read_text()) for path in SOURCES}
+    assert not {name: found for name, found in caches.items() if found}
