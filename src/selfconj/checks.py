@@ -632,7 +632,7 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the map records the signs at the last of the first four momenta
     c = halfspin.charge_conjugation_op(g.convention)
     # (map, row, member, component)
-    img = apply(g.exchange[:, :4, None], g.family[:4, LAMBDAS])
+    img = apply(halfspin.xi_quadruple(g.phi[:4])[:, :, None], g.family[:4, LAMBDAS])
     plus, minus = norm(c(img) - img), norm(c(img) + img)
     sign_gap = np.where(minus < plus, minus, plus)
     flips = (minus < plus)[:, -1].tolist()

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -213,17 +212,14 @@ class SpinorGrid(
     Kinematics are (N,) arrays (nhat is (N, 3)); `momentum(i)` is row i as
     a FourMomentum.  `left`/`right` are the
     boosted two-spinors phi_L/phi_R as (N, 2, 2), helicity (up, dn) on
-    axis 1; `family` is (N, 8, 4) in FAMILY order.  The spin-1 six-spinors,
-    the exchange maps and the grid at the reflected momenta are built on
-    first use.
+    axis 1; `family` is (N, 8, 4) in FAMILY order.  A grid holds only the
+    arrays `build` made and caches nothing derived from them.
     """
 
-    # equal only to itself; the instance dict holds only the cached parts
+    # no instance dict: assigning any attribute raises; equal only to itself
+    __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     __repr__ = object.__repr__
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a SpinorGrid is immutable")
 
     @property
     def pvec(self) -> np.ndarray:
@@ -249,19 +245,7 @@ class SpinorGrid(
         """(N, 4, 4), rows lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn."""
         return self.family[:, LAMBDAS]
 
-    @cached_property
-    def six(self) -> np.ndarray:
-        """(N, 3, 6) chiral spin-1 six-spinors, helicities +1, 0, -1."""
-        from .spin1 import weinberg_u  # spin1 builds on this module
-
-        return weinberg_u(self)
-
-    @cached_property
-    def exchange(self) -> np.ndarray:
-        """(4, N, 4, 4): xi_quadruple at each row's azimuth."""
-        return xi_quadruple(self.phi)
-
-    @cached_property
+    @property
     def reflected(self) -> "SpinorGrid":
         """The same construction at -p, row for row (space inversion): theta
         -> pi - theta, phi -> (phi + pi) mod 2 pi, a rest row stays at (0, 0)."""
@@ -440,7 +424,7 @@ def xi_alias_residuals(g: SpinorGrid) -> dict:
     The aliases (conj lambda^A, -i conj lambda^S, i gamma^0 conj lambda^A,
     gamma^0 conj lambda^S) hold per helicity at theta1 = theta2 = 0.
     """
-    images = apply(g.exchange[:, :, None], g.family[:, LAM_S])
+    images = apply(xi_quadruple(g.phi)[:, :, None], g.family[:, LAM_S])
     # (alias, row, helicity, component); each matrix has one nonzero entry
     # per row, so it changes no nonzero bit of the conjugate it acts on
     conjugates = np.conjugate(g.family.reshape(-1, 4, 2, 4)[:, [2, 0, 2, 0]]).swapaxes(0, 1)

@@ -10,8 +10,9 @@ Helicity labels are +1, 0, -1; component order everywhere is m = +1, 0, -1.
 Rotations use the closed polynomial form ((J.n)^3 = J.n) and a boost acts on
 a helicity state xi_h as the number e^{+-h w}, so nothing here needs a
 matrix exponential.  Kinematic arguments are a FourMomentum or a
-SpinorGrid; on a grid every result gains a leading row axis, and the
-six-spinors come from the grid, built once.
+SpinorGrid; on a grid every result gains a leading row axis.  Each
+six-spinor function builds the six-spinors from the kinematics it is given
+with `weinberg_u`; a grid holds none.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import (
     rowscale,
 )
 from .halfspin import THETA as THETA_HALF
-from .halfspin import SpinorGrid, _boost_eigenvalues
+from .halfspin import _boost_eigenvalues
 
 ID3, ID6, Z3 = frozen(
     (np.eye(3, dtype=complex), np.eye(6, dtype=complex), np.zeros((3, 3), dtype=complex))
@@ -82,10 +83,6 @@ def weinberg_u(p) -> np.ndarray:
     return np.concatenate([k * xi, k[..., ::-1, :] * xi], axis=-1)
 
 
-def _six(p) -> np.ndarray:
-    return p.six if isinstance(p, SpinorGrid) else weinberg_u(p)
-
-
 # ---------------------------------------------------------------------------
 # the covariant family
 
@@ -124,8 +121,8 @@ def on_shell_residual(p) -> np.ndarray:
     # order, so an entry can differ from the term-by-term sum by a few ulp
     pp = (p4[..., :, None] * p4[..., None, :]).reshape(p4.shape[:-1] + (16,))
     op = np.matvec(_GAMMAS_BY_ENTRY, pp).reshape(p4.shape[:-1] + (6, 6))
-    u = _six(p)
-    return norm(apply(op, u) - rowscale(p.mass**2) * u)
+    u = weinberg_u(p)
+    return norm(apply(op, u) - rowscale(p.mass * p.mass) * u)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +264,7 @@ _MR_SIGNS = frozen(
 
 def mr_spinor(p) -> MRSpinor:
     """The real-frame spinors for h = +1, 0, -1 on axis -2."""
-    six = _six(p)
+    six = weinberg_u(p)
     fl, tfr = six[..., None, None, 3:], apply(THETA3, six[..., :3])[..., None, None, :]
     # (..., h, part, half, component): the part u_re, u_im, v_re, v_im is
     # 0.5 (s fl + t Theta3 fr) on each half with the signs (s, t) of _MR_SIGNS
@@ -322,7 +319,7 @@ def lambda_like(p) -> np.ndarray:
     """Spin-1 analogue of the lambda construction: (s Theta3 conj(phi_L),
     phi_L) for the signs s = +1, -1 on axis -3 and h = +1, 0, -1 on axis
     -2.  Eigenvectors of the twisted conjugation with eigenvalue s."""
-    fl = _six(p)[..., None, :, 3:]
+    fl = weinberg_u(p)[..., None, :, 3:]
     turned = np.matvec(_PM_THETA3[:, None], np.conjugate(fl))
     return np.concatenate([turned, fl.repeat(2, axis=-3)], axis=-1)
 

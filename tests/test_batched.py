@@ -414,12 +414,13 @@ def _reflected_record(p):
     return FourMomentum(p.mass, p.pmag, math.pi - p.theta, p.phi + math.pi)
 
 
-GRID_FIELDS = ("mass", "pmag", "theta", "phi", "energy", "nhat", "left", "right", "family", "six")
+GRID_FIELDS = ("mass", "pmag", "theta", "phi", "energy", "nhat", "left", "right", "family")
 
 
 def _assert_same_grid(got, want):
     for name in GRID_FIELDS:
         _assert_same_bits(getattr(got, name), getattr(want, name))
+    _assert_same_bits(spin1.weinberg_u(got), spin1.weinberg_u(want))
 
 
 def _edge_momenta(seed):
@@ -635,7 +636,7 @@ def _on_shell_loop(p):
         for mu in range(4)
         for nu in range(4)
     ]
-    u = spin1._six(p)
+    u = spin1.weinberg_u(p)
     residual = norm(linalg.apply(sum(terms), u) - r(p.mass**2) * u)
     return residual, norm(linalg.apply(sum(np.abs(t) for t in terms), np.abs(u)))
 
@@ -651,7 +652,7 @@ def _on_shell_bound(scale, residual):
 
 
 def _mr_spinor_loop(p):
-    six = spin1._six(p)
+    six = spin1.weinberg_u(p)
     fr, fl = six[..., :3], six[..., 3:]
     tfr = linalg.apply(spin1.THETA3, fr)
     u_re = 0.5 * np.concatenate([fl + tfr, fl + tfr], axis=-1)

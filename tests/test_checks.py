@@ -137,6 +137,12 @@ def test_records_are_immutable_and_keep_their_equality():
     # a grid and a Fock symmetry are equal only to themselves
     assert g == g and g != halfspin.build_spinor_basis(p, conv)
     assert fock.CHARGE != fock.SymmetryOp("charge", fock.CHARGE.matrix, reflects=False)
+    # a grid has no instance dict, so no attribute can be added or cached
+    with pytest.raises(TypeError):
+        vars(g)
+    for name in ("family", "six"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, g.left)
     for record, name in (
         (p, "theta"),
         (conv, "norm"),
@@ -144,7 +150,6 @@ def test_records_are_immutable_and_keep_their_equality():
         (cfg, "convention"),
         (result, "status"),
         (g, "family"),
-        (g, "six"),
         (fock.CHARGE, "moving"),
         (halfspin.charge_conjugation_op(), "matrix"),
     ):

@@ -7,6 +7,8 @@ each phase scan as one grid, so that per-momentum or per-phase
 construction cannot come back unnoticed.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +34,9 @@ def _rows(g) -> dict:
         "left": g.left,
         "right": g.right,
         "family": g.family,
-        "six": g.six,
+        "six": spin1.weinberg_u(g),
         "reflected": g.reflected.family,
-        "exchange": g.exchange.swapaxes(0, 1),
+        "exchange": halfspin.xi_quadruple(g.phi).swapaxes(0, 1),
         "connection": rep.phases,
         "aligned": rep.aligned_residual,
         "slash": halfspin.slash(g),
@@ -113,3 +115,25 @@ def test_a_run_builds_each_grid_once(monkeypatch):
     # phases of the Dirac embedding and the two rows of the Ziino oracle;
     # one build per phase pair, mass or oracle row was 19
     assert totals[0] <= 8
+
+
+# The run's working set over its grid's family, at 32x32.  The grid keeps
+# only the arrays it was built from, so the peak is the family and its
+# temporaries (7.3 with numpy 2.4); a grid that kept its six-spinors, exchange maps
+# and reflection for the run peaked at 10.5.  Caching the exchange maps
+# alone adds 2.0.
+_PEAK_OVER_FAMILY = 9
+
+
+def test_a_run_keeps_no_derived_grid_parts():
+    checks.run_checks(checks.SuiteConfig())  # warm: imports, constants, samples
+    cfg = checks.SuiteConfig(n_magnitudes=32, n_directions=32)
+    family = halfspin.build_spinor_grid(cfg.momenta(), cfg.convention).family
+    assert family.nbytes == 524288
+    tracemalloc.start()
+    try:
+        checks.run_checks(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_OVER_FAMILY * family.nbytes, peak / family.nbytes

@@ -5,9 +5,9 @@ phi and the phase convention), never from its float arrays: the helicity
 states chi_h and xi_h from their closed forms, boosted by the boost
 matrices (E + m +- sigma.p) / sqrt(2 m (E + m)) and exp(+-J.n w), with
 E = sqrt(m^2 + |p|^2).  Every row of `left`, `right` and `family` and
-every chiral block of `six` must lie within a few eps of its exact value,
-relative to the exact row's norm, at every |p| up to the edge of the
-accepted domain, |p| = 2**52 m.
+every chiral block of the six-spinors `spin1.weinberg_u(g)` must lie
+within a few eps of its exact value, relative to the exact row's norm, at
+every |p| up to the edge of the accepted domain, |p| = 2**52 m.
 """
 
 import math
@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from selfconj import halfspin
+from selfconj import halfspin, spin1
 from selfconj.halfspin import FourMomentum, PhaseConvention
 
 EPS = np.finfo(float).eps
@@ -113,6 +113,7 @@ def test_boosted_spinors_hold_their_precision_at_every_momentum(case):
     momenta, conv = CASES[case]
     g = halfspin.build_spinor_grid(momenta, conv)
     assert (g.pmag / g.mass).max() == 2.0**52
+    u = spin1.weinberg_u(g)
     errors = []
     with mpmath.workdps(DIGITS):
         for i in range(len(momenta)):
@@ -121,8 +122,8 @@ def test_boosted_spinors_hold_their_precision_at_every_momentum(case):
                 [(g.left[i, k], x) for k, x in enumerate(left)]
                 + [(g.right[i, k], x) for k, x in enumerate(right)]
                 + [(g.family[i, k], x) for k, x in enumerate(family)]
-                + [(g.six[i, k, :3], r) for k, (r, _) in enumerate(six)]
-                + [(g.six[i, k, 3:], l) for k, (_, l) in enumerate(six)]
+                + [(u[i, k, :3], r) for k, (r, _) in enumerate(six)]
+                + [(u[i, k, 3:], l) for k, (_, l) in enumerate(six)]
             )
             errors += [(_relative_error(got, want), i) for got, want in pairs]
     worst, row = max(errors)

@@ -6,6 +6,7 @@ u = (u_re + i u_im) = (1/2) (1-i, 0, 1+i, 1+i, 0, 1-i).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_lambda_like_eigenvectors():
 def test_lambda_like_equals_one_sign_at_a_time():
     # one sign per call, as (sign Theta3 conj(phi_L), phi_L): the same bits
     g = halfspin.build_spinor_grid(GRID)
-    fl = g.six[..., 3:]
+    fl = spin1.weinberg_u(g)[..., 3:]
     want = [
         np.concatenate([linalg.apply(sign * spin1.THETA3, np.conjugate(fl)), fl], axis=-1)
         for sign in (+1, -1)
@@ -243,3 +244,45 @@ def test_a_warm_process_recomputes_the_fixed_matrix_checks(monkeypatch):
     assert patched["spin1/chirality-flip"] == "fail"
     monkeypatch.undo()
     assert {r.check_id: r.status for r in checks.run_checks(cfg)} == first
+
+
+# a mass whose float ** 2 differs in the last bit from its product by itself
+SQUARE_EDGE = FourMomentum(
+    0.8906129060356731, 0.0015361191321824872, 1.628096972426099, 2.059716836126121
+)
+
+
+def _arrays(result) -> list:
+    """The arrays of a result: an array, a dict's values or a tuple's items."""
+    if isinstance(result, dict):
+        result = tuple(result.values())
+    return [np.asarray(a) for a in (result if isinstance(result, tuple) else [result])]
+
+
+def test_a_record_gives_the_bits_of_its_grid_row():
+    rng = random.Random(20261019)
+    momenta = [SQUARE_EDGE, FourMomentum(1.0, 0.0)] + [
+        FourMomentum(
+            0.25 + 3.75 * rng.random(),
+            3.0 * rng.random(),
+            math.pi * rng.random(),
+            2 * math.pi * rng.random(),
+        )
+        for _ in range(200)
+    ]
+    g = halfspin.build_spinor_grid(momenta)
+    functions = (
+        spin1.weinberg_u,
+        spin1.mr_spinor,
+        spin1.on_shell_residual,
+        spin1.lambda_like,
+        spin1.transverse_reality_report,
+        spin1.chirality_flip_residual,
+    )
+    for f in functions:
+        rows = _arrays(f(g))
+        for i in range(len(momenta)):
+            p = g.momentum(i)
+            got = [(a.shape, a.dtype, a.tobytes()) for a in _arrays(f(p))]
+            want = [(a[i].shape, a.dtype, a[i].tobytes()) for a in rows]
+            assert got == want, (f.__name__, p)

@@ -132,3 +132,65 @@ def test_the_cache_rule_sees_a_stale_process_cache():
 def test_no_module_level_function_caches_across_runs():
     caches = {path.name: _process_caches(path.read_text()) for path in SOURCES}
     assert not {name: found for name, found in caches.items() if found}
+
+
+# the package modules each module may import: the layers build upward, and
+# only the CLI sits above the checks
+_LAYERS = {
+    "linalg": set(),
+    "halfspin": {"linalg"},
+    "fock": {"linalg"},
+    "spin1": {"linalg", "halfspin"},
+    "fieldops": {"linalg", "halfspin"},
+    "checks": {"linalg", "halfspin", "fock", "spin1", "fieldops"},
+}
+
+
+def _package_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) for every import of a package module, function-level
+    imports included; relative and absolute (`selfconj.x`) forms alike."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (["selfconj"] if node.level else []) + (node.module or "").split(".")
+            paths = [[p for p in module if p] + [a.name] for a in node.names]
+        else:
+            continue
+        found += [(path[1], node.lineno) for path in paths if path[:1] == ["selfconj"]]
+    return found
+
+
+def _layer_violations(sources: dict) -> list[str]:
+    out = []
+    for name, source in sources.items():
+        module = name.removesuffix(".py")
+        if module in _LAYERS:
+            out += [
+                f"{name}: {imported} (line {line})"
+                for imported, line in _package_imports(source)
+                if imported not in _LAYERS[module]
+            ]
+    return out
+
+
+def test_the_layer_rule_sees_an_import_from_above():
+    stale = (
+        "from .linalg import apply\n\n\n"
+        "class SpinorGrid:\n"
+        "    def six(self):\n"
+        "        from .spin1 import weinberg_u\n\n"
+        "        return weinberg_u(self)\n"
+    )
+    checks = "from . import halfspin, cli\nimport selfconj.cli\nfrom selfconj.spin1 import J1\n"
+    found = _layer_violations({"halfspin.py": stale, "checks.py": checks, "cli.py": checks})
+    assert found == [
+        "halfspin.py: spin1 (line 6)",
+        "checks.py: cli (line 1)",
+        "checks.py: cli (line 2)",
+    ]
+
+
+def test_package_imports_follow_the_layers():
+    assert not _layer_violations({path.name: path.read_text() for path in SOURCES})
