@@ -43,7 +43,6 @@ import math
 import random
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,9 +66,9 @@ _MERIDIAN = [
 _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 thetac norm suites"
 
 
-class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
+class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
     # immutable; the instance dict holds only the grid's kinematic arrays and
-    # the cached `convention`
+    # the validated `convention`
     def __new__(
         cls,
         masses: tuple = (1.0,),
@@ -99,10 +98,10 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         # dtype=object: a ragged nesting is one row per entry, not numpy's error
         if np.asarray(theta1, dtype=object).ndim or np.asarray(theta2, dtype=object).ndim:
             raise ValueError("theta1 and theta2 must be numbers, not one per row")
-        PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
         # -0.0 == 0.0, so equal configs must render one zero
         zeros = (abs(x) if x == 0 else x for x in (tolerance, theta1, theta2, thetac))
         tolerance, theta1, theta2, thetac = zeros
+        conv = PhaseConvention(theta1, theta2, thetac, norm)  # validates the phases and the norm
         suites = tuple(suites)
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
@@ -118,18 +117,11 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         angles = np.array([cfg.directions()]).repeat(len(pairs), axis=0).reshape(-1, 2)
         # the (mass, |p|, theta, phi, E) arrays of the grid rows
         rows = np.concatenate([kin[:, :2], angles, kin[:, 2:]], axis=1).T.copy()
-        cfg.__dict__["_rows"] = linalg.frozen(tuple(rows))
+        cfg.__dict__.update(_rows=linalg.frozen(tuple(rows)), convention=conv)
         return cfg
-
-    # through the validating constructor, so that _replace validates too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a SuiteConfig is immutable")
-
-    @functools.cached_property
-    def convention(self) -> PhaseConvention:
-        return PhaseConvention(self.theta1, self.theta2, self.thetac, self.norm)
 
     def directions(self):
         out = list(_MERIDIAN[: self.n_directions])
@@ -151,13 +143,10 @@ class SuiteConfig(namedtuple("SuiteConfig", _CONFIG_FIELDS)):
         return self._asdict()
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    anchor: str
-    status: str  # pass | fail | reported
-    max_residual: float
-    tol: float | None
-    values: dict
+# one check's outcome: status "pass", "fail" or "reported", tol a float (None
+# for a reported check), values a dict
+class CheckResult(namedtuple("CheckResult", "check_id anchor status max_residual tol values")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The fields as plain JSON data (see _jsonable)."""
@@ -255,28 +244,18 @@ def _write_json(x, out: list, pad: str) -> None:
 # the registry and its runner
 
 
-class Evaluation(NamedTuple):
-    """What one check measured.
+# What one check measured, three dicts.  residuals: every number the check
+# judges against its tolerance (for a reported check, the numbers behind its
+# headline), by snake_case name: a real array of any shape, or a number;
+# values: what the report carries alongside them; predicates: named
+# structural statements, any false one fails the check whatever the
+# tolerance.  The empty defaults are shared, so the runner copies `values`
+# into the result.
+Evaluation = namedtuple("Evaluation", "residuals values predicates", defaults=({}, {}))
 
-    residuals: every number the check judges against its tolerance (for a
-    reported check, the numbers behind its headline), by snake_case name:
-    a real array of any shape, or a number; values: what the report
-    carries alongside them; predicates: named structural statements, any
-    false one fails the check whatever the tolerance.  The empty defaults
-    are shared, so the runner copies `values` into the result.
-    """
-
-    residuals: dict
-    values: dict = {}
-    predicates: dict = {}
-
-
-class _Check(NamedTuple):
-    check_id: str
-    anchor: str
-    tol: tuple[float, float] | None  # (floor, cap) on cfg.tolerance; None: reported
-    evaluate: Callable  # (cfg, grid) -> Evaluation; grid(conv) is the run's SpinorGrid
-
+# tol: (floor, cap) on cfg.tolerance, None for a reported check; evaluate:
+# (cfg, grid) -> Evaluation, where grid(conv) is the run's SpinorGrid
+_Check = namedtuple("_Check", "check_id anchor tol evaluate")
 
 _REGISTRY: list[_Check] = []
 
@@ -328,12 +307,6 @@ _KRON_SAMPLES = _samples(11, 8, 36)
 _ORBIT_SAMPLES = _samples(23, 4, 4)
 
 
-def _prop_residual(v, img):
-    """Least-squares proportionality gap min_c ||img - c v||, per row."""
-    c = np.vecdot(v, img) / np.vecdot(v, v)  # vecdot conjugates v
-    return norm(img - c[..., None] * v)
-
-
 def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
     """cfg phases with thetac forced to the real-eigenvalue convention."""
     return PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
@@ -342,11 +315,6 @@ def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
 def _unit_conv(cfg: SuiteConfig) -> PhaseConvention:
     """Unit rest phases, thetac = 0: where the displayed fixed forms hold."""
     return PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-
-
-def _conjugation_gaps(c, psi):
-    """||S^c psi - s psi|| per family member, s its expected eigenvalue."""
-    return norm(c(psi) - FAMILY_SIGNS[:, None] * psi)
 
 
 # per family member: a lambda (else a rho), and the factor that negates
@@ -432,9 +400,8 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
     squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
     g = grid(_pinned_conv(cfg))
-    c = halfspin.charge_conjugation_op(g.convention)
     return Evaluation(
-        {"squares": squares, "eigen": _conjugation_gaps(c, g.family)},
+        {"squares": squares, "eigen": halfspin.conjugation_gaps(g.family, g.convention)},
         {"momenta": len(g.mass), "family_size": 8, "square_residual": float(squares.max())},
     )
 
@@ -456,7 +423,7 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     _, fixed = linalg.eigen_residual(halfspin.GAMMA0, lam)
     img = apply(halfspin.GAMMA0, g.reflected.family[off][:, LAM_S])
     # inf when no row is off axis
-    ratios = [fixed / norm(lam), _prop_residual(lam, img) / norm(img)]
+    ratios = [fixed / norm(lam), linalg.fit_residual(lam, img)[1] / norm(img)]
     parity_min = float(np.array(ratios).min(initial=math.inf))
     # the eigen part is judged against tol; a collapsed non-eigen margin fails
     return Evaluation(
@@ -606,13 +573,13 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
 def _gauge_orbit(cfg: SuiteConfig, grid):
     g = grid(_pinned_conv(cfg)).head(6)
-    c = halfspin.charge_conjugation_op(g.convention)
     # (alpha, row, member, component)
     alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
     img = np.where(_IS_LAMBDA, apply(gl, g.family), apply(gr, g.family))
     return Evaluation(
-        {"conjugation": _conjugation_gaps(c, img)}, {"alphas": 5, "momenta": len(g.mass)}
+        {"conjugation": halfspin.conjugation_gaps(img, g.convention)},
+        {"alphas": 5, "momenta": len(g.mass)},
     )
 
 

@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .halfspin import (
-    FAMILY_SIGNS,
     GAMMA0,
     GAMMA5,
     ID4,
@@ -32,6 +31,7 @@ from .halfspin import (
     SpinorGrid,
     build_spinor_basis,
     charge_conjugation_op,
+    conjugation_gaps,
     slash,
 )
 from .linalg import apply, frozen, max_abs, norm, rowscale
@@ -195,9 +195,7 @@ def orbit_preserves_conjugation(q: np.ndarray, g: SpinorGrid) -> np.ndarray:
     The units intertwine with the conjugation (real coefficients), so the
     +-1 status survives the whole orbit exactly.
     """
-    img = apply(orbit_matrix(q)[..., None, None, :, :], g.family)
-    c = charge_conjugation_op(g.convention)
-    return norm(c(img) - FAMILY_SIGNS[:, None] * img)
+    return conjugation_gaps(apply(orbit_matrix(q)[..., None, None, :, :], g.family), g.convention)
 
 
 def orbit_group_law(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .linalg import (
     frozen,
     max_abs,
     norm,
+    record,
     rowscale,
     unit_phase_align,
 )
@@ -71,7 +71,7 @@ UP, DN = +1, -1
 # kinematics
 
 
-class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
+class FourMomentum(record("FourMomentum", "mass pmag theta phi")):
     """On-shell momentum given as (mass, |p|, polar, azimuth).
 
     The energy is always the positive root sqrt(m^2 + |p|^2).  A vanishing
@@ -107,9 +107,6 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
             theta, phi = 0.0, 0.0
         return super().__new__(cls, mass, pmag, theta, phi)
 
-    # through the validating constructor, so that _replace validates too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
     @property
     def energy(self) -> float:
         return math.hypot(self.mass, self.pmag)
@@ -124,7 +121,7 @@ class FourMomentum(namedtuple("FourMomentum", "mass pmag theta phi")):
         return self.pmag * self.nhat
 
 
-class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")):
+class PhaseConvention(record("PhaseConvention", "theta1 theta2 thetac norm")):
     """Free phases of the construction.
 
     theta1/theta2 multiply the up/down rest spinors as e^{i theta_h}; thetac
@@ -146,9 +143,6 @@ class PhaseConvention(namedtuple("PhaseConvention", "theta1 theta2 thetac norm")
         if norm is not None and not sys.float_info.min <= norm * norm < math.inf:
             raise ValueError("norm must have a square that is a finite normal float")
         return super().__new__(cls, theta1, theta2, thetac, norm)
-
-    # through the validating constructor, so that _replace validates too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def rest_scale(self, mass):
         """N at a mass, or at each of an array of them."""
@@ -304,14 +298,18 @@ def charge_conjugation_op(conv: PhaseConvention = PhaseConvention()) -> Antiline
     return AntilinearOp(np.exp(1j * conv.thetac) * _CONJUGATION_BLOCK)
 
 
+def conjugation_gaps(psi: np.ndarray, conv: PhaseConvention) -> np.ndarray:
+    """||S^c psi - s psi|| per family member, s its S^c eigenvalue in
+    FAMILY_SIGNS: psi has the family on axis -2."""
+    return norm(charge_conjugation_op(conv)(psi) - FAMILY_SIGNS[:, None] * psi)
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 
 
-class DiscreteOps(NamedTuple):
-    helicity: np.ndarray
-    chiral_helicity: np.ndarray
-    parity: np.ndarray  # gamma^0; momentum argument flips separately
+# arrays; parity is gamma^0, the momentum argument flips separately
+DiscreteOps = namedtuple("DiscreteOps", "helicity chiral_helicity parity")
 
 
 def discrete_ops(nhat) -> DiscreteOps:
@@ -358,10 +356,9 @@ CONNECTION = frozen(0.5 * cmat([
 ]))
 
 
-class ConnectionReport(NamedTuple):
-    raw_residual: np.ndarray  # (N,)
-    aligned_residual: np.ndarray  # (N, 4): row, member
-    phases: np.ndarray  # (N, 4): the unit phases that minimize the residual
+# raw_residual (N,); aligned_residual (N, 4), row and member; phases (N, 4),
+# the unit phases that minimize the residual
+ConnectionReport = namedtuple("ConnectionReport", "raw_residual aligned_residual phases")
 
 
 def connection_check(g: SpinorGrid) -> ConnectionReport:

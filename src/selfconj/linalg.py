@@ -6,7 +6,8 @@ leading (row) axes, so one call covers a whole momentum grid.  A linear
 map is its matrix.  Nothing here wraps numpy beyond one structure,
 AntilinearOp, the map v -> M conj(v): charge conjugation is antilinear,
 and the sign of its *square*, the linear matrix M conj(M), is what decides
-whether self-conjugate spinors exist at all.
+whether self-conjugate spinors exist at all.  `record` is the named-tuple
+base of every record that validates in __new__.
 """
 
 from __future__ import annotations
@@ -100,28 +101,45 @@ def unit_phase_align(target: np.ndarray, got: np.ndarray):
     return c, max_abs(got - c[..., None] * target, axis=-1)
 
 
-def eigen_residual(matrix: np.ndarray, v: np.ndarray):
-    """Least-squares eigenvalue fit c = <v, Mv>/<v, v> and ||Mv - c v||,
-    over the last axis of v; matrix is one matrix or one per leading row.
+def fit_residual(v: np.ndarray, w: np.ndarray):
+    """Least-squares proportionality fit c = <v, w>/<v, v> and ||w - c v||,
+    over the last axis; w has v's shape.
 
-    The residual is 0 exactly when v is an eigenvector; for the
-    non-eigenspinor claims the point is that it stays O(||v||).  Each v is
-    fitted at the scale 2**-e of its largest entry and the residual scaled
-    back: a power of two changes no bit, and <v, v> can neither underflow
-    nor overflow.
+    The residual is 0 exactly when w is a multiple of v.  Each row is fitted
+    at the scale 2**-e of v's largest entry and the residual scaled back: a
+    power of two changes no bit, and <v, v> can neither underflow nor
+    overflow.  A non-finite row gives NaN c and residual.
     """
-    v = np.asarray(v, dtype=complex)
-    big = max_abs(v, axis=-1)
+    vw = np.array([v, w], dtype=complex)
+    big = max_abs(vw[0], axis=-1)
     if (big == 0).any():
         raise ValueError("zero vector")
-    e = np.frexp(big)[1]
-    v = np.ldexp(v.real, -e[..., None]) + 1j * np.ldexp(v.imag, -e[..., None])
-    mv = apply(np.asarray(matrix, dtype=complex), v)
-    c = np.vecdot(v, mv) / np.vecdot(v, v)
-    return c, np.ldexp(norm(mv - c[..., None] * v), e)
+    e = np.frexp(big)[1][..., None]
+    # the real and imaginary parts of both, scaled as one float array
+    v, w = np.ldexp(vw.view(float), -e).view(complex)
+    # a non-finite row's NaN is the finding, judged by the caller: its
+    # products and quotient need not warn as well
+    with np.errstate(invalid="ignore"):
+        c = np.vecdot(v, w) / np.vecdot(v, v)
+    return c, np.ldexp(norm(w - c[..., None] * v), e[..., 0])
 
 
-class AntilinearOp(namedtuple("AntilinearOp", "matrix")):
+def eigen_residual(matrix: np.ndarray, v: np.ndarray):
+    """The fit of Mv against v: the eigenvalue c and ||Mv - c v||; matrix
+    is one matrix or one per leading row of v.  For the non-eigenspinor
+    claims the point is that the residual stays O(||v||)."""
+    return fit_residual(v, apply(np.asarray(matrix, dtype=complex), v))
+
+
+def record(typename: str, fields: str):
+    """The named-tuple base of a record that validates in __new__: its
+    _make, and so _replace, goes through the subclass's constructor."""
+    base = namedtuple(typename, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class AntilinearOp(record("AntilinearOp", "matrix")):
     """The antilinear operator v -> matrix @ conj(v).
 
     Its square v -> M conj(M conj(v)) is linear with the matrix
@@ -136,9 +154,6 @@ class AntilinearOp(namedtuple("AntilinearOp", "matrix")):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         return super().__new__(cls, m)
-
-    # through the validating constructor, so that _replace validates too
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ with `weinberg_u`; a grid holds none.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -238,21 +238,12 @@ def plain_unitary_diagnostic() -> dict:
 # real-frame six-spinors
 
 
-class MRSpinor(NamedTuple):
-    """u, v in the real frame together with their displayed split parts.
-
-    u = u_re + i u_im and v = v_re + i v_im hold as algebraic identities for
-    any momentum; the parts are genuinely real only for meridian-plane
-    momenta (azimuth 0 or pi), which is where the transverse identities
-    live.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    u_re: np.ndarray
-    u_im: np.ndarray
-    v_re: np.ndarray
-    v_im: np.ndarray
+# u, v in the real frame together with their displayed split parts, six
+# arrays.  u = u_re + i u_im and v = v_re + i v_im hold as algebraic
+# identities for any momentum; the parts are genuinely real only for
+# meridian-plane momenta (azimuth 0 or pi), which is where the transverse
+# identities live.
+MRSpinor = namedtuple("MRSpinor", "u v u_re u_im v_re v_im")
 
 
 # (s, t) by part and half: u_re = (fl + tfr, fl + tfr), u_im = (-fl + tfr,

@@ -720,6 +720,16 @@ def test_overflowing_norm_report_is_strict_json():
     assert '"NaN"' in text and '"Infinity"' in text
 
 
+def test_the_parity_margin_is_fitted_at_the_smallest_norm():
+    # members of size about 1e-162, whose <v, v> underflows: the reflected
+    # parity reading fits them at their own scale, so its margin is a number
+    cfg = checks.SuiteConfig(n_magnitudes=105, n_directions=6, norm=1.5e-154, suites=("halfspin",))
+    with np.errstate(all="ignore"):  # the norm divisions are a known finding
+        results = checks.run_checks(cfg)
+    (split,) = [r for r in results if r.check_id == "halfspin/eigenstructure-split"]
+    assert math.isfinite(split.values["parity_noneigen_min_ratio"])
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer against json.dumps of the plain-data copy
 
@@ -824,8 +834,7 @@ def test_every_suite_subset_renders_as_the_oracle(monkeypatch):
         assert checks.render_json(cfg, results) == _oracle_report(cfg, results), cfg.suites
     _with_nan_row(monkeypatch)
     cfg = checks.SuiteConfig()
-    with np.errstate(invalid="ignore"):
-        results = checks.run_checks(cfg)
+    results = checks.run_checks(cfg)
     assert any(math.isnan(r.max_residual) for r in results)
     assert checks.render_json(cfg, results) == _oracle_report(cfg, results)
 

@@ -194,3 +194,68 @@ def test_the_layer_rule_sees_an_import_from_above():
 
 def test_package_imports_follow_the_layers():
     assert not _layer_violations({path.name: path.read_text() for path in SOURCES})
+
+
+# the one function that may set `_make`: the base factory of the records
+# that validate in __new__
+_RECORD_FACTORY = ("linalg.py", "record")
+
+
+def _called(node) -> str:
+    """The name a base, decorator or target ends in: `x`, `a.x`, `x(...)`."""
+    if isinstance(node, ast.Call):
+        return _called(node.func)
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _stray_records(sources: dict) -> list[str]:
+    """Records declared otherwise than with collections.namedtuple: a class
+    based on typing.NamedTuple, a dataclass, or a `_make` assigned outside
+    the one base factory."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            factory = isinstance(top, ast.FunctionDef) and (module, top.name) == _RECORD_FACTORY
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    if "NamedTuple" in map(_called, node.bases):
+                        found.append(f"{module}:{node.name} is a NamedTuple")
+                    if "dataclass" in map(_called, node.decorator_list):
+                        found.append(f"{module}:{node.name} is a dataclass")
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not factory:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    if "_make" in map(_called, targets):
+                        found.append(f"{module}: _make assigned (line {node.lineno})")
+    return found
+
+
+def test_the_record_rule_sees_stale_records():
+    stale = (
+        "import dataclasses, typing\nfrom typing import NamedTuple\n\n"
+        "class Report(NamedTuple):\n    x: float\n\n"
+        "class Pair(typing.NamedTuple):\n    a: int\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Label:\n    tag: int\n\n"
+        "class Momentum(namedtuple('Momentum', 'm p')):\n"
+        "    _make = classmethod(lambda cls, it: cls(*it))\n"
+    )
+    linalg = (
+        "def record(name, fields):\n    base = namedtuple(name, fields)\n"
+        "    base._make = classmethod(lambda cls, it: cls(*it))\n    return base\n\n"
+        "def other(base):\n    base._make = None\n"
+    )
+    assert _stray_records({"stale.py": stale, "linalg.py": linalg}) == [
+        "stale.py:Report is a NamedTuple",
+        "stale.py:Pair is a NamedTuple",
+        "stale.py:Label is a dataclass",
+        "stale.py: _make assigned (line 15)",
+        "linalg.py: _make assigned (line 7)",
+    ]
+    # the factory is exempt only in linalg
+    assert _stray_records({"halfspin.py": linalg}) == [
+        "halfspin.py: _make assigned (line 3)",
+        "halfspin.py: _make assigned (line 7)",
+    ]
+
+
+def test_records_are_declared_one_way():
+    assert not _stray_records({path.name: path.read_text() for path in SOURCES})
