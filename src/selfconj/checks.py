@@ -68,7 +68,9 @@ _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 theta
 
 class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
     # immutable; the instance dict holds only the grid's kinematic arrays and
-    # the validated `convention`
+    # the run's three phase conventions: the validated `convention`, `_pinned`
+    # with thetac forced to the real-eigenvalue convention 0 and `_unit` with
+    # unit rest phases and thetac 0, where the displayed fixed forms hold
     def __new__(
         cls,
         masses: tuple = (1.0,),
@@ -117,7 +119,12 @@ class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
         angles = np.array([cfg.directions()]).repeat(len(pairs), axis=0).reshape(-1, 2)
         # the (mass, |p|, theta, phi, E) arrays of the grid rows
         rows = np.concatenate([kin[:, :2], angles, kin[:, 2:]], axis=1).T.copy()
-        cfg.__dict__.update(_rows=linalg.frozen(tuple(rows)), convention=conv)
+        # `convention` itself when thetac is 0, so a run builds one grid for both
+        pinned = conv._replace(thetac=0.0) if thetac else conv
+        unit = PhaseConvention(0.0, 0.0, 0.0, norm)
+        cfg.__dict__.update(
+            _rows=linalg.frozen(tuple(rows)), convention=conv, _pinned=pinned, _unit=unit
+        )
         return cfg
 
     def __setattr__(self, name, value):
@@ -307,16 +314,6 @@ _KRON_SAMPLES = _samples(11, 8, 36)
 _ORBIT_SAMPLES = _samples(23, 4, 4)
 
 
-def _pinned_conv(cfg: SuiteConfig) -> PhaseConvention:
-    """cfg phases with thetac forced to the real-eigenvalue convention."""
-    return PhaseConvention(cfg.theta1, cfg.theta2, 0.0, cfg.norm)
-
-
-def _unit_conv(cfg: SuiteConfig) -> PhaseConvention:
-    """Unit rest phases, thetac = 0: where the displayed fixed forms hold."""
-    return PhaseConvention(0.0, 0.0, 0.0, cfg.norm)
-
-
 # per family member: a lambda (else a rho), and the factor that negates
 # rho^S, the self-conjugate rho
 _IS_LAMBDA = linalg.frozen(
@@ -399,7 +396,7 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
     squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
-    g = grid(_pinned_conv(cfg))
+    g = grid(cfg._pinned)
     return Evaluation(
         {"squares": squares, "eigen": halfspin.conjugation_gaps(g.family, g.convention)},
         {"momenta": len(g.mass), "family_size": 8, "square_residual": float(squares.max())},
@@ -475,7 +472,7 @@ def _dynamical_residuals(cfg: SuiteConfig, grid):
 def _dirac_connection(cfg: SuiteConfig, grid):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
-    rep = halfspin.connection_check(grid(_unit_conv(cfg)))
+    rep = halfspin.connection_check(grid(cfg._unit))
     drift = np.abs(rep.phases - rep.phases[0])
     return Evaluation(
         {"aligned": rep.aligned_residual, "phase_drift": drift},
@@ -572,7 +569,7 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
 
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
 def _gauge_orbit(cfg: SuiteConfig, grid):
-    g = grid(_pinned_conv(cfg)).head(6)
+    g = grid(cfg._pinned).head(6)
     # (alpha, row, member, component)
     alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
@@ -588,7 +585,7 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
 )
 def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
-    g = grid(_unit_conv(cfg))
+    g = grid(cfg._unit)
     # the common factor diag(Xi, Xi) commutes with every W_k, so the group
     # table of the W parts is the table of the maps
     xi, w = halfspin.xi_factor(g.phi), halfspin.W_PARTS[:, None]
@@ -949,7 +946,7 @@ def _operator_state(cfg: SuiteConfig, grid):
 
 @_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
 def _mode_structure(cfg: SuiteConfig, grid):
-    g = grid(_pinned_conv(cfg))
+    g = grid(cfg._pinned)
     nu = fieldops.majorana_mode(g)
     cnu = fieldops.charge_conjugate_expansion(nu, g.convention)
     # lambda^S rides the annihilators and lambda^A the creators, each with
@@ -961,7 +958,7 @@ def _mode_structure(cfg: SuiteConfig, grid):
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
 def _ziino_split(cfg: SuiteConfig, grid):
-    g = grid(_pinned_conv(cfg))
+    g = grid(cfg._pinned)
     even, odd = fieldops.ziino_barut_split(g)
     # the independent oracle rebuilds the first and last rows from (p, conv)
     shown = fieldops.displayed_split(g)
@@ -982,12 +979,12 @@ def _ziino_split(cfg: SuiteConfig, grid):
 
 @_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
 def _conjugation_parity(cfg: SuiteConfig, grid):
-    return Evaluation(fieldops.conjugation_parity_residuals(grid(_pinned_conv(cfg)).head(8)))
+    return Evaluation(fieldops.conjugation_parity_residuals(grid(cfg._pinned).head(8)))
 
 
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
 def _dirac_embedding(cfg: SuiteConfig, grid):
-    g = grid(_pinned_conv(cfg))
+    g = grid(cfg._pinned)
     rep = fieldops.dirac_from_majorana(g)
     generic = fieldops.dirac_from_majorana(
         halfspin.build_spinor_basis(g.momentum(0), PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
@@ -1024,7 +1021,7 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
     qs = fieldops.unit_quaternions(
         np.concatenate([linalg.EYE[4], [[0.5] * 4], v / norm(v)[:, None]])
     )
-    g = grid(_pinned_conv(cfg)).head(4)
+    g = grid(cfg._pinned).head(4)
     res["orbit_conjugation"] = fieldops.orbit_preserves_conjugation(qs, g)
     res["orbit_group_law"] = fieldops.orbit_group_law(qs[:5, None], qs[None, 5:])
     return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
@@ -1033,14 +1030,16 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
 # ---------------------------------------------------------------------------
 # running and rendering
 
+# every report lists its checks in check-id order
+_REGISTRY.sort(key=lambda c: c.check_id)
+
 
 def run_checks(cfg: SuiteConfig):
     @functools.cache
     def grid(conv: PhaseConvention) -> halfspin.SpinorGrid:
         return halfspin.SpinorGrid.build(*cfg._rows, conv)
 
-    chosen = [c for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
-    return [_run(c, cfg, grid) for c in sorted(chosen, key=lambda c: c.check_id)]
+    return [_run(c, cfg, grid) for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
 
 
 def _fmt_value(v) -> str:

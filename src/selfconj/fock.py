@@ -21,9 +21,11 @@ the same physics; operator_state_consistency ties the two together.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from .linalg import EYE, frozen, norm
+from .linalg import EYE, ByIdentity, frozen, norm, record
 
 HEL = ("up", "dn")
 
@@ -32,17 +34,16 @@ SECTOR = tuple((t, h, b) for b in (+1, -1) for t in (+1, -1) for h in HEL)
 REST = tuple((0, h, b) for b in (+1, -1) for h in HEL)
 
 
-class FockVector:
+class FockVector(ByIdentity, record("FockVector", "amps")):
     """One state: its read-only amplitudes on REST (4) or on SECTOR (8)."""
 
-    __slots__ = ("amps",)
+    __slots__ = ()
 
-    def __init__(self, amps):
+    def __new__(cls, amps):
         amps = np.array(amps, dtype=complex)
         if amps.shape not in ((len(REST),), (len(SECTOR),)):
             raise ValueError("a state has 4 amplitudes at rest or 8 when moving")
-        amps.flags.writeable = False
-        self.amps = amps
+        return super().__new__(cls, frozen(amps))
 
     @classmethod
     def basis(cls, ptag: int, helicity: str, branch: int) -> "FockVector":
@@ -56,18 +57,21 @@ class FockVector:
         return cls(EYE[len(modes)][modes.index((ptag, helicity, branch))])
 
 
-class SymmetryOp:
+class SymmetryOp(ByIdentity, namedtuple("SymmetryOp", "name matrix reflects moving")):
     """Unitary acting on modes as one fixed matrix plus a reflection flag.
 
     `matrix` is a 4x4 unit-phase permutation of the (branch, helicity)
     pairs ordered as REST: column j holds the image of pair j and its
     phase.  `reflects` says whether the momentum tag is negated.  `moving`
-    is the 8x8 matrix on SECTOR, built once: `matrix` times the tag map.
+    is the 8x8 matrix on SECTOR, `matrix` times the tag map; `build` makes
+    it from the other three.
     """
 
-    __slots__ = ("name", "matrix", "reflects", "moving")
+    __slots__ = ()
 
-    def __init__(self, name: str, matrix, reflects: bool):
+    @classmethod
+    def build(cls, name: str, matrix, reflects: bool) -> "SymmetryOp":
+        """The validated op, its arrays read-only."""
         m = np.array(matrix, dtype=complex)
         # four nonzeros and unitary: one unit phase in each row and column
         if m.shape != (4, 4) or np.count_nonzero(m) != 4:
@@ -79,27 +83,22 @@ class SymmetryOp:
         # the tag map on (+p, -p): swap or identity
         tags = np.eye(2)[::-1] if reflects else np.eye(2)
         moving = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(8, 8)
-        m.flags.writeable = moving.flags.writeable = False
-        for attr, value in zip(self.__slots__, (name, m, reflects, moving)):
-            object.__setattr__(self, attr, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a SymmetryOp is immutable")
+        return cls(name, frozen(m), reflects, frozen(moving))
 
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector((self.matrix if len(vec.amps) == len(REST) else self.moving) @ vec.amps)
 
 
 # p -> -p, helicity flips, branch kept; phases +i on up, -i on dn
-INVERSION = SymmetryOp(
+INVERSION = SymmetryOp.build(
     "inversion", [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]], reflects=True
 )
 # branch swap keeping helicity: +1 out of particles, -1 back
-CHARGE = SymmetryOp(
+CHARGE = SymmetryOp.build(
     "charge", [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], reflects=False
 )
 # branch swap with helicity flip: -1 out of particles, +1 back
-CHARGE_FLIP = SymmetryOp(
+CHARGE_FLIP = SymmetryOp.build(
     "charge_flip", [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], reflects=False
 )
 

@@ -42,6 +42,7 @@ import numpy as np
 from .linalg import (
     TOL,
     AntilinearOp,
+    ByIdentity,
     apply,
     cmat,
     diagonal,
@@ -199,7 +200,8 @@ _HALVES = frozen(np.array([[2, 0], [1, 5], [3, 0], [1, 4]]))
 
 
 class SpinorGrid(
-    namedtuple("SpinorGrid", "convention mass pmag theta phi energy nhat left right family")
+    ByIdentity,
+    namedtuple("SpinorGrid", "convention mass pmag theta phi energy nhat left right family"),
 ):
     """The spin-1/2 family at N momenta for one convention, row axis first.
 
@@ -210,9 +212,8 @@ class SpinorGrid(
     arrays `build` made and caches nothing derived from them.
     """
 
-    # no instance dict: assigning any attribute raises; equal only to itself
+    # no instance dict: assigning any attribute raises
     __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     __repr__ = object.__repr__
 
     @property

@@ -7,7 +7,8 @@ map is its matrix.  Nothing here wraps numpy beyond one structure,
 AntilinearOp, the map v -> M conj(v): charge conjugation is antilinear,
 and the sign of its *square*, the linear matrix M conj(M), is what decides
 whether self-conjugate spinors exist at all.  `record` is the named-tuple
-base of every record that validates in __new__.
+base of every record that validates in __new__, and `ByIdentity` the base
+that makes a record of arrays equal only to itself.
 """
 
 from __future__ import annotations
@@ -139,7 +140,16 @@ def record(typename: str, fields: str):
     return base
 
 
-class AntilinearOp(record("AntilinearOp", "matrix")):
+class ByIdentity:
+    """The first base of a record of arrays: equal only to itself and hashed
+    by identity, as arrays have no single truth value to compare by.  A value
+    record (numbers and strings) compares and hashes by value instead."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+class AntilinearOp(ByIdentity, record("AntilinearOp", "matrix")):
     """The antilinear operator v -> matrix @ conj(v).
 
     Its square v -> M conj(M conj(v)) is linear with the matrix

@@ -136,7 +136,7 @@ def test_records_are_immutable_and_keep_their_equality():
     assert cfg.convention == PhaseConvention()
     # a grid and a Fock symmetry are equal only to themselves
     assert g == g and g != halfspin.build_spinor_basis(p, conv)
-    assert fock.CHARGE != fock.SymmetryOp("charge", fock.CHARGE.matrix, reflects=False)
+    assert fock.CHARGE != fock.SymmetryOp.build("charge", fock.CHARGE.matrix, reflects=False)
     # a grid has no instance dict, so no attribute can be added or cached
     with pytest.raises(TypeError):
         vars(g)
@@ -155,6 +155,38 @@ def test_records_are_immutable_and_keep_their_equality():
     ):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+
+
+def _twins(kind: str):
+    """A record of arrays of `kind` and a second record of the same arrays."""
+    if kind == "antilinear-op":
+        op = halfspin.charge_conjugation_op()
+        return op, linalg.AntilinearOp(op.matrix)
+    if kind == "fock-vector":
+        state = fock.FockVector.basis(1, "up", +1)
+        return state, fock.FockVector(state.amps)
+    if kind == "symmetry-op":
+        return fock.CHARGE, fock.CHARGE._replace()
+    g = halfspin.build_spinor_basis(FourMomentum(1.0, 2.0), PhaseConvention())
+    return g, g._replace()
+
+
+@pytest.mark.parametrize("kind", ["antilinear-op", "fock-vector", "symmetry-op", "spinor-grid"])
+def test_records_of_arrays_are_equal_only_to_themselves(kind):
+    record, twin = _twins(kind)
+    assert record == record and not record != record
+    assert record != twin and not record == twin
+    assert hash(record) == hash(record) and record in {record} and twin not in {record}
+    assert len({record, twin}) == 2
+
+
+def test_a_fock_state_keeps_its_validated_amplitudes():
+    state = fock.FockVector.basis(1, "up", +1)
+    with pytest.raises(AttributeError):
+        state.amps = np.zeros(5)
+    with pytest.raises(ValueError):
+        state._replace(amps=np.zeros(5))
+    assert not state.amps.flags.writeable and state.amps.shape == (8,)
 
 
 def test_nan_residual_fails_the_check(monkeypatch):
@@ -183,7 +215,7 @@ def _scaled_w_parts():
 def _charge_with_phase_i():
     m = fock.CHARGE.matrix.copy()
     m[2, 0] = 1j
-    return fock.SymmetryOp("charge", m, reflects=False)
+    return fock.SymmetryOp.build("charge", m, reflects=False)
 
 
 # a patched library constant that a library function refuses with

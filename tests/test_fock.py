@@ -327,10 +327,10 @@ def test_a_rule_that_changes_the_dagger_is_refused(monkeypatch):
 
 def test_nonunit_phase_rejected():
     with pytest.raises(ValueError):
-        fock.SymmetryOp("bad", np.diag([2.0, 1.0, 1.0, 1.0]), reflects=False)
+        fock.SymmetryOp.build("bad", np.diag([2.0, 1.0, 1.0, 1.0]), reflects=False)
     two_in_a_column = np.eye(4)
     two_in_a_column[1, 0] = 1.0
     with pytest.raises(ValueError):
-        fock.SymmetryOp("bad", two_in_a_column, reflects=False)
+        fock.SymmetryOp.build("bad", two_in_a_column, reflects=False)
     with pytest.raises(ValueError):
-        fock.SymmetryOp("bad", np.diag([np.nan, 1.0, 1.0, 1.0]), reflects=False)
+        fock.SymmetryOp.build("bad", np.diag([np.nan, 1.0, 1.0, 1.0]), reflects=False)

@@ -197,8 +197,13 @@ def test_package_imports_follow_the_layers():
 
 
 # the one function that may set `_make`: the base factory of the records
-# that validate in __new__
+# that validate in __new__; the one class that may set equality: the base of
+# the records of arrays; the one class that may define `__setattr__`: the
+# config, whose instance dict holds its grid arrays and conventions
 _RECORD_FACTORY = ("linalg.py", "record")
+_IDENTITY_BASE = ("linalg.py", "ByIdentity")
+_GUARDED = ("checks.py", "SuiteConfig")
+_EQUALITY = {"__eq__", "__ne__", "__hash__"}
 
 
 def _called(node) -> str:
@@ -208,10 +213,18 @@ def _called(node) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
+def _assigned(node) -> list[str]:
+    """The names an assignment binds, through tuple targets."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [_called(n) for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+
+
 def _stray_records(sources: dict) -> list[str]:
     """Records declared otherwise than with collections.namedtuple: a class
-    based on typing.NamedTuple, a dataclass, or a `_make` assigned outside
-    the one base factory."""
+    based on typing.NamedTuple, a dataclass, a `_make` assigned outside the
+    one base factory, a hand-built class (an `__init__`, a `__setattr__`
+    guard or a write through object.__setattr__) or an equality declared
+    outside the one identity base."""
     found = []
     for module, source in sources.items():
         for top in ast.parse(source).body:
@@ -222,10 +235,25 @@ def _stray_records(sources: dict) -> list[str]:
                         found.append(f"{module}:{node.name} is a NamedTuple")
                     if "dataclass" in map(_called, node.decorator_list):
                         found.append(f"{module}:{node.name} is a dataclass")
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            names = [item.name]
+                        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                            names = _assigned(item)
+                        else:
+                            continue
+                        if "__init__" in names:
+                            found.append(f"{module}:{node.name} defines __init__")
+                        if "__setattr__" in names and (module, node.name) != _GUARDED:
+                            found.append(f"{module}:{node.name} defines __setattr__")
+                        if _EQUALITY & set(names) and (module, node.name) != _IDENTITY_BASE:
+                            found.append(f"{module}:{node.name} declares its equality")
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not factory:
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    if "_make" in map(_called, targets):
+                    if "_make" in _assigned(node):
                         found.append(f"{module}: _make assigned (line {node.lineno})")
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if (_called(node.func.value), node.func.attr) == ("object", "__setattr__"):
+                        found.append(f"{module}: object.__setattr__ (line {node.lineno})")
     return found
 
 
@@ -255,6 +283,32 @@ def test_the_record_rule_sees_stale_records():
         "halfspin.py: _make assigned (line 3)",
         "halfspin.py: _make assigned (line 7)",
     ]
+    # a hand-built record, a restated identity and a second guard
+    built = (
+        "class FockVector:\n    __slots__ = ('amps',)\n\n"
+        "    def __init__(self, amps):\n        object.__setattr__(self, 'amps', amps)\n\n"
+        "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n"
+        "class Grid(namedtuple('Grid', 'family')):\n"
+        "    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__\n\n"
+        "class Op(namedtuple('Op', 'matrix')):\n    __hash__ = object.__hash__\n\n"
+        "class SuiteConfig(record('SuiteConfig', 'masses')):\n"
+        "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n"
+        "class ByIdentity:\n"
+        "    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__\n"
+    )
+    assert _stray_records({"fock.py": built}) == [
+        "fock.py:FockVector defines __init__",
+        "fock.py:FockVector defines __setattr__",
+        "fock.py: object.__setattr__ (line 5)",
+        "fock.py:Grid declares its equality",
+        "fock.py:Op declares its equality",
+        "fock.py:SuiteConfig defines __setattr__",
+        "fock.py:ByIdentity declares its equality",
+    ]
+    # the config's guard and the identity base are exempt only where declared
+    guarded = built[built.index("class SuiteConfig"):]
+    assert _stray_records({"checks.py": guarded}) == ["checks.py:ByIdentity declares its equality"]
+    assert _stray_records({"linalg.py": guarded}) == ["linalg.py:SuiteConfig defines __setattr__"]
 
 
 def test_records_are_declared_one_way():
