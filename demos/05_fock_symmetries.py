@@ -12,10 +12,10 @@ from selfconj.fock import FockVector
 
 
 def show(state):
-    """A moving state as its nonzero amplitudes on the SECTOR modes."""
+    """A moving state as its nonzero amplitudes on fock.MODES."""
     terms = [
         f"({a:g}) |{'-' if t < 0 else ''}p,{h}>^{'+' if b > 0 else '-'}"
-        for a, (t, h, b) in zip(state.amps, fock.SECTOR)
+        for a, (t, h, b) in zip(state.amps, fock.MODES)
         if a
     ]
     return " + ".join(terms)

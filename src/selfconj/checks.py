@@ -503,7 +503,7 @@ def _gram_scan(cfg: SuiteConfig, g, i: int, pairs):
     t1, t2 = zip(*pairs)
     rows = [i] * len(pairs)
     kinematics = (a[rows] for a in (g.mass, g.pmag, g.theta, g.phi, g.energy))
-    conv = PhaseConvention(t1, t2, cfg.thetac, cfg.norm)
+    conv = cfg.convention._replace(theta1=t1, theta2=t2)
     return halfspin.biorthonormality_gram(halfspin.SpinorGrid.build(*kinematics, conv))
 
 
@@ -628,7 +628,7 @@ _MASSLESS_RATIO = 1e-4
 )
 def _massless_limit(cfg: SuiteConfig, grid):
     # the vanishing statement assumes the sqrt(m) normalization
-    conv = PhaseConvention(cfg.theta1, cfg.theta2, cfg.thetac, None)
+    conv = cfg.convention._replace(norm=None)
     rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], conv)
     ratios = [r["ratio"] for r in rows]
     # judged by predicates alone; the tolerance shown is the ratio bound
@@ -748,8 +748,7 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
     rep = {k: float(np.asarray(v).max()) for k, v in spin1.transverse_reality_report(p).items()}
     rep["note"] = (
         "off the meridian plane the split parts stop being real and the "
-        "identities acquire finite residuals; the algebraic split u = "
-        "u_re + i u_im itself stays exact"
+        "identities acquire finite residuals"
     )
     return Evaluation({"u_re_match": rep["u_re_match"]}, rep)
 
@@ -775,7 +774,7 @@ def _selfconjugacy(cfg: SuiteConfig, grid):
 @_check("spin1/reality-classes", "conjugation eigenvectors become pure real or pure imaginary")
 def _reality_classes(cfg: SuiteConfig, grid):
     vh = spin1.HALF_MAJORANA_FRAME
-    c_half = halfspin.charge_conjugation_op(PhaseConvention()).matrix
+    c_half = halfspin.charge_conjugation_op().matrix
     w = spin1.CHIRAL_TO_MAJORANA
     m_tw = spin1.TWISTED_CONJUGATION.matrix
     res = {
@@ -841,23 +840,19 @@ def _table_matrix(table: dict, negate: bool, modes) -> np.ndarray:
 def _state_tables(cfg: SuiteConfig, grid):
     ops = (fock.INVERSION, fock.CHARGE, fock.CHARGE_FLIP)
     tables = ((_INV_TABLE, True), (_CHG_TABLE, False), (_FLIP_TABLE, False))
-    # (op, row, column) on each basis, as the ops hold them and as the tables show them
-    moving, rest = np.array([op.moving for op in ops]), np.array([op.matrix for op in ops])
-    want_moving, want_rest = (
-        np.array([_table_matrix(table, negate, modes) for table, negate in tables])
-        for modes in (fock.SECTOR, fock.REST)
-    )
-    unitary = moving.conj().swapaxes(-1, -2) @ moving
+    # (op, row, column) on MODES, as the ops hold them and as the tables show them
+    got = np.array([op.matrix for op in ops])
+    want = np.array([_table_matrix(table, negate, fock.MODES) for table, negate in tables])
+    unitary = got.conj().swapaxes(-1, -2) @ got
     res = {
-        "moving": linalg.max_abs(moving - want_moving, axis=(-2, -1)),
-        "rest": linalg.max_abs(rest - want_rest, axis=(-2, -1)),
-        "unitary": linalg.max_abs(unitary - linalg.EYE[8], axis=(-2, -1)),
+        # one gap per (op, mode) column
+        "columns": linalg.max_abs(got - want, axis=-2),
+        "unitary": linalg.max_abs(unitary - linalg.EYE[len(fock.MODES)], axis=(-2, -1)),
     }
-    patterns = ((moving != 0) == (want_moving != 0)).all() & ((rest != 0) == (want_rest != 0)).all()
     return Evaluation(
         res,
-        {"labels_checked": len(ops) * (len(fock.SECTOR) + len(fock.REST))},
-        {"nonzero patterns match the tables": bool(patterns)},
+        {"labels_checked": len(ops) * len(fock.MODES)},
+        {"nonzero patterns match the tables": bool(((got != 0) == (want != 0)).all())},
     )
 
 
@@ -874,7 +869,7 @@ def _squares_commutation(cfg: SuiteConfig, grid):
     end_comm = 1j * fock.FockVector.basis(-1, "dn", -1).amps
     tgt = fock.FockVector.basis(-1, "up", -1).amps
     orders = ((inv, chg, inv, flip), (chg, inv, flip, inv))
-    steps = np.array([[op.moving for op in ops] for ops in orders])
+    steps = np.array([[op.matrix for op in ops] for ops in orders])
     chains = np.matvec(steps[1], np.matvec(steps[0], start))
     want = np.array([end_comm, end_comm, -1j * tgt, +1j * tgt])
     return Evaluation(
@@ -987,7 +982,7 @@ def _dirac_embedding(cfg: SuiteConfig, grid):
     g = grid(cfg._pinned)
     rep = fieldops.dirac_from_majorana(g)
     generic = fieldops.dirac_from_majorana(
-        halfspin.build_spinor_basis(g.momentum(0), PhaseConvention(0.3, 0.4, 0.0, cfg.norm))
+        halfspin.build_spinor_basis(g.momentum(0), cfg._unit._replace(theta1=0.3, theta2=0.4))
     )
     generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(

@@ -2,21 +2,19 @@
 
 The sector is one fixed basis.  A mode is (momentum tag, helicity, branch):
 tag +1 is the momentum p, -1 the reflected momentum -p and 0 the rest
-sector; branch +1 is the particle tower, -1 the antiparticle tower.
-SECTOR orders the eight moving modes by branch, then tag (+p, -p), then
-helicity; REST orders the four rest modes, the (branch, helicity) pairs
-at tag 0.  A state is a FockVector: one read-only array of amplitudes on
-REST (4 entries) or on SECTOR (8 entries).
+sector; branch +1 is the particle tower, -1 the antiparticle tower.  MODES
+orders the twelve modes by branch, then tag (+p, -p, rest), then helicity.
+A state is a FockVector: one read-only array of 12 amplitudes on MODES.
 
 Three unitaries act by permuting modes with unit phases: space inversion
 (INVERSION) and two inequivalent charge-type conjugations, helicity
 preserving (CHARGE) and helicity flipping (CHARGE_FLIP).  Each is one
-constant SymmetryOp: a 4x4 unit-phase permutation of the (branch, helicity)
-pairs, its matrix on REST, and a flag for negating the momentum tag; its
-8x8 matrix on SECTOR, `moving`, is built once from the two.  Composition
-is the matrix product with the flags xored, so squares and commutators are
-matrix identities.  The ladder-operator rules of _OPERATOR_RULES present
-the same physics; operator_state_consistency ties the two together.
+constant SymmetryOp: one read-only 12x12 matrix on MODES, built from a 4x4
+unit-phase permutation of the (branch, helicity) pairs and a tag map that
+swaps or keeps +-p and fixes rest.  Composition is the matrix product, so
+squares and commutators are matrix identities.  The ladder-operator rules
+of _OPERATOR_RULES present the same physics; operator_state_consistency
+ties the two together.
 """
 
 from __future__ import annotations
@@ -29,50 +27,43 @@ from .linalg import EYE, ByIdentity, frozen, norm, record
 
 HEL = ("up", "dn")
 
-# the fixed bases, as (ptag, helicity, branch) modes
-SECTOR = tuple((t, h, b) for b in (+1, -1) for t in (+1, -1) for h in HEL)
-REST = tuple((0, h, b) for b in (+1, -1) for h in HEL)
+# the fixed basis, as (ptag, helicity, branch) modes
+MODES = tuple((t, h, b) for b in (+1, -1) for t in (+1, -1, 0) for h in HEL)
 
 
 class FockVector(ByIdentity, record("FockVector", "amps")):
-    """One state: its read-only amplitudes on REST (4) or on SECTOR (8)."""
+    """One state: its 12 read-only amplitudes on MODES."""
 
     __slots__ = ()
 
     def __new__(cls, amps):
         amps = np.array(amps, dtype=complex)
-        if amps.shape not in ((len(REST),), (len(SECTOR),)):
-            raise ValueError("a state has 4 amplitudes at rest or 8 when moving")
+        if amps.shape != (len(MODES),):
+            raise ValueError("a state has 12 amplitudes, one per mode")
         return super().__new__(cls, frozen(amps))
 
     @classmethod
     def basis(cls, ptag: int, helicity: str, branch: int) -> "FockVector":
-        if helicity not in HEL:
-            raise ValueError("helicity must be 'up' or 'dn'")
-        if branch not in (+1, -1):
-            raise ValueError("branch must be +1 or -1")
-        if ptag not in (-1, 0, +1):
-            raise ValueError("ptag must be +1 (p), -1 (-p) or 0 (rest)")
-        modes = REST if ptag == 0 else SECTOR
-        return cls(EYE[len(modes)][modes.index((ptag, helicity, branch))])
+        if (ptag, helicity, branch) not in MODES:
+            raise ValueError(
+                "a mode is ptag +1 (p), -1 (-p) or 0 (rest), helicity 'up' or 'dn' "
+                "and branch +1 or -1"
+            )
+        return cls(EYE[len(MODES)][MODES.index((ptag, helicity, branch))])
 
 
-class SymmetryOp(ByIdentity, namedtuple("SymmetryOp", "name matrix reflects moving")):
-    """Unitary acting on modes as one fixed matrix plus a reflection flag.
-
-    `matrix` is a 4x4 unit-phase permutation of the (branch, helicity)
-    pairs ordered as REST: column j holds the image of pair j and its
-    phase.  `reflects` says whether the momentum tag is negated.  `moving`
-    is the 8x8 matrix on SECTOR, `matrix` times the tag map; `build` makes
-    it from the other three.
-    """
+class SymmetryOp(ByIdentity, namedtuple("SymmetryOp", "name matrix")):
+    """Unitary acting on modes as one read-only 12x12 matrix on MODES:
+    column j holds the image of mode j and its phase."""
 
     __slots__ = ()
 
     @classmethod
-    def build(cls, name: str, matrix, reflects: bool) -> "SymmetryOp":
-        """The validated op, its arrays read-only."""
-        m = np.array(matrix, dtype=complex)
+    def build(cls, name: str, pairs, reflects: bool) -> "SymmetryOp":
+        """The validated op from `pairs`, a 4x4 unit-phase permutation of the
+        (branch, helicity) pairs (column j the image of pair j), and whether
+        it negates the momentum tag."""
+        m = np.array(pairs, dtype=complex)
         # four nonzeros and unitary: one unit phase in each row and column
         if m.shape != (4, 4) or np.count_nonzero(m) != 4:
             raise ValueError(f"{name}: not a permutation of the (branch, helicity) pairs")
@@ -80,13 +71,13 @@ class SymmetryOp(ByIdentity, namedtuple("SymmetryOp", "name matrix reflects movi
             raise ValueError(f"{name}: phases must be finite")
         if not np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) <= 1e-12:
             raise ValueError(f"{name}: not a unit-phase permutation")
-        # the tag map on (+p, -p): swap or identity
-        tags = np.eye(2)[::-1] if reflects else np.eye(2)
-        moving = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(8, 8)
-        return cls(name, frozen(m), reflects, frozen(moving))
+        # the tag map on (+p, -p, rest): swap or keep +-p, rest fixed
+        tags = EYE[3][[1, 0, 2]] if reflects else EYE[3]
+        matrix = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(12, 12)
+        return cls(name, frozen(matrix))
 
     def apply(self, vec: FockVector) -> FockVector:
-        return FockVector((self.matrix if len(vec.amps) == len(REST) else self.moving) @ vec.amps)
+        return FockVector(self.matrix @ vec.amps)
 
 
 # p -> -p, helicity flips, branch kept; phases +i on up, -i on dn
@@ -105,13 +96,13 @@ CHARGE_FLIP = SymmetryOp.build(
 
 def squares_report(ops) -> dict:
     """The scalar c of op^2 = c * identity for each op; errors unless op^2
-    is that scalar (a square never reflects, so its matrix decides)."""
+    is that scalar."""
     ops = tuple(ops)
     sq = np.array([op.matrix for op in ops])
     sq = sq @ sq
     # sq[k, 0, 0].round(12) as numpy rounds: rint(x * 1e12) / 1e12 per part
     c = (np.rint(np.ascontiguousarray(sq[:, 0, 0]).view(float) * 1e12) / 1e12).view(complex)
-    gap = np.abs(sq - c[:, None, None] * EYE[4]).max(axis=(1, 2))
+    gap = np.abs(sq - c[:, None, None] * EYE[len(MODES)]).max(axis=(1, 2))
     if (gap > 1e-12).any():
         k = int((gap > 1e-12).argmax())
         raise ValueError(f"{ops[k].name}^2 is not a scalar: off c * identity by {gap[k]:.3g}")
@@ -119,7 +110,7 @@ def squares_report(ops) -> dict:
 
 
 def commutator_report(a: SymmetryOp, b: SymmetryOp) -> dict:
-    ma, mb = a.moving, b.moving
+    ma, mb = a.matrix, b.matrix
     return {
         "commutator": float(np.abs(ma @ mb - mb @ ma).max()),
         "anticommutator": float(np.abs(ma @ mb + mb @ ma).max()),
@@ -186,13 +177,13 @@ def operator_state_consistency() -> dict:
     ]
     if [row[2] for row in rows] != [True] * 12 + [False] * 12:
         raise AssertionError("a ladder rule changed the dagger")
-    images = np.zeros((2, 12, len(SECTOR)), dtype=complex)
-    at = [SECTOR.index((-1 if neg else +1, h, _BRANCH[k])) for k, h, _, neg, _ in rows]
+    images = np.zeros((2, 12, len(MODES)), dtype=complex)
+    at = [MODES.index((-1 if neg else +1, h, _BRANCH[k])) for k, h, _, neg, _ in rows]
     images.reshape(24, -1)[np.arange(24), at] = [row[4] for row in rows]
     created, annihilated = images
-    # the state action on |p, h>: its column of `moving`
-    columns = [SECTOR.index((1, h, branch)) for h in HEL for branch in _BRANCH.values()]
-    direct = np.array([op.moving for op in ops])[:, :, columns].swapaxes(1, 2).reshape(12, -1)
+    # the state action on |p, h>: its column of the op's matrix
+    columns = [MODES.index((1, h, branch)) for h in HEL for branch in _BRANCH.values()]
+    direct = np.array([op.matrix for op in ops])[:, :, columns].swapaxes(1, 2).reshape(12, -1)
     gaps = norm(np.array([created - direct, annihilated - np.conjugate(created)]))
     return {"max_residual": float(gaps.max()), "gaps": gaps}
 
@@ -212,8 +203,7 @@ def parity_eigencombos(ptag: int) -> dict:
     # (plus, minus) on axis 0
     sign = np.array([[+1], [-1]])
     vec = up + sign * 1j * dn
-    op = INVERSION.matrix if len(up) == len(REST) else INVERSION.moving
-    gaps = norm(np.matvec(op, vec) - sign * (up_r + sign * 1j * dn_r)).tolist()
+    gaps = norm(np.matvec(INVERSION.matrix, vec) - sign * (up_r + sign * 1j * dn_r)).tolist()
     rows = zip(("plus", "minus"), (1, -1), gaps)
     return {tag: {"eigenvalue": s, "residual": r} for tag, s, r in rows}
 
@@ -228,14 +218,14 @@ def charge_eigencombos() -> dict:
     sign = np.array([[+1], [-1]])
     vec = particle + sign * 1j * antiparticle
     lam = -sign * 1j
-    gaps = norm(np.matvec(CHARGE.moving, vec) - lam * vec).ravel().tolist()
+    gaps = norm(np.matvec(CHARGE.matrix, vec) - lam * vec).ravel().tolist()
     rows = zip([f"{h}_{t}" for h in HEL for t in ("plus", "minus")], lam.ravel().tolist() * 2, gaps)
     return {k: {"eigenvalue": e, "residual": r} for k, e, r in rows}
 
 
 def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     """Smallest singular value of [(A - la) S; (B - lb) S] over all unit
-    phases (la, lb), S selecting the `columns` of SECTOR, and the pair
+    phases (la, lb), S selecting the `columns` of MODES, and the pair
     `at` where it is reached.
 
     It bounds min ||(A - la)v||^2 + ||(B - lb)v||^2 over unit v in the span
@@ -247,8 +237,8 @@ def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     (proved in tests/test_fock.py), so one batched SVD at those four pairs
     gives it.  `at` is the first minimizing pair, principal roots first.
     """
-    sel = EYE[len(SECTOR)][:, columns]
-    a_sel, b_sel = a.moving @ sel, b.moving @ sel
+    sel = EYE[len(MODES)][:, columns]
+    a_sel, b_sel = a.matrix @ sel, b.matrix @ sel
     squares = squares_report([a, b])
     ra, rb = (complex(np.sqrt(squares[op.name])) for op in (a, b))
     pairs = [(la, lb) for la in (ra, -ra) for lb in (rb, -rb)]
@@ -268,11 +258,12 @@ def simultaneous_eigen_certificate() -> dict:
     the sector: at the inversion phase exp(ix) the squared margin is
     4 - 2|cos x|, whose minimum 2 is reached at the inversion eigenvalues
     +-1, whatever lc is."""
-    particles = [i for i, (_, _, branch) in enumerate(SECTOR) if branch == +1]
+    particles = [i for i, (tag, _, branch) in enumerate(MODES) if tag and branch == +1]
     return _joint_margin(INVERSION, CHARGE, particles)
 
 
-_BOTH_BRANCH_EIGENVECTOR = frozen(np.array([1.0, 1j, -1j, 1.0]))  # on REST: up+, dn+, up-, dn-
+# on MODES, nonzero at the rest modes up+, dn+, up-, dn-
+_BOTH_BRANCH_EIGENVECTOR = frozen(np.array([0, 0, 0, 0, 1.0, 1j, 0, 0, 0, 0, -1j, 1.0]))
 
 
 def both_branch_joint_eigenvector() -> dict:
@@ -288,11 +279,12 @@ def both_branch_joint_eigenvector() -> dict:
 
 def anticommuting_pair_margin() -> dict:
     """Joint-eigenvector margin for the anticommuting pair (helicity
-    flipping swap, inversion) on the full both-branch sector.
+    flipping swap, inversion) on the moving sector with both branches.
 
     The Hermitian parts of the two terms anticommute and square to
     4 sin^2 x and 4 cos^2 y at (la, lb) = (exp(ix), exp(iy)), so the squared
     margin is 4 - 2 sqrt(sin^2 x + cos^2 y).  Its minimum, 4 - 2 sqrt(2),
     is reached only at the eigenvalue pairs la = +-i, lb = +-1; the margin
     there is sqrt(4 - 2 sqrt(2)) ~ 1.082."""
-    return _joint_margin(CHARGE_FLIP, INVERSION, list(range(len(SECTOR))))
+    moving = [i for i, (tag, _, _) in enumerate(MODES) if tag]
+    return _joint_margin(CHARGE_FLIP, INVERSION, moving)

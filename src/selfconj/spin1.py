@@ -268,8 +268,7 @@ def transverse_reality_report(p) -> dict:
     """The real/imaginary-part identities tying the transverse spinors.
 
     Zero on the meridian plane; off-plane the same quantities are finite
-    and the report carries them unjudged.  Each entry has p's row shape;
-    split_exact also keeps the helicity axis, one per h = +1, 0, -1.
+    and the report carries them unjudged.  Each entry has p's row shape.
     """
     s = mr_spinor(p)
     up, lg, dn = (0, 1, 2)
@@ -280,7 +279,6 @@ def transverse_reality_report(p) -> dict:
         "long_u_im_norm": norm(s.u_im[..., lg, :]),
         "long_u_pure_imag": max_abs(np.real(s.u[..., lg, :]), axis=-1),
         "long_v_pure_real": max_abs(np.imag(s.v[..., lg, :]), axis=-1),
-        "split_exact": max_abs(s.u - (s.u_re + 1j * s.u_im), axis=-1),
     }
 
 

@@ -750,7 +750,7 @@ def _squares_loop(ops):
         sq = op.matrix @ op.matrix
         z = complex(sq[0, 0])
         c = complex(np.rint(z.real * 1e12) / 1e12, np.rint(z.imag * 1e12) / 1e12)
-        assert np.abs(sq - c * linalg.EYE[4]).max() <= 1e-12
+        assert np.abs(sq - c * linalg.EYE[12]).max() <= 1e-12
         out[op.name] = c
     return out
 
@@ -763,10 +763,10 @@ def _operator_state_loop():
             for kind, branch in fock._BRANCH.items():
                 for dagger, out in ((True, created), (False, annihilated)):
                     kind2, h2, _, negate, phase = rows[(kind, h, dagger)]
-                    amps = np.zeros(len(fock.SECTOR), dtype=complex)
-                    amps[fock.SECTOR.index((-1 if negate else 1, h2, fock._BRANCH[kind2]))] = phase
+                    amps = np.zeros(len(fock.MODES), dtype=complex)
+                    amps[fock.MODES.index((-1 if negate else 1, h2, fock._BRANCH[kind2]))] = phase
                     out.append(amps)
-                direct.append(op.moving[:, fock.SECTOR.index((1, h, branch))])
+                direct.append(op.matrix[:, fock.MODES.index((1, h, branch))])
     created = np.array(created)
     return norm(np.array([created - direct, annihilated - np.conjugate(created)]))
 
@@ -795,7 +795,7 @@ def _charge_loop():
 
 
 def _both_branch_loop():
-    v = fock.FockVector([1.0, 1j, -1j, 1.0])
+    v = fock.FockVector([0, 0, 0, 0, 1.0, 1j, 0, 0, 0, 0, -1j, 1.0])
     return {
         "inversion_residual": float(norm(fock.INVERSION.apply(v).amps - v.amps)),
         "charge_residual": float(norm(fock.CHARGE.apply(v).amps - 1j * v.amps)),
@@ -811,10 +811,11 @@ def _state_tables_loop():
         (fock.CHARGE_FLIP, checks._FLIP_TABLE, False),
     )
     for op, table, negate in cases:
-        for at, got, modes in (("moving", op.moving, fock.SECTOR), ("rest", op.matrix, fock.REST)):
-            res.setdefault(at, []).append(max_abs(got - checks._table_matrix(table, negate, modes)))
-        unitary = linalg.dagger(op.moving) @ op.moving
-        res.setdefault("unitary", []).append(max_abs(unitary - linalg.EYE[8]))
+        want = checks._table_matrix(table, negate, fock.MODES)
+        columns = [max_abs(op.matrix[:, j] - want[:, j]) for j in range(len(fock.MODES))]
+        res.setdefault("columns", []).append(columns)
+        unitary = linalg.dagger(op.matrix) @ op.matrix
+        res.setdefault("unitary", []).append(max_abs(unitary - linalg.EYE[12]))
     return res
 
 

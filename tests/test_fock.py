@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from selfconj import checks, fock
+from selfconj import checks, fock, linalg
 from selfconj.fock import FockVector
 
 
@@ -27,20 +27,22 @@ def test_mode_label_validation_and_order():
         FockVector.basis(1, "up", 0)
     with pytest.raises(ValueError):
         FockVector.basis(2, "up", +1)  # the sector holds one momentum pair
-    # branch, then tag, then helicity
-    assert fock.SECTOR[:3] == ((1, "up", +1), (1, "dn", +1), (-1, "up", +1))
-    assert fock.SECTOR[4] == (1, "up", -1)
-    assert fock.REST == ((0, "up", +1), (0, "dn", +1), (0, "up", -1), (0, "dn", -1))
+    # branch, then tag (+p, -p, rest), then helicity
+    assert fock.MODES[:3] == ((1, "up", +1), (1, "dn", +1), (-1, "up", +1))
+    assert fock.MODES[6] == (1, "up", -1)
+    rest = [mode for mode in fock.MODES if mode[0] == 0]
+    assert rest == [(0, "up", +1), (0, "dn", +1), (0, "up", -1), (0, "dn", -1)]
 
 
 def test_fock_vector_algebra():
     v = FockVector.basis(-1, "dn", -1)
-    assert v.amps.tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
-    assert FockVector.basis(0, "up", -1).amps.tolist() == [0, 0, 1, 0]
+    assert v.amps.tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert FockVector.basis(0, "up", -1).amps.tolist() == [0] * 10 + [1, 0]
     with pytest.raises(ValueError):
         v.amps[0] = 1.0  # read-only
-    with pytest.raises(ValueError):
-        FockVector(np.zeros(5))
+    for wrong in (4, 5, 8):  # a state has one amplitude per mode, rest or moving
+        with pytest.raises(ValueError):
+            FockVector(np.zeros(wrong))
     # a symmetry acts linearly on the amplitudes
     w = FockVector(2.0 * ket(1, "up", +1) + 3j * v.amps)
     got = fock.CHARGE.apply(w).amps
@@ -50,9 +52,8 @@ def test_fock_vector_algebra():
 
 
 def test_label_sets():
-    assert len(fock.SECTOR) == len(set(fock.SECTOR)) == 8
-    assert len(fock.REST) == len(set(fock.REST)) == 4
-    assert {t for t, _, _ in fock.SECTOR} == {1, -1}
+    assert len(fock.MODES) == len(set(fock.MODES)) == 12
+    assert {t for t, _, _ in fock.MODES} == {1, -1, 0}
 
 
 def test_inversion_action_by_hand():
@@ -93,9 +94,9 @@ def test_squares_and_unitarity():
     assert sq["charge"] == pytest.approx(-1)
     assert sq["charge_flip"] == pytest.approx(-1)
     for op in ops:
-        m = op.moving
-        assert np.allclose(m @ np.conjugate(m.T), np.eye(8), atol=1e-14)
-        assert not m.flags.writeable and not op.matrix.flags.writeable
+        m = op.matrix
+        assert np.allclose(m @ np.conjugate(m.T), np.eye(12), atol=1e-14)
+        assert not m.flags.writeable
 
 
 def test_commutation_structure():
@@ -118,14 +119,16 @@ def test_composition_chains():
     assert np.array_equal(inv.apply(chf.apply(start)).amps, +1j * ket(-1, "up", -1))
 
 
-# the single-branch sector span{|+-p, h>^+}: columns of SECTOR
-PARTICLES = [i for i, (_, _, b) in enumerate(fock.SECTOR) if b == +1]
-ANTIPARTICLES = [i for i, (_, _, b) in enumerate(fock.SECTOR) if b == -1]
+# the moving sector span{|+-p, h>^+-} and its single-branch parts
+# span{|+-p, h>^+} and span{|+-p, h>^-}: columns of MODES
+MOVING = [i for i, (t, _, _) in enumerate(fock.MODES) if t]
+PARTICLES = [i for i in MOVING if fock.MODES[i][2] == +1]
+ANTIPARTICLES = [i for i in MOVING if fock.MODES[i][2] == -1]
 
 
 def test_matrix_leak_detection():
     # the branch swap sends every particle column into the antiparticle rows
-    m = fock.CHARGE.moving
+    m = fock.CHARGE.matrix
     assert np.count_nonzero(m[np.ix_(PARTICLES, PARTICLES)]) == 0
     assert np.count_nonzero(m[np.ix_(ANTIPARTICLES, PARTICLES)]) == 4
 
@@ -199,7 +202,7 @@ PROOFS = {
     # the Hermitian parts anticommute: lambda_min = 4 - 2 sqrt(sin^2 x + cos^2 y)
     "anticommuting": (
         fock.anticommuting_pair_margin,
-        (fock.CHARGE_FLIP, fock.INVERSION, list(range(8))),
+        (fock.CHARGE_FLIP, fock.INVERSION, MOVING),
         4 * (sp.sin(X) ** 2 + sp.cos(Y) ** 2),
         8,
         (sp.cos(X), sp.sin(Y)),
@@ -212,7 +215,7 @@ def exact(z: complex):
 
 
 def operands(a, b, columns):
-    return a.moving, b.moving, np.eye(8)[:, columns]
+    return a.matrix, b.matrix, np.eye(12)[:, columns]
 
 
 def symbolic_m(a, b, columns):
@@ -334,3 +337,91 @@ def test_nonunit_phase_rejected():
         fock.SymmetryOp.build("bad", two_in_a_column, reflects=False)
     with pytest.raises(ValueError):
         fock.SymmetryOp.build("bad", np.diag([np.nan, 1.0, 1.0, 1.0]), reflects=False)
+
+
+def test_one_matrix_acts_on_every_mode():
+    # an op is its one matrix: no second form keeps an old action
+    assert fock.SymmetryOp._fields == ("name", "matrix")
+    identity = fock.CHARGE._replace(matrix=np.eye(12))  # _replace does not validate
+    for mode in fock.MODES:
+        state = FockVector.basis(*mode)
+        assert np.array_equal(identity.apply(state).amps, state.amps), mode
+
+
+def _column_times(op, mode, phase):
+    """op with the image of `mode` times `phase`: one column of its matrix changed."""
+    m = op.matrix.copy()
+    m[:, fock.MODES.index(mode)] *= phase
+    return op._replace(matrix=linalg.frozen(m))
+
+
+# a wrong 12x12 matrix planted in one op: (the op's name in fock, the
+# mutant, the fock checks that FAIL under it, those that FAIL on a refusal)
+MATRIX_MUTANTS = {
+    # one rest column and one moving column: fock/state-tables sees both
+    "rest-column": (
+        "CHARGE",
+        lambda: _column_times(fock.CHARGE, (0, "up", +1), -1),
+        {"fock/state-tables"},
+        {"fock/joint-eigen-certificate", "fock/squares-and-commutation"},
+    ),
+    "moving-column": (
+        "CHARGE",
+        lambda: _column_times(fock.CHARGE, (1, "up", +1), -1),
+        {"fock/state-tables", "fock/eigencombinations", "fock/operator-state-consistency"},
+        {"fock/joint-eigen-certificate", "fock/squares-and-commutation"},
+    ),
+    # a swap that keeps the branch shares every inversion eigenvector
+    "charge-keeps-the-branch": (
+        "CHARGE",
+        lambda: fock.CHARGE._replace(matrix=linalg.frozen(1j * np.eye(12))),
+        {
+            "fock/state-tables",
+            "fock/eigencombinations",
+            "fock/operator-state-consistency",
+            "fock/squares-and-commutation",
+            "fock/joint-eigen-certificate",
+        },
+        set(),
+    ),
+    # a flipping swap that commutes with inversion instead of anticommuting
+    "flip-commutes": (
+        "CHARGE_FLIP",
+        lambda: fock.CHARGE_FLIP._replace(matrix=fock.CHARGE.matrix),
+        {"fock/state-tables", "fock/operator-state-consistency", "fock/squares-and-commutation"},
+        set(),
+    ),
+    # every phase of inversion negated: the squares and the margins stay
+    "negated-inversion": (
+        "INVERSION",
+        lambda: fock.INVERSION._replace(matrix=linalg.frozen(-fock.INVERSION.matrix)),
+        {
+            "fock/state-tables",
+            "fock/eigencombinations",
+            "fock/operator-state-consistency",
+            "fock/squares-and-commutation",
+        },
+        set(),
+    ),
+}
+
+
+def fock_results():
+    return {r.check_id: r for r in checks.run_checks(checks.SuiteConfig(suites=("fock",)))}
+
+
+def test_every_judged_fock_check_has_a_matrix_mutant():
+    judged = {i for i, r in fock_results().items() if r.tol is not None}
+    assert judged == set.union(*(fails for _, _, fails, _ in MATRIX_MUTANTS.values()))
+
+
+@pytest.mark.parametrize("name", MATRIX_MUTANTS)
+def test_a_wrong_symmetry_matrix_fails_its_checks(monkeypatch, name):
+    attr, mutant, fails, refusals = MATRIX_MUTANTS[name]
+    assert "fail" not in {r.status for r in fock_results().values()}
+    monkeypatch.setattr(fock, attr, mutant())
+    results = fock_results()
+    assert {i for i, r in results.items() if r.status == "fail"} == fails | refusals
+    assert {i for i, r in results.items() if "error" in r.values} == refusals
+    # a failing residual or predicate, not a refusal, fails each check in `fails`
+    assert all(results[i].max_residual >= 1.0 for i in fails)

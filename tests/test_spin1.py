@@ -148,15 +148,27 @@ def test_transverse_reality_on_meridian():
         assert rep["long_u_re_vanishes"] < 1e-12
         assert rep["long_u_pure_imag"] < 1e-12
         assert rep["long_v_pure_real"] < 1e-12
-        assert rep["split_exact"].shape == (3,)  # one per helicity
-        assert np.all(rep["split_exact"] < 1e-14)
         assert rep["long_u_im_norm"] > 0.5
 
 
 def test_transverse_reality_fails_off_meridian():
     rep = spin1.transverse_reality_report(GRID[4])
     assert rep["u_re_match"] > 0.1
-    assert np.all(rep["split_exact"] < 1e-14)  # the split itself is an identity
+
+
+def test_a_wrong_real_frame_split_fails_the_split_checks(monkeypatch):
+    # (s or t, part, half): u_re's first half drops fl, u_im's second half
+    # flips sign, so u = u_re + i u_im is no longer the frame image of u
+    signs = spin1._MR_SIGNS.copy()
+    signs[0, 0, 0] = 0
+    signs[:, 1, 1] *= -1
+    cfg = checks.SuiteConfig(suites=("spin1",))
+    ids = ("spin1/transverse-reality", "spin1/chirality-flip")
+    before = {r.check_id: r.status for r in checks.run_checks(cfg)}
+    assert [before[i] for i in ids] == ["pass", "pass"]
+    monkeypatch.setattr(spin1, "_MR_SIGNS", linalg.frozen(signs))
+    after = {r.check_id: r.status for r in checks.run_checks(cfg)}
+    assert [after[i] for i in ids] == ["fail", "fail"]
 
 
 def test_chirality_flip_everywhere():
