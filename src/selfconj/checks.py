@@ -47,7 +47,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import fieldops, fock, halfspin, linalg, spin1
-from .halfspin import DN, FAMILY, FAMILY_SIGNS, LAM_S, LAMBDAS, RHO_S, UP
+from .halfspin import DN, FAMILY, FAMILY_SIGNS, LAM_S, LAMBDAS, UP
 from .halfspin import FourMomentum, PhaseConvention
 from .linalg import apply, norm
 
@@ -314,12 +314,10 @@ _KRON_SAMPLES = _samples(11, 8, 36)
 _ORBIT_SAMPLES = _samples(23, 4, 4)
 
 
-# per family member: a lambda (else a rho), and the factor that negates
-# rho^S, the self-conjugate rho
+# per family member: a lambda (else a rho)
 _IS_LAMBDA = linalg.frozen(
     (np.arange(len(FAMILY_SIGNS))[:, None] == LAMBDAS).any(axis=1, keepdims=True)
 )
-_NEGATE_RHO_S = linalg.frozen(np.where(~_IS_LAMBDA & (FAMILY_SIGNS[:, None] > 0), -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +449,9 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
 
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
 def _dynamical_residuals(cfg: SuiteConfig, grid):
-    g = grid(cfg.convention)
-    # self-test that the check can fail: with rho^S negated, r3 measures
-    # slash(p) lambda^A + m rho^S, which is 2m-sized
-    h = g.head(1)
-    mutant = h._replace(family=h.family * _NEGATE_RHO_S)
-    flipped = halfspin.dynamical_residuals(mutant)["r3"][0].max()
-    expected = 2 * g.mass[0] * float(norm(g.family[0, RHO_S.start]))
     return Evaluation(
-        halfspin.dynamical_residuals(g),
-        {
-            "frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)",
-            "flipped_sign_selftest": float(flipped),
-            "flipped_sign_expected": float(expected),
-        },
+        halfspin.dynamical_residuals(grid(cfg.convention)),
+        {"frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)"},
     )
 
 
@@ -587,9 +574,8 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
     g = grid(cfg._unit)
     # the common factor diag(Xi, Xi) commutes with every W_k, so the group
-    # table of the W parts is the table of the maps
-    xi, w = halfspin.xi_factor(g.phi), halfspin.W_PARTS[:, None]
-    commutes = linalg.max_abs(w @ xi - xi @ w, axis=(-2, -1))
+    # table of the W parts is the table of the maps; on the meridian grid
+    # Xi is +-1, so the commutation is tested at generic phi in tests/
     table = halfspin.w_group_table()
     squares = [table[(k, k)] for k in range(4)]
     # every exchange image is again an eigenvector with a definite sign;
@@ -607,7 +593,7 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
     }
     return Evaluation(
         # dict(**...) refuses a repeated name
-        dict(**halfspin.xi_alias_residuals(g), xi_commutes=commutes, image_sign=sign_gap),
+        dict(**halfspin.xi_alias_residuals(g), image_sign=sign_gap),
         {
             "w_squares": [f"{s:+d}*W{k}" for s, k in squares],
             "closure_order": 8,
@@ -954,7 +940,6 @@ def _mode_structure(cfg: SuiteConfig, grid):
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
 def _ziino_split(cfg: SuiteConfig, grid):
     g = grid(cfg._pinned)
-    even, odd = fieldops.ziino_barut_split(g)
     # the independent oracle rebuilds the first and last rows from (p, conv)
     shown = fieldops.displayed_split(g)
     oracle = []
@@ -965,7 +950,6 @@ def _ziino_split(cfg: SuiteConfig, grid):
     return Evaluation(
         {
             "split": fieldops.ziino_split_residual(g),
-            "halves_sum": fieldops.residual(even + odd, fieldops.majorana_mode(g)),
             "displayed_oracle": oracle,
         },
         {"momenta": len(g.mass)},

@@ -176,7 +176,7 @@ def operator_state_consistency() -> dict:
         for dagger in (True, False) for op in ops for h in HEL for kind in _BRANCH
     ]
     if [row[2] for row in rows] != [True] * 12 + [False] * 12:
-        raise AssertionError("a ladder rule changed the dagger")
+        raise ValueError("a ladder rule changed the dagger")
     images = np.zeros((2, 12, len(MODES)), dtype=complex)
     at = [MODES.index((-1 if neg else +1, h, _BRANCH[k])) for k, h, _, neg, _ in rows]
     images.reshape(24, -1)[np.arange(24), at] = [row[4] for row in rows]
@@ -235,7 +235,9 @@ def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     the two pairs certified here that is a closed form whose minimum over
     the torus lies at the eigenvalue pairs (+-sqrt(c_A), +-sqrt(c_B))
     (proved in tests/test_fock.py), so one batched SVD at those four pairs
-    gives it.  `at` is the first minimizing pair, principal roots first.
+    gives it.  `at` is the first minimizing pair, principal roots first:
+    pairs that tie in exact arithmetic differ in the last bits of their
+    singular values, so any within 4 ulp of the minimum counts as one.
     """
     sel = EYE[len(MODES)][:, columns]
     a_sel, b_sel = a.matrix @ sel, b.matrix @ sel
@@ -245,8 +247,9 @@ def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     la, lb = np.array(pairs).T[..., None, None]  # each of shape (4, 1, 1)
     stack = np.concatenate([a_sel - la * sel, b_sel - lb * sel], axis=1)
     s = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    k = int(np.argmin(s))
-    return {"min_singular_value": float(s[k]), "at": pairs[k]}
+    low = s.min()
+    k = int((s - low <= 4 * np.spacing(low)).argmax())
+    return {"min_singular_value": float(low), "at": pairs[k]}
 
 
 def simultaneous_eigen_certificate() -> dict:

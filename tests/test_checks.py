@@ -225,9 +225,15 @@ def _charge_with_phase_i():
     return fock.SymmetryOp.build("charge", m, reflects=False)
 
 
+def _rules_with_a_flipped_dagger():
+    rules = {name: dict(table) for name, table in fock._OPERATOR_RULES.items()}
+    rules["charge"][("a", "up", False)] = ("b", "up", True, False, 1.0)  # creates
+    return rules
+
+
 # a patched library constant that a library function refuses with
 # ValueError: (module, name, value, the checks that report the refusal, its
-# message, the suites whose checks may change status)
+# message, the suites whose other checks may change status)
 _REFUSALS = {
     "conjugation-block": (
         halfspin,
@@ -253,6 +259,14 @@ _REFUSALS = {
         "charge^2 is not a scalar",
         {"fock"},
     ),
+    "ladder-dagger": (
+        fock,
+        "_OPERATOR_RULES",
+        _rules_with_a_flipped_dagger,
+        {"fock/operator-state-consistency"},
+        "a ladder rule changed the dagger",
+        set(),
+    ),
 }
 
 
@@ -269,7 +283,7 @@ def test_a_library_refusal_fails_its_check_not_the_run(mutant, monkeypatch, caps
         assert r.status == "fail" and r.max_residual == 1.0
         assert r.values["error"].startswith(message)
     for r in results:
-        if r.check_id.split("/")[0] not in touched:
+        if r.check_id not in refusing and r.check_id.split("/")[0] not in touched:
             assert r.status == before[r.check_id], r.check_id
     assert cli.main(["run"]) == 1
     out, err = capsys.readouterr()
@@ -367,7 +381,7 @@ _ENTRIES = {
     "fieldops/dirac-embedding": 144,
     "fieldops/mode-structure": 144,
     "fieldops/quaternion-orbit": 315,
-    "fieldops/ziino-split": 232,
+    "fieldops/ziino-split": 160,
     "fock/eigencombinations": 8,
     "fock/joint-eigen-certificate": 0,
     "fock/joint-eigen-existence": 2,
@@ -381,7 +395,7 @@ _ENTRIES = {
     "halfspin/dirac-connection": 144,
     "halfspin/dynamical-residuals": 144,
     "halfspin/eigenstructure-split": 72,
-    "halfspin/exchange-quadruple": 280,
+    "halfspin/exchange-quadruple": 208,
     "halfspin/gauge-orbit": 240,
     "halfspin/helicity-spinors": 26,
     "halfspin/massless-limit": 0,
@@ -415,7 +429,7 @@ def test_judged_entry_counts_are_frozen():
         assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
-    assert sum(counts.values()) == 2533
+    assert sum(counts.values()) == 2389
 
 
 # frozen calls a default run makes to (linalg.apply, linalg.norm,
@@ -428,7 +442,7 @@ _CALLS = {
     "fieldops/dirac-embedding": (4, 4, 1),
     "fieldops/mode-structure": (2, 0, 0),
     "fieldops/quaternion-orbit": (2, 2, 0),
-    "fieldops/ziino-split": (6, 0, 2),
+    "fieldops/ziino-split": (5, 0, 2),
     "fock/eigencombinations": (0, 3, 0),
     "fock/joint-eigen-certificate": (0, 0, 0),
     "fock/joint-eigen-existence": (0, 1, 0),
@@ -440,7 +454,7 @@ _CALLS = {
     "halfspin/chiral-helicity-halves": (1, 2, 0),
     "halfspin/conjugation-eigenvalues": (1, 1, 0),
     "halfspin/dirac-connection": (1, 0, 0),
-    "halfspin/dynamical-residuals": (2, 3, 0),
+    "halfspin/dynamical-residuals": (1, 1, 0),
     "halfspin/eigenstructure-split": (5, 7, 1),
     "halfspin/exchange-quadruple": (5, 3, 0),
     "halfspin/gauge-orbit": (3, 1, 0),
@@ -491,7 +505,7 @@ def test_call_counts_are_frozen(monkeypatch):
     monkeypatch.setattr(checks, "_REGISTRY", [attributed(c) for c in checks._REGISTRY])
     checks.run_checks(checks.SuiteConfig())
     assert {k: tuple(v) for k, v in counts.items()} == _CALLS
-    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [54, 47, 8]
+    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [52, 45, 8]
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:

@@ -337,6 +337,18 @@ def test_w_group_table_is_quaternionic():
     assert table == want
 
 
+def test_the_exchange_factor_commutes_with_every_w_part():
+    # the exchange-quadruple check reads the maps' table off the W parts; on
+    # its meridian grid diag(Xi, Xi) is +-1 and commutes with any matrix, so
+    # the statement is tested here at phases off the meridian
+    xi = halfspin.xi_factor(np.array([0.3, 1.1, 2.5, 4.0]))
+    w = halfspin.W_PARTS[:, None]
+    assert np.abs(w @ xi - xi @ w).max() < 1e-15
+    assert np.allclose(halfspin.xi_factor(np.array([0.0, math.pi]))[:, 0, 0], [1, -1])
+    # a W part that mixes helicities within a block does not commute
+    assert np.abs(halfspin.GAMMAS[0] @ xi[0] - xi[0] @ halfspin.GAMMAS[0]).max() > 0.5
+
+
 def test_massless_scan_closed_form():
     rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8])
     for row in rows:

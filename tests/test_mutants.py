@@ -1,0 +1,187 @@
+"""The mutation table: every judged check FAILs at the default config under
+at least one in-process mutant of the family, an operator or a fixed
+matrix.  The mutants are planted here with monkeypatch; the package carries
+no mutation knob and no check builds a mutant of its own."""
+
+import numpy as np
+import pytest
+
+from selfconj import checks, fieldops, fock, halfspin, linalg, spin1
+from selfconj.halfspin import LAM_S, RHO_S
+
+_MODULES = (linalg, halfspin, spin1, fieldops, fock, checks)
+
+
+def _constant(module, name, value):
+    """Plant `value` for a module constant under every name that binds it."""
+
+    def plant(monkeypatch):
+        original = getattr(module, name)
+        for m in _MODULES:
+            if vars(m).get(name) is original:
+                monkeypatch.setattr(m, name, linalg.frozen(value(original)))
+
+    return plant
+
+
+def _family(change):
+    """Every grid a run builds, with `change` applied to a copy of its family."""
+
+    def plant(monkeypatch):
+        build = halfspin.SpinorGrid.build.__func__
+
+        def mutant(cls, *args):
+            g = build(cls, *args)
+            family = g.family.copy()
+            change(family)
+            return g._replace(family=family)
+
+        monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(mutant))
+
+    return plant
+
+
+def _attribute(owner, name, value):
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, value)
+
+
+def _scale_lam_s_up(family):
+    family[:, LAM_S.start] *= 1.5
+
+
+def _negate_rho_s(family):
+    family[:, RHO_S] *= -1
+
+
+def _without_conjugate(op, v):
+    return linalg.apply(op.matrix, np.asarray(v, dtype=complex))
+
+
+def _phase_only_gauge(alpha):
+    # exp(-i alpha) with no gamma^5: the rho map then no longer mirrors it
+    return linalg.rowscale(np.exp(-1j * np.asarray(alpha))) * halfspin.ID4
+
+
+# S^c with a linear conjugation or a doubled block breaks every statement
+# about the conjugation but the massless scan's
+_CONJUGATION_CHECKS = {
+    "fieldops/conjugation-parity",
+    "fieldops/mode-structure",
+    "fieldops/quaternion-orbit",
+    "fieldops/ziino-split",
+    "halfspin/conjugation-eigenvalues",
+    "halfspin/exchange-quadruple",
+    "halfspin/gauge-orbit",
+    "linalg/antilinear-algebra",
+    "spin1/selfconjugacy-dichotomy",
+}
+
+# name: (how to plant the mutant, the checks that FAIL under it, those that
+# FAIL because a library function refuses it)
+MUTANTS = {
+    "antilinear-op-without-conjugate": (
+        _attribute(linalg.AntilinearOp, "__call__", _without_conjugate),
+        _CONJUGATION_CHECKS,
+        set(),
+    ),
+    "doubled-conjugation-block": (
+        _constant(halfspin, "_CONJUGATION_BLOCK", lambda m: 2 * m),
+        _CONJUGATION_CHECKS | {"spin1/reality-classes"},
+        {"linalg/antilinear-algebra", "spin1/selfconjugacy-dichotomy"},
+    ),
+    "unit-rest-scale": (
+        _attribute(halfspin.PhaseConvention, "rest_scale", lambda conv, mass: np.ones_like(mass)),
+        {"halfspin/massless-limit"},
+        set(),
+    ),
+    "scaled-lambda-s-up": (
+        _family(_scale_lam_s_up),
+        {
+            "fieldops/dirac-embedding",
+            "fieldops/ziino-split",
+            "halfspin/biorthonormality-structure",
+            "halfspin/dirac-connection",
+            "halfspin/dynamical-residuals",
+            "halfspin/exchange-quadruple",
+        },
+        set(),
+    ),
+    "negated-rho-s": (
+        _family(_negate_rho_s),
+        {"fieldops/dirac-embedding", "halfspin/dynamical-residuals"},
+        set(),
+    ),
+    "phase-only-gauge-lambda": (
+        _attribute(halfspin, "gauge_lambda", _phase_only_gauge),
+        {"halfspin/gauge-orbit"},
+        set(),
+    ),
+    "negated-sigma": (
+        _constant(halfspin, "SIGMA", lambda m: -m),
+        {
+            "halfspin/eigenstructure-split",
+            "halfspin/helicity-spinors",
+            "halfspin/second-order-tensors",
+        },
+        set(),
+    ),
+    "negated-mr-five": (
+        _constant(spin1, "MR_FIVE", lambda m: -m),
+        {"spin1/chirality-flip", "spin1/majorana-real-family"},
+        set(),
+    ),
+    "conjugated-majorana-u": (
+        _constant(spin1, "MAJORANA_U", np.conjugate),
+        {"spin1/majorana-unitarity"},
+        set(),
+    ),
+    "negated-j2": (
+        _constant(spin1, "J2", lambda m: -m),
+        {"spin1/on-shell-contraction", "spin1/wigner-theta"},
+        set(),
+    ),
+    "negated-theta3": (
+        _constant(spin1, "THETA3", lambda m: -m),
+        {"spin1/transverse-reality"},
+        set(),
+    ),
+}
+
+
+def statuses():
+    return {r.check_id: r for r in checks.run_checks(checks.SuiteConfig())}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_mutant_fails_its_checks(monkeypatch, name):
+    plant, fails, refusals = MUTANTS[name]
+    assert "fail" not in {r.status for r in statuses().values()}
+    plant(monkeypatch)
+    results = statuses()
+    assert {i for i, r in results.items() if r.status == "fail"} == fails
+    assert {i for i, r in results.items() if "error" in r.values} == refusals
+
+
+def test_every_judged_check_has_a_mutant():
+    judged = {i for i, r in statuses().items() if r.tol is not None}
+    covered = set.union(*(fails for _, fails, _ in MUTANTS.values()))
+    # the fock checks have their matrix mutants in tests/test_fock.py; the
+    # Kronecker check judges a layout built in the check itself, which no
+    # mutant of the family, an operator or a fixed matrix reaches
+    rest = {i for i in judged if i.startswith("fock/")} | {"linalg/kron-mixed-product"}
+    assert covered == judged - rest
+
+
+def test_negated_rho_s_misses_the_third_relation_by_2m_rho(monkeypatch):
+    cfg = checks.SuiteConfig()
+    g = halfspin.build_spinor_grid(cfg.momenta(), cfg.convention)
+    want = 2 * g.mass[0] * np.linalg.norm(g.family[0, RHO_S], axis=-1)
+    plant, _, _ = MUTANTS["negated-rho-s"]
+    plant(monkeypatch)
+    assert statuses()["halfspin/dynamical-residuals"].status == "fail"
+    # with rho^S negated, r3 measures slash(p) lambda^A + m rho^S, helicity
+    # by helicity
+    mutant = halfspin.build_spinor_grid(cfg.momenta(), cfg.convention)
+    r3 = halfspin.dynamical_residuals(mutant)["r3"][0]
+    assert r3 == pytest.approx(want, rel=1e-12)
+    assert r3.max() == pytest.approx(3.5978148798957346, rel=1e-12)
