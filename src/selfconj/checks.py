@@ -1,17 +1,18 @@
 """Named check suites over configurable momentum grids.
 
 The 35 checks live in one registry.  Each entry is a function of the
-SuiteConfig and of `grid`, which returns the run's SpinorGrid for a phase
-convention (built on first use, once per convention).  It is registered
-with the `_check` decorator under a stable id ("<suite>/<name>"), a
-descriptive anchor and a tolerance rule: a (floor, cap) pair that clamps
-`cfg.tolerance`, or None for a 'reported' check.  It returns an
-Evaluation: the residuals it measured, by name (arrays with one row per
-momentum, phase pair, sample or group element, or numbers), the `values`
-the report carries, and named structural predicates.  A check that scans
-fixed sets evaluates them as one array expression: the rest-phase pairs
-of a Gram scan or the masses of the massless scan are the rows of one
-SpinorGrid build.
+SuiteConfig and of `grid`, which returns the run's SpinorGrid at a pair of
+rest phases, by default the configured ones; it is built on first use, once
+per pair, at thetac 0, since thetac is the phase of S^c and no spinor
+carries it.  An entry is registered with the `_check` decorator under a
+stable id ("<suite>/<name>"), a descriptive anchor and a tolerance rule: a
+(floor, cap) pair that clamps `cfg.tolerance`, or None for a 'reported'
+check.  It returns an Evaluation: the residuals it measured, by name
+(arrays with one row per momentum, phase pair, sample or group element, or
+numbers), the `values` the report carries, and named structural
+predicates.  A check that scans fixed sets evaluates them as one array
+expression: the rest-phase pairs of a Gram scan or the masses of the
+massless scan are the rows of one SpinorGrid build.
 
 A residual array keeps every family axis it was measured over (momentum,
 helicity, family member, frequency slot, even/odd half, phase); a library
@@ -68,9 +69,7 @@ _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 theta
 
 class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
     # immutable; the instance dict holds only the grid's kinematic arrays and
-    # the run's three phase conventions: the validated `convention`, `_pinned`
-    # with thetac forced to the real-eigenvalue convention 0 and `_unit` with
-    # unit rest phases and thetac 0, where the displayed fixed forms hold
+    # the validated `convention`, whose thetac only S^c reads
     def __new__(
         cls,
         masses: tuple = (1.0,),
@@ -119,12 +118,7 @@ class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
         angles = np.array([cfg.directions()]).repeat(len(pairs), axis=0).reshape(-1, 2)
         # the (mass, |p|, theta, phi, E) arrays of the grid rows
         rows = np.concatenate([kin[:, :2], angles, kin[:, 2:]], axis=1).T.copy()
-        # `convention` itself when thetac is 0, so a run builds one grid for both
-        pinned = conv._replace(thetac=0.0) if thetac else conv
-        unit = PhaseConvention(0.0, 0.0, 0.0, norm)
-        cfg.__dict__.update(
-            _rows=linalg.frozen(tuple(rows)), convention=conv, _pinned=pinned, _unit=unit
-        )
+        cfg.__dict__.update(_rows=linalg.frozen(tuple(rows)), convention=conv)
         return cfg
 
     def __setattr__(self, name, value):
@@ -261,7 +255,8 @@ def _write_json(x, out: list, pad: str) -> None:
 Evaluation = namedtuple("Evaluation", "residuals values predicates", defaults=({}, {}))
 
 # tol: (floor, cap) on cfg.tolerance, None for a reported check; evaluate:
-# (cfg, grid) -> Evaluation, where grid(conv) is the run's SpinorGrid
+# (cfg, grid) -> Evaluation, where grid(theta1, theta2) is the run's
+# SpinorGrid at those rest phases, by default the configured ones
 _Check = namedtuple("_Check", "check_id anchor tol evaluate")
 
 _REGISTRY: list[_Check] = []
@@ -310,7 +305,7 @@ def _samples(seed: int, rows: int, cols: int) -> np.ndarray:
 
 # the samples of the three seeded checks, drawn at import: a run draws none
 _ANTILINEAR_SAMPLES = _samples(7, 16, 18)
-_KRON_SAMPLES = _samples(11, 8, 36)
+_KRON_SAMPLES = _samples(11, 8, 8)
 _ORBIT_SAMPLES = _samples(23, 4, 4)
 
 
@@ -354,18 +349,22 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
 
 @_check("linalg/kron-mixed-product", "tensor product compatibility", (1e-13, math.inf))
 def _kron(cfg: SuiteConfig, grid):
-    # 8 samples in one draw: per row a, b, v, w (re then im each), in the
-    # order of drawing them one at a time
+    # the chiral-basis Dirac matrices as chirality (x) spin products:
+    # gamma^0 = sigma_x (x) 1, gamma^i = Theta (x) sigma^i, gamma^5 = sigma_z (x) 1
+    sigma, theta, one = halfspin.SIGMA, halfspin.THETA, halfspin.ID2
+    gammas = np.concatenate([[halfspin.GAMMA0], halfspin.GAMMAS, [halfspin.GAMMA5]])
+    chirality = np.array([sigma[0], theta, theta, theta, sigma[2]])
+    spin = np.array([one, *sigma, one])
+    # 8 pairs in one draw: per row a, b (re then im each), in the order of
+    # drawing them one at a time
     s = _KRON_SAMPLES
-    a = (s[:, 0:4] + 1j * s[:, 4:8]).reshape(8, 2, 2)
-    b = (s[:, 8:17] + 1j * s[:, 17:26]).reshape(8, 3, 3)
-    v, w = s[:, 26:28] + 1j * s[:, 28:30], s[:, 30:33] + 1j * s[:, 33:36]
-    av, bw = apply(a, v), apply(b, w)
-    # np.kron per row: every entry is one product x_ij y_kl
-    kab = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(8, 6, 6)
-    kvw = (v[:, :, None] * w[:, None, :]).reshape(8, 6)
-    kavbw = (av[:, :, None] * bw[:, None, :]).reshape(8, 6)
-    return Evaluation({"mixed_product": linalg.max_abs(apply(kab, kvw) - kavbw, axis=-1)})
+    a, b = s[:, None, 0:2] + 1j * s[:, None, 2:4], s[:, None, 4:6] + 1j * s[:, None, 6:8]
+    # M (a (x) b) - (A a) (x) (B b) by (pair, matrix, component); every entry
+    # of a Kronecker product of vectors is one product x_i y_k
+    ab = (a[..., :, None] * b[..., None, :]).reshape(8, 1, 4)
+    ca, sb = np.matvec(chirality, a), np.matvec(spin, b)
+    mixed = np.matvec(gammas, ab) - (ca[..., :, None] * sb[..., None, :]).reshape(8, 5, 4)
+    return Evaluation({"mixed_product": linalg.max_abs(mixed, axis=-1)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +374,7 @@ def _kron(cfg: SuiteConfig, grid):
 @_check("halfspin/helicity-spinors", "helicity two-spinor convention")
 def _helicity_spinors(cfg: SuiteConfig, grid):
     # every direction at once: the grid's first rows are the directions
-    d = grid(cfg.convention).head(cfg.n_directions)
+    d = grid().head(cfg.n_directions)
     sn = (d.nhat @ halfspin.SIGMA.reshape(3, 4)).reshape(-1, 2, 2)
     # _helicity_pair: chi_h for h = up, dn on axis 1, sigma.n chi_h = h chi_h
     chi = halfspin._helicity_pair(d.theta, d.phi)
@@ -394,7 +393,7 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
     squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
-    g = grid(cfg._pinned)
+    g = grid()
     return Evaluation(
         {"squares": squares, "eigen": halfspin.conjugation_gaps(g.family, g.convention)},
         {"momenta": len(g.mass), "family_size": 8, "square_residual": float(squares.max())},
@@ -403,7 +402,7 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
 
 @_check("halfspin/eigenstructure-split", "u/v helicity eigenspinors vs non-eigen conjugate family")
 def _eigenstructure_split(cfg: SuiteConfig, grid):
-    g = grid(cfg.convention)
+    g = grid()
     helicity = halfspin.discrete_ops(g.nhat).helicity
     uv = g.uv_stack()
     half_h = np.array([0.5 * UP, 0.5 * DN, 0.5 * UP, 0.5 * DN])
@@ -435,7 +434,7 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     "halfspin/chiral-helicity-halves", "chiral-helicity eigenvalues on the conjugate family", None
 )
 def _chiral_helicity(cfg: SuiteConfig, grid):
-    g = grid(cfg.convention)
+    g = grid()
     ops = halfspin.discrete_ops(g.nhat[0])
     c, res = linalg.eigen_residual(ops.chiral_helicity, g.family[0])
     return Evaluation(
@@ -450,7 +449,7 @@ def _chiral_helicity(cfg: SuiteConfig, grid):
 @_check("halfspin/dynamical-residuals", "first-order momentum-space relations")
 def _dynamical_residuals(cfg: SuiteConfig, grid):
     return Evaluation(
-        halfspin.dynamical_residuals(grid(cfg.convention)),
+        halfspin.dynamical_residuals(grid()),
         {"frequency_map": "S-family with exp(-ip.x), A-family with exp(+ip.x)"},
     )
 
@@ -459,7 +458,7 @@ def _dynamical_residuals(cfg: SuiteConfig, grid):
 def _dirac_connection(cfg: SuiteConfig, grid):
     # the fixed connection matrix is the unit-phase statement; nonzero rest
     # phases split the blocks and no per-row phase can repair that
-    rep = halfspin.connection_check(grid(cfg._unit))
+    rep = halfspin.connection_check(grid(0.0, 0.0))
     drift = np.abs(rep.phases - rep.phases[0])
     return Evaluation(
         {"aligned": rep.aligned_residual, "phase_drift": drift},
@@ -484,13 +483,13 @@ _GRAM_PAIRS = [
 ]
 
 
-def _gram_scan(cfg: SuiteConfig, g, i: int, pairs):
+def _gram_scan(g, i: int, pairs):
     """The Gram matrices at row i of g, (K, 4, 4) for K rest-phase pairs:
-    one build, from g's kinematic arrays."""
+    one build, from g's kinematic arrays and norm."""
     t1, t2 = zip(*pairs)
     rows = [i] * len(pairs)
     kinematics = (a[rows] for a in (g.mass, g.pmag, g.theta, g.phi, g.energy))
-    conv = cfg.convention._replace(theta1=t1, theta2=t2)
+    conv = g.convention._replace(theta1=t1, theta2=t2)
     return halfspin.biorthonormality_gram(halfspin.SpinorGrid.build(*kinematics, conv))
 
 
@@ -505,10 +504,10 @@ def _modulus(z):
     (4e-12, math.inf),
 )
 def _biorthonormality_structure(cfg: SuiteConfig, grid):
-    base = grid(cfg.convention)
+    base = grid()
     i = min(4, len(base.mass) - 1)
-    n2 = cfg.convention.rest_scale(base.mass[i]) ** 2
-    g = _gram_scan(cfg, base, i, _GRAM_PAIRS)
+    n2 = base.convention.rest_scale(base.mass[i]) ** 2
+    g = _gram_scan(base, i, _GRAM_PAIRS)
     tsum = np.array(_GRAM_PAIRS).sum(axis=1)
     mag = 2 * n2 * np.abs(np.cos(tsum))
     # the two families decouple exactly when the phase sum is 0 or pi;
@@ -536,10 +535,10 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
 
 @_check("halfspin/biorthonormality-sign", "signed value of the (up, dn) cross product", None)
 def _biorthonormality_sign(cfg: SuiteConfig, grid):
-    g = grid(cfg.convention)
-    n2 = cfg.convention.rest_scale(g.mass[0]) ** 2
+    g = grid()
+    n2 = g.convention.rest_scale(g.mass[0]) ** 2
     pairs = ((0.0, 0.0), (0.3, 0.4))
-    measured = _gram_scan(cfg, g, 0, pairs)[:, 0, 1]
+    measured = _gram_scan(g, 0, pairs)[:, 0, 1]
     displayed = 2j * n2 * np.cos(np.array(pairs).sum(axis=1))
     vals = {}
     for (t1, t2), m, d in zip(pairs, measured.round(12), displayed.round(12)):
@@ -556,7 +555,7 @@ def _biorthonormality_sign(cfg: SuiteConfig, grid):
 
 @_check("halfspin/gauge-orbit", "conjugation status along the gauge orbit")
 def _gauge_orbit(cfg: SuiteConfig, grid):
-    g = grid(cfg._pinned).head(6)
+    g = grid().head(6)
     # (alpha, row, member, component)
     alphas = np.array([0.0, 0.4, 1.1, math.pi / 2, 2.7])
     gl, gr = (op(alphas)[:, None, None] for op in (halfspin.gauge_lambda, halfspin.gauge_rho))
@@ -572,7 +571,7 @@ def _gauge_orbit(cfg: SuiteConfig, grid):
 )
 def _exchange_quadruple(cfg: SuiteConfig, grid):
     # the displayed aliases hold at unit rest phases
-    g = grid(cfg._unit)
+    g = grid(0.0, 0.0)
     # the common factor diag(Xi, Xi) commutes with every W_k, so the group
     # table of the W parts is the table of the maps; on the meridian grid
     # Xi is +-1, so the commutation is tested at generic phi in tests/
@@ -614,7 +613,7 @@ _MASSLESS_RATIO = 1e-4
 )
 def _massless_limit(cfg: SuiteConfig, grid):
     # the vanishing statement assumes the sqrt(m) normalization
-    conv = cfg.convention._replace(norm=None)
+    conv = PhaseConvention(cfg.theta1, cfg.theta2)
     rows = halfspin.massless_scan([1e-2, 1e-4, 1e-6, 1e-8], conv)
     ratios = [r["ratio"] for r in rows]
     # judged by predicates alone; the tolerance shown is the ratio bound
@@ -634,7 +633,7 @@ def _massless_limit(cfg: SuiteConfig, grid):
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
 def _second_order(cfg: SuiteConfig, grid):
     sig, til = halfspin.FGM_SIGMA, halfspin.FGM_TILDE
-    g = grid(cfg.convention)
+    g = grid()
     res = dict(
         sigma_0i=linalg.max_abs(sig[0, 1:] - 1j * halfspin.SIGMA, axis=(-2, -1)),
         tilde_0i=linalg.max_abs(til[0, 1:] + 1j * halfspin.SIGMA, axis=(-2, -1)),
@@ -661,7 +660,7 @@ def _theta3(cfg: SuiteConfig, grid):
     }
     # every direction at once: the grid's first rows are the directions;
     # xi rows are the helicity eigenvectors, in HELICITIES order
-    d = grid(cfg.convention).head(cfg.n_directions)
+    d = grid().head(cfg.n_directions)
     xi = spin1.spin1_rotation(d.theta, d.phi).swapaxes(-1, -2)
     h = np.array(spin1.HELICITIES)[:, None]
     res["triad"] = norm(apply(spin1.jdot(d.nhat), xi) - h * xi)
@@ -670,7 +669,7 @@ def _theta3(cfg: SuiteConfig, grid):
 
 @_check("spin1/on-shell-contraction", "covariant family squares the mass on six-spinors")
 def _on_shell(cfg: SuiteConfig, grid):
-    g = grid(cfg.convention)
+    g = grid()
     return Evaluation(
         {"on_shell": spin1.on_shell_residual(g)}, {"momenta": len(g.mass), "helicities": 3}
     )
@@ -718,13 +717,13 @@ def _plain_unitary(cfg: SuiteConfig, grid):
 def _chirality_flip(cfg: SuiteConfig, grid):
     offplane = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
     flip = spin1.chirality_flip_residual
-    res = {"grid": flip(grid(cfg.convention)), "offplane": flip(offplane)}
+    res = {"grid": flip(grid()), "offplane": flip(offplane)}
     return Evaluation(res, {"includes_offplane_direction": True})
 
 
 @_check("spin1/transverse-reality", "real/imaginary-part identities on the meridian grid")
 def _transverse_reality(cfg: SuiteConfig, grid):
-    rep = spin1.transverse_reality_report(grid(cfg.convention))
+    rep = spin1.transverse_reality_report(grid())
     return Evaluation({k: v for k, v in rep.items() if k != "long_u_im_norm"})
 
 
@@ -769,7 +768,7 @@ def _reality_classes(cfg: SuiteConfig, grid):
     }
     # classes are judged on the first six momenta and shown for the last;
     # the minority is the magnitude of the part each class says is absent
-    g = grid(cfg.convention).head(6)
+    g = grid().head(6)
     # (row, sign +1 then -1, helicity, component)
     one = spin1.lambda_like(g)
     half_real, res["half_minority"] = spin1.reality_classes(g.family, vh)
@@ -927,7 +926,7 @@ def _operator_state(cfg: SuiteConfig, grid):
 
 @_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
 def _mode_structure(cfg: SuiteConfig, grid):
-    g = grid(cfg._pinned)
+    g = grid()
     nu = fieldops.majorana_mode(g)
     cnu = fieldops.charge_conjugate_expansion(nu, g.convention)
     # lambda^S rides the annihilators and lambda^A the creators, each with
@@ -939,7 +938,7 @@ def _mode_structure(cfg: SuiteConfig, grid):
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
 def _ziino_split(cfg: SuiteConfig, grid):
-    g = grid(cfg._pinned)
+    g = grid()
     # the independent oracle rebuilds the first and last rows from (p, conv)
     shown = fieldops.displayed_split(g)
     oracle = []
@@ -958,15 +957,15 @@ def _ziino_split(cfg: SuiteConfig, grid):
 
 @_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
 def _conjugation_parity(cfg: SuiteConfig, grid):
-    return Evaluation(fieldops.conjugation_parity_residuals(grid(cfg._pinned).head(8)))
+    return Evaluation(fieldops.conjugation_parity_residuals(grid().head(8)))
 
 
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
 def _dirac_embedding(cfg: SuiteConfig, grid):
-    g = grid(cfg._pinned)
+    g = grid()
     rep = fieldops.dirac_from_majorana(g)
     generic = fieldops.dirac_from_majorana(
-        halfspin.build_spinor_basis(g.momentum(0), cfg._unit._replace(theta1=0.3, theta2=0.4))
+        halfspin.build_spinor_basis(g.momentum(0), g.convention._replace(theta1=0.3, theta2=0.4))
     )
     generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(
@@ -1000,7 +999,7 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
     qs = fieldops.unit_quaternions(
         np.concatenate([linalg.EYE[4], [[0.5] * 4], v / norm(v)[:, None]])
     )
-    g = grid(cfg._pinned).head(4)
+    g = grid().head(4)
     res["orbit_conjugation"] = fieldops.orbit_preserves_conjugation(qs, g)
     res["orbit_group_law"] = fieldops.orbit_group_law(qs[:5, None], qs[None, 5:])
     return Evaluation(res, {"units_square": -1, "orbit_points": len(qs)})
@@ -1014,9 +1013,14 @@ _REGISTRY.sort(key=lambda c: c.check_id)
 
 
 def run_checks(cfg: SuiteConfig):
+    # one grid per rest-phase pair, at thetac 0 whatever the config's
     @functools.cache
-    def grid(conv: PhaseConvention) -> halfspin.SpinorGrid:
+    def build(theta1, theta2) -> halfspin.SpinorGrid:
+        conv = PhaseConvention(theta1, theta2, norm=cfg.norm)
         return halfspin.SpinorGrid.build(*cfg._rows, conv)
+
+    def grid(theta1=cfg.theta1, theta2=cfg.theta2):
+        return build(theta1, theta2)
 
     return [_run(c, cfg, grid) for c in _REGISTRY if c.check_id.split("/")[0] in cfg.suites]
 

@@ -250,7 +250,7 @@ class SpinorGrid(
         return type(self).build(self.mass, self.pmag, theta, phi, self.energy, self.convention)
 
     @classmethod
-    def build(cls, mass, pmag, theta, phi, energy, conv: PhaseConvention = PhaseConvention()):
+    def build(cls, mass, pmag, theta, phi, energy, conv: PhaseConvention):
         """The grid of validated (N,) kinematic arrays, the normalized
         angles and E = math.hypot(m, |p|) of FourMomentum rows."""
         st = np.sin(theta)

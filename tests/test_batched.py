@@ -251,13 +251,18 @@ def test_seeded_samples_equal_the_loops():
     got = checks._antilinear_algebra(cfg, None).residuals["antilinearity"]
     assert np.array_equal(got, antilinear)
     draw = _stream(11)
+    sigma, theta, one = halfspin.SIGMA, halfspin.THETA, halfspin.ID2
+    # gamma^0, gamma^1..3, gamma^5 and their (chirality, spin) factors
+    factors = [(halfspin.GAMMA0, sigma[0], one)]
+    factors += [(g, theta, s) for g, s in zip(halfspin.GAMMAS, sigma)]
+    factors += [(halfspin.GAMMA5, sigma[2], one)]
+    for m, chirality, spin in factors:
+        assert np.array_equal(m, np.kron(chirality, spin))
     kron = []
     for _ in range(8):
-        a = draw(2, 2) + 1j * draw(2, 2)
-        b = draw(3, 3) + 1j * draw(3, 3)
-        v = draw(2) + 1j * draw(2)
-        w = draw(3) + 1j * draw(3)
-        kron.append(max_abs(np.kron(a, b) @ np.kron(v, w) - np.kron(a @ v, b @ w)))
+        a = draw(2) + 1j * draw(2)
+        b = draw(2) + 1j * draw(2)
+        kron.append([max_abs(m @ np.kron(a, b) - np.kron(c @ a, s @ b)) for m, c, s in factors])
     assert np.array_equal(checks._kron(cfg, None).residuals["mixed_product"], kron)
 
 

@@ -4,7 +4,8 @@ A grid of N rows must equal N one-row grids: a row that read another row
 (a wrong axis, a broadcast across rows) would show up as a mismatch.  And a
 run must build each grid once, whatever the number of momenta, and build
 each phase scan as one grid, so that per-momentum or per-phase
-construction cannot come back unnoticed.
+construction cannot come back unnoticed.  No grid of a run carries thetac,
+the phase of S^c: a run keys its grids by their rest phases alone.
 """
 
 import tracemalloc
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfconj import checks, fieldops, halfspin, spin1
-from selfconj.halfspin import PhaseConvention
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # N**2 must be a finite normal float
@@ -92,29 +92,38 @@ def test_a_run_builds_each_grid_once(monkeypatch):
     builds = []
     build = halfspin.SpinorGrid.build.__func__
 
-    def counted(cls, mass, pmag, theta, phi, energy, conv=PhaseConvention()):
+    def counted(cls, mass, pmag, theta, phi, energy, conv):
         builds.append((np.array([mass, pmag, theta, phi, energy]), conv))
         return build(cls, mass, pmag, theta, phi, energy, conv)
 
     monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(counted))
-    totals = []
-    for n_magnitudes, n_directions in ((3, 6), (4, 8)):
-        cfg = checks.SuiteConfig(n_magnitudes=n_magnitudes, n_directions=n_directions)
-        # (mass, |p|, theta, phi, E) of the run's grid rows
-        want = np.array([(*p[:4], p.energy) for p in cfg.momenta()]).T
-        builds.clear()
-        checks.run_checks(cfg)
-        full = [conv for rows, conv in builds if np.array_equal(rows, want)]
-        # at most once per distinct convention
-        assert full and len(full) == len(set(full))
-        totals.append(len(builds))
-    # no build per momentum: a larger grid costs no more builds
-    assert totals[0] == totals[1]
-    # the work guard: the run's grid and its reflection, one build per
-    # phase scan (the two Gram scans and the massless scan), the generic
-    # phases of the Dirac embedding and the two rows of the Ziino oracle;
-    # one build per phase pair, mass or oracle row was 19
-    assert totals[0] <= 8
+    # (theta1, theta2, thetac) and the builds a run makes: the work guard is
+    # the run's grid(s) and one reflection, one build per phase scan (the two
+    # Gram scans and the massless scan), the generic phases of the Dirac
+    # embedding and the two rows of the Ziino oracle; one build per phase
+    # pair, mass or oracle row was 19
+    cases = {(0.0, 0.0, 0.0): 8, (0.0, 0.0, 0.7): 8, (0.3, 0.4, 0.0): 9, (0.3, 0.4, 0.7): 9}
+    for (theta1, theta2, thetac), total in cases.items():
+        for n_magnitudes, n_directions in ((3, 6), (4, 8)):
+            cfg = checks.SuiteConfig(
+                n_magnitudes=n_magnitudes,
+                n_directions=n_directions,
+                theta1=theta1,
+                theta2=theta2,
+                thetac=thetac,
+            )
+            # (mass, |p|, theta, phi, E) of the run's grid rows
+            want = np.array([(*p[:4], p.energy) for p in cfg.momenta()]).T
+            builds.clear()
+            checks.run_checks(cfg)
+            # thetac is the phase of S^c: no grid a run builds carries it
+            assert all(conv.thetac == 0.0 for _, conv in builds), thetac
+            # the run's rows once per distinct pair of rest phases: the
+            # configured pair, and (0, 0) for the unit-phase statements
+            full = [(c.theta1, c.theta2) for rows, c in builds if np.array_equal(rows, want)]
+            assert sorted(full) == sorted({(theta1, theta2), (0.0, 0.0)})
+            # no build per momentum: a larger grid costs no more builds
+            assert len(builds) == total, (theta1, theta2, thetac)
 
 
 # The run's working set over its grid's family, at 32x32.  The grid keeps

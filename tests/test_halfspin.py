@@ -307,6 +307,33 @@ def test_gauge_transforms_preserve_status():
             assert np.linalg.norm(c(img) - sign * img) < 1e-12
 
 
+def _gauge_image_relations(g, alpha):
+    """The four first-order relations, (N, relation, helicity), of g with
+    gauge_lambda(alpha) on its lambda members and gauge_rho(alpha) on its rho
+    members."""
+    lam = np.isin(np.arange(len(FAMILY)), halfspin.LAMBDAS)[:, None]
+    gl, gr = halfspin.gauge_lambda(alpha), halfspin.gauge_rho(alpha)
+    img = np.where(lam, linalg.apply(gl, g.family), linalg.apply(gr, g.family))
+    return np.stack(list(halfspin.dynamical_residuals(g._replace(family=img)).values()), axis=1)
+
+
+def test_gauge_maps_keep_the_first_order_relations(monkeypatch):
+    # slash(p) anticommutes with gamma^5, so slash(p) gauge_lambda(a) =
+    # gauge_rho(a) slash(p): each relation slash(p) x = m y holds again
+    # only if its lambda and its rho member take the two different maps
+    g = halfspin.build_spinor_grid(GRID)
+    alphas = (0.4, 1.1, math.pi / 2, 2.7)
+    for alpha in alphas:
+        assert _gauge_image_relations(g, alpha).max() < 1e-14, alpha
+    # with one map on both, relation k misses by m ||(gauge_rho - gauge_lambda) y||
+    # = 2 m |sin a| ||y|| for its mass-side member y: rho^A, lambda^S, rho^S, lambda^A
+    y = np.linalg.norm(g.family.reshape(-1, 4, 2, 4)[:, [3, 0, 1, 2]], axis=-1)
+    monkeypatch.setattr(halfspin, "gauge_rho", halfspin.gauge_lambda)
+    for alpha in alphas:
+        want = 2 * g.mass[:, None, None] * abs(math.sin(alpha)) * y
+        assert _gauge_image_relations(g, alpha) == pytest.approx(want, rel=1e-12)
+
+
 def test_xi_conjugates_the_boosts():
     for p in GRID:
         if p.mass <= 0 or p.pmag == 0:

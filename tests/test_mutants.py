@@ -122,6 +122,7 @@ MUTANTS = {
             "halfspin/eigenstructure-split",
             "halfspin/helicity-spinors",
             "halfspin/second-order-tensors",
+            "linalg/kron-mixed-product",
         },
         set(),
     ),
@@ -165,10 +166,8 @@ def test_a_mutant_fails_its_checks(monkeypatch, name):
 def test_every_judged_check_has_a_mutant():
     judged = {i for i, r in statuses().items() if r.tol is not None}
     covered = set.union(*(fails for _, fails, _ in MUTANTS.values()))
-    # the fock checks have their matrix mutants in tests/test_fock.py; the
-    # Kronecker check judges a layout built in the check itself, which no
-    # mutant of the family, an operator or a fixed matrix reaches
-    rest = {i for i in judged if i.startswith("fock/")} | {"linalg/kron-mixed-product"}
+    # the fock checks have their matrix mutants in tests/test_fock.py
+    rest = {i for i in judged if i.startswith("fock/")}
     assert covered == judged - rest
 
 

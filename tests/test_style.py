@@ -199,7 +199,7 @@ def test_package_imports_follow_the_layers():
 # the one function that may set `_make`: the base factory of the records
 # that validate in __new__; the one class that may set equality: the base of
 # the records of arrays; the one class that may define `__setattr__`: the
-# config, whose instance dict holds its grid arrays and conventions
+# config, whose instance dict holds its grid arrays and convention
 _RECORD_FACTORY = ("linalg.py", "record")
 _IDENTITY_BASE = ("linalg.py", "ByIdentity")
 _GUARDED = ("checks.py", "SuiteConfig")
