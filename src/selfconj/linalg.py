@@ -111,13 +111,13 @@ def fit_residual(v: np.ndarray, w: np.ndarray):
     power of two changes no bit, and <v, v> can neither underflow nor
     overflow.  A non-finite row gives NaN c and residual.
     """
-    vw = np.array([v, w], dtype=complex)
-    big = max_abs(vw[0], axis=-1)
+    v, w = (np.ascontiguousarray(x, dtype=complex) for x in (v, w))
+    big = max_abs(v, axis=-1)
     if (big == 0).any():
         raise ValueError("zero vector")
     e = np.frexp(big)[1][..., None]
-    # the real and imaginary parts of both, scaled as one float array
-    v, w = np.ldexp(vw.view(float), -e).view(complex)
+    # the real and imaginary parts of each, scaled as a float array
+    v, w = (np.ldexp(x.view(float), -e).view(complex) for x in (v, w))
     # a non-finite row's NaN is the finding, judged by the caller: its
     # products and quotient need not warn as well
     with np.errstate(invalid="ignore"):

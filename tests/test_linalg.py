@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from selfconj import fieldops, halfspin, linalg, spin1
+from selfconj import checks, fieldops, halfspin, linalg, spin1
 
 
 def test_unit_phase_align_recovers_phase():
@@ -55,6 +55,19 @@ def test_a_nonfinite_row_fits_to_nan_without_warnings():
     cn, rn = linalg.fit_residual(v, w)
     assert np.isnan(cn[1:]).all() and np.isnan(rn[1:]).all()
     assert np.array_equal(cn[0], c[0]) and np.array_equal(rn[0], resid[0])
+
+
+def test_a_strided_view_fits_to_the_bits_of_its_copy():
+    family = halfspin.build_spinor_grid(checks.SuiteConfig().momenta()).family.copy()
+    family[1, 0, 2] = np.nan
+    # every other member, and the components in reverse order; a NaN row
+    # fits to NaN without a warning, as in a contiguous array
+    for v, w in ((family[:, ::2], family[:, 1::2]), (family[..., ::-1], family)):
+        assert not v.flags.c_contiguous
+        c, resid = linalg.fit_residual(v, w)
+        cc, rc = linalg.fit_residual(v.copy(), w.copy())
+        assert np.array_equal(c, cc, equal_nan=True) and np.array_equal(resid, rc, equal_nan=True)
+        assert np.isnan(resid[1, 0]) and np.isfinite(resid[0]).all()
 
 
 def test_antilinear_application_and_square():

@@ -1,10 +1,13 @@
 """The mutation table: every judged check FAILs at the default config under
 at least one in-process mutant of the family, an operator or a fixed
-matrix.  The mutants are planted here with monkeypatch; the package carries
-no mutation knob and no check builds a mutant of its own."""
+matrix, and every judged residual and predicate moves under one or is
+listed as not yet moved.  The mutants are planted here with monkeypatch;
+the package carries no mutation knob and no check builds a mutant of its
+own."""
 
 import numpy as np
 import pytest
+from test_fock import MATRIX_MUTANTS
 
 from selfconj import checks, fieldops, fock, halfspin, linalg, spin1
 from selfconj.halfspin import LAM_S, RHO_S
@@ -35,6 +38,20 @@ def _family(change):
             family = g.family.copy()
             change(family)
             return g._replace(family=family)
+
+        monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(mutant))
+
+    return plant
+
+
+def _energy_times(factor):
+    """Every grid a run builds, with its energies multiplied by `factor`."""
+
+    def plant(monkeypatch):
+        build = halfspin.SpinorGrid.build.__func__
+
+        def mutant(cls, mass, pmag, theta, phi, energy, conv):
+            return build(cls, mass, pmag, theta, phi, energy * factor, conv)
 
         monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(mutant))
 
@@ -121,8 +138,18 @@ MUTANTS = {
         {
             "halfspin/eigenstructure-split",
             "halfspin/helicity-spinors",
-            "halfspin/second-order-tensors",
             "linalg/kron-mixed-product",
+        },
+        set(),
+    ),
+    # E off shell by one part in 2**20: p.p - m^2 is then about 2**-19 E^2
+    "off-shell-energy": (
+        _energy_times(1 + 2**-20),
+        {
+            "fieldops/dirac-embedding",
+            "halfspin/dynamical-residuals",
+            "halfspin/second-order-tensors",
+            "spin1/on-shell-contraction",
         },
         set(),
     ),
@@ -169,6 +196,103 @@ def test_every_judged_check_has_a_mutant():
     # the fock checks have their matrix mutants in tests/test_fock.py
     rest = {i for i in judged if i.startswith("fock/")}
     assert covered == judged - rest
+
+
+# The judged residuals and predicates, as "<check id>:<name>", that no
+# mutant here or in test_fock.MATRIX_MUTANTS moves by more than 1e-9 at the
+# default config.  A check that a mutant makes refuse moves none of its
+# residuals: the refusal, not the residual, fails it.  Each name is open
+# debt: a mutant that moves it, or its deletion with a proof that it
+# restates its own construction, takes it off the list.
+UNMOVED = {
+    "fieldops/dirac-embedding:rank 2 at generic phases",
+    "fieldops/quaternion-orbit:orbit_group_law",
+    "fieldops/ziino-split:displayed_oracle",
+    "fock/eigencombinations:charge eigenvalues -+i",
+    "fock/eigencombinations:charge_dn_minus",
+    "fock/squares-and-commutation:charge_flip_square",
+    "fock/squares-and-commutation:charge_square",
+    "fock/squares-and-commutation:commutator",
+    "fock/squares-and-commutation:inversion_square",
+    "fock/state-tables:unitary",
+    "halfspin/biorthonormality-structure:antisymmetry",
+    "halfspin/biorthonormality-structure:diagonal",
+    "halfspin/dirac-connection:phase_drift",
+    "halfspin/eigenstructure-split:helicity margin > 0.1",
+    "halfspin/eigenstructure-split:parity margin > 0.1",
+    "halfspin/exchange-quadruple:alias2",
+    "halfspin/exchange-quadruple:alias4",
+    "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
+    "halfspin/helicity-spinors:along_x",
+    "halfspin/helicity-spinors:unit_norm",
+    "halfspin/massless-limit:ratio at the smallest mass within the bound",
+    "halfspin/massless-limit:ratio falls with the mass",
+    "linalg/antilinear-algebra:conjugation_square",
+    "linalg/antilinear-algebra:rotation_square",
+    "spin1/majorana-real-family:family_gaps",
+    "spin1/majorana-real-family:family_imag_parts",
+    "spin1/majorana-unitarity:u_udagger",
+    "spin1/reality-classes:every class as expected",
+    "spin1/reality-classes:half_minority",
+    "spin1/reality-classes:one_frame",
+    "spin1/reality-classes:one_minority",
+    "spin1/selfconjugacy-dichotomy:eigenspaces split 6 + 6",
+    "spin1/selfconjugacy-dichotomy:nonexistence margin sqrt(2)",
+    "spin1/selfconjugacy-dichotomy:plain spin-1 square -1",
+    "spin1/selfconjugacy-dichotomy:spin-1/2 square +1",
+    "spin1/selfconjugacy-dichotomy:twisted spin-1 square +1",
+    "spin1/wigner-theta:conjugates_j",
+    "spin1/wigner-theta:involution",
+}
+
+
+def judged_entries() -> dict:
+    """Every judged residual and predicate of a default run that evaluated,
+    by "<check id>:<name>": a float array, a predicate 1.0 or 0.0."""
+    evaluations = {}
+
+    def recording(check):
+        def evaluate(cfg, grid):
+            evaluations[check.check_id] = ev = check.evaluate(cfg, grid)
+            return ev
+
+        return check._replace(evaluate=evaluate)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_REGISTRY", [recording(c) for c in checks._REGISTRY])
+        results = checks.run_checks(checks.SuiteConfig())
+    out = {}
+    for r in results:
+        if r.tol is None or r.check_id not in evaluations:
+            continue
+        ev = evaluations[r.check_id]
+        for name, value in (ev.residuals | ev.predicates).items():
+            out[f"{r.check_id}:{name}"] = np.asarray(value, dtype=float)
+    return out
+
+
+def _moved(clean: np.ndarray, mutant: np.ndarray) -> bool:
+    if clean.shape != mutant.shape:
+        return True
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: equal, not moved
+        far = np.abs(mutant - clean) > 1e-9
+    return bool((far | (np.isnan(mutant) != np.isnan(clean))).any())
+
+
+def test_every_judged_residual_moves_under_a_mutant_or_is_listed():
+    clean = judged_entries()
+    plants = [plant for plant, _, _ in MUTANTS.values()]
+    plants += [
+        lambda mp, attr=attr, mutant=mutant: mp.setattr(fock, attr, mutant())
+        for attr, mutant, _, _ in MATRIX_MUTANTS.values()
+    ]
+    unmoved = set(clean)
+    for plant in plants:
+        with pytest.MonkeyPatch.context() as mp:
+            plant(mp)
+            got = judged_entries()
+        unmoved -= {k for k in unmoved if k in got and _moved(clean[k], got[k])}
+    assert unmoved == UNMOVED
 
 
 def test_negated_rho_s_misses_the_third_relation_by_2m_rho(monkeypatch):
