@@ -524,7 +524,6 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
         res,
         {
             "phase_pairs": len(_GRAM_PAIRS),
-            "zero_at_quarter_turn": True,
             "cross_family_magnitudes": {
                 f"cross_{t1:.2f}_{t2:.2f}": x for (t1, t2), x in zip(_GRAM_PAIRS, cross.tolist())
             },
@@ -594,7 +593,8 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
         dict(**halfspin.xi_alias_residuals(g), image_sign=sign_gap),
         {
             "w_squares": [f"{s:+d}*W{k}" for s, k in squares],
-            "closure_order": 8,
+            # the distinct signed elements +-W_k the products reach
+            "closure_order": len(set(table.values())),
             "status_map": sign_map,
         },
         # the three non-identity maps square to the same central -1
@@ -644,6 +644,13 @@ def _second_order(cfg: SuiteConfig, grid):
 # spin1 suite
 
 
+def _offplane(cfg: SuiteConfig):
+    """The one row off the meridian plane that two spin-1 checks read.  Its
+    |p| = 1 is absolute, not in units of the mass, so it alone does not
+    scale with a change of units (m, |p|, N) -> (4^k m, 4^k |p|, 2^k N)."""
+    return FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
+
+
 @_check("spin1/wigner-theta", "spin-1 Wigner matrix and helicity triad")
 def _theta3(cfg: SuiteConfig, grid):
     t, j = spin1.THETA3, spin1.JVEC
@@ -684,9 +691,10 @@ def _majorana_unitarity(cfg: SuiteConfig, grid):
 @_check("spin1/majorana-real-family", "real forms of the covariant family")
 def _majorana_family(cfg: SuiteConfig, grid):
     rep = spin1.majorana_family_report()
-    # judged per image; the report carries the four scalars
-    res = {k: rep.pop(k) for k in ("family_gaps", "family_imag_parts")}
-    return Evaluation(dict(res, five_residual=rep["five_residual"]), rep)
+    del rep["unitarity"]  # spin1/majorana-unitarity judges it as u_udagger
+    # judged per image; the report carries the two maxima
+    res = {k: rep.pop(k) for k in ("family_gaps", "family_imag_parts", "five_residual")}
+    return Evaluation(res, rep)
 
 
 @_check(
@@ -709,10 +717,8 @@ def _plain_unitary(cfg: SuiteConfig, grid):
 
 @_check("spin1/chirality-flip", "real-frame v equals the chirality matrix times u", _TIGHT)
 def _chirality_flip(cfg: SuiteConfig, grid):
-    offplane = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
     flip = spin1.chirality_flip_residual
-    res = {"grid": flip(grid()), "offplane": flip(offplane)}
-    return Evaluation(res, {"includes_offplane_direction": True})
+    return Evaluation({"grid": flip(grid()), "offplane": flip(_offplane(cfg))})
 
 
 @_check("spin1/transverse-reality", "real/imaginary-part identities on the meridian grid")
@@ -723,8 +729,10 @@ def _transverse_reality(cfg: SuiteConfig, grid):
 
 @_check("spin1/transverse-reality-offplane", "the same identities off the meridian plane", None)
 def _transverse_offplane(cfg: SuiteConfig, grid):
-    p = FourMomentum(cfg.masses[0], 1.0, math.pi / 3, math.pi / 5)
-    rep = {k: float(np.asarray(v).max()) for k, v in spin1.transverse_reality_report(p).items()}
+    rep = {
+        k: float(np.asarray(v).max())
+        for k, v in spin1.transverse_reality_report(_offplane(cfg)).items()
+    }
     rep["note"] = (
         "off the meridian plane the split parts stop being real and the "
         "identities acquire finite residuals"
@@ -736,6 +744,7 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
 def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
     gaps = rep.pop("eigenvector_gaps")
+    del rep["eigenvector_residual"]  # the judged gaps' maximum
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
         {"eigenvector_gaps": gaps},
@@ -872,10 +881,7 @@ def _eigencombinations(cfg: SuiteConfig, grid):
     res |= {f"charge_{k}": d["residual"] for k, d in charges.items()}
     return Evaluation(
         res,
-        {
-            "parity_rest": parity["rest"],
-            "charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()},
-        },
+        {"charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()}},
         {
             "charge eigenvalues -+i": all(
                 charges[f"{h}_{t}"]["eigenvalue"] == (-1j if t == "plus" else 1j)
@@ -910,8 +916,7 @@ def _joint_existence(cfg: SuiteConfig, grid):
 
 @_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _TIGHT)
 def _operator_state(cfg: SuiteConfig, grid):
-    rep = fock.operator_state_consistency()
-    return Evaluation({"gaps": rep["gaps"]}, {"max_residual": rep["max_residual"]})
+    return Evaluation({"gaps": fock.operator_state_consistency()["gaps"]})
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +999,7 @@ def _quaternion_orbit(cfg: SuiteConfig, grid):
             # -1, anticommute and multiply as i j = k
             "orbit_group_law": fieldops.orbit_group_law(qs[:5, None], qs[None, 5:]),
         },
-        {"units_square": -1, "orbit_points": len(qs)},
+        {"orbit_points": len(qs)},
     )
 
 

@@ -19,11 +19,9 @@ ties the two together.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
-from .linalg import EYE, ByIdentity, frozen, norm, record
+from .linalg import EYE, ByIdentity, frozen, max_abs, norm, record
 
 HEL = ("up", "dn")
 
@@ -52,29 +50,36 @@ class FockVector(ByIdentity, record("FockVector", "amps")):
         return cls(EYE[len(MODES)][MODES.index((ptag, helicity, branch))])
 
 
-class SymmetryOp(ByIdentity, namedtuple("SymmetryOp", "name matrix")):
+class SymmetryOp(ByIdentity, record("SymmetryOp", "name matrix")):
     """Unitary acting on modes as one read-only 12x12 matrix on MODES:
-    column j holds the image of mode j and its phase."""
+    column j holds the image of mode j and its phase.  Every way of making
+    one, _replace included, checks that the matrix is a unit-phase
+    permutation."""
 
     __slots__ = ()
 
+    def __new__(cls, name: str, matrix):
+        m = np.array(matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name}: phases must be finite")
+        # twelve nonzeros and unitary: one unit phase in each row and column
+        if m.shape != (12, 12) or np.count_nonzero(m) != 12:
+            raise ValueError(f"{name}: not a permutation of the (branch, helicity) pairs")
+        if not max_abs(np.conjugate(m.T) @ m - EYE[12]) <= 1e-12:
+            raise ValueError(f"{name}: not a unit-phase permutation")
+        return super().__new__(cls, name, frozen(m))
+
     @classmethod
     def build(cls, name: str, pairs, reflects: bool) -> "SymmetryOp":
-        """The validated op from `pairs`, a 4x4 unit-phase permutation of the
+        """The op from `pairs`, a 4x4 unit-phase permutation of the
         (branch, helicity) pairs (column j the image of pair j), and whether
         it negates the momentum tag."""
-        m = np.array(pairs, dtype=complex)
-        # four nonzeros and unitary: one unit phase in each row and column
-        if m.shape != (4, 4) or np.count_nonzero(m) != 4:
+        m = np.asarray(pairs)
+        if m.shape != (4, 4):
             raise ValueError(f"{name}: not a permutation of the (branch, helicity) pairs")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{name}: phases must be finite")
-        if not np.max(np.abs(np.conjugate(m.T) @ m - np.eye(4))) <= 1e-12:
-            raise ValueError(f"{name}: not a unit-phase permutation")
         # the tag map on (+p, -p, rest): swap or keep +-p, rest fixed
         tags = EYE[3][[1, 0, 2]] if reflects else EYE[3]
-        matrix = np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(12, 12)
-        return cls(name, frozen(matrix))
+        return cls(name, np.einsum("ahck,st->ashctk", m.reshape(2, 2, 2, 2), tags).reshape(12, 12))
 
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector(self.matrix @ vec.amps)

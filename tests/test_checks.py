@@ -584,6 +584,7 @@ def test_replace_and_make_validate():
         lambda: checks.SuiteConfig()._replace(tolerance=math.nan),
         lambda: FourMomentum._make([1.0, 1.0, 4.0, 0.0]),
         lambda: checks.SuiteConfig._make(checks.SuiteConfig()._replace(n_magnitudes=0)),
+        lambda: fock.CHARGE._replace(matrix=2 * np.eye(12)),
     )
     for make in bad:
         with pytest.raises(ValueError):
@@ -737,6 +738,41 @@ def test_consecutive_runs_freeze_the_same_number_of_arrays(fresh_runs):
 def test_results_are_json_serializable():
     for r in checks.run_checks(checks.SuiteConfig(suites=("linalg",))):
         json.dumps(r.to_dict())
+
+
+# values that copied a judged number or stated a judged fact as a literal
+_RESTATED = {
+    "unitarity",
+    "five_residual",
+    "eigenvector_residual",
+    "max_residual",
+    "parity_rest",
+    "zero_at_quarter_turn",
+    "includes_offplane_direction",
+    "units_square",
+}
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, dict(theta1=0.3, theta2=0.4, thetac=0.7, masses=(0.5, 3.0))], ids=["default", "other"]
+)
+def test_judged_values_restate_no_verdict(kw):
+    # a judged check states each fact once, in its residuals and predicates:
+    # its values hold no true/false literal and no copy of a judged number
+    for r in checks.run_checks(checks.SuiteConfig(**kw)):
+        if r.status == "reported":
+            continue
+        keys, stack = set(), [r.to_dict()["values"]]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, dict):
+                keys |= x.keys()
+                stack += x.values()
+            elif isinstance(x, list):
+                stack += x
+            else:
+                assert not isinstance(x, bool), r.check_id
+        assert not keys & _RESTATED, r.check_id
 
 
 def test_text_rendering_summary_line():

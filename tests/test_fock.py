@@ -344,7 +344,7 @@ def test_nonunit_phase_rejected():
 def test_one_matrix_acts_on_every_mode():
     # an op is its one matrix: no second form keeps an old action
     assert fock.SymmetryOp._fields == ("name", "matrix")
-    identity = fock.CHARGE._replace(matrix=np.eye(12))  # _replace does not validate
+    identity = fock.CHARGE._replace(matrix=np.eye(12))  # a unit-phase permutation
     for mode in fock.MODES:
         state = FockVector.basis(*mode)
         assert np.array_equal(identity.apply(state).amps, state.amps), mode
