@@ -9,12 +9,16 @@ so it has no eigenspinors at all; the chirality-twisted one does.
 
 import numpy as np
 
-from selfconj import spin1
+from selfconj import linalg, spin1
 from selfconj.halfspin import FourMomentum
 
 np.set_printoptions(precision=6, suppress=True, linewidth=140)
 
-rep = spin1.majorana_family_report()
+u = spin1.MAJORANA_U
+rep = {
+    "unitarity": linalg.max_abs(u @ linalg.dagger(u) - spin1.ID6),
+    **spin1.majorana_family_report(),
+}
 print("family report:", {k: f"{v:.2e}" for k, v in rep.items() if isinstance(v, float)})
 
 # the family is one (4, 4, 6, 6) array, so W gamma_{mu nu} W^+ is one product
@@ -43,4 +47,4 @@ print(f"  plain conjugation squares to {d['square_sign_plain']:+d}: "
       f"nonexistence margin {d['nonexistence_margin']:.6f} (= sqrt 2)")
 print(f"  twisted conjugation squares to {d['square_sign_twisted']:+d}: "
       f"eigenspaces split {d['plus_dim']} + {d['minus_dim']}, worst residual "
-      f"{d['eigenvector_residual']:.2e}")
+      f"{max(d['eigenvector_gaps']):.2e}")

@@ -107,6 +107,8 @@ class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
         unknown = [s for s in suites if s not in KNOWN_SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
+        # each suite once, in KNOWN_SUITES order: one config, one echo
+        suites = tuple(s for s in KNOWN_SUITES if s in suites)
         cfg = super().__new__(
             cls, masses, n_magnitudes, n_directions, tolerance, theta1, theta2, thetac, norm, suites
         )
@@ -631,12 +633,19 @@ def _massless_limit(cfg: SuiteConfig, grid):
 
 @_check("halfspin/second-order-tensors", "antisymmetric tensor pair and free-field residuals")
 def _second_order(cfg: SuiteConfig, grid):
-    g = grid()
-    f = np.zeros((4, 4))
-    f[0, 1], f[1, 0] = 1.0, -1.0
-    sample = halfspin.fgm_residuals(g.head(1), g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
+    # sigma^mu = (1, sigma^i) and bar sigma^mu = (1, -sigma^i); the pair is
+    # (i/2)(bar sigma^mu sigma^nu - bar sigma^nu sigma^mu) and its tilde,
+    # (i/2)(sigma^mu bar sigma^nu - sigma^nu bar sigma^mu)
+    s = np.concatenate([halfspin.ID2[None], halfspin.SIGMA])
+    sbar = np.concatenate([halfspin.ID2[None], -halfspin.SIGMA])
+    prods = np.array([sbar[:, None] @ s, s[:, None] @ sbar])
+    want = 0.5j * (prods - prods.swapaxes(1, 2))
+    pair = np.array([halfspin.FGM_SIGMA, halfspin.FGM_TILDE])
     return Evaluation(
-        halfspin.fgm_residuals(g), {"coupled_sample": {k: float(v[0]) for k, v in sample.items()}}
+        dict(
+            halfspin.fgm_residuals(grid()),
+            tensor_pair=linalg.max_abs(pair - want, axis=(-2, -1)),
+        )
     )
 
 
@@ -691,7 +700,6 @@ def _majorana_unitarity(cfg: SuiteConfig, grid):
 @_check("spin1/majorana-real-family", "real forms of the covariant family")
 def _majorana_family(cfg: SuiteConfig, grid):
     rep = spin1.majorana_family_report()
-    del rep["unitarity"]  # spin1/majorana-unitarity judges it as u_udagger
     # judged per image; the report carries the two maxima
     res = {k: rep.pop(k) for k in ("family_gaps", "family_imag_parts", "five_residual")}
     return Evaluation(res, rep)
@@ -744,7 +752,6 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
 def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
     gaps = rep.pop("eigenvector_gaps")
-    del rep["eigenvector_residual"]  # the judged gaps' maximum
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
         {"eigenvector_gaps": gaps},

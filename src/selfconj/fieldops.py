@@ -17,8 +17,6 @@ one array expression, so a NaN coefficient stays in its row.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .halfspin import (
@@ -137,13 +135,10 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     finite = np.isfinite(ip).all(axis=(-2, -1))
     values = np.full(ip.shape[:-1], np.nan)
     values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
-    conv = g.convention
     return {
         "partner_residual": norm(partner),
         "eigenspace_residual": norm(eigenspace),
         "positive_singular_values": values,
-        # one number, or one per row in a phase scan
-        "phase_sum": np.add(conv.theta1, conv.theta2) % (2 * math.pi),
     }
 
 

@@ -513,41 +513,14 @@ def _sigma_tensors():
 # sigma^{mu nu} = FGM_SIGMA[mu, nu].  sigma^{0i} = +i sigma^i on the
 # right-handed side, tilde uses -i; the space-space entries coincide:
 # sigma^{ij} = eps_{ijk} sigma^k.
-FGM_SIGMA, FGM_TILDE = _FGM_PAIR = frozen(np.array(_sigma_tensors()))
+FGM_SIGMA, FGM_TILDE = frozen(np.array(_sigma_tensors()))
 
 
-def fgm_residuals(b: SpinorGrid, g: float = 0.0, fmunu=None, x=None) -> dict:
-    """Per-row second-order operator residuals on the boosted phi_R/phi_L
-    pair of the up member.
-
-    pi^{+-}_mu = p_mu +- g A_mu with A_mu = -(1/2) F_{mu nu} x^nu (linear
-    gauge for constant F; x defaults to the origin, where A vanishes and
-    the residual reduces to |p.p - m^2| times the spinor norm).
-    """
-    if fmunu is None:
-        fmunu = np.zeros((4, 4))
-    fmunu = np.asarray(fmunu, dtype=float)
-    if fmunu.shape != (4, 4) or not np.isfinite(fmunu).all():
-        raise ValueError("field tensor must be a finite 4x4 array")
-    if not max_abs(fmunu + fmunu.T) <= 1e-12:
-        raise ValueError("field tensor must be antisymmetric")
-    x4 = np.zeros(4) if x is None else np.asarray(x, dtype=float)
-    if x4.shape != (4,) or not np.isfinite(x4).all():
-        raise ValueError("x must be a finite 4-vector")
-    if not math.isfinite(g):
-        raise ValueError("coupling must be finite")
-
-    a = -0.5 * fmunu @ x4
-    p4 = np.concatenate([b.energy[:, None], b.pvec], axis=-1)
-    pip = p4 + g * a
-    pim = p4 - g * a
-    # metric (+,-,-,-) scalar; components are numbers so ordering drops out
-    scal = pip[:, 0] * pim[:, 0] - np.vecdot(pip[:, 1:], pim[:, 1:])
-
-    # F_{mu nu} sigma^{mu nu} and F_{mu nu} tilde^{mu nu}, summed in order
-    fsig = (_FGM_PAIR * fmunu[:, :, None, None]).sum(axis=(1, 2))
-
-    # (row, right then left, 2, 2) operators on the (phi_R, phi_L) up pair
-    ops = rowscale(scal)[:, None] * ID2 - rowscale(b.mass**2)[:, None] * ID2 - 0.5 * g * fsig
+def fgm_residuals(b: SpinorGrid) -> dict:
+    """Per-row free second-order residuals |p.p - m^2| ||phi|| of the
+    boosted phi_R and phi_L of the up member."""
+    # metric (+,-,-,-); the operator (p.p - m^2) 1 acts on the (phi_R, phi_L) pair
+    scal = b.energy * b.energy - np.vecdot(b.pvec, b.pvec)
+    ops = rowscale(scal) * ID2 - rowscale(b.mass**2) * ID2
     r = norm(apply(ops, np.concatenate([b.right[:, :1], b.left[:, :1]], axis=1)))
     return {"right": r[:, 0], "left": r[:, 1]}

@@ -205,9 +205,7 @@ def majorana_family_report() -> dict:
     imag = max_abs(np.imag(imgs), axis=(-2, -1))
     five = to_majorana_rep(GAMMA5_CHIRAL)
     resid5 = max_abs(five - MR_FIVE)
-    u = MAJORANA_U
     return {
-        "unitarity": max_abs(u @ dagger(u) - ID6),
         "family_residual": float(gaps.max()),
         "family_imag_part": float(imag.max()),
         "five_residual": resid5,
@@ -339,7 +337,6 @@ def selfconjugacy_analysis() -> dict:
         "nonexistence_margin": float(margin),
         "plus_dim": plus.shape[1],
         "minus_dim": minus.shape[1],
-        "eigenvector_residual": max_abs(gaps),
         "eigenvector_gaps": gaps,
     }
 

@@ -365,6 +365,22 @@ def test_json_suite_filter(capsys):
     assert len(ids) == 6
 
 
+def test_suite_order_and_repeats_give_one_config_and_one_report(capsys):
+    orders = [("fock", "linalg"), ("linalg", "fock"), ("fock", "linalg", "fock")]
+    assert {checks.SuiteConfig(suites=s) for s in orders} == {
+        checks.SuiteConfig(suites=("linalg", "fock"))
+    }
+    for fmt in ("text", "json"):
+        reports = set()
+        for suites in orders:
+            argv = [a for s in suites for a in ("--suite", s)]
+            code, out, _ = run_cli(capsys, "run", *argv, "--format", fmt)
+            assert code == 0
+            reports.add(out)
+        assert len(reports) == 1
+    assert json.loads(out)["config"]["suites"] == ["linalg", "fock"]
+
+
 def test_run_reports_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["run", "--format", "json", "--out", str(a)]) == 0

@@ -147,14 +147,13 @@ def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
         assert math.isnan(r.max_residual), r.check_id
 
 
-def test_phase_sum_is_one_number_per_row_of_a_phase_scan():
+def test_dirac_singular_values_are_one_row_per_row_of_a_phase_scan():
     p = GRID[2]
     scan = ((0.3, 0.4), (math.pi, 2.0), (-1.0, 6.0))
     conv = PhaseConvention(*zip(*scan))
     rep = fieldops.dirac_from_majorana(build_spinor_grid([p] * 3, conv))
     for i, (t1, t2) in enumerate(scan):
         one = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(t1, t2)))
-        assert rep["phase_sum"][i] == one["phase_sum"] == (t1 + t2) % (2 * math.pi)
         values = one["positive_singular_values"][0]
         assert np.array_equal(rep["positive_singular_values"][i], values)
 
@@ -192,7 +191,6 @@ def test_dirac_embedding_rank_depends_on_phases():
     rep = fieldops.dirac_from_majorana(b)
     # default phases: the two positive-frequency images are collinear
     assert rep["positive_singular_values"][0, 1] < 1e-12
-    assert rep["phase_sum"] == 0.0
     from selfconj.halfspin import ID4, slash
 
     plus = ID4 + slash(p) / p.mass
@@ -200,7 +198,6 @@ def test_dirac_embedding_rank_depends_on_phases():
     assert np.allclose(plus @ lam_dn, -1j * (plus @ lam_up), atol=1e-12)
     generic = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
     assert generic["positive_singular_values"][0, 1] > 0.5
-    assert generic["phase_sum"] == pytest.approx(0.7)
 
 
 def test_quaternion_phase_algebra():

@@ -410,27 +410,6 @@ def test_fgm_residuals_free_field():
         assert r["right"] < 1e-12 and r["left"] < 1e-12
 
 
-def test_fgm_residuals_coupled_and_errors():
-    b = halfspin.build_spinor_basis(P_Z)
-    f = np.zeros((4, 4))
-    f[0, 1], f[1, 0] = 1.0, -1.0
-    out = halfspin.fgm_residuals(b, g=0.3, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
-    assert out["right"] >= 0.0 and out["left"] >= 0.0
-    with pytest.raises(ValueError):
-        halfspin.fgm_residuals(b, fmunu=np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        halfspin.fgm_residuals(b, fmunu=f, x=[1.0, 0.0])
-    # NaN compares false against any bound, so each input is checked finite
-    f_nan = f.copy()
-    f_nan[2, 3] = f_nan[3, 2] = np.nan
-    with pytest.raises(ValueError):
-        halfspin.fgm_residuals(b, fmunu=f_nan)
-    with pytest.raises(ValueError):
-        halfspin.fgm_residuals(b, fmunu=f, x=[np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        halfspin.fgm_residuals(b, g=np.nan, fmunu=f, x=[0.5, 0.2, 0.0, 0.0])
-
-
 def test_discrete_ops_validation():
     with pytest.raises(ValueError):
         halfspin.discrete_ops([0.0, 0.0, 2.0])

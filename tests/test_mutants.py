@@ -138,8 +138,14 @@ MUTANTS = {
         {
             "halfspin/eigenstructure-split",
             "halfspin/helicity-spinors",
+            "halfspin/second-order-tensors",
             "linalg/kron-mixed-product",
         },
+        set(),
+    ),
+    "tilde-pair-as-sigma": (
+        _constant(halfspin, "FGM_TILDE", lambda m: halfspin.FGM_SIGMA),
+        {"halfspin/second-order-tensors"},
         set(),
     ),
     # E off shell by one part in 2**20: p.p - m^2 is then about 2**-19 E^2
