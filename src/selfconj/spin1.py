@@ -12,7 +12,9 @@ a helicity state xi_h as the number e^{+-h w}, so nothing here needs a
 matrix exponential.  Kinematic arguments are a FourMomentum or a
 SpinorGrid; on a grid every result gains a leading row axis.  Each
 six-spinor function builds the six-spinors from the kinematics it is given
-with `weinberg_u`; a grid holds none.
+with `weinberg_u`; a grid holds none.  `real_frame` alone takes six-spinors,
+so a statement linear in them, such as v = gamma5_MR u, can be judged on
+the six unit six-spinors, which span every momentum and phase.
 """
 
 from __future__ import annotations
@@ -251,15 +253,20 @@ _MR_SIGNS = frozen(
 )
 
 
-def mr_spinor(p) -> MRSpinor:
-    """The real-frame spinors for h = +1, 0, -1 on axis -2."""
-    six = weinberg_u(p)
+def real_frame(six) -> MRSpinor:
+    """The real-frame spinors of chiral six-spinors (phi_R, phi_L) given on
+    the last axis; every part keeps `six`'s shape."""
     fl, tfr = six[..., None, None, 3:], apply(THETA3, six[..., :3])[..., None, None, :]
     # (..., h, part, half, component): the part u_re, u_im, v_re, v_im is
     # 0.5 (s fl + t Theta3 fr) on each half with the signs (s, t) of _MR_SIGNS
     parts = (0.5 * (_MR_SIGNS[0] * fl + _MR_SIGNS[1] * tfr)).reshape(six.shape[:-1] + (4, 6))
     uv = parts[..., ::2, :] + 1j * parts[..., 1::2, :]
     return MRSpinor(uv[..., 0, :], uv[..., 1, :], *(parts[..., k, :] for k in range(4)))
+
+
+def mr_spinor(p) -> MRSpinor:
+    """The real-frame spinors for h = +1, 0, -1 on axis -2."""
+    return real_frame(weinberg_u(p))
 
 
 def transverse_reality_report(p) -> dict:
@@ -278,13 +285,6 @@ def transverse_reality_report(p) -> dict:
         "long_u_pure_imag": max_abs(np.real(s.u[..., lg, :]), axis=-1),
         "long_v_pure_real": max_abs(np.imag(s.v[..., lg, :]), axis=-1),
     }
-
-
-def chirality_flip_residual(p) -> np.ndarray:
-    """|| v - gamma5_MR u || for h = +1, 0, -1 (holds for every momentum
-    and phase)."""
-    s = mr_spinor(p)
-    return norm(s.v - apply(MR_FIVE, s.u))
 
 
 # ---------------------------------------------------------------------------

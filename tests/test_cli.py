@@ -345,6 +345,18 @@ def test_text_report_matches_the_frozen_bytes(capsys, name, argv):
     assert out.encode() == (DATA / name).read_bytes()
 
 
+def test_a_three_digit_exponent_keeps_max_and_tol_apart():
+    # 1.000000e+134 takes 13 characters, one more than any value in
+    # tests/data, nan and inf included; the row must still split into
+    # fields, and shorter values keep their bytes (the frozen reports above)
+    cfg = checks.SuiteConfig()
+    results = checks.run_checks(cfg)
+    planted = [results[0]._replace(max_residual=1e134), *results[1:]]
+    row = checks.render_text(cfg, planted).splitlines()[3]
+    match = re.fullmatch(r"(PASS|FAIL|REPORTED) +(\S+?) *max=(\S+) +tol=(\S+) +(.*)", row)
+    assert (float(match[3]), float(match[4])) == (1e134, results[0].tol)
+
+
 def test_structural_predicate_fails_whatever_the_tolerance(capsys):
     # the parity margin of the conjugate family collapses at theta1 = pi/4
     # on this grid; the check must fail even when --tol forgives everything

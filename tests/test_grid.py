@@ -47,7 +47,6 @@ def _rows(g) -> dict:
         "on_shell": spin1.on_shell_residual(g),
         "mr_u": s.u,
         "mr_v": s.v,
-        "chirality_flip": spin1.chirality_flip_residual(g),
         "orbit": fieldops.orbit_preserves_conjugation(_QUATERNIONS, g).swapaxes(0, 1),
     }
     out.update(halfspin.dynamical_residuals(g))

@@ -1,9 +1,11 @@
 """The mutation table: every judged check FAILs at the default config under
 at least one in-process mutant of the family, an operator or a fixed
 matrix, and every judged residual and predicate moves under one or is
-listed as not yet moved.  The mutants are planted here with monkeypatch;
-the package carries no mutation knob and no check builds a mutant of its
-own."""
+listed as not yet moved.  A second probe makes every spinor a run builds
+seeded noise: every judged entry of a check that asks for a grid must move,
+or be listed as blind to the grid.  The mutants are planted here with
+monkeypatch; the package carries no mutation knob and no check builds a
+mutant of its own."""
 
 import numpy as np
 import pytest
@@ -252,14 +254,20 @@ UNMOVED = {
 }
 
 
-def judged_entries() -> dict:
+def judged_entries(grid_users: set | None = None) -> dict:
     """Every judged residual and predicate of a default run that evaluated,
-    by "<check id>:<name>": a float array, a predicate 1.0 or 0.0."""
+    by "<check id>:<name>": a float array, a predicate 1.0 or 0.0.  The ids
+    of the checks that ask for a grid are added to `grid_users`."""
     evaluations = {}
+    users = set() if grid_users is None else grid_users
 
     def recording(check):
         def evaluate(cfg, grid):
-            evaluations[check.check_id] = ev = check.evaluate(cfg, grid)
+            def asked(*phases):
+                users.add(check.check_id)
+                return grid(*phases)
+
+            evaluations[check.check_id] = ev = check.evaluate(cfg, asked)
             return ev
 
         return check._replace(evaluate=evaluate)
@@ -314,3 +322,72 @@ def test_negated_rho_s_misses_the_third_relation_by_2m_rho(monkeypatch):
     r3 = halfspin.dynamical_residuals(mutant)["r3"][0]
     assert r3 == pytest.approx(want, rel=1e-12)
     assert r3.max() == pytest.approx(3.5978148798957346, rel=1e-12)
+
+
+def _random_spinors(monkeypatch):
+    """Every grid's family, left and right and every six-spinor replaced by
+    seeded random complex arrays of their shapes; the kinematics stay."""
+    rng = np.random.default_rng(20261020)
+
+    def noise(a):
+        return rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+
+    build = halfspin.SpinorGrid.build.__func__
+
+    def mutant(cls, *args):
+        g = build(cls, *args)
+        return g._replace(family=noise(g.family), left=noise(g.left), right=noise(g.right))
+
+    monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(mutant))
+    six = spin1.weinberg_u
+    monkeypatch.setattr(spin1, "weinberg_u", lambda p: noise(six(p)))
+
+
+# The judged residuals and predicates of the checks that ask for a grid
+# which no grid can move: each stays within 1e-9 when every grid's spinors
+# and every six-spinor are seeded random arrays.  A new one fails the suite
+# until it is listed here under its reason.
+GRID_BLIND = {
+    # fixed matrices, judged beside the grid
+    "fieldops/quaternion-orbit:orbit_group_law",
+    "halfspin/conjugation-eigenvalues:squares",
+    "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
+    "halfspin/helicity-spinors:along_x",
+    "halfspin/second-order-tensors:tensor_pair",
+    "spin1/reality-classes:half_frame",
+    "spin1/reality-classes:one_frame",
+    "spin1/wigner-theta:conjugates_j",
+    "spin1/wigner-theta:involution",
+    # the grid's directions alone
+    "halfspin/helicity-spinors:eigen",
+    "halfspin/helicity-spinors:unit_norm",
+    "spin1/wigner-theta:triad",
+    # predicates that a random family satisfies too
+    "fieldops/dirac-embedding:rank 2 at generic phases",
+    "halfspin/eigenstructure-split:helicity margin > 0.1",
+    "halfspin/eigenstructure-split:parity margin > 0.1",
+    # open debt, blind to the spinors they are judged on: (S^c)^2 = 1
+    # restated, p^2 - m^2 alone, and one_frame restated through
+    # lambda_like's construction
+    "fieldops/conjugation-parity:even",
+    "fieldops/conjugation-parity:odd",
+    "fieldops/mode-structure:involution",
+    "fieldops/dirac-embedding:eigenspace_residual",
+    "halfspin/second-order-tensors:left",
+    "halfspin/second-order-tensors:right",
+    "spin1/reality-classes:one_minority",
+}
+
+
+def test_every_grid_residual_sees_the_spinors_or_is_listed():
+    users = set()
+    clean = judged_entries(users)
+    with pytest.MonkeyPatch.context() as mp:
+        _random_spinors(mp)
+        got = judged_entries()
+    blind = {
+        k
+        for k in clean
+        if k.split(":")[0] in users and not (k in got and _moved(clean[k], got[k]))
+    }
+    assert blind == GRID_BLIND

@@ -170,9 +170,18 @@ def test_a_wrong_real_frame_split_fails_the_split_checks(monkeypatch):
     assert [after[i] for i in ids] == ["fail", "fail"]
 
 
-def test_chirality_flip_everywhere():
-    for p in GRID:
-        assert np.all(spin1.chirality_flip_residual(p) < 1e-13)
+def test_the_real_frame_flips_chirality_on_any_six_spinor():
+    # v = gamma5_MR u holds by the split's signs alone: exactly, for seeded
+    # random complex six-spinors of magnitude 1e-150 to 1e150
+    rng = np.random.default_rng(20261020)
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (1000, 1))
+    six = scale * (rng.standard_normal((1000, 6)) + 1j * rng.standard_normal((1000, 6)))
+    s = spin1.real_frame(six)
+    assert np.all(linalg.norm(s.v - linalg.apply(spin1.MR_FIVE, s.u)) == 0.0)
+    # and the split of the boosted six-spinors is mr_spinor, bit for bit
+    for p in (halfspin.build_spinor_grid(GRID), GRID[4]):
+        got, want = spin1.real_frame(spin1.weinberg_u(p)), spin1.mr_spinor(p)
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
 
 
 def test_conjugation_squares():
@@ -287,7 +296,6 @@ def test_a_record_gives_the_bits_of_its_grid_row():
         spin1.on_shell_residual,
         spin1.lambda_like,
         spin1.transverse_reality_report,
-        spin1.chirality_flip_residual,
     )
     for f in functions:
         rows = _arrays(f(g))
