@@ -48,7 +48,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import fieldops, fock, halfspin, linalg, spin1
-from .halfspin import DN, FAMILY, FAMILY_SIGNS, LAM_S, LAMBDAS, UP
+from .halfspin import DN, FAMILY, FAMILY_SIGNS, LAM_A, LAM_S, LAMBDAS, UP
 from .halfspin import FourMomentum, PhaseConvention
 from .linalg import apply, norm
 
@@ -407,27 +407,23 @@ def _eigenstructure_split(cfg: SuiteConfig, grid):
     g = grid()
     helicity = halfspin.discrete_ops(g.nhat).helicity
     uv = g.uv_stack()
-    half_h = np.array([0.5 * UP, 0.5 * DN, 0.5 * UP, 0.5 * DN])
-    eigen = norm(apply(helicity, uv) - half_h[:, None] * uv)
-    _, res = linalg.eigen_residual(helicity, g.family)
-    lam_min = float((res / norm(g.family)).min())
-    # parity proportionality can hold on-axis; parity is gamma^0 with the
-    # momentum argument reflected (gamma^0 alone fits lambda with c =
-    # <lambda, gamma^0 lambda> = bar(lambda) lambda = 0, a ratio of 1)
-    off = np.abs(g.nhat[:, 2]) < 0.99
-    lam = g.family[off, LAM_S]
-    img = apply(halfspin.GAMMA0, g.reflected.family[off, LAM_S])
-    # inf when no row is off axis
-    ratio = linalg.fit_residual(lam, img)[1] / norm(img)
-    parity_min = float(ratio.min(initial=math.inf))
-    # the eigen part is judged against tol; a collapsed non-eigen margin fails
+    # h/2 per FAMILY member, the first four also those of the (u, v) stack
+    half_h = 0.5 * np.array([UP, DN] * 4)[:, None]
+    eigen = norm(apply(helicity, uv) - half_h[:4] * uv)
+    # helicity flips the sign of the Theta conj(phi) half, so it sends each
+    # member to h/2 times its S^c partner, four places along FAMILY
+    partner = norm(apply(helicity, g.family) - half_h * np.roll(g.family, 4, axis=1))
+    # parity is gamma^0 with the momentum reflected: gamma^0 lambda^S_h(-p)
+    # = eps_h (cos 2 theta_h lambda^A_h(p) - i sin 2 theta_h lambda^S_h(p)),
+    # eps_h = -h until the reflected azimuth phi + pi wraps, +h from there
+    turn = 2 * np.array([[cfg.theta1], [cfg.theta2]])
+    eps = np.where(g.phi < math.pi, -1.0, 1.0)[:, None, None] * [[UP], [DN]]
+    want = eps * (np.cos(turn) * g.family[:, LAM_A] - 1j * np.sin(turn) * g.family[:, LAM_S])
+    # the law needs |p| > 0, which every run row has: a rest row's axis is
+    # pinned to +z, where gamma^0 lambda^S = rho^A instead
+    got = apply(halfspin.GAMMA0, g.reflected.family[:, LAM_S])
     return Evaluation(
-        {"uv_eigen": eigen},
-        {
-            "helicity_noneigen_min_ratio": lam_min,
-            "parity_noneigen_min_ratio": parity_min,
-        },
-        {"helicity margin > 0.1": lam_min > 0.1, "parity margin > 0.1": parity_min > 0.1},
+        {"uv_eigen": eigen, "helicity_partner": partner, "parity_turn": norm(got - want)}
     )
 
 

@@ -102,34 +102,29 @@ def unit_phase_align(target: np.ndarray, got: np.ndarray):
     return c, max_abs(got - c[..., None] * target, axis=-1)
 
 
-def fit_residual(v: np.ndarray, w: np.ndarray):
-    """Least-squares proportionality fit c = <v, w>/<v, v> and ||w - c v||,
-    over the last axis; w has v's shape.
+def eigen_residual(matrix: np.ndarray, v: np.ndarray):
+    """Least-squares fit of Mv against v over the last axis: the eigenvalue
+    c = <v, Mv>/<v, v> and ||Mv - c v||; matrix is one matrix or one per
+    leading row of v.
 
-    The residual is 0 exactly when w is a multiple of v.  Each row is fitted
+    The residual is 0 exactly when v is an eigenvector.  Each row is fitted
     at the scale 2**-e of v's largest entry and the residual scaled back: a
     power of two changes no bit, and <v, v> can neither underflow nor
     overflow.  A non-finite row gives NaN c and residual.
     """
-    v, w = (np.ascontiguousarray(x, dtype=complex) for x in (v, w))
+    v = np.ascontiguousarray(v, dtype=complex)
     big = max_abs(v, axis=-1)
     if (big == 0).any():
         raise ValueError("zero vector")
     e = np.frexp(big)[1][..., None]
-    # the real and imaginary parts of each, scaled as a float array
-    v, w = (np.ldexp(x.view(float), -e).view(complex) for x in (v, w))
+    # the real and imaginary parts, scaled as a float array
+    v = np.ldexp(v.view(float), -e).view(complex)
     # a non-finite row's NaN is the finding, judged by the caller: its
     # products and quotient need not warn as well
     with np.errstate(invalid="ignore"):
+        w = apply(np.asarray(matrix, dtype=complex), v)
         c = np.vecdot(v, w) / np.vecdot(v, v)
     return c, np.ldexp(norm(w - c[..., None] * v), e[..., 0])
-
-
-def eigen_residual(matrix: np.ndarray, v: np.ndarray):
-    """The fit of Mv against v: the eigenvalue c and ||Mv - c v||; matrix
-    is one matrix or one per leading row of v.  For the non-eigenspinor
-    claims the point is that the residual stays O(||v||)."""
-    return fit_residual(v, apply(np.asarray(matrix, dtype=complex), v))
 
 
 def record(typename: str, fields: str):

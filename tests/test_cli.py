@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selfconj
-from selfconj import checks, cli
+from selfconj import checks, cli, fock
 
 
 def run_cli(capsys, *argv):
@@ -357,14 +357,26 @@ def test_a_three_digit_exponent_keeps_max_and_tol_apart():
     assert (float(match[3]), float(match[4])) == (1e134, results[0].tol)
 
 
-def test_structural_predicate_fails_whatever_the_tolerance(capsys):
-    # the parity margin of the conjugate family collapses at theta1 = pi/4
-    # on this grid; the check must fail even when --tol forgives everything
-    argv = ["run", "--suite", "halfspin", "--grid", "1x2", "--theta1", "0.7853981633974483"]
+def test_structural_predicate_fails_whatever_the_tolerance(capsys, monkeypatch):
+    # a joint-eigenvector margin of 0.5 breaks the certificate's "margin >= 1";
+    # the check must fail even when --tol forgives everything
+    certificate = fock.simultaneous_eigen_certificate
+    monkeypatch.setattr(
+        fock, "simultaneous_eigen_certificate", lambda: {**certificate(), "min_singular_value": 0.5}
+    )
     for tol in ("1e-12", "1", "10"):
-        code, out, _ = run_cli(capsys, *argv, "--tol", tol)
+        code, out, _ = run_cli(capsys, "run", "--suite", "fock", "--tol", tol)
         assert code == 1
-        assert "FAIL      halfspin/eigenstructure-split" in out
+        assert "FAIL      fock/joint-eigen-certificate" in out
+
+
+def test_the_parity_law_holds_where_cos_2_theta1_vanishes(capsys):
+    # at theta1 = pi/4 gamma^0 sends lambda^S_up(-p) to +-i lambda^S_up(p), a
+    # parity eigenspinor up to the reflection, and the law still holds
+    argv = ["run", "--suite", "halfspin", "--grid", "1x2", "--theta1", "0.7853981633974483"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "PASS      halfspin/eigenstructure-split" in out
 
 
 def test_json_suite_filter(capsys):

@@ -127,10 +127,11 @@ def test_a_run_builds_each_grid_once(monkeypatch):
 
 # The run's working set over its grid's family, at 32x32.  The grid keeps
 # only the arrays it was built from, so the peak is the family and its
-# temporaries (7.19 with numpy 2.4, in spin1/transverse-reality); a grid
+# temporaries (7.18 with numpy 2.4, in spin1/transverse-reality); a grid
 # that kept its six-spinors, exchange maps and reflection for the run
-# peaked at 10.5.  Caching the exchange maps alone adds 2.0, and stacking
-# v and w into one copy in linalg.fit_residual raised the peak to 8.82.
+# peaked at 10.5.  Caching the exchange maps alone adds 2.0, and a
+# reflected parity fit that stacked its two spinor sets into one copy
+# raised the peak to 8.82.
 _PEAK_OVER_FAMILY = 8
 
 

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from selfconj import fieldops, halfspin, linalg, spin1
 from selfconj.halfspin import (
@@ -415,3 +416,75 @@ def test_discrete_ops_validation():
         halfspin.discrete_ops([0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         halfspin.discrete_ops([np.nan, 0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the two laws halfspin/eigenstructure-split judges, proved with sympy on a
+# symbolic family: polar angle T, azimuth F, rest phase PH = theta_h, rest
+# scale N and the boost factors A of phi_L and B of phi_R, each a number on
+# a helicity state
+
+T, F, PH = sp.symbols("theta phi theta_h", real=True)
+N, A, B = sp.symbols("N a b", positive=True)
+_THETA = sp.Matrix([[0, -1], [1, 0]])
+_SIGMA = [sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]), sp.diag(1, -1)]
+
+
+def symbolic_members(h, theta, phi):
+    """lambda^S, lambda^A, rho^S, rho^A of helicity h at direction
+    (theta, phi), as the module docstring defines them."""
+    c, s = sp.cos(theta / 2), sp.sin(theta / 2)
+    em, ep = sp.exp(-sp.I * phi / 2), sp.exp(sp.I * phi / 2)
+    chi = sp.Matrix([c * em, s * ep]) if h == UP else sp.Matrix([-s * em, c * ep])
+    left, right = (x * N * sp.exp(sp.I * PH) * chi for x in (A, B))
+    turned_l, turned_r = (sp.I * _THETA * x.conjugate() for x in (left, right))
+    return {
+        "lam_s": sp.Matrix.vstack(turned_l, left),
+        "lam_a": sp.Matrix.vstack(-turned_l, left),
+        "rho_s": sp.Matrix.vstack(right, -turned_r),
+        "rho_a": sp.Matrix.vstack(right, turned_r),
+    }
+
+
+def vanishes(m) -> bool:
+    return m.applyfunc(lambda e: sp.simplify(sp.expand(e.rewrite(sp.exp)))) == sp.zeros(*m.shape)
+
+
+def test_the_symbolic_family_is_the_built_family():
+    p = FourMomentum(1.3, 0.7, 1.1, 4.0)
+    b = halfspin.build_spinor_basis(p, PhaseConvention(0.3, -1.1))
+    # the boost on phi_L of helicity h is e^{-h w/2}, with e^w = (E + |p|)/m
+    ew = (p.energy + p.pmag) / p.mass
+    for h, phase in ((UP, 0.3), (DN, -1.1)):
+        values = {T: p.theta, F: p.phi, PH: phase, N: math.sqrt(p.mass)}
+        values |= {A: ew ** (-h / 2), B: ew ** (h / 2)}
+        for name, psi in symbolic_members(h, T, F).items():
+            got = np.array(psi.subs(values).evalf(), dtype=complex)[:, 0]
+            want = member(b, f"{name}_{'up' if h == UP else 'dn'}")
+            assert np.allclose(got, want, rtol=0, atol=1e-14), (h, name)
+
+
+def test_helicity_sends_each_member_to_half_h_its_conjugate_partner():
+    n = [sp.sin(T) * sp.cos(F), sp.sin(T) * sp.sin(F), sp.cos(T)]
+    sn = sum((x * s for x, s in zip(n, _SIGMA)), sp.zeros(2))
+    helicity = sp.diag(sn, sn) / 2
+    partners = {"lam_s": "lam_a", "lam_a": "lam_s", "rho_s": "rho_a", "rho_a": "rho_s"}
+    for h in (UP, DN):
+        m = symbolic_members(h, T, F)
+        for name, partner in partners.items():
+            assert vanishes(helicity * m[name] - sp.Rational(h, 2) * m[partner]), (h, name)
+
+
+def test_parity_turns_lambda_s_by_twice_its_rest_phase():
+    gamma0 = sp.Matrix(4, 4, lambda i, j: int(abs(i - j) == 2))
+    for h in (UP, DN):
+        m = symbolic_members(h, T, F)
+        want = sp.cos(2 * PH) * m["lam_a"] - sp.I * sp.sin(2 * PH) * m["lam_s"]
+        # -p at polar angle pi - theta and azimuth phi + pi, less 2 pi once
+        # phi >= pi; the boost factors depend on the helicity alone
+        for wraps, sign in ((0, -h), (1, h)):
+            got = gamma0 * symbolic_members(h, sp.pi - T, F + sp.pi - 2 * sp.pi * wraps)["lam_s"]
+            # eps_h, derived: the ratio of one component is a constant
+            eps = sp.simplify(got[0] / want[0])
+            assert eps == sign, (h, wraps, eps)
+            assert vanishes(got - eps * want), (h, wraps)

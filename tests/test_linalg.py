@@ -29,43 +29,40 @@ def test_eigen_residual_is_scale_free():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    # w is no image of v under a fixed matrix, as in the reflected parity
-    # reading of halfspin/eigenstructure-split
-    w = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     c, resid = linalg.eigen_residual(m, v)
-    cw, rw = linalg.fit_residual(v, w)
-    assert np.allclose(rw, np.linalg.norm(w - cw[:, None] * v, axis=-1))
+    assert np.allclose(resid, np.linalg.norm(v @ m.T - c[:, None] * v, axis=-1))
     # scaled by a power of two, down to where <v, v> underflows and up to
     # where it overflows, the fit moves by exactly that power
     for k in (-540, -1000, 520):
         ck, rk = linalg.eigen_residual(m, np.ldexp(1.0, k) * v)
         assert np.array_equal(ck, c) and np.array_equal(rk, np.ldexp(resid, k))
-        ck, rk = linalg.fit_residual(np.ldexp(1.0, k) * v, np.ldexp(1.0, k) * w)
-        assert np.array_equal(ck, cw) and np.array_equal(rk, np.ldexp(rw, k))
     with pytest.raises(ValueError, match="zero vector"):
         linalg.eigen_residual(m, np.zeros((2, 4)))
 
 
 def test_a_nonfinite_row_fits_to_nan_without_warnings():
     rng = np.random.default_rng(9)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    w = 2 * v + 1
-    c, resid = linalg.fit_residual(v, w)
-    v[1, 2], w[2, 0] = np.nan, np.inf
-    cn, rn = linalg.fit_residual(v, w)
+    c, resid = linalg.eigen_residual(m, v)
+    v[1, 2], v[2, 0] = np.nan, np.inf
+    cn, rn = linalg.eigen_residual(m, v)
     assert np.isnan(cn[1:]).all() and np.isnan(rn[1:]).all()
     assert np.array_equal(cn[0], c[0]) and np.array_equal(rn[0], resid[0])
 
 
 def test_a_strided_view_fits_to_the_bits_of_its_copy():
-    family = halfspin.build_spinor_grid(checks.SuiteConfig().momenta()).family.copy()
+    g = halfspin.build_spinor_grid(checks.SuiteConfig().momenta())
+    family = g.family.copy()
     family[1, 0, 2] = np.nan
-    # every other member, and the components in reverse order; a NaN row
-    # fits to NaN without a warning, as in a contiguous array
-    for v, w in ((family[:, ::2], family[:, 1::2]), (family[..., ::-1], family)):
+    # one helicity matrix per row; every other member, and the components
+    # in reverse order; a NaN row fits to NaN without a warning, as in a
+    # contiguous array
+    helicity = halfspin.discrete_ops(g.nhat).helicity
+    for v in (family[:, ::2], family[..., ::-1]):
         assert not v.flags.c_contiguous
-        c, resid = linalg.fit_residual(v, w)
-        cc, rc = linalg.fit_residual(v.copy(), w.copy())
+        c, resid = linalg.eigen_residual(helicity, v)
+        cc, rc = linalg.eigen_residual(helicity, v.copy())
         assert np.array_equal(c, cc, equal_nan=True) and np.array_equal(resid, rc, equal_nan=True)
         assert np.isnan(resid[1, 0]) and np.isfinite(resid[0]).all()
 
