@@ -34,11 +34,15 @@ print(f"halves are conjugation eigen-expansions: even {par['even'][0].max():.1e}
 rep = fieldops.dirac_from_majorana(b)
 print(f"\nDirac embedding: partner residual {rep['partner_residual'][0].max():.1e}, "
       f"eigenspace residual {rep['eigenspace_residual'][0].max():.1e}")
-print(f"positive-image singular values at default phases: "
-      f"{rep['positive_singular_values'][0]}  (collinear)")
-gen = fieldops.dirac_from_majorana(halfspin.build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
-print(f"same at generic phases: "
-      f"{gen['positive_singular_values'][0]}  (rank 2)")
+# the two images at one frequency sign have the Gram matrix
+# sigma^2 [[1, -i cos S], [i cos S, 1]], sigma^2 = 4 N^2 E / m, S = theta1 + theta2
+print("Gram law of the images: sigma^2 [[1, -i cos S], [i cos S, 1]]")
+for conv, kind in ((PhaseConvention(), "collinear"), (PhaseConvention(0.3, 0.4), "rank 2")):
+    one = fieldops.dirac_from_majorana(halfspin.build_spinor_basis(p, conv))
+    sigma2 = 4 * conv.rest_scale(p.mass) ** 2 * p.energy / p.mass
+    cos_s = np.cos(conv.theta1 + conv.theta2)
+    print(f"  S = {conv.theta1 + conv.theta2:.1f}: sigma^2 = {sigma2:.6f}, cos S = {cos_s:.6f}, "
+          f"law residual {one['gram_residual'][0].max():.1e}  ({kind})")
 
 print("\nquaternionic phase orbit:")
 # a quaternion phase is a row (c0, c1, c2, c3); an orbit is a (K, 4) array

@@ -738,20 +738,22 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
     return Evaluation({"u_re_match": rep["u_re_match"]}, rep)
 
 
-@_check("spin1/selfconjugacy-dichotomy", "square signs decide existence of self-conjugate spinors")
+@_check(
+    "spin1/selfconjugacy-dichotomy",
+    "square signs decide existence of self-conjugate spinors",
+    _TIGHT,
+)
 def _selfconjugacy(cfg: SuiteConfig, grid):
     rep = spin1.selfconjugacy_analysis()
-    gaps = rep.pop("eigenvector_gaps")
+    judged = {k: rep.pop(k) for k in ("conjugation_law", "twisted_law", "eigenvector_gaps")}
     half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
-        {"eigenvector_gaps": gaps},
+        judged,
         dict(rep, half_spin_square_sign=half_sign),
         {
             "plain spin-1 square -1": rep["square_sign_plain"] == -1,
             "twisted spin-1 square +1": rep["square_sign_twisted"] == +1,
             "spin-1/2 square +1": half_sign == +1,
-            "eigenspaces split 6 + 6": rep["plus_dim"] == 6 and rep["minus_dim"] == 6,
-            "nonexistence margin sqrt(2)": abs(rep["nonexistence_margin"] - math.sqrt(2)) < 1e-9,
         },
     )
 
@@ -873,14 +875,26 @@ def _squares_commutation(cfg: SuiteConfig, grid):
 
 @_check("fock/eigencombinations", "parity and charge eigen-combinations", _TIGHT)
 def _eigencombinations(cfg: SuiteConfig, grid):
-    parity = {"rest": fock.parity_eigencombos(0), "moving": fock.parity_eigencombos(1)}
+    parity = {
+        f"{at}_{kind}": fock.parity_eigencombos(tag, branch)
+        for at, tag in (("rest", 0), ("moving", 1))
+        for kind, branch in (("particle", +1), ("antiparticle", -1))
+    }
     charges = fock.charge_eigencombos()
-    res = {f"parity_{at}_{s}": d[s]["residual"] for at, d in parity.items() for s in d}
+    res = {f"parity_{k}_{s}": d[s]["residual"] for k, d in parity.items() for s in d}
     res |= {f"charge_{k}": d["residual"] for k, d in charges.items()}
+    # the fitted rest eigenvalues (plus, minus) of each branch
+    particle, antiparticle = (
+        [d["eigenvalue"] for d in parity[f"rest_{kind}"].values()]
+        for kind in ("particle", "antiparticle")
+    )
     return Evaluation(
         res,
         {"charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()}},
         {
+            # the Majorana-type construction: a Dirac-type inversion gives
+            # the antiparticle branch the opposite intrinsic parity
+            "equal rest-sector parity eigenvalues on both branches": particle == antiparticle,
             "charge eigenvalues -+i": all(
                 charges[f"{h}_{t}"]["eigenvalue"] == (-1j if t == "plus" else 1j)
                 for h in ("up", "dn")
@@ -891,11 +905,14 @@ def _eigencombinations(cfg: SuiteConfig, grid):
 
 
 @_check(
-    "fock/joint-eigen-certificate", "no joint inversion/branch-swap eigenvector in a single branch"
+    "fock/joint-eigen-certificate",
+    "no joint inversion/branch-swap eigenvector in a single branch",
+    _TIGHT,
 )
 def _joint_certificate(cfg: SuiteConfig, grid):
     cert = fock.simultaneous_eigen_certificate()
-    return Evaluation({}, cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
+    law = cert.pop("law")
+    return Evaluation({"law": law}, cert, {"margin >= 1": cert["min_singular_value"] >= 1.0})
 
 
 @_check("fock/joint-eigen-existence", "joint eigenvectors on the both-branch sector", None)
@@ -909,7 +926,8 @@ def _joint_existence(cfg: SuiteConfig, grid):
         "an eigenvector (constructed here); for the anticommuting pair the "
         "margin is exactly sqrt(4 - 2 sqrt(2)) on the full sector"
     )
-    return Evaluation({k: both[k] for k in ("inversion_residual", "charge_residual")}, vals)
+    res = {k: both[k] for k in ("inversion_residual", "charge_residual")}
+    return Evaluation(dict(res, anticommuting_law=anti["law"]), vals)
 
 
 @_check("fock/operator-state-consistency", "ladder-rule route reproduces the state tables", _TIGHT)
@@ -960,24 +978,13 @@ def _conjugation_parity(cfg: SuiteConfig, grid):
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
 def _dirac_embedding(cfg: SuiteConfig, grid):
     g = grid()
-    rep = fieldops.dirac_from_majorana(g)
+    # the first momentum at (0.3, 0.4), where cos S is not +-1: the Gram law
+    # there is the rank-2 statement
     generic = fieldops.dirac_from_majorana(
         halfspin.build_spinor_basis(g.momentum(0), g.convention._replace(theta1=0.3, theta2=0.4))
     )
-    generic_sv = [float(s) for s in generic["positive_singular_values"][0]]
     return Evaluation(
-        {k: rep[k] for k in ("partner_residual", "eigenspace_residual")},
-        {
-            "generic_phase_singular_values": generic_sv,
-            "default_phase_singular_values": [
-                float(s) for s in rep["positive_singular_values"][0]
-            ],
-            "note": (
-                "at phase sum 0 or pi the two positive images are collinear; "
-                "the rank-2 statement needs generic phases"
-            ),
-        },
-        {"rank 2 at generic phases": generic_sv[1] > 1e-6},
+        dict(fieldops.dirac_from_majorana(g), generic_gram_residual=generic["gram_residual"])
     )
 
 

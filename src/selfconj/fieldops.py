@@ -32,7 +32,7 @@ from .halfspin import (
     conjugation_gaps,
     slash,
 )
-from .linalg import apply, frozen, max_abs, norm, rowscale
+from .linalg import EYE, apply, frozen, max_abs, norm, rowscale
 
 
 def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -59,6 +59,8 @@ def charge_conjugate_expansion(
 # +1 and -1 on a leading axis: of the conjugate in the (even, odd) halves, or
 # the frequency signs (+, -) of the Dirac embedding
 _SIGNS = frozen(np.array([1.0, -1.0])[:, None, None])
+# [[0, -i], [i, 0]], the off-diagonal pattern of the Dirac images' Gram matrix
+_SIGMA_Y = frozen(np.array([[0, -1j], [1j, 0]]))
 
 
 def ziino_barut_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +117,15 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     """(1 +- slash/m) images of the mode coefficients.
 
     The positive-frequency images are lambda^S + rho^A (the +m eigenspace),
-    the negative-frequency ones lambda^A - rho^S (-m).  Whether the two
-    positive images are independent depends on the phase convention: at
-    theta1 + theta2 in {0, pi} they are exactly collinear, so the rank-2
-    statement needs generic phases; the report carries the singular values,
-    (N, 2), NaN on a row that is not finite.  The partner and eigenspace
-    residuals are (N, 2, 2): row, frequency sign (+, -), helicity.
+    the negative-frequency ones lambda^A - rho^S (-m).  At each frequency
+    sign the Gram matrix <image_h, image_k> of the two helicities is
+    sigma^2 [[1, -i cos S], [i cos S, 1]], with sigma^2 = 4 N^2 E / m and
+    S = theta1 + theta2.  Its eigenvalues are sigma^2 (1 +- |cos S|), so
+    the two images are collinear exactly where cos S = +-1 and independent
+    elsewhere: the rank-2 statement needs generic phases.  The partner and
+    eigenspace residuals are (N, 2, 2): row, frequency sign (+, -),
+    helicity; `gram_residual`, ||G - sigma^2 [...]|| / sigma^2, is (N, 2).
+    A row that is not finite gives NaN.
     """
     sl, members = slash(g), g.family.reshape(-1, 4, 2, 4)
     # (row, frequency sign, ...): sign * m, and the members (lambda^S,
@@ -130,15 +135,18 @@ def dirac_from_majorana(g: SpinorGrid) -> dict:
     images = apply(ID4 + sl[:, None] / m, lam)
     partner = images - (lam + _SIGNS * rho)
     eigenspace = apply(sl, images) - m * images
-    # the SVD cannot take a non-finite row; such a row keeps NaN values
-    ip = images[:, 0]
-    finite = np.isfinite(ip).all(axis=(-2, -1))
-    values = np.full(ip.shape[:-1], np.nan)
-    values[finite] = np.linalg.svd(ip[finite], compute_uv=False)
+    # the images in units of sigma, so that G can neither underflow nor
+    # overflow at any norm a convention admits
+    sigma = 2 * g.convention.rest_scale(g.mass) * np.sqrt(g.energy / g.mass)
+    unit = images / sigma[:, None, None, None]
+    # (row, frequency sign, h, k)
+    gram = np.vecdot(unit[..., :, None, :], unit[..., None, :, :])
+    cos_s = np.cos(np.add(g.convention.theta1, g.convention.theta2))
+    law = gram - (EYE[2] + np.asarray(cos_s)[..., None, None, None] * _SIGMA_Y)
     return {
         "partner_residual": norm(partner),
         "eigenspace_residual": norm(eigenspace),
-        "positive_singular_values": values,
+        "gram_residual": norm(law.reshape(law.shape[:-2] + (4,))),
     }
 
 

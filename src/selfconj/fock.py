@@ -197,20 +197,24 @@ def operator_state_consistency() -> dict:
 # eigencombinations and the (non)existence certificate
 
 
-def parity_eigencombos(ptag: int) -> dict:
-    """|p,up>^+ +- i |p,dn>^+ under inversion.
+def parity_eigencombos(ptag: int, branch: int = +1) -> dict:
+    """|p,up> +- i |p,dn> on one branch under inversion.
 
     At ptag 0 these are honest +-1 eigenvectors; at moving tags the same
-    combinations come back reflected with the same signs.
+    combinations come back reflected with the same signs.  `residual` is
+    the miss ||P v - s w|| against the reflected combination w (v itself at
+    rest) and its sign s, `eigenvalue` the fitted <w, P v> / <w, w>.
     """
-    up, dn = (FockVector.basis(ptag, h, +1).amps for h in HEL)
-    up_r, dn_r = (FockVector.basis(-ptag, h, +1).amps for h in HEL)
+    up, dn = (FockVector.basis(ptag, h, branch).amps for h in HEL)
+    up_r, dn_r = (FockVector.basis(-ptag, h, branch).amps for h in HEL)
     # (plus, minus) on axis 0
     sign = np.array([[+1], [-1]])
-    vec = up + sign * 1j * dn
-    gaps = norm(np.matvec(INVERSION.matrix, vec) - sign * (up_r + sign * 1j * dn_r)).tolist()
-    rows = zip(("plus", "minus"), (1, -1), gaps)
-    return {tag: {"eigenvalue": s, "residual": r} for tag, s, r in rows}
+    image = np.matvec(INVERSION.matrix, up + sign * 1j * dn)
+    reflected = up_r + sign * 1j * dn_r
+    fitted = (np.vecdot(reflected, image) / np.vecdot(reflected, reflected)).tolist()
+    gaps = norm(image - sign * reflected).tolist()
+    rows = zip(("plus", "minus"), fitted, gaps)
+    return {tag: {"eigenvalue": e, "residual": r} for tag, e, r in rows}
 
 
 def charge_eigencombos() -> dict:
@@ -230,31 +234,39 @@ def charge_eigencombos() -> dict:
 
 def _joint_margin(a: SymmetryOp, b: SymmetryOp, columns) -> dict:
     """Smallest singular value of [(A - la) S; (B - lb) S] over all unit
-    phases (la, lb), S selecting the `columns` of MODES, and the pair
-    `at` where it is reached.
+    phases (la, lb), S selecting the `columns` of MODES, the pair `at`
+    where it is reached and `law`, the miss of the law it rests on at each
+    eigenvalue pair.
 
     It bounds min ||(A - la)v||^2 + ||(B - lb)v||^2 over unit v in the span
-    of the columns: a joint eigenvector there would make it 0.  A and B are
-    unitary with scalar squares c_A and c_B, so its square is the smallest
-    eigenvalue of S^H (4 - conj(la) A - la A^H - conj(lb) B - lb B^H) S.  For
-    the two pairs certified here that is a closed form whose minimum over
-    the torus lies at the eigenvalue pairs (+-sqrt(c_A), +-sqrt(c_B))
-    (proved in tests/test_fock.py), so one batched SVD at those four pairs
-    gives it.  `at` is the first minimizing pair, principal roots first:
-    pairs that tie in exact arithmetic differ in the last bits of their
-    singular values, so any within 4 ulp of the minimum counts as one.
+    of the columns: a joint eigenvector there would make it 0.  Its square
+    is the smallest eigenvalue of the Gram matrix S^H [(A - la)^H (A - la)
+    + (B - lb)^H (B - lb)] S.  For the two pairs certified here the minimum
+    over the torus lies at the eigenvalue pairs (+-sqrt(c_A), +-sqrt(c_B))
+    of the ops' scalar squares c_A and c_B (proved in tests/test_fock.py),
+    and at each of them H = 4 - Gram has trace 0 and H^2 = c * 1: H has the
+    eigenvalues +-sqrt(c) in equal numbers, and the margin is
+    sqrt(4 - sqrt(c)) with c = tr(H^2) / n.  `law` is max(|tr H|,
+    max |H^2 - c|) per pair, and `at` the first pair of the smallest margin,
+    principal roots first.
     """
     sel = EYE[len(MODES)][:, columns]
-    a_sel, b_sel = a.matrix @ sel, b.matrix @ sel
     squares = squares_report([a, b])
     ra, rb = (complex(np.sqrt(squares[op.name])) for op in (a, b))
     pairs = [(la, lb) for la in (ra, -ra) for lb in (rb, -rb)]
-    la, lb = np.array(pairs).T[..., None, None]  # each of shape (4, 1, 1)
-    stack = np.concatenate([a_sel - la * sel, b_sel - lb * sel], axis=1)
-    s = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    low = s.min()
-    k = int((s - low <= 4 * np.spacing(low)).argmax())
-    return {"min_singular_value": float(low), "at": pairs[k]}
+    # (op, pair, mode, column): A - la and B - lb on the selected columns
+    ops = np.array([a.matrix, b.matrix])[:, None]
+    shifted = ops @ sel - np.array(pairs).T[..., None, None] * sel
+    eye = EYE[len(columns)]
+    h = 4 * eye - (np.conjugate(shifted.swapaxes(-1, -2)) @ shifted).sum(axis=0)
+    square = h @ h
+    c = square.trace(axis1=-2, axis2=-1).real / len(columns)
+    law = np.maximum(
+        np.abs(h.trace(axis1=-2, axis2=-1)), max_abs(square - c[:, None, None] * eye, (-2, -1))
+    )
+    margin = np.sqrt(4 - np.sqrt(c))
+    k = int(margin.argmin())
+    return {"min_singular_value": float(margin[k]), "at": pairs[k], "law": law}
 
 
 def simultaneous_eigen_certificate() -> dict:

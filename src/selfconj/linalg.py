@@ -193,22 +193,3 @@ def realify(op: AntilinearOp) -> np.ndarray:
     x, y = op.matrix.real, op.matrix.imag
     return np.concatenate([np.concatenate([x, y], axis=1), np.concatenate([y, -x], axis=1)])
 
-
-def involution_eigenvectors(t: np.ndarray):
-    """Orthonormal bases (plus, minus), one vector per column, of the +1
-    and -1 eigenspaces of a real symmetric involution t.
-
-    Deterministic: (1 + t)/2 is the orthogonal projector onto the +1
-    eigenspace, so its one SVD has singular values 1 (left singular vectors
-    spanning it) and 0 (spanning its complement, the -1 eigenspace).
-    """
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    if not np.isfinite(t).all():
-        raise ValueError("matrix must be finite")
-    if not max_abs(t @ t - EYE[n]) <= 1e-9:
-        raise ValueError("matrix is not an involution")
-    if not max_abs(t - t.T) <= 1e-9:
-        raise ValueError("involution is not symmetric")
-    u, s, _ = np.linalg.svd(0.5 * (EYE[n] + t))
-    return u[:, s > 0.5], u[:, s <= 0.5]

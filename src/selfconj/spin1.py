@@ -32,7 +32,6 @@ from .linalg import (
     dagger,
     diagonal,
     frozen,
-    involution_eigenvectors,
     max_abs,
     norm,
     realify,
@@ -299,45 +298,62 @@ CONJUGATION = AntilinearOp(frozen(np.block([[Z3, THETA3], [-THETA3, Z3]])))
 TWISTED_CONJUGATION = AntilinearOp(frozen(GAMMA5_CHIRAL @ CONJUGATION.matrix))
 
 
-_PM_THETA3 = frozen(np.array([1.0, -1.0])[:, None, None] * THETA3)  # +Theta3, -Theta3
+_PM_ONE = frozen(np.array([1.0, -1.0])[:, None, None])  # the signs s = +1, -1
+_PM_THETA3 = frozen(_PM_ONE * THETA3)  # +Theta3, -Theta3
+
+
+def _twisted_pairs(fl) -> np.ndarray:
+    """(s Theta3 conj(phi), phi) for each phi on the last axis of fl, with
+    the signs s = +1, -1 on a new axis -3: eigenvectors of the twisted
+    conjugation with eigenvalue s."""
+    fl = fl[..., None, :, :]
+    turned = np.matvec(_PM_THETA3[:, None], np.conjugate(fl))
+    return np.concatenate([turned, fl.repeat(2, axis=-3)], axis=-1)
 
 
 def lambda_like(p) -> np.ndarray:
     """Spin-1 analogue of the lambda construction: (s Theta3 conj(phi_L),
     phi_L) for the signs s = +1, -1 on axis -3 and h = +1, 0, -1 on axis
     -2.  Eigenvectors of the twisted conjugation with eigenvalue s."""
-    fl = weinberg_u(p)[..., None, :, 3:]
-    turned = np.matvec(_PM_THETA3[:, None], np.conjugate(fl))
-    return np.concatenate([turned, fl.repeat(2, axis=-3)], axis=-1)
+    return _twisted_pairs(weinberg_u(p)[..., 3:])
+
+
+# e_k and i e_k: a basis of C^3 over the reals
+_REAL_BASIS = frozen(np.concatenate([ID3, 1j * ID3]))
 
 
 def selfconjugacy_analysis() -> dict:
-    """Square signs, eigenspace dimensions and the nonexistence margin.
+    """Square signs, the two realification laws, the eigenspace dimensions
+    and the nonexistence margin.
 
-    The plain conjugation squares to -1: its realification is orthogonal
-    with spectrum on +-i, so min ||(R -+ 1) w|| / ||w|| = sqrt(2) and no
-    eigenvector exists.  The twisted conjugation squares to +1 and its
-    realification is an involution whose two eigenspaces split 6 + 6.
-    `eigenvector_gaps` holds ||C_tw v - s v|| for each of the 12
-    eigenvectors v, s = +-1 its eigenvalue.
+    The plain conjugation squares to -1: its realification R is orthogonal
+    with R^2 = -1, so R^T = -R and (R -+ 1)^T (R -+ 1) = 2.  Every singular
+    value of R -+ 1 is then sqrt(2), and no eigenvector exists;
+    `conjugation_law` is max |(R -+ 1)^T (R -+ 1) - 2| for the signs (+, -)
+    and `nonexistence_margin` the square root of the smaller mean diagonal.
+    The twisted conjugation squares to +1: its realification T is an
+    involution (`twisted_law` is max |T^2 - 1|), and the realification of
+    any antilinear map has trace 0, so the two eigenspaces split
+    (12 +- tr T)/2 = 6 + 6.  `eigenvector_gaps` holds ||C_tw v - s v|| for
+    the twelve eigenvectors (s Theta3 conj(phi), phi), phi over e_k and
+    i e_k, s = +1 first.
     """
     c = CONJUGATION
     tw = TWISTED_CONJUGATION
-    shifted = realify(c) - np.array([+1.0, -1.0])[:, None, None] * EYE[12]
-    margin = np.linalg.svd(shifted, compute_uv=False).min()
-    plus, minus = involution_eigenvectors(realify(tw))
-    # one eigenvector per row, (Re; Im) stacked back into C^6
-    cols = np.concatenate([plus, minus], axis=1).T
-    v = cols[:, :6] + 1j * cols[:, 6:]
-    signs = np.repeat([+1.0, -1.0], [plus.shape[1], minus.shape[1]])
-    gaps = norm(tw(v) - signs[:, None] * v)
+    shifted = realify(c) - _PM_ONE * EYE[12]
+    gram = shifted.swapaxes(-1, -2) @ shifted
+    t = realify(tw)
+    v = _twisted_pairs(_REAL_BASIS)  # (sign, phi, component)
+    plus = round((12 + t.trace()) / 2)
     return {
         "square_sign_plain": c.square_sign(),
         "square_sign_twisted": tw.square_sign(),
-        "nonexistence_margin": float(margin),
-        "plus_dim": plus.shape[1],
-        "minus_dim": minus.shape[1],
-        "eigenvector_gaps": gaps,
+        "conjugation_law": max_abs(gram - 2 * EYE[12], axis=(-2, -1)),
+        "twisted_law": max_abs(t @ t - EYE[12]),
+        "nonexistence_margin": math.sqrt(gram.trace(axis1=-2, axis2=-1).min() / 12),
+        "plus_dim": plus,
+        "minus_dim": 12 - plus,
+        "eigenvector_gaps": norm(tw(v) - _PM_ONE * v).ravel(),
     }
 
 

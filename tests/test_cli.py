@@ -370,6 +370,15 @@ def test_structural_predicate_fails_whatever_the_tolerance(capsys, monkeypatch):
         assert "FAIL      fock/joint-eigen-certificate" in out
 
 
+@pytest.mark.parametrize("norm", ["1e-7", "1e-20"])
+def test_the_dirac_embedding_passes_at_small_norms(capsys, norm):
+    # the Gram law is judged relative to sigma^2 = 4 N^2 E / m, so the rank
+    # statement holds at any N; an absolute bound on the singular values
+    # failed it below N of about 1e-6
+    _, out, _ = run_cli(capsys, "run", "--suite", "fieldops", "--norm", norm)
+    assert "PASS      fieldops/dirac-embedding" in out
+
+
 def test_the_parity_law_holds_where_cos_2_theta1_vanishes(capsys):
     # at theta1 = pi/4 gamma^0 sends lambda^S_up(-p) to +-i lambda^S_up(p), a
     # parity eigenspinor up to the reflection, and the law still holds

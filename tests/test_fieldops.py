@@ -147,24 +147,27 @@ def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
         assert math.isnan(r.max_residual), r.check_id
 
 
-def test_dirac_singular_values_are_one_row_per_row_of_a_phase_scan():
+def test_dirac_gram_law_is_one_row_per_row_of_a_phase_scan():
+    # cos S is read per row: each row of the scan keeps its one-row bits
     p = GRID[2]
     scan = ((0.3, 0.4), (math.pi, 2.0), (-1.0, 6.0))
     conv = PhaseConvention(*zip(*scan))
     rep = fieldops.dirac_from_majorana(build_spinor_grid([p] * 3, conv))
+    assert rep["gram_residual"].shape == (3, 2)  # row, frequency sign
+    assert np.all(rep["gram_residual"] < 1e-14)
     for i, (t1, t2) in enumerate(scan):
         one = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(t1, t2)))
-        values = one["positive_singular_values"][0]
-        assert np.array_equal(rep["positive_singular_values"][i], values)
+        assert np.array_equal(rep["gram_residual"][i], one["gram_residual"][0])
 
 
-def test_dirac_singular_values_are_nan_on_a_nan_row():
+def test_dirac_gram_law_is_nan_on_a_nan_row():
     g = build_spinor_grid(GRID, PhaseConvention(0.3, 0.4))
-    values = fieldops.dirac_from_majorana(_with_nan_entry(g, 2))["positive_singular_values"]
-    want = fieldops.dirac_from_majorana(g)["positive_singular_values"]
-    assert np.all(np.isnan(values[2]))
-    # the finite rows keep their values bit for bit
-    assert np.array_equal(np.delete(values, 2, axis=0), np.delete(want, 2, axis=0))
+    values = fieldops.dirac_from_majorana(_with_nan_entry(g, 2))["gram_residual"]
+    want = fieldops.dirac_from_majorana(g)["gram_residual"]
+    # lambda^S has its image at the positive frequency alone
+    assert np.argwhere(np.isnan(values)).tolist() == [[2, 0]]
+    values[2, 0] = want[2, 0]
+    assert np.array_equal(values, want)
 
 
 def test_mode_structure_check_fails_on_a_swapped_layout(monkeypatch):
@@ -187,17 +190,22 @@ def test_dirac_embedding_partner_identities():
 
 def test_dirac_embedding_rank_depends_on_phases():
     p = FourMomentum(1.0, 1.0, 1.1, 0.4)
-    b = build_spinor_basis(p)
-    rep = fieldops.dirac_from_majorana(b)
-    # default phases: the two positive-frequency images are collinear
-    assert rep["positive_singular_values"][0, 1] < 1e-12
     from selfconj.halfspin import ID4, slash
 
     plus = ID4 + slash(p) / p.mass
+    sigma2 = 4 * p.energy  # 4 N^2 E / m with N^2 = m
+    for conv, sin2 in ((PhaseConvention(), 0.0), (PhaseConvention(0.3, 0.4), math.sin(0.7) ** 2)):
+        b = build_spinor_basis(p, conv)
+        assert np.all(fieldops.dirac_from_majorana(b)["gram_residual"] < 1e-14)
+        # the Gram determinant of the two positive images, by hand: sigma^4
+        # sin^2 S, zero at the default phases and positive at generic ones
+        images = np.array([plus @ member(b, name) for name in ("lam_s_up", "lam_s_dn")])
+        det = np.linalg.det(np.conjugate(images) @ images.T)
+        assert det.real == pytest.approx(sigma2**2 * sin2, abs=1e-12)
+    # default phases: the two positive-frequency images are collinear
+    b = build_spinor_basis(p)
     lam_up, lam_dn = member(b, "lam_s_up"), member(b, "lam_s_dn")
     assert np.allclose(plus @ lam_dn, -1j * (plus @ lam_up), atol=1e-12)
-    generic = fieldops.dirac_from_majorana(build_spinor_basis(p, PhaseConvention(0.3, 0.4)))
-    assert generic["positive_singular_values"][0, 1] > 0.5
 
 
 def test_quaternion_phase_algebra():

@@ -6,7 +6,6 @@ independent transcriptions.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,11 +274,16 @@ def test_certificate_closed_form_against_eigvalsh_off_lattice(name):
     assert np.min(np.sqrt(np.maximum(lowest, 0.0))) >= certificate()["min_singular_value"] - 1e-12
 
 
-def test_certificates_take_at_most_ten_svds():
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        fock.simultaneous_eigen_certificate()
-        fock.anticommuting_pair_margin()
-    assert svd.call_count <= 10
+def test_certificate_laws_hold_exactly_at_every_eigenvalue_pair():
+    # H^2 = c * 1 with tr H = 0, c = 4 for the single branch and 8 for the
+    # anticommuting pair, so the margins are sqrt(4 - sqrt(c)) exactly
+    for certificate, c in (
+        (fock.simultaneous_eigen_certificate, 4),
+        (fock.anticommuting_pair_margin, 8),
+    ):
+        cert = certificate()
+        assert cert["law"].tolist() == [0.0] * 4
+        assert cert["min_singular_value"] == math.sqrt(4 - math.sqrt(c))
 
 
 def test_both_branch_joint_eigenvector():
@@ -386,6 +390,20 @@ MATRIX_MUTANTS = {
         },
         set(),
     ),
+    # a swap that is inversion itself shares every inversion eigenvector:
+    # the certificate's law holds with c = 16 and the margin is 0
+    "charge-as-inversion": (
+        "CHARGE",
+        lambda: fock.CHARGE._replace(matrix=fock.INVERSION.matrix),
+        {
+            "fock/state-tables",
+            "fock/eigencombinations",
+            "fock/operator-state-consistency",
+            "fock/squares-and-commutation",
+            "fock/joint-eigen-certificate",
+        },
+        set(),
+    ),
     # a flipping swap that commutes with inversion instead of anticommuting
     "flip-commutes": (
         "CHARGE_FLIP",
@@ -397,6 +415,23 @@ MATRIX_MUTANTS = {
     "negated-inversion": (
         "INVERSION",
         lambda: fock.INVERSION._replace(matrix=linalg.frozen(-fock.INVERSION.matrix)),
+        {
+            "fock/state-tables",
+            "fock/eigencombinations",
+            "fock/operator-state-consistency",
+            "fock/squares-and-commutation",
+        },
+        set(),
+    ),
+    # the Dirac-type construction: the antiparticle (branch, helicity) block
+    # of inversion with the opposite phase
+    "dirac-type-inversion": (
+        "INVERSION",
+        lambda: fock.SymmetryOp.build(
+            "inversion",
+            [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 0, 1j], [0, 0, -1j, 0]],
+            reflects=True,
+        ),
         {
             "fock/state-tables",
             "fock/eigencombinations",

@@ -41,7 +41,7 @@ def _rows(g) -> dict:
         "aligned": rep.aligned_residual,
         "slash": halfspin.slash(g),
         "ziino": fieldops.ziino_split_residual(g),
-        "singular_values": dirac["positive_singular_values"],
+        "gram": dirac["gram_residual"],
         "partner": dirac["partner_residual"],
         "eigenspace": dirac["eigenspace_residual"],
         "on_shell": spin1.on_shell_residual(g),

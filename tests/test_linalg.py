@@ -106,49 +106,16 @@ def test_realify_roundtrip_and_action():
     assert np.allclose(back[:3] + 1j * back[3:], op(v))
 
 
-def test_involution_eigenvectors_split_and_determinism():
-    t = np.diag([1.0, 1.0, -1.0, -1.0])
-    plus, minus = linalg.involution_eigenvectors(t)
-    assert plus.shape[1] == 2 and minus.shape[1] == 2
-    assert np.allclose(t @ plus, plus)
-    assert np.allclose(t @ minus, -minus)
-    again = linalg.involution_eigenvectors(t)
-    assert all(np.array_equal(a, b) for a, b in zip((plus, minus), again))
-    # a non-finite matrix is refused before any SVD runs
-    with pytest.raises(ValueError, match="finite"):
-        linalg.involution_eigenvectors(np.diag([np.nan, 1.0, -1.0, -1.0]))
-
-
-def test_a_non_symmetric_involution_is_refused():
-    # t @ t = 1, but (1 + t)/2 is an oblique projector: its singular
-    # vectors do not split t's eigenspaces
-    t = np.array([[1.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(t @ t, np.eye(2))
-    with pytest.raises(ValueError, match="involution is not symmetric"):
-        linalg.involution_eigenvectors(t)
-
-
-def _twisted_realification():
-    return linalg.realify(spin1.TWISTED_CONJUGATION)
-
-
 def test_the_two_eigenspaces_are_orthonormal_and_complete():
-    t = _twisted_realification()
-    plus, minus = linalg.involution_eigenvectors(t)
-    assert plus.shape == minus.shape == (12, 6)
-    both = np.concatenate([plus, minus], axis=1)
-    assert linalg.max_abs(both.T @ both - np.eye(12)) < 1e-14
-    assert linalg.max_abs(t @ plus - plus) < 1e-14
-    assert linalg.max_abs(t @ minus + minus) < 1e-14
-
-
-def test_plus_keeps_the_bits_of_the_one_sign_svd():
-    # the basis as one SVD per sign gave it: the column space of (1 + t)/2
-    t = _twisted_realification()
-    assert np.array_equal(t, t.T)
-    u, s, _ = np.linalg.svd(0.5 * (np.eye(12) + t))
-    plus, _ = linalg.involution_eigenvectors(t)
-    assert np.array_equal(plus, u[:, s > 0.5])
+    # the twelve closed-form eigenvectors of the twisted conjugation, as
+    # (Re; Im) columns: eigenvectors of its realification t with the signs
+    # +1 (first six) and -1, orthogonal with norm sqrt(2), so they span R^12
+    t = linalg.realify(spin1.TWISTED_CONJUGATION)
+    v = spin1._twisted_pairs(spin1._REAL_BASIS).reshape(12, 6)
+    w = np.concatenate([v.real, v.imag], axis=1).T
+    signs = np.repeat([1.0, -1.0], 6)
+    assert linalg.max_abs(t @ w - signs * w) == 0.0
+    assert linalg.max_abs(w.T @ w - 2 * np.eye(12)) == 0.0
 
 
 def _held_arrays(value):

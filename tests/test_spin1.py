@@ -217,11 +217,21 @@ def test_selfconjugacy_dichotomy():
     rep = spin1.selfconjugacy_analysis()
     assert rep["square_sign_plain"] == -1
     assert rep["square_sign_twisted"] == +1
-    assert rep["nonexistence_margin"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert rep["nonexistence_margin"] == math.sqrt(2.0)
     assert rep["plus_dim"] == 6 and rep["minus_dim"] == 6
+    # both laws hold exactly on the 0, +-1 entries
+    assert rep["conjugation_law"].tolist() == [0.0, 0.0] and rep["twisted_law"] == 0.0
     # one gap per eigenvector
     assert rep["eigenvector_gaps"].shape == (12,)
-    assert max(rep["eigenvector_gaps"]) < 1e-12
+    assert max(rep["eigenvector_gaps"]) == 0.0
+    # an SVD, as the oracle the laws replace: every singular value of
+    # R -+ 1 is sqrt(2), and T has six eigenvalues +1 and six -1
+    r = linalg.realify(spin1.CONJUGATION)
+    for s in (+1, -1):
+        values = np.linalg.svd(r - s * np.eye(12), compute_uv=False)
+        assert values == pytest.approx(np.full(12, math.sqrt(2.0)), abs=1e-14)
+    spectrum = np.linalg.eigvalsh(linalg.realify(spin1.TWISTED_CONJUGATION))
+    assert spectrum == pytest.approx(np.repeat([-1.0, 1.0], 6), abs=1e-14)
 
 
 def test_frames_trivialize_the_conjugations():
