@@ -67,6 +67,14 @@ _MERIDIAN = [
 _CONFIG_FIELDS = "masses n_magnitudes n_directions tolerance theta1 theta2 thetac norm suites"
 
 
+def _number(x) -> float:
+    """x as a Python float, so that the config echoes plain JSON numbers; a
+    bool is refused, though float() would take it."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError("a config number must not be a bool")
+    return float(x)
+
+
 class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
     # immutable; the instance dict holds only the grid's kinematic arrays and
     # the validated `convention`, whose thetac only S^c reads
@@ -82,7 +90,7 @@ class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
         norm: float | None = None,
         suites: tuple = KNOWN_SUITES,
     ):
-        masses = tuple(float(m) for m in masses)
+        masses = tuple(_number(m) for m in masses)
         if not masses or not all(math.isfinite(m) and m > 0 for m in masses):
             raise ValueError("masses must be finite and positive")
         if not all(type(n) is int for n in (n_magnitudes, n_directions)):
@@ -92,13 +100,15 @@ class SuiteConfig(linalg.record("SuiteConfig", _CONFIG_FIELDS)):
         # the largest magnitude, 2 ** ((n - 1) / 2), must be a finite float
         if (n_magnitudes - 1) / 2 >= sys.float_info.max_exp:
             raise ValueError("grid has too many magnitudes: the largest overflows a float")
+        # dtype=object: a ragged nesting is one row per entry, not numpy's error
+        if np.asarray(theta1, dtype=object).ndim or np.asarray(theta2, dtype=object).ndim:
+            raise ValueError("theta1 and theta2 must be numbers, not one per row")
+        tolerance, theta1, theta2, thetac = map(_number, (tolerance, theta1, theta2, thetac))
+        norm = None if norm is None else _number(norm)
         # `not >= 0` also rejects NaN; an infinite tolerance would pass any
         # finite residual
         if not (tolerance >= 0 and math.isfinite(tolerance)):
             raise ValueError("tolerance must be finite and >= 0")
-        # dtype=object: a ragged nesting is one row per entry, not numpy's error
-        if np.asarray(theta1, dtype=object).ndim or np.asarray(theta2, dtype=object).ndim:
-            raise ValueError("theta1 and theta2 must be numbers, not one per row")
         # -0.0 == 0.0, so equal configs must render one zero
         zeros = (abs(x) if x == 0 else x for x in (tolerance, theta1, theta2, thetac))
         tolerance, theta1, theta2, thetac = zeros
@@ -636,12 +646,10 @@ def _second_order(cfg: SuiteConfig, grid):
     prods = np.array([sbar[:, None] @ s, s[:, None] @ sbar])
     want = 0.5j * (prods - prods.swapaxes(1, 2))
     pair = np.array([halfspin.FGM_SIGMA, halfspin.FGM_TILDE])
-    return Evaluation(
-        dict(
-            halfspin.fgm_residuals(grid()),
-            tensor_pair=linalg.max_abs(pair - want, axis=(-2, -1)),
-        )
-    )
+    # no grid: the free second-order residuals |p.p - m^2| ||phi|| see only
+    # the grid's energies, which dynamical-residuals and
+    # on-shell-contraction judge
+    return Evaluation({"tensor_pair": linalg.max_abs(pair - want, axis=(-2, -1))})
 
 
 # ---------------------------------------------------------------------------
@@ -769,12 +777,13 @@ def _reality_classes(cfg: SuiteConfig, grid):
         "one_frame": linalg.max_abs(w @ m_tw @ w.T - spin1.ID6),
     }
     # classes are judged on the first six momenta and shown for the last;
-    # the minority is the magnitude of the part each class says is absent
+    # the minority is the magnitude of the part each class says is absent.
+    # lambda_like builds +-eigenvectors of the twisted conjugation, which
+    # one_frame makes the plain one: their minority restates one_frame
     g = grid().head(6)
-    # (row, sign +1 then -1, helicity, component)
-    one = spin1.lambda_like(g)
     half_real, res["half_minority"] = spin1.reality_classes(g.family, vh)
-    one_real, res["one_minority"] = spin1.reality_classes(one, w)
+    # (row, sign +1 then -1, helicity)
+    one_real = spin1.reality_classes(spin1.lambda_like(g), w)[0]
     names = [f"half_{name}" for name in FAMILY]
     names += [f"one_{tag}_{h}" for tag in ("plus", "minus") for h in spin1.HELICITIES]
     kinds = np.concatenate([half_real[-1], one_real[-1].ravel()]).tolist()
@@ -875,11 +884,12 @@ def _squares_commutation(cfg: SuiteConfig, grid):
 
 @_check("fock/eigencombinations", "parity and charge eigen-combinations", _TIGHT)
 def _eigencombinations(cfg: SuiteConfig, grid):
-    parity = {
-        f"{at}_{kind}": fock.parity_eigencombos(tag, branch)
+    blocks = {
+        f"{at}_{kind}": (tag, branch)
         for at, tag in (("rest", 0), ("moving", 1))
         for kind, branch in (("particle", +1), ("antiparticle", -1))
     }
+    parity = dict(zip(blocks, fock.parity_eigencombos(blocks.values())))
     charges = fock.charge_eigencombos()
     res = {f"parity_{k}_{s}": d[s]["residual"] for k, d in parity.items() for s in d}
     res |= {f"charge_{k}": d["residual"] for k, d in charges.items()}
@@ -945,10 +955,11 @@ def _mode_structure(cfg: SuiteConfig, grid):
     nu = fieldops.majorana_mode(g)
     cnu = fieldops.charge_conjugate_expansion(nu, g.convention)
     # lambda^S rides the annihilators and lambda^A the creators, each with
-    # its S^c sign: C(nu) is nu with the slots swapped and signs (-1, +1)
+    # its S^c sign: C(nu) is nu with the slots swapped and signs (-1, +1).
+    # The involution C^2 = 1 is judged on the unit expansions, by
+    # conjugation-parity
     layout = fieldops.residual(cnu, nu[:, ::-1] * np.array([-1.0, 1.0])[:, None, None])
-    twice = fieldops.residual(fieldops.charge_conjugate_expansion(cnu, g.convention), nu)
-    return Evaluation({"layout": layout, "involution": twice}, {"terms": nu.shape[1] * nu.shape[2]})
+    return Evaluation({"layout": layout}, {"terms": nu.shape[1] * nu.shape[2]})
 
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
@@ -970,9 +981,15 @@ def _ziino_split(cfg: SuiteConfig, grid):
     )
 
 
+# the sixteen unit expansions of one row: (expansion, slot, helicity, component)
+_UNIT_EXPANSIONS = linalg.frozen(np.eye(16).reshape(16, 2, 2, 4))
+
+
 @_check("fieldops/conjugation-parity", "the halves are conjugation eigen-expansions")
 def _conjugation_parity(cfg: SuiteConfig, grid):
-    return Evaluation(fieldops.conjugation_parity_residuals(grid().head(8)))
+    # no grid: C is antilinear, so C^2 is linear, and the halves of every
+    # expansion are +-eigen-expansions once those of the unit ones are
+    return Evaluation(fieldops.parity_residuals(_UNIT_EXPANSIONS, cfg.convention))
 
 
 @_check("fieldops/dirac-embedding", "projector images land in the mass eigenspaces")
@@ -983,9 +1000,12 @@ def _dirac_embedding(cfg: SuiteConfig, grid):
     generic = fieldops.dirac_from_majorana(
         halfspin.build_spinor_basis(g.momentum(0), g.convention._replace(theta1=0.3, theta2=0.4))
     )
-    return Evaluation(
-        dict(fieldops.dirac_from_majorana(g), generic_gram_residual=generic["gram_residual"])
-    )
+    rep = fieldops.dirac_from_majorana(g)
+    # slash (1 + slash/m) lam - m (1 + slash/m) lam = (p.p - m^2) lam / m:
+    # the eigenspace residual sees only the grid's energies, which
+    # dynamical-residuals and on-shell-contraction judge
+    del rep["eigenspace_residual"]
+    return Evaluation(dict(rep, generic_gram_residual=generic["gram_residual"]))
 
 
 @_check("fieldops/quaternion-orbit", "unit-quaternion phase orbit preserves conjugation status")

@@ -63,10 +63,15 @@ _SIGNS = frozen(np.array([1.0, -1.0])[:, None, None])
 _SIGMA_Y = frozen(np.array([[0, -1j], [1j, 0]]))
 
 
+def _halves(nu, conv):
+    """(even, odd) halves (nu +- C nu) / 2 of any expansion, on a new
+    leading axis."""
+    return (nu + _SIGNS[..., None, None] * charge_conjugate_expansion(nu, conv)) * 0.5
+
+
 def ziino_barut_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) halves of the mode under the field-level conjugation."""
-    nu, signs = majorana_mode(g), _SIGNS[..., None, None]
-    return tuple((nu + signs * charge_conjugate_expansion(nu, g.convention)) * 0.5)
+    return tuple(_halves(majorana_mode(g), g.convention))
 
 
 def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +105,19 @@ def ziino_split_residual(g: SpinorGrid):
     return residual(np.array(ziino_barut_split(g)), np.array(displayed_split(g))).swapaxes(0, 1)
 
 
-def conjugation_parity_residuals(g: SpinorGrid) -> dict:
-    """The halves are conjugation eigen-expansions: C even = +even,
-    C odd = -odd; (N, 2, 2) each, as `residual`."""
-    halves = np.array(ziino_barut_split(g))
+def parity_residuals(nu: np.ndarray, conv: PhaseConvention) -> dict:
+    """The halves of the expansions `nu` are conjugation eigen-expansions:
+    C even = +even, C odd = -odd; (..., 2, 2) each over nu's leading axes,
+    as `residual`.  C even - even = (C^2 nu - nu) / 2, and so for odd."""
+    halves = _halves(nu, conv)
     signed = _SIGNS[..., None, None] * halves
-    gaps = residual(charge_conjugate_expansion(halves, g.convention), signed)
+    gaps = residual(charge_conjugate_expansion(halves, conv), signed)
     return dict(zip(("even", "odd"), gaps))
+
+
+def conjugation_parity_residuals(g: SpinorGrid) -> dict:
+    """parity_residuals of the grid's mode: (N, 2, 2) each."""
+    return parity_residuals(majorana_mode(g), g.convention)
 
 
 # ---------------------------------------------------------------------------

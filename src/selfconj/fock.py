@@ -197,33 +197,37 @@ def operator_state_consistency() -> dict:
 # eigencombinations and the (non)existence certificate
 
 
-def parity_eigencombos(ptag: int, branch: int = +1) -> dict:
-    """|p,up> +- i |p,dn> on one branch under inversion.
+def parity_eigencombos(blocks) -> list:
+    """|p,up> +- i |p,dn> under inversion, one report per (ptag, branch)
+    block of `blocks`, all blocks in one stacked evaluation.
 
     At ptag 0 these are honest +-1 eigenvectors; at moving tags the same
     combinations come back reflected with the same signs.  `residual` is
     the miss ||P v - s w|| against the reflected combination w (v itself at
     rest) and its sign s, `eigenvalue` the fitted <w, P v> / <w, w>.
     """
-    up, dn = (FockVector.basis(ptag, h, branch).amps for h in HEL)
-    up_r, dn_r = (FockVector.basis(-ptag, h, branch).amps for h in HEL)
-    # (plus, minus) on axis 0
+    # MODES index rows (mode or its reflection, up then dn, block, 1): the
+    # kets are (block, 1, mode) and the combinations (block, plus/minus, mode)
+    at = [[[[MODES.index((s * t, h, b))] for t, b in blocks] for h in HEL] for s in (1, -1)]
+    (up, dn), (up_r, dn_r) = EYE[len(MODES)][at]
     sign = np.array([[+1], [-1]])
     image = np.matvec(INVERSION.matrix, up + sign * 1j * dn)
     reflected = up_r + sign * 1j * dn_r
     fitted = (np.vecdot(reflected, image) / np.vecdot(reflected, reflected)).tolist()
     gaps = norm(image - sign * reflected).tolist()
-    rows = zip(("plus", "minus"), fitted, gaps)
-    return {tag: {"eigenvalue": e, "residual": r} for tag, e, r in rows}
+    return [
+        {tag: {"eigenvalue": e, "residual": r} for tag, e, r in zip(("plus", "minus"), *block)}
+        for block in zip(fitted, gaps)
+    ]
 
 
 def charge_eigencombos() -> dict:
     """|p,h>^+ +- i |p,h>^- are eigenvectors of the branch swap with
     eigenvalues -+i."""
-    # (helicity, plus/minus, mode)
-    particle, antiparticle = (
-        np.array([FockVector.basis(1, h, b).amps for h in HEL])[:, None] for b in (+1, -1)
-    )
+    # MODES index rows (branch, helicity, 1): the kets are (helicity, 1,
+    # mode) and the combinations (helicity, plus/minus, mode)
+    at = [[[MODES.index((1, h, b))] for h in HEL] for b in (+1, -1)]
+    particle, antiparticle = EYE[len(MODES)][at]
     sign = np.array([[+1], [-1]])
     vec = particle + sign * 1j * antiparticle
     lam = -sign * 1j

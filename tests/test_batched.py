@@ -851,9 +851,10 @@ def test_the_fock_sector_equals_its_loops():
     for subset in (ops, ops[:2], ops[1:], [fock.CHARGE_FLIP]):
         _same_report(fock.squares_report(subset), _squares_loop(subset))
     _assert_same_bits(fock.operator_state_consistency()["gaps"], _operator_state_loop())
-    for ptag in (0, 1, -1):
-        for branch in (+1, -1):
-            _same_report(fock.parity_eigencombos(ptag, branch), _parity_loop(ptag, branch))
+    # the six blocks in one stacked call, each against its own loop
+    blocks = [(ptag, branch) for ptag in (0, 1, -1) for branch in (+1, -1)]
+    for block, got in zip(blocks, fock.parity_eigencombos(blocks), strict=True):
+        _same_report(got, _parity_loop(*block))
     _same_report(fock.charge_eigencombos(), _charge_loop())
     _same_report(fock.both_branch_joint_eigenvector(), _both_branch_loop())
     cfg = checks.SuiteConfig()

@@ -97,6 +97,21 @@ def test_split_halves_are_conjugation_eigenmodes():
         assert np.all(r["odd"] < 1e-14)
 
 
+def test_the_halves_of_any_expansion_are_conjugation_eigenmodes():
+    # C is antilinear, so C^2 is linear and C half - s half = (C^2 nu - nu)/2:
+    # the check's sixteen unit expansions stand for every expansion, seeded
+    # random ones included, at any thetac
+    rng = np.random.default_rng(37)
+    nu = rng.standard_normal((64, 2, 2, 4)) + 1j * rng.standard_normal((64, 2, 2, 4))
+    for thetac in (0.0, 0.7):
+        gaps = fieldops.parity_residuals(nu, PhaseConvention(thetac=thetac))
+        assert [g.shape for g in gaps.values()] == [(64, 2, 2)] * 2
+        assert max(g.max() for g in gaps.values()) < 1e-15 * np.abs(nu).max()
+    assert checks.run_checks(checks.SuiteConfig(thetac=0.7, suites=("fieldops",)))[0][:3] == (
+        "fieldops/conjugation-parity", "the halves are conjugation eigen-expansions", "pass"
+    )
+
+
 def _with_nan_entry(g, row):
     family = g.family.copy()
     family[row, FAMILY.index("lam_s_up"), 1] = math.nan
@@ -125,9 +140,10 @@ def _registered(check_id, grid=None):
     return checks._run(check, cfg, grid or functools.partial(build_spinor_grid, cfg.momenta()))
 
 
-def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
-    # every fieldops check reads the run's grid; with one NaN row each one
-    # fails with a NaN maximum, and none raises
+def test_a_nan_family_entry_fails_every_grid_reading_fieldops_check(monkeypatch):
+    # every fieldops check but conjugation-parity, which judges the unit
+    # expansions, reads the run's grid; with one NaN row each one fails with
+    # a NaN maximum, and none raises
     build = halfspin.SpinorGrid.build.__func__
     patched = []
 
@@ -143,6 +159,9 @@ def test_a_nan_family_entry_fails_the_parity_check(monkeypatch):
     assert 18 in patched  # the run's own grid had the NaN row
     assert len(results) == 5
     for r in results:
+        if r.check_id == "fieldops/conjugation-parity":
+            assert (r.status, r.max_residual) == ("pass", 0.0)
+            continue
         assert r.status == "fail", r.check_id
         assert math.isnan(r.max_residual), r.check_id
 

@@ -133,12 +133,11 @@ def test_matrix_leak_detection():
 
 
 def test_parity_eigencombos():
-    rest = fock.parity_eigencombos(0)
+    rest, moving = fock.parity_eigencombos([(0, +1), (-1, +1)])
     assert rest["plus"]["eigenvalue"] == +1
     assert rest["minus"]["eigenvalue"] == -1
     assert rest["plus"]["residual"] < 1e-14
     assert rest["minus"]["residual"] < 1e-14
-    moving = fock.parity_eigencombos(-1)
     assert moving["plus"]["residual"] < 1e-14
     assert moving["minus"]["residual"] < 1e-14
 

@@ -83,6 +83,15 @@ def _without_conjugate(op, v):
     return linalg.apply(op.matrix, np.asarray(v, dtype=complex))
 
 
+_CONJUGATE_EXPANSION = fieldops.charge_conjugate_expansion
+
+
+def _negated_creator_slot(x, conv=halfspin.PhaseConvention()):
+    # the conjugate with its creator slot negated: then C^2 = -1, since the
+    # second application negates the other slot
+    return _CONJUGATE_EXPANSION(x, conv) * np.array([1.0, -1.0])[:, None, None]
+
+
 def _polar_reflection(g):
     # theta -> pi - theta with the azimuth kept, not turned by pi: each row
     # reflects into its own half-plane, not the opposite one
@@ -127,6 +136,11 @@ MUTANTS = {
         _constant(halfspin, "_CONJUGATION_BLOCK", lambda m: 2 * m),
         _CONJUGATION_CHECKS | {"spin1/reality-classes"},
         {"linalg/antilinear-algebra", "spin1/selfconjugacy-dichotomy"},
+    ),
+    "negated-creator-slot": (
+        _attribute(fieldops, "charge_conjugate_expansion", _negated_creator_slot),
+        {"fieldops/conjugation-parity", "fieldops/mode-structure", "fieldops/ziino-split"},
+        set(),
     ),
     "unit-rest-scale": (
         _attribute(halfspin.PhaseConvention, "rest_scale", lambda conv, mass: np.ones_like(mass)),
@@ -202,7 +216,6 @@ MUTANTS = {
             "fieldops/dirac-embedding",
             "halfspin/dynamical-residuals",
             "halfspin/eigenstructure-split",
-            "halfspin/second-order-tensors",
             "spin1/on-shell-contraction",
         },
         set(),
@@ -291,7 +304,6 @@ UNMOVED = {
     "spin1/majorana-unitarity:u_udagger",
     "spin1/reality-classes:every class as expected",
     "spin1/reality-classes:half_minority",
-    "spin1/reality-classes:one_minority",
     "spin1/selfconjugacy-dichotomy:spin-1/2 square +1",
     "spin1/wigner-theta:conjugates_j",
     "spin1/wigner-theta:involution",
@@ -403,14 +415,15 @@ def _random_spinors(monkeypatch):
 # The judged residuals and predicates of the checks that ask for a grid
 # which no grid can move: each stays within 1e-9 when every grid's spinors
 # and every six-spinor are seeded random arrays.  A new one fails the suite
-# until it is listed here under its reason.
+# until it is listed here under its reason.  There is no open-debt group: a
+# law that no spinor can move is judged once, on a basis or on fixed
+# matrices, or deleted with its proof.
 GRID_BLIND = {
     # fixed matrices, judged beside the grid
     "fieldops/quaternion-orbit:orbit_group_law",
     "halfspin/conjugation-eigenvalues:squares",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
-    "halfspin/second-order-tensors:tensor_pair",
     "spin1/reality-classes:half_frame",
     "spin1/reality-classes:one_frame",
     "spin1/wigner-theta:conjugates_j",
@@ -419,16 +432,6 @@ GRID_BLIND = {
     "halfspin/helicity-spinors:eigen",
     "halfspin/helicity-spinors:unit_norm",
     "spin1/wigner-theta:triad",
-    # open debt, blind to the spinors they are judged on: (S^c)^2 = 1
-    # restated, p^2 - m^2 alone, and one_frame restated through
-    # lambda_like's construction
-    "fieldops/conjugation-parity:even",
-    "fieldops/conjugation-parity:odd",
-    "fieldops/mode-structure:involution",
-    "fieldops/dirac-embedding:eigenspace_residual",
-    "halfspin/second-order-tensors:left",
-    "halfspin/second-order-tensors:right",
-    "spin1/reality-classes:one_minority",
 }
 
 
