@@ -515,12 +515,3 @@ def _sigma_tensors():
 # sigma^{ij} = eps_{ijk} sigma^k.
 FGM_SIGMA, FGM_TILDE = frozen(np.array(_sigma_tensors()))
 
-
-def fgm_residuals(b: SpinorGrid) -> dict:
-    """Per-row free second-order residuals |p.p - m^2| ||phi|| of the
-    boosted phi_R and phi_L of the up member."""
-    # metric (+,-,-,-); the operator (p.p - m^2) 1 acts on the (phi_R, phi_L) pair
-    scal = b.energy * b.energy - np.vecdot(b.pvec, b.pvec)
-    ops = rowscale(scal) * ID2 - rowscale(b.mass**2) * ID2
-    r = norm(apply(ops, np.concatenate([b.right[:, :1], b.left[:, :1]], axis=1)))
-    return {"right": r[:, 0], "left": r[:, 1]}

@@ -2,8 +2,8 @@
 
 Each oracle below is the per-item loop that the batched code replaced, kept
 here as the reference: the group table, the quaternion orbit and its group
-law, the massless scan, the rest-phase scan of the Gram matrix, the free
-second-order residuals, the direction residuals and the seeded samples.  A
+law, the massless scan, the rest-phase scan of the Gram matrix, the
+direction residuals, the seeded samples and the Kronecker products.  A
 batched row must equal its loop result bit for bit (np.array_equal), so
 batching cannot move a printed number.  The same holds for the forms that
 replaced containers: the grid of a run's kinematic arrays and its reflection
@@ -175,24 +175,8 @@ def test_a_phase_scan_needs_finite_phases():
         checks.SuiteConfig(theta1=(0.1,) * 18, theta2=(0.0,) * 18)
 
 
-@SETTINGS
-@given(st.lists(momenta, min_size=1, max_size=4))
-# a rest momentum whose m ** 2 through pow() is an ulp off m * m
-@example([FourMomentum(633.4352439106198, 0.0)])
-def test_second_order_residuals_equal_the_loop(rows):
-    got = halfspin.fgm_residuals(halfspin.build_spinor_grid(rows))
-    for k, p in enumerate(rows):
-        b = build_spinor_basis(p)
-        scal = b.energy[0] * b.energy[0] - np.vecdot(b.pvec[0], b.pvec[0])
-        # m * m, as the package's array square computes it: a numpy scalar's
-        # ** 2 goes through pow() and can miss it by an ulp
-        op = scal * halfspin.ID2 - b.mass[0] * b.mass[0] * halfspin.ID2
-        for side, key in ((b.right, "right"), (b.left, "left")):
-            assert got[key][k] == norm(op @ side[0, 0])
-
-
 # ---------------------------------------------------------------------------
-# directions and seeded samples
+# directions, seeded samples and Kronecker products
 
 
 @SETTINGS
@@ -240,7 +224,9 @@ def test_seeded_samples_equal_the_loops():
         antilinear.append(max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
     got = checks._antilinear_algebra(cfg, None).residuals["antilinearity"]
     assert np.array_equal(got, antilinear)
-    draw = _stream(11)
+
+
+def test_kron_residuals_equal_the_loop():
     sigma, theta, one = halfspin.SIGMA, halfspin.THETA, halfspin.ID2
     # gamma^0, gamma^1..3, gamma^5 and their (chirality, spin) factors
     factors = [(halfspin.GAMMA0, sigma[0], one)]
@@ -248,12 +234,9 @@ def test_seeded_samples_equal_the_loops():
     factors += [(halfspin.GAMMA5, sigma[2], one)]
     for m, chirality, spin in factors:
         assert np.array_equal(m, np.kron(chirality, spin))
-    kron = []
-    for _ in range(8):
-        a = draw(2) + 1j * draw(2)
-        b = draw(2) + 1j * draw(2)
-        kron.append([max_abs(m @ np.kron(a, b) - np.kron(c @ a, s @ b)) for m, c, s in factors])
-    assert np.array_equal(checks._kron(cfg, None).residuals["mixed_product"], kron)
+    kron = [np.abs(m - np.kron(chirality, spin)) for m, chirality, spin in factors]
+    got = checks._kron(checks.SuiteConfig(), None).residuals["mixed_product"]
+    assert np.array_equal(got, kron)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ def _rows(g) -> dict:
     }
     out.update(halfspin.dynamical_residuals(g))
     out.update(halfspin.xi_alias_residuals(g))
-    out.update({f"fgm_{k}": v for k, v in halfspin.fgm_residuals(g).items()})
     out.update({f"parity_{k}": v for k, v in fieldops.conjugation_parity_residuals(g).items()})
     out.update(spin1.transverse_reality_report(g))
     return out

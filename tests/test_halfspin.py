@@ -212,7 +212,6 @@ def test_family_functions_read_the_basis_they_are_given(monkeypatch):
     halfspin.connection_check(b)
     halfspin.xi_alias_residuals(b)
     halfspin.biorthonormality_gram(b)
-    halfspin.fgm_residuals(b)
     fieldops.majorana_mode(b)
     fieldops.ziino_barut_split(b)
     fieldops.conjugation_parity_residuals(b)
@@ -403,12 +402,6 @@ def test_fgm_tensor_forms():
     assert np.array_equal(sig[(1, 2)], halfspin.SIGMA[2])
     assert np.array_equal(til[(1, 2)], halfspin.SIGMA[2])
     assert linalg.max_abs(sig[(0, 0)]) == 0.0
-
-
-def test_fgm_residuals_free_field():
-    for p in GRID:
-        r = halfspin.fgm_residuals(halfspin.build_spinor_basis(p))
-        assert r["right"] < 1e-12 and r["left"] < 1e-12
 
 
 def test_discrete_ops_validation():

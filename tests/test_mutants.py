@@ -110,8 +110,15 @@ def _phase_only_gauge(alpha):
     return linalg.rowscale(np.exp(-1j * np.asarray(alpha))) * halfspin.ID4
 
 
-# S^c with a linear conjugation or a doubled block breaks every statement
-# about the conjugation but the massless scan's
+def _one_phase_xi_factor(phi_p):
+    # diag(e^{i phi}, e^{i phi}, e^{i phi}, e^{i phi}): on the meridian grid,
+    # where e^{i phi} is +-1, it is the true factor
+    e = np.exp(1j * np.asarray(phi_p))
+    return linalg.diagonal(e, e, e, e)
+
+
+# S^c with a linear conjugation breaks every statement about the
+# conjugation but the massless scan's
 _CONJUGATION_CHECKS = {
     "fieldops/conjugation-parity",
     "fieldops/mode-structure",
@@ -124,6 +131,13 @@ _CONJUGATION_CHECKS = {
     "spin1/selfconjugacy-dichotomy",
 }
 
+# the checks of the phase maps' conjugation status
+_ORBIT_CHECKS = {
+    "fieldops/quaternion-orbit",
+    "halfspin/exchange-quadruple",
+    "halfspin/gauge-orbit",
+}
+
 # name: (how to plant the mutant, the checks that FAIL under it, those that
 # FAIL because a library function refuses it)
 MUTANTS = {
@@ -132,9 +146,11 @@ MUTANTS = {
         _CONJUGATION_CHECKS,
         set(),
     ),
+    # a doubled S^c still intertwines with every phase map, so the three
+    # orbit checks, which judge S^c M = s M S^c, do not see it
     "doubled-conjugation-block": (
         _constant(halfspin, "_CONJUGATION_BLOCK", lambda m: 2 * m),
-        _CONJUGATION_CHECKS | {"spin1/reality-classes"},
+        (_CONJUGATION_CHECKS - _ORBIT_CHECKS) | {"spin1/reality-classes"},
         {"linalg/antilinear-algebra", "spin1/selfconjugacy-dichotomy"},
     ),
     "negated-creator-slot": (
@@ -160,13 +176,11 @@ MUTANTS = {
         },
         set(),
     ),
+    # the Dirac images (1 +- slash/m) lambda read no rho member, so the
+    # embedding's Gram law does not see it
     "negated-rho-s": (
         _family(_negate_rho_s),
-        {
-            "fieldops/dirac-embedding",
-            "halfspin/dynamical-residuals",
-            "halfspin/eigenstructure-split",
-        },
+        {"halfspin/dynamical-residuals", "halfspin/eigenstructure-split"},
         set(),
     ),
     "shifted-lambda-s-up-rest-phase": (
@@ -185,6 +199,13 @@ MUTANTS = {
     "polar-only-reflection": (
         _attribute(halfspin.SpinorGrid, "reflected", property(_polar_reflection)),
         {"halfspin/eigenstructure-split"},
+        set(),
+    ),
+    # no grid row can see it, since every one has e^{i phi} = +-1: only the
+    # exchange maps judged at phi = pi/2 do
+    "one-phase-xi-factor": (
+        _attribute(halfspin, "xi_factor", _one_phase_xi_factor),
+        {"halfspin/exchange-quadruple"},
         set(),
     ),
     "phase-only-gauge-lambda": (
@@ -420,8 +441,8 @@ def _random_spinors(monkeypatch):
 # matrices, or deleted with its proof.
 GRID_BLIND = {
     # fixed matrices, judged beside the grid
-    "fieldops/quaternion-orbit:orbit_group_law",
     "halfspin/conjugation-eigenvalues:squares",
+    "halfspin/exchange-quadruple:image_sign",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
     "spin1/reality-classes:half_frame",
