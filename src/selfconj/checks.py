@@ -8,8 +8,8 @@ carries it.  An entry is registered with the `_check` decorator under a
 stable id ("<suite>/<name>"), a descriptive anchor and a tolerance rule: a
 (floor, cap) pair that clamps `cfg.tolerance`, or None for a 'reported'
 check.  It returns an Evaluation: the residuals it measured, by name
-(arrays with one row per momentum, phase pair, sample or group element, or
-numbers), the `values` the report carries, and named structural
+(arrays with one row per momentum, phase pair, unit vector or group
+element, or numbers), the `values` the report carries, and named structural
 predicates.  A check that scans fixed sets evaluates them as one array
 expression: the rest-phase pairs of a Gram scan or the masses of the
 massless scan are the rows of one SpinorGrid build.
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 import sys
 from collections import namedtuple
 
@@ -307,18 +306,6 @@ def _run(check: _Check, cfg: SuiteConfig, grid) -> CheckResult:
     return CheckResult(check.check_id, check.anchor, status, worst, tol, dict(ev.values))
 
 
-def _samples(seed: int, rows: int, cols: int) -> np.ndarray:
-    """Seeded numbers in [-1, 1), row by row: the standard library's
-    random.Random(seed).random() stream, which Python keeps the same across
-    versions, mapped exactly by x -> 2 x - 1; read-only."""
-    draw = random.Random(seed).random
-    return linalg.frozen(np.array([2 * draw() - 1 for _ in range(rows * cols)]).reshape(rows, cols))
-
-
-# the samples of the one seeded check, drawn at import: a run draws none
-_ANTILINEAR_SAMPLES = _samples(7, 16, 18)
-
-
 def _intertwining(maps, signs, conv: PhaseConvention) -> np.ndarray:
     """|S^c(M e_k) - s M S^c(e_k)| per map M and unit vector e_k of C^4:
     (..., 4) for maps (..., 4, 4) and signs s broadcasting against their
@@ -329,6 +316,11 @@ def _intertwining(maps, signs, conv: PhaseConvention) -> np.ndarray:
     # the rows of M^T are the images M e_k
     turned = np.matvec(maps[..., None, :, :], c(halfspin.ID4))
     return norm(c(maps.swapaxes(-1, -2)) - np.asarray(signs)[..., None, None] * turned)
+
+
+# the sixteen unit two-spinors, the real unit vectors e_k and i e_k of
+# (phi_L, phi_R): (vector, phi_L then phi_R, helicity, component)
+_UNIT_TWO_SPINORS = linalg.frozen(np.concatenate([np.eye(8), 1j * np.eye(8)]).reshape(16, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +339,10 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
         "conjugation_square": linalg.max_abs(c.squared() - halfspin.ID4),
         "rotation_square": linalg.max_abs(j.squared() + halfspin.ID2),
     }
-    # 16 samples in one draw: per row v, w (re then im) and a, in the order
-    # of drawing them one at a time
-    s = _ANTILINEAR_SAMPLES
-    v, w = s[:, 0:4] + 1j * s[:, 4:8], s[:, 8:12] + 1j * s[:, 12:16]
-    a = (s[:, 16] + 1j * s[:, 17])[:, None]
-    # antilinearity: op(a v + w) = conj(a) op(v) + op(w)
-    res["antilinearity"] = linalg.max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w)), axis=-1)
+    # M conj(.) is real-linear, so op(i v) = -i op(v) on the unit vectors e_k
+    # and i e_k of C^4 gives antilinearity, op(a v + w) = conj(a) op(v) + op(w)
+    v = np.concatenate([halfspin.ID4, 1j * halfspin.ID4])
+    res["antilinearity"] = linalg.max_abs(c(1j * v) + 1j * c(v), axis=-1)
     return Evaluation(
         res,
         {
@@ -363,7 +352,7 @@ def _antilinear_algebra(cfg: SuiteConfig, grid):
     )
 
 
-@_check("linalg/kron-mixed-product", "tensor product compatibility", (1e-13, math.inf))
+@_check("linalg/kron-mixed-product", "tensor product compatibility")
 def _kron(cfg: SuiteConfig, grid):
     # the chiral-basis Dirac matrices as chirality (x) spin products:
     # gamma^0 = sigma_x (x) 1, gamma^i = Theta (x) sigma^i, gamma^5 = sigma_z (x) 1.
@@ -404,10 +393,12 @@ def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
     phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
     squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
-    g = grid()
+    # no grid: each gap is real-linear in (phi_L, phi_R), and a grid row's
+    # family is family_of its own two-spinors; at thetac 0, as grids are built
+    family = halfspin.family_of(_UNIT_TWO_SPINORS)
     return Evaluation(
-        {"squares": squares, "eigen": halfspin.conjugation_gaps(g.family, g.convention)},
-        {"momenta": len(g.mass), "family_size": 8},
+        {"squares": squares, "eigen": halfspin.conjugation_gaps(family, PhaseConvention())},
+        {"family_size": 8},
     )
 
 
@@ -904,16 +895,9 @@ def _eigencombinations(cfg: SuiteConfig, grid):
     return Evaluation(
         res,
         {"charge_eigenvalues": {k: d["eigenvalue"] for k, d in charges.items()}},
-        {
-            # the Majorana-type construction: a Dirac-type inversion gives
-            # the antiparticle branch the opposite intrinsic parity
-            "equal rest-sector parity eigenvalues on both branches": particle == antiparticle,
-            "charge eigenvalues -+i": all(
-                charges[f"{h}_{t}"]["eigenvalue"] == (-1j if t == "plus" else 1j)
-                for h in ("up", "dn")
-                for t in ("plus", "minus")
-            )
-        },
+        # the Majorana-type construction: a Dirac-type inversion gives the
+        # antiparticle branch the opposite intrinsic parity
+        {"equal rest-sector parity eigenvalues on both branches": particle == antiparticle},
     )
 
 
@@ -954,9 +938,10 @@ def _operator_state(cfg: SuiteConfig, grid):
 
 @_check("fieldops/mode-structure", "fixed-momentum expansion layout and conjugation involution")
 def _mode_structure(cfg: SuiteConfig, grid):
-    g = grid()
-    nu = fieldops.majorana_mode(g)
-    cnu = fieldops.charge_conjugate_expansion(nu, g.convention)
+    # no grid: the layout gap is real-linear in (phi_L, phi_R), so the
+    # modes of the unit two-spinors' families decide it, at thetac 0
+    nu = fieldops.mode_of(halfspin.family_of(_UNIT_TWO_SPINORS))
+    cnu = fieldops.charge_conjugate_expansion(nu)
     # lambda^S rides the annihilators and lambda^A the creators, each with
     # its S^c sign: C(nu) is nu with the slots swapped and signs (-1, +1).
     # The involution C^2 = 1 is judged on the unit expansions, by

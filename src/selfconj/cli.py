@@ -197,7 +197,7 @@ def main(argv=None) -> int:
             )
         else:
             report = _tabulate(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"selfconj: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from .halfspin import (
     GAMMA0,
     GAMMA5,
     ID4,
+    LAMBDAS,
     THETA,
     FourMomentum,
     PhaseConvention,
@@ -41,10 +42,15 @@ def residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return max_abs(x - y, axis=-1)
 
 
+def mode_of(family: np.ndarray) -> np.ndarray:
+    """The expansion of (N, 8, 4) families: lambda^S rides the annihilators
+    at positive frequency, lambda^A the creators at negative frequency."""
+    return family[:, LAMBDAS].reshape(-1, 2, 2, 4)
+
+
 def majorana_mode(g: SpinorGrid) -> np.ndarray:
-    """The fixed-momentum expansion: lambda^S rides the annihilators at
-    positive frequency, lambda^A the creators at negative frequency."""
-    return g.lambda_stack().reshape(-1, 2, 2, 4)
+    """The fixed-momentum expansion of the grid's family (mode_of)."""
+    return mode_of(g.family)
 
 
 def charge_conjugate_expansion(

@@ -194,9 +194,19 @@ LAM_S, RHO_S, LAM_A, RHO_A = (slice(k, k + 2) for k in (0, 2, 4, 6))
 # rows (lambda^S_up, lambda^S_dn, lambda^A_up, lambda^A_dn) of the family
 LAMBDAS = (0, 1, 4, 5)
 # +i Theta and -i Theta; and each member's (top, bottom) halves among the 6
-# blocks of SpinorGrid.build: phi_L, phi_R, +-i Theta conj(phi_L), +-i Theta conj(phi_R)
+# blocks of family_of: phi_L, phi_R, +-i Theta conj(phi_L), +-i Theta conj(phi_R)
 _I_THETA = frozen(np.array([1j, -1j])[:, None, None] * THETA)
 _HALVES = frozen(np.array([[2, 0], [1, 5], [3, 0], [1, 4]]))
+
+
+def family_of(chiral: np.ndarray) -> np.ndarray:
+    """The (N, 8, 4) family in FAMILY order of the two-spinors `chiral`,
+    (N, 2 [phi_L, phi_R], 2 [helicity], 2): lambda = (+-i Theta conj(phi_L),
+    phi_L) and rho = (phi_R, -+i Theta conj(phi_R)), for any two-spinors."""
+    # +-i Theta conj of both: (row, phi_L then phi_R, sign, helicity, component)
+    turned = np.matvec(_I_THETA[:, None], np.conjugate(chiral)[:, :, None])
+    blocks = np.concatenate([chiral, turned.reshape(-1, 4, 2, 2)], axis=1)
+    return blocks[:, _HALVES].swapaxes(2, 3).reshape(-1, 8, 4)
 
 
 class SpinorGrid(
@@ -266,12 +276,9 @@ class SpinorGrid(
         if phases.shape[:-1] not in ((), mass.shape):
             raise ValueError("a phase scan needs one phase pair per grid row")
         rest = scale[:, None, None] * phases[..., None] * _helicity_pair(theta, phi)
-        # (row, phi_L then phi_R, helicity, component), and +-i Theta conj of
-        # both: (row, phi_L then phi_R, sign, helicity, component)
+        # (row, phi_L then phi_R, helicity, component)
         chiral = np.concatenate([half[:, None, ::-1], half[:, None]], axis=1) * rest[:, None]
-        turned = np.matvec(_I_THETA[:, None], np.conjugate(chiral)[:, :, None])
-        blocks = np.concatenate([chiral, turned.reshape(-1, 4, 2, 2)], axis=1)
-        family = blocks[:, _HALVES].swapaxes(2, 3).reshape(-1, 8, 4)
+        family = family_of(chiral)
         return cls(conv, mass, pmag, theta, phi, energy, nhat, chiral[:, 0], chiral[:, 1], family)
 
 

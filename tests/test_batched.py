@@ -3,7 +3,7 @@
 Each oracle below is the per-item loop that the batched code replaced, kept
 here as the reference: the group table, the quaternion orbit and its group
 law, the massless scan, the rest-phase scan of the Gram matrix, the
-direction residuals, the seeded samples and the Kronecker products.  A
+direction residuals, the antilinearity units and the Kronecker products.  A
 batched row must equal its loop result bit for bit (np.array_equal), so
 batching cannot move a printed number.  The same holds for the forms that
 replaced containers: the grid of a run's kinematic arrays and its reflection
@@ -176,7 +176,7 @@ def test_a_phase_scan_needs_finite_phases():
 
 
 # ---------------------------------------------------------------------------
-# directions, seeded samples and Kronecker products
+# directions, antilinearity units and Kronecker products
 
 
 @SETTINGS
@@ -201,29 +201,14 @@ def test_direction_residuals_equal_the_loops(n_directions):
     assert np.array_equal(np.ravel(wigner["triad"]), triad)
 
 
-def _stream(seed):
-    """The samples' source drawn one value at a time: random.Random(seed)
-    mapped to [-1, 1); draw(*shape) takes the next values, row-major."""
-    rng = random.Random(seed)
-
-    def draw(*shape):
-        return np.array([2 * rng.random() - 1 for _ in range(math.prod(shape))]).reshape(shape)
-
-    return draw
-
-
-def test_seeded_samples_equal_the_loops():
-    cfg = checks.SuiteConfig()
+def test_antilinearity_residuals_equal_the_loop():
+    # op(i v) + i op(v) on the unit vectors e_k and i e_k of C^4, one at a time
+    cfg = checks.SuiteConfig(thetac=0.7)
     c = halfspin.charge_conjugation_op(cfg.convention)
-    draw = _stream(7)
-    antilinear = []
-    for _ in range(16):
-        v = draw(4) + 1j * draw(4)
-        w = draw(4) + 1j * draw(4)
-        a = draw() + 1j * draw()
-        antilinear.append(max_abs(c(a * v + w) - (np.conjugate(a) * c(v) + c(w))))
+    units = [z * e for z in (1, 1j) for e in np.eye(4)]
+    want = [max_abs(c(1j * v) + 1j * c(v)) for v in units]
     got = checks._antilinear_algebra(cfg, None).residuals["antilinearity"]
-    assert np.array_equal(got, antilinear)
+    assert np.array_equal(got, want)
 
 
 def test_kron_residuals_equal_the_loop():

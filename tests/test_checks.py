@@ -376,7 +376,7 @@ _TOLS = {
     "halfspin/massless-limit": (1e-4, 1e-4, 1e-4),
     "halfspin/second-order-tensors": (0.0, 1e-12, 1e-3),
     "linalg/antilinear-algebra": (1e-14, 1e-12, 1e-3),
-    "linalg/kron-mixed-product": (1e-13, 1e-12, 1e-3),
+    "linalg/kron-mixed-product": (0.0, 1e-12, 1e-3),
     "spin1/chirality-flip": (0.0, 1e-15, 1e-15),
     "spin1/majorana-real-family": (0.0, 1e-12, 1e-3),
     "spin1/majorana-unitarity": (0.0, 1e-15, 1e-15),
@@ -406,7 +406,7 @@ def test_tolerance_rules_are_frozen():
 _ENTRIES = {
     "fieldops/conjugation-parity": 128,
     "fieldops/dirac-embedding": 38,
-    "fieldops/mode-structure": 72,
+    "fieldops/mode-structure": 64,
     "fieldops/quaternion-orbit": 32,
     "fieldops/ziino-split": 160,
     "fock/eigencombinations": 12,
@@ -418,7 +418,7 @@ _ENTRIES = {
     "halfspin/biorthonormality-sign": 2,
     "halfspin/biorthonormality-structure": 72,
     "halfspin/chiral-helicity-halves": 8,
-    "halfspin/conjugation-eigenvalues": 148,
+    "halfspin/conjugation-eigenvalues": 132,
     "halfspin/dirac-connection": 144,
     "halfspin/dynamical-residuals": 144,
     "halfspin/eigenstructure-split": 252,
@@ -427,7 +427,7 @@ _ENTRIES = {
     "halfspin/helicity-spinors": 26,
     "halfspin/massless-limit": 0,
     "halfspin/second-order-tensors": 32,
-    "linalg/antilinear-algebra": 18,
+    "linalg/antilinear-algebra": 10,
     "linalg/kron-mixed-product": 80,
     "spin1/chirality-flip": 6,
     "spin1/majorana-real-family": 21,
@@ -460,7 +460,7 @@ def test_judged_entry_counts_are_frozen():
         assert all(re.fullmatch(r"[a-z][a-z0-9_]*", name) for name in ev.residuals), check_id
         counts[check_id] = sum(np.size(r) for r in ev.residuals.values())
     assert counts == _ENTRIES
-    assert sum(counts.values()) == 1927
+    assert sum(counts.values()) == 1895
 
 
 # frozen calls a default run makes to (linalg.apply, linalg.norm,
@@ -492,7 +492,7 @@ _CALLS = {
     "halfspin/helicity-spinors": (1, 2, 0),
     "halfspin/massless-limit": (0, 1, 1),
     "halfspin/second-order-tensors": (0, 0, 0),
-    "linalg/antilinear-algebra": (3, 0, 0),
+    "linalg/antilinear-algebra": (2, 0, 0),
     "linalg/kron-mixed-product": (0, 0, 0),
     "spin1/chirality-flip": (2, 1, 0),
     "spin1/majorana-real-family": (0, 0, 0),
@@ -536,7 +536,7 @@ def test_call_counts_are_frozen(monkeypatch):
     monkeypatch.setattr(checks, "_REGISTRY", [attributed(c) for c in checks._REGISTRY])
     checks.run_checks(checks.SuiteConfig())
     assert {k: tuple(v) for k, v in counts.items()} == _CALLS
-    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [41, 37, 8]
+    assert [sum(v[k] for v in _CALLS.values()) for k in range(3)] == [40, 37, 8]
 
 
 def _oracle_worst(residuals: list, holds: bool) -> float:
@@ -706,20 +706,6 @@ def test_a_default_run_calls_no_python_level_numpy_wrappers(monkeypatch):
     # import-time constants (fock's SymmetryOp, spin1's frame blocks) may
     # use them; a run may not
     assert calls == dict.fromkeys((*_WRAPPERS, "linalg.norm"), 0)
-
-
-# the seeded check's samples, drawn at import: (constant, seed, shape)
-_SAMPLES = [(checks._ANTILINEAR_SAMPLES, 7, (16, 18))]
-
-
-def test_seeded_samples_are_the_standard_stream_and_read_only():
-    for got, seed, shape in _SAMPLES:
-        rng = random.Random(seed)
-        want = np.array([2 * rng.random() - 1 for _ in range(math.prod(shape))]).reshape(shape)
-        assert got.shape == shape and got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0, 0] = 0.0
 
 
 # Two default runs in a fresh interpreter, after import: the random.Random

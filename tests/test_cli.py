@@ -227,8 +227,8 @@ def test_default_run_loads_neither_sympy_nor_mpmath():
 
 @pytest.mark.parametrize("argv", [["-m", "selfconj.cli", "run"], ["-c", "import selfconj"]])
 def test_cold_start_never_imports_numpy_random(argv):
-    # the seeded samples come from the standard library; numpy.random would
-    # add its import, its teardown and about 5 MB to every cold run.
+    # no check draws samples; numpy.random would add its import, its
+    # teardown and about 5 MB to every cold run.
     # -X importtime names each module the process imports, on stderr
     done = python("-X", "importtime", *argv)
     assert done.returncode == 0

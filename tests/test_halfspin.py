@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import sympy as sp
+from test_mutants import MUTANTS
 
 from selfconj import fieldops, halfspin, linalg, spin1
 from selfconj.halfspin import (
@@ -164,6 +165,22 @@ def test_conjugation_eigenvalues_across_grid():
         b = halfspin.build_spinor_basis(p)
         for name, psi, sign in charge_family(b):
             assert np.linalg.norm(c(psi) - sign * psi) < 1e-12, name
+
+
+def test_the_family_is_the_layout_of_any_two_spinors():
+    # the run's grid rows are family_of their own phi_L, phi_R
+    g = halfspin.build_spinor_grid(GRID, PhaseConvention(0.3, 0.4, norm=2.0))
+    assert np.array_equal(halfspin.family_of(np.stack([g.left, g.right], axis=1)), g.family)
+    # and any two-spinors are laid out as displayed, into S^c eigenvectors
+    rng = np.random.default_rng(39)
+    chiral = rng.standard_normal((5, 2, 2, 2)) + 1j * rng.standard_normal((5, 2, 2, 2))
+    family = halfspin.family_of(chiral)
+    left, right = chiral[:, 0], chiral[:, 1]
+    turn_l, turn_r = (linalg.apply(1j * halfspin.THETA, np.conjugate(x)) for x in (left, right))
+    want = [(turn_l, left), (right, -turn_r), (-turn_l, left), (right, turn_r)]
+    want = np.concatenate([np.concatenate(pair, axis=-1) for pair in want], axis=1)
+    assert np.array_equal(family, want)
+    assert halfspin.conjugation_gaps(family, PhaseConvention()).max() < 1e-15
 
 
 def test_conjugation_square_free_of_global_phase():
@@ -351,6 +368,21 @@ def test_xi_alias_residuals_default_convention():
         assert list(out) == ["alias1", "alias2", "alias3", "alias4"]
         assert all(v.shape == (1, 2) for v in out.values())  # row, helicity
         assert max(v.max() for v in out.values()) < 1e-12
+
+
+def test_the_exchange_aliases_hold_off_the_meridian(monkeypatch):
+    # every run row has Xi = +-1, so the check's aliases never see a generic
+    # azimuth; here phi is 0.4, 2.0 and 4.0, at unit rest phases
+    rows = [(1.0, 1.0, 1.1, 0.4), (1.0, 1.0, 1.1, 2.0), (1.0, 2.0, 0.7, 4.0)]
+    g = halfspin.build_spinor_grid([FourMomentum(*row) for row in rows])
+    aliases = np.array(list(halfspin.xi_alias_residuals(g).values()))
+    assert aliases.shape == (4, 3, 2)  # alias, row, helicity
+    assert aliases.max() < 4 * np.finfo(float).eps
+    # one phase e^{i phi} on both helicities, the true factor on the meridian
+    plant, _, _ = MUTANTS["one-phase-xi-factor"]
+    plant(monkeypatch)
+    aliases = np.array(list(halfspin.xi_alias_residuals(g).values()))
+    assert aliases.min() > 0.1 and aliases.max() > 1.0
 
 
 def test_w_group_table_is_quaternionic():

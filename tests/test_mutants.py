@@ -3,9 +3,13 @@ at least one in-process mutant of the family, an operator or a fixed
 matrix, and every judged residual and predicate moves under one or is
 listed as not yet moved.  A second probe makes every spinor a run builds
 seeded noise: every judged entry of a check that asks for a grid must move,
-or be listed as blind to the grid.  The mutants are planted here with
+or be listed as blind to the grid.  A third builds every family from noisy
+two-spinors through the lambda/rho layout, and lists what the layout alone
+keeps in place.  The mutants are planted here with
 monkeypatch; the package carries no mutation knob and no check builds a
 mutant of its own."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -110,6 +114,12 @@ def _phase_only_gauge(alpha):
     return linalg.rowscale(np.exp(-1j * np.asarray(alpha))) * halfspin.ID4
 
 
+def _symmetric_i_theta(i_theta):
+    # +-i sigma_x in place of +-i Theta in the lambda/rho layout: the halves
+    # +-i sigma_x conj(phi) are no longer the S^c partners of phi
+    return np.array([1j, -1j])[:, None, None] * halfspin.SIGMA[0]
+
+
 def _one_phase_xi_factor(phi_p):
     # diag(e^{i phi}, e^{i phi}, e^{i phi}, e^{i phi}): on the meridian grid,
     # where e^{i phi} is +-1, it is the true factor
@@ -193,6 +203,22 @@ MUTANTS = {
             "halfspin/dynamical-residuals",
             "halfspin/eigenstructure-split",
             "halfspin/exchange-quadruple",
+        },
+        set(),
+    ),
+    # the layout itself: both basis checks build their family through it
+    "symmetric-theta-layout": (
+        _constant(halfspin, "_I_THETA", _symmetric_i_theta),
+        {
+            "fieldops/dirac-embedding",
+            "fieldops/mode-structure",
+            "fieldops/ziino-split",
+            "halfspin/biorthonormality-structure",
+            "halfspin/conjugation-eigenvalues",
+            "halfspin/dirac-connection",
+            "halfspin/dynamical-residuals",
+            "halfspin/eigenstructure-split",
+            "spin1/reality-classes",
         },
         set(),
     ),
@@ -306,12 +332,9 @@ def test_every_judged_check_has_a_mutant():
 UNMOVED = {
     "fieldops/quaternion-orbit:orbit_group_law",
     "fieldops/ziino-split:displayed_oracle",
-    "fock/eigencombinations:charge eigenvalues -+i",
     "fock/squares-and-commutation:charge_flip_square",
     "fock/squares-and-commutation:inversion_square",
     "fock/state-tables:unitary",
-    "halfspin/biorthonormality-structure:antisymmetry",
-    "halfspin/biorthonormality-structure:diagonal",
     "halfspin/dirac-connection:phase_drift",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
@@ -323,8 +346,6 @@ UNMOVED = {
     "spin1/majorana-real-family:family_gaps",
     "spin1/majorana-real-family:family_imag_parts",
     "spin1/majorana-unitarity:u_udagger",
-    "spin1/reality-classes:every class as expected",
-    "spin1/reality-classes:half_minority",
     "spin1/selfconjugacy-dichotomy:spin-1/2 square +1",
     "spin1/wigner-theta:conjugates_j",
     "spin1/wigner-theta:involution",
@@ -414,9 +435,11 @@ def test_negated_rho_s_misses_the_third_relation_by_2m_rho(monkeypatch):
     assert r3.max() == pytest.approx(3.5978148798957346, rel=1e-12)
 
 
-def _random_spinors(monkeypatch):
-    """Every grid's family, left and right and every six-spinor replaced by
-    seeded random complex arrays of their shapes; the kinematics stay."""
+def _random_spinors(monkeypatch, layout=False):
+    """Every grid's left and right and every six-spinor replaced by seeded
+    random complex arrays of their shapes, and every grid's family too, or
+    with `layout` rebuilt from the random left and right through
+    halfspin.family_of; the kinematics stay."""
     rng = np.random.default_rng(20261020)
 
     def noise(a):
@@ -426,7 +449,9 @@ def _random_spinors(monkeypatch):
 
     def mutant(cls, *args):
         g = build(cls, *args)
-        return g._replace(family=noise(g.family), left=noise(g.left), right=noise(g.right))
+        left, right = noise(g.left), noise(g.right)
+        family = halfspin.family_of(np.stack([left, right], axis=1)) if layout else noise(g.family)
+        return g._replace(family=family, left=left, right=right)
 
     monkeypatch.setattr(halfspin.SpinorGrid, "build", classmethod(mutant))
     six = spin1.weinberg_u
@@ -441,7 +466,6 @@ def _random_spinors(monkeypatch):
 # matrices, or deleted with its proof.
 GRID_BLIND = {
     # fixed matrices, judged beside the grid
-    "halfspin/conjugation-eigenvalues:squares",
     "halfspin/exchange-quadruple:image_sign",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
@@ -456,15 +480,58 @@ GRID_BLIND = {
 }
 
 
-def test_every_grid_residual_sees_the_spinors_or_is_listed():
+def _blind(plant) -> set:
+    """The judged names of the checks that ask for a grid that stay within
+    1e-9 under `plant`."""
     users = set()
     clean = judged_entries(users)
     with pytest.MonkeyPatch.context() as mp:
-        _random_spinors(mp)
+        plant(mp)
         got = judged_entries()
-    blind = {
+    return {
         k
         for k in clean
         if k.split(":")[0] in users and not (k in got and _moved(clean[k], got[k]))
     }
-    assert blind == GRID_BLIND
+
+
+def test_every_grid_residual_sees_the_spinors_or_is_listed():
+    assert _blind(_random_spinors) == GRID_BLIND
+
+
+# The judged names outside GRID_BLIND that stay within 1e-9 when every
+# grid's left and right are seeded random arrays and its family is rebuilt
+# from them through halfspin.family_of: the lambda/rho layout then still
+# holds, so a name here may restate the layout rather than judge the grid.
+# Each is open debt, with its reason.
+LAYOUT_BLIND = {
+    # it ties fieldops' displayed halves to the grid's own phi_L, and the
+    # family mutants move it; a basis form needs displayed_split on arrays
+    "fieldops/ziino-split:split",
+    # quadratic or bilinear in the two-spinors, so the unit two-spinors
+    # alone do not decide them
+    "halfspin/biorthonormality-structure:antisymmetry",
+    "halfspin/biorthonormality-structure:diagonal",
+    "halfspin/biorthonormality-structure:rho_mirrors_lambda",
+    # classifying by the dominant part is not linear
+    "spin1/reality-classes:every class as expected",
+    "spin1/reality-classes:half_minority",
+}
+
+
+def test_every_grid_residual_sees_the_two_spinors_or_is_listed():
+    blind = _blind(functools.partial(_random_spinors, layout=True))
+    assert blind - GRID_BLIND == LAYOUT_BLIND
+
+
+def test_the_layout_checks_ask_for_no_grid_and_no_check_draws_samples():
+    # judged on the unit two-spinors and the unit vectors of C^4
+    users = set()
+    judged_entries(users)
+    basis = {
+        "fieldops/mode-structure",
+        "halfspin/conjugation-eigenvalues",
+        "linalg/antilinear-algebra",
+    }
+    assert not users & basis
+    assert "random" not in vars(checks)
