@@ -321,6 +321,13 @@ def _intertwining(maps, signs, conv: PhaseConvention) -> np.ndarray:
 # the sixteen unit two-spinors, the real unit vectors e_k and i e_k of
 # (phi_L, phi_R): (vector, phi_L then phi_R, helicity, component)
 _UNIT_TWO_SPINORS = linalg.frozen(np.concatenate([np.eye(8), 1j * np.eye(8)]).reshape(16, 2, 2, 2))
+# the 8 with phi_R = 0, the real unit vectors x_a of phi_L, then the 28 sums
+# x_a + x_b, a < b: a real quadratic form Q in phi_L that vanishes on all 36
+# vanishes, as Q(x_a + x_b) - Q(x_a) - Q(x_b) is twice its polar form
+_UNIT_PHI_L = linalg.frozen(_UNIT_TWO_SPINORS[[0, 1, 2, 3, 8, 9, 10, 11]])
+_POLARIZATION = linalg.frozen(
+    np.concatenate([_UNIT_PHI_L, (_UNIT_PHI_L[:, None] + _UNIT_PHI_L)[np.triu_indices(8, 1)]])
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +395,9 @@ def _helicity_spinors(cfg: SuiteConfig, grid):
 
 @_check("halfspin/conjugation-eigenvalues", "self/anti-self conjugate eigenvalues")
 def _conjugation_eigenvalues(cfg: SuiteConfig, grid):
-    # the square is +1 for every conjugation phase; the +-1 eigenvalue
-    # statement is pinned to the real-eigenvalue convention thetac = 0
-    phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2, cfg.thetac]))
+    # the square is +1 for every conjugation phase (linalg/antilinear-algebra
+    # judges the configured one); the +-1 eigenvalues are pinned to thetac 0
+    phases = np.exp(1j * np.array([0.0, 0.9, math.pi / 2]))
     m = linalg.rowscale(phases) * halfspin.charge_conjugation_op().matrix
     squares = linalg.max_abs(m @ np.conjugate(m) - halfspin.ID4, axis=(-2, -1))
     # no grid: each gap is real-linear in (phi_L, phi_R), and a grid row's
@@ -509,12 +516,15 @@ def _biorthonormality_structure(cfg: SuiteConfig, grid):
     # the two families decouple exactly when the phase sum is 0 or pi;
     # elsewhere the cross block is 2 N^2 sin(t1 + t2) sized by identity
     cross = linalg.max_abs(np.concatenate([g[:, :2, 2:], g[:, 2:, :2]], axis=1), axis=(1, 2))
+    # the layout laws, once: each Gram entry is a real quadratic form in
+    # phi_L, which the polarization set decides for every row, phase and N
+    b = halfspin.lambda_gram(halfspin.family_of(_POLARIZATION))
     res = {
-        "diagonal": np.abs(g.diagonal(axis1=-2, axis2=-1)),
+        "diagonal": np.abs(b.diagonal(axis1=-2, axis2=-1)),
         "up_dn_magnitude": np.abs(_modulus(g[:, 0, 1]) - mag),
         "dn_up_magnitude": np.abs(_modulus(g[:, 1, 0]) - mag),
-        "antisymmetry": np.abs(g[:, 0, 1] + g[:, 1, 0]),
-        "rho_mirrors_lambda": np.abs(g[:, 2, 3] + g[:, 0, 1]),
+        "antisymmetry": np.abs(b[:, 0, 1] + b[:, 1, 0]),
+        "rho_mirrors_lambda": np.abs(b[:, 2, 3] + b[:, 0, 1]),
         "cross_magnitude": np.abs(cross - 2 * n2 * np.abs(np.sin(tsum))),
     }
     return Evaluation(
@@ -593,7 +603,6 @@ def _exchange_quadruple(cfg: SuiteConfig, grid):
         # dict(**...) refuses a repeated name
         dict(**halfspin.xi_alias_residuals(g), image_sign=image_sign),
         {
-            "w_squares": [f"{s:+d}*W{k}" for s, k in squares],
             # the distinct signed elements +-W_k the products reach
             "closure_order": len(set(table.values())),
             "status_map": sign_map,
@@ -746,45 +755,36 @@ def _transverse_offplane(cfg: SuiteConfig, grid):
     _TIGHT,
 )
 def _selfconjugacy(cfg: SuiteConfig, grid):
+    # the spin-1/2 square is linalg/antilinear-algebra's conjugation_square
     rep = spin1.selfconjugacy_analysis()
     judged = {k: rep.pop(k) for k in ("conjugation_law", "twisted_law", "eigenvector_gaps")}
-    half_sign = halfspin.charge_conjugation_op(cfg.convention).square_sign()
     return Evaluation(
         judged,
-        dict(rep, half_spin_square_sign=half_sign),
+        rep,
         {
             "plain spin-1 square -1": rep["square_sign_plain"] == -1,
             "twisted spin-1 square +1": rep["square_sign_twisted"] == +1,
-            "spin-1/2 square +1": half_sign == +1,
         },
     )
 
 
 @_check("spin1/reality-classes", "conjugation eigenvectors become pure real or pure imaginary")
 def _reality_classes(cfg: SuiteConfig, grid):
+    # a unitary V with V C V^T = 1 turns C K into complex conjugation, so the
+    # part of V psi that psi's class says is absent is |V (psi - s C K psi)|/2:
+    # the S^c gaps of conjugation-eigenvalues and selfconjugacy-dichotomy
     vh = spin1.HALF_MAJORANA_FRAME
     c_half = halfspin.charge_conjugation_op().matrix
     w = spin1.CHIRAL_TO_MAJORANA
     m_tw = spin1.TWISTED_CONJUGATION.matrix
-    res = {
-        "half_frame": linalg.max_abs(vh @ c_half @ vh.T - halfspin.ID4),
-        "one_frame": linalg.max_abs(w @ m_tw @ w.T - spin1.ID6),
-    }
-    # classes are judged on the first six momenta and shown for the last;
-    # the minority is the magnitude of the part each class says is absent.
-    # lambda_like builds +-eigenvectors of the twisted conjugation, which
-    # one_frame makes the plain one: their minority restates one_frame
-    g = grid().head(6)
-    half_real, res["half_minority"] = spin1.reality_classes(g.family, vh)
-    # (row, sign +1 then -1, helicity)
-    one_real = spin1.reality_classes(spin1.lambda_like(g), w)[0]
-    names = [f"half_{name}" for name in FAMILY]
-    names += [f"one_{tag}_{h}" for tag in ("plus", "minus") for h in spin1.HELICITIES]
-    kinds = np.concatenate([half_real[-1], one_real[-1].ravel()]).tolist()
-    classes = {n: "real" if k else "imaginary" for n, k in zip(names, kinds)}
-    # the self-conjugate members (S^c sign +1) and lambda-like sign +1 are real
-    expected = (half_real == (FAMILY_SIGNS > 0)).all() and (one_real == [[True], [False]]).all()
-    return Evaluation(res, {"classes": classes}, {"every class as expected": bool(expected)})
+    return Evaluation(
+        {
+            "half_frame": linalg.max_abs(vh @ c_half @ vh.T - halfspin.ID4),
+            "one_frame": linalg.max_abs(w @ m_tw @ w.T - spin1.ID6),
+            "half_frame_unitary": linalg.max_abs(vh @ linalg.dagger(vh) - halfspin.ID4),
+            "one_frame_unitary": linalg.max_abs(w @ linalg.dagger(w) - spin1.ID6),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +952,10 @@ def _mode_structure(cfg: SuiteConfig, grid):
 
 @_check("fieldops/ziino-split", "even/odd halves match the displayed coefficients")
 def _ziino_split(cfg: SuiteConfig, grid):
+    # no grid for the split: the computed and the displayed halves are both
+    # real-linear in phi_L, so the unit phi_L decide it, at thetac 0
+    x = _UNIT_PHI_L
+    split = fieldops.split_residual(x[:, 0], halfspin.family_of(x), PhaseConvention())
     g = grid()
     # the independent oracle rebuilds the first and last rows from (p, conv)
     shown = fieldops.displayed_split(g)
@@ -960,13 +964,7 @@ def _ziino_split(cfg: SuiteConfig, grid):
         want = fieldops.displayed_ziino_coefficients(g.momentum(i), g.convention)
         # (half, slot, helicity)
         oracle.append(linalg.max_abs([half[i] - w for half, w in zip(shown, want)], axis=-1))
-    return Evaluation(
-        {
-            "split": fieldops.ziino_split_residual(g),
-            "displayed_oracle": oracle,
-        },
-        {"momenta": len(g.mass)},
-    )
+    return Evaluation({"split": split, "displayed_oracle": oracle}, {"momenta": len(g.mass)})
 
 
 # the sixteen unit expansions of one row: (expansion, slot, helicity, component)

@@ -80,18 +80,23 @@ def ziino_barut_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_halves(majorana_mode(g), g.convention))
 
 
-def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The (even, odd) halves in closed form on the grid's own phi_L, in
-    the expansion layout: the even half puts (i Theta conj(phi_L); 0) on
-    the annihilators and (0; phi_L) on the creators; the odd half swaps the
-    pattern with a sign."""
-    top = apply(1j * THETA, np.conjugate(g.left))
+def _displayed(left: np.ndarray) -> np.ndarray:
+    """The (even, odd) halves in closed form on the two-spinors phi_L
+    (N, 2, 2), in the expansion layout on a new leading axis: the even half
+    puts (i Theta conj(phi_L); 0) on the annihilators and (0; phi_L) on the
+    creators; the odd half swaps the pattern with a sign."""
+    top = apply(1j * THETA, np.conjugate(left))
     # (half, row, slot, helicity, component), zero where nothing is written
-    even, odd = np.zeros((2, len(top), 2, 2, 4), dtype=complex)
+    even, odd = halves = np.zeros((2, len(top), 2, 2, 4), dtype=complex)
     even[:, 0, :, :2] = top
-    even[:, 1, :, 2:] = odd[:, 0, :, 2:] = g.left
+    even[:, 1, :, 2:] = odd[:, 0, :, 2:] = left
     odd[:, 1, :, :2] = -top
-    return even, odd
+    return halves
+
+
+def displayed_split(g: SpinorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (even, odd) halves in closed form on the grid's own phi_L."""
+    return tuple(_displayed(g.left))
 
 
 def displayed_ziino_coefficients(
@@ -105,10 +110,15 @@ def displayed_ziino_coefficients(
     return even[0], odd[0]
 
 
+def split_residual(left: np.ndarray, family: np.ndarray, conv: PhaseConvention):
+    """Distance of the halves of mode_of(family) from the displayed ones on
+    phi_L `left`, (N, 2, 2, 2): row, half (even, odd), slot, helicity."""
+    return residual(_halves(mode_of(family), conv), _displayed(left)).swapaxes(0, 1)
+
+
 def ziino_split_residual(g: SpinorGrid):
-    """Distance of the computed halves from the displayed coefficients,
-    (N, 2, 2, 2): row, half (even, odd), slot, helicity."""
-    return residual(np.array(ziino_barut_split(g)), np.array(displayed_split(g))).swapaxes(0, 1)
+    """split_residual of the grid's family and its own phi_L."""
+    return split_residual(g.left, g.family, g.convention)
 
 
 def parity_residuals(nu: np.ndarray, conv: PhaseConvention) -> dict:

@@ -461,6 +461,12 @@ def adjoint(psi: np.ndarray) -> np.ndarray:
     return np.conjugate(psi) @ GAMMA0
 
 
+def lambda_gram(family: np.ndarray) -> np.ndarray:
+    """G[n, i, j] = bar(lambda_i) lambda_j over (N, 8, 4) families' lambda rows."""
+    stack = family[:, LAMBDAS]
+    return adjoint(stack) @ np.swapaxes(stack, -1, -2)
+
+
 def biorthonormality_gram(g: SpinorGrid) -> np.ndarray:
     """G[n, i, j] = bar(lambda_i) lambda_j over row n's lambda stack.
 
@@ -470,8 +476,7 @@ def biorthonormality_gram(g: SpinorGrid) -> np.ndarray:
     realizes is G[0,1] = -2i N^2 cos(theta1+theta2) = -G[1,0] and the
     opposite pattern in the anti block.
     """
-    stack = g.lambda_stack()
-    return adjoint(stack) @ np.swapaxes(stack, -1, -2)
+    return lambda_gram(g.family)
 
 
 # ---------------------------------------------------------------------------

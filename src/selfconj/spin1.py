@@ -168,6 +168,11 @@ PARITY_MIXER = frozen(np.block([[ID3, ID3], [ID3, -ID3]]) / _RT2)
 # statements below frame-exact.
 CHIRAL_TO_MAJORANA = frozen(MAJORANA_U @ PARITY_MIXER)
 
+# 4x4 analogue of the real frame, same block pattern with the 2x2 Theta and
+# a global exp(-i pi/4); satisfies V C V^T = 1 for the spin-1/2 conjugation
+# matrix, turning S^c into plain complex conjugation
+HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2))
+
 
 def to_majorana_rep(mat: np.ndarray) -> np.ndarray:
     w = CHIRAL_TO_MAJORANA
@@ -356,22 +361,3 @@ def selfconjugacy_analysis() -> dict:
         "eigenvector_gaps": norm(tw(v) - _PM_ONE * v).ravel(),
     }
 
-
-# ---------------------------------------------------------------------------
-# reality of the spinors themselves
-
-
-# 4x4 analogue of the real frame, same block pattern with the 2x2 Theta and
-# a global exp(-i pi/4); satisfies V C V^T = 1 for the spin-1/2 conjugation
-# matrix, turning S^c into plain complex conjugation
-HALF_MAJORANA_FRAME = frozen(np.exp(-0.25j * math.pi) * _frame_blocks(THETA_HALF) / (2 * _RT2))
-
-
-def reality_classes(vectors, frame: np.ndarray):
-    """Transform the vectors (on the last axis) to the frame and classify
-    each by whichever part dominates: (real, minority) over the leading
-    axes, real True where the real part is at least the imaginary one and
-    minority the magnitude of the smaller part."""
-    w = apply(frame, np.asarray(vectors, dtype=complex))
-    re, im = max_abs(np.real(w), axis=-1), max_abs(np.imag(w), axis=-1)
-    return re >= im, np.minimum(re, im)

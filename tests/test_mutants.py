@@ -4,8 +4,9 @@ matrix, and every judged residual and predicate moves under one or is
 listed as not yet moved.  A second probe makes every spinor a run builds
 seeded noise: every judged entry of a check that asks for a grid must move,
 or be listed as blind to the grid.  A third builds every family from noisy
-two-spinors through the lambda/rho layout, and lists what the layout alone
-keeps in place.  The mutants are planted here with
+two-spinors through the lambda/rho layout: nothing outside that list may
+stay in place, since the layout laws are judged on bases.  The mutants are
+planted here with
 monkeypatch; the package carries no mutation knob and no check builds a
 mutant of its own."""
 
@@ -68,6 +69,16 @@ def _attribute(owner, name, value):
     return lambda monkeypatch: monkeypatch.setattr(owner, name, value)
 
 
+def _together(*plants):
+    """The mutant of all `plants` at once."""
+
+    def plant(monkeypatch):
+        for p in plants:
+            p(monkeypatch)
+
+    return plant
+
+
 def _scale_lam_s_up(family):
     family[:, LAM_S.start] *= 1.5
 
@@ -120,6 +131,12 @@ def _symmetric_i_theta(i_theta):
     return np.array([1j, -1j])[:, None, None] * halfspin.SIGMA[0]
 
 
+def _same_sign_i_theta(i_theta):
+    # +i Theta for both families: lambda^A = lambda^S and rho^S = rho^A, so
+    # half the members sit at the wrong S^c sign and the Gram layout breaks
+    return np.array([1j, 1j])[:, None, None] * halfspin.THETA
+
+
 def _one_phase_xi_factor(phi_p):
     # diag(e^{i phi}, e^{i phi}, e^{i phi}, e^{i phi}): on the meridian grid,
     # where e^{i phi} is +-1, it is the true factor
@@ -160,8 +177,9 @@ MUTANTS = {
     # orbit checks, which judge S^c M = s M S^c, do not see it
     "doubled-conjugation-block": (
         _constant(halfspin, "_CONJUGATION_BLOCK", lambda m: 2 * m),
-        (_CONJUGATION_CHECKS - _ORBIT_CHECKS) | {"spin1/reality-classes"},
-        {"linalg/antilinear-algebra", "spin1/selfconjugacy-dichotomy"},
+        (_CONJUGATION_CHECKS - _ORBIT_CHECKS - {"spin1/selfconjugacy-dichotomy"})
+        | {"spin1/reality-classes"},
+        {"linalg/antilinear-algebra"},
     ),
     "negated-creator-slot": (
         _attribute(fieldops, "charge_conjugate_expansion", _negated_creator_slot),
@@ -177,7 +195,6 @@ MUTANTS = {
         _family(_scale_lam_s_up),
         {
             "fieldops/dirac-embedding",
-            "fieldops/ziino-split",
             "halfspin/biorthonormality-structure",
             "halfspin/dirac-connection",
             "halfspin/dynamical-residuals",
@@ -197,7 +214,6 @@ MUTANTS = {
         _family(_shift_lam_s_up_rest_phase),
         {
             "fieldops/dirac-embedding",
-            "fieldops/ziino-split",
             "halfspin/biorthonormality-structure",
             "halfspin/dirac-connection",
             "halfspin/dynamical-residuals",
@@ -206,7 +222,7 @@ MUTANTS = {
         },
         set(),
     ),
-    # the layout itself: both basis checks build their family through it
+    # the layout itself: the basis checks build their families through it
     "symmetric-theta-layout": (
         _constant(halfspin, "_I_THETA", _symmetric_i_theta),
         {
@@ -218,7 +234,20 @@ MUTANTS = {
             "halfspin/dirac-connection",
             "halfspin/dynamical-residuals",
             "halfspin/eigenstructure-split",
-            "spin1/reality-classes",
+        },
+        set(),
+    ),
+    "same-sign-theta-layout": (
+        _constant(halfspin, "_I_THETA", _same_sign_i_theta),
+        {
+            "fieldops/dirac-embedding",
+            "fieldops/mode-structure",
+            "fieldops/ziino-split",
+            "halfspin/biorthonormality-structure",
+            "halfspin/conjugation-eigenvalues",
+            "halfspin/dirac-connection",
+            "halfspin/eigenstructure-split",
+            "halfspin/exchange-quadruple",
         },
         set(),
     ),
@@ -298,6 +327,15 @@ MUTANTS = {
         {"spin1/transverse-reality"},
         set(),
     ),
+    "scaled-majorana-frames": (
+        _together(
+            _constant(spin1, "HALF_MAJORANA_FRAME", lambda m: 2 * m),
+            _constant(spin1, "CHIRAL_TO_MAJORANA", lambda m: 2 * m),
+        ),
+        # to_majorana_rep reads the spin-1 frame too
+        {"spin1/majorana-real-family", "spin1/reality-classes"},
+        set(),
+    ),
 }
 
 
@@ -335,7 +373,6 @@ UNMOVED = {
     "fock/squares-and-commutation:charge_flip_square",
     "fock/squares-and-commutation:inversion_square",
     "fock/state-tables:unitary",
-    "halfspin/dirac-connection:phase_drift",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
     "halfspin/helicity-spinors:unit_norm",
@@ -343,10 +380,8 @@ UNMOVED = {
     "halfspin/massless-limit:ratio falls with the mass",
     "linalg/antilinear-algebra:conjugation_square",
     "linalg/antilinear-algebra:rotation_square",
-    "spin1/majorana-real-family:family_gaps",
     "spin1/majorana-real-family:family_imag_parts",
     "spin1/majorana-unitarity:u_udagger",
-    "spin1/selfconjugacy-dichotomy:spin-1/2 square +1",
     "spin1/wigner-theta:conjugates_j",
     "spin1/wigner-theta:involution",
 }
@@ -469,10 +504,14 @@ GRID_BLIND = {
     "halfspin/exchange-quadruple:image_sign",
     "halfspin/exchange-quadruple:squares +1, -1, -1, -1",
     "halfspin/helicity-spinors:along_x",
-    "spin1/reality-classes:half_frame",
-    "spin1/reality-classes:one_frame",
     "spin1/wigner-theta:conjugates_j",
     "spin1/wigner-theta:involution",
+    # layout laws judged on a basis beside the grid: the Gram laws on the
+    # unit phi_L and their pairwise sums, the split on the unit phi_L
+    "fieldops/ziino-split:split",
+    "halfspin/biorthonormality-structure:antisymmetry",
+    "halfspin/biorthonormality-structure:diagonal",
+    "halfspin/biorthonormality-structure:rho_mirrors_lambda",
     # the grid's directions alone
     "halfspin/helicity-spinors:eigen",
     "halfspin/helicity-spinors:unit_norm",
@@ -499,39 +538,25 @@ def test_every_grid_residual_sees_the_spinors_or_is_listed():
     assert _blind(_random_spinors) == GRID_BLIND
 
 
-# The judged names outside GRID_BLIND that stay within 1e-9 when every
-# grid's left and right are seeded random arrays and its family is rebuilt
-# from them through halfspin.family_of: the lambda/rho layout then still
-# holds, so a name here may restate the layout rather than judge the grid.
-# Each is open debt, with its reason.
-LAYOUT_BLIND = {
-    # it ties fieldops' displayed halves to the grid's own phi_L, and the
-    # family mutants move it; a basis form needs displayed_split on arrays
-    "fieldops/ziino-split:split",
-    # quadratic or bilinear in the two-spinors, so the unit two-spinors
-    # alone do not decide them
-    "halfspin/biorthonormality-structure:antisymmetry",
-    "halfspin/biorthonormality-structure:diagonal",
-    "halfspin/biorthonormality-structure:rho_mirrors_lambda",
-    # classifying by the dominant part is not linear
-    "spin1/reality-classes:every class as expected",
-    "spin1/reality-classes:half_minority",
-}
-
-
 def test_every_grid_residual_sees_the_two_spinors_or_is_listed():
+    # every grid's left and right are seeded random arrays and its family is
+    # rebuilt from them through halfspin.family_of, so the lambda/rho layout
+    # still holds: a name that stays put restates the layout rather than
+    # judging the grid, and none may outside GRID_BLIND, since the layout
+    # laws are judged once on bases
     blind = _blind(functools.partial(_random_spinors, layout=True))
-    assert blind - GRID_BLIND == LAYOUT_BLIND
+    assert blind - GRID_BLIND == set()
 
 
 def test_the_layout_checks_ask_for_no_grid_and_no_check_draws_samples():
-    # judged on the unit two-spinors and the unit vectors of C^4
+    # judged on the unit two-spinors, the unit vectors of C^4 and the frames
     users = set()
     judged_entries(users)
     basis = {
         "fieldops/mode-structure",
         "halfspin/conjugation-eigenvalues",
         "linalg/antilinear-algebra",
+        "spin1/reality-classes",
     }
     assert not users & basis
     assert "random" not in vars(checks)

@@ -244,23 +244,6 @@ def test_frames_trivialize_the_conjugations():
     assert np.allclose(v @ np.conjugate(v.T), np.eye(4), atol=1e-14)
 
 
-def test_reality_classes_both_spins():
-    p = FourMomentum(1.0, 1.5, 1.1, 0.7)
-    v = spin1.HALF_MAJORANA_FRAME
-    b = halfspin.build_spinor_basis(p)
-    # the self members (lambda^S, rho^S) are real, the anti-self ones imaginary
-    real, minority = spin1.reality_classes(b.family, v)
-    assert real.shape == minority.shape == (1, 8)
-    assert real[0].tolist() == [True] * 4 + [False] * 4
-    assert np.all(minority < 1e-12)
-    w = spin1.CHIRAL_TO_MAJORANA
-    # (sign, helicity): sign +1 is real, -1 imaginary
-    vectors = spin1.lambda_like(p)
-    real, minority = spin1.reality_classes(vectors, w)
-    assert real.tolist() == [[True] * 3, [False] * 3]
-    assert np.all(minority < 1e-12)
-
-
 def test_a_warm_process_recomputes_the_fixed_matrix_checks(monkeypatch):
     # no check result outlives its run: a patched constant shows in the
     # next run of the same process, and undoing the patch undoes the FAILs
